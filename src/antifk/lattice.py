@@ -150,7 +150,7 @@ class HomomorphismTail(TailRule):
 class AnchorTail(TailRule):
     """u_i = nearest anchor to rho(i) outside the window.
 
-    The sampler is any object with points_near(x, radius) and signature();
+    The sampler is any object with nearest(xs, radius) and signature();
     radius is the covering radius guaranteeing a nonempty query.
     """
 
@@ -161,6 +161,9 @@ class AnchorTail(TailRule):
 
     def value(self, i: int) -> np.ndarray:
         return nearest_anchor(self.rotation, i, self.sampler, self.radius)
+
+    def values(self, sites: np.ndarray) -> np.ndarray:
+        return _nearest_anchors(self.rotation, sites, self.sampler, self.radius)
 
     @property
     def slope(self) -> np.ndarray:
@@ -243,8 +246,8 @@ class Configuration:
         inside = np.abs(sites) <= self.window.half_width
         if inside.any():
             out[inside] = self.values[sites[inside] + self.window.half_width]
-        for j in np.nonzero(~inside)[0]:
-            out[j] = self.tail.value(int(sites[j]))
+        if not inside.all():
+            out[~inside] = self.tail.values(sites[~inside])
         return out
 
     def extended(self, halo: int) -> np.ndarray:
@@ -286,7 +289,7 @@ def anchor_configuration(rho, sampler, radius: float, window: Window) -> Configu
     rot = as_rotation(rho)
     if rot.dimension != window.dimension:
         raise ValueError("rotation vector dimension does not match window")
-    vals = np.stack([nearest_anchor(rot, int(i), sampler, radius) for i in window.sites()])
+    vals = _nearest_anchors(rot, window.sites(), sampler, radius)
     return Configuration(window, vals, AnchorTail(rot, sampler, radius))
 
 
@@ -296,20 +299,12 @@ def nearest_anchor(rho, i: int, sampler, radius: float) -> np.ndarray:
     Ties (to within an 1e-12 relative margin) break to the
     lexicographically smallest point.
     """
-    rot = as_rotation(rho)
-    x = rot(float(i))
+    return _nearest_anchors(as_rotation(rho), [i], sampler, radius)[0]
+
+
+def _nearest_anchors(rot: RotationVector, sites, sampler, radius: float) -> np.ndarray:
     # tiny slack so that boundary cases (distance exactly R) are found
-    pts = np.atleast_2d(sampler.points_near(x, radius * (1 + 1e-12) + 1e-12))
-    if pts.size == 0:
-        raise CertificateError(
-            f"no anchor within radius {radius} of rho({i}) = {x}"
-        )
-    dists = np.linalg.norm(pts - x, axis=1)
-    best = dists.min()
-    tol = 1e-12 * (1.0 + abs(best))
-    candidates = pts[dists <= best + tol]
-    order = np.lexsort(candidates.T[::-1])  # lexicographic by leading component
-    return candidates[order[0]].copy()
+    return sampler.nearest(rot(sites), radius * (1 + 1e-12) + 1e-12)
 
 
 def _tails_equal(t1: TailRule, t2: TailRule) -> bool:

@@ -34,7 +34,6 @@ __all__ = [
     "cosine_certificate",
     "estimate_aubry",
     "local_inverse",
-    "potential_derivatives",
     "potential_to_dict",
     "potential_from_dict",
 ]
@@ -227,11 +226,6 @@ class DeloneBumpPotential:
         }
 
 
-def potential_derivatives(V, x):
-    """(value, gradient, hessian) of V at x."""
-    return V.value(x), V.gradient(x), V.hessian(x)
-
-
 def potential_to_dict(V) -> dict:
     return V.to_dict()
 
@@ -290,6 +284,23 @@ class PeriodicZeroSet:
             return np.empty((0, 1))
         return np.sort(np.array(out))[:, None]
 
+    def nearest(self, xs, radius: float) -> np.ndarray:
+        """Closest zero to each row of xs (shape (n, 1)), ties (1e-12
+        relative) to the lowest: the closest point of z + period * Z lies
+        at k = floor((x - z) / period) or k + 1. CertificateError if a row
+        has no zero within radius."""
+        x = np.reshape(np.asarray(xs, dtype=float), (-1, 1))
+        k = np.floor((x - self.base_points) / self.period)
+        cand = np.concatenate([self.base_points + k * self.period,
+                               self.base_points + (k + 1) * self.period], axis=1)
+        dist = np.abs(cand - x)
+        best = dist.min(axis=1, keepdims=True)
+        if (best > radius).any():
+            j = int(np.argmax(best[:, 0] > radius))
+            raise CertificateError(f"no zero within radius {radius} of {x[j, 0]}")
+        tie = (dist <= best + 1e-12 * (1.0 + best)) & (dist <= radius)
+        return np.where(tie, cand, np.inf).min(axis=1)[:, None]
+
     def signature(self):
         return ("periodic", self.base_points.tobytes(), self.period)
 
@@ -334,6 +345,22 @@ class FiniteZeroSet:
             )
         mask = np.linalg.norm(self.points - x, axis=1) <= radius
         return self.points[mask]
+
+    def nearest(self, xs, radius: float) -> np.ndarray:
+        """Closest zero to each row of xs by one points_near per row, ties
+        (1e-12 relative) to the lexicographically smallest; CertificateError
+        if a row has no zero within radius."""
+        xs = np.reshape(np.asarray(xs, dtype=float), (-1, self.dimension))
+        out = np.empty_like(xs)
+        for j, x in enumerate(xs):
+            pts = self.points_near(x, radius)
+            if pts.shape[0] == 0:
+                raise CertificateError(f"no zero within radius {radius} of {x}")
+            dists = np.linalg.norm(pts - x, axis=1)
+            best = dists.min()
+            candidates = pts[dists <= best + 1e-12 * (1.0 + best)]
+            out[j] = candidates[np.lexsort(candidates.T[::-1])[0]]
+        return out
 
     def signature(self):
         return ("finite", self.points.tobytes(), self.lo.tobytes(), self.hi.tobytes())
@@ -548,6 +575,8 @@ def _sigma_min(H: np.ndarray) -> np.ndarray:
     H = np.atleast_2d(H)
     if H.ndim == 2:
         H = H[None]
+    if H.shape[-1] == 1:
+        return np.abs(H[..., 0, 0])
     return np.linalg.svd(H, compute_uv=False).min(axis=-1)
 
 
@@ -722,115 +751,85 @@ def _scan_zeros_nd(V, lo, hi, grid_points, zero_tol):
 # local inverse
 
 
-def local_inverse(V, z, target, cert: AubryCertificate, tol: float = 1e-12,
-                  max_iter: int = 80) -> np.ndarray:
-    """Solve psi(y) = target for y in the closed r-ball around the zero z.
-
-    Projected Newton from the ball center; for d = 1 a bisection fallback
-    guarantees convergence (psi is strictly monotone on the ball).
-    """
+def local_inverse(V, z, target, cert: AubryCertificate,
+                  tol: float = 1e-12) -> np.ndarray:
+    """Solve psi(y) = target for y in the closed r-ball around the zero z:
+    one row of local_inverse_batch, behind the domain check."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    r, m = cert.ball_radius, cert.expansion
     tnorm = float(np.linalg.norm(target))
-    limit = r * m
+    limit = cert.admissible_radius
     if tnorm > limit * (1 + 1e-12):
         raise DomainError(
             f"target norm {tnorm:.6e} exceeds admissible radius r*m = {limit:.6e}",
             norm=tnorm, limit=limit,
         )
-    y = z.copy()
-    best_y, best_f = y.copy(), np.inf
-    for _ in range(max_iter):
-        f = V.gradient(y) - target
-        nf = float(np.linalg.norm(f))
-        if nf < best_f:
-            best_f, best_y = nf, y.copy()
-        if nf <= tol:
-            return y
-        H = np.atleast_2d(V.hessian(y))
-        try:
-            step = np.linalg.solve(H, f)
-        except np.linalg.LinAlgError:
-            break
-        y_new = y - step
-        dy = y_new - z
-        nd = float(np.linalg.norm(dy))
-        if nd > r:
-            y_new = z + dy * (r / nd)
-        if np.array_equal(y_new, y):
-            break
-        y = y_new
-    if z.shape[0] == 1:
-        return _local_inverse_bisect(V, float(z[0]), float(target[0]), r, tol)
-    if best_f <= 10 * tol:
-        return best_y
-    raise ConvergenceError(
-        f"local inverse stalled at |psi(y) - target| = {best_f:.3e} (tol {tol:.1e})"
-    )
-
-
-def _local_inverse_bisect(V, z, target, r, tol):
-    a, b = z - r, z + r
-    fa = float(V.gradient(np.array([a]))[0]) - target
-    fb = float(V.gradient(np.array([b]))[0]) - target
-    if fa == 0.0:
-        return np.array([a])
-    if fb == 0.0:
-        return np.array([b])
-    if fa * fb > 0:
-        raise ConvergenceError(
-            "local inverse target is not bracketed on the certificate ball; "
-            "certificate inconsistent with the potential"
-        )
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = float(V.gradient(np.array([mid]))[0]) - target
-        if abs(fm) <= tol or mid == a or mid == b:
-            return np.array([mid])
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return np.array([0.5 * (a + b)])
+    return local_inverse_batch(V, z[None], target[None], cert, tol=tol)[0]
 
 
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
-                        max_iter: int = 60) -> np.ndarray:
-    """Vectorized local_inverse over rows of centers/targets.
+                        max_iter: int = 100) -> np.ndarray:
+    """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
+    zero centers_k by safeguarded Newton, vectorised over rows.
 
-    Callers are responsible for the domain check (so they can name the
-    offending site); rows that fail the batched Newton loop fall back to
-    the scalar routine.
+    A row stops once |psi(y) - t| <= max(tol, floor), the floor being the
+    accuracy of psi at a float y: half the float spacing of max|y| times
+    |hessian|, plus a few eps. For d = 1 each row brackets its root in
+    [z - r, z + r] (psi is monotone on the ball) and bisects when Newton
+    leaves the bracket, which ends the row once it holds adjacent floats;
+    for d > 1 Newton steps are projected onto the ball. A row open after
+    max_iter steps, or with no root in its bracket, raises
+    ConvergenceError naming it. Callers do the domain check, so they can
+    name the offending site.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    n, d = centers.shape
-    r = cert.ball_radius
+    d, r = centers.shape[1], cert.ball_radius
     y = centers.copy()
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        f = V.gradient(y[active]) - targets[active]
-        nf = np.linalg.norm(np.atleast_2d(f), axis=1)
-        done = nf <= tol
-        if done.any():
-            idx = np.nonzero(active)[0]
-            active[idx[done]] = False
-            f = f[~done]
-        if not active.any():
-            break
-        H = np.atleast_2d(V.hessian(y[active]))
-        if H.ndim == 2:
-            H = H[None]
-        step = np.linalg.solve(H, f[..., None])[..., 0]
-        y_new = y[active] - step
-        dy = y_new - centers[active]
-        nd = np.linalg.norm(dy, axis=1)
-        over = nd > r
-        if over.any():
-            y_new[over] = centers[active][over] + dy[over] * (r / nd[over])[:, None]
-        y[active] = y_new
-    for j in np.nonzero(active)[0]:
-        y[j] = local_inverse(V, centers[j], targets[j], cert, tol=tol)
-    return y
+    lo, hi = centers[:, 0] - r, centers[:, 0] + r  # d = 1 brackets
+    rows = np.arange(len(centers))  # rows still open
+    for k in range(max_iter + 1):
+        yk = y[rows]
+        f = V.gradient(yk) - targets[rows]
+        H = np.reshape(V.hessian(yk), (-1, d, d))
+        nf = np.linalg.norm(f, axis=1)
+        floor = np.spacing(np.abs(yk).max(axis=1)) * np.linalg.norm(H, axis=(1, 2))
+        limit = np.maximum(tol, 0.5 * floor + 4 * np.finfo(float).eps)
+        keep = nf > limit
+        rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]
+        if rows.size == 0:
+            return y
+        if k == max_iter:
+            raise ConvergenceError(
+                f"local inverse row {rows[0]} stopped at |psi(y) - t| = "
+                f"{nf[keep][0]:.3e} > {limit[keep][0]:.3e} after {max_iter} steps"
+            )
+        if d == 1:
+            x, h = yk[:, 0], H[:, 0, 0]
+            below = np.sign(h) * f[:, 0] > 0  # the root lies below x
+            lo_k = np.where(below, lo[rows], x)
+            hi_k = np.where(below, x, hi[rows])
+            lo[rows], hi[rows] = lo_k, hi_k
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_new = x - f[:, 0] / h
+            bisect = ~((x_new > lo_k) & (x_new < hi_k))
+            x_new[bisect] = 0.5 * (lo_k + hi_k)[bisect]
+            split = (x_new != lo_k) & (x_new != hi_k)
+            # a bracket end that never moved: the root is not in the ball
+            stuck = ~split & ((lo_k == centers[rows, 0] - r)
+                              | (hi_k == centers[rows, 0] + r))
+            if stuck.any():
+                j = rows[np.argmax(stuck)]
+                raise ConvergenceError(
+                    f"local inverse row {j}: no root in the certificate ball; "
+                    "certificate inconsistent with the potential")
+            rows = rows[split]
+            y[rows, 0] = x_new[split]
+        else:
+            y_new = yk - np.linalg.solve(H, f[..., None])[..., 0]
+            dy = y_new - centers[rows]
+            nd = np.linalg.norm(dy, axis=1)
+            over = nd > r
+            y_new[over] = centers[rows][over] + dy[over] * (r / nd[over])[:, None]
+            y[rows] = y_new

@@ -216,7 +216,7 @@ class ContractionSolver:
         u = initial if initial is not None else self.anchors
         steps = []
         converged = False
-        final_res = np.inf
+        final_res = last_res = np.inf
         for _ in range(p.max_iter):
             u_next = self.phi_step(u)
             delta = float(
@@ -224,17 +224,23 @@ class ContractionSolver:
             )
             steps.append(delta)
             u = u_next
-            if delta <= step_threshold:
+            # below one float spacing of u a step cannot shrink further
+            if delta <= max(step_threshold, np.spacing(np.abs(u.values).max())):
                 final_res = self.residual(u)
                 if final_res <= p.tol:
                     converged = True
                     break
-                if delta == 0.0:
+                if final_res >= last_res:
+                    H = self.potential.hessian(u.values).reshape(len(u.values), -1)
+                    floor = p.lam * np.linalg.norm(H, axis=1).max() * 0.5 * (
+                        np.spacing(np.abs(u.values).max()))
                     raise ConvergenceError(
-                        f"iteration reached a fixed point of the discretized map "
-                        f"but the residual {final_res:.3e} exceeds tol {p.tol:.1e}",
+                        f"residual stalled at {final_res:.3e} above tol "
+                        f"{p.tol:.1e}; the float floor of this chain, "
+                        f"lam * max|H| * spacing(max|u|) / 2, is {floor:.3e}",
                         trace=steps,
                     )
+                last_res = final_res
         if not converged:
             if not np.isfinite(final_res):
                 final_res = self.residual(u)

@@ -3,7 +3,9 @@ import pytest
 
 from antifk import (
     AubryCertificate,
+    CertificateError,
     CertificationError,
+    ConvergenceError,
     DeloneBumpPotential,
     DomainError,
     FiniteZeroSet,
@@ -20,6 +22,7 @@ from antifk import (
     truncated_almost_periodic,
 )
 
+from antifk.potentials import _sigma_min
 from oracles import bisect, fd_gradient
 
 
@@ -215,6 +218,101 @@ class TestLocalInverse:
                 cos_potential, centers[k], targets[k], cos_cert
             )
             assert batch[k, 0] == pytest.approx(single[0], abs=1e-13)
+
+
+    def test_far_rows_reach_the_float_floor(self, cos_potential, cos_cert, rng):
+        # at |z| ~ 2e4 an absolute tol of 1e-15 lies below the float
+        # spacing of y; every row stops at the floor instead
+        k = rng.integers(6300, 6400, size=400) * np.where(
+            np.arange(400) % 2, 1, -1)
+        centers = (k * np.pi)[:, None]
+        rm = cos_cert.admissible_radius
+        targets = rng.uniform(-rm, rm, size=(400, 1))
+        y = local_inverse_batch(cos_potential, centers, targets, cos_cert,
+                                tol=1e-15)
+        defect = np.abs(cos_potential.gradient(y) - targets)[:, 0]
+        floor = (0.5 * np.spacing(np.abs(y[:, 0]))
+                 * np.abs(cos_potential.hessian(y)[:, 0, 0])
+                 + 4 * np.finfo(float).eps)
+        assert (defect <= floor).all()
+        root = k * np.pi - (-1.0) ** k * np.arcsin(targets[:, 0])
+        assert np.abs(y[:, 0] - root).max() <= 2 * np.spacing(2.1e4)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_row_without_root_raises_naming_it(self, d):
+        # the second target has no preimage in the ball (its norm exceeds
+        # r*m), so projected Newton (d = 2) or the bracket (d = 1) fails
+        V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
+        cert = AubryCertificate(
+            sampler=FiniteZeroSet(np.zeros((1, d)), -1.0, 1.0),
+            covering_radius=np.pi / 2 * np.sqrt(d), ball_radius=np.pi / 4,
+            expansion=np.cos(np.pi / 4),
+        )
+        centers = np.zeros((3, d))
+        targets = np.zeros((3, d))
+        targets[0, 0], targets[1, 0], targets[2, 0] = 0.1, 0.9, -0.2
+        with pytest.raises(ConvergenceError, match="row 1"):
+            local_inverse_batch(V, centers, targets, cert)
+
+
+class TestSigmaMin:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_svd(self, d, rng):
+        H = rng.standard_normal((2000, d, d))
+        expect = np.linalg.svd(H, compute_uv=False).min(axis=-1)
+        assert np.array_equal(_sigma_min(H), expect)
+
+
+def _nearest_by_lookup(sampler, x, radius):
+    """Per-site reference: every zero within radius, closest first, ties
+    (1e-12 relative) to the lowest."""
+    pts = sampler.points_near(x, radius)[:, 0]
+    if pts.size == 0:
+        raise CertificateError("empty")
+    dists = np.abs(pts - x)
+    best = dists.min()
+    return pts[dists <= best + 1e-12 * (1.0 + best)].min()
+
+
+class TestNearest:
+    @pytest.mark.parametrize("base, period", [
+        ([0.0], np.pi), ([0.0, 1.0], 3.0), ([0.3, 1.7, 2.2], 2.5)])
+    def test_periodic_matches_lookup(self, base, period, rng):
+        s = PeriodicZeroSet(base, period)
+        b = np.sort(base)
+        R = np.diff(np.concatenate([b, [b[0] + period]])).max() / 2
+        radius = R * (1 + 1e-12) + 1e-12
+        sites = np.arange(-40, 41, dtype=float)
+        rhos = np.concatenate([rng.uniform(-50, 50, 20),
+                               [0.0, np.pi / 2, -np.pi / 2, period / 2,
+                                period, -period / 4, 0.5, 1.5, 40.0]])
+        # rotations times sites, plus exact midpoints between zeros
+        mids = [z + k * period + g / 2 for z, g in
+                zip(b, np.diff(np.concatenate([b, [b[0] + period]])))
+                for k in range(-5, 6)]
+        xs = np.concatenate([np.multiply.outer(sites, rhos).ravel(), mids])
+        got = s.nearest(xs[:, None], radius)
+        expect = [_nearest_by_lookup(s, x, radius) for x in xs]
+        assert got.shape == (xs.size, 1)
+        assert got[:, 0].tobytes() == np.array(expect).tobytes()
+
+    def test_periodic_radius_too_small(self):
+        s = PeriodicZeroSet([0.0, 1.0], 3.0)
+        assert s.nearest(np.array([[0.4], [2.0]]), 1.0)[:, 0].tolist() == [0.0, 1.0]
+        with pytest.raises(CertificateError):
+            s.nearest(np.array([[0.4], [2.0]]), 0.9)
+        with pytest.raises(CertificateError):
+            _nearest_by_lookup(s, 2.0, 0.9)
+
+    def test_finite_matches_periodic(self, rng):
+        pts = np.arange(-20, 21) * np.pi
+        finite = FiniteZeroSet(pts, pts[0], pts[-1])
+        periodic = PeriodicZeroSet([0.0], np.pi)
+        xs = np.concatenate([rng.uniform(-60, 60, 200), [np.pi / 2, 0.0]])
+        assert np.array_equal(finite.nearest(xs[:, None], np.pi / 2 + 1e-12),
+                              periodic.nearest(xs[:, None], np.pi / 2 + 1e-12))
+        with pytest.raises(CertificateError):
+            finite.nearest(np.array([[70.0]]), np.pi)
 
 
 class TestSerialization:

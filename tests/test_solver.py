@@ -248,6 +248,27 @@ class TestSolve:
         assert back["final_residual"] == rep.final_residual
 
 
+class TestFloatFloor:
+    # rho = 40 at half_width = 512 puts |u| near 2e4, where the float
+    # spacing of u (3.6e-12) exceeds the default inner_tol (2.5e-13)
+
+    def test_far_chain_converges(self, nn_interaction, cos_potential, cos_cert):
+        params = make_params(lam=40.0, rho=40.0, n=512)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        u, rep = solver.solve()
+        assert np.abs(u.values).max() > 2e4
+        assert rep.converged and rep.final_residual <= params.tol
+        ref = newton_solve_config(solver.anchors, 40.0, lambda x: -np.sin(x),
+                                  lambda x: -np.cos(x), tol=1e-9)
+        assert np.abs(u.values - ref).max() < 1e-9
+
+    def test_tol_below_floor_raises(self, nn_interaction, cos_potential, cos_cert):
+        params = make_params(lam=40.0, rho=40.0, n=512, tol=1e-12)
+        with pytest.raises(ConvergenceError, match="float floor") as err:
+            solve_equilibrium(params, nn_interaction, cos_potential, cos_cert)
+        assert len(err.value.trace) <= 20
+
+
 class TestAnchoredBranches:
     def test_pi_anchored_branch(self, nn_interaction, cos_potential, cos_cert):
         # rho = 0 admits one equilibrium per anchor ball: anchoring at pi
