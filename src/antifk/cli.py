@@ -196,10 +196,35 @@ def _estimate_certificate(block, potential, seed):
     return estimate_aubry(potential, tuple(window), seed=seed, **kwargs)
 
 
+def _json_text(obj, pad="\n"):
+    """json.dumps(obj, indent=2, sort_keys=True); nonempty rectangular number
+    arrays skip the slow pure-Python indenting encoder for the C one."""
+    import numpy as np
+
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = (json.dumps(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    try:
+        arr = np.asarray(obj if isinstance(obj, (list, tuple)) else [])
+    except ValueError:  # ragged
+        arr = np.empty(0)
+    if arr.size == 0 or arr.dtype.kind not in "biuf":
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad)
+    d, text = arr.ndim, json.dumps(obj)
+    ind = [pad + "  " * k for k in range(d + 1)]
+    opens = ["".join("[" + ind[d - j + i] for i in range(1, j + 1)) for j in range(d + 1)]
+    shuts = ["".join(ind[d - i] + "]" for i in range(1, j + 1)) for j in range(d + 1)]
+    for j in range(d - 1, -1, -1):  # separators closing j lists, most first
+        text = text.replace("]" * j + ", " + "[" * j,
+                            shuts[j] + "," + ind[d - j] + opens[j])
+    return opens[d] + text[d:-d] + shuts[d]
+
+
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 def _write_manifest(outdir, command, config_path, artifacts):
@@ -314,6 +339,27 @@ def _hyp_setting(hblock, sblock, key):
     )
 
 
+def _hyperbolic_checks(u, interaction, potential, lam, cert, tol, horizon=None,
+                       orbit_tol=None):
+    """(report, momenta, orbit_tol) of u for hyperbolicity and sweep; orbit_tol
+    defaults to 10 tol (1 + lam sup|hess V|), the splitting needs a horizon."""
+    verdict = verify_cone_conditions(u, interaction, potential, lam, cert)
+    try:
+        split = None if horizon is None else cone_splitting(
+            u, interaction, potential, lam, horizon=int(horizon))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    p = momentum(u, interaction, potential, lam)
+    if orbit_tol is None:
+        orbit_tol = 10.0 * tol * (1.0 + lam * potential.hessian_sup_bound())
+    report = HyperbolicityCertificate(
+        lam=lam, cone=verdict.cone, verdict=verdict, splitting=split,
+        legendre_sigma_bounds=legendre_bounds(interaction.coupling),
+        orbit_deviation=verify_orbit(u, p, interaction, potential, lam),
+    )
+    return report, p, orbit_tol
+
+
 def _cmd_hyperbolicity(args):
     cfg = _load_config(args.config)
     hblock = cfg.get("hyperbolicity", {})
@@ -358,32 +404,17 @@ def _cmd_hyperbolicity(args):
         u, _ = solve_equilibrium(params, interaction, potential, cert)
         lam = params.lam
         source = "solve"
-    verdict = verify_cone_conditions(u, interaction, potential, lam, cert)
-    split = None
-    if hblock.get("splitting", True):
-        horizon = hblock.get("horizon")
-        if horizon is None:
-            horizon = min(20, max(u.window.half_width - 1, 1))
-        try:
-            split = cone_splitting(u, interaction, potential, lam, horizon=int(horizon))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    p = momentum(u, interaction, potential, lam)
-    deviation = verify_orbit(u, p, interaction, potential, lam)
-    orbit_tol = hblock.get("orbit_tol")
-    if orbit_tol is None:
-        base_tol = sblock.get("tol", 1e-10)
-        orbit_tol = 10.0 * base_tol * (1.0 + lam * potential.hessian_sup_bound())
-    orbit_pass = bool(deviation <= orbit_tol)
-    report = HyperbolicityCertificate(
-        lam=lam,
-        cone=verdict.cone,
-        verdict=verdict,
-        splitting=split,
-        legendre_sigma_bounds=legendre_bounds(interaction.coupling),
-        orbit_deviation=deviation,
-        warnings=warnings,
+    horizon = hblock.get("horizon")
+    if horizon is None:
+        horizon = min(20, max(u.window.half_width - 1, 1))
+    report, p, orbit_tol = _hyperbolic_checks(
+        u, interaction, potential, lam, cert, sblock.get("tol", 1e-10),
+        horizon=horizon if hblock.get("splitting", True) else None,
+        orbit_tol=hblock.get("orbit_tol"),
     )
+    report.warnings = warnings
+    verdict, deviation = report.verdict, report.orbit_deviation
+    orbit_pass = bool(deviation <= orbit_tol)
     outdir = _outdir(args)
     payload = report.to_json_dict()
     payload.update(
@@ -470,12 +501,11 @@ def _sweep_case(payload):
         distance_to_rotation=repr(rep.distance_to_rotation),
     )
     if check_hyp:
-        verdict = verify_cone_conditions(u, interaction, potential, lam, cert)
-        p = momentum(u, interaction, potential, lam)
-        dev = verify_orbit(u, p, interaction, potential, lam)
-        orbit_tol = 10.0 * tol * (1.0 + lam * potential.hessian_sup_bound())
+        report, _, orbit_tol = _hyperbolic_checks(
+            u, interaction, potential, lam, cert, tol
+        )
         row["hyperbolic_pass"] = str(
-            bool(verdict.all_pass and dev <= orbit_tol)
+            bool(report.all_pass and report.orbit_deviation <= orbit_tol)
         ).lower()
     return row
 

@@ -56,16 +56,48 @@ class LinearizationSite:
     B: np.ndarray      # (d, d) hess I(u_{i-1} - u_i)
     C: np.ndarray      # (d, d) lam * hess V(u_i)
 
-    @property
-    def dimension(self) -> int:
-        return self.A.shape[-1]
-
 
 def _require_nn(interaction):
     if not isinstance(interaction, NearestNeighborInteraction):
         raise ValueError(
             "transfer-matrix analysis requires a nearest-neighbor interaction"
         )
+
+
+def _coefficients(u: Configuration, interaction, potential, lam: float,
+                  cert=None, slack: float = 1e-9):
+    """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays;
+    with a certificate, the bounds linearize documents are enforced."""
+    _require_nn(interaction)
+    coupling = interaction.coupling
+    ext = u.extended(1)
+    fwd = ext[1:-1] - ext[2:]    # u_i - u_{i+1}
+    bwd = ext[:-2] - ext[1:-1]   # u_{i-1} - u_i
+    n, d = u.window.n_sites, u.window.dimension
+    A = coupling.hessian(fwd).reshape(n, d, d)
+    B = coupling.hessian(bwd).reshape(n, d, d)
+    C = (lam * potential.hessian(u.values)).reshape(n, d, d)
+    sites = u.window.sites()
+    if cert is not None:
+        def sv(X):  # singular values; |x| for 1 x 1 blocks
+            return np.abs(X[..., 0]) if d == 1 else np.linalg.svd(X, compute_uv=False)
+
+        upper = coupling.convexity_bounds[1]
+        sa, sb = sv(A).max(), sv(B).max()
+        if max(sa, sb) > upper * (1 + slack):
+            raise CertificateError(
+                f"coupling hessian norm {max(sa, sb):.6e} exceeds the "
+                f"convexity ceiling {upper:.6e}"
+            )
+        sc = sv(C).min(axis=-1)
+        floor = lam * cert.expansion
+        if sc.min() < floor * (1 - slack):
+            k = int(np.argmin(sc))
+            raise CertificateError(
+                f"|C| = {sc.min():.6e} below lam * m = {floor:.6e} at site "
+                f"{int(sites[k])}; configuration left the certified tube"
+            )
+    return sites, A, B, C
 
 
 def linearize(u: Configuration, interaction, potential, lam: float,
@@ -77,76 +109,50 @@ def linearize(u: Configuration, interaction, potential, lam: float,
     its bounds: coupling hessians below the convexity ceiling and
     sigma_min(C_i) >= lam * m.
     """
-    _require_nn(interaction)
-    coupling = interaction.coupling
-    ext = u.extended(1)
-    fwd = ext[1:-1] - ext[2:]    # u_i - u_{i+1}
-    bwd = ext[:-2] - ext[1:-1]   # u_{i-1} - u_i
-    d = u.window.dimension
-    n = u.window.n_sites
-    A = coupling.hessian(fwd).reshape(n, d, d)
-    B = coupling.hessian(bwd).reshape(n, d, d)
-    C = (lam * potential.hessian(u.values)).reshape(n, d, d)
-    sites = u.window.sites()
-    if cert is not None:
-        upper = coupling.convexity_bounds[1]
-        sa = np.linalg.svd(A, compute_uv=False).max()
-        sb = np.linalg.svd(B, compute_uv=False).max()
-        if max(sa, sb) > upper * (1 + slack):
-            raise CertificateError(
-                f"coupling hessian norm {max(sa, sb):.6e} exceeds the "
-                f"convexity ceiling {upper:.6e}"
-            )
-        sc = np.linalg.svd(C, compute_uv=False).min(axis=-1)
-        floor = lam * cert.expansion
-        if sc.min() < floor * (1 - slack):
-            k = int(np.argmin(sc))
-            raise CertificateError(
-                f"|C| = {sc.min():.6e} below lam * m = {floor:.6e} at site "
-                f"{int(sites[k])}; configuration left the certified tube"
-            )
+    sites, A, B, C = _coefficients(u, interaction, potential, lam, cert, slack)
     return [
         LinearizationSite(site=int(s), A=A[k], B=B[k], C=C[k])
         for k, s in enumerate(sites)
     ]
 
 
-def transfer_step(site: LinearizationSite, xi_prev, xi_cur):
-    """xi_{i+1} from (xi_{i-1}, xi_i): the produced triple satisfies the
-    tangent recursion to machine precision."""
+def _neighbor_step(site: LinearizationSite, P, Q, xi_cur, xi_other):
+    # the tangent recursion solved for one neighbour of xi_cur
+    S = site.A + site.B + site.C
     try:
-        rhs = (site.A + site.B + site.C) @ np.asarray(
-            xi_cur, dtype=float
-        ) - site.B @ np.asarray(xi_prev, dtype=float)
-        return np.linalg.solve(site.A, rhs)
+        return np.linalg.solve(P, S @ np.asarray(xi_cur, dtype=float)
+                               - Q @ np.asarray(xi_other, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise ConvexityError(
             f"singular coupling hessian at site {site.site}"
         ) from exc
+
+
+def transfer_step(site: LinearizationSite, xi_prev, xi_cur):
+    """xi_{i+1} from (xi_{i-1}, xi_i): the produced triple satisfies the
+    tangent recursion to machine precision."""
+    return _neighbor_step(site, site.A, site.B, xi_cur, xi_prev)
 
 
 def backward_transfer_step(site: LinearizationSite, xi_cur, xi_next):
     """xi_{i-1} from (xi_i, xi_{i+1})."""
-    try:
-        rhs = (site.A + site.B + site.C) @ np.asarray(
-            xi_cur, dtype=float
-        ) - site.A @ np.asarray(xi_next, dtype=float)
-        return np.linalg.solve(site.B, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConvexityError(
-            f"singular coupling hessian at site {site.site}"
-        ) from exc
+    return _neighbor_step(site, site.B, site.A, xi_cur, xi_next)
+
+
+def _transfer_matrices(A, B, C) -> np.ndarray:
+    """(n, 2d, 2d) one-step matrices on pairs (xi_{i-1}, xi_i), per site."""
+    n, d = A.shape[0], A.shape[-1]
+    Ainv = np.linalg.inv(A)
+    M = np.zeros((n, 2 * d, 2 * d))
+    M[:, :d, d:] = np.eye(d)
+    M[:, d:, :d] = -Ainv @ B
+    M[:, d:, d:] = Ainv @ (A + B + C)
+    return M
 
 
 def transfer_matrix(site: LinearizationSite) -> np.ndarray:
     """2d x 2d one-step matrix acting on stacked pairs (xi_{i-1}, xi_i)."""
-    d = site.dimension
-    Ainv = np.linalg.inv(site.A)
-    M = np.zeros((2 * d, 2 * d))
-    M[:d, d:] = np.eye(d)
-    M[d:, :d] = -Ainv @ site.B
-    M[d:, d:] = Ainv @ (site.A + site.B + site.C)
-    return M
+    return _transfer_matrices(site.A[None], site.B[None], site.C[None])[0]
 
 
 @dataclass(frozen=True)
@@ -220,29 +226,35 @@ class ConeVerdict:
         )
 
 
-def _cone_min_growth_1d(c0: float, c1: float, aperture: float) -> float:
-    # min over |t| <= aperture of |c0 - c1 t|; zero inside the interval
-    # means the image can vanish, so no growth at all
-    if c1 != 0.0 and abs(c0 / c1) <= aperture:
-        return 0.0
-    return min(abs(c0 - c1 * aperture), abs(c0 + c1 * aperture))
-
-
-def _pair_margin_1d(c0: float, c1: float, aperture: float, mu: float) -> float:
-    # min over |t| <= aperture of 1 + (c0 - c1 t)^2 - mu^2 (1 + t^2),
-    # a quadratic q2 t^2 - 2 c0 c1 t + (1 + c0^2 - mu^2)
-    q2 = c1 * c1 - mu * mu
-    ends = []
-    for t in (-aperture, aperture):
+def _cone_1d(c0, c1, aperture: float, mu: float):
+    # per site, over |t| <= aperture: min |c0 - c1 t| (zero when the image
+    # can vanish) and min of the quadratic 1 + (c0 - c1 t)^2 - mu^2 (1 + t^2)
+    # = q2 t^2 - 2 c0 c1 t + (1 + c0^2 - mu^2)
+    def margin(t):
         f = c0 - c1 * t
-        ends.append(1.0 + f * f - mu * mu * (1.0 + t * t))
-    best = min(ends)
-    if q2 > 0.0:
+        return 1.0 + f * f - mu * mu * (1.0 + t * t)
+
+    ends = np.minimum(np.abs(c0 - c1 * aperture), np.abs(c0 + c1 * aperture))
+    best = np.minimum(margin(-aperture), margin(aperture))
+    q2 = c1 * c1 - mu * mu
+    with np.errstate(all="ignore"):
+        vanishes = (c1 != 0.0) & (np.abs(c0 / c1) <= aperture)
         t_star = c0 * c1 / q2
-        if abs(t_star) <= aperture:
-            f = c0 - c1 * t_star
-            best = min(best, 1.0 + f * f - mu * mu * (1.0 + t_star * t_star))
-    return best
+        interior = (q2 > 0.0) & (np.abs(t_star) <= aperture)
+        return (np.where(vanishes, 0.0, ends),
+                np.where(interior, np.minimum(best, margin(t_star)), best))
+
+
+def _sampled_cone(P, Q, S, xi, other, aperture: float, mu: float):
+    """Per site of (k, d, d) stacks, worst growth and pair margin of
+    xi_next = P^{-1} (S xi - Q aperture other) over sampled directions."""
+    out = np.linalg.solve(P, S @ xi.T - Q @ (aperture * other).T)
+    g = np.linalg.norm(out, axis=1)
+    pair_in = 1.0 + aperture**2 * np.linalg.norm(other, axis=1) ** 2
+    return g.min(axis=1), (1.0 + g**2 - mu**2 * pair_in).min(axis=1)
+
+
+_SITE_BLOCK = 32  # sites per stacked solve of the sampled cone check
 
 
 def verify_cone_conditions(u: Configuration, interaction, potential,
@@ -255,44 +267,28 @@ def verify_cone_conditions(u: Configuration, interaction, potential,
     axis, giving a falsifiable numerical check rather than a proof.
     Failures are verdicts, not errors.
     """
-    lin = linearize(u, interaction, potential, lam, cert=cert)
+    sites, A, B, C = _coefficients(u, interaction, potential, lam, cert=cert)
     cone = cone_parameters(cert)
-    d = lin[0].dimension
-    n = len(lin)
-    fwd_growth = np.empty(n)
-    fwd_pair = np.empty(n)
-    bwd_growth = np.empty(n)
-    bwd_pair = np.empty(n)
+    n, d = A.shape[0], A.shape[-1]
     if d == 1:
-        for k, rec in enumerate(lin):
-            a, b, c = rec.A[0, 0], rec.B[0, 0], rec.C[0, 0]
-            s = a + b + c
-            fwd_growth[k] = _cone_min_growth_1d(s / a, b / a, cone.alpha)
-            fwd_pair[k] = _pair_margin_1d(s / a, b / a, cone.alpha, cone.mu)
-            bwd_growth[k] = _cone_min_growth_1d(s / b, a / b, cone.beta)
-            bwd_pair[k] = _pair_margin_1d(s / b, a / b, cone.beta, cone.mu)
+        a, b, c = A[:, 0, 0], B[:, 0, 0], C[:, 0, 0]
+        s = a + b + c
+        fwd_growth, fwd_pair = _cone_1d(s / a, b / a, cone.alpha, cone.mu)
+        bwd_growth, bwd_pair = _cone_1d(s / b, a / b, cone.beta, cone.mu)
     else:
         rng = np.random.default_rng(seed)
         dirs = rng.normal(size=(samples, 2, d))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         xi = np.concatenate([dirs[:, 0], dirs[:1, 0]])
         other = np.concatenate([dirs[:, 1], np.zeros((1, d))])
-        for k, rec in enumerate(lin):
-            S = rec.A + rec.B + rec.C
-            out = np.linalg.solve(
-                rec.A, (S @ xi.T - rec.B @ (cone.alpha * other).T)
-            ).T
-            g = np.linalg.norm(out, axis=1)
-            fwd_growth[k] = g.min()
-            pair_in = 1.0 + cone.alpha**2 * np.linalg.norm(other, axis=1) ** 2
-            fwd_pair[k] = (1.0 + g**2 - cone.mu**2 * pair_in).min()
-            outb = np.linalg.solve(
-                rec.B, (S @ xi.T - rec.A @ (cone.beta * other).T)
-            ).T
-            gb = np.linalg.norm(outb, axis=1)
-            bwd_growth[k] = gb.min()
-            pair_inb = 1.0 + cone.beta**2 * np.linalg.norm(other, axis=1) ** 2
-            bwd_pair[k] = (1.0 + gb**2 - cone.mu**2 * pair_inb).min()
+        S = A + B + C
+        fwd_growth, fwd_pair, bwd_growth, bwd_pair = np.empty((4, n))
+        for lo in range(0, n, _SITE_BLOCK):
+            k = slice(lo, lo + _SITE_BLOCK)
+            fwd_growth[k], fwd_pair[k] = _sampled_cone(
+                A[k], B[k], S[k], xi, other, cone.alpha, cone.mu)
+            bwd_growth[k], bwd_pair[k] = _sampled_cone(
+                B[k], A[k], S[k], xi, other, cone.beta, cone.mu)
     tol = 1e-12
     fpass = (fwd_growth >= (1.0 / cone.alpha) * (1 - tol)) & (
         fwd_pair >= -tol * (1.0 + cone.mu**2)
@@ -301,7 +297,7 @@ def verify_cone_conditions(u: Configuration, interaction, potential,
         bwd_pair >= -tol * (1.0 + cone.mu**2)
     )
     return ConeVerdict(
-        sites=[rec.site for rec in lin],
+        sites=sites.tolist(),
         cone=cone,
         forward_growth=list(fwd_growth),
         forward_pair_margin=list(fwd_pair),
@@ -337,58 +333,50 @@ class SplittingReport:
         }
 
 
+def _frobenius(X) -> np.ndarray:
+    # per-matrix Frobenius norm, summed in the order np.linalg.norm uses
+    flat = X.reshape(X.shape[0], -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def cone_splitting(u: Configuration, interaction, potential, lam: float,
                    horizon: int = 20) -> SplittingReport:
     """Approximate the stable/unstable bundles by finite-horizon cone
     iteration.
 
     The unstable space at site i is the image of the vertical seed pushed
-    forward ``horizon`` steps (orthonormalized each step); the stable
-    space comes from pulling the horizontal seed backward. Convergence is
-    geometric, so moderate horizons give near-exact bundles. Only sites
-    with a full horizon on both sides are reported.
+    forward ``horizon`` steps (orthonormalized each step); the stable space
+    comes from pulling the horizontal seed backward, all sites at once.
+    Convergence is geometric, so moderate horizons give near-exact
+    bundles. Only sites with a full horizon on both sides are reported.
     """
-    lin = linearize(u, interaction, potential, lam)
-    d = lin[0].dimension
-    lo, hi = lin[0].site, lin[-1].site
-    first, last = lo + horizon, hi - horizon
-    if first > last:
+    sites, A, B, C = _coefficients(u, interaction, potential, lam)
+    n, d = A.shape[0], A.shape[-1]
+    m = n - 2 * horizon
+    if m < 1:
         raise ValueError(
-            f"horizon {horizon} too large for a window of {len(lin)} sites"
+            f"horizon {horizon} too large for a window of {n} sites"
         )
-    mats = {rec.site: transfer_matrix(rec) for rec in lin}
-    seed_u = np.zeros((2 * d, d))
-    seed_u[d:] = np.eye(d)
-    seed_s = np.zeros((2 * d, d))
-    seed_s[:d] = np.eye(d)
-    sites, ubasis, sbasis, umult, smult, angles = [], [], [], [], [], []
-    for i in range(first, last + 1):
-        U = seed_u
-        for j in range(i - horizon, i):
-            U, _ = np.linalg.qr(mats[j] @ U)
-        S = seed_s
-        for j in range(i + horizon - 1, i - 1, -1):
-            S, _ = np.linalg.qr(np.linalg.solve(mats[j], S))
-        sig = np.linalg.svd(U.T @ S, compute_uv=False)
-        angle = float(np.arccos(np.clip(sig.max(), -1.0, 1.0)))
-        # one-step growth along each bundle; bases are orthonormal so the
-        # Frobenius ratio reduces to the multiplier on eigendirections
-        gu = np.linalg.norm(mats[i] @ U) / np.linalg.norm(U)
-        gs = np.linalg.norm(mats[i] @ S) / np.linalg.norm(S)
-        sites.append(i)
-        ubasis.append(U)
-        sbasis.append(S)
-        umult.append(float(gu))
-        smult.append(float(gs))
-        angles.append(angle)
+    M = _transfer_matrices(A, B, C)
+    U = np.repeat(np.eye(2 * d, d, -d)[None], m, axis=0)  # vertical seeds
+    S = np.repeat(np.eye(2 * d, d)[None], m, axis=0)  # horizontal seeds
+    for t in range(horizon):
+        U = np.linalg.qr(M[t:t + m] @ U).Q
+        j = 2 * horizon - 1 - t
+        S = np.linalg.qr(np.linalg.solve(M[j:j + m], S)).Q
+    sig = np.linalg.svd(np.swapaxes(U, -1, -2) @ S, compute_uv=False)
+    angles = np.arccos(np.clip(sig.max(axis=-1), -1.0, 1.0))
+    # one-step growth along each bundle; bases are orthonormal so the
+    # Frobenius ratio reduces to the multiplier on eigendirections
+    here = M[horizon:horizon + m]
     return SplittingReport(
-        sites=sites,
-        unstable_basis=ubasis,
-        stable_basis=sbasis,
-        unstable_multipliers=umult,
-        stable_multipliers=smult,
-        angles=angles,
-        min_angle=float(min(angles)),
+        sites=sites[horizon:horizon + m].tolist(),
+        unstable_basis=list(U),
+        stable_basis=list(S),
+        unstable_multipliers=(_frobenius(here @ U) / _frobenius(U)).tolist(),
+        stable_multipliers=(_frobenius(here @ S) / _frobenius(S)).tolist(),
+        angles=angles.tolist(),
+        min_angle=float(angles.min()),
         horizon=horizon,
     )
 
@@ -542,10 +530,8 @@ def orbit_to_csv(path, u: Configuration, p: np.ndarray):
         + [f"p_{k}" for k in range(d)]
     )
     p = np.asarray(p, dtype=float).reshape(len(u.values), d)
+    rows = zip(u.window.sites().tolist(), u.values.tolist(), p.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for site, uv, pv in zip(u.window.sites(), u.values, p):
-            row = [str(int(site))] + [repr(float(v)) for v in uv] + [
-                repr(float(v)) for v in pv
-            ]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join([str(site), *map(repr, uv + pv)]) + "\n"
+                      for site, uv, pv in rows)

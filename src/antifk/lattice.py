@@ -330,16 +330,20 @@ def ext_distance(u: Configuration, v: Configuration, tail_probe: int = TAIL_PROB
     slope_gap = np.linalg.norm(np.asarray(u.tail.slope) - np.asarray(v.tail.slope))
     if slope_gap > 0:
         return float("inf")
-    n = u.window.half_width
+
+    probe = u.window.half_width + np.arange(1, tail_probe + 1)
     worst = core
-    for side in (1, -1):
-        for k in range(1, tail_probe + 1):
-            i = side * (n + k)
+    for sites in (probe, -probe):
+        # a tail raises exactly when the sites include one it cannot produce
+        # (a finite zero set out of validity): bisect for the longest prefix
+        good, bad, k = 0, tail_probe + 1, tail_probe
+        while bad - good > 1:
             try:
-                gap = float(np.linalg.norm(u.tail.value(i) - v.tail.value(i)))
+                diff = u.tail.values(sites[:k]) - v.tail.values(sites[:k])
+                good, worst = k, max(worst, float(np.sqrt(np.vecdot(diff, diff)).max()))
             except CertificateError:
-                break  # finite zero-set tail ran out of validity
-            worst = max(worst, gap)
+                bad = k
+            k = (good + bad) // 2
     return worst
 
 

@@ -319,6 +319,7 @@ class FiniteZeroSet:
     points: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    _BLOCK = 32  # rows per block of nearest: bounds its (rows, slab) temporaries
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -330,36 +331,55 @@ class FiniteZeroSet:
         hi = np.broadcast_to(np.atleast_1d(np.asarray(self.hi, dtype=float)), (d,))
         object.__setattr__(self, "lo", lo.copy())
         object.__setattr__(self, "hi", hi.copy())
+        # stable lexicographic order: slabs by first coordinate, ties to the first
+        order = np.lexsort(pts.T[::-1])
+        object.__setattr__(self, "_sorted", pts[order])
+        object.__setattr__(self, "_keys", pts[order, 0])
+        object.__setattr__(self, "_reach", float(np.abs(pts[:, 0]).max(initial=0.0)))
 
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
 
+    def _check_box(self, xs):
+        if not ((self.lo <= xs) & (xs <= self.hi)).all():  # inside: no slack needed
+            tol = 1e-9 * (1.0 + np.abs(xs).max(axis=1, keepdims=True))
+            bad = ((xs < self.lo - tol) | (xs > self.hi + tol)).any(axis=1)
+            if bad.any():
+                raise CertificateError(
+                    f"query {xs[bad.argmax()]} outside the validity box "
+                    f"[{self.lo}, {self.hi}] of a finite zero set"
+                )
+
     def points_near(self, x, radius: float) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        tol = 1e-9 * (1.0 + np.abs(x).max())
-        if (x < self.lo - tol).any() or (x > self.hi + tol).any():
-            raise CertificateError(
-                f"query {x} outside the validity box [{self.lo}, {self.hi}] "
-                "of a finite zero set"
-            )
+        self._check_box(x[None])
         mask = np.linalg.norm(self.points - x, axis=1) <= radius
         return self.points[mask]
 
     def nearest(self, xs, radius: float) -> np.ndarray:
-        """Closest zero to each row of xs by one points_near per row, ties
-        (1e-12 relative) to the lexicographically smallest; CertificateError
-        if a row has no zero within radius."""
-        xs = np.reshape(np.asarray(xs, dtype=float), (-1, self.dimension))
+        """Closest zero to each row of xs, ties (1e-12 relative) to the
+        lexicographically smallest, looked up per block of rows in the slab
+        of points within radius in the first coordinate. CertificateError
+        names the first row outside the box, else the first with no zero."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.dimension)
+        self._check_box(xs)
+        # slab half-width padded against rounding; the distance mask decides
+        pad = radius * (1.0 + 1e-9) + 1e-9 * (1.0 + self._reach)
         out = np.empty_like(xs)
-        for j, x in enumerate(xs):
-            pts = self.points_near(x, radius)
-            if pts.shape[0] == 0:
-                raise CertificateError(f"no zero within radius {radius} of {x}")
-            dists = np.linalg.norm(pts - x, axis=1)
-            best = dists.min()
-            candidates = pts[dists <= best + 1e-12 * (1.0 + best)]
-            out[j] = candidates[np.lexsort(candidates.T[::-1])[0]]
+        for lo in range(0, xs.shape[0], self._BLOCK):
+            x = xs[lo:lo + self._BLOCK]
+            ends = np.fmin.reduce(x[:, 0]) - pad, np.fmax.reduce(x[:, 0]) + pad
+            cand = self._sorted[slice(*self._keys.searchsorted(ends))]
+            diff = cand - x[:, None]
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+            dist = np.where(dist <= radius, dist, np.inf)
+            best = dist.min(axis=1, initial=np.inf, keepdims=True)
+            if best.max() == np.inf:
+                j = lo + int(np.isinf(best).argmax())
+                raise CertificateError(f"no zero within radius {radius} of {xs[j]}")
+            keep = dist <= best + 1e-12 * (1.0 + best)
+            out[lo:lo + self._BLOCK] = cand[keep.argmax(axis=1)]
         return out
 
     def signature(self):

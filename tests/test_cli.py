@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from antifk.cli import main
+from antifk.cli import _json_text, main
 
 
 def write_config(path, payload):
@@ -240,6 +240,34 @@ class TestSweep:
             },
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+class TestJsonText:
+    """Artifacts are written as json.dumps(obj, indent=2, sort_keys=True)."""
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [[], []], 1.5, "x, y", None, [1], (1, 2), [(1, 2), (3, 4)],
+        [1, [2]], [[1, 2], [3]], [[1, [2, []]], []], [[[1.5]], [[2]]],
+        [True, 1.5], [[True], [False]], [None], [[None, 1]], [2**70],
+        [[1e300, -1e-300], [float("nan"), float("inf")]], [-0.0, 5e-324],
+        ["a, b", "c"], [[1], "x"], [{"b": [1.0, 2.0]}, {}],
+        {"b": 1, "a": [[0.1, 0.2, 0.3]] * 3, "c": {"d": [], "e": "f\ng"}},
+        {1: 2}, {"k": [[[0.5], [0.25]], [[1.0], [2.0]]]},
+    ])
+    def test_matches_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_hyperbolicity_payload(self, tmp_path):
+        cfg = write_config(tmp_path / "h.json", {
+            "potential": {"family": "cosine"},
+            "solve": {"lam": 20.0, "rho": 0.3, "half_width": 30, "tol": 1e-10},
+            "hyperbolicity": {"horizon": 5},
+        })
+        out = tmp_path / "out"
+        assert main(["hyperbolicity", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "hyperbolicity.json").read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestModuleEntry:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from antifk import (
+    AubryCertificate,
     CertificateError,
     ConeParameters,
     ConvexityError,
+    FiniteZeroSet,
     HyperbolicityCertificate,
     LinearizationSite,
     NearestNeighborInteraction,
@@ -318,6 +320,142 @@ class TestConeSplitting:
         u, lam = constant_case(n=6)
         with pytest.raises(ValueError):
             cone_splitting(u, nn_module, cos_potential_module, lam, horizon=7)
+
+
+def _growth_1d(c0, c1, aperture):
+    if c1 != 0.0 and abs(c0 / c1) <= aperture:
+        return 0.0
+    return min(abs(c0 - c1 * aperture), abs(c0 + c1 * aperture))
+
+
+def _margin_1d(c0, c1, aperture, mu):
+    ends = []
+    for t in (-aperture, aperture):
+        f = c0 - c1 * t
+        ends.append(1.0 + f * f - mu * mu * (1.0 + t * t))
+    best = min(ends)
+    q2 = c1 * c1 - mu * mu
+    if q2 > 0.0:
+        t_star = c0 * c1 / q2
+        if abs(t_star) <= aperture:
+            f = c0 - c1 * t_star
+            best = min(best, 1.0 + f * f - mu * mu * (1.0 + t_star * t_star))
+    return best
+
+
+def _verdict_by_site(u, nn, V, lam, cert, samples=256, seed=0):
+    """Per-site reference for verify_cone_conditions: rows of forward
+    growth, forward pair margin, backward growth, backward pair margin."""
+    lin = linearize(u, nn, V, lam, cert=cert)
+    cone = cone_parameters(cert)
+    d = lin[0].A.shape[-1]
+    out = np.empty((4, len(lin)))
+    if d == 1:
+        for k, rec in enumerate(lin):
+            a, b, c = rec.A[0, 0], rec.B[0, 0], rec.C[0, 0]
+            s = a + b + c
+            out[:, k] = (_growth_1d(s / a, b / a, cone.alpha),
+                         _margin_1d(s / a, b / a, cone.alpha, cone.mu),
+                         _growth_1d(s / b, a / b, cone.beta),
+                         _margin_1d(s / b, a / b, cone.beta, cone.mu))
+        return out
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(samples, 2, d))
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    xi = np.concatenate([dirs[:, 0], dirs[:1, 0]])
+    other = np.concatenate([dirs[:, 1], np.zeros((1, d))])
+    for k, rec in enumerate(lin):
+        S = rec.A + rec.B + rec.C
+        for row, (P, Q, ap) in enumerate([(rec.A, rec.B, cone.alpha),
+                                          (rec.B, rec.A, cone.beta)]):
+            g = np.linalg.norm(
+                np.linalg.solve(P, (S @ xi.T - Q @ (ap * other).T)).T, axis=1)
+            pair_in = 1.0 + ap**2 * np.linalg.norm(other, axis=1) ** 2
+            out[2 * row, k] = g.min()
+            out[2 * row + 1, k] = (1.0 + g**2 - cone.mu**2 * pair_in).min()
+    return out
+
+
+def _splitting_by_site(u, nn, V, lam, horizon):
+    """Per-site reference for cone_splitting: each site pushes its own
+    seed forward from i - horizon and pulls one back from i + horizon."""
+    lin = linearize(u, nn, V, lam)
+    d = lin[0].A.shape[-1]
+    mats = {}
+    for rec in lin:
+        Ainv = np.linalg.inv(rec.A)
+        M = np.zeros((2 * d, 2 * d))
+        M[:d, d:] = np.eye(d)
+        M[d:, :d] = -Ainv @ rec.B
+        M[d:, d:] = Ainv @ (rec.A + rec.B + rec.C)
+        mats[rec.site] = M
+    out = {k: [] for k in ("sites", "U", "S", "gu", "gs", "angles")}
+    for i in range(lin[0].site + horizon, lin[-1].site - horizon + 1):
+        U = np.eye(2 * d, d, -d)
+        for j in range(i - horizon, i):
+            U, _ = np.linalg.qr(mats[j] @ U)
+        S = np.eye(2 * d, d)
+        for j in range(i + horizon - 1, i - 1, -1):
+            S, _ = np.linalg.qr(np.linalg.solve(mats[j], S))
+        sig = np.linalg.svd(U.T @ S, compute_uv=False)
+        out["sites"].append(i)
+        out["U"].append(U)
+        out["S"].append(S)
+        out["gu"].append(np.linalg.norm(mats[i] @ U) / np.linalg.norm(U))
+        out["gs"].append(np.linalg.norm(mats[i] @ S) / np.linalg.norm(S))
+        out["angles"].append(np.arccos(np.clip(sig.max(), -1.0, 1.0)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def solved_2d():
+    """A solved d = 2 chain: cos x + cos y on the zero set pi Z^2 (R =
+    pi/sqrt(2), r = pi/4, m = cos(pi/4)), perturbed-quadratic coupling."""
+    axis = np.pi * np.arange(-12, 13)
+    zeros = FiniteZeroSet(np.array([[x, y] for x in axis for y in axis]),
+                          -35.0, 35.0)
+    cert = AubryCertificate(zeros, np.pi / np.sqrt(2), np.pi / 4,
+                            np.cos(np.pi / 4))
+    V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+    nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
+    params = SolveParams(lam=40.0, rho=[0.41, 0.53], window=40)
+    u, _ = solve_equilibrium(params, nn, V, cert)
+    return u, nn, V, cert, params.lam
+
+
+@pytest.fixture(scope="module")
+def solved_chains(solved, solved_2d, nn_module, cos_potential_module,
+                  cos_cert_module):
+    """(u, interaction, V, cert, lam) of the solved d = 1 and d = 2 chains."""
+    u, _, params = solved
+    return [(u, nn_module, cos_potential_module, cos_cert_module, params.lam),
+            solved_2d]
+
+
+class TestBatchedAgainstPerSite:
+    """The batched verdict and splitting reproduce the per-site loops
+    bit for bit."""
+
+    def test_verdict(self, solved_chains):
+        for u, nn, V, cert, lam in solved_chains:
+            verdict = verify_cone_conditions(u, nn, V, lam, cert)
+            got = np.array([verdict.forward_growth, verdict.forward_pair_margin,
+                            verdict.backward_growth, verdict.backward_pair_margin])
+            assert np.array_equal(got, _verdict_by_site(u, nn, V, lam, cert))
+            assert verdict.sites == list(u.window.sites())
+            assert verdict.all_pass
+
+    def test_splitting(self, solved_chains):
+        for u, nn, V, _, lam in solved_chains:
+            split = cone_splitting(u, nn, V, lam, horizon=10)
+            ref = _splitting_by_site(u, nn, V, lam, horizon=10)
+            assert split.sites == ref["sites"]
+            assert np.array_equal(np.array(split.unstable_basis), np.array(ref["U"]))
+            assert np.array_equal(np.array(split.stable_basis), np.array(ref["S"]))
+            assert np.array_equal(split.unstable_multipliers, ref["gu"])
+            assert np.array_equal(split.stable_multipliers, ref["gs"])
+            assert np.array_equal(split.angles, ref["angles"])
+            assert split.min_angle == min(ref["angles"])
 
 
 class TestMomentum:

@@ -5,6 +5,7 @@ from antifk import (
     AnchorTail,
     CertificateError,
     Configuration,
+    FiniteZeroSet,
     HomomorphismTail,
     PeriodicZeroSet,
     RotationVector,
@@ -21,6 +22,7 @@ from antifk import (
     shift,
     translate,
 )
+from antifk.lattice import TAIL_PROBE
 
 
 def hom(rho, n=10):
@@ -77,6 +79,57 @@ class TestExtDistance:
     def test_window_mismatch(self):
         with pytest.raises(ValueError):
             ext_distance(hom(1.0, n=10), hom(1.0, n=11))
+
+
+def _ext_distance_by_site(u, v):
+    """Per-site reference for ext_distance on two tails with one slope:
+    probe site by site, stopping where a tail cannot produce a value."""
+    worst = float(np.linalg.norm(u.values - v.values, axis=1).max())
+    n = u.window.half_width
+    for side in (1, -1):
+        for k in range(1, TAIL_PROBE + 1):
+            i = side * (n + k)
+            try:
+                gap = float(np.linalg.norm(u.tail.value(i) - v.tail.value(i)))
+            except CertificateError:
+                break
+            worst = max(worst, gap)
+    return worst
+
+
+class TestExtDistanceTailProbe:
+    @pytest.mark.parametrize("rho, zeros, lo, hi", [
+        (0.9, np.pi * np.arange(-25, 26)[:, None], -50.0, 40.0),
+        ([0.4, 0.55], np.pi * np.array([[a, b] for a in range(-15, 16)
+                                        for b in range(-15, 16)]), -30.0, 38.0),
+    ])
+    def test_tail_leaves_box_mid_probe(self, rho, zeros, lo, hi):
+        rot = as_rotation(rho)
+        R = np.pi / np.sqrt(2) if rot.dimension == 2 else np.pi / 2
+        w = Window(20, rot.dimension)
+        u = anchor_configuration(rot, FiniteZeroSet(zeros, lo, hi), R, w)
+        v = homomorphism_configuration(rot, w)
+        # the finite tail runs out of its box inside the probe, on both sides
+        with pytest.raises(CertificateError):
+            u.tail.value(20 + TAIL_PROBE)
+        with pytest.raises(CertificateError):
+            u.tail.value(-20 - TAIL_PROBE)
+        assert ext_distance(u, v) == _ext_distance_by_site(u, v)
+        assert ext_distance(v, u) == _ext_distance_by_site(v, u)
+
+    def test_interior_gap_stops_the_probe(self):
+        # anchors sit exactly on rho * i up to site 39; site 40 has no zero
+        # within R, and the zeros beyond it are offset by 0.5
+        n, R = 20, np.pi / 2
+        k = np.arange(-90, 91)
+        zeros = np.where(k < 41, np.pi * k, np.pi * k + 0.5)[k != 40]
+        u = anchor_configuration(np.pi, FiniteZeroSet(zeros, -300.0, 300.0), R,
+                                 Window(n, 1))
+        v = hom(np.pi, n=n)
+        with pytest.raises(CertificateError):
+            u.tail.value(40)
+        assert u.tail.value(41)[0] - np.pi * 41 == pytest.approx(0.5)
+        assert ext_distance(u, v) == _ext_distance_by_site(u, v) == 0.0
 
 
 class TestShiftTranslate:

@@ -315,6 +315,102 @@ class TestNearest:
             finite.nearest(np.array([[70.0]]), np.pi)
 
 
+def _finite_nearest_by_rows(sampler, xs, radius):
+    """Per-row reference for FiniteZeroSet.nearest: one points_near per
+    row, ties (1e-12 relative) to the lexicographically smallest."""
+    out = np.empty_like(xs)
+    for j, x in enumerate(xs):
+        pts = sampler.points_near(x, radius)
+        if pts.shape[0] == 0:
+            raise CertificateError(f"no zero within radius {radius} of {x}")
+        dists = np.linalg.norm(pts - x, axis=1)
+        best = dists.min()
+        candidates = pts[dists <= best + 1e-12 * (1.0 + best)]
+        out[j] = candidates[np.lexsort(candidates.T[::-1])[0]]
+    return out
+
+
+def _pi_grid(k=6):
+    axis = np.pi * np.arange(-k, k + 1)
+    return np.array([[x, y] for x in axis for y in axis])
+
+
+class TestFiniteNearest:
+    def test_d1_midpoints(self, rng):
+        pts = np.sort(rng.uniform(-50, 50, 130))
+        s = FiniteZeroSet(pts, pts[0], pts[-1])
+        radius = np.diff(pts).max() / 2 * (1 + 1e-12) + 1e-12
+        xs = np.concatenate([(pts[1:] + pts[:-1]) / 2, pts,
+                             rng.uniform(pts[0], pts[-1], 200)])[:, None]
+        got = s.nearest(xs, radius)
+        assert got.tobytes() == _finite_nearest_by_rows(s, xs, radius).tobytes()
+        # one row per call: the slab is that row's alone
+        one_by_one = np.concatenate([s.nearest(x, radius) for x in xs])
+        assert one_by_one.tobytes() == got.tobytes()
+
+    def test_d2_cell_centres_tie_four_ways(self):
+        s = FiniteZeroSet(_pi_grid(), -6 * np.pi, 6 * np.pi)
+        c = np.pi * (np.arange(-5, 5) + 0.5)
+        xs = np.array([[x, y] for x in c for y in c])
+        radius = np.pi / np.sqrt(2) * (1 + 1e-12) + 1e-12
+        got = s.nearest(xs, radius)
+        assert got.tobytes() == _finite_nearest_by_rows(s, xs, radius).tobytes()
+        # each centre has four zeros at equal distance: the lowest corner wins
+        assert np.array_equal(got, xs - np.pi / 2)
+
+    def test_duplicated_points(self, rng):
+        grid = _pi_grid()
+        pts = np.concatenate([grid, grid[rng.permutation(len(grid))[:60]]])
+        s = FiniteZeroSet(pts, -6 * np.pi, 6 * np.pi)
+        xs = np.concatenate([rng.uniform(-15, 15, (100, 2)), grid[:40]])
+        radius = 2.3
+        got = s.nearest(xs, radius)
+        assert got.tobytes() == _finite_nearest_by_rows(s, xs, radius).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 65])
+    def test_rows_across_block_edges(self, rows, rng):
+        s = FiniteZeroSet(_pi_grid(), -6 * np.pi, 6 * np.pi)
+        # rows spread over the whole box, so each block's slab is wide
+        xs = rng.uniform(-17, 17, (rows, 2))
+        got = s.nearest(xs, 2.3)
+        assert got.shape == (rows, 2)
+        assert got.tobytes() == _finite_nearest_by_rows(s, xs, 2.3).tobytes()
+
+    def test_first_out_of_box_row_named(self):
+        s = FiniteZeroSet(_pi_grid(), -6 * np.pi, 6 * np.pi)
+        xs = np.zeros((50, 2))
+        xs[7] = [30.0, 0.0]
+        xs[40] = [0.0, -30.0]
+        with pytest.raises(CertificateError, match=r"query \[30\.  0\.\] outside"):
+            s.nearest(xs, 2.3)
+        with pytest.raises(CertificateError, match=r"query \[30\.  0\.\] outside"):
+            _finite_nearest_by_rows(s, xs, 2.3)
+        # the box is checked for every row before any lookup
+        xs[3] = [0.5 * np.pi, 0.5 * np.pi]
+        with pytest.raises(CertificateError, match="outside the validity box"):
+            s.nearest(xs, 0.1)
+
+    def test_radius_too_small_names_first_row(self):
+        s = FiniteZeroSet(np.arange(-20, 21) * np.pi, -20 * np.pi, 20 * np.pi)
+        xs = np.array([[0.1], [3.0], [np.pi / 2], [-7.0], [np.pi * 1.5]])
+        with pytest.raises(CertificateError) as got:
+            s.nearest(xs, 0.5)
+        with pytest.raises(CertificateError) as expect:
+            _finite_nearest_by_rows(s, xs, 0.5)
+        assert str(got.value) == str(expect.value)
+        assert "of [1.57079633]" in str(got.value)
+
+    def test_nan_row_named(self):
+        # a NaN row has no zero; the rows beside it in its block still do
+        s = FiniteZeroSet(np.arange(-20, 21) * np.pi, -20 * np.pi, 20 * np.pi)
+        xs = np.array([[0.1], [3.0], [np.nan], [-7.0]])
+        with pytest.raises(CertificateError, match=r"of \[nan\]"):
+            s.nearest(xs, 2.0)
+        with pytest.raises(CertificateError, match=r"of \[nan\]"):
+            _finite_nearest_by_rows(s, xs, 2.0)
+        assert s.nearest(xs[[0, 1, 3]], 2.0)[:, 0].tolist() == [0.0, np.pi, -2 * np.pi]
+
+
 class TestSerialization:
     def test_potential_roundtrip(self):
         for V in (
