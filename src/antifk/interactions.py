@@ -36,7 +36,6 @@ class QuadraticCoupling:
     """I(x) = scale * |x|^2 / 2."""
 
     name = "quadratic"
-    constant_hessian = True
 
     def __init__(self, scale: float = 1.0):
         if scale <= 0:
@@ -73,7 +72,6 @@ class PerturbedQuadraticCoupling:
     """
 
     name = "perturbed-quadratic"
-    constant_hessian = False
 
     def __init__(self, amplitude: float = 0.1):
         if amplitude < 0:
@@ -154,26 +152,11 @@ class NearestNeighborInteraction:
         g = self.coupling.gradient(-rot.rho)
         return g - g  # identical gaps on a homomorphism: exact cancellation
 
-    def lipschitz_bound(self, rho, R: float, samples: int = 10_000,
-                        seed: int = 0) -> float:
+    def lipschitz_bound(self, rho, R: float) -> float:
         """K(rho, R) = 4 sup |hessian of I| over the ball of radius
-        |rho| + 2R; exact for constant-hessian couplings, otherwise a
-        sampled sup inflated by 5% and capped by the declared convexity
-        bound."""
-        rot = as_rotation(rho)
-        if self.coupling.constant_hessian:
-            x0 = np.zeros((1, rot.dimension))
-            smax = np.linalg.svd(self.coupling.hessian(x0)[0], compute_uv=False).max()
-            return 4.0 * float(smax)
-        radius = rot.norm() + 2.0 * R
-        rng = np.random.default_rng(seed)
-        d = rot.dimension
-        raw = rng.standard_normal((samples, d))
-        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        pts = raw * (radius * rng.uniform(0, 1, size=(samples, 1)) ** (1.0 / d))
-        sig = np.linalg.svd(self.coupling.hessian(pts), compute_uv=False).max(axis=-1)
-        sampled = 4.0 * float(sig.max()) * 1.05
-        return min(sampled, 4.0 * self.coupling.convexity_bounds[1])
+        |rho| + 2R: 4 times the coupling's declared convexity bound, which
+        both couplings attain at x = 0, inside every ball."""
+        return 4.0 * self.coupling.convexity_bounds[1]
 
     def truncation_error(self, rho, R: float) -> float:
         return 0.0  # finite reach, nothing dropped

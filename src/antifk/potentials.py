@@ -484,12 +484,11 @@ class AubryCertificate:
         else:
             lo, hi = self.sampler.lo, self.sampler.hi
         centers = rng.uniform(lo, hi, size=(covering_checks, zeros.shape[1]))
-        for c in centers:
-            pts = self.sampler.points_near(c, self.covering_radius * (1 + 1e-12) + 1e-12)
-            if np.atleast_2d(pts).size == 0:
-                raise CertificationError(
-                    f"no zero within R = {self.covering_radius} of center {c}"
-                )
+        try:
+            self.sampler.nearest(centers, self.covering_radius * (1 + 1e-12) + 1e-12)
+        except CertificateError as exc:
+            raise CertificationError(f"covering fails at R = {self.covering_radius}: "
+                                     f"{exc}") from exc
         # expansion on sampled pairs inside each ball
         r, m = self.ball_radius, self.expansion
         for z in zeros:
@@ -600,31 +599,54 @@ def _sigma_min(H: np.ndarray) -> np.ndarray:
     return np.linalg.svd(H, compute_uv=False).min(axis=-1)
 
 
+_NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
+                      "degeneracy filter too permissive")
+
+
 def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
                            radius_samples: int, rng) -> float:
-    """Largest radius (bisection) such that sigma_min(hessian) >= m at all
-    sampled points of every ball."""
+    """Largest radius such that sigma_min(hessian) >= m at all sampled
+    points of every ball. d = 1: one scan of |V''(z +- s_k)| over s_k =
+    linspace(0, r_cap, radius_samples), one zero per call (bounded
+    temporaries), finds each side's first failing offset; the brackets
+    [s_{k-1}, s_k] are bisected together to adjacent floats and the least
+    lower end is returned. d > 1: bisection over r on random points of
+    each ball."""
     d = zeros.shape[1]
+    if d == 1:
+        s = np.linspace(0.0, r_cap, radius_samples)
+        k = np.empty((zeros.shape[0], 2), dtype=int)  # first failing offset
+        for j, z in enumerate(zeros[:, 0]):
+            fail = _sigma_min(V.hessian(np.concatenate([z + s, z - s])[:, None])) < m
+            k[j] = np.c_[fail.reshape(2, -1), [True, True]].argmax(axis=1)
+        # no failing offset (k = radius_samples): the closed bracket [r_cap, r_cap]
+        lo, hi = s[np.maximum(k - 1, 0)], np.append(s, r_cap)[k]
+        sign = np.array([1.0, -1.0])
+        for _ in range(64):  # adjacent floats at 512 samples and r >= 1e-6 r_cap
+            mid = 0.5 * (lo + hi)
+            live = (lo < mid) & (mid < hi)
+            if not live.any():
+                break
+            ok = live.copy()
+            ok[live] = ~(_sigma_min(V.hessian((zeros + sign * mid)[live][:, None])) < m)
+            lo, hi = np.where(ok, mid, lo), np.where(live & ~ok, mid, hi)
+        if lo.min() < 1e-6 * r_cap:
+            raise CertificationError(_NEAR_ZERO_FAILURE)
+        return float(lo.min())
 
     def ok(r: float) -> bool:
         for z in zeros:
-            if d == 1:
-                pts = z + np.linspace(-r, r, radius_samples)[:, None]
-            else:
-                raw = rng.standard_normal((radius_samples, d))
-                raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-                radii = r * rng.uniform(0, 1, size=(radius_samples, 1)) ** (1.0 / d)
-                pts = np.concatenate([z + raw * radii, z[None]], axis=0)
+            raw = rng.standard_normal((radius_samples, d))
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            radii = r * rng.uniform(0, 1, size=(radius_samples, 1)) ** (1.0 / d)
+            pts = np.concatenate([z + raw * radii, z[None]], axis=0)
             if _sigma_min(V.hessian(pts)).min() < m:
                 return False
         return True
 
     lo_r, hi_r = 0.0, r_cap
     if not ok(hi_r * 1e-6):
-        raise CertificationError(
-            "expansion fails arbitrarily close to a zero; "
-            "degeneracy filter too permissive"
-        )
+        raise CertificationError(_NEAR_ZERO_FAILURE)
     if ok(hi_r):
         return hi_r
     for _ in range(60):
@@ -646,9 +668,12 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     Zeros come from a grid scan with root polishing; zeros whose hessian
     smallest singular value falls below degeneracy_fraction of the best
     are discarded. The expansion constant is expansion_fraction times the
-    weakest retained curvature, the ball radius is the largest sampled
-    radius sustaining that curvature, and the covering radius is half the
-    largest gap (times safety). All properties are re-verified on random
+    weakest retained curvature, and the covering radius is half the
+    largest gap (times safety). The ball radius is the largest radius
+    whose sampled points sustain that curvature: in d = 1 the first
+    crossing of |V''| = m on radius_samples offsets per side of each zero,
+    bisected to adjacent floats; in d > 1 a bisection over radius_samples
+    random points per ball. All properties are re-verified on random
     samples before returning.
     """
     lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
@@ -718,8 +743,10 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                                      " * best",
                 "expansion": f"{expansion_fraction:.6f} * weakest retained"
                              " curvature",
-                "ball_radius": f"radius bisection, {radius_samples} hessian"
-                               " samples per ball",
+                "ball_radius": f"first-crossing scan, {radius_samples} hessian samples"
+                               " per ball side, bisected to adjacent floats" if d == 1
+                               else f"radius bisection, {radius_samples} hessian samples"
+                               " per ball",
                 "covering_radius": f"half largest gap * safety ({safety})",
             },
             "search_window": [lo.tolist(), hi.tolist()],

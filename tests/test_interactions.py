@@ -156,6 +156,25 @@ class TestLipschitzBound:
     def test_free_function(self, nn_interaction):
         assert lipschitz_bound(nn_interaction, 0.0, 1.0) == 4.0
 
+    @pytest.mark.parametrize("amplitude", [0.0, 0.05, 0.1, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_perturbed_coupling_bounds_sampled_sup(self, amplitude, d, rng):
+        # 4 sigma_max over the ball of radius |rho| + 2R, x = 0 included,
+        # where sigma_max = 1 + amplitude is attained
+        coupling = PerturbedQuadraticCoupling(amplitude)
+        nn = NearestNeighborInteraction(coupling)
+        for _ in range(3):
+            rho, R = rng.uniform(-3, 3, size=d), rng.uniform(0.05, 5.0)
+            K = nn.lipschitz_bound(as_rotation(rho), R)
+            assert K == 4.0 * (1.0 + amplitude)
+            raw = rng.standard_normal((2000, d))
+            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            radius = np.linalg.norm(rho) + 2.0 * R
+            pts = raw * radius * rng.uniform(0, 1, size=(2000, 1)) ** (1.0 / d)
+            pts = np.concatenate([np.zeros((1, d)), pts])
+            sigma = np.linalg.svd(coupling.hessian(pts), compute_uv=False).max()
+            assert K >= 4.0 * sigma * (1.0 - 4 * np.finfo(float).eps)
+
 
 class TestEmpiricalLipschitz:
     @pytest.mark.parametrize("make", [NearestNeighborInteraction, cubic])

@@ -22,7 +22,8 @@ from antifk import (
     truncated_almost_periodic,
 )
 
-from antifk.potentials import _sigma_min
+from antifk import potentials
+from antifk.potentials import _ball_expansion_radius, _sigma_min
 from oracles import bisect, fd_gradient
 
 
@@ -120,6 +121,115 @@ class TestEstimateAubry:
         assert cert.verify(V, seed=1)["zeros_checked"] >= 4
 
 
+def _bisection_ball_radius_1d(V, zeros, m, r_cap, radius_samples):
+    """Reference for the d = 1 ball radius: bisection over r of the check
+    sigma_min(hessian) >= m at linspace(-r, r, radius_samples) around every
+    zero, as estimate_aubry did before the first-crossing scan."""
+
+    def ok(r):
+        for z in zeros:
+            pts = z + np.linspace(-r, r, radius_samples)[:, None]
+            if _sigma_min(V.hessian(pts)).min() < m:
+                return False
+        return True
+
+    lo_r, hi_r = 0.0, r_cap
+    if not ok(hi_r * 1e-6):
+        raise CertificationError("expansion fails arbitrarily close to a zero")
+    if ok(hi_r):
+        return hi_r
+    for _ in range(60):
+        mid = 0.5 * (lo_r + hi_r)
+        if ok(mid):
+            lo_r = mid
+        else:
+            hi_r = mid
+    return lo_r
+
+
+_DELONE_PTS = np.cumsum([0.0, 1.0, 1.618, 1.0, 1.618, 1.618, 1.0, 1.618])
+_SCAN_CASES = (
+    [("cosine", cosine_potential, (-10.0, 10.0)),
+     ("sin4", sin4_potential, (-10.0, 10.0)),
+     ("delone", lambda: DeloneBumpPotential(_DELONE_PTS, width=0.45),
+      (_DELONE_PTS[0] - 1.0, _DELONE_PTS[-1] + 1.0))]
+    + [(f"ap-ratio-{a:.3f}", lambda a=a: truncated_almost_periodic(8, a),
+        (-60.0, 60.0)) for a in np.linspace(0.45, 0.55, 21)]
+    # the sweep benchmark's window and default potential (8 terms)
+    + [(f"ap-terms-{n}", lambda n=n: truncated_almost_periodic(n), (-200.0, 200.0))
+       for n in (4, 6, 8, 10)]
+)
+
+
+class TestBallRadiusScan:
+    @pytest.mark.parametrize("make, window", [c[1:] for c in _SCAN_CASES],
+                             ids=[c[0] for c in _SCAN_CASES])
+    def test_matches_bisection(self, make, window, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append((args, _ball_expansion_radius(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
+        cert = estimate_aubry(make(), window)
+        (V, zeros, m, r_cap, samples, _), r = seen[0]
+        assert cert.ball_radius == r
+        assert r == _bisection_ball_radius_1d(V, zeros, m, r_cap, samples)
+
+    @pytest.mark.parametrize("m, r_cap", [(0.1, 1.0), (0.5, 3.0), (0.9, 0.3),
+                                          (0.999, 2.0), (0.7, np.pi)])
+    # off-zero centres make the two sides differ: -0.3 binds on its left
+    @pytest.mark.parametrize("zeros", [[[0.0], [np.pi]], [[-0.3]], [[0.3], [2.9]]])
+    def test_cosine_direct(self, cos_potential, m, r_cap, zeros):
+        zeros = np.array(zeros)
+        if np.abs(np.cos(zeros)).min() < m:  # fails at a centre: both refuse
+            with pytest.raises(CertificationError):
+                _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
+            with pytest.raises(CertificationError, match="arbitrarily close"):
+                _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64, None)
+            return
+        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64, None)
+        assert r == _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
+
+        def edges_pass(r):
+            edges = np.concatenate([zeros + r, zeros - r])
+            return _sigma_min(cos_potential.hessian(edges)).min() >= m
+
+        if r == r_cap:  # no offset fails
+            assert edges_pass(r_cap)
+        else:  # the edges z +- r pass, and fail one float further out
+            assert edges_pass(r) and not edges_pass(np.nextafter(r, np.inf))
+
+    @pytest.mark.parametrize("m", [1.5, 1.0 - 1e-14])
+    @pytest.mark.parametrize("zeros", [[[0.0]], [[np.pi], [0.0]]])
+    def test_fails_near_the_zero(self, cos_potential, zeros, m):
+        # |V''(z + s)| = cos(s) at a zero z of the cosine: below m = 1.5 at
+        # every s, below m = 1 - 1e-14 from s = 1.4e-7 (under 1e-6 r_cap) on
+        zeros = np.array(zeros)
+        with pytest.raises(CertificationError, match="arbitrarily close"):
+            _ball_expansion_radius(cos_potential, zeros, m, 1.0, 512, None)
+        with pytest.raises(CertificationError):
+            _bisection_ball_radius_1d(cos_potential, zeros, m, 1.0, 512)
+
+    def test_hessian_rows_bounded(self, monkeypatch):
+        V = truncated_almost_periodic(8, 0.5)
+        calls = []
+        hessian = V.hessian
+
+        def counting(x):
+            calls.append(np.shape(x)[0])
+            return hessian(x)
+
+        monkeypatch.setattr(V, "hessian", counting)
+        samples = 512
+        cert = estimate_aubry(V, (-200.0, 200.0), radius_samples=samples)
+        zeros = cert.metadata["zeros_retained"]
+        assert sum(calls) <= (zeros * (2 * samples + 2 * 64)
+                              + cert.metadata["zeros_found"])
+        assert max(calls[1:]) <= 2 * samples  # at most one zero per call
+
+
 class TestCertificateInvariants:
     def test_listed_zeros_have_small_gradient(self, cos_potential):
         cert = estimate_aubry(cos_potential, (-10.0, 10.0))
@@ -152,6 +262,24 @@ class TestCertificateInvariants:
         shifted = TrigSumPotential([(1.0, [1.0], 0.4)])
         with pytest.raises(CertificationError):
             cos_cert.verify(shifted, seed=7)
+
+    @pytest.mark.parametrize("sampler", [
+        PeriodicZeroSet([0.0], np.pi),
+        FiniteZeroSet(np.arange(-5, 6) * np.pi, -5 * np.pi, 5 * np.pi)])
+    def test_verify_covering_is_one_lookup(self, cos_potential, sampler, monkeypatch):
+        def per_centre(*args):
+            raise AssertionError("covering checked one centre at a time")
+
+        monkeypatch.setattr(type(sampler), "points_near", per_centre)
+        covered = AubryCertificate(sampler, np.pi / 2, np.pi / 4, np.sqrt(2) / 2,
+                                   zero_tol=1e-12)
+        assert covered.verify(cos_potential, seed=7)["covering_checks"] == 256
+        short = AubryCertificate(sampler, 0.5, np.pi / 4, np.sqrt(2) / 2,
+                                 zero_tol=1e-12)
+        with pytest.raises(CertificationError,
+                           match=r"covering fails at R = 0.5: no zero within "
+                                 r"radius \S+ of \[?-?\d"):
+            short.verify(cos_potential, seed=7)
 
     def test_json_roundtrip(self, cos_cert):
         d = cos_cert.to_json_dict()
