@@ -463,11 +463,8 @@ def _solution_context(hblock, sblock):
 
 def _sweep_case(payload):
     """Worker for one (lam, rho) cell; must stay importable for pickling."""
-    (pot_d, int_d, cert_d, lam, rho, half_width, tol, max_iter,
+    (potential, interaction, cert, lam, rho, half_width, tol, max_iter,
      check_hyp) = payload
-    potential = potential_from_dict(pot_d)
-    interaction = interaction_from_dict(int_d)
-    cert = AubryCertificate.from_json_dict(cert_d)
     row = {
         "lam": lam,
         "rho": rho,
@@ -556,11 +553,9 @@ def _sweep_payloads(cfg, args):
         raise ConfigError(
             "sweep hyperbolicity checks support nearest-neighbor interactions only"
         )
-    pot_d = potential.to_dict()
-    int_d = interaction.to_dict()
-    cert_d = cert.to_json_dict()
     return [
-        (pot_d, int_d, cert_d, lam, rho, half_width, tol, max_iter, check_hyp)
+        (potential, interaction, cert, lam, rho, half_width, tol, max_iter,
+         check_hyp)
         for lam, rho in sorted(pairs)
     ]
 

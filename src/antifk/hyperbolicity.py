@@ -27,8 +27,6 @@ from .lattice import Configuration
 __all__ = [
     "LinearizationSite",
     "linearize",
-    "transfer_step",
-    "backward_transfer_step",
     "transfer_matrix",
     "ConeParameters",
     "cone_parameters",
@@ -114,29 +112,6 @@ def linearize(u: Configuration, interaction, potential, lam: float,
         LinearizationSite(site=int(s), A=A[k], B=B[k], C=C[k])
         for k, s in enumerate(sites)
     ]
-
-
-def _neighbor_step(site: LinearizationSite, P, Q, xi_cur, xi_other):
-    # the tangent recursion solved for one neighbour of xi_cur
-    S = site.A + site.B + site.C
-    try:
-        return np.linalg.solve(P, S @ np.asarray(xi_cur, dtype=float)
-                               - Q @ np.asarray(xi_other, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise ConvexityError(
-            f"singular coupling hessian at site {site.site}"
-        ) from exc
-
-
-def transfer_step(site: LinearizationSite, xi_prev, xi_cur):
-    """xi_{i+1} from (xi_{i-1}, xi_i): the produced triple satisfies the
-    tangent recursion to machine precision."""
-    return _neighbor_step(site, site.A, site.B, xi_cur, xi_prev)
-
-
-def backward_transfer_step(site: LinearizationSite, xi_cur, xi_next):
-    """xi_{i-1} from (xi_i, xi_{i+1})."""
-    return _neighbor_step(site, site.B, site.A, xi_cur, xi_next)
 
 
 def _transfer_matrices(A, B, C) -> np.ndarray:
@@ -352,6 +327,8 @@ def cone_splitting(u: Configuration, interaction, potential, lam: float,
     """
     sites, A, B, C = _coefficients(u, interaction, potential, lam)
     n, d = A.shape[0], A.shape[-1]
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     m = n - 2 * horizon
     if m < 1:
         raise ValueError(

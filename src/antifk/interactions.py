@@ -20,9 +20,7 @@ __all__ = [
     "PerturbedQuadraticCoupling",
     "NearestNeighborInteraction",
     "LongRangeInteraction",
-    "apply_delta",
     "delta_hom",
-    "lipschitz_bound",
     "coupling_from_dict",
     "interaction_from_dict",
 ]
@@ -141,12 +139,6 @@ class NearestNeighborInteraction:
         left = self.coupling.gradient(ext[:-2] - ext[1:-1])
         return right - left
 
-    def delta_at(self, u: Configuration, i: int) -> np.ndarray:
-        ui = u.value(i)
-        return self.coupling.gradient(ui - u.value(i + 1)) - self.coupling.gradient(
-            u.value(i - 1) - ui
-        )
-
     def delta_hom(self, rho) -> np.ndarray:
         rot = as_rotation(rho)
         g = self.coupling.gradient(-rot.rho)
@@ -209,13 +201,6 @@ class LongRangeInteraction:
         for k, c in self.weights.items():
             neighbor = ext[self.reach + k:self.reach + k + n]
             out += c * (center - neighbor) ** self.power
-        return out
-
-    def delta_at(self, u: Configuration, i: int) -> np.ndarray:
-        ui = u.value(i)
-        out = np.zeros_like(ui)
-        for k, c in self.weights.items():
-            out += c * (ui - u.value(i + k)) ** self.power
         return out
 
     def delta_hom(self, rho) -> np.ndarray:
@@ -290,19 +275,6 @@ def interaction_from_dict(d: dict):
     raise ValueError(f"unknown interaction kind: {kind!r}")
 
 
-# free-function spellings of the operator interface
-
-
-def apply_delta(interaction, u: Configuration, i: int | None = None):
-    """Delta(u) at one site (i given) or across the window (i omitted)."""
-    if i is None:
-        return interaction.delta(u)
-    return interaction.delta_at(u, i)
-
-
 def delta_hom(interaction, rho) -> np.ndarray:
+    """The constant Delta of the homomorphism rho."""
     return interaction.delta_hom(rho)
-
-
-def lipschitz_bound(interaction, rho, R: float) -> float:
-    return interaction.lipschitz_bound(rho, R)

@@ -34,7 +34,6 @@ __all__ = [
     "ext_distance",
     "shift",
     "translate",
-    "nearest_anchor",
     "rotation_vector_estimate",
     "configuration_to_csv",
     "configuration_from_csv",
@@ -64,11 +63,6 @@ class Window:
 
     def sites(self) -> np.ndarray:
         return np.arange(-self.half_width, self.half_width + 1)
-
-    def index(self, i: int) -> int:
-        if abs(i) > self.half_width:
-            raise ValueError(f"site {i} outside window of half-width {self.half_width}")
-        return i + self.half_width
 
 
 @dataclass(frozen=True)
@@ -105,15 +99,15 @@ def as_rotation(rho) -> RotationVector:
 
 
 class TailRule:
-    """Deterministic extension of a configuration beyond its window."""
+    """Deterministic extension of a configuration beyond its window.
+
+    values(sites) answers a batch of site queries as an (n, d) array.
+    """
 
     kind: str = "abstract"
 
-    def value(self, i: int) -> np.ndarray:
-        raise NotImplementedError
-
     def values(self, sites: np.ndarray) -> np.ndarray:
-        return np.stack([self.value(int(i)) for i in np.atleast_1d(sites)])
+        raise NotImplementedError
 
     @property
     def slope(self) -> np.ndarray:
@@ -131,9 +125,6 @@ class HomomorphismTail(TailRule):
 
     rotation: RotationVector
     kind: str = field(default="homomorphism", init=False)
-
-    def value(self, i: int) -> np.ndarray:
-        return self.rotation(float(i))
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         return self.rotation(np.asarray(sites, dtype=float))
@@ -158,9 +149,6 @@ class AnchorTail(TailRule):
     sampler: object
     radius: float
     kind: str = field(default="anchor", init=False)
-
-    def value(self, i: int) -> np.ndarray:
-        return nearest_anchor(self.rotation, i, self.sampler, self.radius)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         return _nearest_anchors(self.rotation, sites, self.sampler, self.radius)
@@ -187,8 +175,9 @@ class DerivedTail(TailRule):
     translation: np.ndarray
     kind: str = field(default="derived", init=False)
 
-    def value(self, i: int) -> np.ndarray:
-        return self.parent.value(i + self.site_offset) + self.translation
+    def values(self, sites: np.ndarray) -> np.ndarray:
+        sites = np.asarray(sites) + self.site_offset
+        return self.parent.values_at(sites) + self.translation
 
     @property
     def slope(self) -> np.ndarray:
@@ -236,9 +225,7 @@ class Configuration:
         return self.window.half_width
 
     def value(self, i: int) -> np.ndarray:
-        if abs(i) <= self.window.half_width:
-            return self.values[i + self.window.half_width]
-        return self.tail.value(i)
+        return self.values_at([i])[0]
 
     def values_at(self, sites) -> np.ndarray:
         sites = np.atleast_1d(np.asarray(sites))
@@ -293,50 +280,39 @@ def anchor_configuration(rho, sampler, radius: float, window: Window) -> Configu
     return Configuration(window, vals, AnchorTail(rot, sampler, radius))
 
 
-def nearest_anchor(rho, i: int, sampler, radius: float) -> np.ndarray:
-    """Closest point of the sampled zero set to rho(i).
+def _nearest_anchors(rot: RotationVector, sites, sampler, radius: float) -> np.ndarray:
+    """Closest points of the sampled zero set to rho(i) for each site i.
 
     Ties (to within an 1e-12 relative margin) break to the
     lexicographically smallest point.
     """
-    return _nearest_anchors(as_rotation(rho), [i], sampler, radius)[0]
-
-
-def _nearest_anchors(rot: RotationVector, sites, sampler, radius: float) -> np.ndarray:
     # tiny slack so that boundary cases (distance exactly R) are found
     return sampler.nearest(rot(sites), radius * (1 + 1e-12) + 1e-12)
 
 
-def _tails_equal(t1: TailRule, t2: TailRule) -> bool:
-    try:
-        return t1.signature() == t2.signature()
-    except NotImplementedError:
-        return t1 is t2
-
-
-def ext_distance(u: Configuration, v: Configuration, tail_probe: int = TAIL_PROBE) -> float:
+def ext_distance(u: Configuration, v: Configuration) -> float:
     """Sup-norm distance over sites.
 
     Window sites are compared exactly. Tails contribute zero when the two
     rules coincide, +inf when their slopes differ, and otherwise a sampled
-    sup over tail_probe sites on each side (stopping early if a tail rule
+    sup over TAIL_PROBE sites on each side (stopping early if a tail rule
     cannot produce values that far out).
     """
     if u.window != v.window:
         raise ValueError("configurations live on different windows")
     core = float(np.linalg.norm(u.values - v.values, axis=1).max())
-    if _tails_equal(u.tail, v.tail):
+    if u.tail.signature() == v.tail.signature():
         return core
     slope_gap = np.linalg.norm(np.asarray(u.tail.slope) - np.asarray(v.tail.slope))
     if slope_gap > 0:
         return float("inf")
 
-    probe = u.window.half_width + np.arange(1, tail_probe + 1)
+    probe = u.window.half_width + np.arange(1, TAIL_PROBE + 1)
     worst = core
     for sites in (probe, -probe):
         # a tail raises exactly when the sites include one it cannot produce
         # (a finite zero set out of validity): bisect for the longest prefix
-        good, bad, k = 0, tail_probe + 1, tail_probe
+        good, bad, k = 0, TAIL_PROBE + 1, TAIL_PROBE
         while bad - good > 1:
             try:
                 diff = u.tail.values(sites[:k]) - v.tail.values(sites[:k])

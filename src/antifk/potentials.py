@@ -34,7 +34,6 @@ __all__ = [
     "cosine_certificate",
     "estimate_aubry",
     "local_inverse",
-    "potential_to_dict",
     "potential_from_dict",
 ]
 
@@ -224,10 +223,6 @@ class DeloneBumpPotential:
             "width": self.width,
             "depth": self.depth,
         }
-
-
-def potential_to_dict(V) -> dict:
-    return V.to_dict()
 
 
 def potential_from_dict(d: dict):
@@ -676,6 +671,8 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     random points per ball. All properties are re-verified on random
     samples before returning.
     """
+    if radius_samples < 1:
+        raise ValueError(f"radius_samples must be >= 1, got {radius_samples}")
     lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
     hi = np.atleast_1d(np.asarray(search_window[1], dtype=float))
     d = getattr(V, "dimension", lo.shape[0])

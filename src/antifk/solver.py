@@ -33,7 +33,6 @@ __all__ = [
     "UniquenessVerdict",
     "lambda_threshold",
     "residual",
-    "phi_step",
     "ContractionSolver",
     "solve_equilibrium",
     "uniqueness_check",
@@ -127,48 +126,6 @@ def residual(u: Configuration, interaction, V, lam: float) -> float:
     return float(np.linalg.norm(np.atleast_2d(res), axis=1).max())
 
 
-def phi_step(u: Configuration, interaction, potential,
-             cert: AubryCertificate, lam: float,
-             anchors: Configuration | None = None,
-             inner_tol: float = 1e-12) -> Configuration:
-    """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam).
-
-    Anchors default to the nearest-anchor configuration for the rotation
-    vector carried by u's tail rule. A target outside the admissible ball
-    raises DomainError naming the offending site; an output outside the
-    anchor ball (certificate violation) raises CertificateError.
-    """
-    if anchors is None:
-        anchors = anchor_configuration(
-            as_rotation(u.tail.slope), cert.sampler, cert.covering_radius,
-            u.window,
-        )
-    elif anchors.window != u.window:
-        raise ValueError("anchor configuration window mismatch")
-    delta = interaction.delta(u)
-    targets = -delta / lam
-    norms = np.linalg.norm(np.atleast_2d(targets), axis=1)
-    limit = cert.admissible_radius
-    if norms.max() > limit * (1 + 1e-9):
-        j = int(np.argmax(norms))
-        site = j - u.window.half_width
-        raise DomainError(
-            f"|Delta(u)_i / lam| = {norms[j]:.6e} exceeds r*m = {limit:.6e} "
-            f"at site {site}; coupling too weak for this certificate",
-            site=site, norm=float(norms[j]), limit=limit,
-        )
-    new_values = local_inverse_batch(
-        potential, anchors.values, targets, cert, tol=inner_tol,
-    )
-    drift = np.linalg.norm(new_values - anchors.values, axis=1).max()
-    if drift > cert.ball_radius * (1 + 1e-9) + 1e-12:
-        raise CertificateError(
-            f"tube map left the anchor ball: {drift:.6e} > r = "
-            f"{cert.ball_radius:.6e}"
-        )
-    return u.with_values(new_values)
-
-
 class ContractionSolver:
     """Bundles interaction, potential, certificate, and anchors for a run."""
 
@@ -195,15 +152,36 @@ class ContractionSolver:
         self.threshold = lambda_threshold(interaction, params.rho, cert)
 
     def phi_step(self, u: Configuration) -> Configuration:
-        """One Jacobi-style sweep of the tube map; raises DomainError
-        (naming the site) if any target leaves the admissible ball."""
-        return phi_step(
-            u, self.interaction, self.potential, self.cert, self.params.lam,
-            anchors=self.anchors, inner_tol=self.params.inner_tol,
-        )
+        """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam)
+        around the solver's anchors a.
 
-    def residual(self, u: Configuration) -> float:
-        return residual(u, self.interaction, self.potential, self.params.lam)
+        A target outside the admissible ball raises DomainError naming the
+        offending site; an output outside the anchor ball (certificate
+        violation) raises CertificateError.
+        """
+        cert, lam = self.cert, self.params.lam
+        targets = -self.interaction.delta(u) / lam
+        norms = np.linalg.norm(np.atleast_2d(targets), axis=1)
+        limit = cert.admissible_radius
+        if norms.max() > limit * (1 + 1e-9):
+            j = int(np.argmax(norms))
+            site = j - u.window.half_width
+            raise DomainError(
+                f"|Delta(u)_i / lam| = {norms[j]:.6e} exceeds r*m = {limit:.6e} "
+                f"at site {site}; coupling too weak for this certificate",
+                site=site, norm=float(norms[j]), limit=limit,
+            )
+        anchors = self.anchors.values
+        new_values = local_inverse_batch(
+            self.potential, anchors, targets, cert, tol=self.params.inner_tol,
+        )
+        drift = np.linalg.norm(new_values - anchors, axis=1).max()
+        if drift > cert.ball_radius * (1 + 1e-9) + 1e-12:
+            raise CertificateError(
+                f"tube map left the anchor ball: {drift:.6e} > r = "
+                f"{cert.ball_radius:.6e}"
+            )
+        return u.with_values(new_values)
 
     def solve(self, initial: Configuration | None = None):
         """Iterate phi_step from the anchors (or a caller-supplied start in
@@ -214,6 +192,8 @@ class ContractionSolver:
         q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
         step_threshold = p.tol * (1 - q) / q
         u = initial if initial is not None else self.anchors
+        if u.window != self.window:
+            raise ValueError("initial configuration window mismatch")
         steps = []
         converged = False
         final_res = last_res = np.inf
@@ -226,7 +206,7 @@ class ContractionSolver:
             u = u_next
             # below one float spacing of u a step cannot shrink further
             if delta <= max(step_threshold, np.spacing(np.abs(u.values).max())):
-                final_res = self.residual(u)
+                final_res = residual(u, self.interaction, self.potential, p.lam)
                 if final_res <= p.tol:
                     converged = True
                     break
@@ -243,7 +223,7 @@ class ContractionSolver:
                 last_res = final_res
         if not converged:
             if not np.isfinite(final_res):
-                final_res = self.residual(u)
+                final_res = residual(u, self.interaction, self.potential, p.lam)
             raise ConvergenceError(
                 f"no convergence in {p.max_iter} iterations "
                 f"(last step {steps[-1]:.3e}, residual {final_res:.3e})",

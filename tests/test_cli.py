@@ -51,6 +51,20 @@ class TestCertify:
         )
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_zero_radius_samples_exits_1(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "potential": {"family": "cosine"},
+                "certification": {"search_window": [-10.0, 10.0],
+                                  "radius_samples": 0},
+            },
+        )
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "radius_samples must be >= 1" in err
+        assert "Traceback" not in err
+
 
 class TestSolve:
     def test_artifacts_and_exit(self, tmp_path):
@@ -176,6 +190,20 @@ class TestHyperbolicity:
         payload = json.loads((out / "hyperbolicity.json").read_text())
         assert payload["source"] == "solution"
         assert payload["all_pass"] is True
+
+    def test_negative_horizon_exits_1(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "potential": {"family": "cosine"},
+                "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8},
+                "hyperbolicity": {"horizon": -1},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["hyperbolicity", "--config", cfg, "--out", str(out)]) == 1
+        assert "horizon must be >= 0" in capsys.readouterr().err
+        assert not (out / "hyperbolicity.json").exists()
 
 
 class TestSweep:

@@ -18,7 +18,6 @@ from antifk import (
     TrigSumPotential,
     Window,
     as_rotation,
-    backward_transfer_step,
     cone_parameters,
     cone_splitting,
     homomorphism_configuration,
@@ -30,7 +29,6 @@ from antifk import (
     position_pair_step,
     solve_equilibrium,
     transfer_matrix,
-    transfer_step,
     translate,
     twist_map_step,
     verify_cone_conditions,
@@ -126,7 +124,7 @@ class TestTransfer:
         for rec in recs[1:-1]:
             xi_prev = rng.normal(size=1)
             xi_cur = rng.normal(size=1)
-            xi_next = transfer_step(rec, xi_prev, xi_cur)
+            xi_next = (transfer_matrix(rec) @ np.concatenate([xi_prev, xi_cur]))[1:]
             resid = (
                 rec.A @ (xi_cur - xi_next)
                 - rec.B @ (xi_prev - xi_cur)
@@ -139,8 +137,9 @@ class TestTransfer:
         u, _, params = solved
         rec = linearize(u, nn_module, cos_potential_module, params.lam)[5]
         xi_prev, xi_cur = rng.normal(size=1), rng.normal(size=1)
-        xi_next = transfer_step(rec, xi_prev, xi_cur)
-        back = backward_transfer_step(rec, xi_cur, xi_next)
+        M = transfer_matrix(rec)
+        xi_next = (M @ np.concatenate([xi_prev, xi_cur]))[1:]
+        back = np.linalg.solve(M, np.concatenate([xi_cur, xi_next]))[:1]
         assert np.abs(back - xi_prev).max() < 1e-10
 
     def test_matrix_matches_step(self, rng):
@@ -153,7 +152,9 @@ class TestTransfer:
         pair = np.concatenate([xi_prev, xi_cur])
         out = M @ pair
         assert out[0] == pytest.approx(xi_cur[0])
-        assert out[1] == pytest.approx(float(transfer_step(rec, xi_prev, xi_cur)[0]))
+        # the tangent recursion solved for xi_{i+1}
+        step = (rec.A + rec.B + rec.C) @ xi_cur - rec.B @ xi_prev
+        assert out[1] == pytest.approx(float(np.linalg.solve(rec.A, step)[0]))
 
     def test_constant_case_eigenvalues(self):
         u, lam = constant_case(n=4)
@@ -320,6 +321,14 @@ class TestConeSplitting:
         u, lam = constant_case(n=6)
         with pytest.raises(ValueError):
             cone_splitting(u, nn_module, cos_potential_module, lam, horizon=7)
+
+    @pytest.mark.parametrize("horizon", [-1, -3])
+    def test_negative_horizon_rejected(self, nn_module, cos_potential_module,
+                                       horizon):
+        u, lam = constant_case(n=8)
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            cone_splitting(u, nn_module, cos_potential_module, lam,
+                           horizon=horizon)
 
 
 def _growth_1d(c0, c1, aperture):

@@ -7,14 +7,12 @@ from antifk import (
     PerturbedQuadraticCoupling,
     QuadraticCoupling,
     Window,
-    apply_delta,
     as_rotation,
     coupling_from_dict,
     delta_hom,
     ext_distance,
     homomorphism_configuration,
     interaction_from_dict,
-    lipschitz_bound,
     shift,
     translate,
 )
@@ -48,12 +46,6 @@ class TestApplyDelta:
         expect[5] = 2.0
         expect[4] = expect[6] = -1.0
         assert np.array_equal(d, expect)
-
-    def test_free_function_site_and_full(self, nn_interaction):
-        u = hom(1.0).with_values(np.sin(np.arange(-10, 11, dtype=float)))
-        full = apply_delta(nn_interaction, u)
-        at3 = apply_delta(nn_interaction, u, 3)
-        assert np.allclose(full[13], at3)
 
     def test_long_range_annihilates_homomorphisms(self):
         u = hom(0.7, n=8)
@@ -152,9 +144,6 @@ class TestLipschitzBound:
         nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
         K = nn.lipschitz_bound(as_rotation(1.0), 1.0)
         assert 4.0 < K <= 4.0 * 1.1 + 1e-12
-
-    def test_free_function(self, nn_interaction):
-        assert lipschitz_bound(nn_interaction, 0.0, 1.0) == 4.0
 
     @pytest.mark.parametrize("amplitude", [0.0, 0.05, 0.1, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("d", [1, 2, 3])

@@ -5,6 +5,7 @@ from antifk import (
     AnchorTail,
     CertificateError,
     Configuration,
+    DerivedTail,
     FiniteZeroSet,
     HomomorphismTail,
     PeriodicZeroSet,
@@ -17,7 +18,6 @@ from antifk import (
     configuration_to_json,
     ext_distance,
     homomorphism_configuration,
-    nearest_anchor,
     rotation_vector_estimate,
     shift,
     translate,
@@ -90,7 +90,8 @@ def _ext_distance_by_site(u, v):
         for k in range(1, TAIL_PROBE + 1):
             i = side * (n + k)
             try:
-                gap = float(np.linalg.norm(u.tail.value(i) - v.tail.value(i)))
+                gap = float(np.linalg.norm(u.tail.values([i])[0]
+                                           - v.tail.values([i])[0]))
             except CertificateError:
                 break
             worst = max(worst, gap)
@@ -111,9 +112,9 @@ class TestExtDistanceTailProbe:
         v = homomorphism_configuration(rot, w)
         # the finite tail runs out of its box inside the probe, on both sides
         with pytest.raises(CertificateError):
-            u.tail.value(20 + TAIL_PROBE)
+            u.tail.values([20 + TAIL_PROBE])[0]
         with pytest.raises(CertificateError):
-            u.tail.value(-20 - TAIL_PROBE)
+            u.tail.values([-20 - TAIL_PROBE])[0]
         assert ext_distance(u, v) == _ext_distance_by_site(u, v)
         assert ext_distance(v, u) == _ext_distance_by_site(v, u)
 
@@ -127,8 +128,8 @@ class TestExtDistanceTailProbe:
                                  Window(n, 1))
         v = hom(np.pi, n=n)
         with pytest.raises(CertificateError):
-            u.tail.value(40)
-        assert u.tail.value(41)[0] - np.pi * 41 == pytest.approx(0.5)
+            u.tail.values([40])[0]
+        assert u.tail.values([41])[0][0] - np.pi * 41 == pytest.approx(0.5)
         assert ext_distance(u, v) == _ext_distance_by_site(u, v) == 0.0
 
 
@@ -181,38 +182,40 @@ class TestNearestAnchor:
     def test_origin_in_anchor_set(self, cos_cert):
         rho = as_rotation(0.0)
         for i in (-4, 0, 7):
-            a = nearest_anchor(rho, i, cos_cert.sampler, cos_cert.covering_radius)
+            tail = AnchorTail(rho, cos_cert.sampler, cos_cert.covering_radius)
+            a = tail.values([i])[0]
             assert a[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_pi_set_prefers_closest_multiple(self, cos_cert):
-        a = nearest_anchor(
-            as_rotation(1.0), 2, cos_cert.sampler, cos_cert.covering_radius
-        )
+        a = AnchorTail(
+            as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius
+        ).values([2])[0]
         assert a[0] == pytest.approx(np.pi, abs=1e-12)
 
     def test_exact_hit(self, cos_cert):
-        a = nearest_anchor(
-            as_rotation(np.pi), 3, cos_cert.sampler, cos_cert.covering_radius
-        )
+        a = AnchorTail(
+            as_rotation(np.pi), cos_cert.sampler, cos_cert.covering_radius
+        ).values([3])[0]
         assert a[0] == pytest.approx(3 * np.pi, abs=1e-12)
 
     def test_empty_query_raises(self):
         sampler = PeriodicZeroSet(np.array([[0.0]]), np.pi)
         with pytest.raises(CertificateError):
-            nearest_anchor(as_rotation(1.0), 1, sampler, 0.05)
+            AnchorTail(as_rotation(1.0), sampler, 0.05).values([1])
 
     def test_tie_breaks_to_smaller_point(self, cos_cert):
         # rho(i) = pi/2 is equidistant from 0 and pi
-        a = nearest_anchor(
-            as_rotation(np.pi / 2), 1, cos_cert.sampler, cos_cert.covering_radius
-        )
+        a = AnchorTail(
+            as_rotation(np.pi / 2), cos_cert.sampler, cos_cert.covering_radius
+        ).values([1])[0]
         assert a[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_anchor_within_covering_radius(self, cos_cert, rng):
         for _ in range(100):
             rho = as_rotation(rng.uniform(-4, 4))
             i = int(rng.integers(-20, 21))
-            a = nearest_anchor(rho, i, cos_cert.sampler, cos_cert.covering_radius)
+            tail = AnchorTail(rho, cos_cert.sampler, cos_cert.covering_radius)
+            a = tail.values([i])[0]
             assert abs(a[0] - rho(float(i))[0]) <= cos_cert.covering_radius + 1e-12
 
 
@@ -302,7 +305,7 @@ class TestSerialization:
 class TestTails:
     def test_anchor_tail_values(self, cos_cert):
         tail = AnchorTail(as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius)
-        assert tail.value(2)[0] == pytest.approx(np.pi)
+        assert tail.values([2])[0][0] == pytest.approx(np.pi)
 
     def test_derived_tail_reads_parent_window(self):
         u = hom(1.0, n=4)
@@ -310,3 +313,46 @@ class TestTails:
         # site 5 of the shifted configuration is parent site 3: inside
         # the parent window even though 5 is outside the shifted one
         assert s.value(5)[0] == pytest.approx(3.0)
+
+
+def _derived_by_site(tail, sites):
+    """Per-site reference for DerivedTail.values: each site read from the
+    parent one at a time, through nested derived tails."""
+    parent, rows = tail.parent, []
+    for i in sites:
+        j = int(i) + tail.site_offset
+        if abs(j) <= parent.half_width:
+            row = parent.values[j + parent.half_width]
+        elif isinstance(parent.tail, DerivedTail):
+            row = _derived_by_site(parent.tail, [j])[0]
+        else:
+            row = parent.tail.values([j])[0]
+        rows.append(row + tail.translation)
+    return np.array(rows)
+
+
+class TestDerivedTailBatch:
+    @pytest.mark.parametrize("parent", ["homomorphism", "anchor"])
+    @pytest.mark.parametrize("k", [-3, 2])
+    @pytest.mark.parametrize("order", ["shift-translate", "translate-shift"])
+    def test_matches_per_site(self, parent, k, order, cos_cert, rng):
+        n = 6
+        if parent == "anchor":
+            u = anchor_configuration(as_rotation(0.9), cos_cert.sampler,
+                                     cos_cert.covering_radius, Window(n, 1))
+        else:
+            u = hom(0.9, n=n)
+        u = u.with_values(u.values + rng.uniform(-0.3, 0.3, size=u.values.shape))
+        c = rng.normal()
+        if order == "shift-translate":
+            v = shift(translate(u, c), k)
+        else:
+            v = translate(shift(u, k), c)
+        assert isinstance(v.tail, DerivedTail)
+        # |i| <= n + |k| reads the parent window, the rest its tail
+        sites = rng.permutation(np.r_[-4 * n:-n, n + 1:4 * n + 1])
+        assert np.array_equal(v.tail.values(sites), _derived_by_site(v.tail, sites))
+        halo = np.r_[-n - 5:-n, n + 1:n + 6]
+        ext = v.extended(5)
+        assert np.array_equal(np.r_[ext[:5], ext[-5:]],
+                              _derived_by_site(v.tail, halo))

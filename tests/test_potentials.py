@@ -17,7 +17,6 @@ from antifk import (
     local_inverse,
     local_inverse_batch,
     potential_from_dict,
-    potential_to_dict,
     sampler_from_dict,
     truncated_almost_periodic,
 )
@@ -110,6 +109,11 @@ class TestEstimateAubry:
     def test_zero_free_window_fails(self, cos_potential):
         with pytest.raises(CertificationError):
             estimate_aubry(cos_potential, (0.2, 0.8))
+
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_radius_samples_must_be_positive(self, cos_potential, samples):
+        with pytest.raises(ValueError, match="radius_samples must be >= 1"):
+            estimate_aubry(cos_potential, (-10.0, 10.0), radius_samples=samples)
 
     def test_delone_bump_certifies(self):
         # short Fibonacci-spaced segment; wells of the bump sum are
@@ -546,7 +550,7 @@ class TestSerialization:
             truncated_almost_periodic(term_count=4),
             DeloneBumpPotential([0.0, 1.0, 2.618], width=0.5),
         ):
-            back = potential_from_dict(potential_to_dict(V))
+            back = potential_from_dict(V.to_dict())
             x = np.array([0.7])
             assert back.value(x) == pytest.approx(float(V.value(x)))
             assert back.gradient(x)[0] == pytest.approx(float(V.gradient(x)[0]))

@@ -14,7 +14,6 @@ from antifk import (
     ext_distance,
     homomorphism_configuration,
     lambda_threshold,
-    phi_step,
     residual,
     solve_equilibrium,
     translate,
@@ -77,18 +76,12 @@ class TestLambdaThreshold:
 
 
 class TestPhiStep:
-    def test_free_matches_method(self, nn_interaction, cos_potential, cos_cert):
-        params = make_params()
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        a = solver.anchors
-        left = phi_step(a, nn_interaction, cos_potential, cos_cert, params.lam,
-                        inner_tol=params.inner_tol)
-        right = solver.phi_step(a)
-        assert np.array_equal(left.values, right.values)
-
     def test_anchors_derived_from_tail(self, nn_interaction, cos_potential, cos_cert):
+        # the solver's anchors come from params.rho, the rotation of u's tail
         u = homomorphism_configuration(as_rotation(1.0), Window(10, 1))
-        out = phi_step(u, nn_interaction, cos_potential, cos_cert, 20.0)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                   make_params(lam=20.0, rho=1.0, n=10))
+        out = solver.phi_step(u)
         a = anchor_configuration(
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius, u.window
         )
@@ -106,13 +99,15 @@ class TestPhiStep:
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius,
             Window(10, 1),
         )
+        solver = ContractionSolver(
+            nn_interaction, cos_potential, cos_cert,
+            make_params(lam=lam, rho=1.0, n=10, inner_tol=1e-14), anchors=a,
+        )
         for _ in range(25):
             u = a.with_values(a.values + rng.uniform(-r, r, size=a.values.shape))
             v = a.with_values(a.values + rng.uniform(-r, r, size=a.values.shape))
-            fu = phi_step(u, nn_interaction, cos_potential, cos_cert, lam,
-                          anchors=a, inner_tol=1e-14)
-            fv = phi_step(v, nn_interaction, cos_potential, cos_cert, lam,
-                          anchors=a, inner_tol=1e-14)
+            fu = solver.phi_step(u)
+            fv = solver.phi_step(v)
             assert ext_distance(fu, fv) <= q * ext_distance(u, v) * (1 + 1e-6) + 1e-12
 
     def test_domain_error_when_coupling_too_weak(self, nn_interaction,
@@ -121,18 +116,24 @@ class TestPhiStep:
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius,
             Window(8, 1),
         )
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                   make_params(lam=0.5, rho=1.0, n=8))
         with pytest.raises(DomainError) as err:
-            phi_step(a, nn_interaction, cos_potential, cos_cert, 0.5)
+            solver.phi_step(a)
         assert err.value.site is not None
 
     def test_window_mismatch(self, nn_interaction, cos_potential, cos_cert):
-        u = homomorphism_configuration(as_rotation(1.0), Window(10, 1))
+        params = make_params(lam=20.0, rho=1.0, n=10)
         a = anchor_configuration(
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius,
             Window(9, 1),
         )
         with pytest.raises(ValueError):
-            phi_step(u, nn_interaction, cos_potential, cos_cert, 20.0, anchors=a)
+            ContractionSolver(nn_interaction, cos_potential, cos_cert, params,
+                              anchors=a)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        with pytest.raises(ValueError):
+            solver.solve(initial=a)
 
 
 class TestResidual:
