@@ -1,0 +1,120 @@
+"""Time each solver layer against the window size.
+
+    PYTHONPATH=src python3 scripts/scale_check.py [--out FILE]
+
+The chain is the ROADMAP baseline: cosine V, unit quadratic
+nearest-neighbour coupling, lam = 40, rho = 0.618, tol = 1e-10, at
+half_width 32, 512, 4096 and 16384. Each layer is timed in process, best
+of REPEATS calls, on the inputs the solver hands it: the tube-map layers
+at the anchors, the Newton layers at the iterate after two tube-map steps
+(where solve starts its Newton phase). The JSON written is the
+``scale_check`` block of a BENCH file: seconds and microseconds per site
+for every layer and size, and each layer's log-log slope of time against
+sites over the three largest sizes, which reads 1 for linear growth.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import time
+
+import numpy as np
+
+import antifk
+from antifk import (
+    ContractionSolver,
+    NearestNeighborInteraction,
+    SolveParams,
+    anchor_configuration,
+    cosine_certificate,
+    cosine_potential,
+    local_inverse_batch,
+    residual,
+)
+from antifk.hyperbolicity import _coefficients
+from antifk.solver import _cyclic_reduction
+
+HALF_WIDTHS = (32, 512, 4096, 16384)
+REPEATS = 5
+LAM, RHO, TOL = 40.0, 0.618, 1e-10
+
+
+def best_of(fn) -> float:
+    """Shortest wall time of REPEATS calls of fn()."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def layer_times(half_width: int) -> dict:
+    V, cert = cosine_potential(), cosine_certificate()
+    nn = NearestNeighborInteraction()
+    params = SolveParams(lam=LAM, rho=RHO, window=half_width, tol=TOL)
+    solver = ContractionSolver(nn, V, cert, params)
+    a = solver.anchors
+    targets = -nn.delta(a) / LAM
+    u2 = solver.phi_step(solver.phi_step(a))
+    _, A, B, C = _coefficients(u2, nn, V, LAM)
+    force = nn.delta(u2) + LAM * V.gradient(u2.values)
+    return {
+        "anchor_configuration": best_of(lambda: anchor_configuration(
+            params.rho, cert.sampler, cert.covering_radius, params.window)),
+        "delta": best_of(lambda: nn.delta(a)),
+        "local_inverse_batch.cold": best_of(lambda: local_inverse_batch(
+            V, a.values, targets, cert, tol=params.inner_tol)),
+        "phi_step.warm": best_of(lambda: solver.phi_step(u2)),
+        "residual": best_of(lambda: residual(u2, nn, V, LAM)),
+        "coefficients": best_of(lambda: _coefficients(u2, nn, V, LAM)),
+        "cyclic_reduction": best_of(
+            lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
+        "newton_polish": best_of(lambda: solver.newton_polish(u2)),
+        "solve": best_of(solver.solve),
+    }
+
+
+def scale_check() -> dict:
+    per_size = {n: layer_times(n) for n in HALF_WIDTHS}
+    sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
+    layers = {}
+    for name in per_size[HALF_WIDTHS[0]]:
+        s = np.array([per_size[n][name] for n in HALF_WIDTHS])
+        slope = np.polyfit(np.log(sites[1:]), np.log(s[1:]), 1)[0]
+        layers[name] = {
+            "s": s.tolist(),
+            "us_per_site": (1e6 * s / sites).tolist(),
+            "loglog_slope": round(float(slope), 3),
+        }
+    return {
+        "what": (f"solver layers in process, best of {REPEATS}: cosine V, "
+                 f"unit quadratic coupling, lam = {LAM}, rho = {RHO}, "
+                 f"tol = {TOL}; Newton layers at the iterate after two "
+                 "tube-map steps"),
+        "half_widths": list(HALF_WIDTHS),
+        "sites": sites.astype(int).tolist(),
+        "layers": layers,
+        "machine": {"python": platform.python_version(),
+                    "numpy": np.__version__, "antifk": antifk.__version__},
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--out", help="write the JSON here instead of stdout")
+    args = p.parse_args(argv)
+    text = json.dumps(scale_check(), indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

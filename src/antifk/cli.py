@@ -35,7 +35,6 @@ from .errors import (
 )
 from .hyperbolicity import (
     HyperbolicityCertificate,
-    cone_parameters,
     cone_splitting,
     legendre_bounds,
     momentum,

@@ -242,9 +242,9 @@ class Configuration:
         if halo == 0:
             return self.values
         n = self.window.half_width
-        left = self.values_at(np.arange(-n - halo, -n))
-        right = self.values_at(np.arange(n + 1, n + halo + 1))
-        return np.concatenate([left, self.values, right], axis=0)
+        sides = self.tail.values(np.concatenate(
+            [np.arange(-n - halo, -n), np.arange(n + 1, n + halo + 1)]))
+        return np.concatenate([sides[:halo], self.values, sides[halo:]], axis=0)
 
     def with_values(self, values: np.ndarray) -> "Configuration":
         return Configuration(self.window, values, self.tail)
@@ -347,13 +347,16 @@ def rotation_vector_estimate(u: Configuration) -> np.ndarray:
 
 
 def configuration_to_csv(u: Configuration, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["site"] + [f"u_{j}" for j in range(u.dimension)])
-        for i, row in zip(u.window.sites(), u.values):
-            w.writerow([int(i)] + [repr(float(x)) for x in row])
+    """Write site and value columns, lines ended by \\r\\n as csv.writer
+    ends them."""
+    header = ["site"] + [f"u_{j}" for j in range(u.dimension)]
+    n = u.window.half_width
+    # row by row: one list of every value would cost ~130 bytes a site
+    rows = zip(range(-n, n + 1), map(np.ndarray.tolist, u.values))
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        f.writelines(",".join([str(site), *map(repr, row)]) + "\r\n"
+                     for site, row in rows)
 
 
 def configuration_from_csv(path, tail: TailRule) -> Configuration:

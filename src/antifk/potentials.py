@@ -315,6 +315,7 @@ class FiniteZeroSet:
     lo: np.ndarray
     hi: np.ndarray
     _BLOCK = 32  # rows per block of nearest: bounds its (rows, slab) temporaries
+    _GAP = 1024  # points between two sorted rows that start a new block
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -355,15 +356,27 @@ class FiniteZeroSet:
     def nearest(self, xs, radius: float) -> np.ndarray:
         """Closest zero to each row of xs, ties (1e-12 relative) to the
         lexicographically smallest, looked up per block of rows in the slab
-        of points within radius in the first coordinate. CertificateError
-        names the first row outside the box, else the first with no zero."""
+        of points within radius in the first coordinate. Blocks take the
+        rows in order of their first coordinate and break where more than
+        _GAP points lie between two rows (the two halo sides of a window
+        on a large zero set), so no block scans a slab its rows do not
+        need. CertificateError names the first row outside the box, else
+        the first with no zero."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dimension)
         self._check_box(xs)
         # slab half-width padded against rounding; the distance mask decides
         pad = radius * (1.0 + 1e-9) + 1e-9 * (1.0 + self._reach)
         out = np.empty_like(xs)
-        for lo in range(0, xs.shape[0], self._BLOCK):
-            x = xs[lo:lo + self._BLOCK]
+        order = np.argsort(xs[:, 0], kind="stable")
+        between = np.diff(self._keys.searchsorted(xs[order, 0]))
+        cuts = np.flatnonzero(between > self._GAP) + 1
+        bounds = np.r_[0, cuts, len(xs)]
+        blocks = (order[lo:min(lo + self._BLOCK, end)]
+                  for start, end in zip(bounds[:-1], bounds[1:])
+                  for lo in range(start, end, self._BLOCK))
+        missing = len(xs)  # first row with no zero
+        for rows in blocks:
+            x = xs[rows]
             ends = np.fmin.reduce(x[:, 0]) - pad, np.fmax.reduce(x[:, 0]) + pad
             cand = self._sorted[slice(*self._keys.searchsorted(ends))]
             diff = cand - x[:, None]
@@ -371,10 +384,13 @@ class FiniteZeroSet:
             dist = np.where(dist <= radius, dist, np.inf)
             best = dist.min(axis=1, initial=np.inf, keepdims=True)
             if best.max() == np.inf:
-                j = lo + int(np.isinf(best).argmax())
-                raise CertificateError(f"no zero within radius {radius} of {xs[j]}")
+                missing = min(missing, int(rows[np.isinf(best[:, 0])].min()))
+                continue
             keep = dist <= best + 1e-12 * (1.0 + best)
-            out[lo:lo + self._BLOCK] = cand[keep.argmax(axis=1)]
+            out[rows] = cand[keep.argmax(axis=1)]
+        if missing < len(xs):
+            raise CertificateError(
+                f"no zero within radius {radius} of {xs[missing]}")
         return out
 
     def signature(self):
@@ -813,10 +829,14 @@ def local_inverse(V, z, target, cert: AubryCertificate,
 
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
-                        max_iter: int = 100) -> np.ndarray:
+                        max_iter: int = 100,
+                        start: np.ndarray | None = None) -> np.ndarray:
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
     zero centers_k by safeguarded Newton, vectorised over rows.
 
+    Newton starts at the centres, or at ``start`` projected onto each
+    row's ball (clipped into [z - r, z + r] for d = 1): a start near the
+    root, such as the previous tube-map iterate, saves most of the steps.
     A row stops once |psi(y) - t| <= max(tol, floor), the floor being the
     accuracy of psi at a float y: half the float spacing of max|y| times
     |hessian|, plus a few eps. For d = 1 each row brackets its root in
@@ -830,8 +850,15 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     d, r = centers.shape[1], cert.ball_radius
-    y = centers.copy()
     lo, hi = centers[:, 0] - r, centers[:, 0] + r  # d = 1 brackets
+    if start is None:
+        y = centers.copy()
+    elif d == 1:
+        y = np.clip(np.reshape(start, centers.shape), lo[:, None], hi[:, None])
+    else:
+        dy = np.reshape(start, centers.shape) - centers
+        nd = np.linalg.norm(dy, axis=1, keepdims=True)
+        y = centers + dy * (r / np.maximum(nd, r))
     rows = np.arange(len(centers))  # rows still open
     for k in range(max_iter + 1):
         yk = y[rows]

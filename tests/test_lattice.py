@@ -295,6 +295,23 @@ class TestSerialization:
         assert rec["rotation"] == [0.5]
         assert len(rec["values"]) == 7
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_csv_bytes_match_csv_writer(self, d, tmp_path, rng):
+        import csv
+
+        u = homomorphism_configuration(as_rotation(np.full(d, 0.7)),
+                                       Window(40, d))
+        u = u.with_values(u.values * rng.uniform(0.5, 2.0, size=u.values.shape))
+        u.values[0, 0], u.values[1, -1] = -0.0, 1e-300
+        path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
+        configuration_to_csv(u, path)
+        with open(ref, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["site"] + [f"u_{j}" for j in range(d)])
+            for i, row in zip(u.window.sites(), u.values):
+                w.writerow([int(i)] + [repr(float(x)) for x in row])
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_csv_rejects_asymmetric_window(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("site,u_0\n0,1.0\n1,2.0\n")
@@ -303,6 +320,22 @@ class TestSerialization:
 
 
 class TestTails:
+    @pytest.mark.parametrize("kind", ["anchor", "homomorphism", "derived"])
+    def test_extended_halo_matches_per_side_lookup(self, kind, cos_cert, rng):
+        n, halo = 7, 4
+        if kind == "anchor":
+            u = anchor_configuration(as_rotation(0.9), cos_cert.sampler,
+                                     cos_cert.covering_radius, Window(n, 1))
+        else:
+            u = hom(0.9, n=n)
+        if kind == "derived":
+            u = translate(shift(u, 3), rng.normal())
+        u = u.with_values(u.values + rng.uniform(-0.3, 0.3, size=u.values.shape))
+        expect = np.concatenate([
+            u.values_at(np.arange(-n - halo, -n)), u.values,
+            u.values_at(np.arange(n + 1, n + halo + 1))])
+        assert np.array_equal(u.extended(halo), expect)
+
     def test_anchor_tail_values(self, cos_cert):
         tail = AnchorTail(as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius)
         assert tail.values([2])[0][0] == pytest.approx(np.pi)

@@ -11,7 +11,6 @@ from antifk import (
     FiniteZeroSet,
     PeriodicZeroSet,
     TrigSumPotential,
-    cosine_certificate,
     cosine_potential,
     estimate_aubry,
     local_inverse,
@@ -371,6 +370,29 @@ class TestLocalInverse:
         assert np.abs(y[:, 0] - root).max() <= 2 * np.spacing(2.1e4)
 
     @pytest.mark.parametrize("d", [1, 2])
+    def test_warm_start_projected_onto_ball(self, d, rng):
+        # starts on the ball edge, inside it and far outside it (projected
+        # back onto the edge) reach the cold start's roots
+        V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
+        r = np.pi / 4
+        cert = AubryCertificate(
+            sampler=FiniteZeroSet(np.zeros((1, d)), -1.0, 1.0),
+            covering_radius=np.pi / 2 * np.sqrt(d), ball_radius=r,
+            expansion=np.cos(np.pi / 4),
+        )
+        centers = np.pi * rng.integers(-3, 4, size=(300, d))
+        rm = cert.admissible_radius / np.sqrt(d)
+        targets = rng.uniform(-rm, rm, size=(300, d))
+        cold = local_inverse_batch(V, centers, targets, cert, tol=1e-14)
+        dirs = rng.standard_normal((300, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scale = np.array([r, 0.5 * r, 40.0])[np.arange(300) % 3, None]
+        warm = local_inverse_batch(V, centers, targets, cert, tol=1e-14,
+                                   start=centers + scale * dirs)
+        assert np.abs(warm - cold).max() <= 1e-13
+        assert np.linalg.norm(warm - centers, axis=1).max() <= r
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_row_without_root_raises_naming_it(self, d):
         # the second target has no preimage in the ball (its norm exceeds
         # r*m), so projected Newton (d = 2) or the bracket (d = 1) fails
@@ -507,6 +529,23 @@ class TestFiniteNearest:
         got = s.nearest(xs, 2.3)
         assert got.shape == (rows, 2)
         assert got.tobytes() == _finite_nearest_by_rows(s, xs, 2.3).tobytes()
+
+    def test_far_apart_rows_take_separate_blocks(self, rng):
+        # two clusters with about 2000 zeros between them: the lookup
+        # breaks its blocks there and still answers every row, and names
+        # the first row (input order) with no zero
+        s = FiniteZeroSet(_pi_grid(24), -24 * np.pi, 24 * np.pi)
+        xs = np.concatenate([rng.uniform(-74, -60, (20, 2)),
+                             rng.uniform(60, 74, (20, 2))])[rng.permutation(40)]
+        got = s.nearest(xs, 2.3)
+        assert got.tobytes() == _finite_nearest_by_rows(s, xs, 2.3).tobytes()
+        xs = np.array([[71.5, 0.0], [-70.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(CertificateError) as got:
+            s.nearest(xs, 0.5)
+        with pytest.raises(CertificateError) as expect:
+            _finite_nearest_by_rows(s, xs, 0.5)
+        assert str(got.value) == str(expect.value)
+        assert "of [71.5  0. ]" in str(got.value)
 
     def test_first_out_of_box_row_named(self):
         s = FiniteZeroSet(_pi_grid(), -6 * np.pi, 6 * np.pi)

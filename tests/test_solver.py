@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from antifk import (
-    Configuration,
+    AubryCertificate,
     ContractionSolver,
     ConvergenceError,
     DomainError,
+    FiniteZeroSet,
     LongRangeInteraction,
+    NearestNeighborInteraction,
+    PerturbedQuadraticCoupling,
     SolveParams,
+    TrigSumPotential,
     Window,
     anchor_configuration,
     as_rotation,
@@ -19,6 +23,7 @@ from antifk import (
     translate,
     uniqueness_check,
 )
+from antifk.solver import _cyclic_reduction
 
 from oracles import fd_gradient, newton_solve_config
 
@@ -332,3 +337,128 @@ class TestStoppingRule:
         q = r / (r + R)
         assert rep.step_distances[-1] <= params.tol * (1 - q) / q
         assert rep.final_residual <= params.tol
+
+
+def _dense(lower, diag, upper):
+    """The block-tridiagonal matrix with block rows lower_i, diag_i,
+    upper_i, written out in full."""
+    n, d = diag.shape[0], diag.shape[-1]
+    M = np.zeros((n * d, n * d))
+    for i in range(n):
+        M[i * d:(i + 1) * d, i * d:(i + 1) * d] = diag[i]
+        if i > 0:
+            M[i * d:(i + 1) * d, (i - 1) * d:i * d] = lower[i]
+        if i < n - 1:
+            M[i * d:(i + 1) * d, (i + 1) * d:(i + 2) * d] = upper[i]
+    return M
+
+
+class _TubeMapOnly(ContractionSolver):
+    """The solver with the Newton phase switched off."""
+
+    def newton_polish(self, u):
+        return u, [], False
+
+
+def _cos2d_case(rho=(0.41, 0.53), n=40):
+    """cos x + cos y on the zero set pi Z^2 (R = pi/sqrt(2), r = pi/4,
+    m = cos(pi/4)) with the perturbed-quadratic coupling at lam = 40."""
+    axis = np.pi * np.arange(-12, 13)
+    zeros = FiniteZeroSet(np.array([[x, y] for x in axis for y in axis]),
+                          -35.0, 35.0)
+    cert = AubryCertificate(zeros, np.pi / np.sqrt(2), np.pi / 4,
+                            np.cos(np.pi / 4))
+    V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+    nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
+    return nn, V, cert, SolveParams(lam=40.0, rho=list(rho), window=n)
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 31, 32, 33, 513])
+    def test_cyclic_reduction_matches_dense(self, n, d, rng):
+        lower, upper = rng.standard_normal((2, n, d, d))
+        # diagonally dominant, as the equilibrium Jacobian is
+        diag = rng.standard_normal((n, d, d)) + 4 * d * np.eye(d)
+        rhs = rng.standard_normal((n, d))
+        x = _cyclic_reduction(lower, diag, upper, rhs)
+        ref = np.linalg.solve(_dense(lower, diag, upper), rhs.ravel())
+        assert x.shape == (n, d)
+        assert np.abs(x.ravel() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_polish_takes_quadratic_steps(self, nn_interaction, cos_potential,
+                                          cos_cert):
+        params = make_params(lam=40.0, rho=0.618, n=256)
+        u, rep = solve_equilibrium(params, nn_interaction, cos_potential,
+                                   cos_cert)
+        assert rep.iterations == 3 and not rep.newton_fallback
+        assert 1 <= len(rep.newton_steps) <= 3
+        assert rep.newton_steps[-1] <= params.tol
+        assert rep.final_residual <= params.tol
+        blob = rep.to_json_dict()
+        assert blob["newton_steps"] == rep.newton_steps
+        assert blob["newton_fallback"] is False
+
+    @pytest.mark.parametrize("bad_step", ["out-of-tube", "residual-raising"])
+    def test_discarded_step_falls_back_to_the_tube_map(
+            self, bad_step, nn_interaction, cos_potential, cos_cert,
+            monkeypatch):
+        from antifk import solver as solver_module
+
+        newton = solver_module._cyclic_reduction
+
+        def bad(lower, diag, upper, rhs):
+            if bad_step == "out-of-tube":
+                return np.full_like(rhs, 10.0 * cos_cert.ball_radius)
+            return -newton(lower, diag, upper, rhs)  # doubles the error
+
+        params = make_params(lam=40.0, rho=0.618, n=64)
+        ref, ref_rep = solve_equilibrium(params, nn_interaction,
+                                         cos_potential, cos_cert)
+        monkeypatch.setattr(solver_module, "_cyclic_reduction", bad)
+        u, rep = solve_equilibrium(params, nn_interaction, cos_potential,
+                                   cos_cert)
+        assert rep.newton_fallback and rep.newton_steps == []
+        assert rep.converged and rep.final_residual <= params.tol
+        assert rep.iterations > ref_rep.iterations
+        assert np.abs(u.values - ref.values).max() < 1e-11
+
+    def test_d1_matches_tube_map_only(self, nn_interaction, cos_potential,
+                                      cos_cert):
+        params = make_params(lam=40.0, rho=0.618, n=512)
+        u, rep = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                   params).solve()
+        v, vrep = _TubeMapOnly(nn_interaction, cos_potential, cos_cert,
+                               params).solve()
+        assert rep.iterations < vrep.iterations and vrep.newton_steps == []
+        assert np.abs(u.values - v.values).max() <= 1e-11
+
+    def test_d2_matches_tube_map_only(self):
+        nn, V, cert, params = _cos2d_case()
+        u, rep = ContractionSolver(nn, V, cert, params).solve()
+        v, vrep = _TubeMapOnly(nn, V, cert, params).solve()
+        assert rep.newton_steps and not rep.newton_fallback
+        assert rep.final_residual <= params.tol
+        assert np.abs(u.values - v.values).max() <= 1e-11
+
+    def test_long_range_takes_no_newton_steps(self, cos_potential, cos_cert):
+        lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
+        params = make_params(lam=40.0, rho=0.618, n=64)
+        u, rep = solve_equilibrium(params, lr, cos_potential, cos_cert)
+        assert rep.converged and rep.final_residual <= params.tol
+        assert rep.newton_steps == [] and not rep.newton_fallback
+        assert rep.iterations > 3
+
+    def test_warm_start_from_the_ball_edge(self, nn_interaction,
+                                           cos_potential, cos_cert, rng):
+        # every site of the start sits on its anchor ball's edge
+        params = make_params(lam=40.0, rho=0.618, n=128)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                   params)
+        u1, _ = solver.solve()
+        a = solver.anchors
+        signs = rng.choice((-1.0, 1.0), size=a.values.shape)
+        edge = a.with_values(a.values + cos_cert.ball_radius * signs)
+        u2, rep = solver.solve(initial=edge)
+        assert rep.converged and not rep.newton_fallback
+        assert np.abs(u2.values - u1.values).max() < 1e-11
