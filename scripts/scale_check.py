@@ -1,4 +1,4 @@
-"""Time each solver layer against the window size.
+"""Time each solver and hyperbolicity layer against the window size.
 
     PYTHONPATH=src python3 scripts/scale_check.py [--out FILE]
 
@@ -7,7 +7,8 @@ nearest-neighbour coupling, lam = 40, rho = 0.618, tol = 1e-10, at
 half_width 32, 512, 4096 and 16384. Each layer is timed in process, best
 of REPEATS calls, on the inputs the solver hands it: the tube-map layers
 at the anchors, the Newton layers at the iterate after two tube-map steps
-(where solve starts its Newton phase). The JSON written is the
+(where solve starts its Newton phase), and the cone verdict and the
+horizon-20 splitting at the solved chain. The JSON written is the
 ``scale_check`` block of a BENCH file: seconds and microseconds per site
 for every layer and size, and each layer's log-log slope of time against
 sites over the three largest sizes, which reads 1 for linear growth.
@@ -29,10 +30,12 @@ from antifk import (
     NearestNeighborInteraction,
     SolveParams,
     anchor_configuration,
+    cone_splitting,
     cosine_certificate,
     cosine_potential,
     local_inverse_batch,
     residual,
+    verify_cone_conditions,
 )
 from antifk.hyperbolicity import _coefficients
 from antifk.solver import _cyclic_reduction
@@ -62,6 +65,7 @@ def layer_times(half_width: int) -> dict:
     u2 = solver.phi_step(solver.phi_step(a))
     _, A, B, C = _coefficients(u2, nn, V, LAM)
     force = nn.delta(u2) + LAM * V.gradient(u2.values)
+    u, _ = solver.solve()
     return {
         "anchor_configuration": best_of(lambda: anchor_configuration(
             params.rho, cert.sampler, cert.covering_radius, params.window)),
@@ -75,6 +79,9 @@ def layer_times(half_width: int) -> dict:
             lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
         "newton_polish": best_of(lambda: solver.newton_polish(u2)),
         "solve": best_of(solver.solve),
+        "verify_cone_conditions": best_of(
+            lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
+        "cone_splitting": best_of(lambda: cone_splitting(u, nn, V, LAM)),
     }
 
 
@@ -94,7 +101,8 @@ def scale_check() -> dict:
         "what": (f"solver layers in process, best of {REPEATS}: cosine V, "
                  f"unit quadratic coupling, lam = {LAM}, rho = {RHO}, "
                  f"tol = {TOL}; Newton layers at the iterate after two "
-                 "tube-map steps"),
+                 "tube-map steps; cone verdict and horizon-20 splitting at "
+                 "the solved chain"),
         "half_widths": list(HALF_WIDTHS),
         "sites": sites.astype(int).tolist(),
         "layers": layers,

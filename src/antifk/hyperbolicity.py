@@ -8,7 +8,7 @@ three-term recursion for tangent vectors,
 with A_i = hess I(u_i - u_{i+1}), B_i = hess I(u_{i-1} - u_i) and
 C_i = lam * hess V(u_i). At strong coupling this recursion admits a pair
 of invariant cone fields with uniform expansion of pair norms; the cone
-conditions are checked exactly in one dimension and by boundary sampling
+conditions are checked exactly in one dimension and by norm bounds
 otherwise. The same data feeds the symplectic side: conjugate momenta,
 the twist map they generate, and the discrete Legendre transform linking
 position pairs to (x, p) pairs.
@@ -62,6 +62,11 @@ def _require_nn(interaction):
         )
 
 
+def _sv(X) -> np.ndarray:
+    """Singular values per matrix, largest first; |x| for 1 x 1 blocks."""
+    return np.abs(X[..., 0]) if X.shape[-1] == 1 else np.linalg.svd(X, compute_uv=False)
+
+
 def _coefficients(u: Configuration, interaction, potential, lam: float,
                   cert=None, slack: float = 1e-9):
     """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays;
@@ -77,17 +82,14 @@ def _coefficients(u: Configuration, interaction, potential, lam: float,
     C = (lam * potential.hessian(u.values)).reshape(n, d, d)
     sites = u.window.sites()
     if cert is not None:
-        def sv(X):  # singular values; |x| for 1 x 1 blocks
-            return np.abs(X[..., 0]) if d == 1 else np.linalg.svd(X, compute_uv=False)
-
         upper = coupling.convexity_bounds[1]
-        sa, sb = sv(A).max(), sv(B).max()
+        sa, sb = _sv(A).max(), _sv(B).max()
         if max(sa, sb) > upper * (1 + slack):
             raise CertificateError(
                 f"coupling hessian norm {max(sa, sb):.6e} exceeds the "
                 f"convexity ceiling {upper:.6e}"
             )
-        sc = sv(C).min(axis=-1)
+        sc = _sv(C).min(axis=-1)
         floor = lam * cert.expansion
         if sc.min() < floor * (1 - slack):
             k = int(np.argmin(sc))
@@ -164,7 +166,10 @@ class ConeVerdict:
     Condition (ii) is the mirror statement for the backward transfer with
     aperture beta. Growth columns record the worst |xi_next| / |xi_cur|
     over the cone; pair margins record the worst value of
-    |pair_out|^2 - mu^2 |pair_in|^2 (nonnegative means pass).
+    |pair_out|^2 - mu^2 |pair_in|^2 (nonnegative means pass). phonon_gap
+    is min sigma_min(S_i) - |A_i| - |B_i|, rounded down; worst_sites names
+    its site and each condition's least min(growth * aperture - 1,
+    pair margin / (1 + mu^2)).
     """
 
     sites: list
@@ -176,6 +181,8 @@ class ConeVerdict:
     forward_pass: list
     backward_pass: list
     all_pass: bool
+    phonon_gap: float
+    worst_sites: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,6 +195,8 @@ class ConeVerdict:
             "forward_pass": [bool(x) for x in self.forward_pass],
             "backward_pass": [bool(x) for x in self.backward_pass],
             "all_pass": self.all_pass,
+            "phonon_gap": self.phonon_gap,
+            "worst_sites": dict(self.worst_sites),
         }
 
     @property
@@ -220,57 +229,49 @@ def _cone_1d(c0, c1, aperture: float, mu: float):
                 np.where(interior, np.minimum(best, margin(t_star)), best))
 
 
-def _sampled_cone(P, Q, S, xi, other, aperture: float, mu: float):
-    """Per site of (k, d, d) stacks, worst growth and pair margin of
-    xi_next = P^{-1} (S xi - Q aperture other) over sampled directions."""
-    out = np.linalg.solve(P, S @ xi.T - Q @ (aperture * other).T)
-    g = np.linalg.norm(out, axis=1)
-    pair_in = 1.0 + aperture**2 * np.linalg.norm(other, axis=1) ** 2
-    return g.min(axis=1), (1.0 + g**2 - mu**2 * pair_in).min(axis=1)
+_ROUND = 8 * np.finfo(float).eps  # covers LAPACK's sigma error and the roundings
 
 
-_SITE_BLOCK = 32  # sites per stacked solve of the sampled cone check
+def _cone_bounds(p, q, ss, aperture: float, mu: float):
+    """Lower bounds of the worst growth and pair margin of P^{-1} (S xi - Q o),
+    |o| <= aperture |xi|, from |P|, |Q| and sigma(S); g < 0 is not squared."""
+    g = (ss[:, -1] - aperture * q - _ROUND * (ss[:, 0] + aperture * q)) / p
+    gain, loss = 1.0 + np.maximum(g, 0.0) ** 2, mu**2 * (1.0 + aperture**2)
+    return g, gain - loss - _ROUND * (gain + loss)
 
 
 def verify_cone_conditions(u: Configuration, interaction, potential,
-                           lam: float, cert, samples: int = 256,
-                           seed: int = 0) -> ConeVerdict:
+                           lam: float, cert) -> ConeVerdict:
     """Check both cone conditions at every window site of u.
 
     d = 1 is exact (growth and pair margin are explicit in the cone
-    coordinate); d > 1 samples cone-boundary directions plus the cone
-    axis, giving a falsifiable numerical check rather than a proof.
-    Failures are verdicts, not errors.
+    coordinate). d > 1 is a proof from norm bounds rounded down: growth
+    g >= (sigma_min(S_i) - alpha |B_i|) / |A_i| and pair margin >= 1 +
+    max(g, 0)^2 - mu^2 (1 + alpha^2), and the mirror with A and B swapped
+    and beta for condition (ii). When phonon_gap > 0, the linearised
+    operator obeys |L^{-1}| <= 1 / phonon_gap. Failures are verdicts.
     """
     sites, A, B, C = _coefficients(u, interaction, potential, lam, cert=cert)
     cone = cone_parameters(cert)
-    n, d = A.shape[0], A.shape[-1]
-    if d == 1:
+    sa, sb, ss = _sv(A)[:, 0], _sv(B)[:, 0], _sv(A + B + C)
+    if A.shape[-1] == 1:
         a, b, c = A[:, 0, 0], B[:, 0, 0], C[:, 0, 0]
         s = a + b + c
         fwd_growth, fwd_pair = _cone_1d(s / a, b / a, cone.alpha, cone.mu)
         bwd_growth, bwd_pair = _cone_1d(s / b, a / b, cone.beta, cone.mu)
     else:
-        rng = np.random.default_rng(seed)
-        dirs = rng.normal(size=(samples, 2, d))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        xi = np.concatenate([dirs[:, 0], dirs[:1, 0]])
-        other = np.concatenate([dirs[:, 1], np.zeros((1, d))])
-        S = A + B + C
-        fwd_growth, fwd_pair, bwd_growth, bwd_pair = np.empty((4, n))
-        for lo in range(0, n, _SITE_BLOCK):
-            k = slice(lo, lo + _SITE_BLOCK)
-            fwd_growth[k], fwd_pair[k] = _sampled_cone(
-                A[k], B[k], S[k], xi, other, cone.alpha, cone.mu)
-            bwd_growth[k], bwd_pair[k] = _sampled_cone(
-                B[k], A[k], S[k], xi, other, cone.beta, cone.mu)
-    tol = 1e-12
-    fpass = (fwd_growth >= (1.0 / cone.alpha) * (1 - tol)) & (
-        fwd_pair >= -tol * (1.0 + cone.mu**2)
-    )
-    bpass = (bwd_growth >= (1.0 / cone.beta) * (1 - tol)) & (
-        bwd_pair >= -tol * (1.0 + cone.mu**2)
-    )
+        fwd_growth, fwd_pair = _cone_bounds(sa, sb, ss, cone.alpha, cone.mu)
+        bwd_growth, bwd_pair = _cone_bounds(sb, sa, ss, cone.beta, cone.mu)
+    gap = ss[:, -1] - sa - sb - _ROUND * (ss[:, 0] + sa + sb)
+    tol, mu2 = 1e-12, 1.0 + cone.mu**2
+
+    def check(growth, pair, aperture):  # (pass per site, worst site)
+        slack = np.minimum(growth * aperture - 1.0, pair / mu2)
+        ok = (growth >= (1.0 / aperture) * (1 - tol)) & (pair >= -tol * mu2)
+        return ok, int(sites[np.argmin(slack)])
+
+    (fpass, fworst), (bpass, bworst) = (check(fwd_growth, fwd_pair, cone.alpha),
+                                        check(bwd_growth, bwd_pair, cone.beta))
     return ConeVerdict(
         sites=sites.tolist(),
         cone=cone,
@@ -281,6 +282,9 @@ def verify_cone_conditions(u: Configuration, interaction, potential,
         forward_pass=list(fpass),
         backward_pass=list(bpass),
         all_pass=bool(fpass.all() and bpass.all()),
+        phonon_gap=float(gap.min()),
+        worst_sites={"phonon_gap": int(sites[np.argmin(gap)]),
+                     "forward": fworst, "backward": bworst},
     )
 
 
@@ -308,10 +312,29 @@ class SplittingReport:
         }
 
 
-def _frobenius(X) -> np.ndarray:
-    # per-matrix Frobenius norm, summed in the order np.linalg.norm uses
-    flat = X.reshape(X.shape[0], -1)
-    return np.sqrt(np.vecdot(flat, flat))
+def _riccati(M, horizon: int, sites, bundle: str) -> np.ndarray:
+    """(n + 1, d, d) inverse slopes X (pairs (X xi, xi)) of the transfer
+    matrices M after ``horizon`` Jacobi sweeps of X_{j+1} = (M22_j + M21_j
+    X_j)^{-1}, X_0 = 0: entry j + 1 of sweep s is the seed pushed min(s,
+    j + 1) steps. A sweep that changes no bit ends the loop, as every later
+    one would repeat it; a singular slope raises CertificateError."""
+    d = M.shape[-1] // 2
+    X = np.zeros((M.shape[0] + 1, d, d))
+    for _ in range(horizon):
+        Y = M[:, d:, d:] + M[:, d:, :d] @ X[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                Y = 1.0 / Y if d == 1 else np.linalg.inv(Y)
+            except np.linalg.LinAlgError:  # non-finite at the singular blocks
+                Y = Y / np.linalg.det(Y)[:, None, None]
+        finite = np.isfinite(Y).all(axis=(1, 2))
+        if not finite.all():
+            bad = int(sites[np.argmin(finite)])
+            raise CertificateError(f"singular {bundle} slope at site {bad}")
+        if np.array_equal(Y, X[1:]):
+            break
+        X[1:] = Y
+    return X
 
 
 def cone_splitting(u: Configuration, interaction, potential, lam: float,
@@ -319,9 +342,10 @@ def cone_splitting(u: Configuration, interaction, potential, lam: float,
     """Approximate the stable/unstable bundles by finite-horizon cone
     iteration.
 
-    The unstable space at site i is the image of the vertical seed pushed
-    forward ``horizon`` steps (orthonormalized each step); the stable space
-    comes from pulling the horizontal seed backward, all sites at once.
+    The unstable space at site i is the vertical seed pushed forward
+    ``horizon`` steps from i - horizon by the slope recursion of _riccati;
+    the stable space pulls the horizontal seed back from i + horizon, the
+    same recursion on the mirrored chain (A and B swapped, sites reversed).
     Convergence is geometric, so moderate horizons give near-exact
     bundles. Only sites with a full horizon on both sides are reported.
     """
@@ -334,24 +358,24 @@ def cone_splitting(u: Configuration, interaction, potential, lam: float,
         raise ValueError(
             f"horizon {horizon} too large for a window of {n} sites"
         )
-    M = _transfer_matrices(A, B, C)
-    U = np.repeat(np.eye(2 * d, d, -d)[None], m, axis=0)  # vertical seeds
-    S = np.repeat(np.eye(2 * d, d)[None], m, axis=0)  # horizontal seeds
-    for t in range(horizon):
-        U = np.linalg.qr(M[t:t + m] @ U).Q
-        j = 2 * horizon - 1 - t
-        S = np.linalg.qr(np.linalg.solve(M[j:j + m], S)).Q
-    sig = np.linalg.svd(np.swapaxes(U, -1, -2) @ S, compute_uv=False)
+    M, keep = _transfer_matrices(A, B, C), slice(horizon, horizon + m)
+    P = _riccati(M, horizon, sites, "unstable")[keep]
+    R = _riccati(_transfer_matrices(B, A, C)[::-1], horizon, sites[::-1],
+                 "stable")[::-1][keep]
+    eye = np.broadcast_to(np.eye(d), P.shape)
+    U = np.linalg.qr(np.concatenate([P, eye], axis=1)).Q  # pairs (P xi, xi)
+    S = np.linalg.qr(np.concatenate([eye, R], axis=1)).Q  # pairs (xi, R xi)
+    sig = _sv(np.swapaxes(U, -1, -2) @ S)
     angles = np.arccos(np.clip(sig.max(axis=-1), -1.0, 1.0))
-    # one-step growth along each bundle; bases are orthonormal so the
-    # Frobenius ratio reduces to the multiplier on eigendirections
-    here = M[horizon:horizon + m]
+    # one-step growth along each bundle: the Frobenius norm of the image of
+    # its orthonormal basis over sqrt(d), the multiplier on eigendirections
+    gu, gs = np.linalg.norm(M[keep] @ np.stack([U, S]), axis=(2, 3)) / np.sqrt(d)
     return SplittingReport(
-        sites=sites[horizon:horizon + m].tolist(),
+        sites=sites[keep].tolist(),
         unstable_basis=list(U),
         stable_basis=list(S),
-        unstable_multipliers=(_frobenius(here @ U) / _frobenius(U)).tolist(),
-        stable_multipliers=(_frobenius(here @ S) / _frobenius(S)).tolist(),
+        unstable_multipliers=gu.tolist(),
+        stable_multipliers=gs.tolist(),
         angles=angles.tolist(),
         min_angle=float(angles.min()),
         horizon=horizon,

@@ -142,16 +142,21 @@ class AnchorTail(TailRule):
     """u_i = nearest anchor to rho(i) outside the window.
 
     The sampler is any object with nearest(xs, radius) and signature();
-    radius is the covering radius guaranteeing a nonempty query.
+    radius is the covering radius guaranteeing a nonempty query. The last
+    answer is memoised outside eq and repr: one halo lookup per solve.
     """
 
     rotation: RotationVector
     sampler: object
     radius: float
     kind: str = field(default="anchor", init=False)
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
-        return _nearest_anchors(self.rotation, sites, self.sampler, self.radius)
+        if not np.array_equal(sites, self._last[0]):
+            object.__setattr__(self, "_last", (np.array(sites), _nearest_anchors(
+                self.rotation, sites, self.sampler, self.radius)))
+        return self._last[1].copy()
 
     @property
     def slope(self) -> np.ndarray:

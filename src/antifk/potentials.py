@@ -315,7 +315,6 @@ class FiniteZeroSet:
     lo: np.ndarray
     hi: np.ndarray
     _BLOCK = 32  # rows per block of nearest: bounds its (rows, slab) temporaries
-    _GAP = 1024  # points between two sorted rows that start a new block
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -329,8 +328,8 @@ class FiniteZeroSet:
         object.__setattr__(self, "hi", hi.copy())
         # stable lexicographic order: slabs by first coordinate, ties to the first
         order = np.lexsort(pts.T[::-1])
-        object.__setattr__(self, "_sorted", pts[order])
-        object.__setattr__(self, "_keys", pts[order, 0])
+        object.__setattr__(self, "_columns", np.ascontiguousarray(pts[order].T))
+        object.__setattr__(self, "_keys", self._columns[0])
         object.__setattr__(self, "_reach", float(np.abs(pts[:, 0]).max(initial=0.0)))
 
     @property
@@ -355,39 +354,31 @@ class FiniteZeroSet:
 
     def nearest(self, xs, radius: float) -> np.ndarray:
         """Closest zero to each row of xs, ties (1e-12 relative) to the
-        lexicographically smallest, looked up per block of rows in the slab
-        of points within radius in the first coordinate. Blocks take the
-        rows in order of their first coordinate and break where more than
-        _GAP points lie between two rows (the two halo sides of a window
-        on a large zero set), so no block scans a slab its rows do not
-        need. CertificateError names the first row outside the box, else
-        the first with no zero."""
+        lexicographically smallest, looked up per block of rows (taken in
+        order of their first coordinate) in the slab of points within
+        radius in the first coordinate. CertificateError names the first
+        row outside the box, else the first with no zero."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dimension)
         self._check_box(xs)
         # slab half-width padded against rounding; the distance mask decides
         pad = radius * (1.0 + 1e-9) + 1e-9 * (1.0 + self._reach)
         out = np.empty_like(xs)
         order = np.argsort(xs[:, 0], kind="stable")
-        between = np.diff(self._keys.searchsorted(xs[order, 0]))
-        cuts = np.flatnonzero(between > self._GAP) + 1
-        bounds = np.r_[0, cuts, len(xs)]
-        blocks = (order[lo:min(lo + self._BLOCK, end)]
-                  for start, end in zip(bounds[:-1], bounds[1:])
-                  for lo in range(start, end, self._BLOCK))
         missing = len(xs)  # first row with no zero
-        for rows in blocks:
+        for lo in range(0, len(xs), self._BLOCK):
+            rows = order[lo:lo + self._BLOCK]
             x = xs[rows]
             ends = np.fmin.reduce(x[:, 0]) - pad, np.fmax.reduce(x[:, 0]) + pad
-            cand = self._sorted[slice(*self._keys.searchsorted(ends))]
-            diff = cand - x[:, None]
-            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+            cand = self._columns[:, slice(*self._keys.searchsorted(ends))]
+            # squared distance by contiguous columns, in last-axis reduction order
+            dist = np.sqrt(sum((col - xk[:, None]) ** 2 for col, xk in zip(cand, x.T)))
             dist = np.where(dist <= radius, dist, np.inf)
             best = dist.min(axis=1, initial=np.inf, keepdims=True)
             if best.max() == np.inf:
                 missing = min(missing, int(rows[np.isinf(best[:, 0])].min()))
                 continue
             keep = dist <= best + 1e-12 * (1.0 + best)
-            out[rows] = cand[keep.argmax(axis=1)]
+            out[rows] = cand.T[keep.argmax(axis=1)]
         if missing < len(xs):
             raise CertificateError(
                 f"no zero within radius {radius} of {xs[missing]}")

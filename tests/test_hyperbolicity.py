@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,7 @@ from antifk import (
     verify_cone_conditions,
     verify_orbit,
 )
+from antifk import hyperbolicity
 
 from oracles import fd_jacobian
 
@@ -248,11 +250,40 @@ class TestVerifyConeConditions:
             covering_radius=np.pi / 2,
             expansion=np.sqrt(2) / 2,
         )
-        verdict = verify_cone_conditions(u, nn, V2, 20.0, cert, samples=256, seed=1)
+        verdict = verify_cone_conditions(u, nn, V2, 20.0, cert)
         assert verdict.all_pass
-        # the sampled growth cannot exceed the exact d = 1 value 18 - alpha
+        # the growth bound cannot exceed the exact d = 1 value 18 - alpha
         assert min(verdict.forward_growth) <= 18.0 - 0.9 * ALPHA
         assert min(verdict.forward_growth) >= 17.0
+
+    def test_d2_bounds_rounded_down(self):
+        # constant blocks A = B = I, S = -18 I: the exact bounds are
+        # 18 - alpha and 1 + (18 - alpha)^2 - mu^2 (1 + alpha^2); both
+        # come out a few ulps below them, never above
+        V2 = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+        nn = NearestNeighborInteraction(QuadraticCoupling())
+        u = homomorphism_configuration(as_rotation([0.0, 0.0]), Window(6, 2))
+        cert = SimpleNamespace(ball_radius=np.pi / 4, covering_radius=np.pi / 2,
+                               expansion=np.sqrt(2) / 2)
+        verdict = verify_cone_conditions(u, nn, V2, 20.0, cert)
+        g, cone = 18.0 - ALPHA, verdict.cone
+        pair = 1.0 + g * g - cone.mu**2 * (1.0 + cone.alpha**2)
+        for got, exact in [(verdict.forward_growth, g),
+                           (verdict.backward_growth, g),
+                           (verdict.forward_pair_margin, pair),
+                           (verdict.backward_pair_margin, pair)]:
+            assert exact - 1e-11 * abs(exact) < max(got) < exact - 1e-15 * abs(exact)
+
+    def test_phonon_gap_of_constant_chain(self, nn_module, cos_potential_module,
+                                          cos_cert_module):
+        # A = B = 1 and S = 22: the gap is 22 - 1 - 1, rounded down
+        u, lam = constant_case()
+        verdict = verify_cone_conditions(
+            u, nn_module, cos_potential_module, lam, cos_cert_module
+        )
+        assert 20.0 - 1e-12 <= verdict.phonon_gap <= 20.0
+        assert verdict.worst_sites == {"phonon_gap": -24, "forward": -24,
+                                       "backward": -24}
 
 
 class TestConeSplitting:
@@ -329,6 +360,16 @@ class TestConeSplitting:
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             cone_splitting(u, nn_module, cos_potential_module, lam,
                            horizon=horizon)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_slope_names_site(self, nn_module, d):
+        # u = 0 with lam = 2: S = A + B + C = I + I - 2 I = 0 at every site,
+        # so the first slope of the forward recursion is singular
+        V = TrigSumPotential([(1.0, row, 0.0) for row in np.eye(d).tolist()])
+        u = homomorphism_configuration(as_rotation([0.0] * d), Window(8, d))
+        with pytest.raises(CertificateError,
+                           match="singular unstable slope at site -8"):
+            cone_splitting(u, nn_module, V, 2.0, horizon=3)
 
 
 def _growth_1d(c0, c1, aperture):
@@ -433,38 +474,147 @@ def solved_2d():
 
 
 @pytest.fixture(scope="module")
-def solved_chains(solved, solved_2d, nn_module, cos_potential_module,
-                  cos_cert_module):
-    """(u, interaction, V, cert, lam) of the solved d = 1 and d = 2 chains."""
+def solved_3d():
+    """A solved d = 3 chain: cos x + cos y + cos z on the zero set pi Z^3
+    (R = pi sqrt(3) / 2, r = pi/4, m = cos(pi/4))."""
+    axis = np.pi * np.arange(-10, 11)
+    zeros = FiniteZeroSet(
+        np.array([[x, y, z] for x in axis for y in axis for z in axis]),
+        -30.0, 30.0)
+    cert = AubryCertificate(zeros, np.pi * np.sqrt(3) / 2, np.pi / 4,
+                            np.cos(np.pi / 4))
+    V = TrigSumPotential([(1.0, [1.0, 0.0, 0.0], 0.0),
+                          (1.0, [0.0, 1.0, 0.0], 0.0),
+                          (1.0, [0.0, 0.0, 1.0], 0.0)])
+    nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
+    params = SolveParams(lam=60.0, rho=[1.9, 1.3, 0.7], window=12)
+    u, _ = solve_equilibrium(params, nn, V, cert)
+    return u, nn, V, cert, params.lam
+
+
+@pytest.fixture(scope="module")
+def solved_chains(solved, solved_2d, solved_3d, nn_module,
+                  cos_potential_module, cos_cert_module):
+    """(u, interaction, V, cert, lam) of the solved d = 1, 2 and 3 chains."""
     u, _, params = solved
     return [(u, nn_module, cos_potential_module, cos_cert_module, params.lam),
-            solved_2d]
+            solved_2d, solved_3d]
+
+
+def _riccati_by_site(M, horizon):
+    """Sequential reference for hyperbolicity._riccati: entry j runs the
+    recursion X_{k+1} = (M22_k + M21_k X_k)^{-1} from the zero seed at
+    max(0, j - horizon), one site at a time."""
+    d = M.shape[-1] // 2
+    inv = (lambda Y: 1.0 / Y) if d == 1 else np.linalg.inv
+    out = np.zeros((M.shape[0] + 1, d, d))
+    for j in range(1, M.shape[0] + 1):
+        X = np.zeros((d, d))
+        for k in range(max(0, j - horizon), j):
+            X = inv(M[k, d:, d:] + M[k, d:, :d] @ X)
+        out[j] = X
+    return out
 
 
 class TestBatchedAgainstPerSite:
-    """The batched verdict and splitting reproduce the per-site loops
-    bit for bit."""
+    """The batched verdict and splitting against per-site references."""
 
     def test_verdict(self, solved_chains):
+        # d = 1 is the exact closed form, bit for bit; in d > 1 the norm
+        # bounds lie below the sampled worst case at every site
         for u, nn, V, cert, lam in solved_chains:
             verdict = verify_cone_conditions(u, nn, V, lam, cert)
             got = np.array([verdict.forward_growth, verdict.forward_pair_margin,
                             verdict.backward_growth, verdict.backward_pair_margin])
-            assert np.array_equal(got, _verdict_by_site(u, nn, V, lam, cert))
+            ref = _verdict_by_site(u, nn, V, lam, cert)
+            if u.dimension == 1:
+                assert np.array_equal(got, ref)
+            else:
+                assert (got <= ref).all()
             assert verdict.sites == list(u.window.sites())
             assert verdict.all_pass
+            sampled_pass = (
+                (ref[[0, 2]] >= (1.0 / verdict.cone.alpha) * (1 - 1e-12)).all()
+                and (ref[[1, 3]] >= -1e-12 * (1.0 + verdict.cone.mu**2)).all())
+            assert verdict.all_pass == sampled_pass
 
     def test_splitting(self, solved_chains):
-        for u, nn, V, _, lam in solved_chains:
-            split = cone_splitting(u, nn, V, lam, horizon=10)
-            ref = _splitting_by_site(u, nn, V, lam, horizon=10)
+        # same bundles as the finite-horizon QR pushes: projectors,
+        # multipliers and angles within 1e-12
+        for (u, nn, V, _, lam), horizon in itertools.product(
+                solved_chains[:2], [0, 1, 5, 10]):
+            split = cone_splitting(u, nn, V, lam, horizon=horizon)
+            ref = _splitting_by_site(u, nn, V, lam, horizon=horizon)
             assert split.sites == ref["sites"]
-            assert np.array_equal(np.array(split.unstable_basis), np.array(ref["U"]))
-            assert np.array_equal(np.array(split.stable_basis), np.array(ref["S"]))
-            assert np.array_equal(split.unstable_multipliers, ref["gu"])
-            assert np.array_equal(split.stable_multipliers, ref["gs"])
-            assert np.array_equal(split.angles, ref["angles"])
-            assert split.min_angle == min(ref["angles"])
+            for got, expect in [(split.unstable_basis, ref["U"]),
+                                (split.stable_basis, ref["S"])]:
+                got, expect = np.array(got), np.array(expect)
+                gap = (got @ np.swapaxes(got, -1, -2)
+                       - expect @ np.swapaxes(expect, -1, -2))
+                assert np.abs(gap).max() <= 1e-12
+            for got, expect in [(split.unstable_multipliers, ref["gu"]),
+                                (split.stable_multipliers, ref["gs"]),
+                                (split.angles, ref["angles"])]:
+                np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
+            assert split.min_angle == min(split.angles)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cone_bounds_below_sampled_worst_case(self, d, rng):
+        # random blocks, many with sigma_min(S) < aperture |Q| so that the
+        # growth bound is negative: both bounds stay below the minimum
+        # over sampled cone directions (plus the cone axis)
+        n, aperture, mu = 300, 0.3, 3.0
+        P, Q = rng.normal(size=(2, n, d, d))
+        S = rng.normal(size=(n, d, d)) * rng.uniform(0.0, 3.0, (n, 1, 1))
+        g, pair = hyperbolicity._cone_bounds(
+            np.linalg.norm(P, 2, axis=(1, 2)), np.linalg.norm(Q, 2, axis=(1, 2)),
+            np.linalg.svd(S, compute_uv=False), aperture, mu)
+        dirs = rng.normal(size=(2, 512, d))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        xi, other = dirs[0], np.concatenate([dirs[1, 1:], np.zeros((1, d))])
+        out = np.linalg.solve(P, S @ xi.T - Q @ (aperture * other).T)
+        growth = np.linalg.norm(out, axis=1)
+        margin = 1.0 + growth**2 - mu**2 * (
+            1.0 + aperture**2 * np.linalg.norm(other, axis=1) ** 2)
+        assert (g < 0).sum() > n // 10
+        assert (g <= growth.min(axis=1)).all()
+        assert (pair <= margin.min(axis=1)).all()
+
+    @pytest.mark.parametrize("horizon", [0, 1, 5, 10, 100])
+    def test_riccati_sweeps_match_sequential_loop(self, solved_chains, horizon):
+        # bit for bit, both when the sweeps stop at a fixed point before
+        # the horizon and when the horizon caps them
+        for u, nn, V, _, lam in solved_chains:
+            _, A, B, C = hyperbolicity._coefficients(u, nn, V, lam)
+            for M in [hyperbolicity._transfer_matrices(A, B, C),
+                      hyperbolicity._transfer_matrices(B, A, C)[::-1]]:
+                got = hyperbolicity._riccati(M, horizon, u.window.sites(), "x")
+                assert got.tobytes() == _riccati_by_site(M, horizon).tobytes()
+
+    def test_phonon_gap_bounds_inverse(self, solved_chains):
+        # the linearised operator L (blocks -B_i, S_i, -A_i) of each chain
+        # has sigma_min(L) >= phonon_gap > 0
+        for u, nn, V, cert, lam in solved_chains:
+            verdict = verify_cone_conditions(u, nn, V, lam, cert)
+            _, A, B, C = hyperbolicity._coefficients(u, nn, V, lam)
+            n, d = A.shape[0], A.shape[-1]
+            L = np.zeros((n * d, n * d))
+            for i in range(n):
+                blk = slice(i * d, (i + 1) * d)
+                L[blk, blk] = A[i] + B[i] + C[i]
+                if i > 0:
+                    L[blk, blk.start - d:blk.start] = -B[i]
+                if i < n - 1:
+                    L[blk, blk.stop:blk.stop + d] = -A[i]
+            assert 0.0 < verdict.phonon_gap <= np.linalg.svd(
+                L, compute_uv=False).min()
+            gaps = [np.linalg.svd(A[i] + B[i] + C[i], compute_uv=False).min()
+                    - np.linalg.norm(A[i], 2) - np.linalg.norm(B[i], 2)
+                    for i in range(n)]
+            k = int(np.argmin(gaps))
+            assert verdict.worst_sites["phonon_gap"] == u.window.sites()[k]
+            assert verdict.phonon_gap == pytest.approx(gaps[k], rel=1e-12)
+            assert verdict.phonon_gap <= gaps[k]
 
 
 class TestMomentum:

@@ -3,6 +3,7 @@ import pytest
 
 from antifk import (
     AnchorTail,
+    AubryCertificate,
     CertificateError,
     Configuration,
     DerivedTail,
@@ -10,16 +11,19 @@ from antifk import (
     HomomorphismTail,
     PeriodicZeroSet,
     RotationVector,
+    SolveParams,
     Window,
     anchor_configuration,
     as_rotation,
     configuration_from_csv,
     configuration_to_csv,
     configuration_to_json,
+    cosine_potential,
     ext_distance,
     homomorphism_configuration,
     rotation_vector_estimate,
     shift,
+    solve_equilibrium,
     translate,
 )
 from antifk.lattice import TAIL_PROBE
@@ -339,6 +343,51 @@ class TestTails:
     def test_anchor_tail_values(self, cos_cert):
         tail = AnchorTail(as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius)
         assert tail.values([2])[0][0] == pytest.approx(np.pi)
+
+    def test_anchor_tail_memo_is_invisible(self, cos_cert):
+        fresh = AnchorTail(as_rotation(1.0), cos_cert.sampler,
+                           cos_cert.covering_radius)
+        used = AnchorTail(as_rotation(1.0), cos_cert.sampler,
+                          cos_cert.covering_radius)
+        first = used.values([3, -3])
+        first[:] = 99.0  # the caller's copy, not the memo
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert used.signature() == fresh.signature()
+        assert used.values([3, -3]).tolist() == [[np.pi], [-np.pi]]
+        assert used.values([2]).tolist() == [[np.pi]]
+
+    def test_solve_looks_up_the_halo_once(self, cos_cert, nn_interaction):
+        # the anchor tail keeps its last answer: the two halo anchors read
+        # by every Delta and coefficient assembly of a solve are looked up
+        # once, and agree bit for bit with a fresh lookup
+        class CountingSampler:
+            def __init__(self, inner):
+                self.inner, self.queries = inner, []
+
+            def nearest(self, xs, radius):
+                self.queries.append(np.array(xs))
+                return self.inner.nearest(xs, radius)
+
+            def signature(self):
+                return self.inner.signature()
+
+        sampler = CountingSampler(cos_cert.sampler)
+        cert = AubryCertificate(sampler, cos_cert.covering_radius,
+                                cos_cert.ball_radius, cos_cert.expansion)
+        params = SolveParams(lam=40.0, rho=0.618, window=64)
+        u, report = solve_equilibrium(params, nn_interaction, cosine_potential(),
+                                      cert)
+        assert report.converged
+        rot = as_rotation(0.618)
+        halo = rot(np.array([-65.0, 65.0]))
+        lookups = [q for q in sampler.queries
+                   if q.shape == halo.shape and np.array_equal(q, halo)]
+        assert len(lookups) == 1
+        expect = cos_cert.sampler.nearest(
+            halo, cos_cert.covering_radius * (1 + 1e-12) + 1e-12)
+        ext = u.extended(1)
+        assert ext[[0, -1]].tobytes() == expect.tobytes()
 
     def test_derived_tail_reads_parent_window(self):
         u = hom(1.0, n=4)

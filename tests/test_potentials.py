@@ -484,6 +484,53 @@ def _finite_nearest_by_rows(sampler, xs, radius):
     return out
 
 
+def _finite_nearest_slab_reduce(s, xs, radius, block=32, gap=1024):
+    """Reference kernel for FiniteZeroSet.nearest: it builds the (rows,
+    slab, d) difference array and reduces it over its last axis, and
+    starts a new block of rows where more than ``gap`` points lie between
+    two sorted rows. The column-by-column kernel, one block every
+    ``block`` rows, must match it bit for bit, errors included."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, s.dimension)
+    s._check_box(xs)
+    pts = s.points[np.lexsort(s.points.T[::-1])]
+    keys = pts[:, 0]
+    pad = radius * (1.0 + 1e-9) + 1e-9 * (1.0 + np.abs(keys).max(initial=0.0))
+    out = np.empty_like(xs)
+    order = np.argsort(xs[:, 0], kind="stable")
+    between = np.diff(keys.searchsorted(xs[order, 0]))
+    bounds = np.r_[0, np.flatnonzero(between > gap) + 1, len(xs)]
+    missing = len(xs)
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        for lo in range(start, end, block):
+            rows = order[lo:min(lo + block, end)]
+            x = xs[rows]
+            ends = np.fmin.reduce(x[:, 0]) - pad, np.fmax.reduce(x[:, 0]) + pad
+            cand = pts[slice(*keys.searchsorted(ends))]
+            diff = cand - x[:, None]
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+            dist = np.where(dist <= radius, dist, np.inf)
+            best = dist.min(axis=1, initial=np.inf, keepdims=True)
+            if best.max() == np.inf:
+                missing = min(missing, int(rows[np.isinf(best[:, 0])].min()))
+                continue
+            keep = dist <= best + 1e-12 * (1.0 + best)
+            out[rows] = cand[keep.argmax(axis=1)]
+    if missing < len(xs):
+        raise CertificateError(f"no zero within radius {radius} of {xs[missing]}")
+    return out
+
+
+def _assert_matches_slab_reduce(s, xs, radius):
+    try:
+        expect = _finite_nearest_slab_reduce(s, xs, radius)
+    except CertificateError as exc:
+        with pytest.raises(CertificateError) as got:
+            s.nearest(xs, radius)
+        assert str(got.value) == str(exc)
+    else:
+        assert s.nearest(xs, radius).tobytes() == expect.tobytes()
+
+
 def _pi_grid(k=6):
     axis = np.pi * np.arange(-k, k + 1)
     return np.array([[x, y] for x in axis for y in axis])
@@ -501,6 +548,7 @@ class TestFiniteNearest:
         # one row per call: the slab is that row's alone
         one_by_one = np.concatenate([s.nearest(x, radius) for x in xs])
         assert one_by_one.tobytes() == got.tobytes()
+        _assert_matches_slab_reduce(s, xs, radius)
 
     def test_d2_cell_centres_tie_four_ways(self):
         s = FiniteZeroSet(_pi_grid(), -6 * np.pi, 6 * np.pi)
@@ -509,6 +557,7 @@ class TestFiniteNearest:
         radius = np.pi / np.sqrt(2) * (1 + 1e-12) + 1e-12
         got = s.nearest(xs, radius)
         assert got.tobytes() == _finite_nearest_by_rows(s, xs, radius).tobytes()
+        _assert_matches_slab_reduce(s, xs, radius)
         # each centre has four zeros at equal distance: the lowest corner wins
         assert np.array_equal(got, xs - np.pi / 2)
 
@@ -520,6 +569,7 @@ class TestFiniteNearest:
         radius = 2.3
         got = s.nearest(xs, radius)
         assert got.tobytes() == _finite_nearest_by_rows(s, xs, radius).tobytes()
+        _assert_matches_slab_reduce(s, xs, radius)
 
     @pytest.mark.parametrize("rows", [1, 31, 32, 33, 65])
     def test_rows_across_block_edges(self, rows, rng):
@@ -529,16 +579,31 @@ class TestFiniteNearest:
         got = s.nearest(xs, 2.3)
         assert got.shape == (rows, 2)
         assert got.tobytes() == _finite_nearest_by_rows(s, xs, 2.3).tobytes()
+        _assert_matches_slab_reduce(s, xs, 2.3)
 
-    def test_far_apart_rows_take_separate_blocks(self, rng):
-        # two clusters with about 2000 zeros between them: the lookup
-        # breaks its blocks there and still answers every row, and names
-        # the first row (input order) with no zero
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33])
+    def test_d3_rows_with_ties(self, rows, rng):
+        # a duplicated integer grid: every row ties with its duplicate,
+        # and rows at cell centres tie eight ways
+        axis = np.arange(-4.0, 5.0)
+        grid = np.array([[x, y, z] for x in axis for y in axis for z in axis])
+        s = FiniteZeroSet(np.concatenate([grid, grid[::7]]), -4.0, 4.0)
+        xs = rng.uniform(-3.5, 3.5, (rows, 3))
+        xs[::3] = np.floor(xs[::3]) + 0.5
+        _assert_matches_slab_reduce(s, xs, 0.9)
+        _assert_matches_slab_reduce(s, xs, 0.4)  # no zero for most rows
+
+    def test_far_apart_rows_share_blocks(self, rng):
+        # two clusters with about 2000 zeros between them share blocks
+        # (one slab over the whole set): the lookup still answers every
+        # row as the gap-splitting reference does, and names the first
+        # row (input order) with no zero
         s = FiniteZeroSet(_pi_grid(24), -24 * np.pi, 24 * np.pi)
         xs = np.concatenate([rng.uniform(-74, -60, (20, 2)),
                              rng.uniform(60, 74, (20, 2))])[rng.permutation(40)]
         got = s.nearest(xs, 2.3)
         assert got.tobytes() == _finite_nearest_by_rows(s, xs, 2.3).tobytes()
+        _assert_matches_slab_reduce(s, xs, 2.3)
         xs = np.array([[71.5, 0.0], [-70.0, 0.0], [0.0, 0.0]])
         with pytest.raises(CertificateError) as got:
             s.nearest(xs, 0.5)
@@ -556,6 +621,7 @@ class TestFiniteNearest:
             s.nearest(xs, 2.3)
         with pytest.raises(CertificateError, match=r"query \[30\.  0\.\] outside"):
             _finite_nearest_by_rows(s, xs, 2.3)
+        _assert_matches_slab_reduce(s, xs, 2.3)
         # the box is checked for every row before any lookup
         xs[3] = [0.5 * np.pi, 0.5 * np.pi]
         with pytest.raises(CertificateError, match="outside the validity box"):
@@ -570,6 +636,7 @@ class TestFiniteNearest:
             _finite_nearest_by_rows(s, xs, 0.5)
         assert str(got.value) == str(expect.value)
         assert "of [1.57079633]" in str(got.value)
+        _assert_matches_slab_reduce(s, xs, 0.5)
 
     def test_nan_row_named(self):
         # a NaN row has no zero; the rows beside it in its block still do
