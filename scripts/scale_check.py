@@ -12,6 +12,11 @@ horizon-20 splitting at the solved chain. The JSON written is the
 ``scale_check`` block of a BENCH file: seconds and microseconds per site
 for every layer and size, and each layer's log-log slope of time against
 sites over the three largest sizes, which reads 1 for linear growth.
+
+A last row times ``estimate_aubry`` on the sweep benchmark's potential
+(the 8-term truncated almost-periodic series, amplitude ratio 0.5) over
+the search windows [-w, w] for w in 50, 200 and 800, with its log-log
+slope against the number of zeros found.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from antifk import (
     cone_splitting,
     cosine_certificate,
     cosine_potential,
+    estimate_aubry,
     local_inverse_batch,
     residual,
+    truncated_almost_periodic,
     verify_cone_conditions,
 )
 from antifk.hyperbolicity import _coefficients
@@ -43,6 +50,7 @@ from antifk.solver import _cyclic_reduction
 HALF_WIDTHS = (32, 512, 4096, 16384)
 REPEATS = 5
 LAM, RHO, TOL = 40.0, 0.618, 1e-10
+AUBRY_WINDOWS = (50.0, 200.0, 800.0)
 
 
 def best_of(fn) -> float:
@@ -85,6 +93,25 @@ def layer_times(half_width: int) -> dict:
     }
 
 
+def estimate_aubry_times() -> dict:
+    V = truncated_almost_periodic(8, 0.5)
+    zeros, s = [], []
+    for w in AUBRY_WINDOWS:
+        zeros.append(estimate_aubry(V, (-w, w)).metadata["zeros_found"])
+        s.append(best_of(lambda: estimate_aubry(V, (-w, w))))
+    slope = np.polyfit(np.log(zeros), np.log(s), 1)[0]
+    return {
+        "what": ("estimate_aubry in process, best of "
+                 f"{REPEATS}: 8-term truncated almost-periodic V, amplitude "
+                 "ratio 0.5, default grid, search window [-w, w]"),
+        "half_windows": list(AUBRY_WINDOWS),
+        "zeros_found": zeros,
+        "s": s,
+        "ms_per_zero": [1e3 * t / z for t, z in zip(s, zeros)],
+        "loglog_slope_vs_zeros": round(float(slope), 3),
+    }
+
+
 def scale_check() -> dict:
     per_size = {n: layer_times(n) for n in HALF_WIDTHS}
     sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
@@ -106,6 +133,7 @@ def scale_check() -> dict:
         "half_widths": list(HALF_WIDTHS),
         "sites": sites.astype(int).tolist(),
         "layers": layers,
+        "estimate_aubry": estimate_aubry_times(),
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "antifk": antifk.__version__},
     }

@@ -67,10 +67,8 @@ def _sv(X) -> np.ndarray:
     return np.abs(X[..., 0]) if X.shape[-1] == 1 else np.linalg.svd(X, compute_uv=False)
 
 
-def _coefficients(u: Configuration, interaction, potential, lam: float,
-                  cert=None, slack: float = 1e-9):
-    """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays;
-    with a certificate, the bounds linearize documents are enforced."""
+def _coefficients(u: Configuration, interaction, potential, lam: float):
+    """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays."""
     _require_nn(interaction)
     coupling = interaction.coupling
     ext = u.extended(1)
@@ -80,24 +78,31 @@ def _coefficients(u: Configuration, interaction, potential, lam: float,
     A = coupling.hessian(fwd).reshape(n, d, d)
     B = coupling.hessian(bwd).reshape(n, d, d)
     C = (lam * potential.hessian(u.values)).reshape(n, d, d)
-    sites = u.window.sites()
-    if cert is not None:
-        upper = coupling.convexity_bounds[1]
-        sa, sb = _sv(A).max(), _sv(B).max()
-        if max(sa, sb) > upper * (1 + slack):
-            raise CertificateError(
-                f"coupling hessian norm {max(sa, sb):.6e} exceeds the "
-                f"convexity ceiling {upper:.6e}"
-            )
-        sc = _sv(C).min(axis=-1)
-        floor = lam * cert.expansion
-        if sc.min() < floor * (1 - slack):
-            k = int(np.argmin(sc))
-            raise CertificateError(
-                f"|C| = {sc.min():.6e} below lam * m = {floor:.6e} at site "
-                f"{int(sites[k])}; configuration left the certified tube"
-            )
-    return sites, A, B, C
+    return u.window.sites(), A, B, C
+
+
+def _check_coefficients(sites, A, B, C, coupling, lam: float, cert,
+                        slack: float = 1e-9):
+    """CertificateError unless the coupling hessians stay below the
+    convexity ceiling and sigma_min(C_i) >= lam * m; returns the singular
+    values of A and B (largest first), which the cone verdict bounds with."""
+    upper = coupling.convexity_bounds[1]
+    sva, svb = _sv(A), _sv(B)
+    sa, sb = sva.max(), svb.max()
+    if max(sa, sb) > upper * (1 + slack):
+        raise CertificateError(
+            f"coupling hessian norm {max(sa, sb):.6e} exceeds the "
+            f"convexity ceiling {upper:.6e}"
+        )
+    sc = _sv(C).min(axis=-1)
+    floor = lam * cert.expansion
+    if sc.min() < floor * (1 - slack):
+        k = int(np.argmin(sc))
+        raise CertificateError(
+            f"|C| = {sc.min():.6e} below lam * m = {floor:.6e} at site "
+            f"{int(sites[k])}; configuration left the certified tube"
+        )
+    return sva, svb
 
 
 def linearize(u: Configuration, interaction, potential, lam: float,
@@ -109,7 +114,9 @@ def linearize(u: Configuration, interaction, potential, lam: float,
     its bounds: coupling hessians below the convexity ceiling and
     sigma_min(C_i) >= lam * m.
     """
-    sites, A, B, C = _coefficients(u, interaction, potential, lam, cert, slack)
+    sites, A, B, C = _coefficients(u, interaction, potential, lam)
+    if cert is not None:
+        _check_coefficients(sites, A, B, C, interaction.coupling, lam, cert, slack)
     return [
         LinearizationSite(site=int(s), A=A[k], B=B[k], C=C[k])
         for k, s in enumerate(sites)
@@ -251,9 +258,10 @@ def verify_cone_conditions(u: Configuration, interaction, potential,
     and beta for condition (ii). When phonon_gap > 0, the linearised
     operator obeys |L^{-1}| <= 1 / phonon_gap. Failures are verdicts.
     """
-    sites, A, B, C = _coefficients(u, interaction, potential, lam, cert=cert)
+    sites, A, B, C = _coefficients(u, interaction, potential, lam)
+    sva, svb = _check_coefficients(sites, A, B, C, interaction.coupling, lam, cert)
     cone = cone_parameters(cert)
-    sa, sb, ss = _sv(A)[:, 0], _sv(B)[:, 0], _sv(A + B + C)
+    sa, sb, ss = sva[:, 0], svb[:, 0], _sv(A + B + C)
     if A.shape[-1] == 1:
         a, b, c = A[:, 0, 0], B[:, 0, 0], C[:, 0, 0]
         s = a + b + c

@@ -356,12 +356,13 @@ def configuration_to_csv(u: Configuration, path) -> None:
     ends them."""
     header = ["site"] + [f"u_{j}" for j in range(u.dimension)]
     n = u.window.half_width
-    # row by row: one list of every value would cost ~130 bytes a site
-    rows = zip(range(-n, n + 1), map(np.ndarray.tolist, u.values))
+    line = ("{}" + ",{!r}" * u.dimension + "\r\n").format
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        f.writelines(",".join([str(site), *map(repr, row)]) + "\r\n"
-                     for site, row in rows)
+        # by blocks: one list of every value would cost ~130 bytes a site
+        for lo in range(0, len(u.values), 4096):
+            block = u.values[lo:lo + 4096]
+            f.writelines(map(line, range(lo - n, lo - n + len(block)), *block.T.tolist()))
 
 
 def configuration_from_csv(path, tail: TailRule) -> Configuration:

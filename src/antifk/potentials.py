@@ -73,8 +73,9 @@ class TrigSumPotential:
         return (self.amplitudes * np.cos(th)).sum(axis=-1)
 
     def gradient(self, x):
+        # einsum, not matmul: a row's sum does not depend on its batch
         th = self._angles(x)
-        return -(self.amplitudes * np.sin(th)) @ self.frequencies
+        return -np.einsum("...m,mi->...i", self.amplitudes * np.sin(th), self.frequencies)
 
     def hessian(self, x):
         th = self._angles(x)
@@ -533,38 +534,43 @@ def cosine_certificate() -> AubryCertificate:
 # certificate estimation
 
 
-def _polish_zero_1d(V, a: float, b: float, iters: int = 200) -> float:
-    """Bisection on psi over a sign-change bracket."""
-    fa = float(V.gradient(np.array([a]))[0])
-    fb = float(V.gradient(np.array([b]))[0])
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
+def _polish_zeros_1d(V, a: np.ndarray, b: np.ndarray, iters: int = 200) -> np.ndarray:
+    """Bisection on psi over the sign-change brackets [a_k, b_k], all
+    together: one V.gradient call per step over the rows still open. Per
+    row, an endpoint where psi is exactly zero wins (a first), a row stops
+    at adjacent floats or where psi(mid) == 0, and an open row returns its
+    midpoint after iters steps. ValueError if a row is not a bracket."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    f = V.gradient(np.concatenate([a, b])[:, None])[:, 0]
+    fa, fb = f[:a.size], f[a.size:]
+    if (fa * fb > 0).any():
         raise ValueError("not a bracket")
+    out = np.where(fa == 0.0, a, b)
+    rows = np.nonzero((fa != 0.0) & (fb != 0.0))[0]  # rows still open
     for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
+        mid = 0.5 * (a[rows] + b[rows])
+        out[rows] = mid  # final unless the row bisects on
+        split = (mid != a[rows]) & (mid != b[rows])
+        rows, mid = rows[split], mid[split]
+        if rows.size == 0:
             break
-        fm = float(V.gradient(np.array([mid]))[0])
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+        fm = V.gradient(mid[:, None])[:, 0]
+        left = fa[rows] * fm < 0
+        b[rows] = np.where(left, mid, b[rows])
+        a[rows] = np.where(left, a[rows], mid)
+        fa[rows] = np.where(left, fa[rows], fm)
+        rows = rows[fm != 0.0]
+    out[rows] = 0.5 * (a[rows] + b[rows])
+    return out
 
 
 def _scan_zeros_1d(V, lo: float, hi: float, grid_points: int) -> np.ndarray:
     xs = np.linspace(lo, hi, grid_points)
     g = V.gradient(xs[:, None])[:, 0]
-    zeros = [float(xs[j]) for j in np.nonzero(g == 0.0)[0]]
     sign_change = np.nonzero(g[:-1] * g[1:] < 0)[0]
-    for j in sign_change:
-        zeros.append(_polish_zero_1d(V, xs[j], xs[j + 1]))
-    zeros = np.sort(np.array(zeros))
+    zeros = np.concatenate([xs[g == 0.0],
+                            _polish_zeros_1d(V, xs[sign_change], xs[sign_change + 1])])
+    zeros = np.sort(zeros)
     if zeros.size == 0:
         return zeros
     # dedupe polished roots that collapsed to the same point
@@ -667,11 +673,15 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                    pair_checks: int = 256, seed: int = 0) -> AubryCertificate:
     """Estimate a certificate for psi = grad V over a search window.
 
-    Zeros come from a grid scan with root polishing; zeros whose hessian
-    smallest singular value falls below degeneracy_fraction of the best
-    are discarded. The expansion constant is expansion_fraction times the
-    weakest retained curvature, and the covering radius is half the
-    largest gap (times safety). The ball radius is the largest radius
+    Zeros come from a grid scan with root polishing: in d = 1 every
+    sign-change bracket of the grid is bisected, all brackets together
+    with one V.gradient call per step, to adjacent floats (the zeros are
+    those of one-bracket bisection, as a gradient row does not depend on
+    its batch); in d > 1 Newton runs from the grid points. Zeros whose
+    hessian smallest singular value falls below degeneracy_fraction of
+    the best are discarded. The expansion constant is expansion_fraction
+    times the weakest retained curvature, and the covering radius is half
+    the largest gap (times safety). The ball radius is the largest radius
     whose sampled points sustain that curvature: in d = 1 the first
     crossing of |V''| = m on radius_samples offsets per side of each zero,
     bisected to adjacent floats; in d > 1 a bisection over radius_samples

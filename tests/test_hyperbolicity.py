@@ -558,6 +558,22 @@ class TestBatchedAgainstPerSite:
                 np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0.0)
             assert split.min_angle == min(split.angles)
 
+    def test_verdict_takes_four_svds(self, solved_2d, monkeypatch):
+        # the certificate check's singular values of A and B bound the
+        # verdict too: one stacked SVD each of A, B, C and A + B + C
+        u, nn, V, cert, lam = solved_2d
+        expect = verify_cone_conditions(u, nn, V, lam, cert)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert verify_cone_conditions(u, nn, V, lam, cert) == expect
+        assert calls == [(u.window.n_sites, 2, 2)] * 4
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_cone_bounds_below_sampled_worst_case(self, d, rng):
         # random blocks, many with sigma_min(S) < aperture |Q| so that the

@@ -275,6 +275,26 @@ class TestRotationVector:
             as_rotation(np.zeros((2, 2)))
 
 
+def _check_csv_bytes(window, tmp_path, rng):
+    """configuration_to_csv writes the bytes csv.writer writes for the
+    repr of every value, on a homomorphism chain with -0.0 and a tiny
+    value planted."""
+    import csv
+
+    d = window.dimension
+    u = homomorphism_configuration(as_rotation(np.full(d, 0.7)), window)
+    u = u.with_values(u.values * rng.uniform(0.5, 2.0, size=u.values.shape))
+    u.values[0, 0], u.values[1, -1] = -0.0, 1e-300
+    path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
+    configuration_to_csv(u, path)
+    with open(ref, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["site"] + [f"u_{j}" for j in range(d)])
+        for i, row in zip(u.window.sites(), u.values):
+            w.writerow([int(i)] + [repr(float(x)) for x in row])
+    assert path.read_bytes() == ref.read_bytes()
+
+
 class TestSerialization:
     def test_csv_roundtrip(self, tmp_path):
         u = hom(1.0, n=5)
@@ -301,20 +321,12 @@ class TestSerialization:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_csv_bytes_match_csv_writer(self, d, tmp_path, rng):
-        import csv
+        _check_csv_bytes(Window(40, d), tmp_path, rng)
 
-        u = homomorphism_configuration(as_rotation(np.full(d, 0.7)),
-                                       Window(40, d))
-        u = u.with_values(u.values * rng.uniform(0.5, 2.0, size=u.values.shape))
-        u.values[0, 0], u.values[1, -1] = -0.0, 1e-300
-        path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
-        configuration_to_csv(u, path)
-        with open(ref, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["site"] + [f"u_{j}" for j in range(d)])
-            for i, row in zip(u.window.sites(), u.values):
-                w.writerow([int(i)] + [repr(float(x)) for x in row])
-        assert path.read_bytes() == ref.read_bytes()
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_csv_bytes_across_blocks(self, d, tmp_path, rng):
+        # 8201 sites span three blocks of the writer, the last one partial
+        _check_csv_bytes(Window(4100, d), tmp_path, rng)
 
     def test_csv_rejects_asymmetric_window(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -21,7 +21,7 @@ from antifk import (
 )
 
 from antifk import potentials
-from antifk.potentials import _ball_expansion_radius, _sigma_min
+from antifk.potentials import _ball_expansion_radius, _polish_zeros_1d, _sigma_min
 from oracles import bisect, fd_gradient
 
 
@@ -70,6 +70,21 @@ class TestDerivatives:
             h = V.hessian(x)[0, 0]
             h_fd = fd_gradient(lambda y: float(V.gradient(y)[0]), x, h=1e-5)[0]
             assert abs(h - h_fd) / max(1.0, abs(h)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "make",
+        [cosine_potential,
+         lambda: TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])]
+        + [lambda n=n: truncated_almost_periodic(n) for n in range(4, 11)],
+        ids=["cosine", "cos-x-plus-cos-y"] + [f"ap-terms-{n}" for n in range(4, 11)],
+    )
+    def test_gradient_batch_invariant(self, make, rng):
+        # bisection of many brackets at once relies on this bit for bit
+        V = make()
+        for n in (1, 2, 3, 7, 8, 17, 64, 127, 4001):
+            x = rng.uniform(-300, 300, size=(n, V.dimension))
+            rows = np.concatenate([V.gradient(x[k:k + 1]) for k in range(n)])
+            assert np.array_equal(V.gradient(x), rows)
 
     def test_hessian_sup_bound(self, rng):
         for V in (cosine_potential(), truncated_almost_periodic(term_count=6)):
@@ -231,6 +246,91 @@ class TestBallRadiusScan:
         assert sum(calls) <= (zeros * (2 * samples + 2 * 64)
                               + cert.metadata["zeros_found"])
         assert max(calls[1:]) <= 2 * samples  # at most one zero per call
+
+
+def _polish_zero_1d(V, a, b, iters=200):
+    """Reference for one row of _polish_zeros_1d: the one-bracket scalar
+    bisection estimate_aubry ran before the brackets were batched."""
+    fa = float(V.gradient(np.array([a]))[0])
+    fb = float(V.gradient(np.array([b]))[0])
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise ValueError("not a bracket")
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        fm = float(V.gradient(np.array([mid]))[0])
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+    return 0.5 * (a + b)
+
+
+def _brackets(V, window, grid_points=4001):
+    """The sign-change brackets of estimate_aubry's grid scan."""
+    xs = np.linspace(*window, grid_points)
+    g = V.gradient(xs[:, None])[:, 0]
+    j = np.nonzero(g[:-1] * g[1:] < 0)[0]
+    return xs[j], xs[j + 1]
+
+
+class TestZeroPolish:
+    @pytest.mark.parametrize("make, window", [c[1:] for c in _SCAN_CASES],
+                             ids=[c[0] for c in _SCAN_CASES])
+    def test_matches_one_bracket_bisection(self, make, window):
+        V = make()
+        a, b = _brackets(V, window)
+        assert a.size > 0
+        expect = [_polish_zero_1d(V, x, y) for x, y in zip(a, b)]
+        assert np.array_equal(_polish_zeros_1d(V, a, b), expect)
+
+    @pytest.mark.parametrize("iters", [0, 1, 5, 30])
+    def test_step_cap(self, iters):
+        V = truncated_almost_periodic(8, 0.5)
+        a, b = _brackets(V, (-60.0, 60.0))
+        expect = [_polish_zero_1d(V, x, y, iters) for x, y in zip(a, b)]
+        assert np.array_equal(_polish_zeros_1d(V, a, b, iters), expect)
+
+    def test_exact_zero_endpoints(self, cos_potential):
+        # psi = -sin is exactly 0 at 0.0: an exact-zero end wins, a before b
+        a = np.array([0.0, -1.0, 0.0, 2.0, -0.5, 3.0])
+        b = np.array([1.0, 0.0, 0.0, 4.0, 0.5, 3.5])
+        expect = [_polish_zero_1d(cos_potential, x, y) for x, y in zip(a, b)]
+        got = _polish_zeros_1d(cos_potential, a, b)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(got[:3], [0.0, 0.0, 0.0])
+        assert abs(got[3] - np.pi) < 1e-15 and got[4] == 0.0
+
+    def test_not_a_bracket(self, cos_potential):
+        # -sin is negative at 0.5 and at 1.0
+        with pytest.raises(ValueError, match="not a bracket"):
+            _polish_zero_1d(cos_potential, 0.5, 1.0)
+        with pytest.raises(ValueError, match="not a bracket"):
+            _polish_zeros_1d(cos_potential, np.array([2.0, 0.5]), np.array([4.0, 1.0]))
+
+    def test_gradient_calls_bounded(self, monkeypatch):
+        # one scan, one call for the bracket ends, one per bisection step
+        # (under 64 to adjacent floats here), then the verification: one
+        # for the zeros and two per zero for the sampled pairs
+        V = truncated_almost_periodic(8, 0.5)
+        calls = []
+        gradient = V.gradient
+
+        def counting(x):
+            calls.append(np.shape(x)[0])
+            return gradient(x)
+
+        monkeypatch.setattr(V, "gradient", counting)
+        cert = estimate_aubry(V, (-200.0, 200.0))
+        zeros = cert.metadata["verification"]["zeros_checked"]
+        assert len(calls) <= 2 + 64 + 1 + 2 * zeros
 
 
 class TestCertificateInvariants:
