@@ -13,10 +13,17 @@ horizon-20 splitting at the solved chain. The JSON written is the
 for every layer and size, and each layer's log-log slope of time against
 sites over the three largest sizes, which reads 1 for linear growth.
 
-A last row times ``estimate_aubry`` on the sweep benchmark's potential
+A further row times ``estimate_aubry`` on the sweep benchmark's potential
 (the 8-term truncated almost-periodic series, amplitude ratio 0.5) over
 the search windows [-w, w] for w in 50, 200 and 800, with its log-log
 slope against the number of zeros found.
+
+The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
+that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
+(7 is what ``antifk sweep`` uses at this window), with the rows per
+batch and the peak memory the solves allocate (tracemalloc): the time
+per case shows the per-call overhead a batch shares, the memory why the
+batch size is bounded.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import json
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -45,12 +53,16 @@ from antifk import (
     verify_cone_conditions,
 )
 from antifk.hyperbolicity import _coefficients
-from antifk.solver import _cyclic_reduction
+from antifk.solver import _cyclic_reduction, _force
 
 HALF_WIDTHS = (32, 512, 4096, 16384)
 REPEATS = 5
 LAM, RHO, TOL = 40.0, 0.618, 1e-10
 AUBRY_WINDOWS = (50.0, 200.0, 800.0)
+SWEEP_LAMS = (24.0, 32.0, 48.0, 64.0, 96.0)
+SWEEP_RHOS = (0.1, 0.2, 0.3, 0.4, 0.5)
+SWEEP_HALF_WIDTH = 256
+SWEEP_BATCHES = (1, 7, 25)
 
 
 def best_of(fn) -> float:
@@ -67,25 +79,27 @@ def layer_times(half_width: int) -> dict:
     V, cert = cosine_potential(), cosine_certificate()
     nn = NearestNeighborInteraction()
     params = SolveParams(lam=LAM, rho=RHO, window=half_width, tol=TOL)
-    solver = ContractionSolver(nn, V, cert, params)
-    a = solver.anchors
+    solver = ContractionSolver(nn, V, cert, [params])
+    a = solver.anchors.chain(0)
     targets = -nn.delta(a) / LAM
-    u2 = solver.phi_step(solver.phi_step(a))
-    _, A, B, C = _coefficients(u2, nn, V, LAM)
-    force = nn.delta(u2) + LAM * V.gradient(u2.values)
-    u, _ = solver.solve()
+    # the solver's steps run on stacked chains (n, 1, d)
+    s2 = solver.phi_step(solver.phi_step(solver.anchors))
+    _, A, B, C = _coefficients(s2, nn, V, LAM)
+    force = _force(s2, nn, V, LAM)
+    u2 = s2.chain(0)
+    [(u, _)] = solver.solve()
     return {
         "anchor_configuration": best_of(lambda: anchor_configuration(
             params.rho, cert.sampler, cert.covering_radius, params.window)),
         "delta": best_of(lambda: nn.delta(a)),
         "local_inverse_batch.cold": best_of(lambda: local_inverse_batch(
             V, a.values, targets, cert, tol=params.inner_tol)),
-        "phi_step.warm": best_of(lambda: solver.phi_step(u2)),
+        "phi_step.warm": best_of(lambda: solver.phi_step(s2)),
         "residual": best_of(lambda: residual(u2, nn, V, LAM)),
-        "coefficients": best_of(lambda: _coefficients(u2, nn, V, LAM)),
+        "coefficients": best_of(lambda: _coefficients(s2, nn, V, LAM)),
         "cyclic_reduction": best_of(
             lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
-        "newton_polish": best_of(lambda: solver.newton_polish(u2)),
+        "newton_polish": best_of(lambda: solver.newton_polish(s2)),
         "solve": best_of(solver.solve),
         "verify_cone_conditions": best_of(
             lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
@@ -112,6 +126,41 @@ def estimate_aubry_times() -> dict:
     }
 
 
+def sweep_times() -> dict:
+    V = truncated_almost_periodic(8, 0.5)
+    cert = estimate_aubry(V, (-200.0, 200.0))
+    nn = NearestNeighborInteraction()
+    cases = [SolveParams(lam=lam, rho=rho, window=SWEEP_HALF_WIDTH, tol=TOL)
+             for lam in SWEEP_LAMS for rho in SWEEP_RHOS]
+
+    def solve_all(k):
+        for lo in range(0, len(cases), k):
+            ContractionSolver(nn, V, cert, cases[lo:lo + k]).solve()
+
+    s, peak = [], []
+    for k in SWEEP_BATCHES:
+        s.append(best_of(lambda: solve_all(k)))
+        tracemalloc.start()
+        solve_all(k)
+        peak.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        tracemalloc.stop()
+    sites = 2 * SWEEP_HALF_WIDTH + 1
+    return {
+        "what": (f"the {len(cases)} solves of a sweep in process, best of "
+                 f"{REPEATS}: 8-term truncated almost-periodic V, amplitude "
+                 "ratio 0.5, certificate estimated over [-200, 200], lams "
+                 f"{list(SWEEP_LAMS)}, rhos {list(SWEEP_RHOS)}, half_width "
+                 f"{SWEEP_HALF_WIDTH}, in stacked batches of k cases; "
+                 "peak_mb is the most memory the solves hold at once (tracemalloc)"),
+        "cases": len(cases),
+        "cases_per_batch": list(SWEEP_BATCHES),
+        "rows_per_batch": [k * sites for k in SWEEP_BATCHES],
+        "s": s,
+        "ms_per_case": [1e3 * t / len(cases) for t in s],
+        "peak_mb": peak,
+    }
+
+
 def scale_check() -> dict:
     per_size = {n: layer_times(n) for n in HALF_WIDTHS}
     sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
@@ -134,6 +183,7 @@ def scale_check() -> dict:
         "sites": sites.astype(int).tolist(),
         "layers": layers,
         "estimate_aubry": estimate_aubry_times(),
+        "sweep": sweep_times(),
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "antifk": antifk.__version__},
     }

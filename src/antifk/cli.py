@@ -292,8 +292,7 @@ def _cmd_solve(args):
     interaction = _build_interaction(cfg)
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
     params = _solve_params(cfg["solve"])
-    solver = ContractionSolver(interaction, potential, cert, params)
-    u, report = solver.solve()
+    u, report = solve_equilibrium(params, interaction, potential, cert)
     outdir = _outdir(args)
     configuration_to_csv(u, os.path.join(outdir, "solution.csv"))
     _write_json(os.path.join(outdir, "certificate.json"), cert.to_json_dict())
@@ -460,51 +459,51 @@ def _solution_context(hblock, sblock):
         ) from exc
 
 
-def _sweep_case(payload):
-    """Worker for one (lam, rho) cell; must stay importable for pickling."""
-    (potential, interaction, cert, lam, rho, half_width, tol, max_iter,
+def _sweep_batch(payload):
+    """Worker for one batch of (lam, rho) cells, solved as stacked chains;
+    must stay importable for pickling. A case's failure, in its solve or in
+    its hyperbolicity checks, marks only its own row."""
+    (potential, interaction, cert, cases, half_width, tol, max_iter,
      check_hyp) = payload
-    row = {
-        "lam": lam,
-        "rho": rho,
-        "status": "ok",
-        "iterations": "",
-        "final_residual": "",
-        "contraction_factor": "",
-        "distance_to_anchor": "",
-        "distance_to_rotation": "",
-        "hyperbolic_pass": "",
-    }
-    try:
-        params = SolveParams(
-            lam=lam, rho=rho, window=half_width, tol=tol, max_iter=max_iter
+    params = [SolveParams(lam=lam, rho=rho, window=half_width, tol=tol,
+                          max_iter=max_iter) for lam, rho in cases]
+    outcomes = ContractionSolver(interaction, potential, cert, params).solve()
+    rows = []
+    for (lam, rho), outcome in zip(cases, outcomes):
+        row = dict.fromkeys(_SWEEP_COLUMNS, "")
+        row.update(lam=lam, rho=rho, status="ok")
+        rows.append(row)
+        if isinstance(outcome, Exception):
+            row["status"] = _SWEEP_STATUS[type(outcome)]
+            continue
+        u, rep = outcome
+        row.update(
+            iterations=rep.iterations,
+            final_residual=repr(rep.final_residual),
+            contraction_factor=repr(rep.contraction_factor),
+            distance_to_anchor=repr(rep.distance_to_anchor),
+            distance_to_rotation=repr(rep.distance_to_rotation),
         )
-        u, rep = solve_equilibrium(params, interaction, potential, cert)
-    except DomainError:
-        row["status"] = "domain-error"
-        return row
-    except ConvergenceError:
-        row["status"] = "no-convergence"
-        return row
-    except (CertificateError, CertificationError):
-        row["status"] = "certificate-error"
-        return row
-    row.update(
-        iterations=rep.iterations,
-        final_residual=repr(rep.final_residual),
-        contraction_factor=repr(rep.contraction_factor),
-        distance_to_anchor=repr(rep.distance_to_anchor),
-        distance_to_rotation=repr(rep.distance_to_rotation),
-    )
-    if check_hyp:
-        report, _, orbit_tol = _hyperbolic_checks(
-            u, interaction, potential, lam, cert, tol
-        )
-        row["hyperbolic_pass"] = str(
-            bool(report.all_pass and report.orbit_deviation <= orbit_tol)
-        ).lower()
-    return row
+        if check_hyp:
+            try:
+                report, _, orbit_tol = _hyperbolic_checks(
+                    u, interaction, potential, lam, cert, tol
+                )
+            except CertificateError:
+                row["status"] = "certificate-error"
+                continue
+            row["hyperbolic_pass"] = str(
+                bool(report.all_pass and report.orbit_deviation <= orbit_tol)
+            ).lower()
+    return rows
 
+
+# rows (sites times cases) per stacked sweep batch: bounds the (rows, terms)
+# temporaries of the kernels, and so the peak memory of a batch
+_BATCH_ROWS = 4096
+
+_SWEEP_STATUS = {DomainError: "domain-error", ConvergenceError: "no-convergence",
+                 CertificateError: "certificate-error"}
 
 _SWEEP_COLUMNS = [
     "lam",
@@ -552,10 +551,14 @@ def _sweep_payloads(cfg, args):
         raise ConfigError(
             "sweep hyperbolicity checks support nearest-neighbor interactions only"
         )
+    cases = sorted(pairs)
+    # every worker gets a batch while there are cases for it
+    size = min(max(1, _BATCH_ROWS // (2 * half_width + 1)),
+               -(-len(cases) // max(1, args.workers)))
     return [
-        (potential, interaction, cert, lam, rho, half_width, tol, max_iter,
-         check_hyp)
-        for lam, rho in sorted(pairs)
+        (potential, interaction, cert, cases[i:i + size], half_width, tol,
+         max_iter, check_hyp)
+        for i in range(0, len(cases), size)
     ]
 
 
@@ -564,10 +567,11 @@ def _cmd_sweep(args):
     payloads = _sweep_payloads(cfg, args)
     workers = max(1, args.workers)
     if workers == 1:
-        rows = [_sweep_case(p) for p in payloads]
+        batches = [_sweep_batch(p) for p in payloads]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_case, payloads))
+            batches = list(pool.map(_sweep_batch, payloads))
+    rows = [row for batch in batches for row in batch]
     rows.sort(key=lambda r: (r["lam"], r["rho"]))
     outdir = _outdir(args)
     path = os.path.join(outdir, "sweep.csv")

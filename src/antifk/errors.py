@@ -33,11 +33,13 @@ class ConvergenceError(Exception):
 
     Attributes:
         trace: per-iteration step distances (may be None for scalar solves).
+        row: the failing row of a local-inverse batch (None otherwise).
     """
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, trace=None, row=None):
         super().__init__(message)
         self.trace = trace
+        self.row = row
 
 
 class ConvexityError(Exception):

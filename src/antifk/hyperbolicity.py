@@ -67,17 +67,20 @@ def _sv(X) -> np.ndarray:
     return np.abs(X[..., 0]) if X.shape[-1] == 1 else np.linalg.svd(X, compute_uv=False)
 
 
-def _coefficients(u: Configuration, interaction, potential, lam: float):
-    """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays."""
+def _coefficients(u: Configuration, interaction, potential, lam):
+    """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays,
+    or (n, K, d, d) for K stacked chains, with lam one coupling or one per
+    chain as a (K, 1, 1) array. The potential sees the sites as (rows, d),
+    as a single chain does."""
     _require_nn(interaction)
     coupling = interaction.coupling
     ext = u.extended(1)
     fwd = ext[1:-1] - ext[2:]    # u_i - u_{i+1}
     bwd = ext[:-2] - ext[1:-1]   # u_{i-1} - u_i
-    n, d = u.window.n_sites, u.window.dimension
-    A = coupling.hessian(fwd).reshape(n, d, d)
-    B = coupling.hessian(bwd).reshape(n, d, d)
-    C = (lam * potential.hessian(u.values)).reshape(n, d, d)
+    shape = u.values.shape + (u.window.dimension,)
+    A = coupling.hessian(fwd).reshape(shape)
+    B = coupling.hessian(bwd).reshape(shape)
+    C = lam * potential.hessian(u.values.reshape(-1, shape[-1])).reshape(shape)
     return u.window.sites(), A, B, C
 
 

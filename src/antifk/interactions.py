@@ -6,6 +6,9 @@ homomorphism (a linear configuration) they produce a constant sequence,
 so each exposes that constant directly, together with a Lipschitz bound
 K(rho, R) valid on the tube of configurations within R of the
 homomorphism rho.
+
+Delta works elementwise along the site axis, so it takes K chains
+stacked as (n, K, d) as it takes one chain (n, d).
 """
 
 from __future__ import annotations

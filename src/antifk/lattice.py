@@ -28,9 +28,12 @@ __all__ = [
     "HomomorphismTail",
     "AnchorTail",
     "DerivedTail",
+    "StackedTail",
     "Configuration",
     "homomorphism_configuration",
     "anchor_configuration",
+    "anchor_stack",
+    "stack_chains",
     "ext_distance",
     "shift",
     "translate",
@@ -155,7 +158,7 @@ class AnchorTail(TailRule):
     def values(self, sites: np.ndarray) -> np.ndarray:
         if not np.array_equal(sites, self._last[0]):
             object.__setattr__(self, "_last", (np.array(sites), _nearest_anchors(
-                self.rotation, sites, self.sampler, self.radius)))
+                self.rotation(sites), self.sampler, self.radius)))
         return self._last[1].copy()
 
     @property
@@ -199,11 +202,30 @@ class DerivedTail(TailRule):
 
 
 @dataclass(frozen=True)
+class StackedTail(TailRule):
+    """Tails of K chains stacked site-axis-first: values(sites) is
+    (len(sites), K, d), column k from the k-th tail. The last lookup is
+    kept, as AnchorTail keeps its own: a solve reads the same halo sites
+    at every step."""
+
+    tails: tuple
+    kind: str = field(default="stacked", init=False)
+    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def values(self, sites: np.ndarray) -> np.ndarray:
+        if not np.array_equal(sites, self._last[0]):
+            object.__setattr__(self, "_last", (np.array(sites), np.concatenate(
+                [t.values(sites)[:, None] for t in self.tails], axis=1)))
+        return self._last[1].copy()
+
+
+@dataclass(frozen=True)
 class Configuration:
     """Window values plus a tail rule.
 
     values has shape (n_sites, dimension), row j holding the value at
-    site j - half_width.
+    site j - half_width; K chains on one window are stacked as
+    (n_sites, K, dimension) with a StackedTail.
     """
 
     window: Window
@@ -214,10 +236,10 @@ class Configuration:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        if vals.shape != (self.window.n_sites, self.window.dimension):
+        n, d = self.window.n_sites, self.window.dimension
+        if vals.ndim not in (2, 3) or (vals.shape[0], vals.shape[-1]) != (n, d):
             raise ValueError(
-                f"values shape {vals.shape} does not match window "
-                f"({self.window.n_sites}, {self.window.dimension})"
+                f"values shape {vals.shape} does not match window ({n}, {d})"
             )
         object.__setattr__(self, "values", vals)
 
@@ -254,6 +276,11 @@ class Configuration:
     def with_values(self, values: np.ndarray) -> "Configuration":
         return Configuration(self.window, values, self.tail)
 
+    def chain(self, k: int) -> "Configuration":
+        """Chain k of stacked chains on its own, its values contiguous."""
+        return Configuration(self.window, np.ascontiguousarray(self.values[:, k]),
+                             self.tail.tails[k])
+
     def to_json_dict(self) -> dict:
         d = {
             "window": self.window.half_width,
@@ -276,23 +303,41 @@ def homomorphism_configuration(rho, window: Window) -> Configuration:
     return Configuration(window, vals, HomomorphismTail(rot))
 
 
+def stack_chains(chains) -> Configuration:
+    """Configurations on one window stacked site-axis-first, (n_sites, K, d)."""
+    window = chains[0].window
+    if any(c.window != window for c in chains):
+        raise ValueError("stacked chains must share one window")
+    return Configuration(window, np.stack([c.values for c in chains], axis=1),
+                         StackedTail(tuple(c.tail for c in chains)))
+
+
 def anchor_configuration(rho, sampler, radius: float, window: Window) -> Configuration:
     """Nearest-anchor configuration a_i = argmin_{z in O} |z - rho(i)|."""
-    rot = as_rotation(rho)
-    if rot.dimension != window.dimension:
+    return anchor_stack([rho], sampler, radius, window).chain(0)
+
+
+def anchor_stack(rhos, sampler, radius: float, window: Window) -> Configuration:
+    """The nearest-anchor configurations of K rotation vectors, stacked as
+    (n_sites, K, d), from one lookup."""
+    rots = [as_rotation(rho) for rho in rhos]
+    if any(rot.dimension != window.dimension for rot in rots):
         raise ValueError("rotation vector dimension does not match window")
-    vals = _nearest_anchors(rot, window.sites(), sampler, radius)
-    return Configuration(window, vals, AnchorTail(rot, sampler, radius))
+    sites, d = window.sites(), window.dimension
+    query = np.stack([rot(sites) for rot in rots], axis=1).reshape(-1, d)
+    vals = _nearest_anchors(query, sampler, radius).reshape(len(sites), -1, d)
+    return Configuration(window, vals, StackedTail(
+        tuple(AnchorTail(rot, sampler, radius) for rot in rots)))
 
 
-def _nearest_anchors(rot: RotationVector, sites, sampler, radius: float) -> np.ndarray:
-    """Closest points of the sampled zero set to rho(i) for each site i.
+def _nearest_anchors(points, sampler, radius: float) -> np.ndarray:
+    """Closest points of the sampled zero set to each row of points.
 
     Ties (to within an 1e-12 relative margin) break to the
     lexicographically smallest point.
     """
     # tiny slack so that boundary cases (distance exactly R) are found
-    return sampler.nearest(rot(sites), radius * (1 + 1e-12) + 1e-12)
+    return sampler.nearest(points, radius * (1 + 1e-12) + 1e-12)
 
 
 def ext_distance(u: Configuration, v: Configuration) -> float:

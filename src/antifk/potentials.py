@@ -331,6 +331,8 @@ class FiniteZeroSet:
         order = np.lexsort(pts.T[::-1])
         object.__setattr__(self, "_columns", np.ascontiguousarray(pts[order].T))
         object.__setattr__(self, "_keys", self._columns[0])
+        if d == 1:  # the points between two sentinels at infinite distance
+            object.__setattr__(self, "_padded", np.concatenate([[-np.inf], self._keys, [np.inf]]))
         object.__setattr__(self, "_reach", float(np.abs(pts[:, 0]).max(initial=0.0)))
 
     @property
@@ -355,12 +357,15 @@ class FiniteZeroSet:
 
     def nearest(self, xs, radius: float) -> np.ndarray:
         """Closest zero to each row of xs, ties (1e-12 relative) to the
-        lexicographically smallest, looked up per block of rows (taken in
+        lexicographically smallest. In d = 1 one searchsorted finds each
+        row's neighbours; in d > 1 rows are looked up per block (taken in
         order of their first coordinate) in the slab of points within
         radius in the first coordinate. CertificateError names the first
         row outside the box, else the first with no zero."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dimension)
         self._check_box(xs)
+        if self.dimension == 1:
+            return self._nearest_1d(xs, radius)
         # slab half-width padded against rounding; the distance mask decides
         pad = radius * (1.0 + 1e-9) + 1e-9 * (1.0 + self._reach)
         out = np.empty_like(xs)
@@ -384,6 +389,31 @@ class FiniteZeroSet:
             raise CertificateError(
                 f"no zero within radius {radius} of {xs[missing]}")
         return out
+
+    def _nearest_1d(self, xs, radius: float) -> np.ndarray:
+        """nearest for d = 1. The computed distance to a sorted point does
+        not grow towards the row on either side, so the closest points are
+        the row's two neighbours keys[i - 1] < x <= keys[i]; a near tie on
+        the left walks down to the lowest point within the tie margin."""
+        keys, x = self._padded, xs[:, 0]  # keys[i] is the i-th point, 1-based
+
+        def dist(j):  # as the slab loop computes it; inf outside radius
+            d = np.sqrt((keys[j] - x) ** 2)
+            return np.where(d <= radius, d, np.inf)
+
+        i = self._keys.searchsorted(x)
+        left, right = dist(i), dist(i + 1)
+        best = np.minimum(left, right)
+        if np.isinf(best).any():
+            raise CertificateError(
+                f"no zero within radius {radius} of {xs[np.isinf(best).argmax()]}")
+        margin = best + 1e-12 * (1.0 + best)
+        walk = left <= margin
+        j = i + ~walk
+        while walk.any():
+            walk &= dist(j - 1) <= margin
+            j -= walk
+        return keys[j][:, None]
 
     def signature(self):
         return ("finite", self.points.tobytes(), self.lo.tobytes(), self.hi.tobytes())
@@ -492,24 +522,28 @@ class AubryCertificate:
         except CertificateError as exc:
             raise CertificationError(f"covering fails at R = {self.covering_radius}: "
                                      f"{exc}") from exc
-        # expansion on sampled pairs inside each ball
-        r, m = self.ball_radius, self.expansion
-        for z in zeros:
-            offsets = rng.uniform(-1.0, 1.0, size=(2 * pair_checks, zeros.shape[1]))
-            norms = np.linalg.norm(offsets, axis=1, keepdims=True)
-            offsets = offsets / np.maximum(norms, 1e-300) * (
-                rng.uniform(0, r, size=(2 * pair_checks, 1))
-            )
-            xs = z + offsets[:pair_checks]
-            ys = z + offsets[pair_checks:]
-            lhs = np.linalg.norm(V.gradient(xs) - V.gradient(ys), axis=1)
-            rhs = m * np.linalg.norm(xs - ys, axis=1)
+        # expansion on sampled pairs inside each ball: each zero's draws in
+        # the per-zero order, the gradient for blocks of zeros, about 2048
+        # rows a call (8192 raised a sweep's peak memory by 1.3 MB)
+        r, m, d = self.ball_radius, self.expansion, zeros.shape[1]
+        block = max(1, 1024 // max(pair_checks, 1))
+        for lo in range(0, len(zeros), block):
+            z = zeros[lo:lo + block, None]
+            draws = [(rng.uniform(-1.0, 1.0, size=(2 * pair_checks, d)),
+                      rng.uniform(0, r, size=(2 * pair_checks, 1))) for _ in z]
+            offsets, radii = (np.stack(a) for a in zip(*draws))
+            norms = np.linalg.norm(offsets, axis=-1, keepdims=True)
+            pts = z + offsets / np.maximum(norms, 1e-300) * radii
+            g = V.gradient(pts.reshape(-1, d)).reshape(pts.shape)
+            xs, ys = pts[:, :pair_checks], pts[:, pair_checks:]
+            lhs = np.linalg.norm(g[:, :pair_checks] - g[:, pair_checks:], axis=-1)
+            rhs = m * np.linalg.norm(xs - ys, axis=-1)
             bad = lhs < rhs * (1 - 1e-12) - 1e-15
             if bad.any():
-                j = int(np.argmax(bad))
+                k, j = np.unravel_index(np.argmax(bad), bad.shape)
                 raise CertificationError(
-                    f"expansion failed near zero {z}: |psi(x)-psi(y)| = "
-                    f"{lhs[j]:.6e} < m|x-y| = {rhs[j]:.6e}"
+                    f"expansion failed near zero {zeros[lo + k]}: |psi(x)-psi(y)| = "
+                    f"{lhs[k, j]:.6e} < m|x-y| = {rhs[k, j]:.6e}"
                 )
         return {"covering_checks": covering_checks,
                 "pair_checks_per_zero": pair_checks,
@@ -838,6 +872,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     Newton starts at the centres, or at ``start`` projected onto each
     row's ball (clipped into [z - r, z + r] for d = 1): a start near the
     root, such as the previous tube-map iterate, saves most of the steps.
+    ``tol`` is a scalar or one tolerance per row.
     A row stops once |psi(y) - t| <= max(tol, floor), the floor being the
     accuracy of psi at a float y: half the float spacing of max|y| times
     |hessian|, plus a few eps. For d = 1 each row brackets its root in
@@ -845,11 +880,12 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     leaves the bracket, which ends the row once it holds adjacent floats;
     for d > 1 Newton steps are projected onto the ball. A row open after
     max_iter steps, or with no root in its bracket, raises
-    ConvergenceError naming it. Callers do the domain check, so they can
-    name the offending site.
+    ConvergenceError naming it (also as its ``row``). Callers do the
+    domain check, so they can name the offending site.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    tol = np.asarray(tol, dtype=float)
     d, r = centers.shape[1], cert.ball_radius
     lo, hi = centers[:, 0] - r, centers[:, 0] + r  # d = 1 brackets
     if start is None:
@@ -867,7 +903,8 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         H = np.reshape(V.hessian(yk), (-1, d, d))
         nf = np.linalg.norm(f, axis=1)
         floor = np.spacing(np.abs(yk).max(axis=1)) * np.linalg.norm(H, axis=(1, 2))
-        limit = np.maximum(tol, 0.5 * floor + 4 * np.finfo(float).eps)
+        limit = np.maximum(tol if tol.ndim == 0 else tol[rows],
+                           0.5 * floor + 4 * np.finfo(float).eps)
         keep = nf > limit
         rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]
         if rows.size == 0:
@@ -875,7 +912,8 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         if k == max_iter:
             raise ConvergenceError(
                 f"local inverse row {rows[0]} stopped at |psi(y) - t| = "
-                f"{nf[keep][0]:.3e} > {limit[keep][0]:.3e} after {max_iter} steps"
+                f"{nf[keep][0]:.3e} > {limit[keep][0]:.3e} after {max_iter} steps",
+                row=int(rows[0]),
             )
         if d == 1:
             x, h = yk[:, 0], H[:, 0, 0]
@@ -895,7 +933,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                 j = rows[np.argmax(stuck)]
                 raise ConvergenceError(
                     f"local inverse row {j}: no root in the certificate ball; "
-                    "certificate inconsistent with the potential")
+                    "certificate inconsistent with the potential", row=int(j))
             rows = rows[split]
             y[rows, 0] = x_new[split]
         else:

@@ -27,12 +27,15 @@ from .hyperbolicity import _coefficients
 from .interactions import NearestNeighborInteraction
 from .lattice import (
     Configuration,
+    StackedTail,
     Window,
     anchor_configuration,
+    anchor_stack,
     as_rotation,
     ext_distance,
     homomorphism_configuration,
     rotation_vector_estimate,
+    stack_chains,
 )
 from .potentials import AubryCertificate, local_inverse_batch
 
@@ -134,20 +137,28 @@ def lambda_threshold(interaction, rho, cert: AubryCertificate) -> float:
     return (K * (r + R) + hom) / (r * m)
 
 
-def _force(u: Configuration, interaction, V, lam: float) -> np.ndarray:
+def _force(u: Configuration, interaction, V, lam) -> np.ndarray:
     """F(u)_i = Delta(u)_i + lam * grad V(u_i) at the window sites, (n, d),
-    with neighbors outside the window supplied by the tail rule."""
-    return interaction.delta(u) + lam * V.gradient(u.values)
+    with neighbors outside the window supplied by the tail rule; for
+    stacked chains (n, K, d), lam is one coupling or one per chain as a
+    (K, 1) array. V sees the sites as (rows, d), as it does for a single
+    chain."""
+    x = u.values
+    return interaction.delta(u) + lam * V.gradient(
+        x.reshape(-1, x.shape[-1])).reshape(x.shape)
 
 
-def _sup(x: np.ndarray) -> float:
-    """Largest row norm of an (n, d) array."""
-    return float(np.linalg.norm(x, axis=1).max())
+def _sup(x: np.ndarray):
+    """Largest row norm of an (n, d) array, or one per chain (an array)
+    of a stack (n, K, d)."""
+    m = np.linalg.norm(x, axis=-1).max(axis=0)
+    return float(m) if x.ndim == 2 else m
 
 
-def residual(u: Configuration, interaction, V, lam: float) -> float:
+def residual(u: Configuration, interaction, V, lam):
     """sup_i |Delta(u)_i + lam * grad V(u_i)| over window sites, with
-    neighbors outside the window supplied by the tail rule."""
+    neighbors outside the window supplied by the tail rule; one per chain
+    for stacked chains, lam as for _force."""
     return _sup(_force(u, interaction, V, lam))
 
 
@@ -155,7 +166,8 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
     """Solve the block-tridiagonal system
     lower_i x_{i-1} + diag_i x_i + upper_i x_{i+1} = rhs_i, i < n,
     for blocks of shape (n, d, d) and rhs of shape (n, d); lower_0 and
-    upper_{n-1} are ignored.
+    upper_{n-1} are ignored. Blocks (n, K, d, d) and rhs (n, K, d) hold K
+    independent systems, each solved with its own float operations.
 
     Each level eliminates the odd-indexed unknowns from their even
     neighbours' rows, halving the system, and fills them back in after
@@ -165,12 +177,18 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
     system; a singular one raises numpy.linalg.LinAlgError (d > 1) or
     yields non-finite values (d = 1).
     """
+    # numpy's per-call cost is lower on the 1-d slices of one system than
+    # on 2-d ones, so a stack of one is solved with its case axis dropped
+    one = rhs.ndim == 3 and rhs.shape[1] == 1
+    if one:
+        lower, diag, upper, rhs = (m[:, 0] for m in (lower, diag, upper, rhs))
     if diag.shape[-1] == 1:
-        x = _reduce(lower[:, 0, 0], diag[:, 0, 0], upper[:, 0, 0],
-                    rhs[:, 0], np.reciprocal, np.multiply, np.multiply)
-        return x[:, None]
-    return _reduce(lower, diag, upper, rhs, np.linalg.inv, np.matmul,
-                   lambda X, y: (X @ y[..., None])[..., 0])
+        x = _reduce(lower[..., 0, 0], diag[..., 0, 0], upper[..., 0, 0],
+                    rhs[..., 0], np.reciprocal, np.multiply, np.multiply)[..., None]
+    else:
+        x = _reduce(lower, diag, upper, rhs, np.linalg.inv, np.matmul,
+                    lambda X, y: (X @ y[..., None])[..., 0])
+    return x[:, None] if one else x
 
 
 def _reduce(a, b, c, f, inv, mul, mv):
@@ -200,154 +218,313 @@ def _reduce(a, b, c, f, inv, mul, mv):
     return x
 
 
+def _take(u: Configuration, idx) -> Configuration:
+    """The chains idx (ascending) of a stack, as a stack."""
+    if len(idx) == u.values.shape[1]:
+        return u
+    return Configuration(u.window, u.values[:, idx],
+                         StackedTail(tuple(u.tail.tails[k] for k in idx)))
+
+
+def _newton_step(lower, diag, upper, rhs) -> np.ndarray:
+    """_cyclic_reduction of K stacked chains; a chain that meets a singular
+    block gets a NaN step, which its Newton acceptance test discards."""
+    try:
+        return _cyclic_reduction(lower, diag, upper, rhs)
+    except np.linalg.LinAlgError:
+        if rhs.shape[1] == 1:
+            return np.full_like(rhs, np.nan)
+        return np.concatenate([_newton_step(*(x[:, k:k + 1] for x in (
+            lower, diag, upper, rhs))) for k in range(rhs.shape[1])], axis=1)
+
+
 class ContractionSolver:
-    """Bundles interaction, potential, certificate, and anchors for a run."""
+    """Bundles interaction, potential, certificate, and anchors for a batch
+    of cases.
+
+    cases is a list of SolveParams sharing the window, tol and max_iter.
+    The solver iterates its K cases as chains stacked site-axis-first,
+    (n, K, d), through the same steps: every kernel works row by row, so
+    each case takes the float operations it takes alone. anchors, if
+    given, and initial hold K stacked chains. self.live lists the cases
+    phi_step and newton_polish serve: during a solve those still
+    iterating, otherwise every case with anchors. A case that fails leaves
+    the stack with its error in self.failures. solve_equilibrium is the
+    one-case call.
+    """
 
     def __init__(self, interaction, potential, cert: AubryCertificate,
-                 params: SolveParams, anchors: Configuration | None = None):
+                 cases, anchors: Configuration | None = None):
         self.interaction = interaction
         self.potential = potential
         self.cert = cert
-        self.params = params
-        dim = params.rho.dimension
+        self.cases = list(cases)
+        if not self.cases:
+            raise ValueError("a batch needs at least one case")
+        first = self.cases[0]
+        shared = (first.window, first.tol, first.max_iter)
+        if any((p.window, p.tol, p.max_iter) != shared for p in self.cases):
+            raise ValueError("a batch shares one window, tol and max_iter")
+        dim = first.rho.dimension
         pdim = getattr(potential, "dimension", dim)
         if pdim != dim:
             raise ValueError(
                 f"potential dimension {pdim} does not match rotation vector ({dim})"
             )
-        self.window = params.window
+        self.window, self.tol, self.max_iter = shared
+        self.lam = np.array([[p.lam] for p in self.cases])  # (K, 1)
+        self.inner_tol = np.array([p.inner_tol for p in self.cases])
+        self._lost = {}  # case -> error of its anchor lookup
         if anchors is None:
-            anchors = anchor_configuration(
-                params.rho, cert.sampler, cert.covering_radius, self.window
-            )
-        elif anchors.window != self.window:
-            raise ValueError("anchor configuration window mismatch")
+            anchors = self._anchor_stack()
+        elif not self._fits(anchors):
+            raise ValueError("anchor configuration window or case mismatch")
         self.anchors = anchors
-        self.threshold = lambda_threshold(interaction, params.rho, cert)
+        self._anchors = anchors.values
+        self.thresholds = [lambda_threshold(interaction, p.rho, cert)
+                           for p in self.cases]
         self._tube_radius = cert.ball_radius * (1 + 1e-9) + 1e-12
+        self.failures = dict(self._lost)
+        self._restart()
+
+    def _restart(self):
+        """Every case live again but those without anchors."""
+        self.live = np.array([k for k in range(len(self.cases))
+                              if k not in self._lost], dtype=int)
+
+    def _fits(self, u: Configuration) -> bool:
+        """Whether u holds one chain per case on the solver's window."""
+        return u.window == self.window and u.values.shape[1:-1] == (len(self.cases),)
+
+    def _anchor_stack(self) -> Configuration:
+        """The batch's anchors from one lookup. If it fails, the cases are
+        looked up one at a time, and a case without anchors fails."""
+        cert, rots = self.cert, [p.rho for p in self.cases]
+        args = (cert.sampler, cert.covering_radius, self.window)
+        try:
+            return anchor_stack(rots, *args)
+        except CertificateError:
+            pass
+        chains = []
+        for k, rot in enumerate(rots):
+            try:
+                chains.append(anchor_configuration(rot, *args))
+            except CertificateError as exc:
+                self._lost[k] = exc
+                chains.append(homomorphism_configuration(rot, self.window))
+        return stack_chains(chains)
+
+    def _live_anchors(self) -> np.ndarray:
+        """The anchors of the live cases (no copy while all are live)."""
+        if len(self.live) == self._anchors.shape[1]:
+            return self._anchors
+        return self._anchors[:, self.live]
+
+    def _drop(self, ended: dict) -> np.ndarray:
+        """Take the live cases at the stack positions in ended out of the
+        stack, each with its error (None: it converged). Returns the
+        positions of the cases kept."""
+        for j, exc in ended.items():
+            if exc is not None:
+                self.failures[int(self.live[j])] = exc
+        keep = np.array([j for j in range(len(self.live)) if j not in ended], dtype=int)
+        self.live = self.live[keep]
+        return keep
 
     def phi_step(self, u: Configuration) -> Configuration:
         """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam)
         around the solver's anchors a, each local inverse started at u_i
-        projected onto its anchor ball.
+        projected onto its anchor ball. u holds the chains of the live
+        cases, stacked.
 
-        A target outside the admissible ball raises DomainError naming the
-        offending site; an output outside the anchor ball (certificate
-        violation) raises CertificateError.
+        A case whose target leaves the admissible ball fails with a
+        DomainError naming the offending site; one whose output leaves the
+        anchor ball (certificate violation) with a CertificateError; one
+        whose local inverse fails on a row with that row's
+        ConvergenceError. A failing case leaves the stack (see _drop), and
+        the image holds the others.
         """
-        cert, lam = self.cert, self.params.lam
-        targets = -self.interaction.delta(u) / lam
-        norms = np.linalg.norm(np.atleast_2d(targets), axis=1)
-        limit = cert.admissible_radius
+        limit, half_width = self.cert.admissible_radius, u.window.half_width
+        targets = -self.interaction.delta(u) / self.lam[self.live]
+        norms = np.linalg.norm(targets, axis=-1)
         if norms.max() > limit * (1 + 1e-9):
-            j = int(np.argmax(norms))
-            site = j - u.window.half_width
-            raise DomainError(
-                f"|Delta(u)_i / lam| = {norms[j]:.6e} exceeds r*m = {limit:.6e} "
-                f"at site {site}; coupling too weak for this certificate",
-                site=site, norm=float(norms[j]), limit=limit,
-            )
-        anchors = self.anchors.values
-        new_values = local_inverse_batch(
-            self.potential, anchors, targets, cert, tol=self.params.inner_tol,
-            start=u.values,
-        )
+            worst, sites = norms.max(axis=0), norms.argmax(axis=0) - half_width
+            over = worst > limit * (1 + 1e-9)
+            keep = self._drop({j: DomainError(
+                f"|Delta(u)_i / lam| = {worst[j]:.6e} exceeds r*m = {limit:.6e} "
+                f"at site {sites[j]}; coupling too weak for this certificate",
+                site=int(sites[j]), norm=float(worst[j]), limit=limit,
+            ) for j in np.flatnonzero(over).tolist()})
+            u, targets = _take(u, keep), targets[:, keep]
+        n, k, d = u.values.shape
+        while True:
+            anchors, tol = self._live_anchors(), self.inner_tol[self.live]
+            try:
+                new_values = local_inverse_batch(
+                    self.potential, anchors.reshape(-1, d), targets.reshape(-1, d),
+                    self.cert, tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
+                    start=u.values.reshape(-1, d),
+                ).reshape(n, k, d)
+                break
+            except ConvergenceError as exc:  # row = site * k + case
+                site, case = divmod(exc.row, k)
+                keep = self._drop({case: ConvergenceError(
+                    str(exc).replace(f"row {exc.row}", f"row {site}", 1), row=site)})
+                u, targets, k = _take(u, keep), targets[:, keep], k - 1
         drift = _sup(new_values - anchors)
-        if drift > self._tube_radius:
-            raise CertificateError(
-                f"tube map left the anchor ball: {drift:.6e} > r = "
-                f"{cert.ball_radius:.6e}"
-            )
+        if k and drift.max() > self._tube_radius:
+            keep = self._drop({j: CertificateError(
+                f"tube map left the anchor ball: {drift[j]:.6e} > r = "
+                f"{self.cert.ball_radius:.6e}")
+                for j in np.flatnonzero(drift > self._tube_radius).tolist()})
+            u, new_values = _take(u, keep), new_values[:, keep]
         return u.with_values(new_values)
 
     def newton_polish(self, u: Configuration):
-        """Newton steps L delta = F(u) on the whole chain, L the
+        """Newton steps L delta = F(u) on each whole chain, L the
         block-tridiagonal Jacobian of F (blocks -B_i, A_i + B_i + C_i, -A_i
-        of the tangent recursion), solved by cyclic reduction.
+        of the tangent recursion), solved by cyclic reduction for all the
+        chains still polishing at once.
 
-        Stops once the residual is at most tol, which puts the closing
-        tube-map step within the stopping rule when lam is above the
-        threshold, or after NEWTON_STEPS steps. A step that leaves the
+        A chain stops once its residual is at most tol, which puts the
+        closing tube-map step within the stopping rule when lam is above
+        the threshold, or after NEWTON_STEPS steps. A step that leaves the
         tube |u - a| <= r, does not lower the residual or meets a singular
-        block is discarded, and the polish ends there. Returns (u, residual after each kept step, whether a
-        step was discarded).
+        block is discarded, and the chain's polish ends there. u is laid
+        out as for phi_step. Returns (u, per chain the residual after each
+        kept step, per chain whether a step was discarded).
         """
-        lam = self.params.lam
+        lam, anchors = self.lam[self.live], self._live_anchors()
         force = _force(u, self.interaction, self.potential, lam)
-        res, history = _sup(force), []
+        res = _sup(force).tolist()
+        history, fallback = [[] for _ in res], [False] * len(res)
+        going = [k for k, r in enumerate(res) if r > self.tol]
         for _ in range(NEWTON_STEPS):
-            if res <= self.params.tol:
+            if not going:
                 break
-            _, A, B, C = _coefficients(u, self.interaction, self.potential, lam)
-            try:
-                step = _cyclic_reduction(-B, A + B + C, -A, force)
-            except np.linalg.LinAlgError:
-                return u, history, True
-            v = u.with_values(u.values - step)
-            force_v = _force(v, self.interaction, self.potential, lam)
-            res_v = _sup(force_v)
+            every = len(going) == len(res)
+            sel = slice(None) if every else going  # views while every chain goes
+            w = _take(u, going)
+            _, A, B, C = _coefficients(w, self.interaction, self.potential,
+                                       lam[sel, None])
+            v = w.with_values(w.values - _newton_step(-B, A + B + C, -A,
+                                                      force[:, sel]))
+            force_v = _force(v, self.interaction, self.potential, lam[sel])
+            res_v = _sup(force_v).tolist()
             # written so that a non-finite step fails both tests
-            if not (_sup(v.values - self.anchors.values) <= self._tube_radius
-                    and res_v < res):
-                return u, history, True
-            u, force, res = v, force_v, res_v
-            history.append(res)
-        return u, history, False
+            ok = [dist <= self._tube_radius and r < res[k] for k, dist, r in zip(
+                going, _sup(v.values - anchors[:, sel]).tolist(), res_v)]
+            if every and all(ok):
+                u, force, res = v, force_v, res_v
+            else:
+                kept = [j for j, o in enumerate(ok) if o]
+                for k, o in zip(going, ok):
+                    fallback[k] |= not o
+                going, values = [going[j] for j in kept], u.values.copy()
+                values[:, going], force[:, going] = v.values[:, kept], force_v[:, kept]
+                for k, j in zip(going, kept):
+                    res[k] = res_v[j]
+                u = u.with_values(values)
+            for k in going:
+                history[k].append(res[k])
+            going = [k for k in going if res[k] > self.tol]
+        return u, history, fallback
 
     def solve(self, initial: Configuration | None = None):
         """Iterate phi_step from the anchors (or a caller-supplied start in
         the tube) until the a-posteriori bound and the residual check both
-        pass. For a nearest-neighbour interaction, newton_polish runs after
-        the second step and the loop goes on with the closing step, so the
-        answer is still a tube-map image. Returns (configuration, report)."""
-        p = self.params
-        cert = self.cert
-        q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
-        step_threshold = p.tol * (1 - q) / q
-        u = initial if initial is not None else self.anchors
-        if u.window != self.window:
-            raise ValueError("initial configuration window mismatch")
-        steps, newton_steps, fallback = [], [], False
-        converged = False
-        final_res = last_res = np.inf
-        for k in range(p.max_iter):
-            if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
-                u, newton_steps, fallback = self.newton_polish(u)
-            u_next = self.phi_step(u)
-            delta = _sup(u_next.values - u.values)
-            steps.append(delta)
-            u = u_next
-            # below one float spacing of u a step cannot shrink further
-            if delta <= max(step_threshold, np.spacing(np.abs(u.values).max())):
-                final_res = residual(u, self.interaction, self.potential, p.lam)
-                if final_res <= p.tol:
-                    converged = True
-                    break
-                if final_res >= last_res:
-                    H = self.potential.hessian(u.values).reshape(len(u.values), -1)
-                    floor = p.lam * np.linalg.norm(H, axis=1).max() * 0.5 * (
-                        np.spacing(np.abs(u.values).max()))
-                    raise ConvergenceError(
-                        f"residual stalled at {final_res:.3e} above tol "
-                        f"{p.tol:.1e}; the float floor of this chain, "
-                        f"lam * max|H| * spacing(max|u|) / 2, is {floor:.3e}",
-                        trace=steps,
-                    )
-                last_res = final_res
-        if not converged:
-            if not np.isfinite(final_res):
-                final_res = residual(u, self.interaction, self.potential, p.lam)
-            raise ConvergenceError(
-                f"no convergence in {p.max_iter} iterations "
-                f"(last step {steps[-1]:.3e}, residual {final_res:.3e})",
-                trace=steps,
-            )
-        report = self._report(u, steps, final_res, converged, newton_steps,
-                              fallback)
-        return u, report
+        pass, case by case: a case leaves the stack when it converges or
+        fails. For a nearest-neighbour interaction, newton_polish runs
+        after the second step and the loop goes on with the closing step,
+        so the answer is still a tube-map image. Returns, per case,
+        (configuration, report) or the case's error, which also stays in
+        self.failures."""
+        try:
+            return self._solve(initial)
+        finally:
+            self._restart()  # phi_step and newton_polish serve every case again
 
-    def _report(self, u, steps, final_res, converged, newton_steps,
+    def _solve(self, initial):
+        cert, K = self.cert, len(self.cases)
+        q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
+        step_threshold = self.tol * (1 - q) / q
+        u = initial if initial is not None else self.anchors
+        if not self._fits(u):
+            raise ValueError("initial configuration window or case mismatch")
+        self.failures = dict(self._lost)
+        u = _take(u, self.live)
+        # each tail supplies its halo once up front, failing only its case
+        n, reach = self.window.half_width, self.interaction.reach
+        halo = np.concatenate([np.arange(-n - reach, -n), np.arange(n + 1, n + reach + 1)])
+        ended = {}
+        for j, tail in enumerate(u.tail.tails):
+            try:
+                tail.values(halo)
+            except CertificateError as exc:
+                ended[j] = exc
+        if ended:
+            u = _take(u, self._drop(ended))
+        steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
+        fallback, last_res, done = [False] * K, [np.inf] * K, {}
+        for k in range(self.max_iter):
+            if self.live.size == 0:
+                break
+            if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
+                u, hist, fell = self.newton_polish(u)
+                for c, h, f in zip(self.live, hist, fell):
+                    newton[c], fallback[c] = h, f
+            before = self.live
+            u_next = self.phi_step(u)
+            if len(self.live) < len(before):
+                u = _take(u, np.flatnonzero(np.isin(before, self.live)))
+            delta = _sup(u_next.values - u.values)
+            u = u_next
+            for c, dl in zip(self.live.tolist(), delta.tolist()):
+                steps[c].append(dl)
+            # below one float spacing of u a step cannot shrink further
+            floors = np.spacing(np.abs(u.values).max(axis=(0, 2))).tolist()
+            idx = [j for j, (dl, fl) in enumerate(zip(delta.tolist(), floors))
+                   if dl <= max(step_threshold, fl)]
+            if not idx:
+                continue
+            res = residual(_take(u, idx), self.interaction, self.potential,
+                           self.lam[self.live[idx]])
+            ended = {}
+            for j, c, r in zip(idx, self.live[idx].tolist(), res.tolist()):
+                if r <= self.tol:
+                    done[c], ended[j] = (u.chain(j), r), None
+                elif r >= last_res[c]:
+                    ended[j] = self._stalled(u.chain(j).values, c, r, steps[c])
+                last_res[c] = r
+            if ended:
+                u = _take(u, self._drop(ended))
+        if self.live.size:
+            res = np.array([last_res[c] for c in self.live.tolist()])
+            unknown = np.flatnonzero(~np.isfinite(res))
+            if unknown.size:
+                res[unknown] = residual(_take(u, unknown), self.interaction,
+                                        self.potential, self.lam[self.live[unknown]])
+            self._drop({j: ConvergenceError(
+                f"no convergence in {self.max_iter} iterations "
+                f"(last step {steps[c][-1]:.3e}, residual {r:.3e})",
+                trace=steps[c]) for j, (c, r) in enumerate(zip(self.live.tolist(), res))})
+        return [self.failures[c] if c in self.failures else
+                (done[c][0], self._report(c, done[c][0], steps[c], done[c][1],
+                                          newton[c], fallback[c]))
+                for c in range(K)]
+
+    def _stalled(self, values, c, res, steps) -> ConvergenceError:
+        H = self.potential.hessian(values).reshape(len(values), -1)
+        floor = self.cases[c].lam * np.linalg.norm(H, axis=1).max() * 0.5 * (
+            np.spacing(np.abs(values).max()))
+        return ConvergenceError(
+            f"residual stalled at {res:.3e} above tol {self.tol:.1e}; the "
+            f"float floor of this chain, lam * max|H| * spacing(max|u|) / 2, "
+            f"is {floor:.3e}", trace=steps)
+
+    def _report(self, c, u, steps, final_res, newton_steps,
                 newton_fallback) -> SolveReport:
+        p, threshold = self.cases[c], self.thresholds[c]
         noise_floor = 100 * np.finfo(float).eps * (
             1.0 + float(np.abs(u.values).max())
         )
@@ -357,29 +534,29 @@ class ContractionSolver:
             if steps[k] > noise_floor
         ]
         warnings = []
-        at_least = self.params.lam >= self.threshold
+        at_least = p.lam >= threshold
         if not at_least:
             warnings.append(
                 "coupling below the contraction threshold: no convergence "
                 "guarantee"
             )
-        d_anchor = _sup(u.values - self.anchors.values)
-        hom = homomorphism_configuration(self.params.rho, self.window)
+        d_anchor = _sup(u.values - self._anchors[:, c])
+        hom = homomorphism_configuration(p.rho, self.window)
         d_rho = ext_distance(u, hom)
         return SolveReport(
             iterations=len(steps),
-            converged=converged,
+            converged=True,
             final_residual=final_res,
             step_distances=steps,
             contraction_factor=max(ratios) if ratios else 0.0,
             distance_to_anchor=d_anchor,
             distance_to_rotation=d_rho,
             rotation_estimate=rotation_vector_estimate(u).tolist(),
-            lambda_threshold=self.threshold,
+            lambda_threshold=threshold,
             lambda_at_least_threshold=bool(at_least),
-            inner_tol=self.params.inner_tol,
+            inner_tol=p.inner_tol,
             truncation_error=self.interaction.truncation_error(
-                self.params.rho,
+                p.rho,
                 self.cert.ball_radius + self.cert.covering_radius,
             ),
             warnings=warnings,
@@ -392,9 +569,17 @@ def solve_equilibrium(params: SolveParams, interaction, potential,
                       cert: AubryCertificate,
                       initial: Configuration | None = None,
                       anchors: Configuration | None = None):
-    """One-call interface: build the solver and run it."""
-    solver = ContractionSolver(interaction, potential, cert, params, anchors)
-    return solver.solve(initial)
+    """One-call interface: solve the one-case batch of params, with
+    anchors and initial one chain each if given. Returns (configuration,
+    report) or raises the case's error."""
+    def stack(u):
+        return None if u is None else stack_chains([u])
+
+    [out] = ContractionSolver(interaction, potential, cert, [params],
+                              stack(anchors)).solve(stack(initial))
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 @dataclass

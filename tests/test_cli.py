@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -268,6 +269,130 @@ class TestSweep:
             },
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def _sweep_rows_alone(cfg_path):
+    """sweep.csv as solve_equilibrium and the hyperbolicity checks give
+    it, one case at a time (K = 1)."""
+    from antifk.cli import (_SWEEP_COLUMNS, _build_certificate,
+                            _build_interaction, _build_potential,
+                            _hyperbolic_checks)
+    from antifk.errors import (CertificateError, ConvergenceError,
+                               DomainError)
+    from antifk.solver import SolveParams, solve_equilibrium
+
+    cfg = json.loads(open(cfg_path).read())
+    block = cfg["sweep"]
+    V, interaction = _build_potential(cfg), _build_interaction(cfg)
+    cert = _build_certificate(cfg, V, cfg.get("seed", 0))
+    tol = block.get("tol", 1e-10)
+    lines = [",".join(_SWEEP_COLUMNS)]
+    for lam, rho in sorted((lam, rho) for lam in block["lams"] for rho in block["rhos"]):
+        row = dict.fromkeys(_SWEEP_COLUMNS, "")
+        row.update(lam=float(lam), rho=float(rho), status="ok")
+        try:
+            u, rep = solve_equilibrium(
+                SolveParams(lam=lam, rho=rho, window=block["half_width"], tol=tol,
+                            max_iter=block.get("max_iter", 200)),
+                interaction, V, cert)
+        except DomainError:
+            row["status"] = "domain-error"
+        except ConvergenceError:
+            row["status"] = "no-convergence"
+        except CertificateError:
+            row["status"] = "certificate-error"
+        else:
+            row.update(iterations=rep.iterations,
+                       final_residual=repr(rep.final_residual),
+                       contraction_factor=repr(rep.contraction_factor),
+                       distance_to_anchor=repr(rep.distance_to_anchor),
+                       distance_to_rotation=repr(rep.distance_to_rotation))
+            if block.get("hyperbolicity"):
+                report, _, orbit_tol = _hyperbolic_checks(u, interaction, V,
+                                                          lam, cert, tol)
+                row["hyperbolic_pass"] = str(bool(
+                    report.all_pass and report.orbit_deviation <= orbit_tol)).lower()
+        lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
+                              else str(row[c]) for c in _SWEEP_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+class TestStackedSweep:
+    """sweep solves its cases in stacked batches; every row must equal the
+    case solved alone, whatever the batch size and worker count."""
+
+    CONFIGS = {
+        # lam = 0.5 is too weak for the certificate
+        "cosine": {"potential": {"family": "cosine"},
+                   "sweep": {"lams": [0.5, 20.0, 40.0],
+                             "rhos": [0.3, 0.618, 1.7], "half_width": 8,
+                             "hyperbolicity": True}},
+        # the certificate's box is [-59.7, 59.7]: rho = 3 has no anchors
+        "almost-periodic": {
+            "potential": {"family": "almost-periodic-truncated",
+                          "term_count": 8, "amplitude_ratio": 0.5},
+            "certification": {"search_window": [-60.0, 60.0]},
+            "sweep": {"lams": [5.0, 24.0, 64.0], "rhos": [0.13, 0.41, 3.0],
+                      "half_width": 24, "hyperbolicity": True}},
+        # no Newton polish; lam = 40 needs 18 steps, beyond max_iter
+        "long-range": {
+            "interaction": {"kind": "long-range", "power": 2,
+                            "weights": {"1": 1.0, "2": 0.25}},
+            "sweep": {"lams": [25.0, 40.0, 200.0], "rhos": [0.3, 1.3],
+                      "half_width": 16, "max_iter": 15}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_rows_match_cases_alone(self, name, tmp_path, monkeypatch):
+        from antifk import cli
+
+        cfg = write_config(tmp_path / "s.json", self.CONFIGS[name])
+        expect = _sweep_rows_alone(cfg)
+        statuses = {line.split(",")[2] for line in expect.splitlines()[1:]}
+        assert "ok" in statuses and len(statuses) >= 2
+        # 2 cases per batch, the last one short
+        monkeypatch.setattr(cli, "_BATCH_ROWS", 2 * (2 * self.CONFIGS[name]
+                                                     ["sweep"]["half_width"] + 1))
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == 0
+            assert (out / "sweep.csv").read_text() == expect
+
+    def test_batches_cap_rows(self, tmp_path):
+        from antifk.cli import _BATCH_ROWS, _load_config, _sweep_payloads
+
+        cfg = write_config(tmp_path / "s.json", {
+            "potential": {"family": "cosine"},
+            "sweep": {"lams": [20.0, 30.0, 40.0, 50.0, 60.0],
+                      "rhos": [0.1, 0.2, 0.3, 0.4, 0.5], "half_width": 256}})
+        def sizes(workers):
+            args = SimpleNamespace(seed=None, workers=workers)
+            return [len(p[3]) for p in _sweep_payloads(_load_config(cfg), args)]
+
+        assert sizes(1) == sizes(4) == [7, 7, 7, 4] and 7 * 513 <= _BATCH_ROWS < 8 * 513
+        # more workers than full batches: smaller batches, one per worker
+        assert sizes(5) == [5] * 5 and sizes(8) == [4] * 6 + [1]
+
+    def test_hyperbolicity_failure_marks_its_row(self, tmp_path):
+        # an expansion m = 0.99 above the true cos(pi/4) fails the
+        # coefficient check |C_i| >= lam m at lam = 20 only
+        cert = {"zero_set": {"kind": "periodic", "base_points": [0.0],
+                             "period": np.pi},
+                "covering_radius": np.pi / 2, "ball_radius": 1.2,
+                "expansion": 0.99}
+        cfg = write_config(tmp_path / "s.json", {
+            "potential": {"family": "cosine"}, "certificate": cert,
+            "sweep": {"lams": [20.0, 40.0], "rhos": [0.5, 1.0],
+                      "half_width": 8, "hyperbolicity": True}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["certificate-error"] * 2 + ["ok"] * 2
+        for r in rows[:2]:  # the solve columns stay, the verdict is empty
+            assert r[3] == "3" and float(r[4]) <= 1e-10 and r[8] == ""
+        assert [r[8] for r in rows[2:]] == ["true", "true"]
 
 
 class TestJsonText:

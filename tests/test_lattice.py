@@ -14,6 +14,7 @@ from antifk import (
     SolveParams,
     Window,
     anchor_configuration,
+    anchor_stack,
     as_rotation,
     configuration_from_csv,
     configuration_to_csv,
@@ -24,6 +25,7 @@ from antifk import (
     rotation_vector_estimate,
     shift,
     solve_equilibrium,
+    stack_chains,
     translate,
 )
 from antifk.lattice import TAIL_PROBE
@@ -238,6 +240,25 @@ class TestAnchorConfiguration:
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius, Window(10, 1)
         )
         assert np.allclose(np.sin(a.values), 0.0, atol=1e-12)
+
+    def test_stack_holds_each_chain(self, cos_cert):
+        # one lookup for K rotation vectors gives each chain as its own
+        # lookup does, tail included
+        w, args = Window(9, 1), (cos_cert.sampler, cos_cert.covering_radius)
+        rhos = [0.3, -1.7, 2.9]
+        stack = anchor_stack(rhos, *args, w)
+        assert stack.values.shape == (19, 3, 1)
+        halo = np.array([-11, -10, 10, 11])
+        assert stack.tail.values(halo).shape == (4, 3, 1)
+        for k, rho in enumerate(rhos):
+            alone = anchor_configuration(rho, *args, w)
+            assert stack.chain(k).values.tobytes() == alone.values.tobytes()
+            assert stack.chain(k).tail.signature() == alone.tail.signature()
+            assert stack.tail.values(halo)[:, k].tobytes() == alone.tail.values(halo).tobytes()
+        again = stack_chains([stack.chain(k) for k in range(3)])
+        assert again.values.tobytes() == stack.values.tobytes()
+        with pytest.raises(ValueError, match="one window"):
+            stack_chains([stack.chain(0), anchor_configuration(0.3, *args, Window(8, 1))])
 
 
 class TestRotationEstimate:

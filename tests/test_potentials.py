@@ -318,7 +318,8 @@ class TestZeroPolish:
     def test_gradient_calls_bounded(self, monkeypatch):
         # one scan, one call for the bracket ends, one per bisection step
         # (under 64 to adjacent floats here), then the verification: one
-        # for the zeros and two per zero for the sampled pairs
+        # for the zeros and one per block of 4 zeros for the sampled pairs
+        # (256 pairs, 2048 rows a block)
         V = truncated_almost_periodic(8, 0.5)
         calls = []
         gradient = V.gradient
@@ -330,7 +331,53 @@ class TestZeroPolish:
         monkeypatch.setattr(V, "gradient", counting)
         cert = estimate_aubry(V, (-200.0, 200.0))
         zeros = cert.metadata["verification"]["zeros_checked"]
-        assert len(calls) <= 2 + 64 + 1 + 2 * zeros
+        assert len(calls) <= 2 + 64 + 1 + -(-zeros // 4)
+        assert max(calls) <= 4001  # the grid scan
+
+
+def _outcome(verify, *args):
+    """verify(*args)'s dict, or the text of the CertificationError it raises."""
+    try:
+        return verify(*args)
+    except CertificationError as exc:
+        return str(exc)
+
+
+def _verify_per_zero(cert, V, seed, covering_checks, pair_checks):
+    """AubryCertificate.verify as one loop over the zeros, two gradient
+    calls per zero: the reference for the blocked check."""
+    rng = np.random.default_rng(seed)
+    zeros = cert.representative_zeros()
+    worst_zero = float(np.linalg.norm(np.atleast_2d(V.gradient(zeros)), axis=1).max())
+    if worst_zero > cert.zero_tol:
+        raise CertificationError(
+            f"|psi| = {worst_zero:.3e} at a reported zero exceeds "
+            f"zero_tol = {cert.zero_tol:.3e}")
+    if isinstance(cert.sampler, PeriodicZeroSet):
+        lo = np.array([cert.sampler.base_points.min()])
+        hi = np.array([cert.sampler.base_points.min() + cert.sampler.period])
+    else:
+        lo, hi = cert.sampler.lo, cert.sampler.hi
+    centers = rng.uniform(lo, hi, size=(covering_checks, zeros.shape[1]))
+    cert.sampler.nearest(centers, cert.covering_radius * (1 + 1e-12) + 1e-12)
+    r, m = cert.ball_radius, cert.expansion
+    for z in zeros:
+        offsets = rng.uniform(-1.0, 1.0, size=(2 * pair_checks, zeros.shape[1]))
+        norms = np.linalg.norm(offsets, axis=1, keepdims=True)
+        offsets = offsets / np.maximum(norms, 1e-300) * (
+            rng.uniform(0, r, size=(2 * pair_checks, 1)))
+        xs, ys = z + offsets[:pair_checks], z + offsets[pair_checks:]
+        lhs = np.linalg.norm(V.gradient(xs) - V.gradient(ys), axis=1)
+        rhs = m * np.linalg.norm(xs - ys, axis=1)
+        bad = lhs < rhs * (1 - 1e-12) - 1e-15
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise CertificationError(
+                f"expansion failed near zero {z}: |psi(x)-psi(y)| = "
+                f"{lhs[j]:.6e} < m|x-y| = {rhs[j]:.6e}")
+    return {"covering_checks": covering_checks,
+            "pair_checks_per_zero": pair_checks,
+            "zeros_checked": int(zeros.shape[0])}
 
 
 class TestCertificateInvariants:
@@ -383,6 +430,38 @@ class TestCertificateInvariants:
                            match=r"covering fails at R = 0.5: no zero within "
                                  r"radius \S+ of \[?-?\d"):
             short.verify(cos_potential, seed=7)
+
+    @pytest.mark.parametrize("pair_checks", [1, 7, 256, 5000])
+    def test_verify_matches_the_per_zero_loop(self, pair_checks):
+        # blocks of zeros share a gradient call; the draws, the dict and
+        # the first failure (zero, pair, message) stay the per-zero loop's
+        V = truncated_almost_periodic(8, 0.5)
+        cert = estimate_aubry(V, (-60.0, 60.0))
+        assert cert.verify(V, seed=3, pair_checks=pair_checks) == \
+            _verify_per_zero(cert, V, 3, 256, pair_checks)
+        # an expansion m above the sampled one fails near some zero; at
+        # seed 1 and 1.04 m with 256 pairs, near zero 26 of 39, in the
+        # seventh block of 4
+        for seed, factor in ((1, 1.04), (3, 1.3), (3, 2.0)):
+            bogus = AubryCertificate(cert.sampler, cert.covering_radius,
+                                     cert.ball_radius, cert.expansion * factor)
+            expect = _outcome(_verify_per_zero, bogus, V, seed, 256, pair_checks)
+            assert _outcome(bogus.verify, V, seed, 256, pair_checks) == expect
+            if (seed, pair_checks) == (1, 256):
+                assert f"zero {cert.representative_zeros()[26]}:" in expect
+
+    def test_verify_matches_the_per_zero_loop_2d(self):
+        axis = np.pi * np.arange(-3, 4)
+        pts = np.array([[x, y] for x in axis for y in axis])
+        V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+        outcomes = []
+        for m in (np.cos(np.pi / 4), 0.9):
+            cert = AubryCertificate(FiniteZeroSet(pts, -9.0, 9.0),
+                                    np.pi / np.sqrt(2), np.pi / 4, m,
+                                    zero_tol=1e-12)
+            outcomes.append(_outcome(_verify_per_zero, cert, V, 5, 256, 300))
+            assert _outcome(cert.verify, V, 5, 256, 300) == outcomes[-1]
+        assert isinstance(outcomes[0], dict) and "expansion failed" in outcomes[1]
 
     def test_json_roundtrip(self, cos_cert):
         d = cos_cert.to_json_dict()
@@ -589,7 +668,8 @@ def _finite_nearest_slab_reduce(s, xs, radius, block=32, gap=1024):
     slab, d) difference array and reduces it over its last axis, and
     starts a new block of rows where more than ``gap`` points lie between
     two sorted rows. The column-by-column kernel, one block every
-    ``block`` rows, must match it bit for bit, errors included."""
+    ``block`` rows (d > 1), and the one-searchsorted lookup (d = 1) must
+    match it bit for bit, errors included."""
     xs = np.asarray(xs, dtype=float).reshape(-1, s.dimension)
     s._check_box(xs)
     pts = s.points[np.lexsort(s.points.T[::-1])]
@@ -747,6 +827,73 @@ class TestFiniteNearest:
         with pytest.raises(CertificateError, match=r"of \[nan\]"):
             _finite_nearest_by_rows(s, xs, 2.0)
         assert s.nearest(xs[[0, 1, 3]], 2.0)[:, 0].tolist() == [0.0, np.pi, -2 * np.pi]
+
+
+class TestFiniteNearest1d:
+    """The d = 1 lookup (one searchsorted) against the slab loop."""
+
+    @staticmethod
+    def _points(rng):
+        # duplicated points, and clusters closer together than the 1e-12
+        # tie margin
+        pts = np.sort(rng.uniform(-40, 40, 150))
+        near = pts[::10] + rng.choice([1e-13, 3e-13, 2e-12], size=15)
+        return np.concatenate([pts, pts[::7], near])
+
+    def test_random_queries(self, rng):
+        pts = self._points(rng)
+        s = FiniteZeroSet(pts, pts.min(), pts.max())
+        radius = np.diff(np.sort(pts)).max() / 2 * (1 + 1e-12) + 1e-12
+        xs = np.concatenate([rng.uniform(pts.min(), pts.max(), 500), pts])[:, None]
+        _assert_matches_slab_reduce(s, xs, radius)
+        assert s.nearest(xs, radius).tobytes() == \
+            _finite_nearest_by_rows(s, xs, radius).tobytes()
+
+    def test_midpoints_tie_to_the_lower_point(self, rng):
+        pts = np.sort(rng.uniform(-40, 40, 90))
+        s = FiniteZeroSet(pts, pts[0], pts[-1])
+        mids = 0.5 * (pts[1:] + pts[:-1])
+        radius = np.diff(pts).max()
+        got = s.nearest(mids[:, None], radius)
+        _assert_matches_slab_reduce(s, mids[:, None], radius)
+        # where both neighbours are equally far, the lower one wins
+        even = np.abs(mids - pts[:-1]) == np.abs(pts[1:] - mids)
+        assert even.sum() > 10
+        assert np.array_equal(got[even, 0], pts[:-1][even])
+
+    def test_near_ties_walk_to_the_lowest(self):
+        # four points within the tie margin of each other: every query
+        # between them answers the lowest one
+        base = 10.0
+        pts = np.array([base, base + 2e-13, base + 4e-13, base + 6e-13, 12.0, 8.0])
+        s = FiniteZeroSet(pts, 8.0, 12.0)
+        xs = np.array([[base + 3e-13], [base + 7e-13], [base - 1e-3], [10.9]])
+        got = s.nearest(xs, 1.5)
+        _assert_matches_slab_reduce(s, xs, 1.5)
+        assert got[:, 0].tolist() == [base, base, base, base]
+
+    def test_no_zero_names_the_first_row(self, rng):
+        pts = np.arange(-20, 21) * np.pi
+        s = FiniteZeroSet(pts, pts[0], pts[-1])
+        xs = rng.uniform(-60, 60, (200, 1))
+        xs[[17, 150]] = [[np.pi / 2], [-5 * np.pi / 2]]
+        _assert_matches_slab_reduce(s, xs, 1.2)
+        with pytest.raises(CertificateError, match=r"of \[1\.57079633\]"):
+            s.nearest(np.concatenate([xs[:17] * 0, xs[17:]]), 1.2)
+
+    def test_box_checked_first(self):
+        pts = np.arange(-5, 6) * np.pi
+        s = FiniteZeroSet(pts, pts[0], pts[-1])
+        xs = np.array([[0.5], [np.pi / 2], [30.0], [1.0]])
+        with pytest.raises(CertificateError, match="outside the validity box"):
+            s.nearest(xs, 0.1)  # row 1 has no zero, but row 2 is out of box
+        _assert_matches_slab_reduce(s, xs, 0.1)
+
+    def test_empty_set_and_empty_query(self):
+        s = FiniteZeroSet(np.empty((0, 1)), -1.0, 1.0)
+        with pytest.raises(CertificateError, match="no zero"):
+            s.nearest(np.array([[0.0]]), 1.0)
+        assert s.nearest(np.empty((0, 1)), 1.0).shape == (0, 1)
 
 
 class TestSerialization:

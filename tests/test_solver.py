@@ -3,6 +3,7 @@ import pytest
 
 from antifk import (
     AubryCertificate,
+    CertificateError,
     ContractionSolver,
     ConvergenceError,
     DomainError,
@@ -10,6 +11,7 @@ from antifk import (
     LongRangeInteraction,
     NearestNeighborInteraction,
     PerturbedQuadraticCoupling,
+    PeriodicZeroSet,
     SolveParams,
     TrigSumPotential,
     Window,
@@ -20,10 +22,11 @@ from antifk import (
     lambda_threshold,
     residual,
     solve_equilibrium,
+    stack_chains,
     translate,
     uniqueness_check,
 )
-from antifk.solver import _cyclic_reduction
+from antifk.solver import _cyclic_reduction, _newton_step
 
 from oracles import fd_gradient, newton_solve_config
 
@@ -85,8 +88,8 @@ class TestPhiStep:
         # the solver's anchors come from params.rho, the rotation of u's tail
         u = homomorphism_configuration(as_rotation(1.0), Window(10, 1))
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
-                                   make_params(lam=20.0, rho=1.0, n=10))
-        out = solver.phi_step(u)
+                                   [make_params(lam=20.0, rho=1.0, n=10)])
+        out = solver.phi_step(stack_chains([u])).chain(0)
         a = anchor_configuration(
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius, u.window
         )
@@ -106,13 +109,14 @@ class TestPhiStep:
         )
         solver = ContractionSolver(
             nn_interaction, cos_potential, cos_cert,
-            make_params(lam=lam, rho=1.0, n=10, inner_tol=1e-14), anchors=a,
+            [make_params(lam=lam, rho=1.0, n=10, inner_tol=1e-14)],
+            anchors=stack_chains([a]),
         )
         for _ in range(25):
             u = a.with_values(a.values + rng.uniform(-r, r, size=a.values.shape))
             v = a.with_values(a.values + rng.uniform(-r, r, size=a.values.shape))
-            fu = solver.phi_step(u)
-            fv = solver.phi_step(v)
+            fu = solver.phi_step(stack_chains([u])).chain(0)
+            fv = solver.phi_step(stack_chains([v])).chain(0)
             assert ext_distance(fu, fv) <= q * ext_distance(u, v) * (1 + 1e-6) + 1e-12
 
     def test_domain_error_when_coupling_too_weak(self, nn_interaction,
@@ -122,10 +126,11 @@ class TestPhiStep:
             Window(8, 1),
         )
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
-                                   make_params(lam=0.5, rho=1.0, n=8))
-        with pytest.raises(DomainError) as err:
-            solver.phi_step(a)
-        assert err.value.site is not None
+                                   [make_params(lam=0.5, rho=1.0, n=8)])
+        # the case leaves the stack with its error
+        assert solver.phi_step(stack_chains([a])).values.shape == (17, 0, 1)
+        assert isinstance(solver.failures[0], DomainError)
+        assert solver.failures[0].site is not None
 
     def test_window_mismatch(self, nn_interaction, cos_potential, cos_cert):
         params = make_params(lam=20.0, rho=1.0, n=10)
@@ -134,11 +139,13 @@ class TestPhiStep:
             Window(9, 1),
         )
         with pytest.raises(ValueError):
-            ContractionSolver(nn_interaction, cos_potential, cos_cert, params,
-                              anchors=a)
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+            ContractionSolver(nn_interaction, cos_potential, cos_cert, [params],
+                              anchors=stack_chains([a]))
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
         with pytest.raises(ValueError):
-            solver.solve(initial=a)
+            solver.solve(initial=stack_chains([a]))
+        with pytest.raises(ValueError):  # one chain per case
+            solver.solve(initial=stack_chains([solver.anchors.chain(0)] * 2))
 
 
 class TestResidual:
@@ -184,8 +191,8 @@ class TestSolve:
 
     def test_containment(self, nn_interaction, cos_potential, cos_cert):
         params = make_params()
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        u, rep = solver.solve()
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
+        [(u, rep)] = solver.solve()
         r, R = cos_cert.ball_radius, cos_cert.covering_radius
         assert rep.distance_to_anchor <= r + 1e-12
         assert rep.distance_to_rotation <= r + R + 1e-12
@@ -198,23 +205,23 @@ class TestSolve:
                                        cos_cert):
         params = make_params(lam=25.0, rho=0.8, n=12)
         u, _ = solve_equilibrium(params, nn_interaction, cos_potential, cos_cert)
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
         vg = lambda x: -np.sin(x)
         vh = lambda x: -np.cos(x)
-        ref = newton_solve_config(solver.anchors, 25.0, vg, vh, tol=1e-13)
+        ref = newton_solve_config(solver.anchors.chain(0), 25.0, vg, vh, tol=1e-13)
         assert np.abs(u.values - ref).max() < 1e-9
 
     def test_perturbed_start_same_fixed_point(self, nn_interaction,
                                               cos_potential, cos_cert, rng):
         params = make_params()
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        u1, _ = solver.solve()
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
+        [(u1, _)] = solver.solve()
         r = cos_cert.ball_radius
         init = solver.anchors.with_values(
             solver.anchors.values
             + rng.uniform(-r / 2, r / 2, size=solver.anchors.values.shape)
         )
-        u2, _ = solver.solve(initial=init)
+        [(u2, _)] = solver.solve(initial=init)
         assert ext_distance(u1, u2) < 1e-10
 
     def test_below_threshold_warns_but_may_converge(self, nn_interaction,
@@ -260,11 +267,11 @@ class TestFloatFloor:
 
     def test_far_chain_converges(self, nn_interaction, cos_potential, cos_cert):
         params = make_params(lam=40.0, rho=40.0, n=512)
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        u, rep = solver.solve()
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
+        [(u, rep)] = solver.solve()
         assert np.abs(u.values).max() > 2e4
         assert rep.converged and rep.final_residual <= params.tol
-        ref = newton_solve_config(solver.anchors, 40.0, lambda x: -np.sin(x),
+        ref = newton_solve_config(solver.anchors.chain(0), 40.0, lambda x: -np.sin(x),
                                   lambda x: -np.cos(x), tol=1e-9)
         assert np.abs(u.values - ref).max() < 1e-9
 
@@ -300,14 +307,14 @@ class TestAnchoredBranches:
     def test_uniqueness_after_reperturbation(self, nn_interaction, cos_potential,
                                              cos_cert, rng):
         params = make_params(n=8)
-        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        u1, _ = solver.solve()
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
+        [(u1, _)] = solver.solve()
         r = cos_cert.ball_radius
         init = solver.anchors.with_values(
             solver.anchors.values
             + rng.uniform(-r / 2, r / 2, size=solver.anchors.values.shape)
         )
-        u2, _ = solver.solve(initial=init)
+        [(u2, _)] = solver.solve(initial=init)
         v = uniqueness_check(u1, u2, cos_cert)
         assert v.same_ball
         assert v.within_tolerance
@@ -357,7 +364,8 @@ class _TubeMapOnly(ContractionSolver):
     """The solver with the Newton phase switched off."""
 
     def newton_polish(self, u):
-        return u, [], False
+        chains = u.values.shape[1]
+        return u, [[] for _ in range(chains)], [False] * chains
 
 
 def _cos2d_case(rho=(0.41, 0.53), n=40):
@@ -426,17 +434,17 @@ class TestNewtonPolish:
     def test_d1_matches_tube_map_only(self, nn_interaction, cos_potential,
                                       cos_cert):
         params = make_params(lam=40.0, rho=0.618, n=512)
-        u, rep = ContractionSolver(nn_interaction, cos_potential, cos_cert,
-                                   params).solve()
-        v, vrep = _TubeMapOnly(nn_interaction, cos_potential, cos_cert,
-                               params).solve()
+        [(u, rep)] = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                       [params]).solve()
+        [(v, vrep)] = _TubeMapOnly(nn_interaction, cos_potential, cos_cert,
+                                   [params]).solve()
         assert rep.iterations < vrep.iterations and vrep.newton_steps == []
         assert np.abs(u.values - v.values).max() <= 1e-11
 
     def test_d2_matches_tube_map_only(self):
         nn, V, cert, params = _cos2d_case()
-        u, rep = ContractionSolver(nn, V, cert, params).solve()
-        v, vrep = _TubeMapOnly(nn, V, cert, params).solve()
+        [(u, rep)] = ContractionSolver(nn, V, cert, [params]).solve()
+        [(v, vrep)] = _TubeMapOnly(nn, V, cert, [params]).solve()
         assert rep.newton_steps and not rep.newton_fallback
         assert rep.final_residual <= params.tol
         assert np.abs(u.values - v.values).max() <= 1e-11
@@ -454,11 +462,171 @@ class TestNewtonPolish:
         # every site of the start sits on its anchor ball's edge
         params = make_params(lam=40.0, rho=0.618, n=128)
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
-                                   params)
-        u1, _ = solver.solve()
+                                   [params])
+        [(u1, _)] = solver.solve()
         a = solver.anchors
         signs = rng.choice((-1.0, 1.0), size=a.values.shape)
         edge = a.with_values(a.values + cos_cert.ball_radius * signs)
-        u2, rep = solver.solve(initial=edge)
+        [(u2, rep)] = solver.solve(initial=edge)
         assert rep.converged and not rep.newton_fallback
         assert np.abs(u2.values - u1.values).max() < 1e-11
+
+
+def _alone(params, interaction, V, cert):
+    """solve_equilibrium's outcome: (configuration, report) or its error."""
+    try:
+        return solve_equilibrium(params, interaction, V, cert)
+    except (CertificateError, ConvergenceError, DomainError) as exc:
+        return exc
+
+
+def _assert_batch_matches_alone(interaction, V, cert, params, size):
+    """Each case solved in stacked batches of size cases equals its solve
+    alone bit for bit: chain, tail, every report field, or the error."""
+    got = []
+    for lo in range(0, len(params), size):
+        got += ContractionSolver(interaction, V, cert, params[lo:lo + size]).solve()
+    statuses = []
+    for p, outcome in zip(params, got):
+        expect = _alone(p, interaction, V, cert)
+        if isinstance(expect, Exception):
+            assert type(outcome) is type(expect) and str(outcome) == str(expect)
+            statuses.append(type(expect).__name__)
+            continue
+        (u, rep), (v, vrep) = outcome, expect
+        assert u.values.shape == v.values.shape and u.values.flags.c_contiguous
+        assert u.values.tobytes() == v.values.tobytes()
+        assert u.tail.signature() == v.tail.signature()
+        assert repr(rep.to_json_dict()) == repr(vrep.to_json_dict())
+        statuses.append("ok")
+    return statuses
+
+
+def _grid(lams, rhos, n, **kw):
+    return [SolveParams(lam=lam, rho=rho, window=n, **kw)
+            for lam in lams for rho in rhos]
+
+
+class TestStackedSolve:
+    """A batch (a list of SolveParams) solves its cases as stacked chains;
+    every case must equal its solve alone (K = 1) bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 5, 12])
+    def test_cosine_periodic(self, size, nn_interaction, cos_potential, cos_cert):
+        params = _grid((20.0, 40.0, 60.0), (0.3, 0.618, 1.7, 2.9), 64)
+        statuses = _assert_batch_matches_alone(
+            nn_interaction, cos_potential, cos_cert, params, size)
+        assert statuses == ["ok"] * 12
+
+    def test_almost_periodic_finite_certificate(self):
+        from antifk import estimate_aubry, truncated_almost_periodic
+
+        V = truncated_almost_periodic(8, 0.5)
+        cert = estimate_aubry(V, (-60.0, 60.0))
+        nn = NearestNeighborInteraction()
+        # the zero set's box is [-59.7, 59.7]: at rho = 3 the window leaves
+        # it (no anchors), at rho = 2.45 only the halo sites +-25 do; lam =
+        # 5 is too weak for the certificate
+        assert 2.45 * 24 < cert.sampler.hi[0] < 2.45 * 25
+        params = _grid((5.0, 24.0, 64.0), (0.13, 0.41, 3.0, 2.45), 24)
+        statuses = _assert_batch_matches_alone(nn, V, cert, params, 7)
+        assert statuses == ["DomainError"] * 2 + ["CertificateError"] * 2 + (
+            ["ok"] * 2 + ["CertificateError"] * 2) * 2
+
+    def test_long_range_without_newton(self, cos_potential, cos_cert):
+        lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
+        # lam = 40 needs 18 steps, beyond max_iter; lam = 25 is too weak
+        params = _grid((25.0, 40.0, 80.0, 200.0), (0.3, 0.618, 1.3), 32,
+                       max_iter=15)
+        statuses = _assert_batch_matches_alone(lr, cos_potential, cos_cert,
+                                               params, 5)
+        assert statuses == ["DomainError"] * 3 + ["ConvergenceError"] * 3 + ["ok"] * 6
+        outcomes = ContractionSolver(lr, cos_potential, cos_cert, params[6:]).solve()
+        assert all(rep.newton_steps == [] for _, rep in outcomes)
+
+    def test_local_inverse_failure_maps_to_its_case(self, nn_interaction,
+                                                    cos_potential):
+        # an expansion m = 0.99 above the true 0.707 admits targets in
+        # (sin(pi/4), r m] that have no root in the ball: at lam = 4.2 the
+        # local inverse fails on some row, at lam = 3 the domain check
+        cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2,
+                                np.pi / 4, 0.99)
+        cases = [(40.0, 0.3), (3.0, 0.3), (4.2, 0.618), (40.0, 0.618),
+                 (4.2, 0.3), (11.0, 0.7)]
+        params = [SolveParams(lam=lam, rho=rho, window=16) for lam, rho in cases]
+        statuses = _assert_batch_matches_alone(nn_interaction, cos_potential,
+                                               cert, params, 6)
+        assert statuses == ["ok", "DomainError", "ConvergenceError", "ok",
+                            "ConvergenceError", "ok"]
+        solver = ContractionSolver(nn_interaction, cos_potential, cert, params)
+        solver.solve()
+        assert sorted(solver.failures) == [1, 2, 4]
+        assert "row 3: no root" in str(solver.failures[2])
+        assert solver.failures[2].row == 3
+
+    def test_steps_serve_every_case_after_a_solve(self, nn_interaction,
+                                                  cos_potential, cos_cert):
+        # a solve takes its cases out of the stack as they finish or fail;
+        # afterwards phi_step and newton_polish serve every case again
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                   [make_params(lam=40.0, n=8)])
+        [(u, _)] = solver.solve()
+        assert solver.phi_step(solver.anchors).values.shape == (17, 1, 1)
+        weak = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                 [make_params(lam=0.5, n=8)])
+        for _ in range(2):
+            assert isinstance(weak.solve()[0], DomainError)
+        batch = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                  [make_params(lam=lam, n=8) for lam in (0.5, 40.0)])
+        assert isinstance(batch.solve()[0], DomainError)
+        assert batch.live.tolist() == [0, 1] and list(batch.failures) == [0]
+        assert batch.newton_polish(batch.anchors)[0].values.shape == (17, 2, 1)
+
+    def test_newton_discards_some_chains(self, nn_interaction, cos_potential,
+                                         cos_cert, monkeypatch):
+        # a step that raises the residual for the chains whose force is
+        # positive at the first site: a rule each chain meets alone as in a
+        # batch (a sum over sites would round by the stack's layout)
+        from antifk import solver as solver_module
+
+        newton = solver_module._cyclic_reduction
+
+        def bad(lower, diag, upper, rhs):
+            step = newton(lower, diag, upper, rhs)
+            step[:, rhs[0, :, 0] > 0] *= -1
+            return step
+
+        monkeypatch.setattr(solver_module, "_cyclic_reduction", bad)
+        params = _grid((30.0, 50.0), (0.3, 0.618, 1.1, 2.2), 40)
+        statuses = _assert_batch_matches_alone(
+            nn_interaction, cos_potential, cos_cert, params, 8)
+        assert statuses == ["ok"] * 8
+        fell = [rep.newton_fallback for _, rep in ContractionSolver(
+            nn_interaction, cos_potential, cos_cert, params).solve()]
+        assert any(fell) and not all(fell)
+
+    def test_d2_batch(self):
+        nn, V, cert, _ = _cos2d_case()
+        params = [SolveParams(lam=lam, rho=list(rho), window=40)
+                  for lam in (30.0, 40.0) for rho in ((0.41, 0.53), (0.2, 0.7))]
+        assert _assert_batch_matches_alone(nn, V, cert, params, 4) == ["ok"] * 4
+
+    def test_singular_block_fails_only_its_chain(self, rng):
+        n, d, K = 33, 2, 3
+        lower, upper = rng.standard_normal((2, n, K, d, d))
+        diag = rng.standard_normal((n, K, d, d)) + 4 * d * np.eye(d)
+        diag[5, 1] = 0.0  # chain 1 meets a singular block
+        rhs = rng.standard_normal((n, K, d))
+        with pytest.raises(np.linalg.LinAlgError):
+            _cyclic_reduction(lower, diag, upper, rhs)
+        step = _newton_step(lower, diag, upper, rhs)
+        assert np.isnan(step[:, 1]).all()
+        for k in (0, 2):
+            alone = _cyclic_reduction(lower[:, k], diag[:, k], upper[:, k], rhs[:, k])
+            assert step[:, k].tobytes() == alone.tobytes()
+
+    def test_batch_must_share_window(self, nn_interaction, cos_potential,
+                                     cos_cert):
+        with pytest.raises(ValueError, match="shares one window"):
+            ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                              [make_params(n=8), make_params(n=9)])
