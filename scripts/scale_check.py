@@ -24,6 +24,9 @@ that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
 batch and the peak memory the solves allocate (tracemalloc): the time
 per case shows the per-call overhead a batch shares, the memory why the
 batch size is bounded.
+
+``src_lines`` is the line count of the library's modules
+(``src/antifk/*.py``), which the BENCH files track beside the timings.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import platform
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -161,6 +165,12 @@ def sweep_times() -> dict:
     }
 
 
+def src_lines() -> int:
+    """Lines of the library's modules, src/antifk/*.py."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in Path(antifk.__file__).parent.glob("*.py"))
+
+
 def scale_check() -> dict:
     per_size = {n: layer_times(n) for n in HALF_WIDTHS}
     sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
@@ -184,6 +194,7 @@ def scale_check() -> dict:
         "layers": layers,
         "estimate_aubry": estimate_aubry_times(),
         "sweep": sweep_times(),
+        "src_lines": src_lines(),
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "antifk": antifk.__version__},
     }

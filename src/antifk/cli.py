@@ -24,6 +24,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     CertificateError,
@@ -198,8 +200,6 @@ def _estimate_certificate(block, potential, seed):
 def _json_text(obj, pad="\n"):
     """json.dumps(obj, indent=2, sort_keys=True); nonempty rectangular number
     arrays skip the slow pure-Python indenting encoder for the C one."""
-    import numpy as np
-
     inner = pad + "  "
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         items = (json.dumps(k) + ": " + _json_text(v, inner)
@@ -303,7 +303,7 @@ def _cmd_solve(args):
             "params": {
                 "lam": params.lam,
                 "rho": params.rho.rho.tolist(),
-                "half_width": params.half_width,
+                "half_width": params.window.half_width,
                 "tol": params.tol,
                 "max_iter": params.max_iter,
                 "inner_tol": params.inner_tol,
@@ -540,6 +540,8 @@ def _sweep_payloads(cfg, args):
         pairs = [(float(lam), float(rho)) for lam in lams for rho in rhos]
     if not pairs:
         raise ConfigError("sweep grid is empty")
+    if not np.isfinite(pairs).all():
+        raise ConfigError("sweep lam and rho values must be finite")
     potential = _build_potential(cfg)
     interaction = _build_interaction(cfg)
     cert = _build_certificate(cfg, potential, _seed(cfg, args))

@@ -349,7 +349,7 @@ def ext_distance(u: Configuration, v: Configuration) -> float:
     cannot produce values that far out).
     """
     if u.window != v.window:
-        raise ValueError("configurations live on different windows")
+        raise ValueError("configurations lie on different windows")
     core = float(np.linalg.norm(u.values - v.values, axis=1).max())
     if u.tail.signature() == v.tail.signature():
         return core

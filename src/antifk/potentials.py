@@ -666,12 +666,12 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
         sign = np.array([1.0, -1.0])
         for _ in range(64):  # adjacent floats at 512 samples and r >= 1e-6 r_cap
             mid = 0.5 * (lo + hi)
-            live = (lo < mid) & (mid < hi)
-            if not live.any():
+            wide = (lo < mid) & (mid < hi)  # brackets wider than adjacent floats
+            if not wide.any():
                 break
-            ok = live.copy()
-            ok[live] = ~(_sigma_min(V.hessian((zeros + sign * mid)[live][:, None])) < m)
-            lo, hi = np.where(ok, mid, lo), np.where(live & ~ok, mid, hi)
+            ok = wide.copy()
+            ok[wide] = ~(_sigma_min(V.hessian((zeros + sign * mid)[wide][:, None])) < m)
+            lo, hi = np.where(ok, mid, lo), np.where(wide & ~ok, mid, hi)
         if lo.min() < 1e-6 * r_cap:
             raise CertificationError(_NEAR_ZERO_FAILURE)
         return float(lo.min())
@@ -722,8 +722,11 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     random points per ball. All properties are re-verified on random
     samples before returning.
     """
-    if radius_samples < 1:
-        raise ValueError(f"radius_samples must be >= 1, got {radius_samples}")
+    for name, count in (("radius_samples", radius_samples),
+                        ("covering_checks", covering_checks),
+                        ("pair_checks", pair_checks)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
     hi = np.atleast_1d(np.asarray(search_window[1], dtype=float))
     d = getattr(V, "dimension", lo.shape[0])

@@ -18,7 +18,7 @@ the same a-posteriori bound as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .hyperbolicity import _coefficients
 from .interactions import NearestNeighborInteraction
 from .lattice import (
     Configuration,
+    HomomorphismTail,
     StackedTail,
     Window,
     anchor_configuration,
@@ -71,22 +72,22 @@ class SolveParams:
                 f"window dimension {self.window.dimension} does not match "
                 f"rotation vector ({self.rho.dimension})"
             )
+        if self.inner_tol is None:
+            # keep lam * inner_tol comfortably below tol so the residual
+            # verification is reachable
+            self.inner_tol = self.tol / (100.0 * max(1.0, self.lam / 10.0))
+        for name, value in (("lam", self.lam), ("rho", self.rho.rho),
+                            ("tol", self.tol), ("inner_tol", self.inner_tol)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam <= 0:
             raise ValueError("coupling strength must be positive")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.inner_tol is None:
-            # keep lam * inner_tol comfortably below tol so the residual
-            # verification is reachable
-            self.inner_tol = self.tol / (100.0 * max(1.0, self.lam / 10.0))
         if self.inner_tol > self.tol / 10.0:
             raise ValueError("inner_tol must be at most tol / 10")
-
-    @property
-    def half_width(self) -> int:
-        return self.window.half_width
 
 
 @dataclass
@@ -108,23 +109,7 @@ class SolveReport:
     newton_fallback: bool = False  # a Newton step was discarded
 
     def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_residual": self.final_residual,
-            "step_distances": [float(s) for s in self.step_distances],
-            "contraction_factor": self.contraction_factor,
-            "distance_to_anchor": self.distance_to_anchor,
-            "distance_to_rotation": self.distance_to_rotation,
-            "rotation_estimate": self.rotation_estimate,
-            "lambda_threshold": self.lambda_threshold,
-            "lambda_at_least_threshold": self.lambda_at_least_threshold,
-            "inner_tol": self.inner_tol,
-            "truncation_error": self.truncation_error,
-            "warnings": list(self.warnings),
-            "newton_steps": [float(s) for s in self.newton_steps],
-            "newton_fallback": self.newton_fallback,
-        }
+        return asdict(self)
 
 
 def lambda_threshold(interaction, rho, cert: AubryCertificate) -> float:
@@ -218,14 +203,6 @@ def _reduce(a, b, c, f, inv, mul, mv):
     return x
 
 
-def _take(u: Configuration, idx) -> Configuration:
-    """The chains idx (ascending) of a stack, as a stack."""
-    if len(idx) == u.values.shape[1]:
-        return u
-    return Configuration(u.window, u.values[:, idx],
-                         StackedTail(tuple(u.tail.tails[k] for k in idx)))
-
-
 def _newton_step(lower, diag, upper, rhs) -> np.ndarray:
     """_cyclic_reduction of K stacked chains; a chain that meets a singular
     block gets a NaN step, which its Newton acceptance test discards."""
@@ -246,11 +223,11 @@ class ContractionSolver:
     The solver iterates its K cases as chains stacked site-axis-first,
     (n, K, d), through the same steps: every kernel works row by row, so
     each case takes the float operations it takes alone. anchors, if
-    given, and initial hold K stacked chains. self.live lists the cases
-    phi_step and newton_polish serve: during a solve those still
-    iterating, otherwise every case with anchors. A case that fails leaves
-    the stack with its error in self.failures. solve_equilibrium is the
-    one-case call.
+    given, and initial hold K stacked chains. The stack keeps all K chains
+    from the first step to the last: phi_step and newton_polish update the
+    cases named by their ids and carry every other chain over as it is. A
+    case that fails records its error in self.failures. solve_equilibrium
+    is the one-case call.
     """
 
     def __init__(self, interaction, potential, cert: AubryCertificate,
@@ -285,12 +262,6 @@ class ContractionSolver:
                            for p in self.cases]
         self._tube_radius = cert.ball_radius * (1 + 1e-9) + 1e-12
         self.failures = dict(self._lost)
-        self._restart()
-
-    def _restart(self):
-        """Every case live again but those without anchors."""
-        self.live = np.array([k for k in range(len(self.cases))
-                              if k not in self._lost], dtype=int)
 
     def _fits(self, u: Configuration) -> bool:
         """Whether u holds one chain per case on the solver's window."""
@@ -314,73 +285,80 @@ class ContractionSolver:
                 chains.append(homomorphism_configuration(rot, self.window))
         return stack_chains(chains)
 
-    def _live_anchors(self) -> np.ndarray:
-        """The anchors of the live cases (no copy while all are live)."""
-        if len(self.live) == self._anchors.shape[1]:
-            return self._anchors
-        return self._anchors[:, self.live]
+    def _cases(self, cases) -> list:
+        """The case ids cases in ascending order, by default every case
+        with anchors."""
+        if cases is None:
+            return [c for c in range(len(self.cases)) if c not in self._lost]
+        return sorted(cases)
 
-    def _drop(self, ended: dict) -> np.ndarray:
-        """Take the live cases at the stack positions in ended out of the
-        stack, each with its error (None: it converged). Returns the
-        positions of the cases kept."""
-        for j, exc in ended.items():
-            if exc is not None:
-                self.failures[int(self.live[j])] = exc
-        keep = np.array([j for j in range(len(self.live)) if j not in ended], dtype=int)
-        self.live = self.live[keep]
-        return keep
+    def _sel(self, cases):
+        """The case-axis index of the case ids cases: a slice while they
+        are every case, so that the kernels read views, not copies."""
+        return slice(None) if len(cases) == len(self.cases) else cases
 
-    def phi_step(self, u: Configuration) -> Configuration:
+    def phi_step(self, u: Configuration, cases=None) -> Configuration:
         """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam)
         around the solver's anchors a, each local inverse started at u_i
-        projected onto its anchor ball. u holds the chains of the live
-        cases, stacked.
+        projected onto its anchor ball. u holds one chain per case,
+        stacked; the chains of the case ids cases (by default every case
+        with anchors) are stepped, every other chain is carried over.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
         anchor ball (certificate violation) with a CertificateError; one
         whose local inverse fails on a row with that row's
-        ConvergenceError. A failing case leaves the stack (see _drop), and
-        the image holds the others.
+        ConvergenceError. A failing case keeps its chain, and its error
+        goes into self.failures.
         """
+        cases = self._cases(cases)
         limit, half_width = self.cert.admissible_radius, u.window.half_width
-        targets = -self.interaction.delta(u) / self.lam[self.live]
+        targets = -self.interaction.delta(u) / self.lam
         norms = np.linalg.norm(targets, axis=-1)
-        if norms.max() > limit * (1 + 1e-9):
-            worst, sites = norms.max(axis=0), norms.argmax(axis=0) - half_width
-            over = worst > limit * (1 + 1e-9)
-            keep = self._drop({j: DomainError(
-                f"|Delta(u)_i / lam| = {worst[j]:.6e} exceeds r*m = {limit:.6e} "
-                f"at site {sites[j]}; coupling too weak for this certificate",
-                site=int(sites[j]), norm=float(worst[j]), limit=limit,
-            ) for j in np.flatnonzero(over).tolist()})
-            u, targets = _take(u, keep), targets[:, keep]
-        n, k, d = u.values.shape
+        worst, ended = norms.max(axis=0), {}
+        over = (worst > limit * (1 + 1e-9)).tolist()
+        for c in cases:
+            if over[c]:
+                site = int(norms[:, c].argmax()) - half_width
+                ended[c] = DomainError(
+                    f"|Delta(u)_i / lam| = {worst[c]:.6e} exceeds r*m = {limit:.6e} "
+                    f"at site {site}; coupling too weak for this certificate",
+                    site=site, norm=float(worst[c]), limit=limit,
+                )
+        n, d = u.values.shape[0], u.values.shape[-1]
         while True:
-            anchors, tol = self._live_anchors(), self.inner_tol[self.live]
+            going = [c for c in cases if c not in ended]
+            sel = self._sel(going)
+            tol = self.inner_tol[sel]
             try:
-                new_values = local_inverse_batch(
-                    self.potential, anchors.reshape(-1, d), targets.reshape(-1, d),
-                    self.cert, tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
-                    start=u.values.reshape(-1, d),
-                ).reshape(n, k, d)
+                new = local_inverse_batch(
+                    self.potential, self._anchors[:, sel].reshape(-1, d),
+                    targets[:, sel].reshape(-1, d), self.cert,
+                    tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
+                    start=u.values[:, sel].reshape(-1, d),
+                ).reshape(n, len(going), d)
                 break
-            except ConvergenceError as exc:  # row = site * k + case
-                site, case = divmod(exc.row, k)
-                keep = self._drop({case: ConvergenceError(
-                    str(exc).replace(f"row {exc.row}", f"row {site}", 1), row=site)})
-                u, targets, k = _take(u, keep), targets[:, keep], k - 1
-        drift = _sup(new_values - anchors)
-        if k and drift.max() > self._tube_radius:
-            keep = self._drop({j: CertificateError(
-                f"tube map left the anchor ball: {drift[j]:.6e} > r = "
-                f"{self.cert.ball_radius:.6e}")
-                for j in np.flatnonzero(drift > self._tube_radius).tolist()})
-            u, new_values = _take(u, keep), new_values[:, keep]
-        return u.with_values(new_values)
+            except ConvergenceError as exc:  # row = site * len(going) + j
+                site, j = divmod(exc.row, len(going))
+                ended[going[j]] = ConvergenceError(
+                    str(exc).replace(f"row {exc.row}", f"row {site}", 1), row=site)
+        drift = _sup(new - self._anchors[:, sel]).tolist()
+        for c, dist in zip(going, drift):
+            if dist > self._tube_radius:
+                ended[c] = CertificateError(
+                    f"tube map left the anchor ball: {dist:.6e} > r = "
+                    f"{self.cert.ball_radius:.6e}")
+        self.failures.update(ended)
+        values = new
+        if not isinstance(sel, slice):
+            values = u.values.copy()
+            values[:, going] = new
+        if ended:
+            back = list(ended)
+            values[:, back] = u.values[:, back]
+        return u.with_values(values)
 
-    def newton_polish(self, u: Configuration):
+    def newton_polish(self, u: Configuration, cases=None):
         """Newton steps L delta = F(u) on each whole chain, L the
         block-tridiagonal Jacobian of F (blocks -B_i, A_i + B_i + C_i, -A_i
         of the tangent recursion), solved by cyclic reduction for all the
@@ -390,61 +368,53 @@ class ContractionSolver:
         closing tube-map step within the stopping rule when lam is above
         the threshold, or after NEWTON_STEPS steps. A step that leaves the
         tube |u - a| <= r, does not lower the residual or meets a singular
-        block is discarded, and the chain's polish ends there. u is laid
-        out as for phi_step. Returns (u, per chain the residual after each
-        kept step, per chain whether a step was discarded).
+        block is discarded, and the chain's polish ends there. u and cases
+        are as for phi_step. Returns (u, per case the residual after each
+        kept step, per case whether a step was discarded).
         """
-        lam, anchors = self.lam[self.live], self._live_anchors()
-        force = _force(u, self.interaction, self.potential, lam)
+        K = len(self.cases)
+        force = _force(u, self.interaction, self.potential, self.lam)
         res = _sup(force).tolist()
-        history, fallback = [[] for _ in res], [False] * len(res)
-        going = [k for k, r in enumerate(res) if r > self.tol]
+        history, fallback = [[] for _ in range(K)], [False] * K
+        going = [c for c in self._cases(cases) if res[c] > self.tol]
         for _ in range(NEWTON_STEPS):
             if not going:
                 break
-            every = len(going) == len(res)
-            sel = slice(None) if every else going  # views while every chain goes
-            w = _take(u, going)
-            _, A, B, C = _coefficients(w, self.interaction, self.potential,
-                                       lam[sel, None])
-            v = w.with_values(w.values - _newton_step(-B, A + B + C, -A,
-                                                      force[:, sel]))
-            force_v = _force(v, self.interaction, self.potential, lam[sel])
-            res_v = _sup(force_v).tolist()
-            # written so that a non-finite step fails both tests
-            ok = [dist <= self._tube_radius and r < res[k] for k, dist, r in zip(
-                going, _sup(v.values - anchors[:, sel]).tolist(), res_v)]
-            if every and all(ok):
-                u, force, res = v, force_v, res_v
+            sel = self._sel(going)
+            A, B, C = (x[:, sel] for x in _coefficients(
+                u, self.interaction, self.potential, self.lam[:, None])[1:])
+            step = _newton_step(-B, A + B + C, -A, force[:, sel])
+            if isinstance(sel, slice):
+                v = u.with_values(u.values - step)
             else:
-                kept = [j for j, o in enumerate(ok) if o]
-                for k, o in zip(going, ok):
-                    fallback[k] |= not o
-                going, values = [going[j] for j in kept], u.values.copy()
-                values[:, going], force[:, going] = v.values[:, kept], force_v[:, kept]
-                for k, j in zip(going, kept):
-                    res[k] = res_v[j]
-                u = u.with_values(values)
-            for k in going:
-                history[k].append(res[k])
-            going = [k for k in going if res[k] > self.tol]
+                v = u.with_values(u.values.copy())
+                v.values[:, going] -= step
+            force_v = _force(v, self.interaction, self.potential, self.lam)
+            res_v = _sup(force_v).tolist()
+            dist = _sup(v.values - self._anchors).tolist()
+            # written so that a non-finite step fails both tests
+            bad = [c for c in going
+                   if not (dist[c] <= self._tube_radius and res_v[c] < res[c])]
+            if bad:  # a discarded step leaves its chain as it was
+                v.values[:, bad] = u.values[:, bad]
+                for c in bad:
+                    fallback[c], res_v[c] = True, res[c]
+            u, force, res = v, force_v, res_v
+            going = [c for c in going if not fallback[c]]
+            for c in going:
+                history[c].append(res[c])
+            going = [c for c in going if res[c] > self.tol]
         return u, history, fallback
 
     def solve(self, initial: Configuration | None = None):
         """Iterate phi_step from the anchors (or a caller-supplied start in
         the tube) until the a-posteriori bound and the residual check both
-        pass, case by case: a case leaves the stack when it converges or
+        pass, case by case: a case stops in place when it converges or
         fails. For a nearest-neighbour interaction, newton_polish runs
         after the second step and the loop goes on with the closing step,
         so the answer is still a tube-map image. Returns, per case,
         (configuration, report) or the case's error, which also stays in
         self.failures."""
-        try:
-            return self._solve(initial)
-        finally:
-            self._restart()  # phi_step and newton_polish serve every case again
-
-    def _solve(self, initial):
         cert, K = self.cert, len(self.cases)
         q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
         step_threshold = self.tol * (1 - q) / q
@@ -452,62 +422,57 @@ class ContractionSolver:
         if not self._fits(u):
             raise ValueError("initial configuration window or case mismatch")
         self.failures = dict(self._lost)
-        u = _take(u, self.live)
         # each tail supplies its halo once up front, failing only its case
         n, reach = self.window.half_width, self.interaction.reach
         halo = np.concatenate([np.arange(-n - reach, -n), np.arange(n + 1, n + reach + 1)])
-        ended = {}
-        for j, tail in enumerate(u.tail.tails):
-            try:
-                tail.values(halo)
-            except CertificateError as exc:
-                ended[j] = exc
-        if ended:
-            u = _take(u, self._drop(ended))
+        for c, tail in enumerate(u.tail.tails):
+            if c not in self.failures:
+                try:
+                    tail.values(halo)
+                except CertificateError as exc:
+                    self.failures[c] = exc
+        if self.failures:
+            # a failed case's rotation supplies its halo, so that every
+            # step can evaluate the whole stack
+            u = Configuration(u.window, u.values, StackedTail(tuple(
+                HomomorphismTail(p.rho) if c in self.failures else tail
+                for c, (p, tail) in enumerate(zip(self.cases, u.tail.tails)))))
+        running = [c for c in range(K) if c not in self.failures]
         steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
         fallback, last_res, done = [False] * K, [np.inf] * K, {}
         for k in range(self.max_iter):
-            if self.live.size == 0:
+            if not running:
                 break
             if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
-                u, hist, fell = self.newton_polish(u)
-                for c, h, f in zip(self.live, hist, fell):
-                    newton[c], fallback[c] = h, f
-            before = self.live
-            u_next = self.phi_step(u)
-            if len(self.live) < len(before):
-                u = _take(u, np.flatnonzero(np.isin(before, self.live)))
-            delta = _sup(u_next.values - u.values)
+                u, newton, fallback = self.newton_polish(u, running)
+            u_next = self.phi_step(u, running)
+            running = [c for c in running if c not in self.failures]
+            delta = _sup(u_next.values - u.values).tolist()
             u = u_next
-            for c, dl in zip(self.live.tolist(), delta.tolist()):
-                steps[c].append(dl)
+            for c in running:
+                steps[c].append(delta[c])
             # below one float spacing of u a step cannot shrink further
             floors = np.spacing(np.abs(u.values).max(axis=(0, 2))).tolist()
-            idx = [j for j, (dl, fl) in enumerate(zip(delta.tolist(), floors))
-                   if dl <= max(step_threshold, fl)]
-            if not idx:
+            close = [c for c in running if delta[c] <= max(step_threshold, floors[c])]
+            if not close:
                 continue
-            res = residual(_take(u, idx), self.interaction, self.potential,
-                           self.lam[self.live[idx]])
-            ended = {}
-            for j, c, r in zip(idx, self.live[idx].tolist(), res.tolist()):
-                if r <= self.tol:
-                    done[c], ended[j] = (u.chain(j), r), None
-                elif r >= last_res[c]:
-                    ended[j] = self._stalled(u.chain(j).values, c, r, steps[c])
-                last_res[c] = r
-            if ended:
-                u = _take(u, self._drop(ended))
-        if self.live.size:
-            res = np.array([last_res[c] for c in self.live.tolist()])
-            unknown = np.flatnonzero(~np.isfinite(res))
-            if unknown.size:
-                res[unknown] = residual(_take(u, unknown), self.interaction,
-                                        self.potential, self.lam[self.live[unknown]])
-            self._drop({j: ConvergenceError(
-                f"no convergence in {self.max_iter} iterations "
-                f"(last step {steps[c][-1]:.3e}, residual {r:.3e})",
-                trace=steps[c]) for j, (c, r) in enumerate(zip(self.live.tolist(), res))})
+            res = residual(u, self.interaction, self.potential, self.lam).tolist()
+            for c in close:
+                if res[c] <= self.tol:
+                    done[c] = (u.chain(c), res[c])
+                elif res[c] >= last_res[c]:
+                    self.failures[c] = self._stalled(u.chain(c).values, c, res[c],
+                                                     steps[c])
+                last_res[c] = res[c]
+            running = [c for c in running if c not in done and c not in self.failures]
+        if running:
+            res = residual(u, self.interaction, self.potential, self.lam).tolist()
+            for c in running:
+                r = last_res[c] if np.isfinite(last_res[c]) else res[c]
+                self.failures[c] = ConvergenceError(
+                    f"no convergence in {self.max_iter} iterations "
+                    f"(last step {steps[c][-1]:.3e}, residual {r:.3e})",
+                    trace=steps[c])
         return [self.failures[c] if c in self.failures else
                 (done[c][0], self._report(c, done[c][0], steps[c], done[c][1],
                                           newton[c], fallback[c]))
@@ -590,12 +555,7 @@ class UniquenessVerdict:
     within_tolerance: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "same_ball": self.same_ball,
-            "distance": self.distance,
-            "tol": self.tol,
-            "within_tolerance": self.within_tolerance,
-        }
+        return asdict(self)
 
 
 def uniqueness_check(u: Configuration, u2: Configuration,
@@ -603,7 +563,7 @@ def uniqueness_check(u: Configuration, u2: Configuration,
     """Decide whether two configurations share an anchor ball at every
     site; if they do, they must coincide (checked against 10 * tol)."""
     if u.window != u2.window:
-        raise ValueError("configurations live on different windows")
+        raise ValueError("configurations lie on different windows")
     r = cert.ball_radius
     slack = r * (1 + 1e-9) + 1e-12
     same = True

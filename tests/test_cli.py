@@ -66,6 +66,23 @@ class TestCertify:
         assert "radius_samples must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["covering_checks", "pair_checks"])
+    def test_zero_checks_exit_1(self, key, tmp_path, capsys):
+        # a certificate whose covering or expansion was never sampled
+        cfg = write_config(
+            tmp_path / "c.json",
+            {
+                "potential": {"family": "cosine"},
+                "certification": {"search_window": [-10.0, 10.0], key: 0},
+            },
+        )
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_artifacts_and_exit(self, tmp_path):
@@ -98,6 +115,20 @@ class TestSolve:
     def test_weak_coupling_exits_4(self, tmp_path):
         cfg = solve_config(tmp_path, lam=0.5)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", float("inf")), ("tol", float("nan")), ("lam", float("nan")),
+        ("lam", float("inf")), ("lam", -float("inf")), ("rho", float("nan")),
+        ("rho", float("inf")), ("inner_tol", float("nan")),
+        ("inner_tol", -float("inf")),
+    ])
+    def test_non_finite_input_exits_1(self, key, value, tmp_path, capsys):
+        cfg = solve_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err
+        assert not out.exists()
 
     def test_unknown_key_exits_1(self, tmp_path):
         cfg = write_config(
@@ -241,6 +272,22 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(b),
                      "--workers", "2"]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("key", ["lams", "rhos"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_grid_entry_exits_1(self, key, value, tmp_path, capsys,
+                                           monkeypatch):
+        from antifk import cli
+
+        def never(payload):
+            raise AssertionError("a case was solved")
+
+        monkeypatch.setattr(cli, "_sweep_batch", never)
+        cfg = self.sweep_config(tmp_path, **{key: [0.5, value]})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_case_list_with_failures(self, tmp_path):
         cfg = self.sweep_config(

@@ -41,11 +41,11 @@ class TestSolveParams:
     def test_window_coercion(self):
         p = make_params(n=12)
         assert p.window == Window(12, 1)
-        assert p.half_width == 12
+        assert p.window.half_width == 12
 
     def test_window_object_accepted(self):
         p = SolveParams(lam=20.0, rho=1.0, window=Window(8, 1))
-        assert p.half_width == 8
+        assert p.window.half_width == 8
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,8 +127,10 @@ class TestPhiStep:
         )
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                    [make_params(lam=0.5, rho=1.0, n=8)])
-        # the case leaves the stack with its error
-        assert solver.phi_step(stack_chains([a])).values.shape == (17, 0, 1)
+        # the case stops in place: it keeps its chain and records its error
+        out = solver.phi_step(stack_chains([a]))
+        assert out.values.shape == (17, 1, 1)
+        assert out.chain(0).values.tobytes() == a.values.tobytes()
         assert isinstance(solver.failures[0], DomainError)
         assert solver.failures[0].site is not None
 
@@ -363,7 +365,7 @@ def _dense(lower, diag, upper):
 class _TubeMapOnly(ContractionSolver):
     """The solver with the Newton phase switched off."""
 
-    def newton_polish(self, u):
+    def newton_polish(self, u, cases=None):
         chains = u.values.shape[1]
         return u, [[] for _ in range(chains)], [False] * chains
 
@@ -566,8 +568,8 @@ class TestStackedSolve:
 
     def test_steps_serve_every_case_after_a_solve(self, nn_interaction,
                                                   cos_potential, cos_cert):
-        # a solve takes its cases out of the stack as they finish or fail;
-        # afterwards phi_step and newton_polish serve every case again
+        # a solve stops its cases in place as they finish or fail; by
+        # default phi_step and newton_polish serve every case
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                    [make_params(lam=40.0, n=8)])
         [(u, _)] = solver.solve()
@@ -579,7 +581,7 @@ class TestStackedSolve:
         batch = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                   [make_params(lam=lam, n=8) for lam in (0.5, 40.0)])
         assert isinstance(batch.solve()[0], DomainError)
-        assert batch.live.tolist() == [0, 1] and list(batch.failures) == [0]
+        assert batch._cases(None) == [0, 1] and list(batch.failures) == [0]
         assert batch.newton_polish(batch.anchors)[0].values.shape == (17, 2, 1)
 
     def test_newton_discards_some_chains(self, nn_interaction, cos_potential,
@@ -604,6 +606,19 @@ class TestStackedSolve:
         fell = [rep.newton_fallback for _, rep in ContractionSolver(
             nn_interaction, cos_potential, cos_cert, params).solve()]
         assert any(fell) and not all(fell)
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_stalled_case_in_a_batch(self, size, nn_interaction,
+                                     cos_potential, cos_cert):
+        # rho = 40 at half_width = 1024 puts |u| near 4e4, where the
+        # residual stalls above tol at the chain's float floor; the other
+        # cases run on past its stop
+        params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
+        statuses = _assert_batch_matches_alone(
+            nn_interaction, cos_potential, cos_cert, params, size)
+        assert statuses == ["ok", "ConvergenceError", "ok", "ok"]
+        assert "residual stalled" in str(
+            _alone(params[1], nn_interaction, cos_potential, cos_cert))
 
     def test_d2_batch(self):
         nn, V, cert, _ = _cos2d_case()
