@@ -23,7 +23,10 @@ that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
 (7 is what ``antifk sweep`` uses at this window), with the rows per
 batch and the peak memory the solves allocate (tracemalloc): the time
 per case shows the per-call overhead a batch shares, the memory why the
-batch size is bounded.
+batch size is bounded. Its ``epilogue_s`` times, at the same batch
+sizes, the work ``antifk sweep`` does on each batch after the solve: the
+solve reports (whose distances to the rotation share one tail probe)
+and the hyperbolicity checks of the batch's stacked chains.
 
 ``src_lines`` is the line count of the library's modules
 (``src/antifk/*.py``), which the BENCH files track beside the timings.
@@ -56,7 +59,9 @@ from antifk import (
     truncated_almost_periodic,
     verify_cone_conditions,
 )
+from antifk.cli import _hyperbolic_checks
 from antifk.hyperbolicity import _coefficients
+from antifk.lattice import stack_chains
 from antifk.solver import _cyclic_reduction, _force
 
 HALF_WIDTHS = (32, 512, 4096, 16384)
@@ -141,13 +146,32 @@ def sweep_times() -> dict:
         for lo in range(0, len(cases), k):
             ContractionSolver(nn, V, cert, cases[lo:lo + k]).solve()
 
-    s, peak = [], []
+    def solved(k):
+        """(solver, converged cases as its report step takes them) per batch"""
+        batches = []
+        for lo in range(0, len(cases), k):
+            solver = ContractionSolver(nn, V, cert, cases[lo:lo + k])
+            batches.append((solver, {
+                c: (u, rep.final_residual, rep.step_distances, rep.newton_steps,
+                    rep.newton_fallback)
+                for c, (u, rep) in enumerate(solver.solve())}))
+        return batches
+
+    def epilogue_all(batches):
+        for solver, done in batches:
+            solver._reports(done)
+            _hyperbolic_checks(stack_chains([u for u, *_ in done.values()]), nn, V,
+                               [solver.cases[c].lam for c in done], cert, TOL)
+
+    s, peak, epilogue = [], [], []
     for k in SWEEP_BATCHES:
         s.append(best_of(lambda: solve_all(k)))
         tracemalloc.start()
         solve_all(k)
         peak.append(tracemalloc.get_traced_memory()[1] / 2**20)
         tracemalloc.stop()
+        batches = solved(k)
+        epilogue.append(best_of(lambda: epilogue_all(batches)))
     sites = 2 * SWEEP_HALF_WIDTH + 1
     return {
         "what": (f"the {len(cases)} solves of a sweep in process, best of "
@@ -155,13 +179,17 @@ def sweep_times() -> dict:
                  "ratio 0.5, certificate estimated over [-200, 200], lams "
                  f"{list(SWEEP_LAMS)}, rhos {list(SWEEP_RHOS)}, half_width "
                  f"{SWEEP_HALF_WIDTH}, in stacked batches of k cases; "
-                 "peak_mb is the most memory the solves hold at once (tracemalloc)"),
+                 "peak_mb is the most memory the solves hold at once (tracemalloc); "
+                 "epilogue_s is each batch's reports and stacked hyperbolicity "
+                 "checks after its solve"),
         "cases": len(cases),
         "cases_per_batch": list(SWEEP_BATCHES),
         "rows_per_batch": [k * sites for k in SWEEP_BATCHES],
         "s": s,
         "ms_per_case": [1e3 * t / len(cases) for t in s],
         "peak_mb": peak,
+        "epilogue_s": epilogue,
+        "epilogue_ms_per_case": [1e3 * t / len(cases) for t in epilogue],
     }
 
 

@@ -37,12 +37,10 @@ from .errors import (
 )
 from .hyperbolicity import (
     HyperbolicityCertificate,
+    check_stack,
     cone_splitting,
     legendre_bounds,
-    momentum,
     orbit_to_csv,
-    verify_cone_conditions,
-    verify_orbit,
 )
 from .interactions import NearestNeighborInteraction, interaction_from_dict
 from .lattice import (
@@ -52,6 +50,7 @@ from .lattice import (
     as_rotation,
     configuration_from_csv,
     configuration_to_csv,
+    stack_chains,
 )
 from .potentials import (
     AubryCertificate,
@@ -337,25 +336,36 @@ def _hyp_setting(hblock, sblock, key):
     )
 
 
-def _hyperbolic_checks(u, interaction, potential, lam, cert, tol, horizon=None,
+def _hyperbolic_checks(u, interaction, potential, lams, cert, tol, horizon=None,
                        orbit_tol=None):
-    """(report, momenta, orbit_tol) of u for hyperbolicity and sweep; orbit_tol
-    defaults to 10 tol (1 + lam sup|hess V|), the splitting needs a horizon."""
-    verdict = verify_cone_conditions(u, interaction, potential, lam, cert)
-    try:
-        split = None if horizon is None else cone_splitting(
-            u, interaction, potential, lam, horizon=int(horizon))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    p = momentum(u, interaction, potential, lam)
-    if orbit_tol is None:
-        orbit_tol = 10.0 * tol * (1.0 + lam * potential.hessian_sup_bound())
-    report = HyperbolicityCertificate(
-        lam=lam, cone=verdict.cone, verdict=verdict, splitting=split,
-        legendre_sigma_bounds=legendre_bounds(interaction.coupling),
-        orbit_deviation=verify_orbit(u, p, interaction, potential, lam),
-    )
-    return report, p, orbit_tol
+    """The hyperbolicity pipeline of hyperbolicity and sweep. Per chain k of
+    the stack u (n, K, d), at coupling lams[k]: (report, momenta,
+    orbit_tol), or the CertificateError of a chain whose coefficients fail
+    the certificate, which marks that chain only. The cone verdicts,
+    momenta and orbit checks of all chains come from one pass
+    (check_stack); the splitting, given a horizon, reuses a chain's
+    coefficients. orbit_tol defaults to 10 tol (1 + lam sup|hess V|)."""
+    checks, (sites, A, B, C) = check_stack(u, interaction, potential, lams, cert)
+    sup, out = potential.hessian_sup_bound(), []
+    for k, (lam, check) in enumerate(zip(lams, checks)):
+        if isinstance(check, CertificateError):
+            out.append(check)
+            continue
+        verdict, p, deviation = check
+        try:
+            split = None if horizon is None else cone_splitting(
+                u.chain(k), interaction, potential, lam, horizon=int(horizon),
+                coefficients=(sites, A[:, k], B[:, k], C[:, k]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        report = HyperbolicityCertificate(
+            lam=lam, cone=verdict.cone, verdict=verdict, splitting=split,
+            legendre_sigma_bounds=legendre_bounds(interaction.coupling),
+            orbit_deviation=deviation,
+        )
+        out.append((report, p, 10.0 * tol * (1.0 + lam * sup)
+                     if orbit_tol is None else orbit_tol))
+    return out
 
 
 def _cmd_hyperbolicity(args):
@@ -405,11 +415,15 @@ def _cmd_hyperbolicity(args):
     horizon = hblock.get("horizon")
     if horizon is None:
         horizon = min(20, max(u.window.half_width - 1, 1))
-    report, p, orbit_tol = _hyperbolic_checks(
-        u, interaction, potential, lam, cert, sblock.get("tol", 1e-10),
+    [outcome] = _hyperbolic_checks(
+        stack_chains([u]), interaction, potential, [lam], cert,
+        sblock.get("tol", 1e-10),
         horizon=horizon if hblock.get("splitting", True) else None,
         orbit_tol=hblock.get("orbit_tol"),
     )
+    if isinstance(outcome, CertificateError):
+        raise outcome
+    report, p, orbit_tol = outcome
     report.warnings = warnings
     verdict, deviation = report.verdict, report.orbit_deviation
     orbit_pass = bool(deviation <= orbit_tol)
@@ -460,15 +474,16 @@ def _solution_context(hblock, sblock):
 
 
 def _sweep_batch(payload):
-    """Worker for one batch of (lam, rho) cells, solved as stacked chains;
-    must stay importable for pickling. A case's failure, in its solve or in
-    its hyperbolicity checks, marks only its own row."""
+    """Worker for one batch of (lam, rho) cells, solved as stacked chains,
+    whose converged chains then go through the hyperbolicity checks as one
+    stack; must stay importable for pickling. A case's failure, in its
+    solve or in its hyperbolicity checks, marks only its own row."""
     (potential, interaction, cert, cases, half_width, tol, max_iter,
      check_hyp) = payload
     params = [SolveParams(lam=lam, rho=rho, window=half_width, tol=tol,
                           max_iter=max_iter) for lam, rho in cases]
     outcomes = ContractionSolver(interaction, potential, cert, params).solve()
-    rows = []
+    rows, solved = [], []
     for (lam, rho), outcome in zip(cases, outcomes):
         row = dict.fromkeys(_SWEEP_COLUMNS, "")
         row.update(lam=lam, rho=rho, status="ok")
@@ -484,14 +499,16 @@ def _sweep_batch(payload):
             distance_to_anchor=repr(rep.distance_to_anchor),
             distance_to_rotation=repr(rep.distance_to_rotation),
         )
-        if check_hyp:
-            try:
-                report, _, orbit_tol = _hyperbolic_checks(
-                    u, interaction, potential, lam, cert, tol
-                )
-            except CertificateError:
+        solved.append((row, u, lam))
+    if check_hyp and solved:
+        rows_ok, chains, lams = zip(*solved)
+        checks = _hyperbolic_checks(stack_chains(chains), interaction, potential,
+                                    lams, cert, tol)
+        for row, check in zip(rows_ok, checks):
+            if isinstance(check, CertificateError):
                 row["status"] = "certificate-error"
                 continue
+            report, _, orbit_tol = check
             row["hyperbolic_pass"] = str(
                 bool(report.all_pass and report.orbit_deviation <= orbit_tol)
             ).lower()

@@ -12,6 +12,11 @@ conditions are checked exactly in one dimension and by norm bounds
 otherwise. The same data feeds the symplectic side: conjugate momenta,
 the twist map they generate, and the discrete Legendre transform linking
 position pairs to (x, p) pairs.
+
+check_stack runs the checks on K chains stacked as (n, K, d), each at its
+own coupling, in one pass; the kernels work row by row, so each chain
+gets the floats it gets alone. verify_cone_conditions, momentum and
+verify_orbit are the one-chain views.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import CertificateError, ConvexityError
 from .interactions import NearestNeighborInteraction, QuadraticCoupling
-from .lattice import Configuration
+from .lattice import Configuration, stack_chains
 
 __all__ = [
     "LinearizationSite",
@@ -40,6 +45,7 @@ __all__ = [
     "legendre_transform",
     "legendre_bounds",
     "verify_orbit",
+    "check_stack",
     "HyperbolicityCertificate",
     "orbit_to_csv",
 ]
@@ -84,28 +90,31 @@ def _coefficients(u: Configuration, interaction, potential, lam):
     return u.window.sites(), A, B, C
 
 
-def _check_coefficients(sites, A, B, C, coupling, lam: float, cert,
-                        slack: float = 1e-9):
-    """CertificateError unless the coupling hessians stay below the
-    convexity ceiling and sigma_min(C_i) >= lam * m; returns the singular
-    values of A and B (largest first), which the cone verdict bounds with."""
+def _check_coefficients(sites, A, B, C, coupling, lams, cert, slack: float = 1e-9):
+    """Per chain of stacked coefficients (n, K, d, d) at couplings lams: the
+    CertificateError of a chain whose coupling hessians exceed the
+    convexity ceiling or whose sigma_min(C_i) falls below lam * m, else
+    None. Also returns the singular values of A and B (largest first),
+    which the cone verdict bounds with."""
     upper = coupling.convexity_bounds[1]
     sva, svb = _sv(A), _sv(B)
-    sa, sb = sva.max(), svb.max()
-    if max(sa, sb) > upper * (1 + slack):
-        raise CertificateError(
-            f"coupling hessian norm {max(sa, sb):.6e} exceeds the "
-            f"convexity ceiling {upper:.6e}"
-        )
+    top = np.maximum(sva.max(axis=(0, 2)), svb.max(axis=(0, 2))).tolist()
     sc = _sv(C).min(axis=-1)
-    floor = lam * cert.expansion
-    if sc.min() < floor * (1 - slack):
-        k = int(np.argmin(sc))
-        raise CertificateError(
-            f"|C| = {sc.min():.6e} below lam * m = {floor:.6e} at site "
-            f"{int(sites[k])}; configuration left the certified tube"
-        )
-    return sva, svb
+    low, at = sc.min(axis=0).tolist(), sites[sc.argmin(axis=0)].tolist()
+    errors = []
+    for k, lam in enumerate(lams):
+        floor = lam * cert.expansion
+        if top[k] > upper * (1 + slack):
+            errors.append(CertificateError(
+                f"coupling hessian norm {top[k]:.6e} exceeds the "
+                f"convexity ceiling {upper:.6e}"))
+        elif low[k] < floor * (1 - slack):
+            errors.append(CertificateError(
+                f"|C| = {low[k]:.6e} below lam * m = {floor:.6e} at site "
+                f"{at[k]}; configuration left the certified tube"))
+        else:
+            errors.append(None)
+    return sva, svb, errors
 
 
 def linearize(u: Configuration, interaction, potential, lam: float,
@@ -119,7 +128,10 @@ def linearize(u: Configuration, interaction, potential, lam: float,
     """
     sites, A, B, C = _coefficients(u, interaction, potential, lam)
     if cert is not None:
-        _check_coefficients(sites, A, B, C, interaction.coupling, lam, cert, slack)
+        [error] = _check_coefficients(sites, A[:, None], B[:, None], C[:, None],
+                                      interaction.coupling, [lam], cert, slack)[2]
+        if error is not None:
+            raise error
     return [
         LinearizationSite(site=int(s), A=A[k], B=B[k], C=C[k])
         for k, s in enumerate(sites)
@@ -196,14 +208,14 @@ class ConeVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "sites": [int(s) for s in self.sites],
+            "sites": list(self.sites),
             "cone": self.cone.to_json_dict(),
-            "forward_growth": [float(x) for x in self.forward_growth],
-            "forward_pair_margin": [float(x) for x in self.forward_pair_margin],
-            "backward_growth": [float(x) for x in self.backward_growth],
-            "backward_pair_margin": [float(x) for x in self.backward_pair_margin],
-            "forward_pass": [bool(x) for x in self.forward_pass],
-            "backward_pass": [bool(x) for x in self.backward_pass],
+            "forward_growth": list(self.forward_growth),
+            "forward_pair_margin": list(self.forward_pair_margin),
+            "backward_growth": list(self.backward_growth),
+            "backward_pair_margin": list(self.backward_pair_margin),
+            "forward_pass": list(self.forward_pass),
+            "backward_pass": list(self.backward_pass),
             "all_pass": self.all_pass,
             "phonon_gap": self.phonon_gap,
             "worst_sites": dict(self.worst_sites),
@@ -245,9 +257,50 @@ _ROUND = 8 * np.finfo(float).eps  # covers LAPACK's sigma error and the rounding
 def _cone_bounds(p, q, ss, aperture: float, mu: float):
     """Lower bounds of the worst growth and pair margin of P^{-1} (S xi - Q o),
     |o| <= aperture |xi|, from |P|, |Q| and sigma(S); g < 0 is not squared."""
-    g = (ss[:, -1] - aperture * q - _ROUND * (ss[:, 0] + aperture * q)) / p
+    g = (ss[..., -1] - aperture * q - _ROUND * (ss[..., 0] + aperture * q)) / p
     gain, loss = 1.0 + np.maximum(g, 0.0) ** 2, mu**2 * (1.0 + aperture**2)
     return g, gain - loss - _ROUND * (gain + loss)
+
+
+def _cone_verdicts(sites, A, B, C, sva, svb, cone: ConeParameters) -> list:
+    """The ConeVerdict of each chain of stacked coefficients (n, K, d, d),
+    whose A and B have the singular values sva and svb; every site and
+    chain at once."""
+    sa, sb, ss = sva[..., 0], svb[..., 0], _sv(A + B + C)
+    if A.shape[-1] == 1:
+        a, b, c = A[..., 0, 0], B[..., 0, 0], C[..., 0, 0]
+        s = a + b + c
+        fwd_growth, fwd_pair = _cone_1d(s / a, b / a, cone.alpha, cone.mu)
+        bwd_growth, bwd_pair = _cone_1d(s / b, a / b, cone.beta, cone.mu)
+    else:
+        fwd_growth, fwd_pair = _cone_bounds(sa, sb, ss, cone.alpha, cone.mu)
+        bwd_growth, bwd_pair = _cone_bounds(sb, sa, ss, cone.beta, cone.mu)
+    gap = ss[..., -1] - sa - sb - _ROUND * (ss[..., 0] + sa + sb)
+    tol, mu2 = 1e-12, 1.0 + cone.mu**2
+
+    def check(growth, pair, aperture):  # (pass per site, worst site per chain)
+        slack = np.minimum(growth * aperture - 1.0, pair / mu2)
+        ok = (growth >= (1.0 / aperture) * (1 - tol)) & (pair >= -tol * mu2)
+        return ok, sites[np.argmin(slack, axis=0)].tolist()
+
+    (fpass, fworst), (bpass, bworst) = (check(fwd_growth, fwd_pair, cone.alpha),
+                                        check(bwd_growth, bwd_pair, cone.beta))
+    all_pass = (fpass.all(axis=0) & bpass.all(axis=0)).tolist()
+    gaps, gap_sites = gap.min(axis=0).tolist(), sites[np.argmin(gap, axis=0)].tolist()
+    return [ConeVerdict(
+        sites=sites.tolist(),
+        cone=cone,
+        forward_growth=fwd_growth[:, k].tolist(),
+        forward_pair_margin=fwd_pair[:, k].tolist(),
+        backward_growth=bwd_growth[:, k].tolist(),
+        backward_pair_margin=bwd_pair[:, k].tolist(),
+        forward_pass=fpass[:, k].tolist(),
+        backward_pass=bpass[:, k].tolist(),
+        all_pass=all_pass[k],
+        phonon_gap=gaps[k],
+        worst_sites={"phonon_gap": gap_sites[k], "forward": fworst[k],
+                     "backward": bworst[k]},
+    ) for k in range(len(all_pass))]
 
 
 def verify_cone_conditions(u: Configuration, interaction, potential,
@@ -259,44 +312,15 @@ def verify_cone_conditions(u: Configuration, interaction, potential,
     g >= (sigma_min(S_i) - alpha |B_i|) / |A_i| and pair margin >= 1 +
     max(g, 0)^2 - mu^2 (1 + alpha^2), and the mirror with A and B swapped
     and beta for condition (ii). When phonon_gap > 0, the linearised
-    operator obeys |L^{-1}| <= 1 / phonon_gap. Failures are verdicts.
+    operator obeys |L^{-1}| <= 1 / phonon_gap. Failures are verdicts; a
+    coefficient outside the certificate's bounds raises CertificateError.
     """
-    sites, A, B, C = _coefficients(u, interaction, potential, lam)
-    sva, svb = _check_coefficients(sites, A, B, C, interaction.coupling, lam, cert)
-    cone = cone_parameters(cert)
-    sa, sb, ss = sva[:, 0], svb[:, 0], _sv(A + B + C)
-    if A.shape[-1] == 1:
-        a, b, c = A[:, 0, 0], B[:, 0, 0], C[:, 0, 0]
-        s = a + b + c
-        fwd_growth, fwd_pair = _cone_1d(s / a, b / a, cone.alpha, cone.mu)
-        bwd_growth, bwd_pair = _cone_1d(s / b, a / b, cone.beta, cone.mu)
-    else:
-        fwd_growth, fwd_pair = _cone_bounds(sa, sb, ss, cone.alpha, cone.mu)
-        bwd_growth, bwd_pair = _cone_bounds(sb, sa, ss, cone.beta, cone.mu)
-    gap = ss[:, -1] - sa - sb - _ROUND * (ss[:, 0] + sa + sb)
-    tol, mu2 = 1e-12, 1.0 + cone.mu**2
-
-    def check(growth, pair, aperture):  # (pass per site, worst site)
-        slack = np.minimum(growth * aperture - 1.0, pair / mu2)
-        ok = (growth >= (1.0 / aperture) * (1 - tol)) & (pair >= -tol * mu2)
-        return ok, int(sites[np.argmin(slack)])
-
-    (fpass, fworst), (bpass, bworst) = (check(fwd_growth, fwd_pair, cone.alpha),
-                                        check(bwd_growth, bwd_pair, cone.beta))
-    return ConeVerdict(
-        sites=sites.tolist(),
-        cone=cone,
-        forward_growth=list(fwd_growth),
-        forward_pair_margin=list(fwd_pair),
-        backward_growth=list(bwd_growth),
-        backward_pair_margin=list(bwd_pair),
-        forward_pass=list(fpass),
-        backward_pass=list(bpass),
-        all_pass=bool(fpass.all() and bpass.all()),
-        phonon_gap=float(gap.min()),
-        worst_sites={"phonon_gap": int(sites[np.argmin(gap)]),
-                     "forward": fworst, "backward": bworst},
-    )
+    sites, A, B, C = _coefficients(stack_chains([u]), interaction, potential, lam)
+    sva, svb, [error] = _check_coefficients(sites, A, B, C, interaction.coupling,
+                                            [lam], cert)
+    if error is not None:
+        raise error
+    return _cone_verdicts(sites, A, B, C, sva, svb, cone_parameters(cert))[0]
 
 
 @dataclass
@@ -349,7 +373,7 @@ def _riccati(M, horizon: int, sites, bundle: str) -> np.ndarray:
 
 
 def cone_splitting(u: Configuration, interaction, potential, lam: float,
-                   horizon: int = 20) -> SplittingReport:
+                   horizon: int = 20, coefficients=None) -> SplittingReport:
     """Approximate the stable/unstable bundles by finite-horizon cone
     iteration.
 
@@ -359,8 +383,10 @@ def cone_splitting(u: Configuration, interaction, potential, lam: float,
     same recursion on the mirrored chain (A and B swapped, sites reversed).
     Convergence is geometric, so moderate horizons give near-exact
     bundles. Only sites with a full horizon on both sides are reported.
+    coefficients, if given, are u's (sites, A, B, C), as _coefficients
+    assembles them.
     """
-    sites, A, B, C = _coefficients(u, interaction, potential, lam)
+    sites, A, B, C = coefficients or _coefficients(u, interaction, potential, lam)
     n, d = A.shape[0], A.shape[-1]
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -399,11 +425,18 @@ def momentum(u: Configuration, interaction, potential, lam: float) -> np.ndarray
     At an equilibrium this equals grad I applied to the backward
     difference, so for the quadratic coupling p_i = u_i - u_{i-1}.
     """
+    return _momentum(u, interaction, potential, lam)[0]
+
+
+def _momentum(u: Configuration, interaction, potential, lam):
+    """(momentum, grad V at the window sites) of one chain (n, d), or of a
+    stack (n, K, d) with lam one per chain as a (K, 1) array."""
     _require_nn(interaction)
     ext = u.extended(1)
     fwd = ext[1:-1] - ext[2:]
-    gv = potential.gradient(u.values).reshape(u.values.shape)
-    return -interaction.coupling.gradient(fwd) - lam * gv
+    x = u.values
+    gv = potential.gradient(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    return -interaction.coupling.gradient(fwd) - lam * gv, gv
 
 
 def _invert_coupling_gradient(coupling, target, tol=1e-13, max_iter=80):
@@ -452,7 +485,20 @@ def twist_map_step(x, p, interaction, potential, lam: float):
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     gv = potential.gradient(x).reshape(x.shape)
-    w = _invert_coupling_gradient(interaction.coupling, -p - lam * gv)
+    return _twist(x, p, gv, interaction.coupling, lam)
+
+
+def _twist(x, p, gv, coupling, lam):
+    """twist_map_step given gv = grad V(x), also for K chains stacked as
+    (n, K, d) with lam a (K, 1) array. The gradient inversion's Newton loop
+    stops on all its rows at once, so a stack inverts chain by chain
+    unless the coupling is quadratic (closed form)."""
+    target = -p - lam * gv
+    if x.ndim < 3 or isinstance(coupling, QuadraticCoupling):
+        w = _invert_coupling_gradient(coupling, target)
+    else:
+        w = np.stack([_invert_coupling_gradient(coupling, target[:, k])
+                      for k in range(x.shape[1])], axis=1)
     return x - w, p + lam * gv
 
 
@@ -487,12 +533,47 @@ def verify_orbit(u: Configuration, p: np.ndarray, interaction, potential,
                  lam: float) -> float:
     """Largest deviation between the twist-map image of (u_i, p_i) and
     (u_{i+1}, p_{i+1}) over interior window sites."""
+    _require_nn(interaction)
     x = u.values[:-1]
-    pp = p[:-1]
-    y, pn = twist_map_step(x, pp, interaction, potential, lam)
-    dev_x = np.linalg.norm(y - u.values[1:], axis=-1)
-    dev_p = np.linalg.norm(pn - p[1:], axis=-1)
-    return float(max(dev_x.max(), dev_p.max()))
+    gv = potential.gradient(x).reshape(x.shape)
+    return float(_orbit_deviation(u.values, np.asarray(p, dtype=float), gv,
+                                  interaction.coupling, lam))
+
+
+def _orbit_deviation(values, p, gv, coupling, lam):
+    """verify_orbit of one chain (n, d), or one per chain of a stack
+    (n, K, d) with lam a (K, 1) array, given gv = grad V at the sites but
+    the last."""
+    y, pn = _twist(values[:-1], p[:-1], gv, coupling, lam)
+    return np.maximum(np.linalg.norm(y - values[1:], axis=-1).max(axis=0),
+                      np.linalg.norm(pn - p[1:], axis=-1).max(axis=0))
+
+
+def check_stack(u: Configuration, interaction, potential, lams, cert):
+    """The hyperbolicity checks of every chain of the stack u (n, K, d),
+    chain k at coupling lams[k], in one pass. Returns, per chain, (cone
+    verdict, momenta, orbit deviation), or the CertificateError of a chain
+    whose coefficients fail the certificate's bounds, which stops the
+    checks of that chain only; and the stack's coefficients (sites, A, B,
+    C) of shape (n, K, d, d), which a splitting of one chain can reuse.
+    """
+    lam = np.array(lams, dtype=float)
+    coefficients = _coefficients(u, interaction, potential, lam[:, None, None])
+    sva, svb, out = _check_coefficients(*coefficients, interaction.coupling, lams, cert)
+    sites, A, B, C = coefficients
+    keep = [k for k, error in enumerate(out) if error is None]
+    if not keep:
+        return out, coefficients
+    if len(keep) < len(out):
+        A, B, C, sva, svb = (x[:, keep] for x in (A, B, C, sva, svb))
+        lam, u = lam[keep], stack_chains([u.chain(k) for k in keep])
+    verdicts = _cone_verdicts(sites, A, B, C, sva, svb, cone_parameters(cert))
+    p, gv = _momentum(u, interaction, potential, lam[:, None])
+    deviation = _orbit_deviation(u.values, p, gv[:-1], interaction.coupling,
+                                 lam[:, None]).tolist()
+    for j, k in enumerate(keep):
+        out[k] = (verdicts[j], p[:, j], deviation[j])
+    return out, coefficients
 
 
 @dataclass

@@ -35,6 +35,7 @@ __all__ = [
     "anchor_stack",
     "stack_chains",
     "ext_distance",
+    "ext_distances",
     "shift",
     "translate",
     "rotation_vector_estimate",
@@ -204,9 +205,10 @@ class DerivedTail(TailRule):
 @dataclass(frozen=True)
 class StackedTail(TailRule):
     """Tails of K chains stacked site-axis-first: values(sites) is
-    (len(sites), K, d), column k from the k-th tail. The last lookup is
-    kept, as AnchorTail keeps its own: a solve reads the same halo sites
-    at every step."""
+    (len(sites), K, d), column k from the k-th tail. Anchor tails on one
+    sampler and radius answer in one lookup. The last lookup is kept, as
+    AnchorTail keeps its own: a solve reads the same halo sites at every
+    step."""
 
     tails: tuple
     kind: str = field(default="stacked", init=False)
@@ -214,9 +216,17 @@ class StackedTail(TailRule):
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         if not np.array_equal(sites, self._last[0]):
-            object.__setattr__(self, "_last", (np.array(sites), np.concatenate(
-                [t.values(sites)[:, None] for t in self.tails], axis=1)))
+            object.__setattr__(self, "_last", (np.array(sites), self._lookup(sites)))
         return self._last[1].copy()
+
+    def _lookup(self, sites) -> np.ndarray:
+        first = self.tails[0]
+        if all(isinstance(t, AnchorTail) and t.sampler is first.sampler
+               and t.radius == first.radius for t in self.tails):
+            query = np.stack([t.rotation(sites) for t in self.tails], axis=1)
+            return _nearest_anchors(query.reshape(-1, query.shape[-1]), first.sampler,
+                                    first.radius).reshape(query.shape)
+        return np.concatenate([t.values(sites)[:, None] for t in self.tails], axis=1)
 
 
 @dataclass(frozen=True)
@@ -317,17 +327,27 @@ def anchor_configuration(rho, sampler, radius: float, window: Window) -> Configu
     return anchor_stack([rho], sampler, radius, window).chain(0)
 
 
-def anchor_stack(rhos, sampler, radius: float, window: Window) -> Configuration:
+def anchor_stack(rhos, sampler, radius: float, window: Window,
+                 halo: int = 0) -> Configuration:
     """The nearest-anchor configurations of K rotation vectors, stacked as
-    (n_sites, K, d), from one lookup."""
+    (n_sites, K, d), from one lookup. The lookup also covers the halo
+    sites within halo of the window, which every tail then answers from
+    its memo, as the stacked tail does."""
     rots = [as_rotation(rho) for rho in rhos]
     if any(rot.dimension != window.dimension for rot in rots):
         raise ValueError("rotation vector dimension does not match window")
-    sites, d = window.sites(), window.dimension
-    query = np.stack([rot(sites) for rot in rots], axis=1).reshape(-1, d)
-    vals = _nearest_anchors(query, sampler, radius).reshape(len(sites), -1, d)
-    return Configuration(window, vals, StackedTail(
-        tuple(AnchorTail(rot, sampler, radius) for rot in rots)))
+    tails = tuple(AnchorTail(rot, sampler, radius) for rot in rots)
+    stacked, n = StackedTail(tails), window.half_width
+    sites = np.arange(-n - halo, n + halo + 1)
+    vals = stacked._lookup(sites)
+    if halo:
+        side = np.concatenate([sites[:halo], sites[-halo:]])
+        edge = np.concatenate([vals[:halo], vals[-halo:]])
+        for k, tail in enumerate(tails):
+            object.__setattr__(tail, "_last", (side, np.ascontiguousarray(edge[:, k])))
+        object.__setattr__(stacked, "_last", (side, edge))
+        vals = vals[halo:-halo]
+    return Configuration(window, vals, stacked)
 
 
 def _nearest_anchors(points, sampler, radius: float) -> np.ndarray:
@@ -348,24 +368,54 @@ def ext_distance(u: Configuration, v: Configuration) -> float:
     sup over TAIL_PROBE sites on each side (stopping early if a tail rule
     cannot produce values that far out).
     """
+    return ext_distances(stack_chains([u]), stack_chains([v]))[0]
+
+
+def ext_distances(u: Configuration, v: Configuration) -> list:
+    """ext_distance of chain k of u and chain k of v, for each k of two
+    stacks (n_sites, K, d). The chains whose tails need a probe are probed
+    on both sides at once, one values call per stack (one lookup for
+    anchor tails on one sampler); if that raises, each of them bisects
+    for its longest probe prefix alone."""
     if u.window != v.window:
         raise ValueError("configurations lie on different windows")
-    core = float(np.linalg.norm(u.values - v.values, axis=1).max())
-    if u.tail.signature() == v.tail.signature():
-        return core
-    slope_gap = np.linalg.norm(np.asarray(u.tail.slope) - np.asarray(v.tail.slope))
-    if slope_gap > 0:
-        return float("inf")
-
+    dist = np.linalg.norm(u.values - v.values, axis=-1).max(axis=0).tolist()
+    probed = []
+    for k, (a, b) in enumerate(zip(u.tail.tails, v.tail.tails)):
+        if a.signature() == b.signature():
+            continue
+        if np.linalg.norm(np.asarray(a.slope) - np.asarray(b.slope)) > 0:
+            dist[k] = float("inf")
+        else:
+            probed.append(k)
+    if not probed:
+        return dist
     probe = u.window.half_width + np.arange(1, TAIL_PROBE + 1)
-    worst = core
+    pairs = [(u.tail.tails[k], v.tail.tails[k]) for k in probed]
+    sites = np.concatenate([probe, -probe])
+    try:
+        diff = (StackedTail(tuple(a for a, _ in pairs)).values(sites)
+                - StackedTail(tuple(b for _, b in pairs)).values(sites))
+    except CertificateError:
+        for k, (a, b) in zip(probed, pairs):
+            dist[k] = _bisected_probe(a, b, probe, dist[k])
+        return dist
+    gaps = np.sqrt(np.vecdot(diff, diff)).max(axis=0).tolist()
+    for k, gap in zip(probed, gaps):
+        dist[k] = max(dist[k], gap)
+    return dist
+
+
+def _bisected_probe(a: TailRule, b: TailRule, probe, worst: float) -> float:
+    """worst, or the largest tail gap over the longest prefix of probe and
+    of -probe on which both tails produce values."""
     for sites in (probe, -probe):
         # a tail raises exactly when the sites include one it cannot produce
         # (a finite zero set out of validity): bisect for the longest prefix
         good, bad, k = 0, TAIL_PROBE + 1, TAIL_PROBE
         while bad - good > 1:
             try:
-                diff = u.tail.values(sites[:k]) - v.tail.values(sites[:k])
+                diff = a.values(sites[:k]) - b.values(sites[:k])
                 good, worst = k, max(worst, float(np.sqrt(np.vecdot(diff, diff)).max()))
             except CertificateError:
                 bad = k

@@ -34,6 +34,7 @@ from .lattice import (
     anchor_stack,
     as_rotation,
     ext_distance,
+    ext_distances,
     homomorphism_configuration,
     rotation_vector_estimate,
     stack_chains,
@@ -86,6 +87,8 @@ class SolveParams:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.inner_tol <= 0:
+            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
         if self.inner_tol > self.tol / 10.0:
             raise ValueError("inner_tol must be at most tol / 10")
 
@@ -268,14 +271,16 @@ class ContractionSolver:
         return u.window == self.window and u.values.shape[1:-1] == (len(self.cases),)
 
     def _anchor_stack(self) -> Configuration:
-        """The batch's anchors from one lookup. If it fails, the cases are
-        looked up one at a time, and a case without anchors fails."""
+        """The batch's anchors and the halos of their tails from one
+        lookup. If it fails, the anchors alone are looked up once more,
+        then one case at a time, and a case without anchors fails."""
         cert, rots = self.cert, [p.rho for p in self.cases]
         args = (cert.sampler, cert.covering_radius, self.window)
-        try:
-            return anchor_stack(rots, *args)
-        except CertificateError:
-            pass
+        for halo in (self.interaction.reach, 0):
+            try:
+                return anchor_stack(rots, *args, halo=halo)
+            except CertificateError:
+                pass
         chains = []
         for k, rot in enumerate(rots):
             try:
@@ -422,7 +427,8 @@ class ContractionSolver:
         if not self._fits(u):
             raise ValueError("initial configuration window or case mismatch")
         self.failures = dict(self._lost)
-        # each tail supplies its halo once up front, failing only its case
+        # each tail supplies its halo once up front, failing only its case;
+        # the anchors' tails answer from the anchor lookup's memo
         n, reach = self.window.half_width, self.interaction.reach
         halo = np.concatenate([np.arange(-n - reach, -n), np.arange(n + 1, n + reach + 1)])
         for c, tail in enumerate(u.tail.tails):
@@ -473,9 +479,9 @@ class ContractionSolver:
                     f"no convergence in {self.max_iter} iterations "
                     f"(last step {steps[c][-1]:.3e}, residual {r:.3e})",
                     trace=steps[c])
-        return [self.failures[c] if c in self.failures else
-                (done[c][0], self._report(c, done[c][0], steps[c], done[c][1],
-                                          newton[c], fallback[c]))
+        reports = self._reports({c: (*done[c], steps[c], newton[c], fallback[c])
+                                 for c in done})
+        return [self.failures[c] if c in self.failures else (done[c][0], reports[c])
                 for c in range(K)]
 
     def _stalled(self, values, c, res, steps) -> ConvergenceError:
@@ -487,8 +493,21 @@ class ContractionSolver:
             f"float floor of this chain, lam * max|H| * spacing(max|u|) / 2, "
             f"is {floor:.3e}", trace=steps)
 
-    def _report(self, c, u, steps, final_res, newton_steps,
-                newton_fallback) -> SolveReport:
+    def _reports(self, done) -> dict:
+        """The SolveReport of each converged case c, done[c] = (u,
+        final_residual, steps, newton_steps, newton_fallback). One probe of
+        the stacked chains gives every distance to the rotation."""
+        if not done:
+            return {}
+        cases = list(done)
+        d_rho = ext_distances(
+            stack_chains([done[c][0] for c in cases]),
+            stack_chains([homomorphism_configuration(self.cases[c].rho, self.window)
+                          for c in cases]))
+        return {c: self._report(c, *done[c], d) for c, d in zip(cases, d_rho)}
+
+    def _report(self, c, u, final_res, steps, newton_steps, newton_fallback,
+                d_rho) -> SolveReport:
         p, threshold = self.cases[c], self.thresholds[c]
         noise_floor = 100 * np.finfo(float).eps * (
             1.0 + float(np.abs(u.values).max())
@@ -505,16 +524,13 @@ class ContractionSolver:
                 "coupling below the contraction threshold: no convergence "
                 "guarantee"
             )
-        d_anchor = _sup(u.values - self._anchors[:, c])
-        hom = homomorphism_configuration(p.rho, self.window)
-        d_rho = ext_distance(u, hom)
         return SolveReport(
             iterations=len(steps),
             converged=True,
             final_residual=final_res,
             step_distances=steps,
             contraction_factor=max(ratios) if ratios else 0.0,
-            distance_to_anchor=d_anchor,
+            distance_to_anchor=_sup(u.values - self._anchors[:, c]),
             distance_to_rotation=d_rho,
             rotation_estimate=rotation_vector_estimate(u).tolist(),
             lambda_threshold=threshold,

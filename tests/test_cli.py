@@ -130,6 +130,14 @@ class TestSolve:
         assert f"{key} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0.0, -1e300])
+    def test_non_positive_inner_tol_exits_1(self, value, tmp_path, capsys):
+        cfg = solve_config(tmp_path, inner_tol=value)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        assert "inner_tol must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_key_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -319,13 +327,14 @@ class TestSweep:
 
 
 def _sweep_rows_alone(cfg_path):
-    """sweep.csv as solve_equilibrium and the hyperbolicity checks give
-    it, one case at a time (K = 1)."""
+    """sweep.csv as solve_equilibrium and the one-chain hyperbolicity
+    checks (verify_cone_conditions, momentum, verify_orbit) give it, one
+    case at a time."""
     from antifk.cli import (_SWEEP_COLUMNS, _build_certificate,
-                            _build_interaction, _build_potential,
-                            _hyperbolic_checks)
+                            _build_interaction, _build_potential)
     from antifk.errors import (CertificateError, ConvergenceError,
                                DomainError)
+    from antifk.hyperbolicity import momentum, verify_cone_conditions, verify_orbit
     from antifk.solver import SolveParams, solve_equilibrium
 
     cfg = json.loads(open(cfg_path).read())
@@ -355,10 +364,16 @@ def _sweep_rows_alone(cfg_path):
                        distance_to_anchor=repr(rep.distance_to_anchor),
                        distance_to_rotation=repr(rep.distance_to_rotation))
             if block.get("hyperbolicity"):
-                report, _, orbit_tol = _hyperbolic_checks(u, interaction, V,
-                                                          lam, cert, tol)
-                row["hyperbolic_pass"] = str(bool(
-                    report.all_pass and report.orbit_deviation <= orbit_tol)).lower()
+                try:
+                    verdict = verify_cone_conditions(u, interaction, V, lam, cert)
+                except CertificateError:
+                    row["status"] = "certificate-error"
+                else:
+                    p = momentum(u, interaction, V, lam)
+                    orbit_tol = 10.0 * tol * (1.0 + lam * V.hessian_sup_bound())
+                    row["hyperbolic_pass"] = str(bool(
+                        verdict.all_pass and verify_orbit(u, p, interaction, V, lam)
+                        <= orbit_tol)).lower()
         lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
                               else str(row[c]) for c in _SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"

@@ -8,11 +8,13 @@ from antifk import (
     AubryCertificate,
     CertificateError,
     ConeParameters,
+    ContractionSolver,
     ConvexityError,
     FiniteZeroSet,
     HyperbolicityCertificate,
     LinearizationSite,
     NearestNeighborInteraction,
+    PeriodicZeroSet,
     PerturbedQuadraticCoupling,
     QuadraticCoupling,
     SolveParams,
@@ -21,6 +23,7 @@ from antifk import (
     as_rotation,
     cone_parameters,
     cone_splitting,
+    cosine_certificate,
     homomorphism_configuration,
     legendre_bounds,
     legendre_transform,
@@ -29,6 +32,7 @@ from antifk import (
     orbit_to_csv,
     position_pair_step,
     solve_equilibrium,
+    stack_chains,
     transfer_matrix,
     translate,
     twist_map_step,
@@ -560,7 +564,8 @@ class TestBatchedAgainstPerSite:
 
     def test_verdict_takes_four_svds(self, solved_2d, monkeypatch):
         # the certificate check's singular values of A and B bound the
-        # verdict too: one stacked SVD each of A, B, C and A + B + C
+        # verdict too: one stacked SVD each of A, B, C and A + B + C, on
+        # the one-chain stack (n, 1, d, d)
         u, nn, V, cert, lam = solved_2d
         expect = verify_cone_conditions(u, nn, V, lam, cert)
         calls = []
@@ -572,7 +577,7 @@ class TestBatchedAgainstPerSite:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert verify_cone_conditions(u, nn, V, lam, cert) == expect
-        assert calls == [(u.window.n_sites, 2, 2)] * 4
+        assert calls == [(u.window.n_sites, 1, 2, 2)] * 4
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cone_bounds_below_sampled_worst_case(self, d, rng):
@@ -631,6 +636,63 @@ class TestBatchedAgainstPerSite:
             assert verdict.worst_sites["phonon_gap"] == u.window.sites()[k]
             assert verdict.phonon_gap == pytest.approx(gaps[k], rel=1e-12)
             assert verdict.phonon_gap <= gaps[k]
+
+
+class TestCheckStack:
+    """check_stack runs the hyperbolicity checks of stacked chains in one
+    pass; every chain's verdict, momenta and orbit deviation equal the
+    one-chain functions bit for bit, and a chain that fails the
+    coefficient check gets its own error."""
+
+    @staticmethod
+    def _stack_against_alone(chains, nn, V, lams, cert):
+        checks, (sites, A, B, C) = hyperbolicity.check_stack(
+            stack_chains(chains), nn, V, lams, cert)
+        assert A.shape == (len(sites), len(chains)) + (chains[0].dimension,) * 2
+        statuses = []
+        for u, lam, check in zip(chains, lams, checks):
+            try:
+                verdict = verify_cone_conditions(u, nn, V, lam, cert)
+            except CertificateError as exc:
+                assert type(check) is CertificateError and str(check) == str(exc)
+                statuses.append("certificate-error")
+                continue
+            got, p, deviation = check
+            assert got == verdict  # every list, phonon_gap and worst_sites
+            assert got.to_json_dict() == verdict.to_json_dict()
+            expect = momentum(u, nn, V, lam)
+            assert p.shape == expect.shape and np.array_equal(p, expect)
+            assert deviation == verify_orbit(u, expect, nn, V, lam)
+            statuses.append("pass" if verdict.all_pass else "fail")
+        return statuses
+
+    def test_mixed_batch_d1(self, cos_potential_module):
+        # an expansion m = 0.99 above the true cos(pi/4) fails the
+        # coefficient check at lam = 20 only; lam = 5 is a failed verdict
+        cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2, 1.2, 0.99)
+        nn, V = NearestNeighborInteraction(), cos_potential_module
+        cases = [(40.0, 0.5), (20.0, 0.5), (40.0, 1.0), (20.0, 1.0), (60.0, 0.3)]
+        params = [SolveParams(lam=lam, rho=rho, window=8) for lam, rho in cases]
+        chains = [u for u, _ in ContractionSolver(nn, V, cert, params).solve()]
+        lams = [lam for lam, _ in cases]
+        assert self._stack_against_alone(chains, nn, V, lams, cert) == [
+            "pass", "certificate-error", "pass", "certificate-error", "pass"]
+        # a verdict that fails is a verdict, in a batch as alone
+        weak = translate(homomorphism_configuration(0.0, Window(8)), np.pi)
+        assert self._stack_against_alone(
+            [chains[0], weak], nn, V, [40.0, 1.0], cosine_certificate()) == ["pass", "fail"]
+        assert self._stack_against_alone(
+            chains[1:2], nn, V, [20.0], cert) == ["certificate-error"]
+
+    def test_batch_d2(self, solved_2d):
+        # the perturbed-quadratic coupling inverts its gradient chain by chain
+        _, nn, V, cert, _ = solved_2d
+        params = [SolveParams(lam=lam, rho=list(rho), window=40)
+                  for lam, rho in ((40.0, (0.41, 0.53)), (30.0, (0.2, 0.7)),
+                                   (60.0, (-0.5, 0.3)))]
+        chains = [u for u, _ in ContractionSolver(nn, V, cert, params).solve()]
+        assert self._stack_against_alone(
+            chains, nn, V, [p.lam for p in params], cert) == ["pass"] * 3
 
 
 class TestMomentum:

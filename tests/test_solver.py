@@ -57,6 +57,11 @@ class TestSolveParams:
         with pytest.raises(ValueError):
             SolveParams(lam=20.0, rho=1.0, window=8, tol=1e-10, inner_tol=1e-10)
 
+    @pytest.mark.parametrize("inner_tol", [0.0, -1e300])
+    def test_inner_tol_must_be_positive(self, inner_tol):
+        with pytest.raises(ValueError, match="inner_tol must be positive"):
+            make_params(inner_tol=inner_tol)
+
     def test_inner_tol_scales_with_coupling(self):
         weak = make_params(lam=5.0, tol=1e-10)
         strong = make_params(lam=2000.0, tol=1e-10)
@@ -504,6 +509,20 @@ def _assert_batch_matches_alone(interaction, V, cert, params, size):
     return statuses
 
 
+class _CountingSampler:
+    """A zero-set sampler that records each nearest query."""
+
+    def __init__(self, inner):
+        self.inner, self.queries = inner, []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def nearest(self, xs, radius):
+        self.queries.append(np.array(xs))
+        return self.inner.nearest(xs, radius)
+
+
 def _grid(lams, rhos, n, **kw):
     return [SolveParams(lam=lam, rho=rho, window=n, **kw)
             for lam in lams for rho in rhos]
@@ -639,6 +658,38 @@ class TestStackedSolve:
         for k in (0, 2):
             alone = _cyclic_reduction(lower[:, k], diag[:, k], upper[:, k], rhs[:, k])
             assert step[:, k].tobytes() == alone.tobytes()
+
+    def test_rotation_distances_from_one_probe(self):
+        # every converged case's distance to its rotation comes from one
+        # lookup of the batch's probe sites, equal bit for bit to
+        # ext_distance alone and to the per-side bisection. At rho = 1.1
+        # the window and halo lie in the zero set's box but the probe
+        # sites beyond 55 do not: that batch falls back to the bisection
+        from antifk import estimate_aubry, truncated_almost_periodic
+        from antifk.lattice import TAIL_PROBE, _bisected_probe
+
+        V = truncated_almost_periodic(8, 0.5)
+        estimate = estimate_aubry(V, (-60.0, 60.0))
+        sampler = _CountingSampler(estimate.sampler)
+        cert = AubryCertificate(sampler, estimate.covering_radius,
+                                estimate.ball_radius, estimate.expansion)
+        nn, n = NearestNeighborInteraction(), 24
+        probe = n + np.arange(1, TAIL_PROBE + 1)
+        assert 1.1 * (n + 1) < sampler.hi[0] < 1.1 * probe[-1]
+        assert 0.41 * probe[-1] < sampler.hi[0]
+        for rhos in ((0.13, 0.41), (0.13, 1.1, 0.41)):
+            sampler.queries.clear()
+            params = _grid((64.0,), rhos, n)
+            outcomes = ContractionSolver(nn, V, cert, params).solve()
+            # the anchor lookup and the probe, then the bisection's lookups
+            bisected = len(sampler.queries) > 2
+            assert bisected == (1.1 in rhos)
+            for p, (u, rep) in zip(params, outcomes):
+                hom = homomorphism_configuration(p.rho, p.window)
+                core = float(np.linalg.norm(u.values - hom.values, axis=1).max())
+                expect = _bisected_probe(u.tail, hom.tail, probe, core)
+                assert rep.distance_to_rotation == ext_distance(u, hom) == expect
+                assert np.isfinite(expect)
 
     def test_batch_must_share_window(self, nn_interaction, cos_potential,
                                      cos_cert):
