@@ -9,9 +9,8 @@ with A_i = hess I(u_i - u_{i+1}), B_i = hess I(u_{i-1} - u_i) and
 C_i = lam * hess V(u_i). At strong coupling this recursion admits a pair
 of invariant cone fields with uniform expansion of pair norms; the cone
 conditions are checked exactly in one dimension and by norm bounds
-otherwise. The same data feeds the symplectic side: conjugate momenta,
-the twist map they generate, and the discrete Legendre transform linking
-position pairs to (x, p) pairs.
+otherwise. The same data feeds the symplectic side: conjugate momenta
+and the twist map they generate.
 
 check_stack runs the checks on K chains stacked as (n, K, d), each at its
 own coupling, in one pass; the kernels work row by row, so each chain
@@ -41,8 +40,6 @@ __all__ = [
     "cone_splitting",
     "momentum",
     "twist_map_step",
-    "position_pair_step",
-    "legendre_transform",
     "legendre_bounds",
     "verify_orbit",
     "check_stack",
@@ -191,31 +188,32 @@ class ConeVerdict:
     |pair_out|^2 - mu^2 |pair_in|^2 (nonnegative means pass). phonon_gap
     is min sigma_min(S_i) - |A_i| - |B_i|, rounded down; worst_sites names
     its site and each condition's least min(growth * aperture - 1,
-    pair margin / (1 + mu^2)).
+    pair margin / (1 + mu^2)). The per-site fields are arrays, which
+    to_json_dict turns into lists.
     """
 
-    sites: list
+    sites: np.ndarray
     cone: ConeParameters
-    forward_growth: list
-    forward_pair_margin: list
-    backward_growth: list
-    backward_pair_margin: list
-    forward_pass: list
-    backward_pass: list
+    forward_growth: np.ndarray
+    forward_pair_margin: np.ndarray
+    backward_growth: np.ndarray
+    backward_pair_margin: np.ndarray
+    forward_pass: np.ndarray
+    backward_pass: np.ndarray
     all_pass: bool
     phonon_gap: float
     worst_sites: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "sites": list(self.sites),
+            "sites": self.sites.tolist(),
             "cone": self.cone.to_json_dict(),
-            "forward_growth": list(self.forward_growth),
-            "forward_pair_margin": list(self.forward_pair_margin),
-            "backward_growth": list(self.backward_growth),
-            "backward_pair_margin": list(self.backward_pair_margin),
-            "forward_pass": list(self.forward_pass),
-            "backward_pass": list(self.backward_pass),
+            "forward_growth": self.forward_growth.tolist(),
+            "forward_pair_margin": self.forward_pair_margin.tolist(),
+            "backward_growth": self.backward_growth.tolist(),
+            "backward_pair_margin": self.backward_pair_margin.tolist(),
+            "forward_pass": self.forward_pass.tolist(),
+            "backward_pass": self.backward_pass.tolist(),
             "all_pass": self.all_pass,
             "phonon_gap": self.phonon_gap,
             "worst_sites": dict(self.worst_sites),
@@ -288,14 +286,14 @@ def _cone_verdicts(sites, A, B, C, sva, svb, cone: ConeParameters) -> list:
     all_pass = (fpass.all(axis=0) & bpass.all(axis=0)).tolist()
     gaps, gap_sites = gap.min(axis=0).tolist(), sites[np.argmin(gap, axis=0)].tolist()
     return [ConeVerdict(
-        sites=sites.tolist(),
+        sites=sites,
         cone=cone,
-        forward_growth=fwd_growth[:, k].tolist(),
-        forward_pair_margin=fwd_pair[:, k].tolist(),
-        backward_growth=bwd_growth[:, k].tolist(),
-        backward_pair_margin=bwd_pair[:, k].tolist(),
-        forward_pass=fpass[:, k].tolist(),
-        backward_pass=bpass[:, k].tolist(),
+        forward_growth=fwd_growth[:, k],
+        forward_pair_margin=fwd_pair[:, k],
+        backward_growth=bwd_growth[:, k],
+        backward_pair_margin=bwd_pair[:, k],
+        forward_pass=fpass[:, k],
+        backward_pass=bpass[:, k],
         all_pass=all_pass[k],
         phonon_gap=gaps[k],
         worst_sites={"phonon_gap": gap_sites[k], "forward": fworst[k],
@@ -502,29 +500,11 @@ def _twist(x, p, gv, coupling, lam):
     return x - w, p + lam * gv
 
 
-def position_pair_step(x_prev, x, interaction, potential, lam: float):
-    """One step of the position-pair shift (x_{i-1}, x_i) -> (x_i, x_{i+1})
-    along equilibria; conjugate to the twist map by the Legendre transform."""
-    _require_nn(interaction)
-    x_prev = np.asarray(x_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    gv = potential.gradient(x).reshape(x.shape)
-    target = interaction.coupling.gradient(x_prev - x) - lam * gv
-    w = _invert_coupling_gradient(interaction.coupling, target)
-    return x, x - w
-
-
-def legendre_transform(x, y, coupling):
-    """(x_i, x_{i+1}) -> (x_{i+1}, p_{i+1}) with p = -grad I(x - y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return y, -coupling.gradient(x - y)
-
-
 def legendre_bounds(coupling):
-    """Singular-value bounds of the pair transform: with convexity bounds
-    (eps, E), the differential satisfies sigma_max <= sqrt(1 + 4 E^2) and
-    the inverse transform sqrt(1 + 4 / eps^2)."""
+    """Singular-value bounds of the discrete Legendre transform, the pair
+    map (x, y) -> (y, -grad I(x - y)): with convexity bounds (eps, E), its
+    differential satisfies sigma_max <= sqrt(1 + 4 E^2) and that of the
+    inverse transform sigma_max <= sqrt(1 + 4 / eps^2)."""
     eps, big = coupling.convexity_bounds
     return float(np.sqrt(1.0 + 4.0 * big**2)), float(np.sqrt(1.0 + 4.0 / eps**2))
 

@@ -5,7 +5,7 @@ store values on a symmetric window {-N, ..., N} and extend beyond it by a
 deterministic tail rule, either following a rotation vector (homomorphism
 extension) or following the anchor configuration generated by a zero-set
 sampler. All operators that need neighbors outside the window read them
-from the tail.
+from the tail, or from the halo of tail values a configuration carries.
 
 Distances use the sup norm over sites of the Euclidean norm in R^d. This
 is an extended metric: configurations with different asymptotic slopes are
@@ -14,7 +14,6 @@ at distance +inf.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import CertificateError
 __all__ = [
     "Window",
     "RotationVector",
+    "as_rotation",
     "TailRule",
     "HomomorphismTail",
     "AnchorTail",
@@ -105,10 +105,9 @@ def as_rotation(rho) -> RotationVector:
 class TailRule:
     """Deterministic extension of a configuration beyond its window.
 
-    values(sites) answers a batch of site queries as an (n, d) array.
+    values(sites) answers a batch of site queries as an (n, d) array
+    computed from the rule's fields alone.
     """
-
-    kind: str = "abstract"
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -128,7 +127,6 @@ class HomomorphismTail(TailRule):
     """u_i = rho(i) outside the window."""
 
     rotation: RotationVector
-    kind: str = field(default="homomorphism", init=False)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         return self.rotation(np.asarray(sites, dtype=float))
@@ -146,21 +144,15 @@ class AnchorTail(TailRule):
     """u_i = nearest anchor to rho(i) outside the window.
 
     The sampler is any object with nearest(xs, radius) and signature();
-    radius is the covering radius guaranteeing a nonempty query. The last
-    answer is memoised outside eq and repr: one halo lookup per solve.
+    radius is the covering radius guaranteeing a nonempty query.
     """
 
     rotation: RotationVector
     sampler: object
     radius: float
-    kind: str = field(default="anchor", init=False)
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
-        if not np.array_equal(sites, self._last[0]):
-            object.__setattr__(self, "_last", (np.array(sites), _nearest_anchors(
-                self.rotation(sites), self.sampler, self.radius)))
-        return self._last[1].copy()
+        return _nearest_anchors(self.rotation(sites), self.sampler, self.radius)
 
     @property
     def slope(self) -> np.ndarray:
@@ -182,7 +174,6 @@ class DerivedTail(TailRule):
     parent: "Configuration"
     site_offset: int
     translation: np.ndarray
-    kind: str = field(default="derived", init=False)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
         sites = np.asarray(sites) + self.site_offset
@@ -206,20 +197,11 @@ class DerivedTail(TailRule):
 class StackedTail(TailRule):
     """Tails of K chains stacked site-axis-first: values(sites) is
     (len(sites), K, d), column k from the k-th tail. Anchor tails on one
-    sampler and radius answer in one lookup. The last lookup is kept, as
-    AnchorTail keeps its own: a solve reads the same halo sites at every
-    step."""
+    sampler and radius answer in one lookup."""
 
     tails: tuple
-    kind: str = field(default="stacked", init=False)
-    _last: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def values(self, sites: np.ndarray) -> np.ndarray:
-        if not np.array_equal(sites, self._last[0]):
-            object.__setattr__(self, "_last", (np.array(sites), self._lookup(sites)))
-        return self._last[1].copy()
-
-    def _lookup(self, sites) -> np.ndarray:
         first = self.tails[0]
         if all(isinstance(t, AnchorTail) and t.sampler is first.sampler
                and t.radius == first.radius for t in self.tails):
@@ -235,12 +217,16 @@ class Configuration:
 
     values has shape (n_sites, dimension), row j holding the value at
     site j - half_width; K chains on one window are stacked as
-    (n_sites, K, dimension) with a StackedTail.
+    (n_sites, K, dimension) with a StackedTail. halo, if given, holds the
+    tail's own values at the h sites on each side of the window, shape
+    (2h, ...) with the left side first, so that extended(h) needs no
+    lookup; values never change it, as a tail does not depend on them.
     """
 
     window: Window
     values: np.ndarray
     tail: TailRule
+    halo: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -275,33 +261,25 @@ class Configuration:
         return out
 
     def extended(self, halo: int) -> np.ndarray:
-        """Values on {-N-halo, ..., N+halo}, tail supplying the halo."""
+        """Values on {-N-halo, ..., N+halo}: the halo field supplies the
+        sides when it holds 2 halo rows, the tail otherwise."""
         if halo == 0:
             return self.values
-        n = self.window.half_width
-        sides = self.tail.values(np.concatenate(
-            [np.arange(-n - halo, -n), np.arange(n + 1, n + halo + 1)]))
+        sides = self.halo
+        if sides is None or len(sides) != 2 * halo:
+            n = self.window.half_width
+            sides = self.tail.values(np.concatenate(
+                [np.arange(-n - halo, -n), np.arange(n + 1, n + halo + 1)]))
         return np.concatenate([sides[:halo], self.values, sides[halo:]], axis=0)
 
     def with_values(self, values: np.ndarray) -> "Configuration":
-        return Configuration(self.window, values, self.tail)
+        return Configuration(self.window, values, self.tail, self.halo)
 
     def chain(self, k: int) -> "Configuration":
         """Chain k of stacked chains on its own, its values contiguous."""
         return Configuration(self.window, np.ascontiguousarray(self.values[:, k]),
-                             self.tail.tails[k])
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "window": self.window.half_width,
-            "dimension": self.window.dimension,
-            "tail_rule": self.tail.kind,
-            "values": self.values.tolist(),
-        }
-        slope = getattr(self.tail, "slope", None)
-        if slope is not None:
-            d["rotation"] = np.asarray(slope, dtype=float).tolist()
-        return d
+                             self.tail.tails[k],
+                             None if self.halo is None else self.halo[:, k])
 
 
 def homomorphism_configuration(rho, window: Window) -> Configuration:
@@ -314,12 +292,16 @@ def homomorphism_configuration(rho, window: Window) -> Configuration:
 
 
 def stack_chains(chains) -> Configuration:
-    """Configurations on one window stacked site-axis-first, (n_sites, K, d)."""
+    """Configurations on one window stacked site-axis-first, (n_sites, K, d),
+    with their halos stacked when every chain has one of one size."""
     window = chains[0].window
     if any(c.window != window for c in chains):
         raise ValueError("stacked chains must share one window")
+    halos, halo = [c.halo for c in chains], None
+    if all(h is not None and h.shape == halos[0].shape for h in halos):
+        halo = np.stack(halos, axis=1)
     return Configuration(window, np.stack([c.values for c in chains], axis=1),
-                         StackedTail(tuple(c.tail for c in chains)))
+                         StackedTail(tuple(c.tail for c in chains)), halo)
 
 
 def anchor_configuration(rho, sampler, radius: float, window: Window) -> Configuration:
@@ -330,24 +312,17 @@ def anchor_configuration(rho, sampler, radius: float, window: Window) -> Configu
 def anchor_stack(rhos, sampler, radius: float, window: Window,
                  halo: int = 0) -> Configuration:
     """The nearest-anchor configurations of K rotation vectors, stacked as
-    (n_sites, K, d), from one lookup. The lookup also covers the halo
-    sites within halo of the window, which every tail then answers from
-    its memo, as the stacked tail does."""
+    (n_sites, K, d), from one lookup. Given halo > 0, the lookup also
+    covers the halo sites within halo of the window, which fill the
+    configuration's halo."""
     rots = [as_rotation(rho) for rho in rhos]
     if any(rot.dimension != window.dimension for rot in rots):
         raise ValueError("rotation vector dimension does not match window")
-    tails = tuple(AnchorTail(rot, sampler, radius) for rot in rots)
-    stacked, n = StackedTail(tails), window.half_width
-    sites = np.arange(-n - halo, n + halo + 1)
-    vals = stacked._lookup(sites)
-    if halo:
-        side = np.concatenate([sites[:halo], sites[-halo:]])
-        edge = np.concatenate([vals[:halo], vals[-halo:]])
-        for k, tail in enumerate(tails):
-            object.__setattr__(tail, "_last", (side, np.ascontiguousarray(edge[:, k])))
-        object.__setattr__(stacked, "_last", (side, edge))
-        vals = vals[halo:-halo]
-    return Configuration(window, vals, stacked)
+    tail = StackedTail(tuple(AnchorTail(rot, sampler, radius) for rot in rots))
+    n = window.half_width
+    vals = tail.values(np.arange(-n - halo, n + halo + 1))
+    edge = np.concatenate([vals[:halo], vals[len(vals) - halo:]]) if halo else None
+    return Configuration(window, vals[halo:len(vals) - halo], tail, edge)
 
 
 def _nearest_anchors(points, sampler, radius: float) -> np.ndarray:
@@ -473,9 +448,3 @@ def configuration_from_csv(path, tail: TailRule) -> Configuration:
     if not np.array_equal(sites, np.arange(-n, n + 1)):
         raise ValueError("csv sites do not form a symmetric window")
     return Configuration(Window(n, dim), vals, tail)
-
-
-def configuration_to_json(u: Configuration, path) -> None:
-    with open(path, "w") as f:
-        json.dump(u.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -34,7 +34,9 @@ __all__ = [
     "cosine_certificate",
     "estimate_aubry",
     "local_inverse",
+    "local_inverse_batch",
     "potential_from_dict",
+    "sampler_from_dict",
 ]
 
 
@@ -128,15 +130,6 @@ class _TruncatedAlmostPeriodic(TrigSumPotential):
             for n in range(self.term_count)
         ]
         super().__init__(terms)
-
-    def tail_bounds(self) -> dict:
-        """Sup-norm bounds on the dropped series tail, up to second
-        derivatives (geometric sums of |a|^n, |a b|^n, |a b^2|^n)."""
-        a, b, M = self.amplitude_ratio, self.frequency_ratio, self.term_count
-        out = {}
-        for order, ratio in (("c0", a), ("c1", a * b), ("c2", a * b * b)):
-            out[order] = abs(ratio) ** M / (1.0 - abs(ratio))
-        return out
 
     def to_dict(self):
         return {

@@ -27,8 +27,6 @@ from .hyperbolicity import _coefficients
 from .interactions import NearestNeighborInteraction
 from .lattice import (
     Configuration,
-    HomomorphismTail,
-    StackedTail,
     Window,
     anchor_configuration,
     anchor_stack,
@@ -427,22 +425,8 @@ class ContractionSolver:
         if not self._fits(u):
             raise ValueError("initial configuration window or case mismatch")
         self.failures = dict(self._lost)
-        # each tail supplies its halo once up front, failing only its case;
-        # the anchors' tails answer from the anchor lookup's memo
-        n, reach = self.window.half_width, self.interaction.reach
-        halo = np.concatenate([np.arange(-n - reach, -n), np.arange(n + 1, n + reach + 1)])
-        for c, tail in enumerate(u.tail.tails):
-            if c not in self.failures:
-                try:
-                    tail.values(halo)
-                except CertificateError as exc:
-                    self.failures[c] = exc
-        if self.failures:
-            # a failed case's rotation supplies its halo, so that every
-            # step can evaluate the whole stack
-            u = Configuration(u.window, u.values, StackedTail(tuple(
-                HomomorphismTail(p.rho) if c in self.failures else tail
-                for c, (p, tail) in enumerate(zip(self.cases, u.tail.tails)))))
+        if self.failures or u.halo is None or len(u.halo) != 2 * self.interaction.reach:
+            u = Configuration(u.window, u.values, u.tail, self._halo(u))
         running = [c for c in range(K) if c not in self.failures]
         steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
         fallback, last_res, done = [False] * K, [np.inf] * K, {}
@@ -483,6 +467,24 @@ class ContractionSolver:
                                  for c in done})
         return [self.failures[c] if c in self.failures else (done[c][0], reports[c])
                 for c in range(K)]
+
+    def _halo(self, u: Configuration) -> np.ndarray:
+        """The halo of the stack u, (2 reach, K, d), each case's looked up
+        once from its own tail. A case whose tail raises fails, and its
+        rotation supplies its halo, so that every step can evaluate the
+        whole stack; so does a case that has failed already."""
+        n, reach = self.window.half_width, self.interaction.reach
+        sites = np.concatenate([np.arange(-n - reach, -n), np.arange(n + 1, n + reach + 1)])
+        halo = np.empty((len(sites),) + u.values.shape[1:])
+        for c, (p, tail) in enumerate(zip(self.cases, u.tail.tails)):
+            if c not in self.failures:
+                try:
+                    halo[:, c] = tail.values(sites)
+                    continue
+                except CertificateError as exc:
+                    self.failures[c] = exc
+            halo[:, c] = p.rho(sites)
+        return halo
 
     def _stalled(self, values, c, res, steps) -> ConvergenceError:
         H = self.potential.hessian(values).reshape(len(values), -1)
@@ -577,23 +579,22 @@ class UniquenessVerdict:
 def uniqueness_check(u: Configuration, u2: Configuration,
                      cert: AubryCertificate, tol: float = 1e-10) -> UniquenessVerdict:
     """Decide whether two configurations share an anchor ball at every
-    site; if they do, they must coincide (checked against 10 * tol)."""
+    site; if they do, they must coincide (checked against 10 * tol).
+
+    The anchor balls are disjoint, so a ball holding both values of a site
+    is the one around the zero nearest their midpoint, which one nearest
+    lookup of all midpoints at the covering radius finds. A midpoint it
+    cannot answer (outside a finite zero set's box, or with no zero within
+    the covering radius) raises CertificateError, even when another site
+    already tells the balls apart.
+    """
     if u.window != u2.window:
         raise ValueError("configurations lie on different windows")
-    r = cert.ball_radius
-    slack = r * (1 + 1e-9) + 1e-12
-    same = True
-    for a, b in zip(u.values, u2.values):
-        mid = 0.5 * (a + b)
-        pts = np.atleast_2d(cert.sampler.points_near(mid, r * (1 + 1e-9) + 1e-12))
-        if pts.size == 0:
-            same = False
-            break
-        da = np.linalg.norm(pts - a, axis=1)
-        db = np.linalg.norm(pts - b, axis=1)
-        if not ((da <= slack) & (db <= slack)).any():
-            same = False
-            break
+    slack = cert.ball_radius * (1 + 1e-9) + 1e-12
+    zeros = cert.sampler.nearest(0.5 * (u.values + u2.values),
+                                 cert.covering_radius * (1 + 1e-12) + 1e-12)
+    same = bool((np.linalg.norm(zeros - u.values, axis=1) <= slack).all()
+                and (np.linalg.norm(zeros - u2.values, axis=1) <= slack).all())
     dist = ext_distance(u, u2)
     return UniquenessVerdict(
         same_ball=same,

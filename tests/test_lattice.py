@@ -18,7 +18,6 @@ from antifk import (
     as_rotation,
     configuration_from_csv,
     configuration_to_csv,
-    configuration_to_json,
     cosine_potential,
     ext_distance,
     homomorphism_configuration,
@@ -326,20 +325,6 @@ class TestSerialization:
         assert np.array_equal(u.values, v.values)
         assert v.window == u.window
 
-    def test_json_record(self, tmp_path):
-        import json
-
-        u = hom(0.5, n=3)
-        path = tmp_path / "u.json"
-        configuration_to_json(u, path)
-        with open(path) as fh:
-            rec = json.load(fh)
-        assert rec["window"] == 3
-        assert rec["dimension"] == 1
-        assert rec["tail_rule"] == "homomorphism"
-        assert rec["rotation"] == [0.5]
-        assert len(rec["values"]) == 7
-
     @pytest.mark.parametrize("d", [1, 3])
     def test_csv_bytes_match_csv_writer(self, d, tmp_path, rng):
         _check_csv_bytes(Window(40, d), tmp_path, rng)
@@ -383,7 +368,7 @@ class TestTails:
         used = AnchorTail(as_rotation(1.0), cos_cert.sampler,
                           cos_cert.covering_radius)
         first = used.values([3, -3])
-        first[:] = 99.0  # the caller's copy, not the memo
+        first[:] = 99.0  # the caller's own array
         assert used == fresh
         assert repr(used) == repr(fresh)
         assert used.signature() == fresh.signature()
@@ -391,10 +376,10 @@ class TestTails:
         assert used.values([2]).tolist() == [[np.pi]]
 
     def test_solve_looks_up_the_halo_once(self, cos_cert, nn_interaction):
-        # the anchor tail keeps its last answer: the two halo anchors read
-        # by every Delta and coefficient assembly of a solve are looked up
-        # once, in the anchor lookup, and agree bit for bit with a fresh
-        # lookup
+        # the anchor lookup fills the configuration's halo: the two halo
+        # anchors read by every Delta and coefficient assembly of a solve
+        # are looked up once, in the anchor lookup, and agree bit for bit
+        # with a fresh lookup
         class CountingSampler:
             def __init__(self, inner):
                 self.inner, self.queries = inner, []

@@ -924,21 +924,3 @@ class TestSerialization:
             a = np.asarray(back.points_near(1.0, 2.5))
             b = np.asarray(s.points_near(1.0, 2.5))
             assert np.array_equal(a, b)
-
-
-class TestTruncationTail:
-    def test_tail_bounds_decrease_with_terms(self):
-        b4 = truncated_almost_periodic(term_count=4).tail_bounds()
-        b8 = truncated_almost_periodic(term_count=8).tail_bounds()
-        for key in ("c0", "c1", "c2"):
-            assert 0 < b8[key] < b4[key]
-
-    def test_tail_bound_formula(self):
-        # geometric tails: sum_{n >= T} a^n w^{kn} for the k-th derivative
-        bounds = truncated_almost_periodic(term_count=6).tail_bounds()
-        a, w = 0.5, 1.0 / np.pi
-        assert bounds["c0"] == pytest.approx(a**6 / (1 - a), rel=1e-12)
-        assert bounds["c1"] == pytest.approx((a * w) ** 6 / (1 - a * w), rel=1e-12)
-        assert bounds["c2"] == pytest.approx(
-            (a * w * w) ** 6 / (1 - a * w * w), rel=1e-12
-        )

@@ -341,6 +341,52 @@ class TestAnchoredBranches:
         assert v.within_tolerance is None
         assert v.distance == pytest.approx(np.pi)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_uniqueness_matches_per_site_lookup(self, d, cos_cert, rng):
+        # random pairs around the zeros pi Z^d, some sites pushed past the
+        # ball radius or into a neighbouring ball: one nearest lookup of
+        # the midpoints gives the per-site reference's verdict every time
+        cert = cos_cert
+        if d == 2:
+            axis = np.pi * np.arange(-12, 13)
+            cert = AubryCertificate(
+                FiniteZeroSet(np.array([[x, y] for x in axis for y in axis]),
+                              -35.0, 35.0),
+                np.pi / np.sqrt(2), np.pi / 4, np.cos(np.pi / 4))
+        w, r = Window(3, d), cert.ball_radius
+        base = homomorphism_configuration(np.zeros(d), w)
+        verdicts = []
+        for _ in range(300):
+            zeros = np.pi * rng.integers(-8, 9, size=(w.n_sites, d))
+            moved = zeros + np.pi * (rng.uniform(size=(w.n_sites, 1)) < 0.03)
+            values = []
+            for z in (zeros, moved):
+                step = rng.normal(size=z.shape)
+                step *= (rng.uniform(0.0, rng.uniform(0.8, 1.1) * r, size=(len(z), 1))
+                         / np.linalg.norm(step, axis=1, keepdims=True))
+                values.append(base.with_values(z + step))
+            got = uniqueness_check(*values, cert).same_ball
+            assert got == _same_ball_by_site(*values, cert)
+            verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _same_ball_by_site(u, u2, cert) -> bool:
+    """uniqueness_check's verdict by one points_near lookup per site, the
+    reference for its one nearest lookup."""
+    r = cert.ball_radius
+    slack = r * (1 + 1e-9) + 1e-12
+    for a, b in zip(u.values, u2.values):
+        mid = 0.5 * (a + b)
+        pts = np.atleast_2d(cert.sampler.points_near(mid, r * (1 + 1e-9) + 1e-12))
+        if pts.size == 0:
+            return False
+        da = np.linalg.norm(pts - a, axis=1)
+        db = np.linalg.norm(pts - b, axis=1)
+        if not ((da <= slack) & (db <= slack)).any():
+            return False
+    return True
+
 
 class TestStoppingRule:
     def test_a_posteriori_bound(self, nn_interaction, cos_potential, cos_cert):
