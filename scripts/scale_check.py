@@ -16,14 +16,16 @@ sites over the three largest sizes, which reads 1 for linear growth.
 A further row times ``estimate_aubry`` on the sweep benchmark's potential
 (the 8-term truncated almost-periodic series, amplitude ratio 0.5) over
 the search windows [-w, w] for w in 50, 200 and 800, with its log-log
-slope against the number of zeros found.
+slope against the number of zeros found and the rows of V.gradient and
+V.hessian that one estimate evaluates.
 
 The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
 that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
 (7 is what ``antifk sweep`` uses at this window), with the rows per
 batch and the peak memory the solves allocate (tracemalloc): the time
 per case shows the per-call overhead a batch shares, the memory why the
-batch size is bounded. Its ``epilogue_s`` times, at the same batch
+batch size is bounded; the rows of V.gradient and V.hessian that the 25
+solves evaluate show the kernel work. Its ``epilogue_s`` times, at the same batch
 sizes, the work ``antifk sweep`` does on each batch after the solve: the
 solve reports (whose distances to the rotation share one tail probe)
 and the hyperbolicity checks of the batch's stacked chains.
@@ -74,6 +76,27 @@ SWEEP_HALF_WIDTH = 256
 SWEEP_BATCHES = (1, 7, 25)
 
 
+def count_rows(V, fn) -> tuple:
+    """(gradient rows, hessian rows) the potential instance V evaluates
+    during fn(), counted by wrapping its two methods for the call."""
+    rows = {"gradient": 0, "hessian": 0}
+
+    def counted(name, method):
+        def wrapped(x):
+            rows[name] += max(1, np.size(x) // V.dimension)
+            return method(x)
+        return wrapped
+
+    for name in rows:
+        setattr(V, name, counted(name, getattr(V, name)))
+    try:
+        fn()
+    finally:
+        for name in rows:
+            delattr(V, name)  # the class's methods again
+    return rows["gradient"], rows["hessian"]
+
+
 def best_of(fn) -> float:
     """Shortest wall time of REPEATS calls of fn()."""
     times = []
@@ -118,9 +141,10 @@ def layer_times(half_width: int) -> dict:
 
 def estimate_aubry_times() -> dict:
     V = truncated_almost_periodic(8, 0.5)
-    zeros, s = [], []
+    zeros, s, rows = [], [], []
     for w in AUBRY_WINDOWS:
-        zeros.append(estimate_aubry(V, (-w, w)).metadata["zeros_found"])
+        rows.append(count_rows(V, lambda: zeros.append(
+            estimate_aubry(V, (-w, w)).metadata["zeros_found"])))
         s.append(best_of(lambda: estimate_aubry(V, (-w, w))))
     slope = np.polyfit(np.log(zeros), np.log(s), 1)[0]
     return {
@@ -132,6 +156,8 @@ def estimate_aubry_times() -> dict:
         "s": s,
         "ms_per_zero": [1e3 * t / z for t, z in zip(s, zeros)],
         "loglog_slope_vs_zeros": round(float(slope), 3),
+        "gradient_rows": [g for g, _ in rows],
+        "hessian_rows": [h for _, h in rows],
     }
 
 
@@ -163,8 +189,9 @@ def sweep_times() -> dict:
             _hyperbolic_checks(stack_chains([u for u, *_ in done.values()]), nn, V,
                                [solver.cases[c].lam for c in done], cert, TOL)
 
-    s, peak, epilogue = [], [], []
+    s, peak, epilogue, rows = [], [], [], []
     for k in SWEEP_BATCHES:
+        rows.append(count_rows(V, lambda: solve_all(k)))
         s.append(best_of(lambda: solve_all(k)))
         tracemalloc.start()
         solve_all(k)
@@ -181,7 +208,8 @@ def sweep_times() -> dict:
                  f"{SWEEP_HALF_WIDTH}, in stacked batches of k cases; "
                  "peak_mb is the most memory the solves hold at once (tracemalloc); "
                  "epilogue_s is each batch's reports and stacked hyperbolicity "
-                 "checks after its solve"),
+                 "checks after its solve; gradient_rows and hessian_rows are "
+                 "the rows of V the solves evaluate"),
         "cases": len(cases),
         "cases_per_batch": list(SWEEP_BATCHES),
         "rows_per_batch": [k * sites for k in SWEEP_BATCHES],
@@ -190,6 +218,8 @@ def sweep_times() -> dict:
         "peak_mb": peak,
         "epilogue_s": epilogue,
         "epilogue_ms_per_case": [1e3 * t / len(cases) for t in epilogue],
+        "gradient_rows": [g for g, _ in rows],
+        "hessian_rows": [h for _, h in rows],
     }
 
 

@@ -113,6 +113,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text):
+    """An int of at least 1, for argparse."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _check_keys(block, allowed, where):
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -573,7 +584,7 @@ def _sweep_payloads(cfg, args):
     cases = sorted(pairs)
     # every worker gets a batch while there are cases for it
     size = min(max(1, _BATCH_ROWS // (2 * half_width + 1)),
-               -(-len(cases) // max(1, args.workers)))
+               -(-len(cases) // args.workers))
     return [
         (potential, interaction, cert, cases[i:i + size], half_width, tol,
          max_iter, check_hyp)
@@ -584,7 +595,7 @@ def _sweep_payloads(cfg, args):
 def _cmd_sweep(args):
     cfg = _load_config(args.config)
     payloads = _sweep_payloads(cfg, args)
-    workers = max(1, args.workers)
+    workers = min(args.workers, len(payloads))  # a process per batch at most
     if workers == 1:
         batches = [_sweep_batch(p) for p in payloads]
     else:
@@ -641,7 +652,8 @@ def _build_parser():
         )
         if name == "sweep":
             p.add_argument(
-                "--workers", type=int, default=1, help="parallel worker count"
+                "--workers", type=_positive_int, default=1,
+                help="parallel worker count (at most one per batch)"
             )
         p.set_defaults(func=func)
     return parser

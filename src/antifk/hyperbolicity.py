@@ -70,11 +70,12 @@ def _sv(X) -> np.ndarray:
     return np.abs(X[..., 0]) if X.shape[-1] == 1 else np.linalg.svd(X, compute_uv=False)
 
 
-def _coefficients(u: Configuration, interaction, potential, lam):
+def _coefficients(u: Configuration, interaction, potential, lam, hessian=None):
     """(sites, A, B, C) along the window, the matrices as (n, d, d) arrays,
     or (n, K, d, d) for K stacked chains, with lam one coupling or one per
     chain as a (K, 1, 1) array. The potential sees the sites as (rows, d),
-    as a single chain does."""
+    as a single chain does; hessian, if given, is its hessian at u's
+    sites."""
     _require_nn(interaction)
     coupling = interaction.coupling
     ext = u.extended(1)
@@ -83,7 +84,9 @@ def _coefficients(u: Configuration, interaction, potential, lam):
     shape = u.values.shape + (u.window.dimension,)
     A = coupling.hessian(fwd).reshape(shape)
     B = coupling.hessian(bwd).reshape(shape)
-    C = lam * potential.hessian(u.values.reshape(-1, shape[-1])).reshape(shape)
+    if hessian is None:
+        hessian = potential.hessian(u.values.reshape(-1, shape[-1]))
+    C = lam * hessian.reshape(shape)
     return u.window.sites(), A, B, C
 
 

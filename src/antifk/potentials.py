@@ -638,32 +638,53 @@ _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
                       "degeneracy filter too permissive")
 
 
+def _fails_1d(V, x: np.ndarray, m: float, rows: int) -> np.ndarray:
+    """|V''(x)| < m at the points x (d = 1), in hessian calls of at most
+    rows points (bounded temporaries)."""
+    return np.concatenate([_sigma_min(V.hessian(x[i:i + rows, None])) < m
+                           for i in range(0, len(x), rows)])
+
+
 def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
                            radius_samples: int, rng) -> float:
     """Largest radius such that sigma_min(hessian) >= m at all sampled
-    points of every ball. d = 1: one scan of |V''(z +- s_k)| over s_k =
-    linspace(0, r_cap, radius_samples), one zero per call (bounded
-    temporaries), finds each side's first failing offset; the brackets
-    [s_{k-1}, s_k] are bisected together to adjacent floats and the least
-    lower end is returned. d > 1: bisection over r on random points of
-    each ball."""
+    points of every ball. d = 1: each ball side z +- s_k, over s_k =
+    linspace(0, r_cap, radius_samples), fails first at some offset k, and
+    only the sides failing first at the least such k* can hold the least
+    radius: any other side's bracket [s_{k-1}, s_k] starts at or above
+    s_{k*}. So |V''| is scanned on every side at once in blocks of
+    offsets, at most 2 radius_samples points a hessian call, up to the
+    first block where some side fails; the sides failing at k* have the
+    one bracket [s_{k*-1}, s_{k*}], which is bisected on each of them to
+    adjacent floats, and the least lower end is returned (r_cap if no
+    offset fails). d > 1: bisection over r on random points of each
+    ball."""
     d = zeros.shape[1]
     if d == 1:
         s = np.linspace(0.0, r_cap, radius_samples)
-        k = np.empty((zeros.shape[0], 2), dtype=int)  # first failing offset
-        for j, z in enumerate(zeros[:, 0]):
-            fail = _sigma_min(V.hessian(np.concatenate([z + s, z - s])[:, None])) < m
-            k[j] = np.c_[fail.reshape(2, -1), [True, True]].argmax(axis=1)
-        # no failing offset (k = radius_samples): the closed bracket [r_cap, r_cap]
-        lo, hi = s[np.maximum(k - 1, 0)], np.append(s, r_cap)[k]
-        sign = np.array([1.0, -1.0])
+        rows = 2 * radius_samples  # most points per hessian call
+        centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
+        block = max(1, rows // len(sign))  # offsets per block
+        lo = hi = np.array([float(r_cap)])  # no failing offset: [r_cap, r_cap]
+        for b in range(0, radius_samples, block):
+            off = s[b:b + block]
+            fail = _fails_1d(V, (centre[:, None] + sign[:, None] * off).ravel(), m,
+                             rows).reshape(len(sign), -1)
+            hit = fail.any(axis=1)
+            if hit.any():
+                first = np.where(hit, fail.argmax(axis=1), len(off))
+                least = first == first.min()  # the sides failing first at k*
+                k = b + first.min()
+                centre, sign = centre[least], sign[least]
+                lo, hi = (np.full(len(sign), s[j]) for j in (max(k - 1, 0), k))
+                break
         for _ in range(64):  # adjacent floats at 512 samples and r >= 1e-6 r_cap
             mid = 0.5 * (lo + hi)
             wide = (lo < mid) & (mid < hi)  # brackets wider than adjacent floats
             if not wide.any():
                 break
             ok = wide.copy()
-            ok[wide] = ~(_sigma_min(V.hessian((zeros + sign * mid)[wide][:, None])) < m)
+            ok[wide] = ~_fails_1d(V, (centre + sign * mid)[wide], m, rows)
             lo, hi = np.where(ok, mid, lo), np.where(wide & ~ok, mid, hi)
         if lo.min() < 1e-6 * r_cap:
             raise CertificationError(_NEAR_ZERO_FAILURE)
@@ -709,11 +730,13 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     the best are discarded. The expansion constant is expansion_fraction
     times the weakest retained curvature, and the covering radius is half
     the largest gap (times safety). The ball radius is the largest radius
-    whose sampled points sustain that curvature: in d = 1 the first
-    crossing of |V''| = m on radius_samples offsets per side of each zero,
-    bisected to adjacent floats; in d > 1 a bisection over radius_samples
-    random points per ball. All properties are re-verified on random
-    samples before returning.
+    whose sampled points sustain that curvature: in d = 1 the least first
+    crossing of |V''| = m over the ball sides, on radius_samples offsets
+    per side (the scan of all sides stops at the offset block where some
+    side first crosses), bisected to adjacent floats on the sides crossing
+    there; in d > 1 a bisection over radius_samples random points per
+    ball. All properties are re-verified on random samples before
+    returning.
     """
     for name, count in (("radius_samples", radius_samples),
                         ("covering_checks", covering_checks),
@@ -861,7 +884,8 @@ def local_inverse(V, z, target, cert: AubryCertificate,
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
                         max_iter: int = 100,
-                        start: np.ndarray | None = None) -> np.ndarray:
+                        start: np.ndarray | None = None, *,
+                        derivatives: bool = False):
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
     zero centers_k by safeguarded Newton, vectorised over rows.
 
@@ -878,6 +902,12 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     max_iter steps, or with no root in its bracket, raises
     ConvergenceError naming it (also as its ``row``). Callers do the
     domain check, so they can name the offending site.
+
+    Every row ends right after an evaluation of psi and its hessian at the
+    y it returns. With ``derivatives``, returns (y, grad V(y), hessian
+    V(y)), shapes (rows, d) and (rows, d, d), from those evaluations: as
+    V computes its rows independently of their batch, they equal a fresh
+    evaluation at y bit for bit.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -895,8 +925,13 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     rows = np.arange(len(centers))  # rows still open
     for k in range(max_iter + 1):
         yk = y[rows]
-        f = V.gradient(yk) - targets[rows]
+        g = V.gradient(yk)
         H = np.reshape(V.hessian(yk), (-1, d, d))
+        if k == 0:  # every row; later steps write theirs in
+            grad, hess = g, H
+        elif derivatives:
+            grad[rows], hess[rows] = g, H
+        f = g - targets[rows]
         nf = np.linalg.norm(f, axis=1)
         floor = np.spacing(np.abs(yk).max(axis=1)) * np.linalg.norm(H, axis=(1, 2))
         limit = np.maximum(tol if tol.ndim == 0 else tol[rows],
@@ -904,7 +939,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         keep = nf > limit
         rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]
         if rows.size == 0:
-            return y
+            return (y, grad, hess) if derivatives else y
         if k == max_iter:
             raise ConvergenceError(
                 f"local inverse row {rows[0]} stopped at |psi(y) - t| = "

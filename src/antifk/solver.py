@@ -123,15 +123,35 @@ def lambda_threshold(interaction, rho, cert: AubryCertificate) -> float:
     return (K * (r + R) + hom) / (r * m)
 
 
-def _force(u: Configuration, interaction, V, lam) -> np.ndarray:
+def _at_sites(f, x: np.ndarray, rank: int, cases=(), values=None) -> np.ndarray:
+    """f (V.gradient, rank 1, or V.hessian, rank 2) at the stacked sites x
+    (n, K, d), shape (n, K) + (d,) * rank. f sees the sites as (rows, d),
+    as it does for a single chain. values, if given, holds f at the chains
+    of the ascending case ids cases, (n, len(cases)) + (d,) * rank, which
+    are not evaluated again: f computes a row independently of its batch,
+    so the result is the same bit for bit."""
+    (n, K, d), tail = x.shape, (x.shape[-1],) * rank
+    if len(cases) == K:
+        return values
+    rest = [c for c in range(K) if c not in cases]
+    fresh = f((x[:, rest] if cases else x).reshape(-1, d)).reshape((n, len(rest)) + tail)
+    if not cases:
+        return fresh
+    out = np.empty((n, K) + tail)
+    out[:, cases], out[:, rest] = values, fresh
+    return out
+
+
+def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
     """F(u)_i = Delta(u)_i + lam * grad V(u_i) at the window sites, (n, d),
     with neighbors outside the window supplied by the tail rule; for
     stacked chains (n, K, d), lam is one coupling or one per chain as a
     (K, 1) array. V sees the sites as (rows, d), as it does for a single
-    chain."""
+    chain; gradient, if given, is grad V at u's sites, of u's shape."""
     x = u.values
-    return interaction.delta(u) + lam * V.gradient(
-        x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    if gradient is None:
+        gradient = V.gradient(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    return interaction.delta(u) + lam * gradient
 
 
 def _sup(x: np.ndarray):
@@ -141,11 +161,11 @@ def _sup(x: np.ndarray):
     return float(m) if x.ndim == 2 else m
 
 
-def residual(u: Configuration, interaction, V, lam):
+def residual(u: Configuration, interaction, V, lam, gradient=None):
     """sup_i |Delta(u)_i + lam * grad V(u_i)| over window sites, with
     neighbors outside the window supplied by the tail rule; one per chain
-    for stacked chains, lam as for _force."""
-    return _sup(_force(u, interaction, V, lam))
+    for stacked chains, lam and gradient as for _force."""
+    return _sup(_force(u, interaction, V, lam, gradient))
 
 
 def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
@@ -300,12 +320,16 @@ class ContractionSolver:
         are every case, so that the kernels read views, not copies."""
         return slice(None) if len(cases) == len(self.cases) else cases
 
-    def phi_step(self, u: Configuration, cases=None) -> Configuration:
+    def phi_step(self, u: Configuration, cases=None, derivatives=False):
         """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam)
         around the solver's anchors a, each local inverse started at u_i
         projected onto its anchor ball. u holds one chain per case,
         stacked; the chains of the case ids cases (by default every case
         with anchors) are stepped, every other chain is carried over.
+        With derivatives, returns (v, (ids, grad, hess)): ids are the
+        cases whose chains of v the step produced, and grad (n, len(ids),
+        d) and hess (n, len(ids), d, d) hold grad V and hess V at those
+        chains, as the local inverse last evaluated them.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -334,12 +358,12 @@ class ContractionSolver:
             sel = self._sel(going)
             tol = self.inner_tol[sel]
             try:
-                new = local_inverse_batch(
+                new, grad, hess = local_inverse_batch(
                     self.potential, self._anchors[:, sel].reshape(-1, d),
                     targets[:, sel].reshape(-1, d), self.cert,
                     tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
-                    start=u.values[:, sel].reshape(-1, d),
-                ).reshape(n, len(going), d)
+                    start=u.values[:, sel].reshape(-1, d), derivatives=True)
+                new = new.reshape(n, len(going), d)
                 break
             except ConvergenceError as exc:  # row = site * len(going) + j
                 site, j = divmod(exc.row, len(going))
@@ -359,9 +383,15 @@ class ContractionSolver:
         if ended:
             back = list(ended)
             values[:, back] = u.values[:, back]
-        return u.with_values(values)
+        if not derivatives:
+            return u.with_values(values)
+        kept = [j for j, c in enumerate(going) if c not in ended]
+        pick = slice(None) if len(kept) == len(going) else kept
+        return u.with_values(values), ([going[j] for j in kept],
+                                       grad.reshape(n, len(going), d)[:, pick],
+                                       hess.reshape(n, len(going), d, d)[:, pick])
 
-    def newton_polish(self, u: Configuration, cases=None):
+    def newton_polish(self, u: Configuration, cases=None, derivatives=None):
         """Newton steps L delta = F(u) on each whole chain, L the
         block-tridiagonal Jacobian of F (blocks -B_i, A_i + B_i + C_i, -A_i
         of the tangent recursion), solved by cyclic reduction for all the
@@ -372,11 +402,16 @@ class ContractionSolver:
         the threshold, or after NEWTON_STEPS steps. A step that leaves the
         tube |u - a| <= r, does not lower the residual or meets a singular
         block is discarded, and the chain's polish ends there. u and cases
-        are as for phi_step. Returns (u, per case the residual after each
-        kept step, per case whether a step was discarded).
+        are as for phi_step, and derivatives, if given, phi_step's for u:
+        the entry force and the first step's C blocks take grad V and hess
+        V at the chains it produced from there. Returns (u, per case the
+        residual after each kept step, per case whether a step was
+        discarded).
         """
-        K = len(self.cases)
-        force = _force(u, self.interaction, self.potential, self.lam)
+        K, V = len(self.cases), self.potential
+        ids, grad, hess = derivatives or ((), None, None)
+        force = _force(u, self.interaction, V, self.lam,
+                       _at_sites(V.gradient, u.values, 1, ids, grad))
         res = _sup(force).tolist()
         history, fallback = [[] for _ in range(K)], [False] * K
         going = [c for c in self._cases(cases) if res[c] > self.tol]
@@ -385,14 +420,16 @@ class ContractionSolver:
                 break
             sel = self._sel(going)
             A, B, C = (x[:, sel] for x in _coefficients(
-                u, self.interaction, self.potential, self.lam[:, None])[1:])
+                u, self.interaction, V, self.lam[:, None],
+                _at_sites(V.hessian, u.values, 2, ids, hess))[1:])
+            ids = ()  # u moves: later steps evaluate V afresh
             step = _newton_step(-B, A + B + C, -A, force[:, sel])
             if isinstance(sel, slice):
                 v = u.with_values(u.values - step)
             else:
                 v = u.with_values(u.values.copy())
                 v.values[:, going] -= step
-            force_v = _force(v, self.interaction, self.potential, self.lam)
+            force_v = _force(v, self.interaction, V, self.lam)
             res_v = _sup(force_v).tolist()
             dist = _sup(v.values - self._anchors).tolist()
             # written so that a non-finite step fails both tests
@@ -415,7 +452,10 @@ class ContractionSolver:
         pass, case by case: a case stops in place when it converges or
         fails. For a nearest-neighbour interaction, newton_polish runs
         after the second step and the loop goes on with the closing step,
-        so the answer is still a tube-map image. Returns, per case,
+        so the answer is still a tube-map image. The local inverse's last
+        evaluations of grad V and hess V at each chain a step produced feed
+        the polish's entry force and first C blocks and the residual
+        check; a carried-over chain is evaluated there. Returns, per case,
         (configuration, report) or the case's error, which also stays in
         self.failures."""
         cert, K = self.cert, len(self.cases)
@@ -434,8 +474,9 @@ class ContractionSolver:
             if not running:
                 break
             if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
-                u, newton, fallback = self.newton_polish(u, running)
-            u_next = self.phi_step(u, running)
+                u, newton, fallback = self.newton_polish(u, running, derivatives)
+            derivatives = None  # freed before the step makes its own
+            u_next, derivatives = self.phi_step(u, running, derivatives=True)
             running = [c for c in running if c not in self.failures]
             delta = _sup(u_next.values - u.values).tolist()
             u = u_next
@@ -446,7 +487,9 @@ class ContractionSolver:
             close = [c for c in running if delta[c] <= max(step_threshold, floors[c])]
             if not close:
                 continue
-            res = residual(u, self.interaction, self.potential, self.lam).tolist()
+            res = residual(u, self.interaction, self.potential, self.lam,
+                           _at_sites(self.potential.gradient, u.values, 1,
+                                     *derivatives[:2])).tolist()
             for c in close:
                 if res[c] <= self.tol:
                     done[c] = (u.chain(c), res[c])

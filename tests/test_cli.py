@@ -281,6 +281,50 @@ class TestSweep:
                      "--workers", "2"]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers, pool", [("1", []), ("2", [2]), ("3", [2]),
+                                               ("64", [4])])
+    def test_pool_capped_at_batches(self, workers, pool, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        seen = []
+
+        class Recorder:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = self.sweep_config(tmp_path)
+        serial, out = tmp_path / "serial", tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+        # 4 cases: batches of 2 for 2 or 3 workers, of 1 for 64
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 0
+        assert seen == pool
+        assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_bad_worker_count_exits_1(self, workers, tmp_path, capsys, monkeypatch):
+        from antifk import cli
+
+        def never(payload):
+            raise AssertionError("a case was solved")
+
+        monkeypatch.setattr(cli, "_sweep_batch", never)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", self.sweep_config(tmp_path), "--out",
+                     str(out), "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["lams", "rhos"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_grid_entry_exits_1(self, key, value, tmp_path, capsys,

@@ -219,6 +219,23 @@ class TestBallRadiusScan:
         else:  # the edges z +- r pass, and fail one float further out
             assert edges_pass(r) and not edges_pass(np.nextafter(r, np.inf))
 
+    @pytest.mark.parametrize("m, r_cap", [(0.7, 1.5), (0.9, 0.3)])
+    def test_more_sides_than_rows_per_call(self, cos_potential, monkeypatch, m, r_cap):
+        # 81 zeros, offset -0.01 so that their left sides bind: 162 sides
+        # against 2 * 16 points a call, scanned and bisected in chunks
+        zeros = np.pi * np.arange(-40.0, 41.0)[:, None] - 0.01
+        calls, hessian = [], cos_potential.hessian
+
+        def counting(x):
+            calls.append(np.shape(x)[0])
+            return hessian(x)
+
+        monkeypatch.setattr(cos_potential, "hessian", counting)
+        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 16, None)
+        assert max(calls) <= 32
+        monkeypatch.undo()
+        assert r == _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
+
     @pytest.mark.parametrize("m", [1.5, 1.0 - 1e-14])
     @pytest.mark.parametrize("zeros", [[[0.0]], [[np.pi], [0.0]]])
     def test_fails_near_the_zero(self, cos_potential, zeros, m):
@@ -243,9 +260,16 @@ class TestBallRadiusScan:
         samples = 512
         cert = estimate_aubry(V, (-200.0, 200.0), radius_samples=samples)
         zeros = cert.metadata["zeros_retained"]
-        assert sum(calls) <= (zeros * (2 * samples + 2 * 64)
+        # the scan stops in the block of offsets holding the least first
+        # failing offset k (s[k - 1] <= r < s[k]); at most 64 bisection
+        # steps follow on each side failing first there
+        pts = np.sort(cert.sampler.points[:, 0])
+        s = np.linspace(0.0, 0.49 * np.diff(pts).min(), samples)
+        k = int(np.searchsorted(s, cert.ball_radius, side="right"))
+        assert 0 < k < samples // 2
+        assert sum(calls) <= (2 * zeros * (k + 1) + 2 * samples + 2 * zeros * 64
                               + cert.metadata["zeros_found"])
-        assert max(calls[1:]) <= 2 * samples  # at most one zero per call
+        assert max(calls[1:]) <= 2 * samples  # bounded temporaries
 
 
 def _polish_zero_1d(V, a, b, iters=200):

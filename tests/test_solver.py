@@ -416,7 +416,7 @@ def _dense(lower, diag, upper):
 class _TubeMapOnly(ContractionSolver):
     """The solver with the Newton phase switched off."""
 
-    def newton_polish(self, u, cases=None):
+    def newton_polish(self, u, cases=None, derivatives=None):
         chains = u.values.shape[1]
         return u, [[] for _ in range(chains)], [False] * chains
 
@@ -742,3 +742,97 @@ class TestStackedSolve:
         with pytest.raises(ValueError, match="shares one window"):
             ContractionSolver(nn_interaction, cos_potential, cos_cert,
                               [make_params(n=8), make_params(n=9)])
+
+
+def _count_rows_outside_inverse(monkeypatch, V):
+    """Rows of V.gradient and V.hessian evaluated outside the solver's
+    local inverse, counted as they are called."""
+    from antifk import solver as solver_module
+
+    rows, inside = {"gradient": 0, "hessian": 0}, []
+    for name in rows:
+        def counted(x, f=getattr(V, name), name=name):
+            if not inside:
+                rows[name] += np.shape(x)[0]
+            return f(x)
+        monkeypatch.setattr(V, name, counted)
+    inverse = solver_module.local_inverse_batch
+
+    def wrapped(*args, **kwargs):
+        inside.append(True)
+        try:
+            return inverse(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver_module, "local_inverse_batch", wrapped)
+    return rows
+
+
+class TestDerivativeReuse:
+    """The local inverse's last evaluations of grad V and hess V at a
+    step's chains serve the Newton polish's entry force, its first C
+    blocks and the residual check: outside the local inverse V is
+    evaluated only for the Newton steps' own iterates."""
+
+    def test_one_case(self, monkeypatch, nn_interaction):
+        from antifk import cosine_certificate, cosine_potential
+
+        V, params = cosine_potential(), make_params(lam=40.0, rho=0.618, n=256)
+        rows = _count_rows_outside_inverse(monkeypatch, V)
+        _, rep = solve_equilibrium(params, nn_interaction, V, cosine_certificate())
+        n, steps = 513, len(rep.newton_steps)
+        assert rep.iterations == 3 and not rep.newton_fallback and steps >= 2
+        # per Newton step the new iterate's force; C blocks from the second on
+        assert rows == {"gradient": n * steps, "hessian": n * (steps - 1)}
+
+    def test_sweep_batch(self, monkeypatch):
+        # the first batch of the sweep benchmark's grid, in lockstep
+        from antifk import estimate_aubry, truncated_almost_periodic
+
+        V = truncated_almost_periodic(8, 0.5)
+        cert = estimate_aubry(V, (-200.0, 200.0))
+        params = _grid((24.0, 32.0), (0.1, 0.2, 0.3, 0.4, 0.5), 256)[:7]
+        rows = _count_rows_outside_inverse(monkeypatch, V)
+        outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert,
+                                     params).solve()
+        reps = [rep for _, rep in outcomes]
+        steps = {len(rep.newton_steps) for rep in reps}
+        assert {rep.iterations for rep in reps} == {3} and len(steps) == 1
+        assert not any(rep.newton_fallback for rep in reps)
+        n, [steps] = 7 * 513, steps
+        assert rows == {"gradient": n * steps, "hessian": n * (steps - 1)}
+
+    def test_step_derivatives_are_fresh_values(self, nn_interaction, cos_potential,
+                                               cos_cert):
+        # case 1 is stepped alone; case 3's target leaves the admissible
+        # ball at lam = 2, so only case 1's chain comes from the step
+        params = _grid((40.0,), (0.618, 40.0), 64) + _grid((2.0,), (0.3, 2.9), 64)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        v, (ids, grad, hess) = solver.phi_step(solver.anchors, [1, 3],
+                                               derivatives=True)
+        assert ids == [1] and isinstance(solver.failures[3], DomainError)
+        x = v.values[:, ids].reshape(-1, 1)
+        assert grad.tobytes() == cos_potential.gradient(x).tobytes()
+        assert hess.tobytes() == cos_potential.hessian(x).tobytes()
+        assert grad.shape == (129, 1, 1) and hess.shape == (129, 1, 1, 1)
+
+    def test_partial_stack_residuals(self, monkeypatch, nn_interaction,
+                                     cos_potential, cos_cert):
+        # the stalling batch: once three cases stop, steps produce only the
+        # rho = 40 chain and the residual check evaluates the other three
+        from antifk import solver as solver_module
+
+        params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
+        seen, original = [], solver_module.residual
+
+        def spy(u, interaction, V, lam, gradient=None):
+            seen.append(gradient.tobytes() == V.gradient(
+                u.values.reshape(-1, 1)).reshape(u.values.shape).tobytes())
+            return original(u, interaction, V, lam, gradient)
+
+        monkeypatch.setattr(solver_module, "residual", spy)
+        statuses = _assert_batch_matches_alone(
+            nn_interaction, cos_potential, cos_cert, params, 4)
+        assert statuses == ["ok", "ConvergenceError", "ok", "ok"]
+        assert len(seen) > 4 and all(seen)
