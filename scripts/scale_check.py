@@ -83,7 +83,7 @@ def count_rows(V, fn) -> tuple:
 
     def counted(name, method):
         def wrapped(x):
-            rows[name] += max(1, np.size(x) // V.dimension)
+            rows[name] += np.shape(x)[0]
             return method(x)
         return wrapped
 
@@ -115,7 +115,7 @@ def layer_times(half_width: int) -> dict:
     a = solver.anchors.chain(0)
     targets = -nn.delta(a) / LAM
     # the solver's steps run on stacked chains (n, 1, d)
-    s2 = solver.phi_step(solver.phi_step(solver.anchors))
+    s2 = solver.phi_step(solver.phi_step(solver.anchors)[0])[0]
     _, A, B, C = _coefficients(s2, nn, V, LAM)
     force = _force(s2, nn, V, LAM)
     u2 = s2.chain(0)

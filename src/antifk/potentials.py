@@ -927,7 +927,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         yk = y[rows]
         g = V.gradient(yk)
         H = np.reshape(V.hessian(yk), (-1, d, d))
-        if k == 0:  # every row; later steps write theirs in
+        if derivatives and k == 0:  # every row; later steps write theirs in
             grad, hess = g, H
         elif derivatives:
             grad[rows], hess[rows] = g, H

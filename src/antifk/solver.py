@@ -320,16 +320,16 @@ class ContractionSolver:
         are every case, so that the kernels read views, not copies."""
         return slice(None) if len(cases) == len(self.cases) else cases
 
-    def phi_step(self, u: Configuration, cases=None, derivatives=False):
+    def phi_step(self, u: Configuration, cases=None):
         """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam)
         around the solver's anchors a, each local inverse started at u_i
         projected onto its anchor ball. u holds one chain per case,
         stacked; the chains of the case ids cases (by default every case
         with anchors) are stepped, every other chain is carried over.
-        With derivatives, returns (v, (ids, grad, hess)): ids are the
-        cases whose chains of v the step produced, and grad (n, len(ids),
-        d) and hess (n, len(ids), d, d) hold grad V and hess V at those
-        chains, as the local inverse last evaluated them.
+        Returns (v, (ids, grad, hess)): ids are the cases whose chains of
+        v the step produced, and grad (n, len(ids), d) and hess (n,
+        len(ids), d, d) hold grad V and hess V at those chains, as the
+        local inverse last evaluated them.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -383,8 +383,6 @@ class ContractionSolver:
         if ended:
             back = list(ended)
             values[:, back] = u.values[:, back]
-        if not derivatives:
-            return u.with_values(values)
         kept = [j for j, c in enumerate(going) if c not in ended]
         pick = slice(None) if len(kept) == len(going) else kept
         return u.with_values(values), ([going[j] for j in kept],
@@ -476,7 +474,7 @@ class ContractionSolver:
             if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
                 u, newton, fallback = self.newton_polish(u, running, derivatives)
             derivatives = None  # freed before the step makes its own
-            u_next, derivatives = self.phi_step(u, running, derivatives=True)
+            u_next, derivatives = self.phi_step(u, running)
             running = [c for c in running if c not in self.failures]
             delta = _sup(u_next.values - u.values).tolist()
             u = u_next

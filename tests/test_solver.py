@@ -94,7 +94,7 @@ class TestPhiStep:
         u = homomorphism_configuration(as_rotation(1.0), Window(10, 1))
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                    [make_params(lam=20.0, rho=1.0, n=10)])
-        out = solver.phi_step(stack_chains([u])).chain(0)
+        out = solver.phi_step(stack_chains([u]))[0].chain(0)
         a = anchor_configuration(
             as_rotation(1.0), cos_cert.sampler, cos_cert.covering_radius, u.window
         )
@@ -120,8 +120,8 @@ class TestPhiStep:
         for _ in range(25):
             u = a.with_values(a.values + rng.uniform(-r, r, size=a.values.shape))
             v = a.with_values(a.values + rng.uniform(-r, r, size=a.values.shape))
-            fu = solver.phi_step(stack_chains([u])).chain(0)
-            fv = solver.phi_step(stack_chains([v])).chain(0)
+            fu = solver.phi_step(stack_chains([u]))[0].chain(0)
+            fv = solver.phi_step(stack_chains([v]))[0].chain(0)
             assert ext_distance(fu, fv) <= q * ext_distance(u, v) * (1 + 1e-6) + 1e-12
 
     def test_domain_error_when_coupling_too_weak(self, nn_interaction,
@@ -133,7 +133,7 @@ class TestPhiStep:
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                    [make_params(lam=0.5, rho=1.0, n=8)])
         # the case stops in place: it keeps its chain and records its error
-        out = solver.phi_step(stack_chains([a]))
+        out, _ = solver.phi_step(stack_chains([a]))
         assert out.values.shape == (17, 1, 1)
         assert out.chain(0).values.tobytes() == a.values.tobytes()
         assert isinstance(solver.failures[0], DomainError)
@@ -638,7 +638,7 @@ class TestStackedSolve:
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                    [make_params(lam=40.0, n=8)])
         [(u, _)] = solver.solve()
-        assert solver.phi_step(solver.anchors).values.shape == (17, 1, 1)
+        assert solver.phi_step(solver.anchors)[0].values.shape == (17, 1, 1)
         weak = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                  [make_params(lam=0.5, n=8)])
         for _ in range(2):
@@ -809,8 +809,7 @@ class TestDerivativeReuse:
         # ball at lam = 2, so only case 1's chain comes from the step
         params = _grid((40.0,), (0.618, 40.0), 64) + _grid((2.0,), (0.3, 2.9), 64)
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        v, (ids, grad, hess) = solver.phi_step(solver.anchors, [1, 3],
-                                               derivatives=True)
+        v, (ids, grad, hess) = solver.phi_step(solver.anchors, [1, 3])
         assert ids == [1] and isinstance(solver.failures[3], DomainError)
         x = v.values[:, ids].reshape(-1, 1)
         assert grad.tobytes() == cos_potential.gradient(x).tobytes()
