@@ -20,7 +20,7 @@ verify_orbit are the one-chain views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,11 @@ def _require_nn(interaction):
         )
 
 
+def _json_fields(pairs) -> dict:
+    """dict_factory for dataclasses.asdict: array fields become lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in pairs}
+
+
 def _sv(X) -> np.ndarray:
     """Singular values per matrix, largest first; |x| for 1 x 1 blocks."""
     return np.abs(X[..., 0]) if X.shape[-1] == 1 else np.linalg.svd(X, compute_uv=False)
@@ -90,12 +95,16 @@ def _coefficients(u: Configuration, interaction, potential, lam, hessian=None):
     return u.window.sites(), A, B, C
 
 
-def _check_coefficients(sites, A, B, C, coupling, lams, cert, slack: float = 1e-9):
+# relative slack of the coefficient checks against the certificate's bounds
+_SLACK = 1e-9
+
+
+def _check_coefficients(sites, A, B, C, coupling, lams, cert):
     """Per chain of stacked coefficients (n, K, d, d) at couplings lams: the
     CertificateError of a chain whose coupling hessians exceed the
-    convexity ceiling or whose sigma_min(C_i) falls below lam * m, else
-    None. Also returns the singular values of A and B (largest first),
-    which the cone verdict bounds with."""
+    convexity ceiling or whose sigma_min(C_i) falls below lam * m (both
+    up to _SLACK), else None. Also returns the singular values of A and B
+    (largest first), which the cone verdict bounds with."""
     upper = coupling.convexity_bounds[1]
     sva, svb = _sv(A), _sv(B)
     top = np.maximum(sva.max(axis=(0, 2)), svb.max(axis=(0, 2))).tolist()
@@ -104,11 +113,11 @@ def _check_coefficients(sites, A, B, C, coupling, lams, cert, slack: float = 1e-
     errors = []
     for k, lam in enumerate(lams):
         floor = lam * cert.expansion
-        if top[k] > upper * (1 + slack):
+        if top[k] > upper * (1 + _SLACK):
             errors.append(CertificateError(
                 f"coupling hessian norm {top[k]:.6e} exceeds the "
                 f"convexity ceiling {upper:.6e}"))
-        elif low[k] < floor * (1 - slack):
+        elif low[k] < floor * (1 - _SLACK):
             errors.append(CertificateError(
                 f"|C| = {low[k]:.6e} below lam * m = {floor:.6e} at site "
                 f"{at[k]}; configuration left the certified tube"))
@@ -118,7 +127,7 @@ def _check_coefficients(sites, A, B, C, coupling, lams, cert, slack: float = 1e-
 
 
 def linearize(u: Configuration, interaction, potential, lam: float,
-              cert=None, slack: float = 1e-9) -> list:
+              cert=None) -> list:
     """Assemble the per-site (A, B, C) along the window.
 
     Only nearest-neighbor interactions produce a three-term recursion.
@@ -129,7 +138,7 @@ def linearize(u: Configuration, interaction, potential, lam: float,
     sites, A, B, C = _coefficients(u, interaction, potential, lam)
     if cert is not None:
         [error] = _check_coefficients(sites, A[:, None], B[:, None], C[:, None],
-                                      interaction.coupling, [lam], cert, slack)[2]
+                                      interaction.coupling, [lam], cert)[2]
         if error is not None:
             raise error
     return [
@@ -168,7 +177,7 @@ class ConeParameters:
     beta: float
 
     def to_json_dict(self) -> dict:
-        return {"mu": self.mu, "alpha": self.alpha, "beta": self.beta}
+        return asdict(self, dict_factory=_json_fields)
 
 
 def cone_parameters(cert) -> ConeParameters:
@@ -208,29 +217,13 @@ class ConeVerdict:
     worst_sites: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "sites": self.sites.tolist(),
-            "cone": self.cone.to_json_dict(),
-            "forward_growth": self.forward_growth.tolist(),
-            "forward_pair_margin": self.forward_pair_margin.tolist(),
-            "backward_growth": self.backward_growth.tolist(),
-            "backward_pair_margin": self.backward_pair_margin.tolist(),
-            "forward_pass": self.forward_pass.tolist(),
-            "backward_pass": self.backward_pass.tolist(),
-            "all_pass": self.all_pass,
-            "phonon_gap": self.phonon_gap,
-            "worst_sites": dict(self.worst_sites),
-        }
+        return asdict(self, dict_factory=_json_fields)
 
     @property
     def margin(self) -> float:
         """Worst aperture-growth slack over both cones (growth - 1/aperture)."""
-        return float(
-            min(
-                min(self.forward_growth) - 1.0 / self.cone.alpha,
-                min(self.backward_growth) - 1.0 / self.cone.beta,
-            )
-        )
+        return float(min(self.forward_growth.min() - 1.0 / self.cone.alpha,
+                         self.backward_growth.min() - 1.0 / self.cone.beta))
 
 
 def _cone_1d(c0, c1, aperture: float, mu: float):
@@ -326,26 +319,20 @@ def verify_cone_conditions(u: Configuration, interaction, potential,
 
 @dataclass
 class SplittingReport:
-    sites: list
-    unstable_basis: list        # per site, (2d, d) orthonormal columns
-    stable_basis: list
-    unstable_multipliers: list  # one-step pair-norm growth along each bundle
-    stable_multipliers: list
-    angles: list                # principal angle between the bundles (rad)
+    """The bundles at each reported site, held as arrays, which
+    to_json_dict turns into lists."""
+
+    sites: np.ndarray
+    unstable_basis: np.ndarray        # (m, 2d, d): orthonormal columns per site
+    stable_basis: np.ndarray
+    unstable_multipliers: np.ndarray  # one-step pair-norm growth along each bundle
+    stable_multipliers: np.ndarray
+    angles: np.ndarray                # principal angle between the bundles (rad)
     min_angle: float
     horizon: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "sites": [int(s) for s in self.sites],
-            "unstable_basis": [b.tolist() for b in self.unstable_basis],
-            "stable_basis": [b.tolist() for b in self.stable_basis],
-            "unstable_multipliers": [float(x) for x in self.unstable_multipliers],
-            "stable_multipliers": [float(x) for x in self.stable_multipliers],
-            "angles": [float(x) for x in self.angles],
-            "min_angle": self.min_angle,
-            "horizon": self.horizon,
-        }
+        return asdict(self, dict_factory=_json_fields)
 
 
 def _riccati(M, horizon: int, sites, bundle: str) -> np.ndarray:
@@ -409,12 +396,12 @@ def cone_splitting(u: Configuration, interaction, potential, lam: float,
     # its orthonormal basis over sqrt(d), the multiplier on eigendirections
     gu, gs = np.linalg.norm(M[keep] @ np.stack([U, S]), axis=(2, 3)) / np.sqrt(d)
     return SplittingReport(
-        sites=sites[keep].tolist(),
-        unstable_basis=list(U),
-        stable_basis=list(S),
-        unstable_multipliers=gu.tolist(),
-        stable_multipliers=gs.tolist(),
-        angles=angles.tolist(),
+        sites=sites[keep],
+        unstable_basis=U,
+        stable_basis=S,
+        unstable_multipliers=gu,
+        stable_multipliers=gs,
+        angles=angles,
         min_angle=float(angles.min()),
         horizon=horizon,
     )
@@ -440,17 +427,22 @@ def _momentum(u: Configuration, interaction, potential, lam):
     return -interaction.coupling.gradient(fwd) - lam * gv, gv
 
 
-def _invert_coupling_gradient(coupling, target, tol=1e-13, max_iter=80):
+# Newton tolerance (relative to 1 + |target|) and step cap of the gradient
+# inversion
+_INVERT_TOL, _INVERT_MAX_ITER = 1e-13, 80
+
+
+def _invert_coupling_gradient(coupling, target):
     """Solve grad I(w) = target for w (vectorized rows); Newton on the
     strictly monotone gradient, closed form for the quadratic."""
     if isinstance(coupling, QuadraticCoupling):
         return target / coupling.scale
     t = np.atleast_2d(np.asarray(target, dtype=float))
     w = t / max(coupling.convexity_bounds[0], 1e-12)
-    for _ in range(max_iter):
+    for _ in range(_INVERT_MAX_ITER):
         f = coupling.gradient(w) - t
         err = np.linalg.norm(f, axis=1)
-        scale = tol * (1.0 + np.linalg.norm(t, axis=1))
+        scale = _INVERT_TOL * (1.0 + np.linalg.norm(t, axis=1))
         if (err <= scale).all():
             break
         try:
@@ -579,22 +571,7 @@ class HyperbolicityCertificate:
         return bool(ok)
 
     def to_json_dict(self) -> dict:
-        return {
-            "lam": self.lam,
-            "cone": self.cone.to_json_dict(),
-            "verdict": self.verdict.to_json_dict(),
-            "splitting": (
-                self.splitting.to_json_dict() if self.splitting else None
-            ),
-            "legendre_sigma_bounds": (
-                list(self.legendre_sigma_bounds)
-                if self.legendre_sigma_bounds
-                else None
-            ),
-            "orbit_deviation": self.orbit_deviation,
-            "all_pass": self.all_pass,
-            "warnings": list(self.warnings),
-        }
+        return {**asdict(self, dict_factory=_json_fields), "all_pass": self.all_pass}
 
 
 def orbit_to_csv(path, u: Configuration, p: np.ndarray):

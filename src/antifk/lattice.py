@@ -43,8 +43,8 @@ __all__ = [
     "configuration_from_csv",
 ]
 
-# Sites probed on each side when two tails follow the same slope but
-# different rules; beyond the probe the tail sup is not sampled.
+# Sites probed on each side when two tails follow the same slope; beyond
+# the probe the tail sup is not sampled.
 TAIL_PROBE = 64
 
 
@@ -92,9 +92,6 @@ class RotationVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.rho))
 
-    def signature(self):
-        return ("rotation", self.rho.tobytes())
-
 
 def as_rotation(rho) -> RotationVector:
     if isinstance(rho, RotationVector):
@@ -105,8 +102,9 @@ def as_rotation(rho) -> RotationVector:
 class TailRule:
     """Deterministic extension of a configuration beyond its window.
 
-    values(sites) answers a batch of site queries as an (n, d) array
-    computed from the rule's fields alone.
+    A rule answers two things: values(sites), a batch of site queries as
+    an (n, d) array computed from the rule's fields alone, and slope, the
+    asymptotic drift per site. ext_distance reads nothing else.
     """
 
     def values(self, sites: np.ndarray) -> np.ndarray:
@@ -116,9 +114,6 @@ class TailRule:
     def slope(self) -> np.ndarray:
         """Asymptotic drift per site; distances between tails with
         different slopes are infinite."""
-        raise NotImplementedError
-
-    def signature(self):
         raise NotImplementedError
 
 
@@ -135,16 +130,13 @@ class HomomorphismTail(TailRule):
     def slope(self) -> np.ndarray:
         return self.rotation.rho
 
-    def signature(self):
-        return ("homomorphism", self.rotation.signature())
-
 
 @dataclass(frozen=True)
 class AnchorTail(TailRule):
     """u_i = nearest anchor to rho(i) outside the window.
 
-    The sampler is any object with nearest(xs, radius) and signature();
-    radius is the covering radius guaranteeing a nonempty query.
+    The sampler is any object with nearest(xs, radius); radius is the
+    covering radius guaranteeing a nonempty query.
     """
 
     rotation: RotationVector
@@ -157,9 +149,6 @@ class AnchorTail(TailRule):
     @property
     def slope(self) -> np.ndarray:
         return self.rotation.rho
-
-    def signature(self):
-        return ("anchor", self.rotation.signature(), self.sampler.signature(), self.radius)
 
 
 @dataclass(frozen=True)
@@ -182,15 +171,6 @@ class DerivedTail(TailRule):
     @property
     def slope(self) -> np.ndarray:
         return self.parent.tail.slope
-
-    def signature(self):
-        return (
-            "derived",
-            self.parent.tail.signature(),
-            self.parent.values.tobytes(),
-            self.site_offset,
-            np.asarray(self.translation, dtype=float).tobytes(),
-        )
 
 
 @dataclass(frozen=True)
@@ -239,20 +219,12 @@ class Configuration:
             )
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dimension(self) -> int:
-        return self.window.dimension
-
-    @property
-    def half_width(self) -> int:
-        return self.window.half_width
-
     def value(self, i: int) -> np.ndarray:
         return self.values_at([i])[0]
 
     def values_at(self, sites) -> np.ndarray:
         sites = np.atleast_1d(np.asarray(sites))
-        out = np.empty((sites.shape[0], self.dimension))
+        out = np.empty((sites.shape[0], self.window.dimension))
         inside = np.abs(sites) <= self.window.half_width
         if inside.any():
             out[inside] = self.values[sites[inside] + self.window.half_width]
@@ -338,17 +310,17 @@ def _nearest_anchors(points, sampler, radius: float) -> np.ndarray:
 def ext_distance(u: Configuration, v: Configuration) -> float:
     """Sup-norm distance over sites.
 
-    Window sites are compared exactly. Tails contribute zero when the two
-    rules coincide, +inf when their slopes differ, and otherwise a sampled
-    sup over TAIL_PROBE sites on each side (stopping early if a tail rule
-    cannot produce values that far out).
+    Window sites are compared exactly. Tails contribute +inf when their
+    slopes differ, and otherwise a sampled sup over TAIL_PROBE sites on
+    each side (stopping early if a tail rule cannot produce values that
+    far out), which is zero when the two rules coincide.
     """
     return ext_distances(stack_chains([u]), stack_chains([v]))[0]
 
 
 def ext_distances(u: Configuration, v: Configuration) -> list:
     """ext_distance of chain k of u and chain k of v, for each k of two
-    stacks (n_sites, K, d). The chains whose tails need a probe are probed
+    stacks (n_sites, K, d). The chains whose tails share a slope are probed
     on both sides at once, one values call per stack (one lookup for
     anchor tails on one sampler); if that raises, each of them bisects
     for its longest probe prefix alone."""
@@ -357,8 +329,6 @@ def ext_distances(u: Configuration, v: Configuration) -> list:
     dist = np.linalg.norm(u.values - v.values, axis=-1).max(axis=0).tolist()
     probed = []
     for k, (a, b) in enumerate(zip(u.tail.tails, v.tail.tails)):
-        if a.signature() == b.signature():
-            continue
         if np.linalg.norm(np.asarray(a.slope) - np.asarray(b.slope)) > 0:
             dist[k] = float("inf")
         else:
@@ -405,13 +375,14 @@ def shift(u: Configuration, k: int) -> Configuration:
             f"shift {k} exceeds window half-width {u.window.half_width}"
         )
     vals = u.values_at(u.window.sites() + k)
-    zero = np.zeros(u.dimension)
+    zero = np.zeros(u.window.dimension)
     return Configuration(u.window, vals, DerivedTail(u, k, zero))
 
 
 def translate(u: Configuration, c) -> Configuration:
     """Vertical translation: result_i = u_i + c."""
-    c = np.broadcast_to(np.atleast_1d(np.asarray(c, dtype=float)), (u.dimension,))
+    c = np.broadcast_to(np.atleast_1d(np.asarray(c, dtype=float)),
+                        (u.window.dimension,))
     return Configuration(u.window, u.values + c, DerivedTail(u, 0, c.copy()))
 
 
@@ -424,9 +395,9 @@ def rotation_vector_estimate(u: Configuration) -> np.ndarray:
 def configuration_to_csv(u: Configuration, path) -> None:
     """Write site and value columns, lines ended by \\r\\n as csv.writer
     ends them."""
-    header = ["site"] + [f"u_{j}" for j in range(u.dimension)]
-    n = u.window.half_width
-    line = ("{}" + ",{!r}" * u.dimension + "\r\n").format
+    n, d = u.window.half_width, u.window.dimension
+    header = ["site"] + [f"u_{j}" for j in range(d)]
+    line = ("{}" + ",{!r}" * d + "\r\n").format
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\r\n")
         # by blocks: one list of every value would cost ~130 bytes a site

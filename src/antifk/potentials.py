@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import CertificateError, CertificationError, ConvergenceError, DomainError
+from .hyperbolicity import _sv
 
 __all__ = [
     "TrigSumPotential",
@@ -290,9 +291,6 @@ class PeriodicZeroSet:
         tie = (dist <= best + 1e-12 * (1.0 + best)) & (dist <= radius)
         return np.where(tie, cand, np.inf).min(axis=1)[:, None]
 
-    def signature(self):
-        return ("periodic", self.base_points.tobytes(), self.period)
-
     def to_dict(self):
         return {
             "kind": "periodic",
@@ -407,9 +405,6 @@ class FiniteZeroSet:
             walk &= dist(j - 1) <= margin
             j -= walk
         return keys[j][:, None]
-
-    def signature(self):
-        return ("finite", self.points.tobytes(), self.lo.tobytes(), self.hi.tobytes())
 
     def to_dict(self):
         return {
@@ -625,15 +620,6 @@ def _cluster_mod_period(zeros: np.ndarray, period: float, tol: float):
     return np.array([float(np.mean(g)) % period for g in groups])
 
 
-def _sigma_min(H: np.ndarray) -> np.ndarray:
-    H = np.atleast_2d(H)
-    if H.ndim == 2:
-        H = H[None]
-    if H.shape[-1] == 1:
-        return np.abs(H[..., 0, 0])
-    return np.linalg.svd(H, compute_uv=False).min(axis=-1)
-
-
 _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
                       "degeneracy filter too permissive")
 
@@ -641,7 +627,7 @@ _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
 def _fails_1d(V, x: np.ndarray, m: float, rows: int) -> np.ndarray:
     """|V''(x)| < m at the points x (d = 1), in hessian calls of at most
     rows points (bounded temporaries)."""
-    return np.concatenate([_sigma_min(V.hessian(x[i:i + rows, None])) < m
+    return np.concatenate([_sv(V.hessian(x[i:i + rows, None]))[:, -1] < m
                            for i in range(0, len(x), rows)])
 
 
@@ -696,7 +682,7 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
             radii = r * rng.uniform(0, 1, size=(radius_samples, 1)) ** (1.0 / d)
             pts = np.concatenate([z + raw * radii, z[None]], axis=0)
-            if _sigma_min(V.hessian(pts)).min() < m:
+            if _sv(V.hessian(pts)).min() < m:
                 return False
         return True
 
@@ -755,7 +741,7 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     if zeros.shape[0] == 0:
         raise CertificationError("no zeros of grad V found in the search window")
 
-    sig = _sigma_min(V.hessian(zeros))
+    sig = _sv(V.hessian(zeros))[:, -1]
     sig_max = sig.max()
     if sig_max <= 0:
         raise CertificationError("all zeros of grad V are degenerate")
@@ -881,9 +867,12 @@ def local_inverse(V, z, target, cert: AubryCertificate,
     return local_inverse_batch(V, z[None], target[None], cert, tol=tol)[0]
 
 
+# Newton steps after which local_inverse_batch gives up on a row
+INVERSE_MAX_ITER = 100
+
+
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
-                        max_iter: int = 100,
                         start: np.ndarray | None = None, *,
                         derivatives: bool = False):
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
@@ -899,7 +888,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     [z - r, z + r] (psi is monotone on the ball) and bisects when Newton
     leaves the bracket, which ends the row once it holds adjacent floats;
     for d > 1 Newton steps are projected onto the ball. A row open after
-    max_iter steps, or with no root in its bracket, raises
+    INVERSE_MAX_ITER steps, or with no root in its bracket, raises
     ConvergenceError naming it (also as its ``row``). Callers do the
     domain check, so they can name the offending site.
 
@@ -923,7 +912,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         nd = np.linalg.norm(dy, axis=1, keepdims=True)
         y = centers + dy * (r / np.maximum(nd, r))
     rows = np.arange(len(centers))  # rows still open
-    for k in range(max_iter + 1):
+    for k in range(INVERSE_MAX_ITER + 1):
         yk = y[rows]
         g = V.gradient(yk)
         H = np.reshape(V.hessian(yk), (-1, d, d))
@@ -940,10 +929,10 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]
         if rows.size == 0:
             return (y, grad, hess) if derivatives else y
-        if k == max_iter:
+        if k == INVERSE_MAX_ITER:
             raise ConvergenceError(
                 f"local inverse row {rows[0]} stopped at |psi(y) - t| = "
-                f"{nf[keep][0]:.3e} > {limit[keep][0]:.3e} after {max_iter} steps",
+                f"{nf[keep][0]:.3e} > {limit[keep][0]:.3e} after {INVERSE_MAX_ITER} steps",
                 row=int(rows[0]),
             )
         if d == 1:

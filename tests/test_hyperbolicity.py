@@ -344,10 +344,10 @@ class TestConeSplitting:
                              horizon=10)
         s20 = cone_splitting(u, nn_module, cos_potential_module, params.lam,
                              horizon=20)
-        common = set(s10.sites) & set(s20.sites)
-        for site in common:
-            a = s10.unstable_basis[s10.sites.index(site)].ravel()
-            b = s20.unstable_basis[s20.sites.index(site)].ravel()
+        sites10, sites20 = s10.sites.tolist(), s20.sites.tolist()
+        for site in set(sites10) & set(sites20):
+            a = s10.unstable_basis[sites10.index(site)].ravel()
+            b = s20.unstable_basis[sites20.index(site)].ravel()
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) < 1e-12
 
     def test_horizon_too_large(self, nn_module, cos_potential_module):
@@ -529,7 +529,7 @@ class TestBatchedAgainstPerSite:
             got = np.array([verdict.forward_growth, verdict.forward_pair_margin,
                             verdict.backward_growth, verdict.backward_pair_margin])
             ref = _verdict_by_site(u, nn, V, lam, cert)
-            if u.dimension == 1:
+            if u.window.dimension == 1:
                 assert np.array_equal(got, ref)
             else:
                 assert (got <= ref).all()
@@ -547,7 +547,7 @@ class TestBatchedAgainstPerSite:
                 solved_chains[:2], [0, 1, 5, 10]):
             split = cone_splitting(u, nn, V, lam, horizon=horizon)
             ref = _splitting_by_site(u, nn, V, lam, horizon=horizon)
-            assert split.sites == ref["sites"]
+            assert split.sites.tolist() == ref["sites"]
             for got, expect in [(split.unstable_basis, ref["U"]),
                                 (split.stable_basis, ref["S"])]:
                 got, expect = np.array(got), np.array(expect)
@@ -647,7 +647,7 @@ class TestCheckStack:
     def _stack_against_alone(chains, nn, V, lams, cert):
         checks, (sites, A, B, C) = hyperbolicity.check_stack(
             stack_chains(chains), nn, V, lams, cert)
-        assert A.shape == (len(sites), len(chains)) + (chains[0].dimension,) * 2
+        assert A.shape == (len(sites), len(chains)) + (chains[0].window.dimension,) * 2
         statuses = []
         for u, lam, check in zip(chains, lams, checks):
             try:

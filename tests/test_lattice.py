@@ -252,7 +252,9 @@ class TestAnchorConfiguration:
         for k, rho in enumerate(rhos):
             alone = anchor_configuration(rho, *args, w)
             assert stack.chain(k).values.tobytes() == alone.values.tobytes()
-            assert stack.chain(k).tail.signature() == alone.tail.signature()
+            tail = stack.chain(k).tail
+            assert tail.rotation.rho.tobytes() == alone.tail.rotation.rho.tobytes()
+            assert tail.sampler is alone.tail.sampler and tail.radius == alone.tail.radius
             assert stack.tail.values(halo)[:, k].tobytes() == alone.tail.values(halo).tobytes()
         again = stack_chains([stack.chain(k) for k in range(3)])
         assert again.values.tobytes() == stack.values.tobytes()
@@ -371,7 +373,6 @@ class TestTails:
         first[:] = 99.0  # the caller's own array
         assert used == fresh
         assert repr(used) == repr(fresh)
-        assert used.signature() == fresh.signature()
         assert used.values([3, -3]).tolist() == [[np.pi], [-np.pi]]
         assert used.values([2]).tolist() == [[np.pi]]
 
@@ -387,9 +388,6 @@ class TestTails:
             def nearest(self, xs, radius):
                 self.queries.append(np.array(xs))
                 return self.inner.nearest(xs, radius)
-
-            def signature(self):
-                return self.inner.signature()
 
         sampler = CountingSampler(cos_cert.sampler)
         cert = AubryCertificate(sampler, cos_cert.covering_radius,
@@ -424,8 +422,8 @@ def _derived_by_site(tail, sites):
     parent, rows = tail.parent, []
     for i in sites:
         j = int(i) + tail.site_offset
-        if abs(j) <= parent.half_width:
-            row = parent.values[j + parent.half_width]
+        if abs(j) <= parent.window.half_width:
+            row = parent.values[j + parent.window.half_width]
         elif isinstance(parent.tail, DerivedTail):
             row = _derived_by_site(parent.tail, [j])[0]
         else:

@@ -326,6 +326,30 @@ class TestAnchoredBranches:
         assert v.same_ball
         assert v.within_tolerance
 
+    def test_sampler_with_only_nearest(self, nn_interaction, cos_potential, cos_cert):
+        # a zero-set sampler needs nothing but nearest: the report's
+        # distance to the rotation and the uniqueness check probe tails
+        # through it, and agree with the library's own sampler
+        class NearestOnly:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def nearest(self, xs, radius):
+                return self.inner.nearest(xs, radius)
+
+        cert = AubryCertificate(NearestOnly(cos_cert.sampler), cos_cert.covering_radius,
+                                cos_cert.ball_radius, cos_cert.expansion)
+        params = make_params(lam=40.0, rho=0.618, n=32)
+        u, rep = solve_equilibrium(params, nn_interaction, cos_potential, cert)
+        v, ref = solve_equilibrium(params, nn_interaction, cos_potential, cos_cert)
+        assert u.values.tobytes() == v.values.tobytes()
+        assert rep.distance_to_rotation > 0.0
+        assert rep.to_json_dict() == ref.to_json_dict()
+        u2, _ = solve_equilibrium(params, nn_interaction, cos_potential, cert)
+        verdict = uniqueness_check(u, u2, cert)
+        assert verdict.same_ball and verdict.distance == 0.0
+        assert verdict == uniqueness_check(v, v, cos_cert)
+
     def test_uniqueness_distinguishes_balls(self, nn_interaction, cos_potential,
                                             cos_cert):
         w = Window(6, 1)
@@ -549,7 +573,8 @@ def _assert_batch_matches_alone(interaction, V, cert, params, size):
         (u, rep), (v, vrep) = outcome, expect
         assert u.values.shape == v.values.shape and u.values.flags.c_contiguous
         assert u.values.tobytes() == v.values.tobytes()
-        assert u.tail.signature() == v.tail.signature()
+        assert u.tail.rotation.rho.tobytes() == v.tail.rotation.rho.tobytes()
+        assert u.tail.sampler is v.tail.sampler and u.tail.radius == v.tail.radius
         assert repr(rep.to_json_dict()) == repr(vrep.to_json_dict())
         statuses.append("ok")
     return statuses
