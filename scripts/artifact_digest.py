@@ -11,7 +11,9 @@ through ``antifk.cli.main`` in process; sweep-ap runs once more with
 and records every ``cli.main`` call its tests make, keyed by test and
 call number. Each run records its exit code and the SHA-256 of every
 artifact except ``manifest.json``, whose timestamp changes from run to
-run.
+run. A run of the first form also records the SHA-256 of its stdout and
+of its stderr, with its ``--out`` directory replaced by a fixed
+placeholder, since the sweep prints that path.
 
 Both forms import ``antifk`` from TREE/src and the bench modules from
 TREE/bench (TREE defaults to this checkout). The JSON that two trees
@@ -43,6 +45,12 @@ def digests(outdir) -> dict:
             for name in sorted(os.listdir(outdir)) if name != "manifest.json"}
 
 
+def text_digest(text: str, outdir: str) -> str:
+    """SHA-256 of a run's printed text, its --out directory replaced by
+    a placeholder that does not depend on the run."""
+    return hashlib.sha256(text.replace(outdir, "<out>").encode()).hexdigest()
+
+
 def bench_runs(root: Path, seeds) -> dict:
     sys.path[:0] = [str(root / "bench")]
     from antifk import cli
@@ -64,12 +72,15 @@ def bench_runs(root: Path, seeds) -> dict:
                     with open(config, "w", encoding="utf-8") as fh:
                         json.dump(workload.config(params, op_seed), fh)
                     outdir = os.path.join(work, "out")
-                    with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(io.StringIO()):
+                    stdout, stderr = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(stdout), \
+                            contextlib.redirect_stderr(stderr):
                         code = cli.main([workload.command, "--config", config,
                                          "--out", outdir, *extra])
                     key = " ".join([name, f"seed={seed}", *extra])
-                    out[key] = {"exit": code, "artifacts": digests(outdir)}
+                    out[key] = {"exit": code, "artifacts": digests(outdir),
+                                "stdout": text_digest(stdout.getvalue(), outdir),
+                                "stderr": text_digest(stderr.getvalue(), outdir)}
     return out
 
 

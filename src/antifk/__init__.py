@@ -7,152 +7,15 @@ associated twist-map orbits. See the README for the command-line
 interface.
 """
 
-from .errors import (
-    CertificateError,
-    CertificationError,
-    ConfigError,
-    ConvergenceError,
-    ConvexityError,
-    DomainError,
-)
-from .hyperbolicity import (
-    ConeParameters,
-    ConeVerdict,
-    HyperbolicityCertificate,
-    LinearizationSite,
-    SplittingReport,
-    cone_parameters,
-    cone_splitting,
-    legendre_bounds,
-    linearize,
-    momentum,
-    orbit_to_csv,
-    transfer_matrix,
-    twist_map_step,
-    verify_cone_conditions,
-    verify_orbit,
-)
-from .interactions import (
-    LongRangeInteraction,
-    NearestNeighborInteraction,
-    PerturbedQuadraticCoupling,
-    QuadraticCoupling,
-    coupling_from_dict,
-    delta_hom,
-    interaction_from_dict,
-)
-from .lattice import (
-    AnchorTail,
-    Configuration,
-    DerivedTail,
-    HomomorphismTail,
-    RotationVector,
-    Window,
-    anchor_configuration,
-    anchor_stack,
-    as_rotation,
-    configuration_from_csv,
-    configuration_to_csv,
-    ext_distance,
-    homomorphism_configuration,
-    rotation_vector_estimate,
-    shift,
-    stack_chains,
-    translate,
-)
-from .potentials import (
-    AubryCertificate,
-    DeloneBumpPotential,
-    FiniteZeroSet,
-    PeriodicZeroSet,
-    TrigSumPotential,
-    cosine_certificate,
-    cosine_potential,
-    estimate_aubry,
-    local_inverse,
-    local_inverse_batch,
-    potential_from_dict,
-    sampler_from_dict,
-    truncated_almost_periodic,
-)
-from .solver import (
-    ContractionSolver,
-    SolveParams,
-    SolveReport,
-    UniquenessVerdict,
-    lambda_threshold,
-    residual,
-    solve_equilibrium,
-    uniqueness_check,
-)
+from . import errors, hyperbolicity, interactions, lattice, potentials, solver
+from .errors import *
+from .hyperbolicity import *
+from .interactions import *
+from .lattice import *
+from .potentials import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorTail",
-    "AubryCertificate",
-    "CertificateError",
-    "CertificationError",
-    "ConeParameters",
-    "ConeVerdict",
-    "ConfigError",
-    "Configuration",
-    "ContractionSolver",
-    "ConvergenceError",
-    "ConvexityError",
-    "DeloneBumpPotential",
-    "DerivedTail",
-    "DomainError",
-    "FiniteZeroSet",
-    "HomomorphismTail",
-    "HyperbolicityCertificate",
-    "LinearizationSite",
-    "LongRangeInteraction",
-    "NearestNeighborInteraction",
-    "PeriodicZeroSet",
-    "PerturbedQuadraticCoupling",
-    "QuadraticCoupling",
-    "RotationVector",
-    "SolveParams",
-    "SolveReport",
-    "SplittingReport",
-    "TrigSumPotential",
-    "UniquenessVerdict",
-    "Window",
-    "anchor_configuration",
-    "anchor_stack",
-    "as_rotation",
-    "cone_parameters",
-    "cone_splitting",
-    "configuration_from_csv",
-    "configuration_to_csv",
-    "cosine_certificate",
-    "cosine_potential",
-    "coupling_from_dict",
-    "delta_hom",
-    "estimate_aubry",
-    "ext_distance",
-    "homomorphism_configuration",
-    "interaction_from_dict",
-    "lambda_threshold",
-    "legendre_bounds",
-    "linearize",
-    "local_inverse",
-    "local_inverse_batch",
-    "momentum",
-    "orbit_to_csv",
-    "potential_from_dict",
-    "residual",
-    "rotation_vector_estimate",
-    "sampler_from_dict",
-    "shift",
-    "solve_equilibrium",
-    "stack_chains",
-    "transfer_matrix",
-    "translate",
-    "truncated_almost_periodic",
-    "twist_map_step",
-    "uniqueness_check",
-    "verify_cone_conditions",
-    "verify_orbit",
-]
+__all__ = [name for module in (errors, hyperbolicity, interactions, lattice,
+                               potentials, solver) for name in module.__all__]

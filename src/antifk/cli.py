@@ -132,20 +132,33 @@ def _check_keys(block, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
+def _integer(value, name):
+    """value if it is a JSON integer, not a boolean, float or string."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _require(block, key, where):
     if key not in block:
         raise ConfigError(f"missing required key '{key}' in {where}")
     return block[key]
 
 
-def _load_config(path):
+def _read_json(path, what):
+    """The JSON document in the file path; ConfigError if it cannot be
+    read or parsed, what naming the file's role."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _load_config(path):
+    cfg = _read_json(path, "config")
     _check_keys(cfg, _TOP_KEYS, "config")
     return cfg
 
@@ -174,13 +187,7 @@ def _build_certificate(cfg, potential, seed):
                 raise ConfigError(
                     "certificate block with 'path' takes no other keys"
                 )
-            try:
-                with open(block["path"], encoding="utf-8") as fh:
-                    block = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(
-                    f"cannot read certificate {block['path']}: {exc}"
-                ) from exc
+            block = _read_json(block["path"], "certificate")
         try:
             return AubryCertificate.from_json_dict(block)
         except (KeyError, TypeError, ValueError) as exc:
@@ -260,10 +267,7 @@ def _outdir(args):
 def _seed(cfg, args):
     if args.seed is not None:
         return args.seed
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    return seed
+    return _integer(cfg.get("seed", 0), "seed")
 
 
 def _cmd_certify(args):
@@ -286,6 +290,8 @@ def _solve_params(block):
     _check_keys(block, _SOLVE_KEYS, "solve")
     for key in ("lam", "rho", "half_width"):
         _require(block, key, "solve")
+    for key in ("half_width", "max_iter"):
+        _integer(block.get(key, 0), f"solve.{key}")
     kwargs = dict(block)
     kwargs["window"] = kwargs.pop("half_width")
     try:
@@ -365,7 +371,7 @@ def _hyperbolic_checks(u, interaction, potential, lams, cert, tol, horizon=None,
         verdict, p, deviation = check
         try:
             split = None if horizon is None else cone_splitting(
-                u.chain(k), interaction, potential, lam, horizon=int(horizon),
+                u.chain(k), interaction, potential, lam, horizon=horizon,
                 coefficients=(sites, A[:, k], B[:, k], C[:, k]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -395,7 +401,9 @@ def _cmd_hyperbolicity(args):
     if hblock.get("use_anchor_configuration", False):
         lam = float(_hyp_setting(hblock, sblock, "lam"))
         rho = as_rotation(_hyp_setting(hblock, sblock, "rho"))
-        half_width = int(_hyp_setting(hblock, sblock, "half_width"))
+        where = "hyperbolicity" if "half_width" in hblock else "solve"
+        half_width = _integer(_hyp_setting(hblock, sblock, "half_width"),
+                              f"{where}.half_width")
         u = anchor_configuration(
             rho, cert.sampler, cert.covering_radius, Window(half_width, rho.dimension)
         )
@@ -426,6 +434,8 @@ def _cmd_hyperbolicity(args):
     horizon = hblock.get("horizon")
     if horizon is None:
         horizon = min(20, max(u.window.half_width - 1, 1))
+    else:
+        _integer(horizon, "hyperbolicity.horizon")
     [outcome] = _hyperbolic_checks(
         stack_chains([u]), interaction, potential, [lam], cert,
         sblock.get("tol", 1e-10),
@@ -468,13 +478,7 @@ def _solution_context(hblock, sblock):
             "hyperbolicity with a 'solution' path needs lam and rho, either "
             "inline or via a 'report' path"
         )
-    try:
-        with open(report_path, encoding="utf-8") as fh:
-            rep = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {report_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {report_path} is not valid JSON") from exc
+    rep = _read_json(report_path, "report")
     try:
         params = rep["params"]
         return float(params["lam"]), as_rotation(params["rho"])
@@ -573,9 +577,9 @@ def _sweep_payloads(cfg, args):
     potential = _build_potential(cfg)
     interaction = _build_interaction(cfg)
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
-    half_width = int(block.get("half_width", 32))
+    half_width = _integer(block.get("half_width", 32), "sweep.half_width")
     tol = float(block.get("tol", 1e-10))
-    max_iter = int(block.get("max_iter", 200))
+    max_iter = _integer(block.get("max_iter", 200), "sweep.max_iter")
     check_hyp = bool(block.get("hyperbolicity", False))
     if check_hyp and not isinstance(interaction, NearestNeighborInteraction):
         raise ConfigError(

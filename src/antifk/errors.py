@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["CertificateError", "CertificationError", "DomainError", "ConvergenceError",
+           "ConvexityError", "ConfigError"]
+
 
 class CertificateError(Exception):
     """A certificate is structurally unusable for the requested query

@@ -68,6 +68,11 @@ class Window:
     def sites(self) -> np.ndarray:
         return np.arange(-self.half_width, self.half_width + 1)
 
+    def halo_sites(self, halo: int) -> np.ndarray:
+        """The halo sites on each side of the window, the left side first."""
+        n = self.half_width
+        return np.concatenate([np.arange(-n - halo, -n), np.arange(n + 1, n + halo + 1)])
+
 
 @dataclass(frozen=True)
 class RotationVector:
@@ -239,9 +244,7 @@ class Configuration:
             return self.values
         sides = self.halo
         if sides is None or len(sides) != 2 * halo:
-            n = self.window.half_width
-            sides = self.tail.values(np.concatenate(
-                [np.arange(-n - halo, -n), np.arange(n + 1, n + halo + 1)]))
+            sides = self.tail.values(self.window.halo_sites(halo))
         return np.concatenate([sides[:halo], self.values, sides[halo:]], axis=0)
 
     def with_values(self, values: np.ndarray) -> "Configuration":
@@ -298,7 +301,9 @@ def anchor_stack(rhos, sampler, radius: float, window: Window,
 
 
 def _nearest_anchors(points, sampler, radius: float) -> np.ndarray:
-    """Closest points of the sampled zero set to each row of points.
+    """Closest points of the sampled zero set to each row of points, at
+    most the covering radius radius away: every covering lookup (anchors,
+    AubryCertificate.verify, uniqueness_check) goes through here.
 
     Ties (to within an 1e-12 relative margin) break to the
     lexicographically smallest point.

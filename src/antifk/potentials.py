@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CertificateError, CertificationError, ConvergenceError, DomainError
 from .hyperbolicity import _sv
+from .lattice import _nearest_anchors
 
 __all__ = [
     "TrigSumPotential",
@@ -243,6 +244,13 @@ def potential_from_dict(d: dict):
 # zero-set samplers
 
 
+def _require_finite(obj, *names):
+    """ValueError naming the first of the fields names of obj that is not finite."""
+    for name in names:
+        if not np.isfinite(getattr(obj, name)).all():
+            raise ValueError(f"{type(obj).__name__}.{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PeriodicZeroSet:
     """Zero set generated by base points repeated with a scalar period
@@ -255,6 +263,7 @@ class PeriodicZeroSet:
         pts = np.sort(np.ravel(np.asarray(self.base_points, dtype=float)))
         object.__setattr__(self, "base_points", pts)
         object.__setattr__(self, "period", float(self.period))
+        _require_finite(self, "base_points", "period")
         if self.period <= 0:
             raise ValueError("period must be positive")
 
@@ -318,6 +327,7 @@ class FiniteZeroSet:
         hi = np.broadcast_to(np.atleast_1d(np.asarray(self.hi, dtype=float)), (d,))
         object.__setattr__(self, "lo", lo.copy())
         object.__setattr__(self, "hi", hi.copy())
+        _require_finite(self, "points", "lo", "hi")
         # stable lexicographic order: slabs by first coordinate, ties to the first
         order = np.lexsort(pts.T[::-1])
         object.__setattr__(self, "_columns", np.ascontiguousarray(pts[order].T))
@@ -449,6 +459,7 @@ class AubryCertificate:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_finite(self, "covering_radius", "ball_radius", "expansion", "safety", "zero_tol")
         if self.covering_radius <= 0 or self.ball_radius <= 0 or self.expansion <= 0:
             raise ValueError("certificate radii and expansion must be positive")
 
@@ -506,7 +517,7 @@ class AubryCertificate:
             lo, hi = self.sampler.lo, self.sampler.hi
         centers = rng.uniform(lo, hi, size=(covering_checks, zeros.shape[1]))
         try:
-            self.sampler.nearest(centers, self.covering_radius * (1 + 1e-12) + 1e-12)
+            _nearest_anchors(centers, self.sampler, self.covering_radius)
         except CertificateError as exc:
             raise CertificationError(f"covering fails at R = {self.covering_radius}: "
                                      f"{exc}") from exc

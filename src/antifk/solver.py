@@ -28,6 +28,7 @@ from .interactions import NearestNeighborInteraction
 from .lattice import (
     Configuration,
     Window,
+    _nearest_anchors,
     anchor_configuration,
     anchor_stack,
     as_rotation,
@@ -51,6 +52,12 @@ __all__ = [
 ]
 
 NEWTON_STEPS = 8  # most Newton steps per solve, apart from max_iter
+
+
+def _tube_radius(cert: AubryCertificate) -> float:
+    """The ball radius r of cert, padded against rounding, that a chain
+    must stay within around its anchors."""
+    return cert.ball_radius * (1 + 1e-9) + 1e-12
 
 
 @dataclass
@@ -123,23 +130,24 @@ def lambda_threshold(interaction, rho, cert: AubryCertificate) -> float:
     return (K * (r + R) + hom) / (r * m)
 
 
-def _at_sites(f, x: np.ndarray, rank: int, cases=(), values=None) -> np.ndarray:
-    """f (V.gradient, rank 1, or V.hessian, rank 2) at the stacked sites x
-    (n, K, d), shape (n, K) + (d,) * rank. f sees the sites as (rows, d),
-    as it does for a single chain. values, if given, holds f at the chains
-    of the ascending case ids cases, (n, len(cases)) + (d,) * rank, which
-    are not evaluated again: f computes a row independently of its batch,
-    so the result is the same bit for bit."""
-    (n, K, d), tail = x.shape, (x.shape[-1],) * rank
+def _widen(part: np.ndarray, cases, K: int) -> np.ndarray:
+    """part (n, len(cases), ...), at the chains of the ascending case ids
+    cases, as a stack of K chains, NaN at every other chain."""
     if len(cases) == K:
-        return values
-    rest = [c for c in range(K) if c not in cases]
-    fresh = f((x[:, rest] if cases else x).reshape(-1, d)).reshape((n, len(rest)) + tail)
-    if not cases:
-        return fresh
-    out = np.empty((n, K) + tail)
-    out[:, cases], out[:, rest] = values, fresh
+        return part
+    out = np.full((len(part), K) + part.shape[2:], np.nan)
+    out[:, cases] = part
     return out
+
+
+def _at_cases(f, x: np.ndarray, cases, rank: int = 1) -> np.ndarray:
+    """f (V.gradient, rank 1, or V.hessian, rank 2) at the chains of the
+    ascending case ids cases of the stack x (n, K, d), as (n, K) + (d,) *
+    rank, NaN at every other chain. f sees the sites as (rows, d)."""
+    K, d = x.shape[1], x.shape[-1]
+    part = x if len(cases) == K else x[:, cases]
+    return _widen(f(part.reshape(-1, d)).reshape(part.shape + (d,) * (rank - 1)),
+                  cases, K)
 
 
 def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
@@ -281,7 +289,7 @@ class ContractionSolver:
         self._anchors = anchors.values
         self.thresholds = [lambda_threshold(interaction, p.rho, cert)
                            for p in self.cases]
-        self._tube_radius = cert.ball_radius * (1 + 1e-9) + 1e-12
+        self._tube_radius = _tube_radius(cert)
         self.failures = dict(self._lost)
 
     def _fits(self, u: Configuration) -> bool:
@@ -326,10 +334,11 @@ class ContractionSolver:
         projected onto its anchor ball. u holds one chain per case,
         stacked; the chains of the case ids cases (by default every case
         with anchors) are stepped, every other chain is carried over.
-        Returns (v, (ids, grad, hess)): ids are the cases whose chains of
-        v the step produced, and grad (n, len(ids), d) and hess (n,
-        len(ids), d, d) hold grad V and hess V at those chains, as the
-        local inverse last evaluated them.
+        Returns (v, (grad, hess)): the whole-stack arrays grad (n, K, d)
+        and hess (n, K, d, d) hold grad V and hess V at each chain of v
+        that the step produced, as the local inverse last evaluated them;
+        at every other chain their values are unspecified. While every
+        case steps, they are the local inverse's own arrays.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -352,7 +361,7 @@ class ContractionSolver:
                     f"at site {site}; coupling too weak for this certificate",
                     site=site, norm=float(worst[c]), limit=limit,
                 )
-        n, d = u.values.shape[0], u.values.shape[-1]
+        n, K, d = u.values.shape
         while True:
             going = [c for c in cases if c not in ended]
             sel = self._sel(going)
@@ -363,12 +372,13 @@ class ContractionSolver:
                     targets[:, sel].reshape(-1, d), self.cert,
                     tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
                     start=u.values[:, sel].reshape(-1, d), derivatives=True)
-                new = new.reshape(n, len(going), d)
                 break
             except ConvergenceError as exc:  # row = site * len(going) + j
                 site, j = divmod(exc.row, len(going))
                 ended[going[j]] = ConvergenceError(
                     str(exc).replace(f"row {exc.row}", f"row {site}", 1), row=site)
+        new, grad, hess = (x.reshape((n, len(going)) + x.shape[1:])
+                           for x in (new, grad, hess))
         drift = _sup(new - self._anchors[:, sel]).tolist()
         for c, dist in zip(going, drift):
             if dist > self._tube_radius:
@@ -383,11 +393,7 @@ class ContractionSolver:
         if ended:
             back = list(ended)
             values[:, back] = u.values[:, back]
-        kept = [j for j, c in enumerate(going) if c not in ended]
-        pick = slice(None) if len(kept) == len(going) else kept
-        return u.with_values(values), ([going[j] for j in kept],
-                                       grad.reshape(n, len(going), d)[:, pick],
-                                       hess.reshape(n, len(going), d, d)[:, pick])
+        return u.with_values(values), (_widen(grad, going, K), _widen(hess, going, K))
 
     def newton_polish(self, u: Configuration, cases=None, derivatives=None):
         """Newton steps L delta = F(u) on each whole chain, L the
@@ -402,32 +408,33 @@ class ContractionSolver:
         block is discarded, and the chain's polish ends there. u and cases
         are as for phi_step, and derivatives, if given, phi_step's for u:
         the entry force and the first step's C blocks take grad V and hess
-        V at the chains it produced from there. Returns (u, per case the
-        residual after each kept step, per case whether a step was
-        discarded).
+        V from there, and V is evaluated only at the chains still
+        polishing. Returns (u, per case the residual after each kept step,
+        per case whether a step was discarded).
         """
         K, V = len(self.cases), self.potential
-        ids, grad, hess = derivatives or ((), None, None)
-        force = _force(u, self.interaction, V, self.lam,
-                       _at_sites(V.gradient, u.values, 1, ids, grad))
+        going = self._cases(cases)
+        grad, hess = derivatives or (_at_cases(V.gradient, u.values, going), None)
+        force = _force(u, self.interaction, V, self.lam, grad)
         res = _sup(force).tolist()
         history, fallback = [[] for _ in range(K)], [False] * K
-        going = [c for c in self._cases(cases) if res[c] > self.tol]
+        going = [c for c in going if res[c] > self.tol]
         for _ in range(NEWTON_STEPS):
             if not going:
                 break
             sel = self._sel(going)
             A, B, C = (x[:, sel] for x in _coefficients(
                 u, self.interaction, V, self.lam[:, None],
-                _at_sites(V.hessian, u.values, 2, ids, hess))[1:])
-            ids = ()  # u moves: later steps evaluate V afresh
+                _at_cases(V.hessian, u.values, going, 2) if hess is None else hess)[1:])
+            hess = None  # u moves: later steps evaluate V afresh
             step = _newton_step(-B, A + B + C, -A, force[:, sel])
             if isinstance(sel, slice):
                 v = u.with_values(u.values - step)
             else:
                 v = u.with_values(u.values.copy())
                 v.values[:, going] -= step
-            force_v = _force(v, self.interaction, V, self.lam)
+            force_v = _force(v, self.interaction, V, self.lam,
+                             _at_cases(V.gradient, v.values, going))
             res_v = _sup(force_v).tolist()
             dist = _sup(v.values - self._anchors).tolist()
             # written so that a non-finite step fails both tests
@@ -453,9 +460,9 @@ class ContractionSolver:
         so the answer is still a tube-map image. The local inverse's last
         evaluations of grad V and hess V at each chain a step produced feed
         the polish's entry force and first C blocks and the residual
-        check; a carried-over chain is evaluated there. Returns, per case,
-        (configuration, report) or the case's error, which also stays in
-        self.failures."""
+        checks; V is never evaluated at the chain of a stopped case. Returns,
+        per case, (configuration, report) or the case's error, which also
+        stays in self.failures."""
         cert, K = self.cert, len(self.cases)
         q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
         step_threshold = self.tol * (1 - q) / q
@@ -486,8 +493,7 @@ class ContractionSolver:
             if not close:
                 continue
             res = residual(u, self.interaction, self.potential, self.lam,
-                           _at_sites(self.potential.gradient, u.values, 1,
-                                     *derivatives[:2])).tolist()
+                           derivatives[0]).tolist()
             for c in close:
                 if res[c] <= self.tol:
                     done[c] = (u.chain(c), res[c])
@@ -496,8 +502,9 @@ class ContractionSolver:
                                                      steps[c])
                 last_res[c] = res[c]
             running = [c for c in running if c not in done and c not in self.failures]
-        if running:
-            res = residual(u, self.interaction, self.potential, self.lam).tolist()
+        if running:  # each running chain came from the last step
+            res = residual(u, self.interaction, self.potential, self.lam,
+                           derivatives[0]).tolist()
             for c in running:
                 r = last_res[c] if np.isfinite(last_res[c]) else res[c]
                 self.failures[c] = ConvergenceError(
@@ -514,8 +521,7 @@ class ContractionSolver:
         once from its own tail. A case whose tail raises fails, and its
         rotation supplies its halo, so that every step can evaluate the
         whole stack; so does a case that has failed already."""
-        n, reach = self.window.half_width, self.interaction.reach
-        sites = np.concatenate([np.arange(-n - reach, -n), np.arange(n + 1, n + reach + 1)])
+        sites = self.window.halo_sites(self.interaction.reach)
         halo = np.empty((len(sites),) + u.values.shape[1:])
         for c, (p, tail) in enumerate(zip(self.cases, u.tail.tails)):
             if c not in self.failures:
@@ -631,9 +637,9 @@ def uniqueness_check(u: Configuration, u2: Configuration,
     """
     if u.window != u2.window:
         raise ValueError("configurations lie on different windows")
-    slack = cert.ball_radius * (1 + 1e-9) + 1e-12
-    zeros = cert.sampler.nearest(0.5 * (u.values + u2.values),
-                                 cert.covering_radius * (1 + 1e-12) + 1e-12)
+    slack = _tube_radius(cert)
+    zeros = _nearest_anchors(0.5 * (u.values + u2.values), cert.sampler,
+                             cert.covering_radius)
     same = bool((np.linalg.norm(zeros - u.values, axis=1) <= slack).all()
                 and (np.linalg.norm(zeros - u2.values, axis=1) <= slack).all())
     dist = ext_distance(u, u2)

@@ -423,6 +423,92 @@ def _sweep_rows_alone(cfg_path):
     return "\n".join(lines) + "\n"
 
 
+_NAN, _INF = float("nan"), float("inf")
+_FINITE_ZEROS = {"kind": "finite", "points": [k * np.pi for k in range(-20, 21)],
+                 "lo": -20 * np.pi, "hi": 20 * np.pi}
+
+
+class TestConfigValues:
+    """Certificate constants must be finite, and the integer fields must be
+    JSON integers; otherwise a run exits 1 as a config error naming the
+    field, before it writes anything."""
+
+    def run(self, tmp_path, capsys, command, payload, name):
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("zero_set, key, value", [
+        (None, "covering_radius", _INF), (None, "ball_radius", _NAN),
+        (None, "expansion", _INF), (None, "safety", _NAN), (None, "zero_tol", _INF),
+        ("periodic", "period", _NAN), ("periodic", "base_points", [0.0, _NAN]),
+        ("finite", "points", [0.0, _NAN]), ("finite", "lo", -_INF),
+        ("finite", "hi", _INF),
+    ])
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_non_finite_certificate_exits_1(self, zero_set, key, value, as_file,
+                                            tmp_path, capsys):
+        from antifk import cosine_certificate
+
+        block = cosine_certificate().to_json_dict()
+        if zero_set == "finite":
+            block["zero_set"] = dict(_FINITE_ZEROS)
+        (block if zero_set is None else block["zero_set"])[key] = value
+        if as_file:
+            block = {"path": write_config(tmp_path / "cert.json", block)}
+        payload = {"potential": {"family": "cosine"}, "certificate": block,
+                   "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
+        self.run(tmp_path, capsys, "solve", payload, f"{key} must be finite")
+
+    def test_finite_zero_set_block_solves(self, tmp_path):
+        # the block the finite cases above corrupt is a working certificate
+        from antifk import cosine_certificate
+
+        block = {**cosine_certificate().to_json_dict(), "zero_set": _FINITE_ZEROS}
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "cosine"}, "certificate": block,
+            "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("half_width", 16.9), ("half_width", "16"), ("half_width", True),
+        ("max_iter", 50.9),
+    ])
+    def test_solve_integer_fields(self, key, value, tmp_path, capsys):
+        solve = {"lam": 20.0, "rho": 1.0, "half_width": 16, key: value}
+        for command in ("solve", "hyperbolicity"):
+            self.run(tmp_path, capsys, command,
+                     {"potential": {"family": "cosine"}, "solve": solve},
+                     f"solve.{key} must be an integer")
+
+    @pytest.mark.parametrize("key, value", [("half_width", 8.7), ("max_iter", 50.9),
+                                            ("half_width", "8"), ("max_iter", False)])
+    def test_sweep_integer_fields(self, key, value, tmp_path, capsys):
+        sweep = {"lams": [20.0], "rhos": [0.5], "half_width": 8, key: value}
+        self.run(tmp_path, capsys, "sweep",
+                 {"potential": {"family": "cosine"}, "sweep": sweep},
+                 f"sweep.{key} must be an integer")
+
+    @pytest.mark.parametrize("key, value", [("half_width", 3.9), ("horizon", 3.9),
+                                            ("horizon", True), ("half_width", "4")])
+    def test_hyperbolicity_integer_fields(self, key, value, tmp_path, capsys):
+        hyp = {"use_anchor_configuration": True, "lam": 20.0, "rho": 1.0,
+               "half_width": 4, key: value}
+        self.run(tmp_path, capsys, "hyperbolicity",
+                 {"potential": {"family": "cosine"}, "hyperbolicity": hyp},
+                 f"hyperbolicity.{key} must be an integer")
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_seed_must_be_an_integer(self, value, tmp_path, capsys):
+        self.run(tmp_path, capsys, "solve",
+                 {"seed": value, "potential": {"family": "cosine"},
+                  "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}},
+                 "seed must be an integer")
+
+
 class TestStackedSweep:
     """sweep solves its cases in stacked batches; every row must equal the
     case solved alone, whatever the batch size and worker count."""

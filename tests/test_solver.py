@@ -769,18 +769,18 @@ class TestStackedSolve:
                               [make_params(n=8), make_params(n=9)])
 
 
-def _count_rows_outside_inverse(monkeypatch, V):
-    """Rows of V.gradient and V.hessian evaluated outside the solver's
-    local inverse, counted as they are called."""
+def _outside_inverse(monkeypatch, V, record):
+    """Calls record(name, x) for each call of V.gradient and V.hessian
+    (name) made outside the solver's local inverse, x its argument."""
     from antifk import solver as solver_module
 
-    rows, inside = {"gradient": 0, "hessian": 0}, []
-    for name in rows:
-        def counted(x, f=getattr(V, name), name=name):
+    inside = []
+    for name in ("gradient", "hessian"):
+        def recorded(x, f=getattr(V, name), name=name):
             if not inside:
-                rows[name] += np.shape(x)[0]
+                record(name, x)
             return f(x)
-        monkeypatch.setattr(V, name, counted)
+        monkeypatch.setattr(V, name, recorded)
     inverse = solver_module.local_inverse_batch
 
     def wrapped(*args, **kwargs):
@@ -791,6 +791,17 @@ def _count_rows_outside_inverse(monkeypatch, V):
             inside.pop()
 
     monkeypatch.setattr(solver_module, "local_inverse_batch", wrapped)
+
+
+def _count_rows_outside_inverse(monkeypatch, V):
+    """Rows of V.gradient and V.hessian evaluated outside the solver's
+    local inverse, counted as they are called."""
+    rows = {"gradient": 0, "hessian": 0}
+
+    def count(name, x):
+        rows[name] += np.shape(x)[0]
+
+    _outside_inverse(monkeypatch, V, count)
     return rows
 
 
@@ -798,7 +809,8 @@ class TestDerivativeReuse:
     """The local inverse's last evaluations of grad V and hess V at a
     step's chains serve the Newton polish's entry force, its first C
     blocks and the residual check: outside the local inverse V is
-    evaluated only for the Newton steps' own iterates."""
+    evaluated only for the Newton steps' own iterates, and only at the
+    chains of running cases."""
 
     def test_one_case(self, monkeypatch, nn_interaction):
         from antifk import cosine_certificate, cosine_potential
@@ -828,35 +840,84 @@ class TestDerivativeReuse:
         n, [steps] = 7 * 513, steps
         assert rows == {"gradient": n * steps, "hessian": n * (steps - 1)}
 
-    def test_step_derivatives_are_fresh_values(self, nn_interaction, cos_potential,
-                                               cos_cert):
+    def test_step_derivatives_are_fresh_values(self, monkeypatch, nn_interaction,
+                                               cos_potential, cos_cert):
         # case 1 is stepped alone; case 3's target leaves the admissible
         # ball at lam = 2, so only case 1's chain comes from the step
+        from antifk import solver as solver_module
+
         params = _grid((40.0,), (0.618, 40.0), 64) + _grid((2.0,), (0.3, 2.9), 64)
         solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
-        v, (ids, grad, hess) = solver.phi_step(solver.anchors, [1, 3])
-        assert ids == [1] and isinstance(solver.failures[3], DomainError)
-        x = v.values[:, ids].reshape(-1, 1)
+        v, (grad, hess) = solver.phi_step(solver.anchors, [1, 3])
+        assert list(solver.failures) == [3] and isinstance(solver.failures[3], DomainError)
+        assert grad.shape == (129, 4, 1) and hess.shape == (129, 4, 1, 1)
+        x = v.values[:, 1]
+        assert grad[:, 1].tobytes() == cos_potential.gradient(x).tobytes()
+        assert hess[:, 1].tobytes() == cos_potential.hessian(x).tobytes()
+        # every case steps: the arrays are the local inverse's own
+        made, inverse = [], solver_module.local_inverse_batch
+
+        def kept(*args, **kwargs):
+            made.append(inverse(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(solver_module, "local_inverse_batch", kept)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params[:2])
+        v, (grad, hess) = solver.phi_step(solver.anchors)
+        [(_, g, h)] = made
+        assert grad.shape == (129, 2, 1) and np.shares_memory(grad, g)
+        assert hess.shape == (129, 2, 1, 1) and np.shares_memory(hess, h)
+        x = v.values.reshape(-1, 1)
         assert grad.tobytes() == cos_potential.gradient(x).tobytes()
         assert hess.tobytes() == cos_potential.hessian(x).tobytes()
-        assert grad.shape == (129, 1, 1) and hess.shape == (129, 1, 1, 1)
 
     def test_partial_stack_residuals(self, monkeypatch, nn_interaction,
                                      cos_potential, cos_cert):
         # the stalling batch: once three cases stop, steps produce only the
-        # rho = 40 chain and the residual check evaluates the other three
-        from antifk import solver as solver_module
-
+        # rho = 40 chain; at each chain a step produced, the arrays that the
+        # residual check reads hold fresh values
         params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
-        seen, original = [], solver_module.residual
+        seen, step = [], ContractionSolver.phi_step
 
-        def spy(u, interaction, V, lam, gradient=None):
-            seen.append(gradient.tobytes() == V.gradient(
-                u.values.reshape(-1, 1)).reshape(u.values.shape).tobytes())
-            return original(u, interaction, V, lam, gradient)
+        def spy(solver, u, cases=None):
+            v, (grad, hess) = step(solver, u, cases)
+            made = [c for c in cases if c not in solver.failures]
+            x = v.values[:, made].reshape(-1, 1)
+            seen.append((len(made), grad[:, made].tobytes()
+                         == cos_potential.gradient(x).tobytes()
+                         and hess[:, made].tobytes()
+                         == cos_potential.hessian(x).tobytes()))
+            return v, (grad, hess)
 
-        monkeypatch.setattr(solver_module, "residual", spy)
+        monkeypatch.setattr(ContractionSolver, "phi_step", spy)
         statuses = _assert_batch_matches_alone(
             nn_interaction, cos_potential, cos_cert, params, 4)
         assert statuses == ["ok", "ConvergenceError", "ok", "ok"]
-        assert len(seen) > 4 and all(seen)
+        assert {1, 4} <= {m for m, _ in seen} and all(ok for _, ok in seen)
+
+    def test_stopped_chains_not_evaluated(self, monkeypatch, nn_interaction,
+                                          cos_potential, cos_cert):
+        # the stalling batch: outside the local inverse V sees no chain of
+        # a case that has stopped, converged or failed
+        params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
+        n, stopped, calls, hits = 2049, {}, [0], []
+        for name in ("phi_step", "newton_polish"):
+            def spy(solver, u, cases=None, *args, method=getattr(ContractionSolver, name)):
+                for c in range(len(params)):
+                    if c not in cases:  # stopped: its chain stays as it is
+                        stopped.setdefault(c, u.values[:, c].tobytes())
+                return method(solver, u, cases, *args)
+            monkeypatch.setattr(ContractionSolver, name, spy)
+
+        def check(name, x):
+            chains = np.reshape(x, (n, -1, 1))
+            calls[0] += bool(stopped)
+            hits.extend(name for j in range(chains.shape[1])
+                        if chains[:, j].tobytes() in stopped.values())
+
+        _outside_inverse(monkeypatch, cos_potential, check)
+        outcomes = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                     params).solve()
+        assert [type(o).__name__ for o in outcomes] == ["tuple", "ConvergenceError",
+                                                         "tuple", "tuple"]
+        assert sorted(stopped) == [0, 2, 3] and calls[0] > 0 and hits == []
