@@ -17,7 +17,10 @@ A further row times ``estimate_aubry`` on the sweep benchmark's potential
 (the 8-term truncated almost-periodic series, amplitude ratio 0.5) over
 the search windows [-w, w] for w in 50, 200 and 800, with its log-log
 slope against the number of zeros found and the rows of V.gradient and
-V.hessian that one estimate evaluates.
+V.hessian that one estimate evaluates. Its ``stages_s`` splits the time
+into the zero scan (grid scan and bisection polish), the ball radius
+(first-crossing scan and Lipschitz walk) and the zero check, each the
+best of REPEATS estimates, timed by wrapping the stage's function.
 
 The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
 that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
@@ -48,6 +51,7 @@ import numpy as np
 
 import antifk
 from antifk import (
+    AubryCertificate,
     ContractionSolver,
     NearestNeighborInteraction,
     SolveParams,
@@ -61,6 +65,7 @@ from antifk import (
     truncated_almost_periodic,
     verify_cone_conditions,
 )
+from antifk import potentials
 from antifk.cli import _hyperbolic_checks
 from antifk.hyperbolicity import _coefficients
 from antifk.lattice import stack_chains
@@ -74,6 +79,10 @@ SWEEP_LAMS = (24.0, 32.0, 48.0, 64.0, 96.0)
 SWEEP_RHOS = (0.1, 0.2, 0.3, 0.4, 0.5)
 SWEEP_HALF_WIDTH = 256
 SWEEP_BATCHES = (1, 7, 25)
+# the stages of a d = 1 estimate_aubry: (owner, attribute) of each function
+AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
+                "ball_radius": (potentials, "_ball_expansion_radius"),
+                "zero_check": (AubryCertificate, "check_zeros")}
 
 
 def count_rows(V, fn) -> tuple:
@@ -95,6 +104,31 @@ def count_rows(V, fn) -> tuple:
         for name in rows:
             delattr(V, name)  # the class's methods again
     return rows["gradient"], rows["hessian"]
+
+
+def stage_times(fn) -> dict:
+    """Seconds spent in each function of AUBRY_STAGES during fn(), timed
+    by wrapping the functions for the call."""
+    spent = dict.fromkeys(AUBRY_STAGES, 0.0)
+
+    def timed(name, method):
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - t0
+        return wrapped
+
+    originals = {name: getattr(*where) for name, where in AUBRY_STAGES.items()}
+    for name, (owner, attr) in AUBRY_STAGES.items():
+        setattr(owner, attr, timed(name, originals[name]))
+    try:
+        fn()
+    finally:
+        for name, (owner, attr) in AUBRY_STAGES.items():
+            setattr(owner, attr, originals[name])
+    return spent
 
 
 def best_of(fn) -> float:
@@ -141,11 +175,14 @@ def layer_times(half_width: int) -> dict:
 
 def estimate_aubry_times() -> dict:
     V = truncated_almost_periodic(8, 0.5)
-    zeros, s, rows = [], [], []
+    zeros, s, rows, stages = [], [], [], {name: [] for name in AUBRY_STAGES}
     for w in AUBRY_WINDOWS:
         rows.append(count_rows(V, lambda: zeros.append(
             estimate_aubry(V, (-w, w)).metadata["zeros_found"])))
         s.append(best_of(lambda: estimate_aubry(V, (-w, w))))
+        runs = [stage_times(lambda: estimate_aubry(V, (-w, w))) for _ in range(REPEATS)]
+        for name in AUBRY_STAGES:
+            stages[name].append(min(run[name] for run in runs))
     slope = np.polyfit(np.log(zeros), np.log(s), 1)[0]
     return {
         "what": ("estimate_aubry in process, best of "
@@ -154,6 +191,7 @@ def estimate_aubry_times() -> dict:
         "half_windows": list(AUBRY_WINDOWS),
         "zeros_found": zeros,
         "s": s,
+        "stages_s": stages,
         "ms_per_zero": [1e3 * t / z for t, z in zip(s, zeros)],
         "loglog_slope_vs_zeros": round(float(slope), 3),
         "gradient_rows": [g for g, _ in rows],

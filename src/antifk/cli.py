@@ -60,48 +60,14 @@ from .potentials import (
 )
 from .solver import ContractionSolver, SolveParams, solve_equilibrium
 
-_TOP_KEYS = {
-    "seed",
-    "potential",
-    "interaction",
-    "certificate",
-    "certification",
-    "solve",
-    "hyperbolicity",
-    "sweep",
-}
-_CERTIFICATION_KEYS = {
-    "search_window",
-    "grid_points",
-    "zero_tol",
-    "degeneracy_fraction",
-    "safety",
-    "expansion_fraction",
-    "radius_samples",
-    "covering_checks",
-    "pair_checks",
-}
+_TOP_KEYS = {"seed", "potential", "interaction", "certificate", "certification",
+             "solve", "hyperbolicity", "sweep"}
+_CERTIFICATION_KEYS = {"search_window", "grid_points", "zero_tol", "degeneracy_fraction",
+                       "safety", "expansion_fraction", "radius_samples"}
 _SOLVE_KEYS = {"lam", "rho", "half_width", "tol", "max_iter", "inner_tol"}
-_HYP_KEYS = {
-    "solution",
-    "report",
-    "lam",
-    "rho",
-    "half_width",
-    "horizon",
-    "splitting",
-    "orbit_tol",
-    "use_anchor_configuration",
-}
-_SWEEP_KEYS = {
-    "lams",
-    "rhos",
-    "cases",
-    "half_width",
-    "tol",
-    "max_iter",
-    "hyperbolicity",
-}
+_HYP_KEYS = {"solution", "report", "lam", "rho", "half_width", "horizon", "splitting",
+             "orbit_tol", "use_anchor_configuration"}
+_SWEEP_KEYS = {"lams", "rhos", "cases", "half_width", "tol", "max_iter", "hyperbolicity"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,6 +102,20 @@ def _integer(value, name):
     """value if it is a JSON integer, not a boolean, float or string."""
     if type(value) is not int:
         raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value, name):
+    """float(value) if it is a JSON number, not a boolean or string."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _boolean(value, name):
+    """value if it is a JSON boolean."""
+    if type(value) is not bool:
+        raise ConfigError(f"{name} must be true or false, got {json.dumps(value)}")
     return value
 
 
@@ -398,8 +378,9 @@ def _cmd_hyperbolicity(args):
         )
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
     warnings = []
-    if hblock.get("use_anchor_configuration", False):
-        lam = float(_hyp_setting(hblock, sblock, "lam"))
+    if _boolean(hblock.get("use_anchor_configuration", False),
+                "hyperbolicity.use_anchor_configuration"):
+        lam = _number(_hyp_setting(hblock, sblock, "lam"), "hyperbolicity.lam")
         rho = as_rotation(_hyp_setting(hblock, sblock, "rho"))
         where = "hyperbolicity" if "half_width" in hblock else "solve"
         half_width = _integer(_hyp_setting(hblock, sblock, "half_width"),
@@ -439,7 +420,8 @@ def _cmd_hyperbolicity(args):
     [outcome] = _hyperbolic_checks(
         stack_chains([u]), interaction, potential, [lam], cert,
         sblock.get("tol", 1e-10),
-        horizon=horizon if hblock.get("splitting", True) else None,
+        horizon=horizon if _boolean(hblock.get("splitting", True),
+                                    "hyperbolicity.splitting") else None,
         orbit_tol=hblock.get("orbit_tol"),
     )
     if isinstance(outcome, CertificateError):
@@ -469,7 +451,7 @@ def _cmd_hyperbolicity(args):
 
 def _solution_context(hblock, sblock):
     if "lam" in hblock or "rho" in hblock:
-        lam = float(_hyp_setting(hblock, sblock, "lam"))
+        lam = _number(_hyp_setting(hblock, sblock, "lam"), "hyperbolicity.lam")
         rho = as_rotation(_hyp_setting(hblock, sblock, "rho"))
         return lam, rho
     report_path = hblock.get("report")
@@ -537,17 +519,9 @@ _BATCH_ROWS = 4096
 _SWEEP_STATUS = {DomainError: "domain-error", ConvergenceError: "no-convergence",
                  CertificateError: "certificate-error"}
 
-_SWEEP_COLUMNS = [
-    "lam",
-    "rho",
-    "status",
-    "iterations",
-    "final_residual",
-    "contraction_factor",
-    "distance_to_anchor",
-    "distance_to_rotation",
-    "hyperbolic_pass",
-]
+_SWEEP_COLUMNS = ["lam", "rho", "status", "iterations", "final_residual",
+                  "contraction_factor", "distance_to_anchor", "distance_to_rotation",
+                  "hyperbolic_pass"]
 
 
 def _sweep_payloads(cfg, args):
@@ -563,13 +537,15 @@ def _sweep_payloads(cfg, args):
             isinstance(c, (list, tuple)) and len(c) == 2 for c in cases
         ):
             raise ConfigError("sweep.cases must be a list of [lam, rho] pairs")
-        pairs = [(float(lam), float(rho)) for lam, rho in cases]
+        pairs = [(_number(lam, "sweep.cases lam"), _number(rho, "sweep.cases rho"))
+                 for lam, rho in cases]
     else:
         lams = _require(block, "lams", "sweep")
         rhos = _require(block, "rhos", "sweep")
         if not isinstance(lams, list) or not isinstance(rhos, list):
             raise ConfigError("sweep.lams and sweep.rhos must be lists")
-        pairs = [(float(lam), float(rho)) for lam in lams for rho in rhos]
+        pairs = [(_number(lam, "sweep.lams entry"), _number(rho, "sweep.rhos entry"))
+                 for lam in lams for rho in rhos]
     if not pairs:
         raise ConfigError("sweep grid is empty")
     if not np.isfinite(pairs).all():
@@ -578,9 +554,9 @@ def _sweep_payloads(cfg, args):
     interaction = _build_interaction(cfg)
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
     half_width = _integer(block.get("half_width", 32), "sweep.half_width")
-    tol = float(block.get("tol", 1e-10))
+    tol = _number(block.get("tol", 1e-10), "sweep.tol")
     max_iter = _integer(block.get("max_iter", 200), "sweep.max_iter")
-    check_hyp = bool(block.get("hyperbolicity", False))
+    check_hyp = _boolean(block.get("hyperbolicity", False), "sweep.hyperbolicity")
     if check_hyp and not isinstance(interaction, NearestNeighborInteraction):
         raise ConfigError(
             "sweep hyperbolicity checks support nearest-neighbor interactions only"

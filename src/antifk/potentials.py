@@ -8,9 +8,10 @@ closed r-ball around each zero. The certificate also licenses a local
 inverse of psi on each ball, which is the elementary step of the
 fixed-point solver.
 
-Certificates produced here are sampled, not rigorous: zeros are polished
-from a grid scan and the expansion/covering properties are verified on
-random samples.
+In d = 1 estimate_aubry proves every constant from one scan, with bounds
+on |V'''| and on the rounding of V' and V''. In d > 1 its certificates are
+sampled, not rigorous: the expansion and covering properties are verified
+on random samples.
 """
 
 from __future__ import annotations
@@ -89,6 +90,17 @@ class TrigSumPotential:
     def hessian_sup_bound(self) -> float:
         norms2 = (self.frequencies**2).sum(axis=1)
         return float(np.abs(self.amplitudes) @ norms2)
+
+    def hessian_lipschitz_bound(self, reach: float) -> tuple:
+        """(L, e): L = sum |A_j| |w_j|^3 bounds |V'''|, and e bounds the
+        rounding errors of gradient and hessian (d = 1) at every float |x|
+        <= reach: twice eps sum |A_j| max(|w_j|, w_j^2) (|w_j| reach +
+        |phi_j| + M + 7) over the M terms, the first-order sum of the
+        angle's two roundings, sin and cos within 4 ulp, and the einsum's
+        products and sum."""
+        a, w = np.abs(self.amplitudes), np.linalg.norm(self.frequencies, axis=1)
+        e = a * np.maximum(w, w**2) * (w * reach + np.abs(self.phases) + len(a) + 7)
+        return float(a @ w**3) * (1 + 1e-12), 2 * np.finfo(float).eps * float(e.sum())
 
     def period(self):
         """Common period for d = 1 when all frequencies are commensurable,
@@ -208,6 +220,20 @@ class DeloneBumpPotential:
         xs = rng.uniform(lo, hi, size=(2048, self.dimension))
         sig = np.linalg.svd(self.hessian(xs), compute_uv=False)
         return float(sig.max() * 1.05)
+
+    def hessian_lipschitz_bound(self, reach: float) -> tuple:
+        """(L, e) as for TrigSumPotential, d = 1. L sums over the P bumps
+        the sup of a Gaussian's third derivative, 4 sqrt(6) |depth| t
+        exp(-t^2) / width^3 at t^2 = (3 - sqrt(6)) / 2. The first-order
+        rounding bounds of the P terms' sums (exp within 4 ulp) are (2
+        |depth| / width^2) P (1.22 P + 26.3) eps / 2 for the hessian and
+        (2 |depth| / width) P (0.43 P + 7.2) eps / 2 for the gradient; e
+        is over twice both. It does not grow with reach, as x - p rounds
+        relative to itself."""
+        t2, n, scale = (3 - math.sqrt(6)) / 2, len(self.points), abs(self.depth) / self.width**2
+        lip = 4 * math.sqrt(6 * t2) * math.exp(-t2) * scale / self.width
+        e = 4 * scale * max(1.0, self.width) * n * (2 * n + 20) * np.finfo(float).eps
+        return n * lip * (1 + 1e-12), e
 
     def period(self):
         return None
@@ -438,16 +464,20 @@ def sampler_from_dict(d: dict):
 # certificates
 
 
+_CERT_NUMBERS = {"covering_radius": None, "ball_radius": None, "expansion": None,
+                 "safety": 1.0, "zero_tol": 1e-9}  # JSON fields and defaults
+
+
 @dataclass
 class AubryCertificate:
-    """Sampled expansion certificate (O, R, r, m) for psi = grad V.
+    """Expansion certificate (O, R, r, m) for psi = grad V.
 
     covering_radius R: every closed R-ball around an admissible center
     meets the zero set. ball_radius r and expansion m: psi expands
     distances by at least m on the closed r-ball around each zero.
     safety multiplied R during estimation; zero_tol bounds |psi| at the
-    reported zeros. metadata/provenance record how each number was
-    obtained.
+    reported zeros. metadata["provenance"] says how each number was
+    obtained ("bounded" or "sampled" for an estimated one).
     """
 
     sampler: object
@@ -465,50 +495,46 @@ class AubryCertificate:
 
     @property
     def admissible_radius(self) -> float:
-        """Radius r*m of admissible local-inverse targets."""
-        return self.ball_radius * self.expansion
+        """Radius r*m of admissible local-inverse targets, rounded down: the
+        one limit of the solver's and local_inverse's domain checks."""
+        rm = self.ball_radius * self.expansion
+        exact = Fraction(self.ball_radius) * Fraction(self.expansion)
+        return rm if Fraction(rm) <= exact else math.nextafter(rm, 0.0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "zero_set": self.sampler.to_dict(),
-            "covering_radius": self.covering_radius,
-            "ball_radius": self.ball_radius,
-            "expansion": self.expansion,
-            "safety": self.safety,
-            "zero_tol": self.zero_tol,
-            "metadata": self.metadata,
-        }
+        return {"zero_set": self.sampler.to_dict(), "metadata": self.metadata,
+                **{k: getattr(self, k) for k in _CERT_NUMBERS}}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AubryCertificate":
-        return cls(
-            sampler=sampler_from_dict(d["zero_set"]),
-            covering_radius=float(d["covering_radius"]),
-            ball_radius=float(d["ball_radius"]),
-            expansion=float(d["expansion"]),
-            safety=float(d.get("safety", 1.0)),
-            zero_tol=float(d.get("zero_tol", 1e-9)),
-            metadata=dict(d.get("metadata", {})),
-        )
+        numbers = {k: float(d[k] if v is None else d.get(k, v))
+                   for k, v in _CERT_NUMBERS.items()}
+        return cls(sampler_from_dict(d["zero_set"]),
+                   metadata=dict(d.get("metadata", {})), **numbers)
 
     def representative_zeros(self) -> np.ndarray:
         if isinstance(self.sampler, PeriodicZeroSet):
             return self.sampler.base_points[:, None]
         return self.sampler.points
 
-    def verify(self, V, seed: int = 0, covering_checks: int = 256,
-               pair_checks: int = 256) -> dict:
-        """Sampled re-check of the three certificate properties; raises
-        CertificationError on the first failure, returns check counts."""
-        rng = np.random.default_rng(seed)
+    def check_zeros(self, V) -> int:
+        """The number of representative zeros, after checking |psi| <=
+        zero_tol at each; CertificationError if one fails."""
         zeros = self.representative_zeros()
-        g = V.gradient(zeros)
-        worst_zero = float(np.linalg.norm(np.atleast_2d(g), axis=1).max())
+        worst_zero = float(np.linalg.norm(np.atleast_2d(V.gradient(zeros)), axis=1).max())
         if worst_zero > self.zero_tol:
             raise CertificationError(
                 f"|psi| = {worst_zero:.3e} at a reported zero exceeds "
                 f"zero_tol = {self.zero_tol:.3e}"
             )
+        return int(zeros.shape[0])
+
+    def verify(self, V, seed: int = 0, covering_checks: int = 256,
+               pair_checks: int = 256) -> dict:
+        """Sampled re-check of the three certificate properties; raises
+        CertificationError on the first failure, returns check counts."""
+        rng = np.random.default_rng(seed)
+        zeros_checked, zeros = self.check_zeros(V), self.representative_zeros()
         # covering: random admissible centers must see a zero within R
         if isinstance(self.sampler, PeriodicZeroSet):
             lo = np.array([self.sampler.base_points.min()])
@@ -546,7 +572,7 @@ class AubryCertificate:
                 )
         return {"covering_checks": covering_checks,
                 "pair_checks_per_zero": pair_checks,
-                "zeros_checked": int(zeros.shape[0])}
+                "zeros_checked": zeros_checked}
 
 
 def cosine_certificate() -> AubryCertificate:
@@ -617,7 +643,7 @@ def _scan_zeros_1d(V, lo: float, hi: float, grid_points: int) -> np.ndarray:
 
 def _cluster_mod_period(zeros: np.ndarray, period: float, tol: float):
     """Reduce zeros mod the period and cluster them into base points.
-    Returns base points in [0, period)."""
+    Returns (base points in [0, period), the largest spread of a cluster)."""
     reduced = np.sort(np.mod(zeros, period))
     groups = [[reduced[0]]]
     for z in reduced[1:]:
@@ -628,64 +654,76 @@ def _cluster_mod_period(zeros: np.ndarray, period: float, tol: float):
     # wrap-around: a cluster hugging `period` is the same as one at 0
     if len(groups) > 1 and (period - groups[-1][-1]) + groups[0][0] <= tol:
         groups[0] = [g - period for g in groups.pop()] + groups[0]
-    return np.array([float(np.mean(g)) % period for g in groups])
+    return (np.array([float(np.mean(g)) % period for g in groups]),
+            max(g[-1] - g[0] for g in groups))
 
 
 _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
                       "degeneracy filter too permissive")
 
 
-def _fails_1d(V, x: np.ndarray, m: float, rows: int) -> np.ndarray:
-    """|V''(x)| < m at the points x (d = 1), in hessian calls of at most
-    rows points (bounded temporaries)."""
-    return np.concatenate([_sv(V.hessian(x[i:i + rows, None]))[:, -1] < m
+def _curvature_1d(V, x: np.ndarray, rows: int) -> np.ndarray:
+    """|V''| at the points x (d = 1), in hessian calls of at most rows
+    points (bounded temporaries)."""
+    return np.concatenate([_sv(V.hessian(x[i:i + rows, None]))[:, -1]
                            for i in range(0, len(x), rows)])
 
 
 def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
                            radius_samples: int, rng) -> float:
-    """Largest radius such that sigma_min(hessian) >= m at all sampled
-    points of every ball. d = 1: each ball side z +- s_k, over s_k =
-    linspace(0, r_cap, radius_samples), fails first at some offset k, and
-    only the sides failing first at the least such k* can hold the least
-    radius: any other side's bracket [s_{k-1}, s_k] starts at or above
-    s_{k*}. So |V''| is scanned on every side at once in blocks of
-    offsets, at most 2 radius_samples points a hessian call, up to the
-    first block where some side fails; the sides failing at k* have the
-    one bracket [s_{k*-1}, s_{k*}], which is bisected on each of them to
-    adjacent floats, and the least lower end is returned (r_cap if no
-    offset fails). d > 1: bisection over r on random points of each
-    ball."""
+    """Largest radius r <= r_cap such that sigma_min(hessian) >= m on the
+    r-ball around every zero.
+
+    d = 1, proved. With (L, e) = V.hessian_lipschitz_bound(reach), reach
+    = max|z| + r_cap, and e raised by L eps reach for the rounding of the
+    point z +- t itself (twice the first-order sums in e cover this
+    function's own arithmetic), a computed |V''(x)| >= m + e + L delta
+    proves |V''| >= m on [x - delta, x + delta] (mean value theorem). Each
+    ball side z +- s_k, over s_k = linspace(0, r_cap, radius_samples) of
+    spacing h, is scanned with delta = h / 2: all sides at once in blocks
+    of offsets, at most 2 radius_samples points a hessian call, up to the
+    first block where some side fails, k* the least first failing offset
+    there. Every other side holds to h / 2 past its last passing offset,
+    s_{k*} or beyond. The sides failing first at k* walk from s_{k*-1},
+    t += (|V''(z +- t)| - m - e) / L, each step proving the interval it
+    crosses, for at most 64 steps. The radius is the least of the walks,
+    of what the other sides hold, and of r_cap.
+
+    d > 1, sampled: bisection over r on random points of each ball."""
     d = zeros.shape[1]
     if d == 1:
         s = np.linspace(0.0, r_cap, radius_samples)
+        h, reach = r_cap / max(radius_samples - 1, 1), float(np.abs(zeros).max()) + r_cap
+        lip, e = V.hessian_lipschitz_bound(reach)
+        e += lip * np.finfo(float).eps * reach
         rows = 2 * radius_samples  # most points per hessian call
         centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
         block = max(1, rows // len(sign))  # offsets per block
-        lo = hi = np.array([float(r_cap)])  # no failing offset: [r_cap, r_cap]
+        k, radius = radius_samples, min(s[-1] + h / 2, r_cap)  # if no offset fails
         for b in range(0, radius_samples, block):
-            off = s[b:b + block]
-            fail = _fails_1d(V, (centre[:, None] + sign[:, None] * off).ravel(), m,
-                             rows).reshape(len(sign), -1)
-            hit = fail.any(axis=1)
-            if hit.any():
-                first = np.where(hit, fail.argmax(axis=1), len(off))
-                least = first == first.min()  # the sides failing first at k*
-                k = b + first.min()
+            x = (centre[:, None] + sign[:, None] * s[b:b + block]).ravel()
+            fail = (_curvature_1d(V, x, rows) < m + e + lip * h / 2).reshape(len(sign), -1)
+            if fail.any():
+                first = np.where(fail.any(axis=1), fail.argmax(axis=1), fail.shape[1])
+                k, least = b + first.min(), first == first.min()
+                if not least.all():  # the other sides hold to h / 2 past their last pass
+                    radius = min(s[b + first[~least].min() - 1] + h / 2, r_cap)
                 centre, sign = centre[least], sign[least]
-                lo, hi = (np.full(len(sign), s[j]) for j in (max(k - 1, 0), k))
                 break
-        for _ in range(64):  # adjacent floats at 512 samples and r >= 1e-6 r_cap
-            mid = 0.5 * (lo + hi)
-            wide = (lo < mid) & (mid < hi)  # brackets wider than adjacent floats
-            if not wide.any():
-                break
-            ok = wide.copy()
-            ok[wide] = ~_fails_1d(V, (centre + sign * mid)[wide], m, rows)
-            lo, hi = np.where(ok, mid, lo), np.where(wide & ~ok, mid, hi)
-        if lo.min() < 1e-6 * r_cap:
+        if k < radius_samples:  # the walks of the sides failing first at k
+            t, going = np.full(len(sign), s[max(k - 1, 0)]), np.arange(len(sign))
+            for _ in range(64):
+                x = centre[going] + sign[going] * t[going]
+                new = np.minimum(t[going] + (_curvature_1d(V, x, rows) - m - e) / lip, radius)
+                moved = new > t[going]
+                t[going[moved]] = new[moved]
+                going = going[moved & (new < radius)]
+                if going.size == 0:
+                    break
+            radius = min(radius, float(t.min()))
+        if radius < 1e-6 * r_cap:
             raise CertificationError(_NEAR_ZERO_FAILURE)
-        return float(lo.min())
+        return float(radius)
 
     def ok(r: float) -> bool:
         for z in zeros:
@@ -714,8 +752,7 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
 def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                    zero_tol: float = 1e-9, degeneracy_fraction: float = 0.1,
                    safety: float = 1.0, expansion_fraction: float = 2**-0.5,
-                   radius_samples: int = 512, covering_checks: int = 256,
-                   pair_checks: int = 256, seed: int = 0) -> AubryCertificate:
+                   radius_samples: int = 512, seed: int = 0) -> AubryCertificate:
     """Estimate a certificate for psi = grad V over a search window.
 
     Zeros come from a grid scan with root polishing: in d = 1 every
@@ -724,22 +761,23 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     those of one-bracket bisection, as a gradient row does not depend on
     its batch); in d > 1 Newton runs from the grid points. Zeros whose
     hessian smallest singular value falls below degeneracy_fraction of
-    the best are discarded. The expansion constant is expansion_fraction
-    times the weakest retained curvature, and the covering radius is half
-    the largest gap (times safety). The ball radius is the largest radius
-    whose sampled points sustain that curvature: in d = 1 the least first
-    crossing of |V''| = m over the ball sides, on radius_samples offsets
-    per side (the scan of all sides stops at the offset block where some
-    side first crosses), bisected to adjacent floats on the sides crossing
-    there; in d > 1 a bisection over radius_samples random points per
-    ball. All properties are re-verified on random samples before
-    returning.
+    the best are discarded. The expansion m is expansion_fraction times
+    the weakest retained curvature, the covering radius R half the
+    largest gap (times safety), and the ball radius r the largest radius
+    on which the curvature stays >= m (_ball_expansion_radius).
+
+    d = 1, bounded: a listed zero lies within w of a zero of psi, w the
+    float spacing at the largest |zero| (an adjacent-float bracket) plus
+    e / m, e the rounding error of psi (V.hessian_lipschitz_bound), plus
+    for a periodic sampler the largest spread of a cluster merged into a
+    base point. R is half the largest gap (across the period if periodic)
+    plus w, rounded up, and r the proved radius less w, rounded down;
+    |V''| >= m on each r-ball proves the expansion (mean value theorem).
+    Only |psi| <= zero_tol at the zeros is checked after. d > 1, sampled:
+    every property is re-checked on random samples (verify).
     """
-    for name, count in (("radius_samples", radius_samples),
-                        ("covering_checks", covering_checks),
-                        ("pair_checks", pair_checks)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    if radius_samples < 1:
+        raise ValueError(f"radius_samples must be >= 1, got {radius_samples}")
     lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
     hi = np.atleast_1d(np.asarray(search_window[1], dtype=float))
     d = getattr(V, "dimension", lo.shape[0])
@@ -764,13 +802,13 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     m = expansion_fraction * float(sig_kept.min())
 
     period = V.period() if hasattr(V, "period") else None
+    reach = float(np.abs(zeros).max())  # zero error w: the bracket, widened by rounding
+    w = float(np.spacing(reach)) + V.hessian_lipschitz_bound(reach)[1] / m if d == 1 else 0.0
     if d == 1 and period is not None:
-        base = _cluster_mod_period(retained[:, 0], period, tol=1e-6)
-        sampler = PeriodicZeroSet(base, period)
-        sorted_base = np.sort(base)
-        gaps = np.diff(np.concatenate([sorted_base, [sorted_base[0] + period]]))
-        ball_zeros = sorted_base[:, None]
-        sampler_kind = "periodic"
+        base, spread = _cluster_mod_period(retained[:, 0], period, tol=1e-6)
+        sampler, w = PeriodicZeroSet(base, period), w + spread
+        ball_zeros = sampler.base_points[:, None]  # sorted
+        gaps = np.diff(np.append(sampler.base_points, sampler.base_points[0] + period))
     else:
         if retained.shape[0] < 2:
             raise CertificationError(
@@ -784,44 +822,30 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
             dmat = np.linalg.norm(centers[:, None, :] - retained[None], axis=2)
             gaps = 2.0 * dmat.min(axis=1)  # twice distance-to-nearest-zero
         ball_zeros = retained
-        sampler_kind = "finite"
 
-    covering_radius = float(gaps.max()) / 2.0 * safety
+    covering_radius = (float(gaps.max()) / 2.0 + w) * safety
     r_cap = 0.49 * float(gaps.min()) if gaps.min() > 0 else covering_radius
     ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap, radius_samples, rng)
+    if d == 1:
+        covering_radius = math.nextafter(covering_radius, math.inf)
+        ball_radius = math.nextafter(ball_radius - w, 0.0)
     if ball_radius <= 0:
         raise CertificationError("no positive radius sustains the expansion bound")
 
-    cert = AubryCertificate(
-        sampler=sampler,
-        covering_radius=covering_radius,
-        ball_radius=ball_radius,
-        expansion=m,
-        safety=safety,
-        zero_tol=zero_tol,
-        metadata={
-            "provenance": {
-                "zeros": f"grid scan ({grid_points} points) + bisection polish, "
-                         f"{sampler_kind} sampler",
-                "degeneracy_filter": f"sigma_min(hessian) >= {degeneracy_fraction}"
-                                     " * best",
-                "expansion": f"{expansion_fraction:.6f} * weakest retained"
-                             " curvature",
-                "ball_radius": f"first-crossing scan, {radius_samples} hessian samples"
-                               " per ball side, bisected to adjacent floats" if d == 1
-                               else f"radius bisection, {radius_samples} hessian samples"
-                               " per ball",
-                "covering_radius": f"half largest gap * safety ({safety})",
-            },
-            "search_window": [lo.tolist(), hi.tolist()],
-            "zeros_found": int(zeros.shape[0]),
-            "zeros_retained": int(ball_zeros.shape[0]),
-            "seed": seed,
-        },
-    )
-    cert.metadata["verification"] = cert.verify(
-        V, seed=seed + 1, covering_checks=covering_checks, pair_checks=pair_checks
-    )
+    cert = AubryCertificate(sampler, covering_radius, ball_radius, m, safety, zero_tol, {
+        "provenance": dict.fromkeys(("zeros", "covering_radius", "ball_radius", "expansion"),
+                                    "bounded" if d == 1 else "sampled"),
+        "parameters": {"grid_points": grid_points, "radius_samples": radius_samples,
+                       "degeneracy_fraction": degeneracy_fraction,
+                       "expansion_fraction": expansion_fraction},
+        "search_window": [lo.tolist(), hi.tolist()],
+        "zero_error": w,
+        "zeros_found": int(zeros.shape[0]),
+        "zeros_retained": int(ball_zeros.shape[0]),
+        "seed": seed,
+    })
+    cert.metadata["verification"] = ({"zeros_checked": cert.check_zeros(V)} if d == 1
+                                     else cert.verify(V, seed=seed + 1))
     return cert
 
 
@@ -870,7 +894,7 @@ def local_inverse(V, z, target, cert: AubryCertificate,
     target = np.atleast_1d(np.asarray(target, dtype=float))
     tnorm = float(np.linalg.norm(target))
     limit = cert.admissible_radius
-    if tnorm > limit * (1 + 1e-12):
+    if tnorm > limit:
         raise DomainError(
             f"target norm {tnorm:.6e} exceeds admissible radius r*m = {limit:.6e}",
             norm=tnorm, limit=limit,

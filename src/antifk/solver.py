@@ -352,7 +352,7 @@ class ContractionSolver:
         targets = -self.interaction.delta(u) / self.lam
         norms = np.linalg.norm(targets, axis=-1)
         worst, ended = norms.max(axis=0), {}
-        over = (worst > limit * (1 + 1e-9)).tolist()
+        over = (worst > limit).tolist()
         for c in cases:
             if over[c]:
                 site = int(norms[:, c].argmax()) - half_width

@@ -68,20 +68,31 @@ class TestCertify:
 
     @pytest.mark.parametrize("key", ["covering_checks", "pair_checks"])
     def test_zero_checks_exit_1(self, key, tmp_path, capsys):
-        # a certificate whose covering or expansion was never sampled
+        # the d = 1 certificate is proved, not sampled: the sampling knobs
+        # are unknown keys
         cfg = write_config(
             tmp_path / "c.json",
             {
                 "potential": {"family": "cosine"},
-                "certification": {"search_window": [-10.0, 10.0], key: 0},
+                "certification": {"search_window": [-10.0, 10.0], key: 256},
             },
         )
         out = tmp_path / "o"
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert f"{key} must be >= 1" in err
+        assert f"unknown keys in certification: {key}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_provenance_and_verification(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "almost-periodic-truncated", "term_count": 4},
+            "certification": {"search_window": [-40.0, 40.0]}})
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "certificate.json").read_text())["metadata"]
+        assert set(meta["provenance"].values()) == {"bounded"}
+        assert meta["verification"] == {"zeros_checked": meta["zeros_retained"]}
 
 
 class TestSolve:
@@ -429,8 +440,9 @@ _FINITE_ZEROS = {"kind": "finite", "points": [k * np.pi for k in range(-20, 21)]
 
 
 class TestConfigValues:
-    """Certificate constants must be finite, and the integer fields must be
-    JSON integers; otherwise a run exits 1 as a config error naming the
+    """Certificate constants must be finite, and the integer, number and
+    boolean fields must be JSON integers, numbers (not booleans or strings)
+    and booleans; otherwise a run exits 1 as a config error naming the
     field, before it writes anything."""
 
     def run(self, tmp_path, capsys, command, payload, name):
@@ -500,6 +512,39 @@ class TestConfigValues:
         self.run(tmp_path, capsys, "hyperbolicity",
                  {"potential": {"family": "cosine"}, "hyperbolicity": hyp},
                  f"hyperbolicity.{key} must be an integer")
+
+    @pytest.mark.parametrize("key, value", [
+        ("hyperbolicity", "false"), ("hyperbolicity", 0), ("hyperbolicity", None),
+        ("tol", True), ("tol", "1e-10"), ("lams", [20.0, "40"]), ("rhos", [False]),
+        ("cases", [[20.0, "0.5"]]),
+    ])
+    def test_sweep_typed_fields(self, key, value, tmp_path, capsys):
+        sweep = {"lams": [20.0], "rhos": [0.5], "half_width": 8, key: value}
+        if key == "cases":
+            del sweep["lams"], sweep["rhos"]
+        name = {"hyperbolicity": "sweep.hyperbolicity must be true or false",
+                "tol": "sweep.tol must be a number"}.get(key, f"sweep.{key}")
+        self.run(tmp_path, capsys, "sweep",
+                 {"potential": {"family": "cosine"}, "sweep": sweep}, name)
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("lam", True, "hyperbolicity.lam must be a number"),
+        ("lam", "20", "hyperbolicity.lam must be a number"),
+        ("splitting", "no", "hyperbolicity.splitting must be true or false"),
+        ("use_anchor_configuration", 1,
+         "hyperbolicity.use_anchor_configuration must be true or false"),
+    ])
+    def test_hyperbolicity_typed_fields(self, key, value, name, tmp_path, capsys):
+        hyp = {"use_anchor_configuration": True, "lam": 20.0, "rho": 1.0,
+               "half_width": 4, key: value}
+        self.run(tmp_path, capsys, "hyperbolicity",
+                 {"potential": {"family": "cosine"}, "hyperbolicity": hyp}, name)
+
+    def test_solution_lam_must_be_a_number(self, tmp_path, capsys):
+        hyp = {"solution": str(tmp_path / "missing.csv"), "lam": True, "rho": 1.0}
+        self.run(tmp_path, capsys, "hyperbolicity",
+                 {"potential": {"family": "cosine"}, "hyperbolicity": hyp},
+                 "hyperbolicity.lam must be a number")
 
     @pytest.mark.parametrize("value", [True, 1.0, "1"])
     def test_seed_must_be_an_integer(self, value, tmp_path, capsys):

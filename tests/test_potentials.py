@@ -141,9 +141,9 @@ class TestEstimateAubry:
 
 
 def _bisection_ball_radius_1d(V, zeros, m, r_cap, radius_samples):
-    """Reference for the d = 1 ball radius: bisection over r of the check
-    sigma_min(hessian) >= m at linspace(-r, r, radius_samples) around every
-    zero, as estimate_aubry did before the first-crossing scan."""
+    """Sampled reference for the d = 1 ball radius: bisection over r of the
+    check sigma_min(hessian) >= m at linspace(-r, r, radius_samples) around
+    every zero, as estimate_aubry did before the first-crossing scan."""
 
     def ok(r):
         for z in zeros:
@@ -184,6 +184,9 @@ class TestBallRadiusScan:
     @pytest.mark.parametrize("make, window", [c[1:] for c in _SCAN_CASES],
                              ids=[c[0] for c in _SCAN_CASES])
     def test_matches_bisection(self, make, window, monkeypatch):
+        # the proved constants against the sampled ones: r at most the
+        # sampled bisection's radius and within 1% of it, R at least half
+        # the largest gap, m the sampled m bit for bit
         seen = []
 
         def spy(*args):
@@ -191,16 +194,30 @@ class TestBallRadiusScan:
             return seen[-1][1]
 
         monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
-        cert = estimate_aubry(make(), window)
-        (V, zeros, m, r_cap, samples, _), r = seen[0]
-        assert cert.ball_radius == r
-        assert r == _bisection_ball_radius_1d(V, zeros, m, r_cap, samples)
+        V = make()
+        cert = estimate_aubry(V, window)
+        (_, zeros, m, r_cap, samples, _), r = seen[0]
+        sampled = _bisection_ball_radius_1d(V, zeros, m, r_cap, samples)
+        w = cert.metadata["zero_error"]
+        assert cert.ball_radius == np.nextafter(r - w, 0.0)
+        assert 0.99 * sampled <= cert.ball_radius <= r <= sampled
+        found = potentials._scan_zeros_1d(V, *window, 4001)[:, None]
+        curvature = np.abs(V.hessian(found)[:, 0, 0])
+        kept = curvature[curvature >= 0.1 * curvature.max()]
+        assert cert.expansion == m == 2**-0.5 * kept.min()
+        pts = np.sort(cert.representative_zeros()[:, 0])
+        if isinstance(cert.sampler, PeriodicZeroSet):
+            pts = np.append(pts, pts[0] + cert.sampler.period)
+        half_gap = np.diff(pts).max() / 2
+        assert half_gap + w <= cert.covering_radius <= half_gap + w + 1e-12
 
     @pytest.mark.parametrize("m, r_cap", [(0.1, 1.0), (0.5, 3.0), (0.9, 0.3),
                                           (0.999, 2.0), (0.7, np.pi)])
     # off-zero centres make the two sides differ: -0.3 binds on its left
     @pytest.mark.parametrize("zeros", [[[0.0], [np.pi]], [[-0.3]], [[0.3], [2.9]]])
     def test_cosine_direct(self, cos_potential, m, r_cap, zeros):
+        # below the sampled bisection by less than the grid spacing, and
+        # |V''| >= m on a dense grid of every ball
         zeros = np.array(zeros)
         if np.abs(np.cos(zeros)).min() < m:  # fails at a centre: both refuse
             with pytest.raises(CertificationError):
@@ -209,16 +226,10 @@ class TestBallRadiusScan:
                 _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64, None)
             return
         r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64, None)
-        assert r == _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
-
-        def edges_pass(r):
-            edges = np.concatenate([zeros + r, zeros - r])
-            return _sv(cos_potential.hessian(edges)).min() >= m
-
-        if r == r_cap:  # no offset fails
-            assert edges_pass(r_cap)
-        else:  # the edges z +- r pass, and fail one float further out
-            assert edges_pass(r) and not edges_pass(np.nextafter(r, np.inf))
+        sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
+        assert sampled - r_cap / 63 <= r <= sampled
+        balls = (zeros + np.linspace(-r, r, 20001)).reshape(-1, 1)
+        assert _sv(cos_potential.hessian(balls)).min() >= m
 
     @pytest.mark.parametrize("m, r_cap", [(0.7, 1.5), (0.9, 0.3)])
     def test_more_sides_than_rows_per_call(self, cos_potential, monkeypatch, m, r_cap):
@@ -235,7 +246,8 @@ class TestBallRadiusScan:
         r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 16, None)
         assert max(calls) <= 32
         monkeypatch.undo()
-        assert r == _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
+        sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
+        assert sampled - r_cap / 15 <= r <= sampled
 
     @pytest.mark.parametrize("m", [1.5, 1.0 - 1e-14])
     @pytest.mark.parametrize("zeros", [[[0.0]], [[np.pi], [0.0]]])
@@ -261,13 +273,16 @@ class TestBallRadiusScan:
         samples = 512
         cert = estimate_aubry(V, (-200.0, 200.0), radius_samples=samples)
         zeros = cert.metadata["zeros_retained"]
-        # the scan stops in the block of offsets holding the least first
-        # failing offset k (s[k - 1] <= r < s[k]); at most 64 bisection
-        # steps follow on each side failing first there
+        # one call at the zeros found; the scan stops in the block of
+        # offsets holding the least first failing offset k (s[k - 1] < r <=
+        # s[k] + h / 2, as the walk steps at least h / 2 from s[k - 1]);
+        # at most 64 walk steps follow on the sides failing first there,
+        # each in one call here
         pts = np.sort(cert.sampler.points[:, 0])
         s = np.linspace(0.0, 0.49 * np.diff(pts).min(), samples)
-        k = int(np.searchsorted(s, cert.ball_radius, side="right"))
+        k = int(np.searchsorted(s, cert.ball_radius))
         assert 0 < k < samples // 2
+        assert calls[0] == cert.metadata["zeros_found"]
         assert sum(calls) <= (2 * zeros * (k + 1) + 2 * samples + 2 * zeros * 64
                               + cert.metadata["zeros_found"])
         assert max(calls[1:]) <= 2 * samples  # bounded temporaries
@@ -342,9 +357,7 @@ class TestZeroPolish:
 
     def test_gradient_calls_bounded(self, monkeypatch):
         # one scan, one call for the bracket ends, one per bisection step
-        # (under 64 to adjacent floats here), then the verification: one
-        # for the zeros and one per block of 4 zeros for the sampled pairs
-        # (256 pairs, 2048 rows a block)
+        # (under 64 to adjacent floats here), then one for the zero check
         V = truncated_almost_periodic(8, 0.5)
         calls = []
         gradient = V.gradient
@@ -355,8 +368,9 @@ class TestZeroPolish:
 
         monkeypatch.setattr(V, "gradient", counting)
         cert = estimate_aubry(V, (-200.0, 200.0))
-        zeros = cert.metadata["verification"]["zeros_checked"]
-        assert len(calls) <= 2 + 64 + 1 + -(-zeros // 4)
+        assert cert.metadata["verification"] == {"zeros_checked": calls[-1]}
+        assert calls[-1] == cert.metadata["zeros_retained"]
+        assert len(calls) <= 2 + 64 + 1
         assert max(calls) <= 4001  # the grid scan
 
 

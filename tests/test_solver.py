@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from antifk import (
     ext_distance,
     homomorphism_configuration,
     lambda_threshold,
+    local_inverse,
     residual,
     solve_equilibrium,
     stack_chains,
@@ -138,6 +141,30 @@ class TestPhiStep:
         assert out.chain(0).values.tobytes() == a.values.tobytes()
         assert isinstance(solver.failures[0], DomainError)
         assert solver.failures[0].site is not None
+
+    @pytest.mark.parametrize("excess, admitted", [(1e-10, False), (0.0, True)])
+    def test_one_admissible_radius(self, cos_potential, cos_cert, excess, admitted):
+        # phi_step and local_inverse share one limit, admissible_radius: r m
+        # rounded down. A Delta of -t at every site makes t the target at
+        # lam = 1, exactly.
+        limit = cos_cert.admissible_radius
+        assert limit <= Fraction(cos_cert.ball_radius) * Fraction(cos_cert.expansion)
+        t = limit * (1 + excess)
+
+        class FixedDelta(NearestNeighborInteraction):
+            def delta(self, u):
+                return np.full(u.values.shape, -t)
+
+        solver = ContractionSolver(FixedDelta(), cos_potential, cos_cert,
+                                   [make_params(lam=1.0, rho=1.0, n=4)])
+        solver.phi_step(solver.anchors)
+        assert (0 not in solver.failures) == admitted
+        if admitted:
+            local_inverse(cos_potential, 0.0, t, cos_cert)
+        else:
+            assert isinstance(solver.failures[0], DomainError)
+            with pytest.raises(DomainError):
+                local_inverse(cos_potential, 0.0, t, cos_cert)
 
     def test_window_mismatch(self, nn_interaction, cos_potential, cos_cert):
         params = make_params(lam=20.0, rho=1.0, n=10)
