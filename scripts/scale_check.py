@@ -28,10 +28,13 @@ that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
 batch and the peak memory the solves allocate (tracemalloc): the time
 per case shows the per-call overhead a batch shares, the memory why the
 batch size is bounded; the rows of V.gradient and V.hessian that the 25
-solves evaluate show the kernel work. Its ``epilogue_s`` times, at the same batch
-sizes, the work ``antifk sweep`` does on each batch after the solve: the
-solve reports (whose distances to the rotation share one tail probe)
-and the hyperbolicity checks of the batch's stacked chains.
+solves evaluate (a fused V.derivatives call counting for both) show the
+kernel work. Its ``epilogue_s`` times, at the same batch sizes, the work
+``antifk sweep`` does on each batch after the solve: the solve reports
+(whose distances to the rotation share one tail probe) and the
+hyperbolicity checks of the batch's stacked chains, which take grad V
+and hess V from the solve; ``epilogue_rows`` counts the rows of V they
+evaluate all the same, 0 while the handover works.
 
 ``src_lines`` is the line count of the library's modules
 (``src/antifk/*.py``), which the BENCH files track beside the timings.
@@ -87,21 +90,25 @@ AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
 
 def count_rows(V, fn) -> tuple:
     """(gradient rows, hessian rows) the potential instance V evaluates
-    during fn(), counted by wrapping its two methods for the call."""
+    during fn(), counted by wrapping its methods for the call; a fused
+    derivatives call (the local inverse's) counts its rows for both."""
     rows = {"gradient": 0, "hessian": 0}
+    counts = {"gradient": ("gradient",), "hessian": ("hessian",),
+              "derivatives": ("gradient", "hessian")}
 
     def counted(name, method):
         def wrapped(x):
-            rows[name] += np.shape(x)[0]
+            for kind in counts[name]:
+                rows[kind] += np.shape(x)[0]
             return method(x)
         return wrapped
 
-    for name in rows:
+    for name in counts:
         setattr(V, name, counted(name, getattr(V, name)))
     try:
         fn()
     finally:
-        for name in rows:
+        for name in counts:
             delattr(V, name)  # the class's methods again
     return rows["gradient"], rows["hessian"]
 
@@ -224,10 +231,13 @@ def sweep_times() -> dict:
     def epilogue_all(batches):
         for solver, done in batches:
             solver._reports(done)
-            _hyperbolic_checks(stack_chains([u for u, *_ in done.values()]), nn, V,
-                               [solver.cases[c].lam for c in done], cert, TOL)
+            _hyperbolic_checks(
+                stack_chains([u for u, *_ in done.values()]), nn, V,
+                [solver.cases[c].lam for c in done], cert, TOL,
+                derivatives=tuple(np.stack(x, axis=1) for x in zip(
+                    *(solver.derivatives[c] for c in done))))
 
-    s, peak, epilogue, rows = [], [], [], []
+    s, peak, epilogue, rows, epilogue_rows = [], [], [], [], []
     for k in SWEEP_BATCHES:
         rows.append(count_rows(V, lambda: solve_all(k)))
         s.append(best_of(lambda: solve_all(k)))
@@ -237,6 +247,7 @@ def sweep_times() -> dict:
         tracemalloc.stop()
         batches = solved(k)
         epilogue.append(best_of(lambda: epilogue_all(batches)))
+        epilogue_rows.append(count_rows(V, lambda: epilogue_all(batches)))
     sites = 2 * SWEEP_HALF_WIDTH + 1
     return {
         "what": (f"the {len(cases)} solves of a sweep in process, best of "
@@ -246,8 +257,10 @@ def sweep_times() -> dict:
                  f"{SWEEP_HALF_WIDTH}, in stacked batches of k cases; "
                  "peak_mb is the most memory the solves hold at once (tracemalloc); "
                  "epilogue_s is each batch's reports and stacked hyperbolicity "
-                 "checks after its solve; gradient_rows and hessian_rows are "
-                 "the rows of V the solves evaluate"),
+                 "checks after its solve, on the solve's derivatives, and "
+                 "epilogue_rows the [gradient, hessian] rows of V they "
+                 "evaluate; gradient_rows and hessian_rows are the rows of "
+                 "V the solves evaluate, fused derivatives calls included"),
         "cases": len(cases),
         "cases_per_batch": list(SWEEP_BATCHES),
         "rows_per_batch": [k * sites for k in SWEEP_BATCHES],
@@ -256,6 +269,7 @@ def sweep_times() -> dict:
         "peak_mb": peak,
         "epilogue_s": epilogue,
         "epilogue_ms_per_case": [1e3 * t / len(cases) for t in epilogue],
+        "epilogue_rows": epilogue_rows,
         "gradient_rows": [g for g, _ in rows],
         "hessian_rows": [h for _, h in rows],
     }

@@ -17,7 +17,6 @@ verdict failed.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import json
@@ -63,7 +62,7 @@ from .solver import ContractionSolver, SolveParams, solve_equilibrium
 _TOP_KEYS = {"seed", "potential", "interaction", "certificate", "certification",
              "solve", "hyperbolicity", "sweep"}
 _CERTIFICATION_KEYS = {"search_window", "grid_points", "zero_tol", "degeneracy_fraction",
-                       "safety", "expansion_fraction", "radius_samples"}
+                       "safety", "expansion_fraction"}
 _SOLVE_KEYS = {"lam", "rho", "half_width", "tol", "max_iter", "inner_tol"}
 _HYP_KEYS = {"solution", "report", "lam", "rho", "half_width", "horizon", "splitting",
              "orbit_tol", "use_anchor_configuration"}
@@ -224,19 +223,12 @@ def _write_json(path, obj):
 
 
 def _write_manifest(outdir, command, config_path, artifacts):
-    digest = hashlib.sha256()
     with open(config_path, "rb") as fh:
-        digest.update(fh.read())
-    _write_json(
-        os.path.join(outdir, "manifest.json"),
-        {
-            "command": command,
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config_sha256": digest.hexdigest(),
-            "artifacts": sorted(artifacts),
-            "version": __version__,
-        },
-    )
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    _write_json(os.path.join(outdir, "manifest.json"), {
+        "command": command, "config_sha256": digest, "artifacts": sorted(artifacts),
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "version": __version__})
 
 
 def _outdir(args):
@@ -292,34 +284,19 @@ def _cmd_solve(args):
     outdir = _outdir(args)
     configuration_to_csv(u, os.path.join(outdir, "solution.csv"))
     _write_json(os.path.join(outdir, "certificate.json"), cert.to_json_dict())
-    _write_json(
-        os.path.join(outdir, "report.json"),
-        {
-            "command": "solve",
-            "params": {
-                "lam": params.lam,
-                "rho": params.rho.rho.tolist(),
-                "half_width": params.window.half_width,
-                "tol": params.tol,
-                "max_iter": params.max_iter,
-                "inner_tol": params.inner_tol,
-            },
-            "potential": potential.to_dict(),
-            "interaction": interaction.to_dict(),
-            "report": report.to_json_dict(),
-        },
-    )
-    _write_manifest(
-        outdir,
-        "solve",
-        args.config,
-        ["solution.csv", "certificate.json", "report.json"],
-    )
-    print(
-        f"solved in {report.iterations} iterations, residual "
-        f"{report.final_residual:.3e}, d(u, anchors) = "
-        f"{report.distance_to_anchor:.6g}"
-    )
+    _write_json(os.path.join(outdir, "report.json"), {
+        "command": "solve",
+        "params": {"lam": params.lam, "rho": params.rho.rho.tolist(),
+                   "half_width": params.window.half_width, "tol": params.tol,
+                   "max_iter": params.max_iter, "inner_tol": params.inner_tol},
+        "potential": potential.to_dict(),
+        "interaction": interaction.to_dict(),
+        "report": report.to_json_dict(),
+    })
+    _write_manifest(outdir, "solve", args.config,
+                    ["solution.csv", "certificate.json", "report.json"])
+    print(f"solved in {report.iterations} iterations, residual "
+          f"{report.final_residual:.3e}, d(u, anchors) = {report.distance_to_anchor:.6g}")
     return 0
 
 
@@ -334,15 +311,17 @@ def _hyp_setting(hblock, sblock, key):
 
 
 def _hyperbolic_checks(u, interaction, potential, lams, cert, tol, horizon=None,
-                       orbit_tol=None):
+                       orbit_tol=None, derivatives=None):
     """The hyperbolicity pipeline of hyperbolicity and sweep. Per chain k of
     the stack u (n, K, d), at coupling lams[k]: (report, momenta,
     orbit_tol), or the CertificateError of a chain whose coefficients fail
     the certificate, which marks that chain only. The cone verdicts,
     momenta and orbit checks of all chains come from one pass
-    (check_stack); the splitting, given a horizon, reuses a chain's
-    coefficients. orbit_tol defaults to 10 tol (1 + lam sup|hess V|)."""
-    checks, (sites, A, B, C) = check_stack(u, interaction, potential, lams, cert)
+    (check_stack), on the solve's derivatives of u if given; the
+    splitting, given a horizon, reuses a chain's coefficients. orbit_tol
+    defaults to 10 tol (1 + lam sup|hess V|)."""
+    checks, (sites, A, B, C) = check_stack(u, interaction, potential, lams, cert,
+                                           derivatives)
     sup, out = potential.hessian_sup_bound(), []
     for k, (lam, check) in enumerate(zip(lams, checks)):
         if isinstance(check, CertificateError):
@@ -377,7 +356,7 @@ def _cmd_hyperbolicity(args):
             "hyperbolicity analysis supports nearest-neighbor interactions only"
         )
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
-    warnings = []
+    warnings, derivatives = [], None
     if _boolean(hblock.get("use_anchor_configuration", False),
                 "hyperbolicity.use_anchor_configuration"):
         lam = _number(_hyp_setting(hblock, sblock, "lam"), "hyperbolicity.lam")
@@ -385,22 +364,17 @@ def _cmd_hyperbolicity(args):
         where = "hyperbolicity" if "half_width" in hblock else "solve"
         half_width = _integer(_hyp_setting(hblock, sblock, "half_width"),
                               f"{where}.half_width")
-        u = anchor_configuration(
-            rho, cert.sampler, cert.covering_radius, Window(half_width, rho.dimension)
-        )
+        u = anchor_configuration(rho, cert.sampler, cert.covering_radius,
+                                 Window(half_width, rho.dimension))
         source = "anchor-configuration"
-        warnings.append(
-            "evaluated at the anchor configuration, not a solved equilibrium"
-        )
+        warnings.append("evaluated at the anchor configuration, not a solved equilibrium")
     elif "solution" in hblock:
         lam, rho = _solution_context(hblock, sblock)
         tail = AnchorTail(rho, cert.sampler, cert.covering_radius)
         try:
             u = configuration_from_csv(hblock["solution"], tail)
         except OSError as exc:
-            raise ConfigError(
-                f"cannot read solution {hblock['solution']}: {exc}"
-            ) from exc
+            raise ConfigError(f"cannot read solution {hblock['solution']}: {exc}") from exc
         source = "solution"
     else:
         if "solve" not in cfg:
@@ -409,9 +383,12 @@ def _cmd_hyperbolicity(args):
                 "use_anchor_configuration, or a 'solve' block"
             )
         params = _solve_params(cfg["solve"])
-        u, _ = solve_equilibrium(params, interaction, potential, cert)
-        lam = params.lam
-        source = "solve"
+        solver = ContractionSolver(interaction, potential, cert, [params])
+        [outcome] = solver.solve()
+        if isinstance(outcome, Exception):
+            raise outcome
+        u, lam, source = outcome[0], params.lam, "solve"
+        derivatives = tuple(x[:, None] for x in solver.derivatives[0])
     horizon = hblock.get("horizon")
     if horizon is None:
         horizon = min(20, max(u.window.half_width - 1, 1))
@@ -422,7 +399,7 @@ def _cmd_hyperbolicity(args):
         sblock.get("tol", 1e-10),
         horizon=horizon if _boolean(hblock.get("splitting", True),
                                     "hyperbolicity.splitting") else None,
-        orbit_tol=hblock.get("orbit_tol"),
+        orbit_tol=hblock.get("orbit_tol"), derivatives=derivatives,
     )
     if isinstance(outcome, CertificateError):
         raise outcome
@@ -431,22 +408,15 @@ def _cmd_hyperbolicity(args):
     verdict, deviation = report.verdict, report.orbit_deviation
     orbit_pass = bool(deviation <= orbit_tol)
     outdir = _outdir(args)
-    payload = report.to_json_dict()
-    payload.update(
-        {"orbit_tol": float(orbit_tol), "orbit_pass": orbit_pass, "source": source}
-    )
-    _write_json(os.path.join(outdir, "hyperbolicity.json"), payload)
+    _write_json(os.path.join(outdir, "hyperbolicity.json"), {
+        **report.to_json_dict(), "orbit_tol": float(orbit_tol), "orbit_pass": orbit_pass,
+        "source": source})
     orbit_to_csv(os.path.join(outdir, "orbit.csv"), u, p)
-    _write_manifest(
-        outdir, "hyperbolicity", args.config, ["hyperbolicity.json", "orbit.csv"]
-    )
-    ok = report.all_pass and orbit_pass
-    print(
-        f"cone conditions: {'pass' if verdict.all_pass else 'FAIL'} "
-        f"(margin {verdict.margin:.4g}); orbit deviation {deviation:.3e} "
-        f"{'<=' if orbit_pass else '>'} {orbit_tol:.3e}"
-    )
-    return 0 if ok else 5
+    _write_manifest(outdir, "hyperbolicity", args.config, ["hyperbolicity.json", "orbit.csv"])
+    print(f"cone conditions: {'pass' if verdict.all_pass else 'FAIL'} "
+          f"(margin {verdict.margin:.4g}); orbit deviation {deviation:.3e} "
+          f"{'<=' if orbit_pass else '>'} {orbit_tol:.3e}")
+    return 0 if report.all_pass and orbit_pass else 5
 
 
 def _solution_context(hblock, sblock):
@@ -473,15 +443,16 @@ def _solution_context(hblock, sblock):
 def _sweep_batch(payload):
     """Worker for one batch of (lam, rho) cells, solved as stacked chains,
     whose converged chains then go through the hyperbolicity checks as one
-    stack; must stay importable for pickling. A case's failure, in its
+    stack, with the grad V and hess V their solves ended on; must stay
+    importable for pickling. A case's failure, in its
     solve or in its hyperbolicity checks, marks only its own row."""
     (potential, interaction, cert, cases, half_width, tol, max_iter,
      check_hyp) = payload
     params = [SolveParams(lam=lam, rho=rho, window=half_width, tol=tol,
                           max_iter=max_iter) for lam, rho in cases]
-    outcomes = ContractionSolver(interaction, potential, cert, params).solve()
+    solver = ContractionSolver(interaction, potential, cert, params)
     rows, solved = [], []
-    for (lam, rho), outcome in zip(cases, outcomes):
+    for c, ((lam, rho), outcome) in enumerate(zip(cases, solver.solve())):
         row = dict.fromkeys(_SWEEP_COLUMNS, "")
         row.update(lam=lam, rho=rho, status="ok")
         rows.append(row)
@@ -496,11 +467,12 @@ def _sweep_batch(payload):
             distance_to_anchor=repr(rep.distance_to_anchor),
             distance_to_rotation=repr(rep.distance_to_rotation),
         )
-        solved.append((row, u, lam))
+        solved.append((row, u, lam, solver.derivatives[c]))
     if check_hyp and solved:
-        rows_ok, chains, lams = zip(*solved)
-        checks = _hyperbolic_checks(stack_chains(chains), interaction, potential,
-                                    lams, cert, tol)
+        rows_ok, chains, lams, derivatives = zip(*solved)
+        checks = _hyperbolic_checks(
+            stack_chains(chains), interaction, potential, lams, cert, tol,
+            derivatives=tuple(np.stack(x, axis=1) for x in zip(*derivatives)))
         for row, check in zip(rows_ok, checks):
             if isinstance(check, CertificateError):
                 row["status"] = "certificate-error"
@@ -578,7 +550,8 @@ def _cmd_sweep(args):
     workers = min(args.workers, len(payloads))  # a process per batch at most
     if workers == 1:
         batches = [_sweep_batch(p) for p in payloads]
-    else:
+    else:  # imported here: a serial run does not pay for it
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_sweep_batch, payloads))
     rows = [row for batch in batches for row in batch]
@@ -587,14 +560,8 @@ def _cmd_sweep(args):
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                    for c in _SWEEP_COLUMNS
-                )
-                + "\n"
-            )
+        fh.writelines(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                               for c in _SWEEP_COLUMNS) + "\n" for row in rows)
     _write_manifest(outdir, "sweep", args.config, ["sweep.csv"])
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {n_ok}/{len(rows)} cases solved; table in {path}")
@@ -602,39 +569,23 @@ def _cmd_sweep(args):
 
 
 def _build_parser():
-    parser = _Parser(
-        prog="antifk",
-        description=(
-            "equilibria of strongly coupled Frenkel-Kontorova chains: "
-            "certify potentials, solve, check hyperbolicity, sweep"
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser = _Parser(prog="antifk", description=(
+        "equilibria of strongly coupled Frenkel-Kontorova chains: "
+        "certify potentials, solve, check hyperbolicity, sweep"))
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("certify", _cmd_certify, "estimate a zero-set certificate"),
-        ("solve", _cmd_solve, "run the contraction to an equilibrium"),
-        (
-            "hyperbolicity",
-            _cmd_hyperbolicity,
-            "check cone conditions and the twist orbit",
-        ),
-        ("sweep", _cmd_sweep, "tabulate solves over a parameter grid"),
-    ]
+    specs = [("certify", _cmd_certify, "estimate a zero-set certificate"),
+             ("solve", _cmd_solve, "run the contraction to an equilibrium"),
+             ("hyperbolicity", _cmd_hyperbolicity, "check cone conditions and the twist orbit"),
+             ("sweep", _cmd_sweep, "tabulate solves over a parameter grid")]
     for name, func, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--seed", type=int, default=None, help="override the config seed"
-        )
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "sweep":
-            p.add_argument(
-                "--workers", type=_positive_int, default=1,
-                help="parallel worker count (at most one per batch)"
-            )
+            p.add_argument("--workers", type=_positive_int, default=1,
+                           help="parallel worker count (at most one per batch)")
         p.set_defaults(func=func)
     return parser
 

@@ -150,7 +150,7 @@ def linearize(u: Configuration, interaction, potential, lam: float,
 def _transfer_matrices(A, B, C) -> np.ndarray:
     """(n, 2d, 2d) one-step matrices on pairs (xi_{i-1}, xi_i), per site."""
     n, d = A.shape[0], A.shape[-1]
-    Ainv = np.linalg.inv(A)
+    Ainv = 1.0 / A if d == 1 else np.linalg.inv(A)  # 1 / a is inv's own float
     M = np.zeros((n, 2 * d, 2 * d))
     M[:, :d, d:] = np.eye(d)
     M[:, d:, :d] = -Ainv @ B
@@ -416,14 +416,16 @@ def momentum(u: Configuration, interaction, potential, lam: float) -> np.ndarray
     return _momentum(u, interaction, potential, lam)[0]
 
 
-def _momentum(u: Configuration, interaction, potential, lam):
+def _momentum(u: Configuration, interaction, potential, lam, gv=None):
     """(momentum, grad V at the window sites) of one chain (n, d), or of a
-    stack (n, K, d) with lam one per chain as a (K, 1) array."""
+    stack (n, K, d) with lam one per chain as a (K, 1) array; gv, if
+    given, is grad V at u's sites."""
     _require_nn(interaction)
     ext = u.extended(1)
     fwd = ext[1:-1] - ext[2:]
     x = u.values
-    gv = potential.gradient(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    if gv is None:
+        gv = potential.gradient(x.reshape(-1, x.shape[-1])).reshape(x.shape)
     return -interaction.coupling.gradient(fwd) - lam * gv, gv
 
 
@@ -524,16 +526,22 @@ def _orbit_deviation(values, p, gv, coupling, lam):
                       np.linalg.norm(pn - p[1:], axis=-1).max(axis=0))
 
 
-def check_stack(u: Configuration, interaction, potential, lams, cert):
+def check_stack(u: Configuration, interaction, potential, lams, cert,
+                derivatives=None):
     """The hyperbolicity checks of every chain of the stack u (n, K, d),
     chain k at coupling lams[k], in one pass. Returns, per chain, (cone
     verdict, momenta, orbit deviation), or the CertificateError of a chain
     whose coefficients fail the certificate's bounds, which stops the
     checks of that chain only; and the stack's coefficients (sites, A, B,
     C) of shape (n, K, d, d), which a splitting of one chain can reuse.
-    """
+
+    derivatives, if given, are (grad V, hess V) at u's sites, (n, K, d)
+    and (n, K, d, d), as the solve ended on them (ContractionSolver.
+    derivatives); V is then not evaluated, and as V computes each row on
+    its own, every result is bit for bit the one without them."""
+    grad, hess = derivatives or (None, None)
     lam = np.array(lams, dtype=float)
-    coefficients = _coefficients(u, interaction, potential, lam[:, None, None])
+    coefficients = _coefficients(u, interaction, potential, lam[:, None, None], hess)
     sva, svb, out = _check_coefficients(*coefficients, interaction.coupling, lams, cert)
     sites, A, B, C = coefficients
     keep = [k for k, error in enumerate(out) if error is None]
@@ -542,8 +550,9 @@ def check_stack(u: Configuration, interaction, potential, lams, cert):
     if len(keep) < len(out):
         A, B, C, sva, svb = (x[:, keep] for x in (A, B, C, sva, svb))
         lam, u = lam[keep], stack_chains([u.chain(k) for k in keep])
+        grad = None if grad is None else grad[:, keep]
     verdicts = _cone_verdicts(sites, A, B, C, sva, svb, cone_parameters(cert))
-    p, gv = _momentum(u, interaction, potential, lam[:, None])
+    p, gv = _momentum(u, interaction, potential, lam[:, None], grad)
     deviation = _orbit_deviation(u.values, p, gv[:-1], interaction.coupling,
                                  lam[:, None]).tolist()
     for j, k in enumerate(keep):

@@ -228,13 +228,7 @@ class LongRangeInteraction:
             # the series runs over all of Z; the k = 0 term has weight 1
             # even though that offset never contributes to Delta
             total += self._term_lipschitz(0, rho_norm, R)
-            k = self.cutoff + 1
-            while True:
-                term = 2 * self.weight_base**k * self._term_lipschitz(k, rho_norm, R)
-                total += term
-                if term < 1e-30 * max(total, 1.0):
-                    break
-                k += 1
+            total = self._with_tail(total, lambda k: self._term_lipschitz(k, rho_norm, R))
         return total
 
     def truncation_error(self, rho, R: float) -> float:
@@ -243,15 +237,18 @@ class LongRangeInteraction:
         if not self.rule_tail:
             return 0.0
         rho_norm = as_rotation(rho).norm()
-        total = 0.0
+        return self._with_tail(0.0, lambda k: (k * rho_norm + 2.0 * R) ** self.power)
+
+    def _with_tail(self, total: float, term) -> float:
+        """total plus 2 weight_base^k term(k) over the dropped offsets k >
+        cutoff, summed until one falls below 1e-30 of the sum."""
         k = self.cutoff + 1
         while True:
-            term = 2 * self.weight_base**k * (k * rho_norm + 2.0 * R) ** self.power
-            total += term
-            if term < 1e-30 * max(total, 1.0):
-                break
+            t = 2 * self.weight_base**k * term(k)
+            total += t
+            if t < 1e-30 * max(total, 1.0):
+                return total
             k += 1
-        return total
 
     def to_dict(self):
         d = {"kind": self.kind, "power": self.power}

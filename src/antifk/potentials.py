@@ -6,7 +6,8 @@ a certificate (O, R, r, m) for psi: a set O of nondegenerate zeros meeting
 every closed R-ball, such that psi expands distances by at least m on the
 closed r-ball around each zero. The certificate also licenses a local
 inverse of psi on each ball, which is the elementary step of the
-fixed-point solver.
+fixed-point solver. A potential answers value, gradient and hessian on
+(rows, d) batches, and derivatives, the last two from one evaluation.
 
 In d = 1 estimate_aubry proves every constant from one scan, with bounds
 on |V'''| and on the rounding of V' and V''. In d > 1 its certificates are
@@ -77,15 +78,25 @@ class TrigSumPotential:
         th = self._angles(x)
         return (self.amplitudes * np.cos(th)).sum(axis=-1)
 
-    def gradient(self, x):
+    def _slope(self, th):  # grad V at the angles th
         # einsum, not matmul: a row's sum does not depend on its batch
-        th = self._angles(x)
         return -np.einsum("...m,mi->...i", self.amplitudes * np.sin(th), self.frequencies)
 
-    def hessian(self, x):
-        th = self._angles(x)
+    def _curvature(self, th):  # hess V at the angles th
         c = self.amplitudes * np.cos(th)
         return -np.einsum("...m,mi,mj->...ij", c, self.frequencies, self.frequencies)
+
+    def gradient(self, x):
+        return self._slope(self._angles(x))
+
+    def hessian(self, x):
+        return self._curvature(self._angles(x))
+
+    def derivatives(self, x):
+        """(gradient(x), hessian(x)), bit for bit, from one evaluation of
+        the angles."""
+        th = self._angles(x)
+        return self._slope(th), self._curvature(th)
 
     def hessian_sup_bound(self) -> float:
         norms2 = (self.frequencies**2).sum(axis=1)
@@ -185,25 +196,17 @@ class DeloneBumpPotential:
         if self.width <= 0:
             raise ValueError("width must be positive")
 
-    def _diffs(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[..., None, :] - self.points  # (..., P, d)
+    def _bumps(self, x):
+        """x - p, (..., P, d), and exp(-|x - p|^2 / width^2), (..., P), per
+        point p."""
+        diffs = np.asarray(x, dtype=float)[..., None, :] - self.points
+        return diffs, np.exp(-((diffs**2).sum(axis=-1) / self.width**2))
 
-    def value(self, x):
-        diffs = self._diffs(x)
-        s = (diffs**2).sum(axis=-1) / self.width**2
-        return -self.depth * np.exp(-s).sum(axis=-1)
-
-    def gradient(self, x):
-        diffs = self._diffs(x)
-        s = (diffs**2).sum(axis=-1) / self.width**2
-        w = np.exp(-s) * (2.0 * self.depth / self.width**2)
+    def _slope(self, diffs, e):  # grad V from _bumps
+        w = e * (2.0 * self.depth / self.width**2)
         return (w[..., None] * diffs).sum(axis=-2)
 
-    def hessian(self, x):
-        diffs = self._diffs(x)
-        s = (diffs**2).sum(axis=-1) / self.width**2
-        e = np.exp(-s)
+    def _curvature(self, diffs, e):  # hess V from _bumps
         eye = np.eye(self.dimension)
         term_iso = (2.0 * self.depth / self.width**2) * e  # (..., P)
         outer = np.einsum("...pi,...pj->...pij", diffs, diffs)
@@ -211,6 +214,21 @@ class DeloneBumpPotential:
             4.0 * self.depth / self.width**4
         ) * e[..., None, None] * outer
         return h.sum(axis=-3)
+
+    def value(self, x):
+        return -self.depth * self._bumps(x)[1].sum(axis=-1)
+
+    def gradient(self, x):
+        return self._slope(*self._bumps(x))
+
+    def hessian(self, x):
+        return self._curvature(*self._bumps(x))
+
+    def derivatives(self, x):
+        """(gradient(x), hessian(x)), bit for bit, from one evaluation of
+        the bumps."""
+        bumps = self._bumps(x)
+        return self._slope(*bumps), self._curvature(*bumps)
 
     def hessian_sup_bound(self) -> float:
         """Sampled bound (x1.05) over the padded bounding box of the points."""
@@ -669,8 +687,17 @@ def _curvature_1d(V, x: np.ndarray, rows: int) -> np.ndarray:
                            for i in range(0, len(x), rows)])
 
 
+# Offsets per ball side of the d = 1 scan, and most steps of one walk. A
+# side's Lipschitz walk from its last passing offset recovers its crossing,
+# so the grid only sets where the walks start: 128 offsets scan a quarter
+# of the rows of 512, and on trig sums a walk stalls within a few dozen
+# steps. A loose L (many Delone bumps) makes every step short, and 512
+# steps keep such a walk within the rows a 512-offset scan spent per side.
+_BALL_OFFSETS, _WALK_STEPS = 128, 512
+
+
 def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
-                           radius_samples: int, rng) -> float:
+                           samples: int, rng) -> float:
     """Largest radius r <= r_cap such that sigma_min(hessian) >= m on the
     r-ball around every zero.
 
@@ -679,57 +706,61 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
     point z +- t itself (twice the first-order sums in e cover this
     function's own arithmetic), a computed |V''(x)| >= m + e + L delta
     proves |V''| >= m on [x - delta, x + delta] (mean value theorem). Each
-    ball side z +- s_k, over s_k = linspace(0, r_cap, radius_samples) of
-    spacing h, is scanned with delta = h / 2: all sides at once in blocks
-    of offsets, at most 2 radius_samples points a hessian call, up to the
-    first block where some side fails, k* the least first failing offset
-    there. Every other side holds to h / 2 past its last passing offset,
-    s_{k*} or beyond. The sides failing first at k* walk from s_{k*-1},
-    t += (|V''(z +- t)| - m - e) / L, each step proving the interval it
-    crosses, for at most 64 steps. The radius is the least of the walks,
-    of what the other sides hold, and of r_cap.
+    ball side z +- s_k, over the samples offsets s_k = linspace(0, r_cap,
+    samples) of spacing h (estimate_aubry scans _BALL_OFFSETS), is scanned
+    with delta = h / 2: all sides at once in blocks of offsets, at most 2
+    samples points a hessian call. Every side that fails in a block walks
+    from its last passing offset, t += (|V''(z +- t)| - m - e) / L, each
+    step proving the interval it crosses, for at most _WALK_STEPS steps, up
+    to the least radius so far (a walk that stalls lowers it). The sides
+    that pass the block hold to h / 2 past it; once that reaches the least
+    radius, or no side is left, the scan stops. The radius is the least of
+    the walks and of r_cap.
 
-    d > 1, sampled: bisection over r on random points of each ball."""
+    d > 1, sampled: bisection over r on samples random points of each
+    ball."""
     d = zeros.shape[1]
     if d == 1:
-        s = np.linspace(0.0, r_cap, radius_samples)
-        h, reach = r_cap / max(radius_samples - 1, 1), float(np.abs(zeros).max()) + r_cap
+        s = np.linspace(0.0, r_cap, samples)
+        h, reach = r_cap / max(samples - 1, 1), float(np.abs(zeros).max()) + r_cap
         lip, e = V.hessian_lipschitz_bound(reach)
         e += lip * np.finfo(float).eps * reach
-        rows = 2 * radius_samples  # most points per hessian call
+        rows = 2 * samples  # most points per hessian call
         centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
         block = max(1, rows // len(sign))  # offsets per block
-        k, radius = radius_samples, min(s[-1] + h / 2, r_cap)  # if no offset fails
-        for b in range(0, radius_samples, block):
+        radius = min(s[-1] + h / 2, r_cap)  # what a side passing every offset holds
+        for b in range(0, samples, block):
             x = (centre[:, None] + sign[:, None] * s[b:b + block]).ravel()
             fail = (_curvature_1d(V, x, rows) < m + e + lip * h / 2).reshape(len(sign), -1)
-            if fail.any():
-                first = np.where(fail.any(axis=1), fail.argmax(axis=1), fail.shape[1])
-                k, least = b + first.min(), first == first.min()
-                if not least.all():  # the other sides hold to h / 2 past their last pass
-                    radius = min(s[b + first[~least].min() - 1] + h / 2, r_cap)
-                centre, sign = centre[least], sign[least]
+            failed = fail.any(axis=1)
+            if failed.any():  # each walks from its last passing offset
+                z, sg = centre[failed], sign[failed]
+                t = s[np.maximum(b + fail[failed].argmax(axis=1) - 1, 0)]
+                going = np.arange(len(t))
+                for _ in range(_WALK_STEPS):
+                    x = z[going] + sg[going] * t[going]
+                    new = np.minimum(t[going] + (_curvature_1d(V, x, rows) - m - e) / lip,
+                                     radius)
+                    moved = new > t[going]
+                    t[going[moved]] = new[moved]
+                    if not moved.all():  # a walk that stalls bounds the radius
+                        radius = min(radius, float(t[going[~moved]].min()))
+                    going = going[moved & (new < radius)]
+                    if going.size == 0:
+                        break
+                radius = min(radius, float(t.min()))
+                centre, sign = centre[~failed], sign[~failed]
+            if sign.size == 0 or s[min(b + block, samples) - 1] + h / 2 >= radius:
                 break
-        if k < radius_samples:  # the walks of the sides failing first at k
-            t, going = np.full(len(sign), s[max(k - 1, 0)]), np.arange(len(sign))
-            for _ in range(64):
-                x = centre[going] + sign[going] * t[going]
-                new = np.minimum(t[going] + (_curvature_1d(V, x, rows) - m - e) / lip, radius)
-                moved = new > t[going]
-                t[going[moved]] = new[moved]
-                going = going[moved & (new < radius)]
-                if going.size == 0:
-                    break
-            radius = min(radius, float(t.min()))
         if radius < 1e-6 * r_cap:
             raise CertificationError(_NEAR_ZERO_FAILURE)
         return float(radius)
 
     def ok(r: float) -> bool:
         for z in zeros:
-            raw = rng.standard_normal((radius_samples, d))
+            raw = rng.standard_normal((samples, d))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            radii = r * rng.uniform(0, 1, size=(radius_samples, 1)) ** (1.0 / d)
+            radii = r * rng.uniform(0, 1, size=(samples, 1)) ** (1.0 / d)
             pts = np.concatenate([z + raw * radii, z[None]], axis=0)
             if _sv(V.hessian(pts)).min() < m:
                 return False
@@ -764,7 +795,8 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     the best are discarded. The expansion m is expansion_fraction times
     the weakest retained curvature, the covering radius R half the
     largest gap (times safety), and the ball radius r the largest radius
-    on which the curvature stays >= m (_ball_expansion_radius).
+    on which the curvature stays >= m (_ball_expansion_radius: in d = 1
+    a scan of _BALL_OFFSETS offsets, in d > 1 radius_samples points).
 
     d = 1, bounded: a listed zero lies within w of a zero of psi, w the
     float spacing at the largest |zero| (an adjacent-float bracket) plus
@@ -825,7 +857,8 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
 
     covering_radius = (float(gaps.max()) / 2.0 + w) * safety
     r_cap = 0.49 * float(gaps.min()) if gaps.min() > 0 else covering_radius
-    ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap, radius_samples, rng)
+    ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap,
+                                         _BALL_OFFSETS if d == 1 else radius_samples, rng)
     if d == 1:
         covering_radius = math.nextafter(covering_radius, math.inf)
         ball_radius = math.nextafter(ball_radius - w, 0.0)
@@ -858,10 +891,9 @@ def _scan_zeros_nd(V, lo, hi, grid_points, zero_tol):
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     y = pts.copy()
     for _ in range(60):
-        g = V.gradient(y)
+        g, H = V.derivatives(y)
         if np.linalg.norm(g, axis=1).max() <= zero_tol * 1e-3:
             break
-        H = V.hessian(y)
         ok = np.abs(np.linalg.det(H)) > 1e-12
         step = np.zeros_like(y)
         if ok.any():
@@ -927,11 +959,12 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     ConvergenceError naming it (also as its ``row``). Callers do the
     domain check, so they can name the offending site.
 
-    Every row ends right after an evaluation of psi and its hessian at the
-    y it returns. With ``derivatives``, returns (y, grad V(y), hessian
-    V(y)), shapes (rows, d) and (rows, d, d), from those evaluations: as
-    V computes its rows independently of their batch, they equal a fresh
-    evaluation at y bit for bit.
+    Each step evaluates psi and its hessian in one V.derivatives call, and
+    every row ends right after one at the y it returns. With
+    ``derivatives``, returns (y, grad V(y), hessian V(y)), shapes (rows, d)
+    and (rows, d, d), from those evaluations: as V computes its rows
+    independently of their batch, they equal a fresh evaluation at y bit
+    for bit.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -949,8 +982,8 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     rows = np.arange(len(centers))  # rows still open
     for k in range(INVERSE_MAX_ITER + 1):
         yk = y[rows]
-        g = V.gradient(yk)
-        H = np.reshape(V.hessian(yk), (-1, d, d))
+        g, H = V.derivatives(yk)
+        H = np.reshape(H, (-1, d, d))
         if derivatives and k == 0:  # every row; later steps write theirs in
             grad, hess = g, H
         elif derivatives:

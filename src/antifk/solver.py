@@ -290,7 +290,7 @@ class ContractionSolver:
         self.thresholds = [lambda_threshold(interaction, p.rho, cert)
                            for p in self.cases]
         self._tube_radius = _tube_radius(cert)
-        self.failures = dict(self._lost)
+        self.failures, self.derivatives = dict(self._lost), {}
 
     def _fits(self, u: Configuration) -> bool:
         """Whether u holds one chain per case on the solver's window."""
@@ -462,14 +462,16 @@ class ContractionSolver:
         the polish's entry force and first C blocks and the residual
         checks; V is never evaluated at the chain of a stopped case. Returns,
         per case, (configuration, report) or the case's error, which also
-        stays in self.failures."""
+        stays in self.failures. The closing step's grad V and hess V at a
+        converged case's chain stay in self.derivatives, (n, d) and (n, d,
+        d) per case, for the hyperbolicity checks (check_stack)."""
         cert, K = self.cert, len(self.cases)
         q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
         step_threshold = self.tol * (1 - q) / q
         u = initial if initial is not None else self.anchors
         if not self._fits(u):
             raise ValueError("initial configuration window or case mismatch")
-        self.failures = dict(self._lost)
+        self.failures, self.derivatives = dict(self._lost), {}
         if self.failures or u.halo is None or len(u.halo) != 2 * self.interaction.reach:
             u = Configuration(u.window, u.values, u.tail, self._halo(u))
         running = [c for c in range(K) if c not in self.failures]
@@ -497,6 +499,7 @@ class ContractionSolver:
             for c in close:
                 if res[c] <= self.tol:
                     done[c] = (u.chain(c), res[c])
+                    self.derivatives[c] = tuple(x[:, c] for x in derivatives)
                 elif res[c] >= last_res[c]:
                     self.failures[c] = self._stalled(u.chain(c).values, c, res[c],
                                                      steps[c])

@@ -53,6 +53,8 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_zero_radius_samples_exits_1(self, tmp_path, capsys):
+        # radius_samples sets only the sampled d > 1 ball radius, which the
+        # CLI cannot estimate: like the other sampling knobs, an unknown key
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -61,10 +63,12 @@ class TestCertify:
                                   "radius_samples": 0},
             },
         )
-        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "radius_samples must be >= 1" in err
+        assert "unknown keys in certification: radius_samples" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["covering_checks", "pair_checks"])
     def test_zero_checks_exit_1(self, key, tmp_path, capsys):
@@ -668,6 +672,19 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert "antifk" in proc.stdout
+
+    def test_import_loads_no_unused_modules(self):
+        # importing the CLI is part of every run's set-up: the process pool
+        # is imported only where --workers > 1 opens it, and nothing pulls
+        # in the test or optional packages
+        heavy = ["concurrent.futures", "scipy", "mpmath", "hypothesis"]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, antifk.cli; print([m for m in {heavy} if m in sys.modules])"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_manifest_records_config_hash(self, tmp_path):
         import hashlib

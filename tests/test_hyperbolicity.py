@@ -10,6 +10,7 @@ from antifk import (
     ConeParameters,
     ContractionSolver,
     ConvexityError,
+    DomainError,
     FiniteZeroSet,
     HyperbolicityCertificate,
     LinearizationSite,
@@ -159,6 +160,15 @@ class TestTransfer:
         # the tangent recursion solved for xi_{i+1}
         step = (rec.A + rec.B + rec.C) @ xi_cur - rec.B @ xi_prev
         assert out[1] == pytest.approx(float(np.linalg.solve(rec.A, step)[0]))
+
+    def test_d1_blocks_invert_as_linalg_inv(self, rng):
+        # 1 / a is the float np.linalg.inv gives a 1 x 1 block
+        A, B, C = (rng.choice([-1.0, 1.0], size=(32729, 1, 1))
+                   * 10.0 ** rng.uniform(-8, 8, size=(32729, 1, 1)) for _ in range(3))
+        M = hyperbolicity._transfer_matrices(A, B, C)
+        inv = np.linalg.inv(A)
+        assert np.array_equal(M[:, 1:, :1], -inv @ B)
+        assert np.array_equal(M[:, 1:, 1:], inv @ (A + B + C))
 
     def test_constant_case_eigenvalues(self):
         u, lam = constant_case(n=4)
@@ -682,6 +692,40 @@ class TestCheckStack:
             [chains[0], weak], nn, V, [40.0, 1.0], cosine_certificate()) == ["pass", "fail"]
         assert self._stack_against_alone(
             chains[1:2], nn, V, [20.0], cert) == ["certificate-error"]
+
+    def test_solve_derivatives_stand_in_for_v(self, cos_potential_module, monkeypatch):
+        # the grad V and hess V a solve ended on give every result bit for
+        # bit without evaluating V: lam = 0.5 fails in the solve and has
+        # none, lam = 20 fails the coefficient check of m = 0.99
+        cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2, 1.2, 0.99)
+        nn, V = NearestNeighborInteraction(), cos_potential_module
+        cases = [(40.0, 0.5), (0.5, 0.5), (20.0, 1.0), (60.0, 0.3)]
+        solver = ContractionSolver(nn, V, cert, [SolveParams(lam=lam, rho=rho, window=8)
+                                                 for lam, rho in cases])
+        outcomes = solver.solve()
+        assert isinstance(outcomes[1], DomainError)
+        assert sorted(solver.derivatives) == [0, 2, 3]
+        u = stack_chains([outcomes[c][0] for c in (0, 2, 3)])
+        lams = [cases[c][0] for c in (0, 2, 3)]
+        derivatives = tuple(np.stack(x, axis=1)
+                            for x in zip(*(solver.derivatives[c] for c in (0, 2, 3))))
+        fresh, coefficients = hyperbolicity.check_stack(u, nn, V, lams, cert)
+
+        def unused(x):
+            raise AssertionError("V evaluated")
+
+        monkeypatch.setattr(V, "gradient", unused)
+        monkeypatch.setattr(V, "hessian", unused)
+        handed, handed_coefficients = hyperbolicity.check_stack(
+            u, nn, V, lams, cert, derivatives)
+        monkeypatch.undo()
+        assert all(np.array_equal(a, b) for a, b in zip(coefficients, handed_coefficients))
+        assert [type(x) for x in handed] == [tuple, CertificateError, tuple]
+        assert str(handed[1]) == str(fresh[1])
+        for (verdict, p, deviation), (want, p_want, dev_want) in zip(
+                handed[::2], fresh[::2]):
+            assert verdict.to_json_dict() == want.to_json_dict()
+            assert np.array_equal(p, p_want) and deviation == dev_want
 
     def test_batch_d2(self, solved_2d):
         # the perturbed-quadratic coupling inverts its gradient chain by chain
