@@ -36,6 +36,15 @@ hyperbolicity checks of the batch's stacked chains, which take grad V
 and hess V from the solve; ``epilogue_rows`` counts the rows of V they
 evaluate all the same, 0 while the handover works.
 
+The ``d2`` row times the d = 2 chain of the hyperbolicity benchmark:
+V = cos x + cos y on the finite zero set pi Z^2 that the benchmark
+writes (the table reaches one period past the query box [-c, c]^2, c =
+0.65 (half_width + 1)), perturbed-quadratic coupling of amplitude 0.1,
+lam = 40, rho = (0.47, 0.58), at half_width 128, 512 and 2048: the anchor
+lookup, the Newton step's cyclic reduction (at the iterate after two
+tube-map steps), the cone verdict and the horizon-20 splitting (at the
+solved chain), each with its log-log slope against sites.
+
 ``src_lines`` is the line count of the library's modules
 (``src/antifk/*.py``), which the BENCH files track beside the timings.
 """
@@ -56,7 +65,9 @@ import antifk
 from antifk import (
     AubryCertificate,
     ContractionSolver,
+    FiniteZeroSet,
     NearestNeighborInteraction,
+    PerturbedQuadraticCoupling,
     SolveParams,
     anchor_configuration,
     cone_splitting,
@@ -65,6 +76,7 @@ from antifk import (
     estimate_aubry,
     local_inverse_batch,
     residual,
+    TrigSumPotential,
     truncated_almost_periodic,
     verify_cone_conditions,
 )
@@ -82,6 +94,7 @@ SWEEP_LAMS = (24.0, 32.0, 48.0, 64.0, 96.0)
 SWEEP_RHOS = (0.1, 0.2, 0.3, 0.4, 0.5)
 SWEEP_HALF_WIDTH = 256
 SWEEP_BATCHES = (1, 7, 25)
+D2_HALF_WIDTHS, D2_RHO = (128, 512, 2048), (0.47, 0.58)
 # the stages of a d = 1 estimate_aubry: (owner, attribute) of each function
 AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
                 "ball_radius": (potentials, "_ball_expansion_radius"),
@@ -177,6 +190,58 @@ def layer_times(half_width: int) -> dict:
         "verify_cone_conditions": best_of(
             lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
         "cone_splitting": best_of(lambda: cone_splitting(u, nn, V, LAM)),
+    }
+
+
+def _slopes(sites, per_size) -> dict:
+    """Each layer's seconds, microseconds per site and log-log slope of
+    time against sites over the three largest sizes."""
+    layers = {}
+    for name in per_size[0]:
+        s = np.array([t[name] for t in per_size])
+        slope = np.polyfit(np.log(sites[-3:]), np.log(s[-3:]), 1)[0]
+        layers[name] = {"s": s.tolist(), "us_per_site": (1e6 * s / sites).tolist(),
+                        "loglog_slope": round(float(slope), 3)}
+    return layers
+
+
+def layer_times_2d(half_width: int) -> dict:
+    c = 0.65 * (half_width + 1)
+    axis = np.pi * np.arange(-np.ceil(c / np.pi) - 1, np.ceil(c / np.pi) + 2)
+    zeros = FiniteZeroSet(np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2),
+                          -c, c)
+    cert = AubryCertificate(zeros, np.pi / np.sqrt(2), np.pi / 4, np.cos(np.pi / 4))
+    V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+    nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
+    params = SolveParams(lam=LAM, rho=D2_RHO, window=half_width, tol=TOL)
+    solver = ContractionSolver(nn, V, cert, [params])
+    s2 = solver.phi_step(solver.phi_step(solver.anchors)[0])[0]
+    _, A, B, C = _coefficients(s2, nn, V, LAM)
+    force = _force(s2, nn, V, LAM)
+    [(u, _)] = solver.solve()
+    return {
+        "anchor_configuration": best_of(lambda: anchor_configuration(
+            params.rho, zeros, cert.covering_radius, params.window)),
+        "cyclic_reduction": best_of(
+            lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
+        "verify_cone_conditions": best_of(
+            lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
+        "cone_splitting": best_of(lambda: cone_splitting(u, nn, V, LAM)),
+    }
+
+
+def d2_times() -> dict:
+    sites = np.array([2 * n + 1 for n in D2_HALF_WIDTHS], dtype=float)
+    return {
+        "what": (f"d = 2 layers in process, best of {REPEATS}: V = cos x + "
+                 "cos y, the benchmark's finite pi Z^2 zero set, "
+                 f"perturbed-quadratic coupling 0.1, lam = {LAM}, rho = "
+                 f"{list(D2_RHO)}, tol = {TOL}; cyclic reduction at the "
+                 "iterate after two tube-map steps, cone verdict and "
+                 "horizon-20 splitting at the solved chain"),
+        "half_widths": list(D2_HALF_WIDTHS),
+        "sites": sites.astype(int).tolist(),
+        "layers": _slopes(sites, [layer_times_2d(n) for n in D2_HALF_WIDTHS]),
     }
 
 
@@ -282,17 +347,8 @@ def src_lines() -> int:
 
 
 def scale_check() -> dict:
-    per_size = {n: layer_times(n) for n in HALF_WIDTHS}
     sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
-    layers = {}
-    for name in per_size[HALF_WIDTHS[0]]:
-        s = np.array([per_size[n][name] for n in HALF_WIDTHS])
-        slope = np.polyfit(np.log(sites[1:]), np.log(s[1:]), 1)[0]
-        layers[name] = {
-            "s": s.tolist(),
-            "us_per_site": (1e6 * s / sites).tolist(),
-            "loglog_slope": round(float(slope), 3),
-        }
+    layers = _slopes(sites, [layer_times(n) for n in HALF_WIDTHS])
     return {
         "what": (f"solver layers in process, best of {REPEATS}: cosine V, "
                  f"unit quadratic coupling, lam = {LAM}, rho = {RHO}, "
@@ -304,6 +360,7 @@ def scale_check() -> dict:
         "layers": layers,
         "estimate_aubry": estimate_aubry_times(),
         "sweep": sweep_times(),
+        "d2": d2_times(),
         "src_lines": src_lines(),
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "antifk": antifk.__version__},

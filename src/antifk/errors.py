@@ -7,7 +7,15 @@ __all__ = ["CertificateError", "CertificationError", "DomainError", "Convergence
 class CertificateError(Exception):
     """A certificate is structurally unusable for the requested query
     (e.g. an anchor lookup outside the validity range of a finite zero set,
-    or linearization bounds inconsistent with the certificate)."""
+    or linearization bounds inconsistent with the certificate).
+
+    Attributes:
+        row: the first failing row of a zero-set lookup (None otherwise).
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class CertificationError(Exception):

@@ -70,9 +70,103 @@ def _json_fields(pairs) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in pairs}
 
 
+# Closed forms for the (..., d, d) blocks of d <= 2 (Golub & Van Loan), LAPACK
+# for d >= 3; a singular block gives non-finite values, never an exception.
+
+
 def _sv(X) -> np.ndarray:
-    """Singular values per matrix, largest first; |x| for 1 x 1 blocks."""
-    return np.abs(X[..., 0]) if X.shape[-1] == 1 else np.linalg.svd(X, compute_uv=False)
+    """Singular values per block, largest first: |x| for 1 x 1, for 2 x 2
+    (q +- r) / 2 with q = hypot(a + e, c - b), r = hypot(a - e, c + b).
+    Each 2 x 2 value is within 2 eps sigma_max of the exact one: q and r
+    carry at most 3 u (the sum and hypot's ulp), the final sum or
+    difference u more, u = eps / 2."""
+    d = X.shape[-1]
+    if d == 1:
+        return np.abs(X[..., 0])
+    if d > 2:
+        return np.linalg.svd(X, compute_uv=False)
+    a, b, c, e = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    q, r = np.hypot(a + e, c - b), np.hypot(a - e, c + b)
+    return 0.5 * np.stack([q + r, np.abs(q - r)], axis=-1)
+
+
+def _scaled(X):
+    """Entries a, b, c, e of 2 x 2 blocks [[a, b], [c, e]] over each
+    block's largest |entry| s, and s: products of the scaled entries
+    neither overflow nor underflow, whatever the block's scale."""
+    a, b, c, e = X[..., 0, 0], X[..., 0, 1], X[..., 1, 0], X[..., 1, 1]
+    s = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(e)))
+    return a / s, b / s, c / s, e / s, s
+
+
+def _inv(X) -> np.ndarray:
+    """Inverse per block: 1 / x for 1 x 1, the adjugate over the
+    determinant for 2 x 2."""
+    d = X.shape[-1]
+    if d == 1:
+        return 1.0 / X
+    if d > 2:
+        try:
+            return np.linalg.inv(X)
+        except np.linalg.LinAlgError:  # NaN at the singular blocks only
+            ok, out = np.linalg.det(X) != 0, np.full_like(X, np.nan)
+            out[ok] = np.linalg.inv(X[ok])
+            return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c, e, s = _scaled(X)
+        out = np.empty_like(X)
+        out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = e, -b, -c, a
+        out /= ((a * e - b * c) * s)[..., None, None]
+        return out
+
+
+def _solve(X, f) -> np.ndarray:
+    """x with X x = f per block, X (..., d, d) and f (..., d): f / x for
+    1 x 1, Cramer's rule for 2 x 2."""
+    d = X.shape[-1]
+    if d == 1:
+        return f / X[..., 0]
+    if d > 2:
+        try:
+            return np.linalg.solve(X, f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return (_inv(X) @ f[..., None])[..., 0]
+    f0, f1 = f[..., 0], f[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, c, e, s = _scaled(X)
+        return np.stack([e * f0 - b * f1, a * f1 - c * f0], axis=-1) / (
+            (a * e - b * c) * s)[..., None]
+
+
+def _basis(V) -> np.ndarray:
+    """Orthonormal columns spanning the columns of each (..., m, d) block:
+    the Q of its QR factorisation, for d <= 2 by Gram-Schmidt with the
+    signs LAPACK's Householder QR gives them. Column j is y_j / beta_j, y_j
+    column j less its projection on the columns before, and beta_j =
+    -sign(alpha_j) |y_j|, alpha_j the pivot entry of the reflected y_j;
+    beta_j = alpha_j where the entries below the pivot are zero, as LAPACK
+    then does not reflect."""
+    d = V.shape[-1]
+    if d > 2:
+        return np.linalg.qr(V).Q
+
+    def column(y, alpha, plain):
+        sign = np.where(np.signbit(alpha) == plain, -1.0, 1.0)
+        return y * (sign / np.sqrt(np.vecdot(y, y)))[..., None]
+
+    v = V[..., 0]
+    plain = (v[..., 1:] == 0).all(axis=-1)
+    q = column(v, v[..., 0], plain)
+    if d == 1:
+        return q[..., None]
+    w = V[..., 1]
+    y = w - np.vecdot(q, w)[..., None] * q
+    y -= np.vecdot(q, y)[..., None] * q  # twice is enough for orthogonality
+    # the first reflection maps q to e_0; alpha is entry 1 of its image of y
+    scale = np.sqrt(np.vecdot(v, v)) + np.abs(v[..., 0])
+    alpha = y[..., 1] - np.copysign(1.0, v[..., 0]) * v[..., 1] * y[..., 0] / scale
+    return np.stack([q, column(y, alpha, plain & (y[..., 2:] == 0).all(axis=-1))],
+                    axis=-1)
 
 
 def _coefficients(u: Configuration, interaction, potential, lam, hessian=None):
@@ -150,7 +244,7 @@ def linearize(u: Configuration, interaction, potential, lam: float,
 def _transfer_matrices(A, B, C) -> np.ndarray:
     """(n, 2d, 2d) one-step matrices on pairs (xi_{i-1}, xi_i), per site."""
     n, d = A.shape[0], A.shape[-1]
-    Ainv = 1.0 / A if d == 1 else np.linalg.inv(A)  # 1 / a is inv's own float
+    Ainv = _inv(A)
     M = np.zeros((n, 2 * d, 2 * d))
     M[:, :d, d:] = np.eye(d)
     M[:, d:, :d] = -Ainv @ B
@@ -245,7 +339,10 @@ def _cone_1d(c0, c1, aperture: float, mu: float):
                 np.where(interior, np.minimum(best, margin(t_star)), best))
 
 
-_ROUND = 8 * np.finfo(float).eps  # covers LAPACK's sigma error and the roundings
+# covers the errors of sigma(S), |P| and |Q|, 2 eps sigma_max each in closed
+# form (_sv; LAPACK's for d >= 3 are of the same order), and the roundings of
+# the bounds
+_ROUND = 8 * np.finfo(float).eps
 
 
 def _cone_bounds(p, q, ss, aperture: float, mu: float):
@@ -344,12 +441,8 @@ def _riccati(M, horizon: int, sites, bundle: str) -> np.ndarray:
     d = M.shape[-1] // 2
     X = np.zeros((M.shape[0] + 1, d, d))
     for _ in range(horizon):
-        Y = M[:, d:, d:] + M[:, d:, :d] @ X[:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            try:
-                Y = 1.0 / Y if d == 1 else np.linalg.inv(Y)
-            except np.linalg.LinAlgError:  # non-finite at the singular blocks
-                Y = Y / np.linalg.det(Y)[:, None, None]
+            Y = _inv(M[:, d:, d:] + M[:, d:, :d] @ X[:-1])
         finite = np.isfinite(Y).all(axis=(1, 2))
         if not finite.all():
             bad = int(sites[np.argmin(finite)])
@@ -388,8 +481,8 @@ def cone_splitting(u: Configuration, interaction, potential, lam: float,
     R = _riccati(_transfer_matrices(B, A, C)[::-1], horizon, sites[::-1],
                  "stable")[::-1][keep]
     eye = np.broadcast_to(np.eye(d), P.shape)
-    U = np.linalg.qr(np.concatenate([P, eye], axis=1)).Q  # pairs (P xi, xi)
-    S = np.linalg.qr(np.concatenate([eye, R], axis=1)).Q  # pairs (xi, R xi)
+    U = _basis(np.concatenate([P, eye], axis=1))  # pairs (P xi, xi)
+    S = _basis(np.concatenate([eye, R], axis=1))  # pairs (xi, R xi)
     sig = _sv(np.swapaxes(U, -1, -2) @ S)
     angles = np.arccos(np.clip(sig.max(axis=-1), -1.0, 1.0))
     # one-step growth along each bundle: the Frobenius norm of the image of
@@ -447,19 +540,12 @@ def _invert_coupling_gradient(coupling, target):
         scale = _INVERT_TOL * (1.0 + np.linalg.norm(t, axis=1))
         if (err <= scale).all():
             break
-        try:
-            H = coupling.hessian(w)
-            step = np.linalg.solve(H, f[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise ConvexityError(
-                "coupling hessian became singular during gradient inversion; "
-                "convexity bounds are violated"
-            ) from exc
-        w = w - step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = w - _solve(coupling.hessian(w), f)
         if not np.isfinite(w).all():
             raise ConvexityError(
-                "coupling gradient inversion diverged; the target is outside "
-                "the gradient's range"
+                "coupling gradient inversion diverged; the coupling hessian is "
+                "singular or the target is outside the gradient's range"
             )
     else:
         raise ConvexityError(

@@ -234,7 +234,12 @@ class Configuration:
         if inside.any():
             out[inside] = self.values[sites[inside] + self.window.half_width]
         if not inside.all():
-            out[~inside] = self.tail.values(sites[~inside])
+            try:
+                out[~inside] = self.tail.values(sites[~inside])
+            except CertificateError as exc:  # name the row of sites
+                if exc.row is not None:
+                    exc.row = int(np.flatnonzero(~inside)[exc.row])
+                raise
         return out
 
     def extended(self, halo: int) -> np.ndarray:
@@ -327,8 +332,8 @@ def ext_distances(u: Configuration, v: Configuration) -> list:
     """ext_distance of chain k of u and chain k of v, for each k of two
     stacks (n_sites, K, d). The chains whose tails share a slope are probed
     on both sides at once, one values call per stack (one lookup for
-    anchor tails on one sampler); if that raises, each of them bisects
-    for its longest probe prefix alone."""
+    anchor tails on one sampler); if that raises, each of them is probed
+    on its longest producible prefix alone (_prefix_probe)."""
     if u.window != v.window:
         raise ValueError("configurations lie on different windows")
     dist = np.linalg.norm(u.values - v.values, axis=-1).max(axis=0).tolist()
@@ -348,7 +353,7 @@ def ext_distances(u: Configuration, v: Configuration) -> list:
                 - StackedTail(tuple(b for _, b in pairs)).values(sites))
     except CertificateError:
         for k, (a, b) in zip(probed, pairs):
-            dist[k] = _bisected_probe(a, b, probe, dist[k])
+            dist[k] = _prefix_probe(a, b, probe, dist[k])
         return dist
     gaps = np.sqrt(np.vecdot(diff, diff)).max(axis=0).tolist()
     for k, gap in zip(probed, gaps):
@@ -356,21 +361,27 @@ def ext_distances(u: Configuration, v: Configuration) -> list:
     return dist
 
 
-def _bisected_probe(a: TailRule, b: TailRule, probe, worst: float) -> float:
+def _prefix_probe(a: TailRule, b: TailRule, probe, worst: float) -> float:
     """worst, or the largest tail gap over the longest prefix of probe and
     of -probe on which both tails produce values."""
     for sites in (probe, -probe):
-        # a tail raises exactly when the sites include one it cannot produce
-        # (a finite zero set out of validity): bisect for the longest prefix
-        good, bad, k = 0, TAIL_PROBE + 1, TAIL_PROBE
-        while bad - good > 1:
-            try:
-                diff = a.values(sites[:k]) - b.values(sites[:k])
-                good, worst = k, max(worst, float(np.sqrt(np.vecdot(diff, diff)).max()))
-            except CertificateError:
-                bad = k
-            k = (good + bad) // 2
+        va, vb = _producible(a, sites), _producible(b, sites)
+        k = min(len(va), len(vb))
+        if k:
+            diff = va[:k] - vb[:k]
+            worst = max(worst, float(np.sqrt(np.vecdot(diff, diff)).max()))
     return worst
+
+
+def _producible(tail: TailRule, sites) -> np.ndarray:
+    """tail's values on the longest prefix of sites it produces, in at most
+    two lookups: a tail that cannot produce a site (a finite zero set out
+    of validity) raises a CertificateError naming the first such row, and
+    the sites before it are taken to be the ones it produces."""
+    try:
+        return tail.values(sites)
+    except CertificateError as exc:
+        return tail.values(sites[:exc.row]) if exc.row else sites[:0]
 
 
 def shift(u: Configuration, k: int) -> Configuration:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import CertificateError, CertificationError, ConvergenceError, DomainError
-from .hyperbolicity import _sv
+from .hyperbolicity import _solve, _sv
 from .lattice import _nearest_anchors
 
 __all__ = [
@@ -236,8 +236,7 @@ class DeloneBumpPotential:
         hi = self.points.max(axis=0) + 3 * self.width
         rng = np.random.default_rng(0)
         xs = rng.uniform(lo, hi, size=(2048, self.dimension))
-        sig = np.linalg.svd(self.hessian(xs), compute_uv=False)
-        return float(sig.max() * 1.05)
+        return float(_sv(self.hessian(xs)).max() * 1.05)
 
     def hessian_lipschitz_bound(self, reach: float) -> tuple:
         """(L, e) as for TrigSumPotential, d = 1. L sums over the P bumps
@@ -340,7 +339,7 @@ class PeriodicZeroSet:
         best = dist.min(axis=1, keepdims=True)
         if (best > radius).any():
             j = int(np.argmax(best[:, 0] > radius))
-            raise CertificateError(f"no zero within radius {radius} of {x[j, 0]}")
+            raise CertificateError(f"no zero within radius {radius} of {x[j, 0]}", row=j)
         tie = (dist <= best + 1e-12 * (1.0 + best)) & (dist <= radius)
         return np.where(tie, cand, np.inf).min(axis=1)[:, None]
 
@@ -359,26 +358,36 @@ class FiniteZeroSet:
     points: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    _BLOCK = 32  # rows per block of nearest: bounds its (rows, slab) temporaries
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         object.__setattr__(self, "points", pts)
-        d = pts.shape[1]
+        n, d = pts.shape
         lo = np.broadcast_to(np.atleast_1d(np.asarray(self.lo, dtype=float)), (d,))
         hi = np.broadcast_to(np.atleast_1d(np.asarray(self.hi, dtype=float)), (d,))
         object.__setattr__(self, "lo", lo.copy())
         object.__setattr__(self, "hi", hi.copy())
         _require_finite(self, "points", "lo", "hi")
-        # stable lexicographic order: slabs by first coordinate, ties to the first
-        order = np.lexsort(pts.T[::-1])
-        object.__setattr__(self, "_columns", np.ascontiguousarray(pts[order].T))
-        object.__setattr__(self, "_keys", self._columns[0])
+        # stable lexicographic order, ties to the first
+        cols = np.ascontiguousarray(pts[np.lexsort(pts.T[::-1])].T)
+        object.__setattr__(self, "_columns", cols)
         if d == 1:  # the points between two sentinels at infinite distance
-            object.__setattr__(self, "_padded", np.concatenate([[-np.inf], self._keys, [np.inf]]))
-        object.__setattr__(self, "_reach", float(np.abs(pts[:, 0]).max(initial=0.0)))
+            object.__setattr__(self, "_keys", cols[0])
+            object.__setattr__(self, "_padded", np.concatenate([[-np.inf], cols[0], [np.inf]]))
+            return
+        # the cell grid: cubes of side h from the points' lowest corner,
+        # about one point a cell; points by cell, each cell's in the order
+        # above, held as their positions in it
+        corner, span = (cols.min(axis=1), np.ptp(cols, axis=1)) if n else np.zeros((2, d))
+        h = float(span.max()) / max(1, math.ceil(n ** (1 / d))) or 1.0
+        shape = (span / h).astype(np.intp) + 1
+        cell = np.ravel_multi_index(((cols - corner[:, None]) / h).astype(np.intp), shape)
+        by_cell = np.argsort(cell, kind="stable")
+        starts = cell[by_cell].searchsorted(np.arange(shape.prod() + 1))
+        object.__setattr__(self, "_grid", (corner, h, shape, starts, by_cell))
+        object.__setattr__(self, "_reach", float(np.abs(pts).max(initial=0.0)))
 
     @property
     def dimension(self) -> int:
@@ -391,8 +400,7 @@ class FiniteZeroSet:
             if bad.any():
                 raise CertificateError(
                     f"query {xs[bad.argmax()]} outside the validity box "
-                    f"[{self.lo}, {self.hi}] of a finite zero set"
-                )
+                    f"[{self.lo}, {self.hi}] of a finite zero set", row=int(bad.argmax()))
 
     def points_near(self, x, radius: float) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -403,37 +411,41 @@ class FiniteZeroSet:
     def nearest(self, xs, radius: float) -> np.ndarray:
         """Closest zero to each row of xs, ties (1e-12 relative) to the
         lexicographically smallest. In d = 1 one searchsorted finds each
-        row's neighbours; in d > 1 rows are looked up per block (taken in
-        order of their first coordinate) in the slab of points within
-        radius in the first coordinate. CertificateError names the first
-        row outside the box, else the first with no zero."""
+        row's neighbours; in d > 1 each row sees the points of the grid
+        cells within radius of it, all rows in one pass. CertificateError
+        names the first row outside the box, else the first with no zero
+        (also as its row)."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self.dimension)
         self._check_box(xs)
         if self.dimension == 1:
             return self._nearest_1d(xs, radius)
-        # slab half-width padded against rounding; the distance mask decides
+        corner, h, shape, starts, by_cell = self._grid
+        # cell ranges padded against rounding, NaN rows in the last cell;
+        # the distance mask decides
         pad = radius * (1.0 + 1e-9) + 1e-9 * (1.0 + self._reach)
-        out = np.empty_like(xs)
-        order = np.argsort(xs[:, 0], kind="stable")
-        missing = len(xs)  # first row with no zero
-        for lo in range(0, len(xs), self._BLOCK):
-            rows = order[lo:lo + self._BLOCK]
-            x = xs[rows]
-            ends = np.fmin.reduce(x[:, 0]) - pad, np.fmax.reduce(x[:, 0]) + pad
-            cand = self._columns[:, slice(*self._keys.searchsorted(ends))]
-            # squared distance by contiguous columns, in last-axis reduction order
-            dist = np.sqrt(sum((col - xk[:, None]) ** 2 for col, xk in zip(cand, x.T)))
-            dist = np.where(dist <= radius, dist, np.inf)
-            best = dist.min(axis=1, initial=np.inf, keepdims=True)
-            if best.max() == np.inf:
-                missing = min(missing, int(rows[np.isinf(best[:, 0])].min()))
-                continue
-            keep = dist <= best + 1e-12 * (1.0 + best)
-            out[rows] = cand.T[keep.argmax(axis=1)]
-        if missing < len(xs):
-            raise CertificateError(
-                f"no zero within radius {radius} of {xs[missing]}")
-        return out
+        first, last = (np.fmax(np.fmin(np.floor((xs + s - corner) / h), shape - 1), 0)
+                       .astype(np.intp) for s in (-pad, pad))
+        offsets = np.indices(tuple((last - first).max(axis=0, initial=0) + 1)).reshape(
+            len(shape), -1).T
+        cells = first[:, None] + offsets  # (rows, cells, d)
+        visit = (cells <= last[:, None]).all(axis=-1)
+        ids = np.ravel_multi_index(tuple(np.minimum(cells, shape - 1).T), shape).T
+        count = np.where(visit, starts[ids + 1] - starts[ids], 0)
+        per_row, count, begin = count.sum(axis=1), count.ravel(), starts[ids].ravel()
+        # the points of every visited cell, row by row, as positions in by_cell
+        pos = by_cell[np.arange(count.sum()) + np.repeat(begin - (count.cumsum() - count), count)]
+        row = np.repeat(np.arange(len(xs)), per_row)
+        # squared distance by columns, in last-axis reduction order
+        dist = np.sqrt(sum((col[pos] - xk[row]) ** 2 for col, xk in zip(self._columns, xs.T)))
+        dist = np.where(dist <= radius, dist, np.inf)
+        heads, best = (per_row.cumsum() - per_row)[per_row > 0], np.full(len(xs), np.inf)
+        best[per_row > 0] = np.minimum.reduceat(dist, heads)
+        if np.isinf(best).any():
+            missing = int(np.isinf(best).argmax())
+            raise CertificateError(f"no zero within radius {radius} of {xs[missing]}",
+                                   row=missing)
+        keep = dist <= best[row] + 1e-12 * (1.0 + best[row])
+        return self._columns[:, np.minimum.reduceat(np.where(keep, pos, len(by_cell)), heads)].T
 
     def _nearest_1d(self, xs, radius: float) -> np.ndarray:
         """nearest for d = 1. The computed distance to a sorted point does
@@ -450,8 +462,9 @@ class FiniteZeroSet:
         left, right = dist(i), dist(i + 1)
         best = np.minimum(left, right)
         if np.isinf(best).any():
-            raise CertificateError(
-                f"no zero within radius {radius} of {xs[np.isinf(best).argmax()]}")
+            missing = int(np.isinf(best).argmax())
+            raise CertificateError(f"no zero within radius {radius} of {xs[missing]}",
+                                   row=missing)
         margin = best + 1e-12 * (1.0 + best)
         walk = left <= margin
         j = i + ~walk
@@ -894,10 +907,9 @@ def _scan_zeros_nd(V, lo, hi, grid_points, zero_tol):
         g, H = V.derivatives(y)
         if np.linalg.norm(g, axis=1).max() <= zero_tol * 1e-3:
             break
-        ok = np.abs(np.linalg.det(H)) > 1e-12
+        ok = _sv(H).prod(axis=-1) > 1e-12  # |det H|
         step = np.zeros_like(y)
-        if ok.any():
-            step[ok] = np.linalg.solve(H[ok], g[ok][..., None])[..., 0]
+        step[ok] = _solve(H[ok], g[ok])
         y = np.clip(y - step, lo, hi)
     g = np.linalg.norm(V.gradient(y), axis=1)
     inside = ((y > lo + 1e-9) & (y < hi - 1e-9)).all(axis=1)
@@ -955,8 +967,9 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     [z - r, z + r] (psi is monotone on the ball) and bisects when Newton
     leaves the bracket, which ends the row once it holds adjacent floats;
     for d > 1 Newton steps are projected onto the ball. A row open after
-    INVERSE_MAX_ITER steps, or with no root in its bracket, raises
-    ConvergenceError naming it (also as its ``row``). Callers do the
+    INVERSE_MAX_ITER steps, with no root in its bracket, or (d > 1) whose
+    hessian is singular raises ConvergenceError naming it (also as its
+    ``row``). Callers do the
     domain check, so they can name the offending site.
 
     Each step evaluates psi and its hessian in one V.derivatives call, and
@@ -1025,7 +1038,12 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
             rows = rows[split]
             y[rows, 0] = x_new[split]
         else:
-            y_new = yk - np.linalg.solve(H, f[..., None])[..., 0]
+            y_new = yk - _solve(H, f)
+            finite = np.isfinite(y_new).all(axis=1)
+            if not finite.all():
+                j = rows[np.argmin(finite)]
+                raise ConvergenceError(f"local inverse row {j}: singular hessian",
+                                       row=int(j))
             dy = y_new - centers[rows]
             nd = np.linalg.norm(dy, axis=1)
             over = nd > r

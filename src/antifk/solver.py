@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ConvergenceError, DomainError
-from .hyperbolicity import _coefficients
+from .hyperbolicity import _coefficients, _inv
 from .interactions import NearestNeighborInteraction
 from .lattice import (
     Configuration,
@@ -188,20 +188,20 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
     the even half is solved: O(n) work in log2(n) vectorised levels.
     Blocks of size 1 are solved as scalars. The diagonal blocks met on
     the way must be invertible, as they are for a diagonally dominant
-    system; a singular one raises numpy.linalg.LinAlgError (d > 1) or
-    yields non-finite values (d = 1).
+    system; a singular one yields non-finite values in its system only.
     """
     # numpy's per-call cost is lower on the 1-d slices of one system than
     # on 2-d ones, so a stack of one is solved with its case axis dropped
     one = rhs.ndim == 3 and rhs.shape[1] == 1
     if one:
         lower, diag, upper, rhs = (m[:, 0] for m in (lower, diag, upper, rhs))
-    if diag.shape[-1] == 1:
-        x = _reduce(lower[..., 0, 0], diag[..., 0, 0], upper[..., 0, 0],
-                    rhs[..., 0], np.reciprocal, np.multiply, np.multiply)[..., None]
-    else:
-        x = _reduce(lower, diag, upper, rhs, np.linalg.inv, np.matmul,
-                    lambda X, y: (X @ y[..., None])[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if diag.shape[-1] == 1:
+            x = _reduce(lower[..., 0, 0], diag[..., 0, 0], upper[..., 0, 0],
+                        rhs[..., 0], np.reciprocal, np.multiply, np.multiply)[..., None]
+        else:
+            x = _reduce(lower, diag, upper, rhs, _inv, np.matmul,
+                        lambda X, y: np.einsum("...ij,...j->...i", X, y))
     return x[:, None] if one else x
 
 
@@ -230,18 +230,6 @@ def _reduce(a, b, c, f, inv, mul, mv):
     x = np.empty_like(f)
     x[::2], x[1::2] = xe, mv(bi, r)
     return x
-
-
-def _newton_step(lower, diag, upper, rhs) -> np.ndarray:
-    """_cyclic_reduction of K stacked chains; a chain that meets a singular
-    block gets a NaN step, which its Newton acceptance test discards."""
-    try:
-        return _cyclic_reduction(lower, diag, upper, rhs)
-    except np.linalg.LinAlgError:
-        if rhs.shape[1] == 1:
-            return np.full_like(rhs, np.nan)
-        return np.concatenate([_newton_step(*(x[:, k:k + 1] for x in (
-            lower, diag, upper, rhs))) for k in range(rhs.shape[1])], axis=1)
 
 
 class ContractionSolver:
@@ -427,7 +415,7 @@ class ContractionSolver:
                 u, self.interaction, V, self.lam[:, None],
                 _at_cases(V.hessian, u.values, going, 2) if hess is None else hess)[1:])
             hess = None  # u moves: later steps evaluate V afresh
-            step = _newton_step(-B, A + B + C, -A, force[:, sel])
+            step = _cyclic_reduction(-B, A + B + C, -A, force[:, sel])
             if isinstance(sel, slice):
                 v = u.with_values(u.values - step)
             else:

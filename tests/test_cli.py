@@ -246,6 +246,38 @@ class TestHyperbolicity:
         assert payload["source"] == "solution"
         assert payload["all_pass"] is True
 
+    def test_d2_run_calls_no_lapack(self, tmp_path, monkeypatch):
+        # a run shaped as the d = 2 hyperbolicity benchmark (cos x + cos y,
+        # a finite pi Z^2 certificate file, perturbed-quadratic coupling,
+        # the splitting): every block is 2 x 2 and takes a closed form, so
+        # numpy.linalg's inv, svd, qr, solve and det are never called
+        n = 24
+        c = 0.65 * (n + 1)
+        axis = [j * np.pi for j in range(-int(np.ceil(c / np.pi)) - 1, int(np.ceil(c / np.pi)) + 2)]
+        cert = write_config(tmp_path / "cert.json", {
+            "zero_set": {"kind": "finite", "points": [[x, y] for x in axis for y in axis],
+                         "lo": [-c, -c], "hi": [c, c]},
+            "covering_radius": np.pi / np.sqrt(2.0), "ball_radius": np.pi / 4,
+            "expansion": np.cos(np.pi / 4)})
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "trig-sum", "terms": [
+                {"amplitude": 1.0, "frequency": [1.0, 0.0], "phase": 0.0},
+                {"amplitude": 1.0, "frequency": [0.0, 1.0], "phase": 0.0}]},
+            "interaction": {"kind": "nearest-neighbor", "coupling": {
+                "name": "perturbed-quadratic", "amplitude": 0.1}},
+            "certificate": {"path": cert},
+            "solve": {"lam": 40.0, "rho": [0.61, 0.47], "half_width": n, "tol": 1e-10},
+            "hyperbolicity": {"horizon": 8, "splitting": True}})
+        calls = []
+        for name in ("inv", "svd", "qr", "solve", "det"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(
+                (name, np.shape(a[0]))))
+        out = tmp_path / "out"
+        assert main(["hyperbolicity", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "hyperbolicity.json").read_text())
+        assert payload["all_pass"] is True and len(payload["splitting"]["sites"]) == 2 * n - 15
+        assert calls == []
+
     def test_negative_horizon_exits_1(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.json",

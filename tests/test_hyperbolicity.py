@@ -180,6 +180,117 @@ class TestTransfer:
         assert ev[1] == pytest.approx(11.0 + np.sqrt(120.0), abs=1e-12)
 
 
+EPS = np.finfo(float).eps
+
+
+def _blocks(rng, n=300):
+    """2 x 2 blocks: random ones, near-singular ones (determinant about
+    1e-12 of the entries' scale), exactly singular ones (rank one, and
+    one zero row), each set also scaled by 1e+-150 and by 1e+-200, where
+    the unscaled determinant would overflow or underflow."""
+    rand = rng.standard_normal((n, 2, 2))
+    u, v = rng.standard_normal((2, n, 2))
+    near = np.einsum("ki,kj->kij", u, v)
+    near[:, 1, 1] += 1e-12 * rng.uniform(1.0, 2.0, n) * np.abs(near).max(axis=(1, 2))
+    rank1 = np.array([[[1.0, 2.0], [0.5, 1.0]], [[3.0, -1.5], [-2.0, 1.0]],
+                      [[0.0, 0.0], [1.0, 2.0]]])
+    base = np.concatenate([rand, near])
+    scales = [1.0, 1e150, 1e-150, 1e200, 1e-200]
+    return (np.concatenate([t * base for t in scales]),
+            np.concatenate([t * rank1 for t in scales]))
+
+
+def _mp_matrix(X):
+    import mpmath
+    return mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in X])
+
+
+class TestClosedFormBlocks:
+    """The d <= 2 closed forms of hyperbolicity against mpmath at 200 bits
+    on the floats given, with the error bounds their docstrings derive."""
+
+    def test_inverse_and_solve_within_rounding_bounds(self, rng):
+        # with rho = (|a e| + |b c|) / |a e - b c|, the condition of the
+        # determinant, and u = eps / 2: the scaled determinant carries
+        # u (3 rho + 1) (entries over s, products, difference), and each
+        # entry of the inverse u (3 rho + 4) with the scaling, the product
+        # by s and the division; a solved component adds the cancellation
+        # of its numerator, 2 u (|adj| |f|)_i / |det|
+        import mpmath
+        mpmath.mp.prec = 200
+        good, singular = _blocks(rng)
+        f = rng.standard_normal((len(good), 2))
+        inv, x = hyperbolicity._inv(good), hyperbolicity._solve(good, f)
+        a, b, c, e = np.moveaxis(good / np.abs(good).max(axis=(1, 2), keepdims=True),
+                                 0, -1).reshape(4, -1)
+        rho = (np.abs(a * e) + np.abs(b * c)) / np.abs(a * e - b * c)
+        for k, X in enumerate(good):
+            exact = _mp_matrix(X) ** -1
+            ref = np.array([[float(exact[i, j]) for j in range(2)] for i in range(2)])
+            err = np.array([[float(abs(mpmath.mpf(float(inv[k, i, j])) - exact[i, j]))
+                             for j in range(2)] for i in range(2)])
+            assert (err <= EPS / 2 * (3 * rho[k] + 4) * np.abs(ref) * (1 + 1e-6)).all()
+            sol = exact * mpmath.matrix([float(t) for t in f[k]])
+            adj_f = np.abs(np.array([[X[1, 1], X[0, 1]], [X[1, 0], X[0, 0]]])) @ np.abs(f[k])
+            det = abs(mpmath.det(_mp_matrix(X)))
+            for i in range(2):
+                bound = EPS / 2 * ((3 * rho[k] + 4) * abs(sol[i]) + 2 * adj_f[i] / det)
+                assert abs(mpmath.mpf(float(x[k, i])) - sol[i]) <= bound * (1 + 1e-6)
+        assert not np.isfinite(hyperbolicity._inv(singular)).any()
+        assert not np.isfinite(hyperbolicity._solve(singular, f[:len(singular)])).any()
+
+    def test_singular_values_within_derived_bound(self, rng):
+        # every singular value within 2 eps sigma_max of mpmath's, for
+        # singular blocks too; _cone_bounds reads three of them (sigma(S),
+        # |P| and |Q|) plus about 1.5 eps of its own roundings, which
+        # _ROUND covers
+        import mpmath
+        mpmath.mp.prec = 200
+        good, singular = _blocks(rng)
+        blocks = np.concatenate([good, singular])
+        got = hyperbolicity._sv(blocks)
+        assert (got[:, 0] >= got[:, 1]).all()
+        for X, sv in zip(blocks, got):
+            exact = mpmath.svd_r(_mp_matrix(X), compute_uv=False)
+            exact = sorted((float(abs(s)) for s in exact), reverse=True)
+            err = [float(abs(mpmath.mpf(float(g)) - mpmath.mpf(t)))
+                   for g, t in zip(sv, exact)]
+            assert max(err) <= 2 * EPS * exact[0]
+        assert 3 * 2 * EPS + 1.5 * EPS <= hyperbolicity._ROUND
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_basis_orthonormal_and_as_lapack_qr(self, d, rng):
+        # the splitting's blocks (P xi, xi) and (xi, R xi): orthonormal to
+        # 4 eps, and LAPACK's Q (signs included) to 4 eps times the
+        # block's condition number; blocks LAPACK leaves unreflected match
+        # bit for bit but for the sign of zeros
+        P = rng.standard_normal((3000, d, d)) * rng.choice([0.01, 1.0, 10.0], (3000, 1, 1))
+        eye = np.broadcast_to(np.eye(d), P.shape)
+        for V in (np.concatenate([P, eye], axis=1), np.concatenate([eye, P], axis=1)):
+            Q, ref = hyperbolicity._basis(V), np.linalg.qr(V).Q
+            gram = np.swapaxes(Q, -1, -2) @ Q
+            assert np.abs(gram - np.eye(d)).max() <= 4 * EPS
+            gap = np.abs(Q - ref).max(axis=(1, 2))
+            assert (gap <= 4 * EPS * np.linalg.cond(V)).all()
+        zero = np.zeros((2, d, d))
+        for V in (np.concatenate([eye[:2], zero], axis=1),
+                  np.concatenate([zero, eye[:2]], axis=1)):
+            assert np.array_equal(hyperbolicity._basis(V), np.linalg.qr(V).Q)
+
+    def test_lapack_beyond_d2_isolates_singular_blocks(self, rng):
+        # d = 3 falls back to LAPACK, and a singular block gives NaN there
+        # only, as the closed forms give non-finite values
+        X = rng.standard_normal((6, 3, 3)) + 4 * np.eye(3)
+        X[2] = 0.0
+        f = rng.standard_normal((6, 3))
+        inv, x = hyperbolicity._inv(X), hyperbolicity._solve(X, f)
+        ok = np.arange(6) != 2
+        assert np.isnan(inv[2]).all() and np.isnan(x[2]).all()
+        assert np.array_equal(inv[ok], np.linalg.inv(X[ok]))
+        np.testing.assert_allclose(x[ok], np.linalg.solve(X[ok], f[ok][..., None])[..., 0],
+                                   rtol=1e-12)
+
+
 class TestConeParameters:
     def test_cosine_ratio_two(self, cos_cert_module):
         cone = cone_parameters(cos_cert_module)
@@ -516,14 +627,14 @@ def solved_chains(solved, solved_2d, solved_3d, nn_module,
 def _riccati_by_site(M, horizon):
     """Sequential reference for hyperbolicity._riccati: entry j runs the
     recursion X_{k+1} = (M22_k + M21_k X_k)^{-1} from the zero seed at
-    max(0, j - horizon), one site at a time."""
+    max(0, j - horizon), one site at a time, each block inverted alone by
+    the same closed form."""
     d = M.shape[-1] // 2
-    inv = (lambda Y: 1.0 / Y) if d == 1 else np.linalg.inv
     out = np.zeros((M.shape[0] + 1, d, d))
     for j in range(1, M.shape[0] + 1):
         X = np.zeros((d, d))
         for k in range(max(0, j - horizon), j):
-            X = inv(M[k, d:, d:] + M[k, d:, :d] @ X)
+            X = hyperbolicity._inv((M[k, d:, d:] + M[k, d:, :d] @ X)[None])[0]
         out[j] = X
     return out
 
@@ -572,21 +683,24 @@ class TestBatchedAgainstPerSite:
 
     def test_verdict_takes_four_svds(self, solved_2d, monkeypatch):
         # the certificate check's singular values of A and B bound the
-        # verdict too: one stacked SVD each of A, B, C and A + B + C, on
-        # the one-chain stack (n, 1, d, d)
+        # verdict too: one stacked singular-value call each of A, B, C and
+        # A + B + C, on the one-chain stack (n, 1, d, d), all in closed
+        # form (no LAPACK SVD)
         u, nn, V, cert, lam = solved_2d
         expect = verify_cone_conditions(u, nn, V, lam, cert)
-        calls = []
-        svd = np.linalg.svd
+        calls, lapack = [], []
+        sv = hyperbolicity._sv
 
-        def counting(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return svd(*args, **kwargs)
+        def counting(X):
+            calls.append(np.shape(X))
+            return sv(X)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(hyperbolicity, "_sv", counting)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: lapack.append(a))
         got = verify_cone_conditions(u, nn, V, lam, cert)
         assert got.to_json_dict() == expect.to_json_dict()
         assert calls == [(u.window.n_sites, 1, 2, 2)] * 4
+        assert lapack == []
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_cone_bounds_below_sampled_worst_case(self, d, rng):

@@ -123,6 +123,30 @@ class TestExtDistanceTailProbe:
         assert ext_distance(u, v) == _ext_distance_by_site(u, v)
         assert ext_distance(v, u) == _ext_distance_by_site(v, u)
 
+    @pytest.mark.parametrize("offset", [None, 5, -7])
+    def test_producible_prefix_from_the_failing_row(self, offset):
+        # the longest prefix of each probe side that a tail produces, from
+        # the row its failing lookup names: for an anchor tail, and through
+        # a shifted configuration whose tail reads some sites from its
+        # parent's window and the rest from the parent's tail
+        from antifk.lattice import _producible
+
+        zeros = np.pi * np.arange(-25, 26)[:, None]
+        u = anchor_configuration(0.9, FiniteZeroSet(zeros, -50.0, 40.0), np.pi / 2,
+                                 Window(20, 1))
+        tail = u.tail if offset is None else shift(u, offset).tail
+        for sites in (20 + np.arange(1, TAIL_PROBE + 1), -20 - np.arange(1, TAIL_PROBE + 1)):
+            k = 0
+            while k < len(sites):
+                try:
+                    tail.values(sites[k:k + 1])
+                except CertificateError:
+                    break
+                k += 1
+            assert 0 < k < len(sites)
+            got = _producible(tail, sites)
+            assert got.tobytes() == tail.values(sites[:k]).tobytes()
+
     def test_interior_gap_stops_the_probe(self):
         # anchors sit exactly on rho * i up to site 39; site 40 has no zero
         # within R, and the zeros beyond it are offset by 0.5

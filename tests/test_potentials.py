@@ -717,6 +717,18 @@ class TestLocalInverse:
         assert np.abs(warm - cold).max() <= 1e-13
         assert np.linalg.norm(warm - centers, axis=1).max() <= r
 
+    def test_singular_hessian_raises_naming_its_row(self):
+        # V = cos x in d = 2 has a singular hessian everywhere: the rows
+        # that need a Newton step fail, the first one named
+        V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0)])
+        cert = AubryCertificate(
+            sampler=FiniteZeroSet(np.zeros((1, 2)), -1.0, 1.0),
+            covering_radius=np.pi, ball_radius=np.pi / 4, expansion=np.cos(np.pi / 4))
+        targets = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [-0.2, 0.0]])
+        with pytest.raises(ConvergenceError, match="row 2: singular hessian") as got:
+            local_inverse_batch(V, np.zeros((4, 2)), targets, cert)
+        assert got.value.row == 2
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_row_without_root_raises_naming_it(self, d):
         # the second target has no preimage in the ball (its norm exceeds
@@ -737,10 +749,20 @@ class TestLocalInverse:
 class TestSigmaMin:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_svd(self, d, rng):
-        # the certificate reads sigma_min(H) as the last singular value
+        # the certificate reads sigma_min(H) as the last singular value:
+        # bit for bit LAPACK's in d = 1; in d = 2 the closed form is within
+        # 2 eps sigma_max of the exact value (hyperbolicity._sv) and
+        # LAPACK's 2 x 2 SVD within a few ulps, so the two lie within
+        # 4 eps sigma_max of each other
         H = rng.standard_normal((2000, d, d))
-        expect = np.linalg.svd(H, compute_uv=False).min(axis=-1)
-        assert np.array_equal(_sv(H)[:, -1], expect)
+        svd = np.linalg.svd(H, compute_uv=False)
+        got = _sv(H)
+        if d == 1:
+            assert np.array_equal(got[:, -1], svd.min(axis=-1))
+        else:
+            assert (got[:, 0] >= got[:, 1]).all()
+            gap = np.abs(got - svd).max(axis=-1)
+            assert (gap <= 4 * np.finfo(float).eps * svd[:, 0]).all()
 
 
 def _nearest_by_lookup(sampler, x, radius):
@@ -974,6 +996,84 @@ class TestFiniteNearest:
         with pytest.raises(CertificateError, match=r"of \[nan\]"):
             _finite_nearest_by_rows(s, xs, 2.0)
         assert s.nearest(xs[[0, 1, 3]], 2.0)[:, 0].tolist() == [0.0, np.pi, -2 * np.pi]
+
+
+def _finite_nearest_brute(s, xs, radius):
+    """Brute-force reference for FiniteZeroSet.nearest: every row against
+    every point, the distance summed column by column, ties (1e-12
+    relative) to the lexicographically smallest; errors as nearest's."""
+    xs = np.asarray(xs, dtype=float).reshape(-1, s.dimension)
+    s._check_box(xs)
+    pts = s.points[np.lexsort(s.points.T[::-1])]
+    dist = np.sqrt(sum((pts[:, k] - xs[:, k, None]) ** 2 for k in range(s.dimension)))
+    dist = np.where(dist <= radius, dist, np.inf)
+    best = dist.min(axis=1, initial=np.inf, keepdims=True)
+    if np.isinf(best).any():
+        missing = int(np.isinf(best[:, 0]).argmax())
+        raise CertificateError(f"no zero within radius {radius} of {xs[missing]}")
+    return pts[(dist <= best + 1e-12 * (1.0 + best)).argmax(axis=1)]
+
+
+def _assert_matches_brute(s, xs, radius):
+    try:
+        expect = _finite_nearest_brute(s, xs, radius)
+    except CertificateError as exc:
+        with pytest.raises(CertificateError) as got:
+            s.nearest(xs, radius)
+        assert str(got.value) == str(exc)
+    else:
+        assert s.nearest(xs, radius).tobytes() == expect.tobytes()
+
+
+class TestFiniteNearestGrid:
+    """The d > 1 cell-grid lookup against brute force, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_points_and_radii(self, d, rng):
+        # scattered points with duplicates; radii below, near and well
+        # above the point spacing (a query then visits many cells)
+        pts = rng.uniform(-10, 10, (40 * 3 ** d, d))
+        pts = np.concatenate([pts, pts[::9]])
+        s = FiniteZeroSet(pts, -10.0, 10.0)
+        xs = np.concatenate([rng.uniform(-10, 10, (200, d)), pts[:20]])
+        for radius in (0.3, 1.5, 4.0, 25.0):
+            _assert_matches_brute(s, xs, radius)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_ties_on_cell_boundaries(self, d):
+        # the integer lattice {0, 1, 3, 4}^d has cell side exactly 1, so
+        # every point and every query below lies on cell boundaries; rows
+        # at lattice midpoints and centres tie two to 2^d ways
+        axis = np.array([0.0, 1.0, 3.0, 4.0])
+        pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+        s = FiniteZeroSet(pts[::-1], 0.0, 4.0)
+        assert s._grid[1] == 1.0
+        grid = np.arange(0.0, 4.5, 0.5)
+        xs = np.stack(np.meshgrid(*[grid] * d, indexing="ij"), -1).reshape(-1, d)
+        for radius in (0.5 * np.sqrt(d) * (1 + 1e-12), 1.0, np.sqrt(d) + 1e-9, 3.0):
+            _assert_matches_brute(s, xs, radius)
+
+    def test_box_edges_and_first_missing_row(self, rng):
+        # queries on the box's faces and corners, where the cell range is
+        # clipped to the grid; a radius that leaves rows 3 and 5 without a
+        # zero names row 3, as does a NaN row
+        axis = np.pi * np.arange(-4, 5)
+        s = FiniteZeroSet(np.array([[x, y] for x in axis for y in axis]), -13.0, 13.0)
+        edge = np.array([[-13.0, -13.0], [13.0, 13.0], [-13.0, 13.0], [13.0, 0.3],
+                         [0.0, -13.0], [-13.0, 2.0]])
+        xs = np.concatenate([edge, rng.uniform(-13, 13, (50, 2))])
+        for radius in (2.3, 3.0, 40.0):
+            _assert_matches_brute(s, xs, radius)
+        xs = np.array([[0.0, 0.0], [3.1, 0.1], [6.3, 6.2], [1.6, 1.6], [0.1, 0.0],
+                       [-13.0, 1.6]])
+        with pytest.raises(CertificateError, match=r"of \[1\.6 1\.6\]") as got:
+            s.nearest(xs, 1.0)
+        assert got.value.row == 3
+        _assert_matches_brute(s, xs, 1.0)
+        xs[1] = np.nan
+        with pytest.raises(CertificateError, match=r"of \[nan nan\]") as got:
+            s.nearest(xs, 2.3)
+        assert got.value.row == 1
 
 
 class TestFiniteNearest1d:

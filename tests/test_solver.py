@@ -29,7 +29,7 @@ from antifk import (
     translate,
     uniqueness_check,
 )
-from antifk.solver import _cyclic_reduction, _newton_step
+from antifk.solver import _cyclic_reduction
 
 from oracles import fd_gradient, newton_solve_config
 
@@ -626,6 +626,22 @@ def _grid(lams, rhos, n, **kw):
             for lam in lams for rho in rhos]
 
 
+def _probe_by_halves(a, b, probe, worst):
+    """Reference for lattice._prefix_probe: per side, bisect over prefix
+    lengths k for the longest probe prefix on which both tails produce
+    values, each try one lookup per tail."""
+    for sites in (probe, -probe):
+        good, bad, k = 0, len(probe) + 1, len(probe)
+        while bad - good > 1:
+            try:
+                diff = a.values(sites[:k]) - b.values(sites[:k])
+                good, worst = k, max(worst, float(np.sqrt(np.vecdot(diff, diff)).max()))
+            except CertificateError:
+                bad = k
+            k = (good + bad) // 2
+    return worst
+
+
 class TestStackedSolve:
     """A batch (a list of SolveParams) solves its cases as stacked chains;
     every case must equal its solve alone (K = 1) bit for bit."""
@@ -749,10 +765,8 @@ class TestStackedSolve:
         diag = rng.standard_normal((n, K, d, d)) + 4 * d * np.eye(d)
         diag[5, 1] = 0.0  # chain 1 meets a singular block
         rhs = rng.standard_normal((n, K, d))
-        with pytest.raises(np.linalg.LinAlgError):
-            _cyclic_reduction(lower, diag, upper, rhs)
-        step = _newton_step(lower, diag, upper, rhs)
-        assert np.isnan(step[:, 1]).all()
+        step = _cyclic_reduction(lower, diag, upper, rhs)
+        assert not np.isfinite(step[:, 1]).any()
         for k in (0, 2):
             alone = _cyclic_reduction(lower[:, k], diag[:, k], upper[:, k], rhs[:, k])
             assert step[:, k].tobytes() == alone.tobytes()
@@ -760,11 +774,12 @@ class TestStackedSolve:
     def test_rotation_distances_from_one_probe(self):
         # every converged case's distance to its rotation comes from one
         # lookup of the batch's probe sites, equal bit for bit to
-        # ext_distance alone and to the per-side bisection. At rho = 1.1
-        # the window and halo lie in the zero set's box but the probe
-        # sites beyond 55 do not: that batch falls back to the bisection
+        # ext_distance alone and to a per-side bisection over prefixes. At
+        # rho = 1.1 the window and halo lie in the zero set's box but the
+        # probe sites beyond 55 do not: that batch falls back to each
+        # tail's producible prefix, at most two lookups per tail and side
         from antifk import estimate_aubry, truncated_almost_periodic
-        from antifk.lattice import TAIL_PROBE, _bisected_probe
+        from antifk.lattice import TAIL_PROBE
 
         V = truncated_almost_periodic(8, 0.5)
         estimate = estimate_aubry(V, (-60.0, 60.0))
@@ -779,15 +794,40 @@ class TestStackedSolve:
             sampler.queries.clear()
             params = _grid((64.0,), rhos, n)
             outcomes = ContractionSolver(nn, V, cert, params).solve()
-            # the anchor lookup and the probe, then the bisection's lookups
-            bisected = len(sampler.queries) > 2
-            assert bisected == (1.1 in rhos)
+            # the anchor lookup and the probe, then the prefix lookups
+            fallback = len(sampler.queries) - 2
+            assert fallback <= 4 * len(rhos) and (fallback > 0) == (1.1 in rhos)
             for p, (u, rep) in zip(params, outcomes):
                 hom = homomorphism_configuration(p.rho, p.window)
                 core = float(np.linalg.norm(u.values - hom.values, axis=1).max())
-                expect = _bisected_probe(u.tail, hom.tail, probe, core)
+                expect = _probe_by_halves(u.tail, hom.tail, probe, core)
                 assert rep.distance_to_rotation == ext_distance(u, hom) == expect
                 assert np.isfinite(expect)
+
+    def test_rotation_distance_on_a_finite_2d_table(self):
+        # a d = 2 chain on a finite pi Z^2 table that ends at the halo, as
+        # the hyperbolicity benchmark builds it: every probe site past the
+        # halo leaves the box, and each side takes two lookups of the
+        # anchor tail, not a bisection, for the same distance
+        from antifk.lattice import TAIL_PROBE
+
+        n, rho = 48, np.array([0.61, 0.47])
+        c = 0.65 * (n + 1)
+        axis = np.pi * np.arange(-np.ceil(c / np.pi) - 1, np.ceil(c / np.pi) + 2)
+        zeros = FiniteZeroSet(np.array([[x, y] for x in axis for y in axis]), -c, c)
+        sampler = _CountingSampler(zeros)
+        cert = AubryCertificate(sampler, np.pi / np.sqrt(2), np.pi / 4, np.cos(np.pi / 4))
+        V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+        nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
+        params = SolveParams(lam=40.0, rho=rho, window=n)
+        sampler.queries.clear()
+        u, rep = solve_equilibrium(params, nn, V, cert)
+        assert len(sampler.queries) == 2 + 2 * 2  # anchors, probe, 2 per side
+        hom = homomorphism_configuration(rho, params.window)
+        core = float(np.linalg.norm(u.values - hom.values, axis=1).max())
+        probe = n + np.arange(1, TAIL_PROBE + 1)
+        expect = _probe_by_halves(u.tail, hom.tail, probe, core)
+        assert rep.distance_to_rotation == ext_distance(u, hom) == expect
 
     def test_batch_must_share_window(self, nn_interaction, cos_potential,
                                      cos_cert):
