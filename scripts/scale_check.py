@@ -24,17 +24,25 @@ best of REPEATS estimates, timed by wrapping the stage's function.
 
 The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
 that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
-(7 is what ``antifk sweep`` uses at this window), with the rows per
-batch and the peak memory the solves allocate (tracemalloc): the time
-per case shows the per-call overhead a batch shares, the memory why the
-batch size is bounded; the rows of V.gradient and V.hessian that the 25
-solves evaluate (a fused V.derivatives call counting for both) show the
-kernel work. Its ``epilogue_s`` times, at the same batch sizes, the work
-``antifk sweep`` does on each batch after the solve: the solve reports
-(whose distances to the rotation share one tail probe) and the
-hyperbolicity checks of the batch's stacked chains, which take grad V
-and hess V from the solve; ``epilogue_rows`` counts the rows of V they
-evaluate all the same, 0 while the handover works.
+(25, one batch, is what ``antifk sweep`` uses at this window), and a 5 x
+10 grid (the rhos twice as dense) in one batch of 50 cases, with the
+rows per batch and the peak memory the solves allocate (tracemalloc):
+the time per case shows the per-call overhead a batch shares, the
+memory what a batch costs per row, which bounds the batch size; the rows
+of V.gradient and V.hessian that the solves evaluate (a fused
+V.derivatives call counting for both) show the kernel work. Its
+``epilogue_s`` times, at the same batch sizes, the work ``antifk
+sweep`` does on each batch after the solve: the solve reports (whose
+distances to the rotation share one tail probe) and the hyperbolicity
+checks of the batch's stacked chains, which take grad V and hess V from
+the solve; ``epilogue_rows`` counts the rows of V they evaluate all the
+same, 0 while the handover works. Its ``mixed_stop`` block times a batch
+whose cases stop at different steps: cosine V at lam = 64 and half_width
+1024, 24 rhos in [0.1, 2.4] that converge at step 3 and rho = 50, whose
+residual stalls at its float floor after step 5. Until then the batch
+still evaluates the stopped chains in every interaction.delta and
+residual call; ``stopped_chains_s``, the batch's time less that of the
+24 cases alone and of rho = 50 alone, puts that cost on record.
 
 The ``d2`` row times the d = 2 chain of the hyperbolicity benchmark:
 V = cos x + cos y on the finite zero set pi Z^2 that the benchmark
@@ -93,7 +101,8 @@ AUBRY_WINDOWS = (50.0, 200.0, 800.0)
 SWEEP_LAMS = (24.0, 32.0, 48.0, 64.0, 96.0)
 SWEEP_RHOS = (0.1, 0.2, 0.3, 0.4, 0.5)
 SWEEP_HALF_WIDTH = 256
-SWEEP_BATCHES = (1, 7, 25)
+SWEEP_BATCHES = (1, 7, 25, 50)  # 50: one batch of the 5 x 10 grid
+MIXED_LAM, MIXED_HALF_WIDTH, MIXED_RHOS, MIXED_STALL = 64.0, 1024, (0.1, 2.4, 24), 50.0
 D2_HALF_WIDTHS, D2_RHO = (128, 512, 2048), (0.47, 0.58)
 # the stages of a d = 1 estimate_aubry: (owner, attribute) of each function
 AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
@@ -271,20 +280,56 @@ def estimate_aubry_times() -> dict:
     }
 
 
+def mixed_stop_times() -> dict:
+    V, cert, nn = cosine_potential(), cosine_certificate(), NearestNeighborInteraction()
+    fast = [SolveParams(lam=MIXED_LAM, rho=float(rho), window=MIXED_HALF_WIDTH, tol=TOL)
+            for rho in np.linspace(*MIXED_RHOS)]
+    stall = [SolveParams(lam=MIXED_LAM, rho=MIXED_STALL, window=MIXED_HALF_WIDTH, tol=TOL)]
+    steps = [len(out.trace) if isinstance(out, Exception) else out[1].iterations
+             for out in ContractionSolver(nn, V, cert, fast + stall).solve()]
+    s = {name: best_of(lambda: ContractionSolver(nn, V, cert, cases).solve())
+         for name, cases in (("batch", fast + stall), ("fast_alone", fast),
+                             ("stall_alone", stall))}
+    tracemalloc.start()
+    ContractionSolver(nn, V, cert, fast + stall).solve()
+    peak = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    return {
+        "what": (f"one batch of {len(fast) + 1} cases in process, best of {REPEATS}: "
+                 f"cosine V, closed-form certificate, unit quadratic coupling, lam = "
+                 f"{MIXED_LAM}, half_width {MIXED_HALF_WIDTH}, tol = {TOL}, rhos "
+                 f"linspace{MIXED_RHOS} and {MIXED_STALL}; s of the batch, of its "
+                 f"converging cases alone and of rho = {MIXED_STALL} alone; "
+                 "stopped_chains_s is the batch's s less the other two"),
+        "cases": len(fast) + 1,
+        "steps_per_case": {"converging": sorted(set(steps[:-1])), "stalling": steps[-1]},
+        "s": s,
+        "ms_per_case": 1e3 * s["batch"] / (len(fast) + 1),
+        "stopped_chains_s": s["batch"] - s["fast_alone"] - s["stall_alone"],
+        "peak_mb": peak,
+    }
+
+
 def sweep_times() -> dict:
     V = truncated_almost_periodic(8, 0.5)
     cert = estimate_aubry(V, (-200.0, 200.0))
     nn = NearestNeighborInteraction()
-    cases = [SolveParams(lam=lam, rho=rho, window=SWEEP_HALF_WIDTH, tol=TOL)
-             for lam in SWEEP_LAMS for rho in SWEEP_RHOS]
+    grid = [SolveParams(lam=lam, rho=rho, window=SWEEP_HALF_WIDTH, tol=TOL)
+            for lam in SWEEP_LAMS for rho in SWEEP_RHOS]
+    dense = [SolveParams(lam=lam, rho=float(rho), window=SWEEP_HALF_WIDTH, tol=TOL)
+             for lam in SWEEP_LAMS for rho in np.linspace(SWEEP_RHOS[0], SWEEP_RHOS[-1], 10)]
+
+    def grid_of(k):  # the 5 x 5 grid, or the 5 x 10 one for a batch of more cases
+        return grid if k <= len(grid) else dense
 
     def solve_all(k):
+        cases = grid_of(k)
         for lo in range(0, len(cases), k):
             ContractionSolver(nn, V, cert, cases[lo:lo + k]).solve()
 
     def solved(k):
         """(solver, converged cases as its report step takes them) per batch"""
-        batches = []
+        batches, cases = [], grid_of(k)
         for lo in range(0, len(cases), k):
             solver = ContractionSolver(nn, V, cert, cases[lo:lo + k])
             batches.append((solver, {
@@ -313,30 +358,33 @@ def sweep_times() -> dict:
         batches = solved(k)
         epilogue.append(best_of(lambda: epilogue_all(batches)))
         epilogue_rows.append(count_rows(V, lambda: epilogue_all(batches)))
-    sites = 2 * SWEEP_HALF_WIDTH + 1
+    sites, counts = 2 * SWEEP_HALF_WIDTH + 1, [len(grid_of(k)) for k in SWEEP_BATCHES]
     return {
-        "what": (f"the {len(cases)} solves of a sweep in process, best of "
+        "what": (f"the {len(grid)} solves of a sweep in process, best of "
                  f"{REPEATS}: 8-term truncated almost-periodic V, amplitude "
                  "ratio 0.5, certificate estimated over [-200, 200], lams "
                  f"{list(SWEEP_LAMS)}, rhos {list(SWEEP_RHOS)}, half_width "
-                 f"{SWEEP_HALF_WIDTH}, in stacked batches of k cases; "
+                 f"{SWEEP_HALF_WIDTH}, in stacked batches of k cases; for k = "
+                 f"{len(dense)} the {len(dense)} solves of the rhos linspace(0.1, 0.5, 10); "
                  "peak_mb is the most memory the solves hold at once (tracemalloc); "
                  "epilogue_s is each batch's reports and stacked hyperbolicity "
                  "checks after its solve, on the solve's derivatives, and "
                  "epilogue_rows the [gradient, hessian] rows of V they "
                  "evaluate; gradient_rows and hessian_rows are the rows of "
                  "V the solves evaluate, fused derivatives calls included"),
-        "cases": len(cases),
+        "cases": counts,
         "cases_per_batch": list(SWEEP_BATCHES),
         "rows_per_batch": [k * sites for k in SWEEP_BATCHES],
         "s": s,
-        "ms_per_case": [1e3 * t / len(cases) for t in s],
+        "ms_per_case": [1e3 * t / n for t, n in zip(s, counts)],
         "peak_mb": peak,
+        "peak_bytes_per_row": [2**20 * mb / (k * sites) for mb, k in zip(peak, SWEEP_BATCHES)],
         "epilogue_s": epilogue,
-        "epilogue_ms_per_case": [1e3 * t / len(cases) for t in epilogue],
+        "epilogue_ms_per_case": [1e3 * t / n for t, n in zip(epilogue, counts)],
         "epilogue_rows": epilogue_rows,
         "gradient_rows": [g for g, _ in rows],
         "hessian_rows": [h for _, h in rows],
+        "mixed_stop": mixed_stop_times(),
     }
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -394,12 +395,15 @@ def _cmd_hyperbolicity(args):
         horizon = min(20, max(u.window.half_width - 1, 1))
     else:
         _integer(horizon, "hyperbolicity.horizon")
+    orbit_tol = hblock.get("orbit_tol")
+    if orbit_tol is not None:
+        orbit_tol = _number(orbit_tol, "hyperbolicity.orbit_tol")
     [outcome] = _hyperbolic_checks(
         stack_chains([u]), interaction, potential, [lam], cert,
         sblock.get("tol", 1e-10),
         horizon=horizon if _boolean(hblock.get("splitting", True),
                                     "hyperbolicity.splitting") else None,
-        orbit_tol=hblock.get("orbit_tol"), derivatives=derivatives,
+        orbit_tol=orbit_tol, derivatives=derivatives,
     )
     if isinstance(outcome, CertificateError):
         raise outcome
@@ -467,12 +471,13 @@ def _sweep_batch(payload):
             distance_to_anchor=repr(rep.distance_to_anchor),
             distance_to_rotation=repr(rep.distance_to_rotation),
         )
-        solved.append((row, u, lam, solver.derivatives[c]))
+        solved.append((row, u, lam, solver.derivatives.pop(c)))
     if check_hyp and solved:
         rows_ok, chains, lams, derivatives = zip(*solved)
-        checks = _hyperbolic_checks(
-            stack_chains(chains), interaction, potential, lams, cert, tol,
-            derivatives=tuple(np.stack(x, axis=1) for x in zip(*derivatives)))
+        u, derivatives = stack_chains(chains), [np.stack(x, axis=1) for x in zip(*derivatives)]
+        del solver, solved, chains  # the solve's copies of these stacks, freed for the checks
+        checks = _hyperbolic_checks(u, interaction, potential, lams, cert, tol,
+                                    derivatives=derivatives)
         for row, check in zip(rows_ok, checks):
             if isinstance(check, CertificateError):
                 row["status"] = "certificate-error"
@@ -484,9 +489,9 @@ def _sweep_batch(payload):
     return rows
 
 
-# rows (sites times cases) per stacked sweep batch: bounds the (rows, terms)
-# temporaries of the kernels, and so the peak memory of a batch
-_BATCH_ROWS = 4096
+# rows (sites times cases) per stacked sweep batch: bounds the solver's state,
+# about 160 B a row, as V's kernels work in blocks (BENCH_21.json)
+_BATCH_ROWS = 16384
 
 _SWEEP_STATUS = {DomainError: "domain-error", ConvergenceError: "no-convergence",
                  CertificateError: "certificate-error"}
@@ -568,6 +573,7 @@ def _cmd_sweep(args):
     return 0
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser():
     parser = _Parser(prog="antifk", description=(
         "equilibria of strongly coupled Frenkel-Kontorova chains: "

@@ -294,8 +294,9 @@ class ConeVerdict:
     |pair_out|^2 - mu^2 |pair_in|^2 (nonnegative means pass). phonon_gap
     is min sigma_min(S_i) - |A_i| - |B_i|, rounded down; worst_sites names
     its site and each condition's least min(growth * aperture - 1,
-    pair margin / (1 + mu^2)). The per-site fields are arrays, which
-    to_json_dict turns into lists.
+    pair margin / (1 + mu^2)); values within 1e-12 (relative) of a least
+    one tie, and the tie goes to the least |site|, then the lower site.
+    The per-site fields are arrays, which to_json_dict turns into lists.
     """
 
     sites: np.ndarray
@@ -332,11 +333,10 @@ def _cone_1d(c0, c1, aperture: float, mu: float):
     best = np.minimum(margin(-aperture), margin(aperture))
     q2 = c1 * c1 - mu * mu
     with np.errstate(all="ignore"):
-        vanishes = (c1 != 0.0) & (np.abs(c0 / c1) <= aperture)
-        t_star = c0 * c1 / q2
-        interior = (q2 > 0.0) & (np.abs(t_star) <= aperture)
-        return (np.where(vanishes, 0.0, ends),
-                np.where(interior, np.minimum(best, margin(t_star)), best))
+        ends[(c1 != 0.0) & (np.abs(c0 / c1) <= aperture)] = 0.0  # the image can vanish
+        t_star = c0 * c1
+        interior = (q2 > 0.0) & (np.abs(np.divide(t_star, q2, out=t_star)) <= aperture)
+        return ends, np.minimum(best, margin(t_star), out=best, where=interior)
 
 
 # covers the errors of sigma(S), |P| and |Q|, 2 eps sigma_max each in closed
@@ -351,6 +351,16 @@ def _cone_bounds(p, q, ss, aperture: float, mu: float):
     g = (ss[..., -1] - aperture * q - _ROUND * (ss[..., 0] + aperture * q)) / p
     gain, loss = 1.0 + np.maximum(g, 0.0) ** 2, mu**2 * (1.0 + aperture**2)
     return g, gain - loss - _ROUND * (gain + loss)
+
+
+def _worst_sites(sites, values) -> list:
+    """Per chain (column of values (n, K)), the site of the least value:
+    of the values within 1e-12 (relative) of it, the one at the least
+    |site|, then the lower site, so near ties do not flip with rounding."""
+    by_reach = np.lexsort((sites, np.abs(sites)))
+    low = values.min(axis=0)
+    near = values[by_reach] <= low + 1e-12 * np.abs(low)
+    return sites[by_reach[np.argmax(near, axis=0)]].tolist()
 
 
 def _cone_verdicts(sites, A, B, C, sva, svb, cone: ConeParameters) -> list:
@@ -372,12 +382,12 @@ def _cone_verdicts(sites, A, B, C, sva, svb, cone: ConeParameters) -> list:
     def check(growth, pair, aperture):  # (pass per site, worst site per chain)
         slack = np.minimum(growth * aperture - 1.0, pair / mu2)
         ok = (growth >= (1.0 / aperture) * (1 - tol)) & (pair >= -tol * mu2)
-        return ok, sites[np.argmin(slack, axis=0)].tolist()
+        return ok, _worst_sites(sites, slack)
 
     (fpass, fworst), (bpass, bworst) = (check(fwd_growth, fwd_pair, cone.alpha),
                                         check(bwd_growth, bwd_pair, cone.beta))
     all_pass = (fpass.all(axis=0) & bpass.all(axis=0)).tolist()
-    gaps, gap_sites = gap.min(axis=0).tolist(), sites[np.argmin(gap, axis=0)].tolist()
+    gaps, gap_sites = gap.min(axis=0).tolist(), _worst_sites(sites, gap)
     return [ConeVerdict(
         sites=sites,
         cone=cone,

@@ -7,7 +7,8 @@ every closed R-ball, such that psi expands distances by at least m on the
 closed r-ball around each zero. The certificate also licenses a local
 inverse of psi on each ball, which is the elementary step of the
 fixed-point solver. A potential answers value, gradient and hessian on
-(rows, d) batches, and derivatives, the last two from one evaluation.
+(rows, d) batches, and derivatives, the last two from one evaluation in
+blocks of rows of a fixed size, so that their temporaries fit in cache.
 
 In d = 1 estimate_aubry proves every constant from one scan, with bounds
 on |V'''| and on the rounding of V' and V''. In d > 1 its certificates are
@@ -48,6 +49,30 @@ __all__ = [
 # potential families
 
 
+# Most elements of a kernel block's largest float64 temporary (64 KB): on a
+# sweep's stacked solves 2^12 to 2^14 tie and 2^15, 2^16 are slower (BENCH_21.json)
+_BLOCK = 2**13
+
+
+def _evaluate(V, x, grad: bool, hess: bool) -> tuple:
+    """(grad V(x) if grad, hess V(x) if hess, else None) at the points x
+    (..., d), by V._kernel on equal blocks of at most V._block_rows rows,
+    written into preallocated outputs. Rows do not depend on their block
+    (a d > 1 matmul row does alone: no block holds one), so no bit moves."""
+    x = np.asarray(x, dtype=float)
+    if x.size <= V._block_rows * V.dimension:
+        return V._kernel(x, grad, hess)
+    rows = x.reshape(-1, V.dimension)
+    n, d = rows.shape
+    step = -(-n // -(-n // V._block_rows))  # n / blocks, rounded up: equal blocks
+    out = (np.empty((n, d)) if grad else None, np.empty((n, d, d)) if hess else None)
+    for i in range(0, n, step):
+        for whole, part in zip(out, V._kernel(rows[i:i + step], grad, hess)):
+            if whole is not None:
+                whole[i:i + step] = part
+    return tuple(a if a is None else a.reshape(x.shape + a.shape[2:]) for a in out)
+
+
 class TrigSumPotential:
     """V(x) = sum_j A_j cos(<w_j, x> + phi_j)."""
 
@@ -69,34 +94,30 @@ class TrigSumPotential:
         self.frequencies = np.stack(freqs)
         self.phases = np.array(phases)
         self.dimension = self.frequencies.shape[1]
+        self._block_rows = max(1, _BLOCK // len(self.amplitudes))  # angles (rows, M)
 
-    def _angles(self, x):
+    def _angles(self, x):  # <w_j, x> + phi_j; in d = 1 a product, not a matmul
         x = np.asarray(x, dtype=float)
-        return x @ self.frequencies.T + self.phases
+        th = x * self.frequencies[:, 0] if self.dimension == 1 else x @ self.frequencies.T
+        return th + self.phases  # also when 0: it turns -0.0 into +0.0
 
     def value(self, x):
-        th = self._angles(x)
-        return (self.amplitudes * np.cos(th)).sum(axis=-1)
-
-    def _slope(self, th):  # grad V at the angles th
-        # einsum, not matmul: a row's sum does not depend on its batch
-        return -np.einsum("...m,mi->...i", self.amplitudes * np.sin(th), self.frequencies)
-
-    def _curvature(self, th):  # hess V at the angles th
-        c = self.amplitudes * np.cos(th)
-        return -np.einsum("...m,mi,mj->...ij", c, self.frequencies, self.frequencies)
+        return (self.amplitudes * np.cos(self._angles(x))).sum(axis=-1)
 
     def gradient(self, x):
-        return self._slope(self._angles(x))
+        return _evaluate(self, x, True, False)[0]
 
     def hessian(self, x):
-        return self._curvature(self._angles(x))
+        return _evaluate(self, x, False, True)[1]
 
     def derivatives(self, x):
-        """(gradient(x), hessian(x)), bit for bit, from one evaluation of
-        the angles."""
-        th = self._angles(x)
-        return self._slope(th), self._curvature(th)
+        """(gradient(x), hessian(x)), bit for bit, from one evaluation."""
+        return _evaluate(self, x, True, True)
+
+    def _kernel(self, x, grad, hess):  # einsum, not matmul: a row's sum is its own
+        th, a, w = self._angles(x), self.amplitudes, self.frequencies
+        return (-np.einsum("...m,mi->...i", a * np.sin(th), w) if grad else None,
+                -np.einsum("...m,mi,mj->...ij", a * np.cos(th), w, w) if hess else None)
 
     def hessian_sup_bound(self) -> float:
         norms2 = (self.frequencies**2).sum(axis=1)
@@ -182,6 +203,8 @@ class DeloneBumpPotential:
     """V(x) = -depth * sum_{p in points} exp(-|x - p|^2 / width^2)."""
 
     family = "delone-bump"
+    gradient, hessian, derivatives = (TrigSumPotential.gradient, TrigSumPotential.hessian,
+                                      TrigSumPotential.derivatives)
 
     def __init__(self, points, width: float, depth: float = 1.0):
         pts = np.asarray(points, dtype=float)
@@ -193,42 +216,27 @@ class DeloneBumpPotential:
         self.width = float(width)
         self.depth = float(depth)
         self.dimension = pts.shape[1]
+        self._block_rows = max(1, _BLOCK // (pts.size * self.dimension))  # (rows, P, d, d)
         if self.width <= 0:
             raise ValueError("width must be positive")
 
     def _bumps(self, x):
-        """x - p, (..., P, d), and exp(-|x - p|^2 / width^2), (..., P), per
-        point p."""
+        """x - p (..., P, d) and exp(-|x - p|^2 / width^2) (..., P), per point p."""
         diffs = np.asarray(x, dtype=float)[..., None, :] - self.points
         return diffs, np.exp(-((diffs**2).sum(axis=-1) / self.width**2))
-
-    def _slope(self, diffs, e):  # grad V from _bumps
-        w = e * (2.0 * self.depth / self.width**2)
-        return (w[..., None] * diffs).sum(axis=-2)
-
-    def _curvature(self, diffs, e):  # hess V from _bumps
-        eye = np.eye(self.dimension)
-        term_iso = (2.0 * self.depth / self.width**2) * e  # (..., P)
-        outer = np.einsum("...pi,...pj->...pij", diffs, diffs)
-        h = term_iso[..., None, None] * eye - (
-            4.0 * self.depth / self.width**4
-        ) * e[..., None, None] * outer
-        return h.sum(axis=-3)
 
     def value(self, x):
         return -self.depth * self._bumps(x)[1].sum(axis=-1)
 
-    def gradient(self, x):
-        return self._slope(*self._bumps(x))
-
-    def hessian(self, x):
-        return self._curvature(*self._bumps(x))
-
-    def derivatives(self, x):
-        """(gradient(x), hessian(x)), bit for bit, from one evaluation of
-        the bumps."""
-        bumps = self._bumps(x)
-        return self._slope(*bumps), self._curvature(*bumps)
+    def _kernel(self, x, grad, hess):  # a block of _evaluate
+        diffs, e = self._bumps(x)
+        w = e * (2.0 * self.depth / self.width**2)
+        g = (w[..., None] * diffs).sum(axis=-2) if grad else None
+        if not hess:
+            return g, None
+        outer = np.einsum("...pi,...pj->...pij", diffs, diffs)
+        return g, (w[..., None, None] * np.eye(self.dimension) - (
+            4.0 * self.depth / self.width**4) * e[..., None, None] * outer).sum(axis=-3)
 
     def hessian_sup_bound(self) -> float:
         """Sampled bound (x1.05) over the padded bounding box of the points."""
@@ -579,8 +587,7 @@ class AubryCertificate:
             raise CertificationError(f"covering fails at R = {self.covering_radius}: "
                                      f"{exc}") from exc
         # expansion on sampled pairs inside each ball: each zero's draws in
-        # the per-zero order, the gradient for blocks of zeros, about 2048
-        # rows a call (8192 raised a sweep's peak memory by 1.3 MB)
+        # the per-zero order, in blocks of zeros of about 2048 points
         r, m, d = self.ball_radius, self.expansion, zeros.shape[1]
         block = max(1, 1024 // max(pair_checks, 1))
         for lo in range(0, len(zeros), block):
@@ -693,13 +700,6 @@ _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
                       "degeneracy filter too permissive")
 
 
-def _curvature_1d(V, x: np.ndarray, rows: int) -> np.ndarray:
-    """|V''| at the points x (d = 1), in hessian calls of at most rows
-    points (bounded temporaries)."""
-    return np.concatenate([_sv(V.hessian(x[i:i + rows, None]))[:, -1]
-                           for i in range(0, len(x), rows)])
-
-
 # Offsets per ball side of the d = 1 scan, and most steps of one walk. A
 # side's Lipschitz walk from its last passing offset recovers its crossing,
 # so the grid only sets where the walks start: 128 offsets scan a quarter
@@ -721,14 +721,14 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
     proves |V''| >= m on [x - delta, x + delta] (mean value theorem). Each
     ball side z +- s_k, over the samples offsets s_k = linspace(0, r_cap,
     samples) of spacing h (estimate_aubry scans _BALL_OFFSETS), is scanned
-    with delta = h / 2: all sides at once in blocks of offsets, at most 2
-    samples points a hessian call. Every side that fails in a block walks
-    from its last passing offset, t += (|V''(z +- t)| - m - e) / L, each
-    step proving the interval it crosses, for at most _WALK_STEPS steps, up
-    to the least radius so far (a walk that stalls lowers it). The sides
-    that pass the block hold to h / 2 past it; once that reaches the least
-    radius, or no side is left, the scan stops. The radius is the least of
-    the walks and of r_cap.
+    with delta = h / 2: all sides at once in blocks of max(1, 2 samples //
+    sides) offsets. Every side that fails in a block walks from its last
+    passing offset, t += (|V''(z +- t)| - m - e) / L, each step proving the
+    interval it crosses, for at most _WALK_STEPS steps, up to the least
+    radius so far (a walk that stalls lowers it). The sides that pass the
+    block hold to h / 2 past it; once that reaches the least radius, or no
+    side is left, the scan stops. The radius is the least of the walks and
+    of r_cap.
 
     d > 1, sampled: bisection over r on samples random points of each
     ball."""
@@ -738,13 +738,13 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
         h, reach = r_cap / max(samples - 1, 1), float(np.abs(zeros).max()) + r_cap
         lip, e = V.hessian_lipschitz_bound(reach)
         e += lip * np.finfo(float).eps * reach
-        rows = 2 * samples  # most points per hessian call
         centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
-        block = max(1, rows // len(sign))  # offsets per block
+        block = max(1, 2 * samples // len(sign))  # offsets per block
         radius = min(s[-1] + h / 2, r_cap)  # what a side passing every offset holds
         for b in range(0, samples, block):
             x = (centre[:, None] + sign[:, None] * s[b:b + block]).ravel()
-            fail = (_curvature_1d(V, x, rows) < m + e + lip * h / 2).reshape(len(sign), -1)
+            curv = np.abs(V.hessian(x[:, None])[:, 0, 0])  # |V''|
+            fail = (curv < m + e + lip * h / 2).reshape(len(sign), -1)
             failed = fail.any(axis=1)
             if failed.any():  # each walks from its last passing offset
                 z, sg = centre[failed], sign[failed]
@@ -752,8 +752,8 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
                 going = np.arange(len(t))
                 for _ in range(_WALK_STEPS):
                     x = z[going] + sg[going] * t[going]
-                    new = np.minimum(t[going] + (_curvature_1d(V, x, rows) - m - e) / lip,
-                                     radius)
+                    curv = np.abs(V.hessian(x[:, None])[:, 0, 0])
+                    new = np.minimum(t[going] + (curv - m - e) / lip, radius)
                     moved = new > t[going]
                     t[going[moved]] = new[moved]
                     if not moved.all():  # a walk that stalls bounds the radius

@@ -569,6 +569,8 @@ class TestConfigValues:
         ("splitting", "no", "hyperbolicity.splitting must be true or false"),
         ("use_anchor_configuration", 1,
          "hyperbolicity.use_anchor_configuration must be true or false"),
+        ("orbit_tol", "0.5", "hyperbolicity.orbit_tol must be a number"),
+        ("orbit_tol", True, "hyperbolicity.orbit_tol must be a number"),
     ])
     def test_hyperbolicity_typed_fields(self, key, value, name, tmp_path, capsys):
         hyp = {"use_anchor_configuration": True, "lam": 20.0, "rho": 1.0,
@@ -635,17 +637,22 @@ class TestStackedSweep:
     def test_batches_cap_rows(self, tmp_path):
         from antifk.cli import _BATCH_ROWS, _load_config, _sweep_payloads
 
-        cfg = write_config(tmp_path / "s.json", {
-            "potential": {"family": "cosine"},
-            "sweep": {"lams": [20.0, 30.0, 40.0, 50.0, 60.0],
-                      "rhos": [0.1, 0.2, 0.3, 0.4, 0.5], "half_width": 256}})
-        def sizes(workers):
+        def sizes(workers, half_width):
+            cfg = write_config(tmp_path / "s.json", {
+                "potential": {"family": "cosine"},
+                "sweep": {"lams": [20.0, 30.0, 40.0, 50.0, 60.0],
+                          "rhos": [0.1, 0.2, 0.3, 0.4, 0.5], "half_width": half_width}})
             args = SimpleNamespace(seed=None, workers=workers)
             return [len(p[3]) for p in _sweep_payloads(_load_config(cfg), args)]
 
-        assert sizes(1) == sizes(4) == [7, 7, 7, 4] and 7 * 513 <= _BATCH_ROWS < 8 * 513
+        # 2049 sites a case: the cap holds 7 cases a batch
+        assert sizes(1, 1024) == sizes(4, 1024) == [7, 7, 7, 4]
+        assert 7 * 2049 <= _BATCH_ROWS < 8 * 2049
+        # 513 sites a case: the 25 cases are one batch, unless workers split it
+        assert sizes(1, 256) == [25]
         # more workers than full batches: smaller batches, one per worker
-        assert sizes(5) == [5] * 5 and sizes(8) == [4] * 6 + [1]
+        assert sizes(4, 256) == [7, 7, 7, 4]
+        assert sizes(5, 256) == [5] * 5 and sizes(8, 256) == [4] * 6 + [1]
 
     def test_hyperbolicity_failure_marks_its_row(self, tmp_path):
         # an expansion m = 0.99 above the true cos(pi/4) fails the
@@ -694,6 +701,47 @@ class TestJsonText:
         text = (out / "hyperbolicity.json").read_text()
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestParser:
+    def test_built_on_first_call(self):
+        # importing the CLI builds no parser: set-up does not pay for it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import antifk.cli as c; print(c._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_reused_parser_matches_fresh_one(self, tmp_path, capsys):
+        # solve, a usage error, sweep and --version in one process: each
+        # call's exit code and output equal those with a parser built for it
+        from antifk import cli
+
+        solve = solve_config(tmp_path)
+        sweep = write_config(tmp_path / "sweep.json", {
+            "potential": {"family": "cosine"},
+            "sweep": {"lams": [20.0], "rhos": [0.5], "half_width": 8}})
+        calls = [["solve", "--config", solve, "--out", str(tmp_path / "solve")],
+                 ["solve", "--config", solve],
+                 ["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")],
+                 ["--version"]]
+
+        def run(fresh):
+            out = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                out.append((main(argv), *capsys.readouterr()))
+            return out
+
+        reused = run(False)
+        parser = cli._build_parser()
+        assert run(False) == reused and cli._build_parser() is parser
+        assert run(True) == reused
+        assert [code for code, *_ in reused] == [0, 1, 0, 0]
+        assert "required: --out" in reused[1][2]
 
 
 class TestModuleEntry:

@@ -405,8 +405,21 @@ class TestVerifyConeConditions:
             u, nn_module, cos_potential_module, lam, cos_cert_module
         )
         assert 20.0 - 1e-12 <= verdict.phonon_gap <= 20.0
-        assert verdict.worst_sites == {"phonon_gap": -24, "forward": -24,
-                                       "backward": -24}
+        # every site ties: the least |site| is reported
+        assert verdict.worst_sites == {"phonon_gap": 0, "forward": 0, "backward": 0}
+
+    def test_worst_sites_tie_rule(self):
+        # within 1e-12 (relative) of the least value ties; the tie goes
+        # to the least |site|, then the lower site, per chain
+        sites = np.arange(-6, 7)
+        low = -1.5881861113554825
+        values = np.full((13, 4), 5.0)
+        values[[0, 12], 0] = low                            # -6 and 6 tie exactly
+        values[[1, 8], 1] = low, low * (1 - 5e-13)          # -5, and 2 within 1e-12
+        values[[1, 8], 2] = low, low * (1 - 5e-12)          # 2 is not within
+        values[[4, 8], 3] = 0.0                             # zero ties only exactly
+        values[7, 3] = 1e-300
+        assert hyperbolicity._worst_sites(sites, values) == [-6, 2, -5, -2]
 
 
 class TestConeSplitting:

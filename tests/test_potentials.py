@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antifk import (
     AubryCertificate,
@@ -111,6 +114,87 @@ class TestDerivatives:
             xs = rng.uniform(-50, 50, size=(500, 1))
             observed = np.abs(V.hessian(xs)).max()
             assert observed <= bound * (1 + 1e-12)
+
+
+# both potential families in d = 1 and d = 2, each with several terms
+BLOCKED = {
+    "trig-1d": truncated_almost_periodic(8, 0.5),
+    "trig-2d": TrigSumPotential([(1.0, [1.0, 0.0], 0.3), (0.5, [0.7, 1.3], 0.0),
+                                 (-0.25, [0.0, 2.0], -1.0)]),
+    "bump-1d": DeloneBumpPotential([0.0, 1.0, 2.618, 3.618, 5.236], 0.45),
+    "bump-2d": DeloneBumpPotential([[0.0, 0.0], [1.0, 0.5], [0.3, 1.7]], 0.6, 1.5),
+}
+
+
+class TestBlockedEvaluator:
+    """V evaluates its rows in blocks of at most V._block_rows; every row
+    must come out as it does alone, at any count of rows around a block's
+    edge. The d > 1 trig-sum angles are a matmul, whose rows agree in
+    every batch of two rows or more but not alone: there a row must come
+    out as it does in a batch of two."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(sorted(BLOCKED)),
+           count=st.sampled_from(["1", "b-1", "b", "b+1", "3b+5"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_row_calls(self, name, count, seed):
+        V = BLOCKED[name]
+        b = V._block_rows
+        n = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "3b+5": 3 * b + 5}[count]
+        x = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(n, V.dimension))
+        x[0] = 0.0  # where the angles of a phase-free term are zero
+        g, H = V.derivatives(x)
+        assert g.shape == (n, V.dimension) and H.shape == (n, V.dimension, V.dimension)
+        assert g.tobytes() == V.gradient(x).tobytes()
+        assert H.tobytes() == V.hessian(x).tobytes()
+        # one unblocked kernel call over the whole batch
+        whole = V._kernel(x, True, True)
+        assert g.tobytes() == whole[0].tobytes() and H.tobytes() == whole[1].tobytes()
+        copies = 2 if name == "trig-2d" else 1
+        alone = [np.repeat(row[None], copies, axis=0) for row in x]
+        pairs = [V.derivatives(a) for a in alone]
+        assert g.tobytes() == np.concatenate([a[:1] for a, _ in pairs]).tobytes()
+        assert H.tobytes() == np.concatenate([a[:1] for _, a in pairs]).tobytes()
+        assert g.tobytes() == np.concatenate([V.gradient(a)[:1] for a in alone]).tobytes()
+        assert H.tobytes() == np.concatenate([V.hessian(a)[:1] for a in alone]).tobytes()
+        # leading axes of the points stay in the outputs
+        g2, H2 = V.derivatives(x[None])
+        assert g2.shape == (1, n, V.dimension) and g2.tobytes() == g.tobytes()
+        assert H2.shape == (1, n, V.dimension, V.dimension) and H2.tobytes() == H.tobytes()
+
+    def test_one_point(self):
+        for V in BLOCKED.values():
+            x = np.full(V.dimension, 0.7)
+            g, H = V.derivatives(x)
+            assert g.shape == (V.dimension,) and H.shape == (V.dimension, V.dimension)
+            assert g.tobytes() == V.gradient(x[None])[0].tobytes()
+            assert H.tobytes() == V.hessian(x[None])[0].tobytes()
+
+    def test_angles_match_matmul_in_d1(self):
+        # the d = 1 angles are a product, bit for bit the matmul's, and
+        # adding the zero phases turns -0.0 into +0.0
+        V = BLOCKED["trig-1d"]
+        x = np.random.default_rng(5).uniform(-1e4, 1e4, size=(10**5, 1))
+        x[:3, 0] = 0.0, -0.0, 5e-324
+        th = V._angles(x)
+        assert th.tobytes() == (x @ V.frequencies.T + V.phases).tobytes()
+        assert not np.signbit(th[1]).any()
+
+    def test_memory_is_outputs_and_a_block(self):
+        # one derivatives call on 10^5 rows of the 8-term series holds its
+        # outputs and a few block-sized temporaries, not (rows, terms) ones
+        V = BLOCKED["trig-1d"]
+        x = np.random.default_rng(6).uniform(-300, 300, size=(10**5, 1))
+        V.derivatives(x[:10])
+        tracemalloc.start()
+        try:
+            g, H = V.derivatives(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * V._block_rows * len(V.amplitudes)
+        assert block <= 8 * potentials._BLOCK
+        assert peak <= g.nbytes + H.nbytes + 6 * block
 
 
 class TestEstimateAubry:
@@ -331,7 +415,7 @@ class TestBallRadiusScan:
     @pytest.mark.parametrize("m, r_cap", [(0.7, 1.5), (0.9, 0.3)])
     def test_more_sides_than_rows_per_call(self, cos_potential, monkeypatch, m, r_cap):
         # 81 zeros, offset -0.01 so that their left sides bind: 162 sides
-        # against 2 * 16 points a call, scanned and bisected in chunks
+        # against 2 * 16 points a block, scanned one offset a side a call
         zeros = np.pi * np.arange(-40.0, 41.0)[:, None] - 0.01
         calls, hessian = [], cos_potential.hessian
 
@@ -341,7 +425,7 @@ class TestBallRadiusScan:
 
         monkeypatch.setattr(cos_potential, "hessian", counting)
         r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 16, None)
-        assert max(calls) <= 32
+        assert max(calls) == 162
         monkeypatch.undo()
         sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
         assert sampled - r_cap / 15 <= r <= sampled
