@@ -113,7 +113,8 @@ AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
 def count_rows(V, fn) -> tuple:
     """(gradient rows, hessian rows) the potential instance V evaluates
     during fn(), counted by wrapping its methods for the call; a fused
-    derivatives call (the local inverse's) counts its rows for both."""
+    derivatives call (the local inverse's, the Newton polish's) counts its rows
+    for both."""
     rows = {"gradient": 0, "hessian": 0}
     counts = {"gradient": ("gradient",), "hessian": ("hessian",),
               "derivatives": ("gradient", "hessian")}

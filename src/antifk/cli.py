@@ -184,13 +184,13 @@ def _build_certificate(cfg, potential, seed):
 def _estimate_certificate(block, potential, seed):
     _check_keys(block, _CERTIFICATION_KEYS, "certification")
     window = _require(block, "search_window", "certification")
-    if (
-        not isinstance(window, (list, tuple))
-        or len(window) != 2
-        or not all(isinstance(x, (int, float)) for x in window)
-    ):
+    if not isinstance(window, list) or len(window) != 2:
         raise ConfigError("certification.search_window must be [lo, hi]")
+    for x in window:
+        _number(x, "certification.search_window")
     kwargs = {k: v for k, v in block.items() if k != "search_window"}
+    for k, v in kwargs.items():  # checked, passed on as written: metadata records them
+        (_integer if k == "grid_points" else _number)(v, f"certification.{k}")
     return estimate_aubry(potential, tuple(window), seed=seed, **kwargs)
 
 
@@ -265,6 +265,11 @@ def _solve_params(block):
         _require(block, key, "solve")
     for key in ("half_width", "max_iter"):
         _integer(block.get(key, 0), f"solve.{key}")
+    for key in ("lam", "tol", "inner_tol"):
+        if key in block:
+            _number(block[key], f"solve.{key}")
+    for x in block["rho"] if isinstance(block["rho"], list) else [block["rho"]]:
+        _number(x, "solve.rho")
     kwargs = dict(block)
     kwargs["window"] = kwargs.pop("half_width")
     try:

@@ -953,7 +953,7 @@ INVERSE_MAX_ITER = 100
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
                         start: np.ndarray | None = None, *,
-                        derivatives: bool = False):
+                        derivatives: bool = False, at_start=None):
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
     zero centers_k by safeguarded Newton, vectorised over rows.
 
@@ -969,15 +969,18 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     for d > 1 Newton steps are projected onto the ball. A row open after
     INVERSE_MAX_ITER steps, with no root in its bracket, or (d > 1) whose
     hessian is singular raises ConvergenceError naming it (also as its
-    ``row``). Callers do the
-    domain check, so they can name the offending site.
+    ``row``). Callers do the domain check, so they can name the offending site.
 
     Each step evaluates psi and its hessian in one V.derivatives call, and
-    every row ends right after one at the y it returns. With
-    ``derivatives``, returns (y, grad V(y), hessian V(y)), shapes (rows, d)
-    and (rows, d, d), from those evaluations: as V computes its rows
-    independently of their batch, they equal a fresh evaluation at y bit
-    for bit.
+    every row ends right after one at the y it returns. ``at_start``, V's
+    (grad, hessian) at ``start``, replaces the first call but at the rows
+    the clip or projection moved (in d > 1, c + (s - c) need not be s); the
+    call only reads those arrays. With ``derivatives``, returns (y, grad
+    V(y), hessian V(y)), shapes (rows, d) and (rows, d, d), from those
+    evaluations. As V computes its rows independently of their batch, they
+    equal a fresh evaluation at y bit for bit; in d > 1 not a row that was
+    evaluated alone, here or in the call that handed it (a one-row matmul
+    rounds otherwise).
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -994,17 +997,27 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         y = centers + dy * (r / np.maximum(nd, r))
     rows = np.arange(len(centers))  # rows still open
     for k in range(INVERSE_MAX_ITER + 1):
-        yk = y[rows]
-        g, H = V.derivatives(yk)
+        at = rows if k else slice(None)  # every row is open: views, not copies
+        yk = y[at]
+        if k or at_start is None:
+            g, H = V.derivatives(yk)
+        else:  # the caller's values, but at a row that the projection moved
+            g, H = np.reshape(at_start[0], y.shape), np.reshape(at_start[1], (-1, d, d))
+            moved = (y != np.reshape(start, y.shape)).any(axis=1)
+            if moved.any():  # into copies: the caller's arrays are only read
+                g, H = g.copy(), H.copy()
+                g[moved], H[moved] = V.derivatives(y[moved])
         H = np.reshape(H, (-1, d, d))
         if derivatives and k == 0:  # every row; later steps write theirs in
             grad, hess = g, H
         elif derivatives:
+            if k == 1 and at_start is not None:  # copies, as above
+                grad, hess = grad.copy(), hess.copy()
             grad[rows], hess[rows] = g, H
-        f = g - targets[rows]
+        f = g - targets[at]
         nf = np.linalg.norm(f, axis=1)
         floor = np.spacing(np.abs(yk).max(axis=1)) * np.linalg.norm(H, axis=(1, 2))
-        limit = np.maximum(tol if tol.ndim == 0 else tol[rows],
+        limit = np.maximum(tol if tol.ndim == 0 else tol[at],
                            0.5 * floor + 4 * np.finfo(float).eps)
         keep = nf > limit
         rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]

@@ -14,6 +14,11 @@ block-tridiagonal operator of the tangent recursion. Once two tube-map
 steps have put the iterate well inside the tube, Newton steps on the
 whole chain converge quadratically; a closing tube-map step then carries
 the same a-posteriori bound as before.
+
+Each step hands grad V and hess V at the chains it produced to the next
+as whole-stack arrays, so V is evaluated once per chain point. A step
+only reads the arrays it is handed and writes an array only before it
+hands it on, so a converged case's ContractionSolver.derivatives stay.
 """
 
 from __future__ import annotations
@@ -130,24 +135,24 @@ def lambda_threshold(interaction, rho, cert: AubryCertificate) -> float:
     return (K * (r + R) + hom) / (r * m)
 
 
-def _widen(part: np.ndarray, cases, K: int) -> np.ndarray:
+def _widen(part: np.ndarray, cases, K: int, base=None) -> np.ndarray:
     """part (n, len(cases), ...), at the chains of the ascending case ids
-    cases, as a stack of K chains, NaN at every other chain."""
+    cases, as a stack of K chains, a copy of base (n, K, ...) or NaN at the others."""
     if len(cases) == K:
         return part
-    out = np.full((len(part), K) + part.shape[2:], np.nan)
+    out = np.full((len(part), K) + part.shape[2:], np.nan) if base is None else base.copy()
     out[:, cases] = part
     return out
 
 
-def _at_cases(f, x: np.ndarray, cases, rank: int = 1) -> np.ndarray:
-    """f (V.gradient, rank 1, or V.hessian, rank 2) at the chains of the
-    ascending case ids cases of the stack x (n, K, d), as (n, K) + (d,) *
-    rank, NaN at every other chain. f sees the sites as (rows, d)."""
+def _at_cases(V, x: np.ndarray, cases, base=(None, None)) -> tuple:
+    """(grad V, hess V) from one V.derivatives call at the chains of the
+    ascending case ids cases of the stack x (n, K, d), as (n, K, d) and (n,
+    K, d, d) widened over base (_widen). V sees the sites as (rows, d)."""
     K, d = x.shape[1], x.shape[-1]
     part = x if len(cases) == K else x[:, cases]
-    return _widen(f(part.reshape(-1, d)).reshape(part.shape + (d,) * (rank - 1)),
-                  cases, K)
+    return tuple(_widen(a.reshape(part.shape + (d,) * rank), cases, K, b)
+                 for a, b, rank in zip(V.derivatives(part.reshape(-1, d)), base, (0, 1)))
 
 
 def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
@@ -316,7 +321,7 @@ class ContractionSolver:
         are every case, so that the kernels read views, not copies."""
         return slice(None) if len(cases) == len(self.cases) else cases
 
-    def phi_step(self, u: Configuration, cases=None):
+    def phi_step(self, u: Configuration, cases=None, derivatives=None):
         """One sweep of the tube map: u_i -> phi_{a_i}(-Delta(u)_i / lam)
         around the solver's anchors a, each local inverse started at u_i
         projected onto its anchor ball. u holds one chain per case,
@@ -324,9 +329,9 @@ class ContractionSolver:
         with anchors) are stepped, every other chain is carried over.
         Returns (v, (grad, hess)): the whole-stack arrays grad (n, K, d)
         and hess (n, K, d, d) hold grad V and hess V at each chain of v
-        that the step produced, as the local inverse last evaluated them;
-        at every other chain their values are unspecified. While every
-        case steps, they are the local inverse's own arrays.
+        that the step produced, as the local inverse last evaluated them or
+        took them from derivatives, the same arrays at u, if given; at every
+        other chain their values are unspecified.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -359,7 +364,8 @@ class ContractionSolver:
                     self.potential, self._anchors[:, sel].reshape(-1, d),
                     targets[:, sel].reshape(-1, d), self.cert,
                     tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
-                    start=u.values[:, sel].reshape(-1, d), derivatives=True)
+                    start=u.values[:, sel].reshape(-1, d), derivatives=True,
+                    at_start=derivatives and tuple(x[:, sel] for x in derivatives))
                 break
             except ConvergenceError as exc:  # row = site * len(going) + j
                 site, j = divmod(exc.row, len(going))
@@ -394,15 +400,14 @@ class ContractionSolver:
         the threshold, or after NEWTON_STEPS steps. A step that leaves the
         tube |u - a| <= r, does not lower the residual or meets a singular
         block is discarded, and the chain's polish ends there. u and cases
-        are as for phi_step, and derivatives, if given, phi_step's for u:
-        the entry force and the first step's C blocks take grad V and hess
-        V from there, and V is evaluated only at the chains still
-        polishing. Returns (u, per case the residual after each kept step,
-        per case whether a step was discarded).
+        and derivatives are as for phi_step; V.derivatives is evaluated once
+        per candidate chain. Returns (u, per case the residual after each
+        kept step, per case whether a step was discarded, (grad, hess) at
+        u, where a chain kept from an earlier step keeps its values).
         """
         K, V = len(self.cases), self.potential
         going = self._cases(cases)
-        grad, hess = derivatives or (_at_cases(V.gradient, u.values, going), None)
+        grad, hess = derivatives or _at_cases(V, u.values, going)
         force = _force(u, self.interaction, V, self.lam, grad)
         res = _sup(force).tolist()
         history, fallback = [[] for _ in range(K)], [False] * K
@@ -412,32 +417,31 @@ class ContractionSolver:
                 break
             sel = self._sel(going)
             A, B, C = (x[:, sel] for x in _coefficients(
-                u, self.interaction, V, self.lam[:, None],
-                _at_cases(V.hessian, u.values, going, 2) if hess is None else hess)[1:])
-            hess = None  # u moves: later steps evaluate V afresh
+                u, self.interaction, V, self.lam[:, None], hess)[1:])
             step = _cyclic_reduction(-B, A + B + C, -A, force[:, sel])
             if isinstance(sel, slice):
                 v = u.with_values(u.values - step)
             else:
                 v = u.with_values(u.values.copy())
                 v.values[:, going] -= step
-            force_v = _force(v, self.interaction, V, self.lam,
-                             _at_cases(V.gradient, v.values, going))
+            grad_v, hess_v = _at_cases(V, v.values, going, (grad, hess))
+            force_v = _force(v, self.interaction, V, self.lam, grad_v)
             res_v = _sup(force_v).tolist()
             dist = _sup(v.values - self._anchors).tolist()
             # written so that a non-finite step fails both tests
             bad = [c for c in going
                    if not (dist[c] <= self._tube_radius and res_v[c] < res[c])]
             if bad:  # a discarded step leaves its chain as it was
-                v.values[:, bad] = u.values[:, bad]
+                for new, old in ((v.values, u.values), (grad_v, grad), (hess_v, hess)):
+                    new[:, bad] = old[:, bad]
                 for c in bad:
                     fallback[c], res_v[c] = True, res[c]
-            u, force, res = v, force_v, res_v
+            u, force, res, grad, hess = v, force_v, res_v, grad_v, hess_v
             going = [c for c in going if not fallback[c]]
             for c in going:
                 history[c].append(res[c])
             going = [c for c in going if res[c] > self.tol]
-        return u, history, fallback
+        return u, history, fallback, (grad, hess)
 
     def solve(self, initial: Configuration | None = None):
         """Iterate phi_step from the anchors (or a caller-supplied start in
@@ -445,14 +449,13 @@ class ContractionSolver:
         pass, case by case: a case stops in place when it converges or
         fails. For a nearest-neighbour interaction, newton_polish runs
         after the second step and the loop goes on with the closing step,
-        so the answer is still a tube-map image. The local inverse's last
-        evaluations of grad V and hess V at each chain a step produced feed
-        the polish's entry force and first C blocks and the residual
-        checks; V is never evaluated at the chain of a stopped case. Returns,
-        per case, (configuration, report) or the case's error, which also
-        stays in self.failures. The closing step's grad V and hess V at a
-        converged case's chain stay in self.derivatives, (n, d) and (n, d,
-        d) per case, for the hyperbolicity checks (check_stack)."""
+        so the answer is still a tube-map image. Each step starts from the
+        grad V and hess V that the step before it handed on, and V is
+        never evaluated at the chain of a stopped case. Returns, per case,
+        (configuration, report) or the case's error, which also stays in
+        self.failures. The closing step's grad V and hess V at a converged
+        case's chain stay in self.derivatives, (n, d) and (n, d, d) per
+        case, for the hyperbolicity checks (check_stack)."""
         cert, K = self.cert, len(self.cases)
         q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
         step_threshold = self.tol * (1 - q) / q
@@ -464,14 +467,13 @@ class ContractionSolver:
             u = Configuration(u.window, u.values, u.tail, self._halo(u))
         running = [c for c in range(K) if c not in self.failures]
         steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
-        fallback, last_res, done = [False] * K, [np.inf] * K, {}
+        fallback, last_res, done, derivatives = [False] * K, [np.inf] * K, {}, None
         for k in range(self.max_iter):
             if not running:
                 break
             if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
-                u, newton, fallback = self.newton_polish(u, running, derivatives)
-            derivatives = None  # freed before the step makes its own
-            u_next, derivatives = self.phi_step(u, running)
+                u, newton, fallback, derivatives = self.newton_polish(u, running, derivatives)
+            u_next, derivatives = self.phi_step(u, running, derivatives)
             running = [c for c in running if c not in self.failures]
             delta = _sup(u_next.values - u.values).tolist()
             u = u_next
@@ -489,8 +491,8 @@ class ContractionSolver:
                     done[c] = (u.chain(c), res[c])
                     self.derivatives[c] = tuple(x[:, c] for x in derivatives)
                 elif res[c] >= last_res[c]:
-                    self.failures[c] = self._stalled(u.chain(c).values, c, res[c],
-                                                     steps[c])
+                    self.failures[c] = self._stalled(
+                        u.values[:, c], derivatives[1][:, c], c, res[c], steps[c])
                 last_res[c] = res[c]
             running = [c for c in running if c not in done and c not in self.failures]
         if running:  # each running chain came from the last step
@@ -524,8 +526,8 @@ class ContractionSolver:
             halo[:, c] = p.rho(sites)
         return halo
 
-    def _stalled(self, values, c, res, steps) -> ConvergenceError:
-        H = self.potential.hessian(values).reshape(len(values), -1)
+    def _stalled(self, values, H, c, res, steps) -> ConvergenceError:
+        H = H.reshape(len(values), -1)
         floor = self.cases[c].lam * np.linalg.norm(H, axis=1).max() * 0.5 * (
             np.spacing(np.abs(values).max()))
         return ConvergenceError(

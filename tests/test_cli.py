@@ -532,6 +532,30 @@ class TestConfigValues:
                      {"potential": {"family": "cosine"}, "solve": solve},
                      f"solve.{key} must be an integer")
 
+    @pytest.mark.parametrize("key, value", [
+        ("lam", True), ("rho", True), ("rho", "0.618"), ("rho", [0.5, False]),
+        ("rho", [[0.5]]), ("tol", "1e-10"), ("tol", None), ("inner_tol", False),
+    ])
+    def test_solve_number_fields(self, key, value, tmp_path, capsys):
+        solve = {"lam": 20.0, "rho": 1.0, "half_width": 16, key: value}
+        for command in ("solve", "hyperbolicity"):
+            self.run(tmp_path, capsys, command,
+                     {"potential": {"family": "cosine"}, "solve": solve},
+                     f"solve.{key} must be a number")
+
+    @pytest.mark.parametrize("key, value", [
+        ("zero_tol", True), ("search_window", [False, True]),
+        ("search_window", [-10.0, "10"]), ("grid_points", True),
+        ("grid_points", 4001.0), ("safety", "2"), ("degeneracy_fraction", None),
+        ("expansion_fraction", [0.7]),
+    ])
+    def test_certification_typed_fields(self, key, value, tmp_path, capsys):
+        kind = "an integer" if key == "grid_points" else "a number"
+        self.run(tmp_path, capsys, "certify",
+                 {"potential": {"family": "cosine"},
+                  "certification": {"search_window": [-10.0, 10.0], key: value}},
+                 f"certification.{key} must be {kind}")
+
     @pytest.mark.parametrize("key, value", [("half_width", 8.7), ("max_iter", 50.9),
                                             ("half_width", "8"), ("max_iter", False)])
     def test_sweep_integer_fields(self, key, value, tmp_path, capsys):

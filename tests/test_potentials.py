@@ -801,6 +801,51 @@ class TestLocalInverse:
         assert np.abs(warm - cold).max() <= 1e-13
         assert np.linalg.norm(warm - centers, axis=1).max() <= r
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_values_at_start_serve_the_first_step(self, d, rng):
+        # rows started at their roots with V's values there end in the
+        # first step without a V row; three rows placed r (1 + 1e-10) from
+        # their anchor are moved onto the ball (clip or projection), and
+        # only those are evaluated, first at the moved point
+        V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
+        r = np.pi / 4
+        cert = AubryCertificate(
+            sampler=FiniteZeroSet(np.zeros((1, d)), -1.0, 1.0),
+            covering_radius=np.pi / 2 * np.sqrt(d), ball_radius=r,
+            expansion=np.cos(np.pi / 4),
+        )
+        n, moved = 64, [5, 17, 40]
+        centers = np.pi * rng.integers(-3, 4, size=(n, d))
+        rm = cert.admissible_radius / np.sqrt(d)
+        targets = rng.uniform(-rm, rm, size=(n, d))
+        start, grad, hess = local_inverse_batch(V, centers, targets, cert, tol=1e-14,
+                                                derivatives=True)
+        dirs = rng.standard_normal((3, d))
+        start[moved] = centers[moved] + r * (1 + 1e-10) * dirs / np.linalg.norm(
+            dirs, axis=1, keepdims=True)
+        grad[moved], hess[moved] = V.derivatives(start[moved])
+        handed = [x.tobytes() for x in (start, grad, hess)]
+        calls, evaluate = [], V.derivatives
+        V.derivatives = lambda x: calls.append(np.array(x)) or evaluate(x)
+        y, g, h = local_inverse_batch(V, centers, targets, cert, tol=1e-14, start=start,
+                                      derivatives=True, at_start=(grad, hess))
+        assert [x.tobytes() for x in (start, grad, hess)] == handed  # only read
+        assert calls and len(calls[0]) == 3 and all(len(x) <= 3 for x in calls)
+        assert np.abs(calls[0] - start[moved]).max() <= 1e-9
+        assert np.linalg.norm(calls[0] - centers[moved], axis=1).max() <= r * (1 + 1e-15)
+        still = np.setdiff1d(np.arange(n), moved)
+        for a, b in ((y, start), (g, grad), (h, hess)):
+            assert a[still].tobytes() == b[still].tobytes()
+        if d == 1:  # a d = 1 row does not depend on its batch
+            assert g.tobytes() == V.gradient(y).tobytes()
+            assert h.tobytes() == V.hessian(y).tobytes()
+        # all rows at their roots and no row moved: no V row at all
+        calls.clear()
+        again = local_inverse_batch(V, centers, targets, cert, tol=1e-14, start=y,
+                                    derivatives=True, at_start=(g, h))
+        assert calls == [] and again[0].tobytes() == y.tobytes()
+        assert np.shares_memory(again[1], g) and np.shares_memory(again[2], h)
+
     def test_singular_hessian_raises_naming_its_row(self):
         # V = cos x in d = 2 has a singular hessian everywhere: the rows
         # that need a Newton step fail, the first one named

@@ -469,7 +469,7 @@ class _TubeMapOnly(ContractionSolver):
 
     def newton_polish(self, u, cases=None, derivatives=None):
         chains = u.values.shape[1]
-        return u, [[] for _ in range(chains)], [False] * chains
+        return u, [[] for _ in range(chains)], [False] * chains, derivatives
 
 
 def _cos2d_case(rho=(0.41, 0.53), n=40):
@@ -699,6 +699,27 @@ class TestStackedSolve:
         assert "row 3: no root" in str(solver.failures[2])
         assert solver.failures[2].row == 3
 
+    def test_local_inverse_failure_on_handed_values(self, nn_interaction,
+                                                    cos_potential):
+        # with the overstated expansion above, lam = 5 fails in the second
+        # step's local inverse, which starts from the values the first step
+        # handed on; the step runs again without the failed case on the
+        # same values, which the failed call only read
+        cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2,
+                                np.pi / 4, 0.99)
+        params = _grid((40.0, 5.0, 11.0), (0.3, 0.618), 16)
+        solver = ContractionSolver(nn_interaction, cos_potential, cert, params)
+        u, derivatives = solver.phi_step(solver.anchors)
+        kept = [x.tobytes() for x in derivatives]
+        solver.phi_step(u, None, derivatives)
+        assert sorted(solver.failures) == [2, 3]
+        assert all(isinstance(solver.failures[c], ConvergenceError) for c in (2, 3))
+        assert [x.tobytes() for x in derivatives] == kept
+        statuses = _assert_batch_matches_alone(nn_interaction, cos_potential,
+                                               cert, params, 6)
+        assert statuses == ["ok", "ok", "ConvergenceError", "ConvergenceError",
+                            "ok", "ok"]
+
     def test_steps_serve_every_case_after_a_solve(self, nn_interaction,
                                                   cos_potential, cos_cert):
         # a solve stops its cases in place as they finish or fail; by
@@ -739,6 +760,24 @@ class TestStackedSolve:
         fell = [rep.newton_fallback for _, rep in ContractionSolver(
             nn_interaction, cos_potential, cos_cert, params).solve()]
         assert any(fell) and not all(fell)
+        # the polish hands on grad V and hess V at the chains it returns: a
+        # discarded step's chain keeps its kept chain's values, bit for bit
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        u, derivatives = solver.phi_step(solver.anchors)
+        u, derivatives = solver.phi_step(u, None, derivatives)
+        kept = [x.copy() for x in derivatives]
+        v, history, fell, (grad, hess) = solver.newton_polish(u, None, derivatives)
+        first = [c for c in range(len(params)) if fell[c] and not history[c]]
+        assert any(fell) and first and not all(fell)
+        for c in range(len(params)):
+            x = v.values[:, c]
+            assert grad[:, c].tobytes() == cos_potential.gradient(x).tobytes()
+            assert hess[:, c].tobytes() == cos_potential.hessian(x).tobytes()
+        for c in first:  # discarded at the first step: the values handed in
+            assert v.values[:, c].tobytes() == u.values[:, c].tobytes()
+            assert grad[:, c].tobytes() == kept[0][:, c].tobytes()
+            assert hess[:, c].tobytes() == kept[1][:, c].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, derivatives))
 
     @pytest.mark.parametrize("size", [1, 4])
     def test_stalled_case_in_a_batch(self, size, nn_interaction,
@@ -837,12 +876,13 @@ class TestStackedSolve:
 
 
 def _outside_inverse(monkeypatch, V, record):
-    """Calls record(name, x) for each call of V.gradient and V.hessian
-    (name) made outside the solver's local inverse, x its argument."""
+    """Calls record(name, x) for each call of V.gradient, V.hessian and
+    V.derivatives (name) made outside the solver's local inverse, x its
+    argument."""
     from antifk import solver as solver_module
 
     inside = []
-    for name in ("gradient", "hessian"):
+    for name in ("gradient", "hessian", "derivatives"):
         def recorded(x, f=getattr(V, name), name=name):
             if not inside:
                 record(name, x)
@@ -861,9 +901,9 @@ def _outside_inverse(monkeypatch, V, record):
 
 
 def _count_rows_outside_inverse(monkeypatch, V):
-    """Rows of V.gradient and V.hessian evaluated outside the solver's
-    local inverse, counted as they are called."""
-    rows = {"gradient": 0, "hessian": 0}
+    """Rows of V.gradient, V.hessian and V.derivatives evaluated outside
+    the solver's local inverse, counted as they are called."""
+    rows = {"gradient": 0, "hessian": 0, "derivatives": 0}
 
     def count(name, x):
         rows[name] += np.shape(x)[0]
@@ -873,11 +913,13 @@ def _count_rows_outside_inverse(monkeypatch, V):
 
 
 class TestDerivativeReuse:
-    """The local inverse's last evaluations of grad V and hess V at a
-    step's chains serve the Newton polish's entry force, its first C
-    blocks and the residual check: outside the local inverse V is
-    evaluated only for the Newton steps' own iterates, and only at the
-    chains of running cases."""
+    """Each step hands grad V and hess V at the chains it produced to the
+    next: the local inverse's last evaluations serve the next tube-map
+    step's first local-inverse iteration, the Newton polish's entry force
+    and C blocks and the residual check, and the polish's evaluations at
+    its chains serve the closing step. Outside the local inverse V is
+    evaluated only at the Newton steps' own iterates, in one fused
+    V.derivatives call each, and only at the chains of running cases."""
 
     def test_one_case(self, monkeypatch, nn_interaction):
         from antifk import cosine_certificate, cosine_potential
@@ -887,8 +929,8 @@ class TestDerivativeReuse:
         _, rep = solve_equilibrium(params, nn_interaction, V, cosine_certificate())
         n, steps = 513, len(rep.newton_steps)
         assert rep.iterations == 3 and not rep.newton_fallback and steps >= 2
-        # per Newton step the new iterate's force; C blocks from the second on
-        assert rows == {"gradient": n * steps, "hessian": n * (steps - 1)}
+        # per Newton step the new iterate's force and next C blocks
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
 
     def test_sweep_batch(self, monkeypatch):
         # the first batch of the sweep benchmark's grid, in lockstep
@@ -905,7 +947,31 @@ class TestDerivativeReuse:
         assert {rep.iterations for rep in reps} == {3} and len(steps) == 1
         assert not any(rep.newton_fallback for rep in reps)
         n, [steps] = 7 * 513, steps
-        assert rows == {"gradient": n * steps, "hessian": n * (steps - 1)}
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
+
+    def test_closing_step_evaluates_no_rows(self, monkeypatch):
+        # the polish ends every chain of the sweep batch below tol, so the
+        # closing step's local inverse ends every row on the values the
+        # polish handed on
+        from antifk import estimate_aubry, truncated_almost_periodic
+
+        V = truncated_almost_periodic(8, 0.5)
+        cert = estimate_aubry(V, (-200.0, 200.0))
+        params = _grid((24.0, 32.0), (0.1, 0.2, 0.3, 0.4, 0.5), 256)[:7]
+        rows, step = [], ContractionSolver.phi_step
+
+        def spy(solver, u, cases=None, derivatives=None):
+            before = sum(rows)
+            out = step(solver, u, cases, derivatives)
+            made.append(sum(rows) - before)
+            return out
+
+        made, evaluate = [], V.derivatives
+        monkeypatch.setattr(V, "derivatives", lambda x: rows.append(len(x)) or evaluate(x))
+        monkeypatch.setattr(ContractionSolver, "phi_step", spy)
+        outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert, params).solve()
+        assert all(rep.iterations == 3 for _, rep in outcomes)
+        assert made[0] > made[1] > 0 and made[2] == 0
 
     def test_step_derivatives_are_fresh_values(self, monkeypatch, nn_interaction,
                                                cos_potential, cos_cert):
@@ -944,47 +1010,82 @@ class TestDerivativeReuse:
         # rho = 40 chain; at each chain a step produced, the arrays that the
         # residual check reads hold fresh values
         params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
-        seen, step = [], ContractionSolver.phi_step
+        seen, step, polish = [], ContractionSolver.phi_step, ContractionSolver.newton_polish
 
-        def spy(solver, u, cases=None):
-            v, (grad, hess) = step(solver, u, cases)
+        def fresh(solver, v, grad, hess, cases):
             made = [c for c in cases if c not in solver.failures]
             x = v.values[:, made].reshape(-1, 1)
             seen.append((len(made), grad[:, made].tobytes()
                          == cos_potential.gradient(x).tobytes()
                          and hess[:, made].tobytes()
                          == cos_potential.hessian(x).tobytes()))
+
+        def spy(solver, u, cases=None, derivatives=None):
+            v, (grad, hess) = step(solver, u, cases, derivatives)
+            fresh(solver, v, grad, hess, cases)
             return v, (grad, hess)
 
+        def polish_spy(solver, u, cases=None, derivatives=None):
+            v, history, fallback, (grad, hess) = polish(solver, u, cases, derivatives)
+            fresh(solver, v, grad, hess, cases)
+            return v, history, fallback, (grad, hess)
+
         monkeypatch.setattr(ContractionSolver, "phi_step", spy)
+        monkeypatch.setattr(ContractionSolver, "newton_polish", polish_spy)
         statuses = _assert_batch_matches_alone(
             nn_interaction, cos_potential, cos_cert, params, 4)
         assert statuses == ["ok", "ConvergenceError", "ok", "ok"]
         assert {1, 4} <= {m for m, _ in seen} and all(ok for _, ok in seen)
 
+    def test_converged_derivatives_stay(self, monkeypatch, nn_interaction,
+                                        cos_potential, cos_cert):
+        # the stalling batch: a converged case's derivatives are views of
+        # the arrays one step handed on, which later steps only read; they
+        # keep their bits while the rho = 40 case runs on
+        params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
+        kept, later, step = {}, [], ContractionSolver.phi_step
+
+        def spy(solver, u, cases=None, derivatives=None):
+            for c, pair in solver.derivatives.items():
+                kept.setdefault(c, [x.tobytes() for x in pair])
+            later.extend(c for c in cases if kept)
+            return step(solver, u, cases, derivatives)
+
+        monkeypatch.setattr(ContractionSolver, "phi_step", spy)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        solver.solve()
+        assert sorted(kept) == [0, 2, 3] and later and set(later) == {1}
+        for c, pair in solver.derivatives.items():
+            assert [x.tobytes() for x in pair] == kept[c]
+
     def test_stopped_chains_not_evaluated(self, monkeypatch, nn_interaction,
                                           cos_potential, cos_cert):
-        # the stalling batch: outside the local inverse V sees no chain of
-        # a case that has stopped, converged or failed
+        # the stalling batch: once a case has stopped, converged or failed,
+        # V is not evaluated outside the local inverse at all (the stalled
+        # case's floor takes hess V from its last step), and the local
+        # inverse sees only the rows of the one case still running
+        from antifk import solver as solver_module
+
         params = _grid((40.0,), (0.618, 40.0, 20.0, 1.3), 1024)
-        n, stopped, calls, hits = 2049, {}, [0], []
+        n, stopped, calls, rows = 2049, set(), [], []
         for name in ("phi_step", "newton_polish"):
             def spy(solver, u, cases=None, *args, method=getattr(ContractionSolver, name)):
-                for c in range(len(params)):
-                    if c not in cases:  # stopped: its chain stays as it is
-                        stopped.setdefault(c, u.values[:, c].tobytes())
+                stopped.update(c for c in range(len(params)) if c not in cases)
                 return method(solver, u, cases, *args)
             monkeypatch.setattr(ContractionSolver, name, spy)
 
-        def check(name, x):
-            chains = np.reshape(x, (n, -1, 1))
-            calls[0] += bool(stopped)
-            hits.extend(name for j in range(chains.shape[1])
-                        if chains[:, j].tobytes() in stopped.values())
+        _outside_inverse(monkeypatch, cos_potential,
+                         lambda name, x: stopped and calls.append(name))
+        inverse = solver_module.local_inverse_batch
 
-        _outside_inverse(monkeypatch, cos_potential, check)
+        def sized(V, centers, *args, **kwargs):
+            if stopped:
+                rows.append(len(centers))
+            return inverse(V, centers, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "local_inverse_batch", sized)
         outcomes = ContractionSolver(nn_interaction, cos_potential, cos_cert,
                                      params).solve()
         assert [type(o).__name__ for o in outcomes] == ["tuple", "ConvergenceError",
                                                          "tuple", "tuple"]
-        assert sorted(stopped) == [0, 2, 3] and calls[0] > 0 and hits == []
+        assert sorted(stopped) == [0, 2, 3] and calls == [] and rows and set(rows) == {n}
