@@ -30,7 +30,10 @@ rows per batch and the peak memory the solves allocate (tracemalloc):
 the time per case shows the per-call overhead a batch shares, the
 memory what a batch costs per row, which bounds the batch size; the rows
 of V.gradient and V.hessian that the solves evaluate (a fused
-V.derivatives call counting for both) show the kernel work. Its
+V.derivatives call counting for both) show the kernel work, and
+``inverse_rows`` and ``outside_inverse_rows`` split them into those
+evaluated inside the solver's local_inverse_batch and those outside it
+(the first step's runs of equal anchors, the Newton polish). Its
 ``epilogue_s`` times, at the same batch sizes, the work ``antifk
 sweep`` does on each batch after the solve: the solve reports (whose
 distances to the rotation share one tail probe) and the hyperbolicity
@@ -89,6 +92,7 @@ from antifk import (
     verify_cone_conditions,
 )
 from antifk import potentials
+from antifk import solver as solver_module
 from antifk.cli import _hyperbolic_checks
 from antifk.hyperbolicity import _coefficients
 from antifk.lattice import stack_chains
@@ -111,29 +115,40 @@ AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
 
 
 def count_rows(V, fn) -> tuple:
-    """(gradient rows, hessian rows) the potential instance V evaluates
-    during fn(), counted by wrapping its methods for the call; a fused
-    derivatives call (the local inverse's, the Newton polish's) counts its rows
-    for both."""
-    rows = {"gradient": 0, "hessian": 0}
+    """(gradient rows, hessian rows, rows evaluated inside the solver's
+    local_inverse_batch) of the potential instance V during fn(), counted
+    by wrapping its methods and the solver's local_inverse_batch for the
+    call; a fused derivatives call (the local inverse's, the Newton
+    polish's) counts its rows for both."""
+    rows = {"gradient": 0, "hessian": 0, "inverse": 0}
     counts = {"gradient": ("gradient",), "hessian": ("hessian",),
               "derivatives": ("gradient", "hessian")}
+    inside, inverse = [], solver_module.local_inverse_batch
 
     def counted(name, method):
         def wrapped(x):
-            for kind in counts[name]:
+            for kind in counts[name] + (("inverse",) if inside else ()):
                 rows[kind] += np.shape(x)[0]
             return method(x)
         return wrapped
 
+    def within(*args, **kwargs):
+        inside.append(True)
+        try:
+            return inverse(*args, **kwargs)
+        finally:
+            inside.pop()
+
     for name in counts:
         setattr(V, name, counted(name, getattr(V, name)))
+    solver_module.local_inverse_batch = within
     try:
         fn()
     finally:
         for name in counts:
             delattr(V, name)  # the class's methods again
-    return rows["gradient"], rows["hessian"]
+        solver_module.local_inverse_batch = inverse
+    return rows["gradient"], rows["hessian"], rows["inverse"]
 
 
 def stage_times(fn) -> dict:
@@ -276,8 +291,8 @@ def estimate_aubry_times() -> dict:
         "stages_s": stages,
         "ms_per_zero": [1e3 * t / z for t, z in zip(s, zeros)],
         "loglog_slope_vs_zeros": round(float(slope), 3),
-        "gradient_rows": [g for g, _ in rows],
-        "hessian_rows": [h for _, h in rows],
+        "gradient_rows": [g for g, *_ in rows],
+        "hessian_rows": [h for _, h, _ in rows],
     }
 
 
@@ -358,7 +373,7 @@ def sweep_times() -> dict:
         tracemalloc.stop()
         batches = solved(k)
         epilogue.append(best_of(lambda: epilogue_all(batches)))
-        epilogue_rows.append(count_rows(V, lambda: epilogue_all(batches)))
+        epilogue_rows.append(count_rows(V, lambda: epilogue_all(batches))[:2])
     sites, counts = 2 * SWEEP_HALF_WIDTH + 1, [len(grid_of(k)) for k in SWEEP_BATCHES]
     return {
         "what": (f"the {len(grid)} solves of a sweep in process, best of "
@@ -372,7 +387,9 @@ def sweep_times() -> dict:
                  "checks after its solve, on the solve's derivatives, and "
                  "epilogue_rows the [gradient, hessian] rows of V they "
                  "evaluate; gradient_rows and hessian_rows are the rows of "
-                 "V the solves evaluate, fused derivatives calls included"),
+                 "V the solves evaluate, fused derivatives calls included, "
+                 "inverse_rows and outside_inverse_rows those of them inside "
+                 "and outside local_inverse_batch"),
         "cases": counts,
         "cases_per_batch": list(SWEEP_BATCHES),
         "rows_per_batch": [k * sites for k in SWEEP_BATCHES],
@@ -383,8 +400,10 @@ def sweep_times() -> dict:
         "epilogue_s": epilogue,
         "epilogue_ms_per_case": [1e3 * t / n for t, n in zip(epilogue, counts)],
         "epilogue_rows": epilogue_rows,
-        "gradient_rows": [g for g, _ in rows],
-        "hessian_rows": [h for _, h in rows],
+        "gradient_rows": [g for g, *_ in rows],
+        "hessian_rows": [h for _, h, _ in rows],
+        "inverse_rows": [i for *_, i in rows],
+        "outside_inverse_rows": [g - i for g, _, i in rows],
         "mixed_stop": mixed_stop_times(),
     }
 

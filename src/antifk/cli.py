@@ -405,7 +405,7 @@ def _cmd_hyperbolicity(args):
         orbit_tol = _number(orbit_tol, "hyperbolicity.orbit_tol")
     [outcome] = _hyperbolic_checks(
         stack_chains([u]), interaction, potential, [lam], cert,
-        sblock.get("tol", 1e-10),
+        _number(sblock.get("tol", 1e-10), "solve.tol"),
         horizon=horizon if _boolean(hblock.get("splitting", True),
                                     "hyperbolicity.splitting") else None,
         orbit_tol=orbit_tol, derivatives=derivatives,

@@ -57,8 +57,7 @@ _BLOCK = 2**13
 def _evaluate(V, x, grad: bool, hess: bool) -> tuple:
     """(grad V(x) if grad, hess V(x) if hess, else None) at the points x
     (..., d), by V._kernel on equal blocks of at most V._block_rows rows,
-    written into preallocated outputs. Rows do not depend on their block
-    (a d > 1 matmul row does alone: no block holds one), so no bit moves."""
+    written into preallocated outputs: no row depends on its block."""
     x = np.asarray(x, dtype=float)
     if x.size <= V._block_rows * V.dimension:
         return V._kernel(x, grad, hess)
@@ -98,7 +97,12 @@ class TrigSumPotential:
 
     def _angles(self, x):  # <w_j, x> + phi_j; in d = 1 a product, not a matmul
         x = np.asarray(x, dtype=float)
-        th = x * self.frequencies[:, 0] if self.dimension == 1 else x @ self.frequencies.T
+        if self.dimension == 1:
+            th = x * self.frequencies[:, 0]
+        else:  # a one-row matmul rounds otherwise, so one row runs as two
+            rows = x.reshape(-1, self.dimension)
+            th = (rows[[0, 0]] if len(rows) == 1 else rows) @ self.frequencies.T
+            th = th[:len(rows)].reshape(x.shape[:-1] + (-1,))
         return th + self.phases  # also when 0: it turns -0.0 into +0.0
 
     def value(self, x):
@@ -950,10 +954,27 @@ def local_inverse(V, z, target, cert: AubryCertificate,
 INVERSE_MAX_ITER = 100
 
 
+def _lowest_twin(rows, columns) -> np.ndarray:
+    """For each of the ascending rows, the lowest of them that equals it in
+    the bits of every float column (each (N,)). A hash of the bits orders
+    the rows, but rows merge only when all their bytes compare equal."""
+    h = np.zeros(len(rows), np.uint64)
+    for c in columns:
+        h = h * np.uint64(0x9E3779B97F4A7C15) + c[rows].view(np.uint64)  # wraps mod 2^64
+    at = np.argsort(h)
+    new = np.arange(len(rows)) == 0  # a row that differs from the one before it
+    for c in columns:
+        s = c[rows[at]].view(np.uint64)
+        new[1:] |= s[1:] != s[:-1]
+    lead = np.empty_like(rows)
+    lead[at] = np.minimum.reduceat(rows[at], np.flatnonzero(new))[np.cumsum(new) - 1]
+    return lead
+
+
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
                         start: np.ndarray | None = None, *,
-                        derivatives: bool = False, at_start=None):
+                        derivatives: bool = False, at_start=None, group: bool = False):
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
     zero centers_k by safeguarded Newton, vectorised over rows.
 
@@ -978,9 +999,10 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     call only reads those arrays. With ``derivatives``, returns (y, grad
     V(y), hessian V(y)), shapes (rows, d) and (rows, d, d), from those
     evaluations. As V computes its rows independently of their batch, they
-    equal a fresh evaluation at y bit for bit; in d > 1 not a row that was
-    evaluated alone, here or in the call that handed it (a one-row matmul
-    rounds otherwise).
+    equal a fresh evaluation at y bit for bit. With ``group``, only the
+    lowest of the rows still open after the first step whose state (y, t,
+    z, tol, in d = 1 bracket) agrees bit for bit iterates, and the others
+    take its results on return: each row ends, or fails, as it would alone.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -996,7 +1018,12 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         nd = np.linalg.norm(dy, axis=1, keepdims=True)
         y = centers + dy * (r / np.maximum(nd, r))
     rows = np.arange(len(centers))  # rows still open
+    merged = rows[:0], rows[:0]  # rows merged into a lower one, and that row
     for k in range(INVERSE_MAX_ITER + 1):
+        if k == 1 and group:  # one Newton path per group, led by its lowest row
+            lead = _lowest_twin(rows, [*y.T, *targets.T, *centers.T] + (
+                [lo, hi] if d == 1 else []) + ([tol] if tol.ndim else []))
+            merged, rows = (rows[lead != rows], lead[lead != rows]), rows[lead == rows]
         at = rows if k else slice(None)  # every row is open: views, not copies
         yk = y[at]
         if k or at_start is None:
@@ -1022,6 +1049,8 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         keep = nf > limit
         rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]
         if rows.size == 0:
+            for a in (y, grad, hess) if derivatives else (y,):
+                a[merged[0]] = a[merged[1]]
             return (y, grad, hess) if derivatives else y
         if k == INVERSE_MAX_ITER:
             raise ConvergenceError(

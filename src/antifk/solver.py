@@ -16,9 +16,9 @@ whole chain converge quadratically; a closing tube-map step then carries
 the same a-posteriori bound as before.
 
 Each step hands grad V and hess V at the chains it produced to the next
-as whole-stack arrays, so V is evaluated once per chain point. A step
-only reads the arrays it is handed and writes an array only before it
-hands it on, so a converged case's ContractionSolver.derivatives stay.
+as whole-stack arrays, so V is evaluated at most once per chain point. A
+step only reads the arrays it is handed and writes an array only before
+it hands it on, so a converged case's ContractionSolver.derivatives stay.
 """
 
 from __future__ import annotations
@@ -153,6 +153,19 @@ def _at_cases(V, x: np.ndarray, cases, base=(None, None)) -> tuple:
     part = x if len(cases) == K else x[:, cases]
     return tuple(_widen(a.reshape(part.shape + (d,) * rank), cases, K, b)
                  for a, b, rank in zip(V.derivatives(part.reshape(-1, d)), base, (0, 1)))
+
+
+def _at_runs(V, x: np.ndarray, cases) -> tuple:
+    """(grad V, hess V) at the chains of cases of the stack x, as _at_cases,
+    from V at the first row of each run of bit-equal rows along a chain's
+    site axis: at its anchors a chain stays on one zero for many sites."""
+    part = x if len(cases) == x.shape[1] else x[:, cases]
+    bits = part.view(np.uint64)
+    first = np.ones(part.shape[:2], bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=-1)
+    # the position in part[first] of the row's run, site-major like part[first]
+    run = np.maximum.accumulate(np.where(first, np.cumsum(first).reshape(first.shape) - 1, 0))
+    return tuple(_widen(a[run], cases, x.shape[1]) for a in V.derivatives(part[first]))
 
 
 def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
@@ -331,7 +344,9 @@ class ContractionSolver:
         and hess (n, K, d, d) hold grad V and hess V at each chain of v
         that the step produced, as the local inverse last evaluated them or
         took them from derivatives, the same arrays at u, if given; at every
-        other chain their values are unspecified.
+        other chain their values are unspecified. Without derivatives, V is
+        evaluated once per run of bit-equal rows along each chain of u; the
+        local inverse of several chains solves each distinct problem once.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -355,6 +370,8 @@ class ContractionSolver:
                     site=site, norm=float(worst[c]), limit=limit,
                 )
         n, K, d = u.values.shape
+        derivatives = derivatives or _at_runs(self.potential, u.values,
+                                              [c for c in cases if c not in ended])
         while True:
             going = [c for c in cases if c not in ended]
             sel = self._sel(going)
@@ -365,7 +382,7 @@ class ContractionSolver:
                     targets[:, sel].reshape(-1, d), self.cert,
                     tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
                     start=u.values[:, sel].reshape(-1, d), derivatives=True,
-                    at_start=derivatives and tuple(x[:, sel] for x in derivatives))
+                    at_start=tuple(x[:, sel] for x in derivatives), group=len(going) > 1)
                 break
             except ConvergenceError as exc:  # row = site * len(going) + j
                 site, j = divmod(exc.row, len(going))
@@ -408,6 +425,7 @@ class ContractionSolver:
         K, V = len(self.cases), self.potential
         going = self._cases(cases)
         grad, hess = derivatives or _at_cases(V, u.values, going)
+        derivatives = None  # grad and hess are its last holders
         force = _force(u, self.interaction, V, self.lam, grad)
         res = _sup(force).tolist()
         history, fallback = [[] for _ in range(K)], [False] * K
@@ -472,7 +490,10 @@ class ContractionSolver:
             if not running:
                 break
             if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
-                u, newton, fallback, derivatives = self.newton_polish(u, running, derivatives)
+                # the polish holds u and its derivatives last, to free them early
+                handed, u, u_next, derivatives = [u, derivatives], None, None, None
+                u, newton, fallback, derivatives = self.newton_polish(
+                    handed.pop(0), running, handed.pop())
             u_next, derivatives = self.phi_step(u, running, derivatives)
             running = [c for c in running if c not in self.failures]
             delta = _sup(u_next.values - u.values).tolist()

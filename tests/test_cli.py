@@ -602,6 +602,21 @@ class TestConfigValues:
         self.run(tmp_path, capsys, "hyperbolicity",
                  {"potential": {"family": "cosine"}, "hyperbolicity": hyp}, name)
 
+    @pytest.mark.parametrize("value", [True, "x"])
+    @pytest.mark.parametrize("source", ["anchors", "solution"])
+    def test_hyperbolicity_reads_solve_tol(self, source, value, tmp_path, capsys):
+        # tol sets the default orbit_tol on every path, not only the solve's
+        hyp = {"use_anchor_configuration": True, "lam": 20.0, "rho": 1.0,
+               "half_width": 4}
+        if source == "solution":
+            solved = tmp_path / "sol"
+            assert main(["solve", "--config", solve_config(tmp_path),
+                         "--out", str(solved)]) == 0
+            hyp = {"solution": str(solved / "solution.csv"), "lam": 20.0, "rho": 1.0}
+        self.run(tmp_path, capsys, "hyperbolicity",
+                 {"potential": {"family": "cosine"}, "hyperbolicity": hyp,
+                  "solve": {"tol": value}}, "solve.tol must be a number")
+
     def test_solution_lam_must_be_a_number(self, tmp_path, capsys):
         hyp = {"solution": str(tmp_path / "missing.csv"), "lam": True, "rho": 1.0}
         self.run(tmp_path, capsys, "hyperbolicity",

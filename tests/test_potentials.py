@@ -129,9 +129,7 @@ BLOCKED = {
 class TestBlockedEvaluator:
     """V evaluates its rows in blocks of at most V._block_rows; every row
     must come out as it does alone, at any count of rows around a block's
-    edge. The d > 1 trig-sum angles are a matmul, whose rows agree in
-    every batch of two rows or more but not alone: there a row must come
-    out as it does in a batch of two."""
+    edge."""
 
     @settings(max_examples=25, deadline=None)
     @given(name=st.sampled_from(sorted(BLOCKED)),
@@ -150,13 +148,11 @@ class TestBlockedEvaluator:
         # one unblocked kernel call over the whole batch
         whole = V._kernel(x, True, True)
         assert g.tobytes() == whole[0].tobytes() and H.tobytes() == whole[1].tobytes()
-        copies = 2 if name == "trig-2d" else 1
-        alone = [np.repeat(row[None], copies, axis=0) for row in x]
-        pairs = [V.derivatives(a) for a in alone]
-        assert g.tobytes() == np.concatenate([a[:1] for a, _ in pairs]).tobytes()
-        assert H.tobytes() == np.concatenate([a[:1] for _, a in pairs]).tobytes()
-        assert g.tobytes() == np.concatenate([V.gradient(a)[:1] for a in alone]).tobytes()
-        assert H.tobytes() == np.concatenate([V.hessian(a)[:1] for a in alone]).tobytes()
+        alone = [V.derivatives(row[None]) for row in x]
+        assert g.tobytes() == np.concatenate([a for a, _ in alone]).tobytes()
+        assert H.tobytes() == np.concatenate([a for _, a in alone]).tobytes()
+        assert g.tobytes() == np.concatenate([V.gradient(row[None]) for row in x]).tobytes()
+        assert H.tobytes() == np.concatenate([V.hessian(row[None]) for row in x]).tobytes()
         # leading axes of the points stay in the outputs
         g2, H2 = V.derivatives(x[None])
         assert g2.shape == (1, n, V.dimension) and g2.tobytes() == g.tobytes()
@@ -169,6 +165,19 @@ class TestBlockedEvaluator:
             assert g.shape == (V.dimension,) and H.shape == (V.dimension, V.dimension)
             assert g.tobytes() == V.gradient(x[None])[0].tobytes()
             assert H.tobytes() == V.hessian(x[None])[0].tobytes()
+
+    def test_d2_rows_alone(self):
+        # the d > 1 angles are a matmul, which numpy runs otherwise for one
+        # row than for many: each row, alone or as a point, keeps its bits
+        V = BLOCKED["trig-2d"]
+        x = np.random.default_rng(8).uniform(-50.0, 50.0, size=(200, 2))
+        g, H = V.derivatives(x)
+        value = V.value(x)
+        for k, row in enumerate(x):
+            for one, at in ((row[None], slice(k, k + 1)), (row, k)):
+                g1, H1 = V.derivatives(one)
+                assert g1.tobytes() == g[at].tobytes() and H1.tobytes() == H[at].tobytes()
+                assert V.value(one).tobytes() == value[at].tobytes()
 
     def test_angles_match_matmul_in_d1(self):
         # the d = 1 angles are a product, bit for bit the matmul's, and
@@ -836,9 +845,8 @@ class TestLocalInverse:
         still = np.setdiff1d(np.arange(n), moved)
         for a, b in ((y, start), (g, grad), (h, hess)):
             assert a[still].tobytes() == b[still].tobytes()
-        if d == 1:  # a d = 1 row does not depend on its batch
-            assert g.tobytes() == V.gradient(y).tobytes()
-            assert h.tobytes() == V.hessian(y).tobytes()
+        assert g.tobytes() == V.gradient(y).tobytes()  # a row does not
+        assert h.tobytes() == V.hessian(y).tobytes()   # depend on its batch
         # all rows at their roots and no row moved: no V row at all
         calls.clear()
         again = local_inverse_batch(V, centers, targets, cert, tol=1e-14, start=y,
@@ -873,6 +881,99 @@ class TestLocalInverse:
         targets[0, 0], targets[1, 0], targets[2, 0] = 0.1, 0.9, -0.2
         with pytest.raises(ConvergenceError, match="row 1"):
             local_inverse_batch(V, centers, targets, cert)
+
+
+def _unit_cert(d, r=np.pi / 4):
+    return AubryCertificate(sampler=FiniteZeroSet(np.zeros((1, d)), -1.0, 1.0),
+                            covering_radius=np.pi / 2 * np.sqrt(d), ball_radius=r,
+                            expansion=np.cos(np.pi / 4))
+
+
+class _SingularBeyond:
+    """psi(y) = y + y^3 in d = 2, whose hessian diag(1 + 3 y^2) is replaced
+    by 0 where y_0 > 1/2: a row whose first step lands there fails in the
+    second step with a singular hessian."""
+
+    dimension = 2
+
+    def derivatives(self, x):
+        x = np.asarray(x, dtype=float)
+        H = np.zeros(x.shape + (2,))
+        H[..., [0, 1], [0, 1]] = (1 + 3 * x**2) * (x[..., :1] <= 0.5)
+        return x + x**3, H
+
+
+class _PathDependent:
+    """psi(y) = y in d = 1 with hessians chosen so that Newton from 0.625
+    and from -0.5 meets at 0.5, each with its own bracket, and leaves both
+    brackets there."""
+
+    dimension = 1
+
+    def derivatives(self, x):
+        x = np.asarray(x, dtype=float)
+        return x, np.select([x == 0.625, x == -0.5, x == 0.5], [5.0, 0.5, 0.125], 1.0)[..., None]
+
+
+class TestRepeatedRows:
+    """With group, local_inverse_batch iterates the rows still open after
+    the first step once per distinct (y, target, centre, tol) and, in
+    d = 1, bracket, and copies the result to the repeats: every row comes
+    out as it does without grouping, bit for bit, and an error names the
+    row it names without."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_repeats_get_the_distinct_rows_bytes(self, d, rng):
+        V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
+        cert, distinct = _unit_cert(d), 12
+        centers = np.pi * rng.integers(-3, 4, size=(distinct, d))
+        rm = cert.admissible_radius / np.sqrt(d)
+        targets = rng.uniform(-rm, rm, size=(distinct, d))
+        start = centers + rng.uniform(-0.5, 0.5, size=(distinct, d))
+        tol = np.where(np.arange(distinct) % 3, 1e-12, 1e-14)
+        # the first six rows twice with another tolerance
+        pick = np.concatenate([rng.integers(0, distinct, 300), np.arange(6)])
+        tols = np.concatenate([tol[pick[:300]], np.full(6, 1e-10)])
+        want = local_inverse_batch(V, centers[pick], targets[pick], cert, tol=tols,
+                                   start=start[pick], derivatives=True)
+        alone = local_inverse_batch(V, centers, targets, cert, tol=tol, start=start,
+                                    derivatives=True)
+        calls, evaluate = [], V.derivatives
+        V.derivatives = lambda x: calls.append(len(x)) or evaluate(x)
+        got = local_inverse_batch(V, centers[pick], targets[pick], cert, tol=tols,
+                                  start=start[pick], derivatives=True, group=True)
+        for a, b, c in zip(got, want, alone):
+            assert a.tobytes() == b.tobytes()
+            assert a[:300].tobytes() == c[pick[:300]].tobytes()
+        assert calls[0] == len(pick) and len(calls) > 2
+        assert max(calls[1:]) <= distinct + 6
+
+    def test_bracket_is_part_of_a_row(self):
+        # both rows are at 0.5 after the first step, brackets [-1, 0.625]
+        # and [-0.5, 1]; bisection then ends them at -0.25 (within tol) and 0
+        args = (_PathDependent(), np.zeros((2, 1)), np.zeros((2, 1)), _unit_cert(1, r=1.0))
+        kwargs = {"tol": 0.3, "start": np.array([[0.625], [-0.5]])}
+        y = local_inverse_batch(*args, **kwargs, group=True)
+        assert y.tolist() == [[-0.25], [0.0]]
+        assert y.tobytes() == local_inverse_batch(*args, **kwargs).tobytes()
+
+    @pytest.mark.parametrize("kind", ["no-root-1d", "max-iter-2d", "singular-2d"])
+    def test_errors_name_the_lowest_repeat(self, kind):
+        # rows 1, 3 and 5 repeat one failing row, rows 0 and 4 a good one
+        if kind == "singular-2d":
+            V, cert, bad, match = _SingularBeyond(), _unit_cert(2, r=1.0), 0.6, "singular"
+        else:
+            d = 1 if kind == "no-root-1d" else 2
+            V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
+            cert, bad = _unit_cert(d), 0.9
+            match = "no root" if d == 1 else "after 100 steps"
+        d = V.dimension
+        targets = np.zeros((6, d))
+        targets[:, 0] = 0.3, bad, -0.2, bad, 0.3, bad
+        for group in (False, True):
+            with pytest.raises(ConvergenceError, match=f"row 1\\b.*{match}") as got:
+                local_inverse_batch(V, np.zeros((6, d)), targets, cert, group=group)
+            assert got.value.row == 1
 
 
 class TestSigmaMin:

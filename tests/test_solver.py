@@ -699,6 +699,45 @@ class TestStackedSolve:
         assert "row 3: no root" in str(solver.failures[2])
         assert solver.failures[2].row == 3
 
+    def test_repeated_case_fails_like_its_twin(self, nn_interaction, cos_potential):
+        # cases 1 and 2 are one case twice: the stacked local inverse solves
+        # their rows once, names the first chain's row and, run again
+        # without it, the second's
+        cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2,
+                                np.pi / 4, 0.99)
+        params = _grid((40.0, 4.2, 4.2), (0.618,), 16) + _grid((11.0,), (0.3,), 16)
+        statuses = _assert_batch_matches_alone(nn_interaction, cos_potential,
+                                               cert, params, 4)
+        assert statuses == ["ok", "ConvergenceError", "ConvergenceError", "ok"]
+        solver = ContractionSolver(nn_interaction, cos_potential, cert, params)
+        solver.solve()
+        assert sorted(solver.failures) == [1, 2]
+        assert all(solver.failures[c].row == 3 for c in (1, 2))
+
+    def test_sweep_grid_at_one_lam(self, monkeypatch):
+        # the sweep benchmark's rhos at one lam share most local problems
+        # across chains; the last case repeats rho = 0.3 at another
+        # inner_tol, so its rows match the other's in all but tol
+        from antifk import estimate_aubry, truncated_almost_periodic
+        from antifk import solver as solver_module
+
+        V = truncated_almost_periodic(8, 0.5)
+        cert = estimate_aubry(V, (-200.0, 200.0))
+        params = _grid((24.0,), (0.1, 0.2, 0.3, 0.4, 0.5), 256) + _grid(
+            (24.0,), (0.3,), 256, inner_tol=1e-13)
+        grouped, inverse = [], solver_module.local_inverse_batch
+
+        def spy(*args, group=False, **kwargs):
+            grouped.append(group)
+            return inverse(*args, group=group, **kwargs)
+
+        monkeypatch.setattr(solver_module, "local_inverse_batch", spy)
+        statuses = _assert_batch_matches_alone(
+            NearestNeighborInteraction(), V, cert, params, len(params))
+        assert statuses == ["ok"] * 6
+        # the batch's steps group, each case alone does not
+        assert grouped[:3] == [True] * 3 and not any(grouped[3:])
+
     def test_local_inverse_failure_on_handed_values(self, nn_interaction,
                                                     cos_potential):
         # with the overstated expansion above, lam = 5 fails in the second
@@ -912,25 +951,38 @@ def _count_rows_outside_inverse(monkeypatch, V):
     return rows
 
 
+def _runs(values) -> int:
+    """Runs of bit-equal rows along the site axis of a stack (n, K, d),
+    summed over its chains."""
+    bits = values.view(np.uint64)
+    return values.shape[1] + int((bits[1:] != bits[:-1]).any(axis=-1).sum())
+
+
 class TestDerivativeReuse:
     """Each step hands grad V and hess V at the chains it produced to the
     next: the local inverse's last evaluations serve the next tube-map
     step's first local-inverse iteration, the Newton polish's entry force
     and C blocks and the residual check, and the polish's evaluations at
-    its chains serve the closing step. Outside the local inverse V is
-    evaluated only at the Newton steps' own iterates, in one fused
-    V.derivatives call each, and only at the chains of running cases."""
+    its chains serve the closing step. The first step evaluates V once per
+    run of equal anchors along a chain. Outside the local inverse V is
+    evaluated only there and at the Newton steps' own iterates, in one
+    fused V.derivatives call each, and only at the chains of running
+    cases."""
 
     def test_one_case(self, monkeypatch, nn_interaction):
         from antifk import cosine_certificate, cosine_potential
 
         V, params = cosine_potential(), make_params(lam=40.0, rho=0.618, n=256)
+        cert = cosine_certificate()
+        runs = _runs(ContractionSolver(nn_interaction, V, cert, [params]).anchors.values)
         rows = _count_rows_outside_inverse(monkeypatch, V)
-        _, rep = solve_equilibrium(params, nn_interaction, V, cosine_certificate())
+        _, rep = solve_equilibrium(params, nn_interaction, V, cert)
         n, steps = 513, len(rep.newton_steps)
         assert rep.iterations == 3 and not rep.newton_fallback and steps >= 2
-        # per Newton step the new iterate's force and next C blocks
-        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
+        assert 1 < runs < n
+        # the first step's runs; per Newton step the new iterate's force
+        # and next C blocks
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": runs + n * steps}
 
     def test_sweep_batch(self, monkeypatch):
         # the first batch of the sweep benchmark's grid, in lockstep
@@ -939,20 +991,20 @@ class TestDerivativeReuse:
         V = truncated_almost_periodic(8, 0.5)
         cert = estimate_aubry(V, (-200.0, 200.0))
         params = _grid((24.0, 32.0), (0.1, 0.2, 0.3, 0.4, 0.5), 256)[:7]
-        rows = _count_rows_outside_inverse(monkeypatch, V)
-        outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert,
-                                     params).solve()
-        reps = [rep for _, rep in outcomes]
+        solver = ContractionSolver(NearestNeighborInteraction(), V, cert, params)
+        rows, runs = _count_rows_outside_inverse(monkeypatch, V), _runs(solver.anchors.values)
+        reps = [rep for _, rep in solver.solve()]
         steps = {len(rep.newton_steps) for rep in reps}
         assert {rep.iterations for rep in reps} == {3} and len(steps) == 1
         assert not any(rep.newton_fallback for rep in reps)
         n, [steps] = 7 * 513, steps
-        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
+        assert 7 < runs < n
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": runs + n * steps}
 
     def test_closing_step_evaluates_no_rows(self, monkeypatch):
         # the polish ends every chain of the sweep batch below tol, so the
         # closing step's local inverse ends every row on the values the
-        # polish handed on
+        # polish handed on; the first two steps evaluate V
         from antifk import estimate_aubry, truncated_almost_periodic
 
         V = truncated_almost_periodic(8, 0.5)
@@ -971,7 +1023,7 @@ class TestDerivativeReuse:
         monkeypatch.setattr(ContractionSolver, "phi_step", spy)
         outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert, params).solve()
         assert all(rep.iterations == 3 for _, rep in outcomes)
-        assert made[0] > made[1] > 0 and made[2] == 0
+        assert made[0] > 0 and made[1] > 0 and made[2] == 0
 
     def test_step_derivatives_are_fresh_values(self, monkeypatch, nn_interaction,
                                                cos_potential, cos_cert):
