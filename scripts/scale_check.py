@@ -33,7 +33,7 @@ of V.gradient and V.hessian that the solves evaluate (a fused
 V.derivatives call counting for both) show the kernel work, and
 ``inverse_rows`` and ``outside_inverse_rows`` split them into those
 evaluated inside the solver's local_inverse_batch and those outside it
-(the first step's runs of equal anchors, the Newton polish). Its
+(the Newton polish). Its
 ``epilogue_s`` times, at the same batch sizes, the work ``antifk
 sweep`` does on each batch after the solve: the solve reports (whose
 distances to the rotation share one tail probe) and the hyperbolicity

@@ -102,7 +102,7 @@ class TrigSumPotential:
         else:  # a one-row matmul rounds otherwise, so one row runs as two
             rows = x.reshape(-1, self.dimension)
             th = (rows[[0, 0]] if len(rows) == 1 else rows) @ self.frequencies.T
-            th = th[:len(rows)].reshape(x.shape[:-1] + (-1,))
+            th = th[:len(rows)].reshape(x.shape[:-1] + self.phases.shape)
         return th + self.phases  # also when 0: it turns -0.0 into +0.0
 
     def value(self, x):
@@ -971,10 +971,21 @@ def _lowest_twin(rows, columns) -> np.ndarray:
     return lead
 
 
+def _at_runs(V, y, chains: int) -> tuple:
+    """V.derivatives(y) from V at the first of each run of bit-equal rows
+    along each of the chains the rows interleave (row = site * chains + j)."""
+    bits = y.view(np.uint64).reshape(-1, max(chains, 1), y.shape[1])
+    first = np.ones(bits.shape[:2], bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=-1)
+    # the position in y[first] of each row's run, site-major like y
+    run = np.maximum.accumulate(np.where(first, np.cumsum(first).reshape(first.shape) - 1, 0))
+    return tuple(a[run.ravel()] for a in V.derivatives(y[first.ravel()]))
+
+
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
                         start: np.ndarray | None = None, *,
-                        derivatives: bool = False, at_start=None, group: bool = False):
+                        derivatives: bool = False, at_start=None, chains: int = 1):
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
     zero centers_k by safeguarded Newton, vectorised over rows.
 
@@ -999,10 +1010,13 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     call only reads those arrays. With ``derivatives``, returns (y, grad
     V(y), hessian V(y)), shapes (rows, d) and (rows, d, d), from those
     evaluations. As V computes its rows independently of their batch, they
-    equal a fresh evaluation at y bit for bit. With ``group``, only the
+    equal a fresh evaluation at y bit for bit. The rows interleave
+    ``chains`` chains (row = site * chains + j), and a row's bits fix its
+    problem: without ``at_start`` the first call evaluates V once per run of
+    bit-equal rows along a chain, and over more than one chain only the
     lowest of the rows still open after the first step whose state (y, t,
-    z, tol, in d = 1 bracket) agrees bit for bit iterates, and the others
-    take its results on return: each row ends, or fails, as it would alone.
+    z, tol, in d = 1 bracket) agrees bit for bit iterates, the others
+    taking its results on return: each row ends, or fails, as it would alone.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -1020,14 +1034,14 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     rows = np.arange(len(centers))  # rows still open
     merged = rows[:0], rows[:0]  # rows merged into a lower one, and that row
     for k in range(INVERSE_MAX_ITER + 1):
-        if k == 1 and group:  # one Newton path per group, led by its lowest row
+        if k == 1 and chains > 1:  # one Newton path per group, led by its lowest row
             lead = _lowest_twin(rows, [*y.T, *targets.T, *centers.T] + (
                 [lo, hi] if d == 1 else []) + ([tol] if tol.ndim else []))
             merged, rows = (rows[lead != rows], lead[lead != rows]), rows[lead == rows]
         at = rows if k else slice(None)  # every row is open: views, not copies
         yk = y[at]
         if k or at_start is None:
-            g, H = V.derivatives(yk)
+            g, H = V.derivatives(yk) if k else _at_runs(V, y, chains)
         else:  # the caller's values, but at a row that the projection moved
             g, H = np.reshape(at_start[0], y.shape), np.reshape(at_start[1], (-1, d, d))
             moved = (y != np.reshape(start, y.shape)).any(axis=1)

@@ -155,19 +155,6 @@ def _at_cases(V, x: np.ndarray, cases, base=(None, None)) -> tuple:
                  for a, b, rank in zip(V.derivatives(part.reshape(-1, d)), base, (0, 1)))
 
 
-def _at_runs(V, x: np.ndarray, cases) -> tuple:
-    """(grad V, hess V) at the chains of cases of the stack x, as _at_cases,
-    from V at the first row of each run of bit-equal rows along a chain's
-    site axis: at its anchors a chain stays on one zero for many sites."""
-    part = x if len(cases) == x.shape[1] else x[:, cases]
-    bits = part.view(np.uint64)
-    first = np.ones(part.shape[:2], bool)
-    first[1:] = (bits[1:] != bits[:-1]).any(axis=-1)
-    # the position in part[first] of the row's run, site-major like part[first]
-    run = np.maximum.accumulate(np.where(first, np.cumsum(first).reshape(first.shape) - 1, 0))
-    return tuple(_widen(a[run], cases, x.shape[1]) for a in V.derivatives(part[first]))
-
-
 def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
     """F(u)_i = Delta(u)_i + lam * grad V(u_i) at the window sites, (n, d),
     with neighbors outside the window supplied by the tail rule; for
@@ -344,9 +331,8 @@ class ContractionSolver:
         and hess (n, K, d, d) hold grad V and hess V at each chain of v
         that the step produced, as the local inverse last evaluated them or
         took them from derivatives, the same arrays at u, if given; at every
-        other chain their values are unspecified. Without derivatives, V is
-        evaluated once per run of bit-equal rows along each chain of u; the
-        local inverse of several chains solves each distinct problem once.
+        other chain their values are unspecified. The local inverse solves
+        each distinct local problem of the step once (local_inverse_batch).
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -370,8 +356,6 @@ class ContractionSolver:
                     site=site, norm=float(worst[c]), limit=limit,
                 )
         n, K, d = u.values.shape
-        derivatives = derivatives or _at_runs(self.potential, u.values,
-                                              [c for c in cases if c not in ended])
         while True:
             going = [c for c in cases if c not in ended]
             sel = self._sel(going)
@@ -382,7 +366,8 @@ class ContractionSolver:
                     targets[:, sel].reshape(-1, d), self.cert,
                     tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
                     start=u.values[:, sel].reshape(-1, d), derivatives=True,
-                    at_start=tuple(x[:, sel] for x in derivatives), group=len(going) > 1)
+                    at_start=derivatives and tuple(x[:, sel] for x in derivatives),
+                    chains=len(going))
                 break
             except ConvergenceError as exc:  # row = site * len(going) + j
                 site, j = divmod(exc.row, len(going))
@@ -490,7 +475,8 @@ class ContractionSolver:
             if not running:
                 break
             if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
-                # the polish holds u and its derivatives last, to free them early
+                # popped from a list into the call, so the polish holds the last references
+                # to u and its derivatives and frees them early (BENCH_23.json: solve-1d RSS)
                 handed, u, u_next, derivatives = [u, derivatives], None, None, None
                 u, newton, fallback, derivatives = self.newton_polish(
                     handed.pop(0), running, handed.pop())

@@ -131,6 +131,24 @@ class TestSolve:
         cfg = solve_config(tmp_path, lam=0.5)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
+    def test_weak_coupling_exits_4_in_d2(self, tmp_path, capsys):
+        # cos x + cos y on pi Z^2: the first step's target leaves the
+        # admissible ball, so the step's local inverse has no rows
+        axis = [j * np.pi for j in range(-6, 7)]
+        cert = write_config(tmp_path / "cert.json", {
+            "zero_set": {"kind": "finite", "points": [[x, y] for x in axis for y in axis],
+                         "lo": [-16.0, -16.0], "hi": [16.0, 16.0]},
+            "covering_radius": np.pi / np.sqrt(2.0), "ball_radius": np.pi / 4,
+            "expansion": np.cos(np.pi / 4)})
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "trig-sum", "terms": [
+                {"amplitude": 1.0, "frequency": [1.0, 0.0], "phase": 0.0},
+                {"amplitude": 1.0, "frequency": [0.0, 1.0], "phase": 0.0}]},
+            "certificate": {"path": cert},
+            "solve": {"lam": 0.5, "rho": [0.61, 0.47], "half_width": 8, "tol": 1e-10}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "coupling too weak" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("tol", float("inf")), ("tol", float("nan")), ("lam", float("nan")),
         ("lam", float("inf")), ("lam", -float("inf")), ("rho", float("nan")),

@@ -166,6 +166,12 @@ class TestBlockedEvaluator:
             assert g.tobytes() == V.gradient(x[None])[0].tobytes()
             assert H.tobytes() == V.hessian(x[None])[0].tobytes()
 
+    def test_no_rows(self):
+        for V in BLOCKED.values():
+            g, H = V.derivatives(np.empty((0, V.dimension)))
+            assert g.shape == (0, V.dimension) and H.shape == (0, V.dimension, V.dimension)
+            assert V.value(np.empty((0, V.dimension))).shape == (0,)
+
     def test_d2_rows_alone(self):
         # the d > 1 angles are a matmul, which numpy runs otherwise for one
         # row than for many: each row, alone or as a point, keeps its bits
@@ -916,11 +922,12 @@ class _PathDependent:
 
 
 class TestRepeatedRows:
-    """With group, local_inverse_batch iterates the rows still open after
-    the first step once per distinct (y, target, centre, tol) and, in
-    d = 1, bracket, and copies the result to the repeats: every row comes
-    out as it does without grouping, bit for bit, and an error names the
-    row it names without."""
+    """Over more than one chain, local_inverse_batch iterates the rows
+    still open after the first step once per distinct (y, target, centre,
+    tol) and, in d = 1, bracket, and copies the result to the repeats:
+    every row comes out as it does without grouping, bit for bit, and an
+    error names the row it names without. Its first step evaluates V once
+    per run of equal rows along a chain."""
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_repeats_get_the_distinct_rows_bytes(self, d, rng):
@@ -941,19 +948,42 @@ class TestRepeatedRows:
         calls, evaluate = [], V.derivatives
         V.derivatives = lambda x: calls.append(len(x)) or evaluate(x)
         got = local_inverse_batch(V, centers[pick], targets[pick], cert, tol=tols,
-                                  start=start[pick], derivatives=True, group=True)
+                                  start=start[pick], derivatives=True, chains=2)
         for a, b, c in zip(got, want, alone):
             assert a.tobytes() == b.tobytes()
             assert a[:300].tobytes() == c[pick[:300]].tobytes()
-        assert calls[0] == len(pick) and len(calls) > 2
+        assert calls[0] <= len(pick) and len(calls) > 2
         assert max(calls[1:]) <= distinct + 6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_first_step_evaluates_each_run_once(self, d, rng):
+        # three chains, site-major, started at their anchors, which stay on
+        # one zero for runs of sites: the first V call takes the first row
+        # of each run along a chain, and every row comes out as from V's
+        # values at all the start rows
+        V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
+        cert, K = _unit_cert(d), 3
+        anchors = np.pi * np.repeat(rng.integers(-2, 3, size=(12, K, d)), 4, axis=0)
+        runs = K + int((anchors[1:] != anchors[:-1]).any(axis=-1).sum())
+        rm = cert.admissible_radius / np.sqrt(d)
+        centers = anchors.reshape(-1, d)
+        targets = rng.uniform(-rm, rm, size=centers.shape)
+        want = local_inverse_batch(V, centers, targets, cert, start=centers, derivatives=True,
+                                   at_start=V.derivatives(centers), chains=K)
+        calls, evaluate = [], V.derivatives
+        V.derivatives = lambda x: calls.append(len(x)) or evaluate(x)
+        got = local_inverse_batch(V, centers, targets, cert, start=centers,
+                                  derivatives=True, chains=K)
+        assert calls[0] == runs < len(centers)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_bracket_is_part_of_a_row(self):
         # both rows are at 0.5 after the first step, brackets [-1, 0.625]
         # and [-0.5, 1]; bisection then ends them at -0.25 (within tol) and 0
         args = (_PathDependent(), np.zeros((2, 1)), np.zeros((2, 1)), _unit_cert(1, r=1.0))
         kwargs = {"tol": 0.3, "start": np.array([[0.625], [-0.5]])}
-        y = local_inverse_batch(*args, **kwargs, group=True)
+        y = local_inverse_batch(*args, **kwargs, chains=2)
         assert y.tolist() == [[-0.25], [0.0]]
         assert y.tobytes() == local_inverse_batch(*args, **kwargs).tobytes()
 
@@ -970,9 +1000,9 @@ class TestRepeatedRows:
         d = V.dimension
         targets = np.zeros((6, d))
         targets[:, 0] = 0.3, bad, -0.2, bad, 0.3, bad
-        for group in (False, True):
+        for chains in (1, 2):
             with pytest.raises(ConvergenceError, match=f"row 1\\b.*{match}") as got:
-                local_inverse_batch(V, np.zeros((6, d)), targets, cert, group=group)
+                local_inverse_batch(V, np.zeros((6, d)), targets, cert, chains=chains)
             assert got.value.row == 1
 
 

@@ -142,6 +142,20 @@ class TestPhiStep:
         assert isinstance(solver.failures[0], DomainError)
         assert solver.failures[0].site is not None
 
+    @pytest.mark.parametrize("cases", [1, 2])
+    def test_domain_error_when_coupling_too_weak_d2(self, cases):
+        # every case of the step fails its domain check, so its local
+        # inverse has no rows
+        nn, V, cert, _ = _cos2d_case()
+        params = [SolveParams(lam=0.5, rho=list(rho), window=8)
+                  for rho in ((0.41, 0.53), (0.2, 0.7))][:cases]
+        solver = ContractionSolver(nn, V, cert, params)
+        out, _ = solver.phi_step(solver.anchors)
+        assert out.values.tobytes() == solver.anchors.values.tobytes()
+        assert sorted(solver.failures) == list(range(cases))
+        assert all(isinstance(e, DomainError) and e.site is not None
+                   for e in solver.failures.values())
+
     @pytest.mark.parametrize("excess, admitted", [(1e-10, False), (0.0, True)])
     def test_one_admissible_radius(self, cos_potential, cos_cert, excess, admitted):
         # phi_step and local_inverse share one limit, admissible_radius: r m
@@ -725,18 +739,18 @@ class TestStackedSolve:
         cert = estimate_aubry(V, (-200.0, 200.0))
         params = _grid((24.0,), (0.1, 0.2, 0.3, 0.4, 0.5), 256) + _grid(
             (24.0,), (0.3,), 256, inner_tol=1e-13)
-        grouped, inverse = [], solver_module.local_inverse_batch
+        chains, inverse = [], solver_module.local_inverse_batch
 
-        def spy(*args, group=False, **kwargs):
-            grouped.append(group)
-            return inverse(*args, group=group, **kwargs)
+        def spy(*args, **kwargs):
+            chains.append(kwargs["chains"])
+            return inverse(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "local_inverse_batch", spy)
         statuses = _assert_batch_matches_alone(
             NearestNeighborInteraction(), V, cert, params, len(params))
         assert statuses == ["ok"] * 6
-        # the batch's steps group, each case alone does not
-        assert grouped[:3] == [True] * 3 and not any(grouped[3:])
+        # the batch's steps group its six chains, each case alone is one
+        assert chains[:3] == [6] * 3 and set(chains[3:]) == {1}
 
     def test_local_inverse_failure_on_handed_values(self, nn_interaction,
                                                     cos_potential):
@@ -951,38 +965,25 @@ def _count_rows_outside_inverse(monkeypatch, V):
     return rows
 
 
-def _runs(values) -> int:
-    """Runs of bit-equal rows along the site axis of a stack (n, K, d),
-    summed over its chains."""
-    bits = values.view(np.uint64)
-    return values.shape[1] + int((bits[1:] != bits[:-1]).any(axis=-1).sum())
-
-
 class TestDerivativeReuse:
     """Each step hands grad V and hess V at the chains it produced to the
     next: the local inverse's last evaluations serve the next tube-map
     step's first local-inverse iteration, the Newton polish's entry force
     and C blocks and the residual check, and the polish's evaluations at
-    its chains serve the closing step. The first step evaluates V once per
-    run of equal anchors along a chain. Outside the local inverse V is
-    evaluated only there and at the Newton steps' own iterates, in one
-    fused V.derivatives call each, and only at the chains of running
-    cases."""
+    its chains serve the closing step. Outside the local inverse V is
+    evaluated only at the Newton steps' own iterates, in one fused
+    V.derivatives call each, and only at the chains of running cases."""
 
     def test_one_case(self, monkeypatch, nn_interaction):
         from antifk import cosine_certificate, cosine_potential
 
         V, params = cosine_potential(), make_params(lam=40.0, rho=0.618, n=256)
-        cert = cosine_certificate()
-        runs = _runs(ContractionSolver(nn_interaction, V, cert, [params]).anchors.values)
         rows = _count_rows_outside_inverse(monkeypatch, V)
-        _, rep = solve_equilibrium(params, nn_interaction, V, cert)
+        _, rep = solve_equilibrium(params, nn_interaction, V, cosine_certificate())
         n, steps = 513, len(rep.newton_steps)
         assert rep.iterations == 3 and not rep.newton_fallback and steps >= 2
-        assert 1 < runs < n
-        # the first step's runs; per Newton step the new iterate's force
-        # and next C blocks
-        assert rows == {"gradient": 0, "hessian": 0, "derivatives": runs + n * steps}
+        # per Newton step the new iterate's force and next C blocks
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
 
     def test_sweep_batch(self, monkeypatch):
         # the first batch of the sweep benchmark's grid, in lockstep
@@ -991,15 +992,15 @@ class TestDerivativeReuse:
         V = truncated_almost_periodic(8, 0.5)
         cert = estimate_aubry(V, (-200.0, 200.0))
         params = _grid((24.0, 32.0), (0.1, 0.2, 0.3, 0.4, 0.5), 256)[:7]
-        solver = ContractionSolver(NearestNeighborInteraction(), V, cert, params)
-        rows, runs = _count_rows_outside_inverse(monkeypatch, V), _runs(solver.anchors.values)
-        reps = [rep for _, rep in solver.solve()]
+        rows = _count_rows_outside_inverse(monkeypatch, V)
+        outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert,
+                                     params).solve()
+        reps = [rep for _, rep in outcomes]
         steps = {len(rep.newton_steps) for rep in reps}
         assert {rep.iterations for rep in reps} == {3} and len(steps) == 1
         assert not any(rep.newton_fallback for rep in reps)
         n, [steps] = 7 * 513, steps
-        assert 7 < runs < n
-        assert rows == {"gradient": 0, "hessian": 0, "derivatives": runs + n * steps}
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
 
     def test_closing_step_evaluates_no_rows(self, monkeypatch):
         # the polish ends every chain of the sweep batch below tol, so the
