@@ -16,11 +16,15 @@ sites over the three largest sizes, which reads 1 for linear growth.
 A further row times ``estimate_aubry`` on the sweep benchmark's potential
 (the 8-term truncated almost-periodic series, amplitude ratio 0.5) over
 the search windows [-w, w] for w in 50, 200 and 800, with its log-log
-slope against the number of zeros found and the rows of V.gradient and
-V.hessian that one estimate evaluates. Its ``stages_s`` splits the time
-into the zero scan (grid scan and bisection polish), the ball radius
-(first-crossing scan and Lipschitz walk) and the zero check, each the
-best of REPEATS estimates, timed by wrapping the stage's function.
+slope against the number of zeros found and the calls and rows of
+V.gradient and V.hessian that one estimate makes. Its ``stages_s`` splits
+the time into the zero scan (grid scan and bisection polish), the ball
+radius (first-crossing scan and Lipschitz walks) and the zero check, each
+the best of REPEATS estimates, timed by wrapping the stage's function.
+The ``estimate_aubry_delone`` row does the same for one estimate on the
+Delone medium whose ball radius costs most: DELONE_BUMPS Gaussian bumps
+of width 0.45 on a Fibonacci chain (spacings 1 and 1.618), window one unit
+past the ends, with the ball radius it proves.
 
 The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
 that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
@@ -76,6 +80,7 @@ import antifk
 from antifk import (
     AubryCertificate,
     ContractionSolver,
+    DeloneBumpPotential,
     FiniteZeroSet,
     NearestNeighborInteraction,
     PerturbedQuadraticCoupling,
@@ -108,18 +113,21 @@ SWEEP_HALF_WIDTH = 256
 SWEEP_BATCHES = (1, 7, 25, 50)  # 50: one batch of the 5 x 10 grid
 MIXED_LAM, MIXED_HALF_WIDTH, MIXED_RHOS, MIXED_STALL = 64.0, 1024, (0.1, 2.4, 24), 50.0
 D2_HALF_WIDTHS, D2_RHO = (128, 512, 2048), (0.47, 0.58)
+DELONE_BUMPS = 100
 # the stages of a d = 1 estimate_aubry: (owner, attribute) of each function
 AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
                 "ball_radius": (potentials, "_ball_expansion_radius"),
                 "zero_check": (AubryCertificate, "check_zeros")}
 
 
-def count_rows(V, fn) -> tuple:
+def count_rows(V, fn, calls=None) -> tuple:
     """(gradient rows, hessian rows, rows evaluated inside the solver's
     local_inverse_batch) of the potential instance V during fn(), counted
     by wrapping its methods and the solver's local_inverse_batch for the
     call; a fused derivatives call (the local inverse's, the Newton
-    polish's) counts its rows for both."""
+    polish's) counts its rows for both. Given a dict calls, it also counts
+    the calls into calls["gradient"] and calls["hessian"], a fused call
+    for both."""
     rows = {"gradient": 0, "hessian": 0, "inverse": 0}
     counts = {"gradient": ("gradient",), "hessian": ("hessian",),
               "derivatives": ("gradient", "hessian")}
@@ -129,6 +137,8 @@ def count_rows(V, fn) -> tuple:
         def wrapped(x):
             for kind in counts[name] + (("inverse",) if inside else ()):
                 rows[kind] += np.shape(x)[0]
+            for kind in counts[name] if calls is not None else ():
+                calls[kind] = calls.get(kind, 0) + 1
             return method(x)
         return wrapped
 
@@ -272,10 +282,12 @@ def d2_times() -> dict:
 
 def estimate_aubry_times() -> dict:
     V = truncated_almost_periodic(8, 0.5)
-    zeros, s, rows, stages = [], [], [], {name: [] for name in AUBRY_STAGES}
+    zeros, s, rows, calls = [], [], [], []
+    stages = {name: [] for name in AUBRY_STAGES}
     for w in AUBRY_WINDOWS:
+        calls.append({})
         rows.append(count_rows(V, lambda: zeros.append(
-            estimate_aubry(V, (-w, w)).metadata["zeros_found"])))
+            estimate_aubry(V, (-w, w)).metadata["zeros_found"]), calls[-1]))
         s.append(best_of(lambda: estimate_aubry(V, (-w, w))))
         runs = [stage_times(lambda: estimate_aubry(V, (-w, w))) for _ in range(REPEATS)]
         for name in AUBRY_STAGES:
@@ -291,8 +303,34 @@ def estimate_aubry_times() -> dict:
         "stages_s": stages,
         "ms_per_zero": [1e3 * t / z for t, z in zip(s, zeros)],
         "loglog_slope_vs_zeros": round(float(slope), 3),
+        "gradient_calls": [c.get("gradient", 0) for c in calls],
+        "hessian_calls": [c.get("hessian", 0) for c in calls],
         "gradient_rows": [g for g, *_ in rows],
         "hessian_rows": [h for _, h, _ in rows],
+    }
+
+
+def delone_times() -> dict:
+    phi = (1 + np.sqrt(5)) / 2
+    n = np.arange(1, DELONE_BUMPS)
+    long = np.floor(n / phi) - np.floor((n - 1) / phi)  # 1: a spacing of 1.618
+    points = np.cumsum(np.concatenate([[0.0], np.where(long == 1, 1.618, 1.0)]))
+    V = DeloneBumpPotential(points, width=0.45)
+    window, calls = (points[0] - 1.0, points[-1] + 1.0), {}
+    gradient_rows, hessian_rows, _ = count_rows(V, lambda: estimate_aubry(V, window), calls)
+    runs = [stage_times(lambda: estimate_aubry(V, window)) for _ in range(REPEATS)]
+    return {
+        "what": (f"estimate_aubry in process, best of {REPEATS}: {DELONE_BUMPS} "
+                 "Gaussian bumps of width 0.45 on a Fibonacci chain (spacings 1 "
+                 "and 1.618), search window one unit past the ends"),
+        "bumps": DELONE_BUMPS,
+        "s": best_of(lambda: estimate_aubry(V, window)),
+        "stages_s": {name: min(run[name] for run in runs) for name in AUBRY_STAGES},
+        "gradient_calls": calls.get("gradient", 0),
+        "hessian_calls": calls.get("hessian", 0),
+        "gradient_rows": gradient_rows,
+        "hessian_rows": hessian_rows,
+        "ball_radius": estimate_aubry(V, window).ball_radius,
     }
 
 
@@ -427,6 +465,7 @@ def scale_check() -> dict:
         "sites": sites.astype(int).tolist(),
         "layers": layers,
         "estimate_aubry": estimate_aubry_times(),
+        "estimate_aubry_delone": delone_times(),
         "sweep": sweep_times(),
         "d2": d2_times(),
         "src_lines": src_lines(),

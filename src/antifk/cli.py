@@ -191,7 +191,10 @@ def _estimate_certificate(block, potential, seed):
     kwargs = {k: v for k, v in block.items() if k != "search_window"}
     for k, v in kwargs.items():  # checked, passed on as written: metadata records them
         (_integer if k == "grid_points" else _number)(v, f"certification.{k}")
-    return estimate_aubry(potential, tuple(window), seed=seed, **kwargs)
+    try:
+        return estimate_aubry(potential, tuple(window), seed=seed, **kwargs)
+    except ValueError as exc:  # estimate_aubry names the argument it rejects
+        raise ConfigError(f"certification.{exc}") from exc
 
 
 def _json_text(obj, pad="\n"):

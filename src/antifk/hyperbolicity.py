@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CertificateError, ConvexityError
 from .interactions import NearestNeighborInteraction, QuadraticCoupling
-from .lattice import Configuration, stack_chains
+from .lattice import Configuration, _norms, stack_chains
 
 __all__ = [
     "LinearizationSite",
@@ -546,9 +546,7 @@ def _invert_coupling_gradient(coupling, target):
     w = t / max(coupling.convexity_bounds[0], 1e-12)
     for _ in range(_INVERT_MAX_ITER):
         f = coupling.gradient(w) - t
-        err = np.linalg.norm(f, axis=1)
-        scale = _INVERT_TOL * (1.0 + np.linalg.norm(t, axis=1))
-        if (err <= scale).all():
+        if (_norms(f) <= _INVERT_TOL * (1.0 + _norms(t))).all():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
             w = w - _solve(coupling.hessian(w), f)
@@ -618,8 +616,7 @@ def _orbit_deviation(values, p, gv, coupling, lam):
     (n, K, d) with lam a (K, 1) array, given gv = grad V at the sites but
     the last."""
     y, pn = _twist(values[:-1], p[:-1], gv, coupling, lam)
-    return np.maximum(np.linalg.norm(y - values[1:], axis=-1).max(axis=0),
-                      np.linalg.norm(pn - p[1:], axis=-1).max(axis=0))
+    return np.maximum(_norms(y - values[1:]).max(axis=0), _norms(pn - p[1:]).max(axis=0))
 
 
 def check_stack(u: Configuration, interaction, potential, lams, cert,

@@ -48,6 +48,12 @@ __all__ = [
 TAIL_PROBE = 64
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms of the rows of x (..., d): |x| for one column, which equals
+    sqrt(x * x) unless x * x under- or overflows."""
+    return np.abs(x[..., 0]) if x.shape[-1] == 1 else np.linalg.norm(x, axis=-1)
+
+
 @dataclass(frozen=True)
 class Window:
     """Symmetric site window {-half_width, ..., half_width}."""
@@ -95,7 +101,7 @@ class RotationVector:
         return np.multiply.outer(i, self.rho) if i.ndim else i * self.rho
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.rho))
+        return float(_norms(self.rho))
 
 
 def as_rotation(rho) -> RotationVector:
@@ -336,10 +342,10 @@ def ext_distances(u: Configuration, v: Configuration) -> list:
     on its longest producible prefix alone (_prefix_probe)."""
     if u.window != v.window:
         raise ValueError("configurations lie on different windows")
-    dist = np.linalg.norm(u.values - v.values, axis=-1).max(axis=0).tolist()
+    dist = _norms(u.values - v.values).max(axis=0).tolist()
     probed = []
     for k, (a, b) in enumerate(zip(u.tail.tails, v.tail.tails)):
-        if np.linalg.norm(np.asarray(a.slope) - np.asarray(b.slope)) > 0:
+        if _norms(np.asarray(a.slope) - np.asarray(b.slope)) > 0:
             dist[k] = float("inf")
         else:
             probed.append(k)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CertificateError, CertificationError, ConvergenceError, DomainError
 from .hyperbolicity import _solve, _sv
-from .lattice import _nearest_anchors
+from .lattice import _nearest_anchors, _norms
 
 __all__ = [
     "TrigSumPotential",
@@ -134,7 +134,7 @@ class TrigSumPotential:
         |phi_j| + M + 7) over the M terms, the first-order sum of the
         angle's two roundings, sin and cos within 4 ulp, and the einsum's
         products and sum."""
-        a, w = np.abs(self.amplitudes), np.linalg.norm(self.frequencies, axis=1)
+        a, w = np.abs(self.amplitudes), _norms(self.frequencies)
         e = a * np.maximum(w, w**2) * (w * reach + np.abs(self.phases) + len(a) + 7)
         return float(a @ w**3) * (1 + 1e-12), 2 * np.finfo(float).eps * float(e.sum())
 
@@ -409,16 +409,15 @@ class FiniteZeroSet:
         if not ((self.lo <= xs) & (xs <= self.hi)).all():  # inside: no slack needed
             tol = 1e-9 * (1.0 + np.abs(xs).max(axis=1, keepdims=True))
             bad = ((xs < self.lo - tol) | (xs > self.hi + tol)).any(axis=1)
-            if bad.any():
-                raise CertificateError(
-                    f"query {xs[bad.argmax()]} outside the validity box "
-                    f"[{self.lo}, {self.hi}] of a finite zero set", row=int(bad.argmax()))
+            if bad.any():  # lists print faster than numpy's arrayprint
+                j, box = int(bad.argmax()), [self.lo.tolist(), self.hi.tolist()]
+                raise CertificateError(f"query {xs[j].tolist()} outside the validity box "
+                                       f"{box} of a finite zero set", row=j)
 
     def points_near(self, x, radius: float) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         self._check_box(x[None])
-        mask = np.linalg.norm(self.points - x, axis=1) <= radius
-        return self.points[mask]
+        return self.points[_norms(self.points - x) <= radius]
 
     def nearest(self, xs, radius: float) -> np.ndarray:
         """Closest zero to each row of xs, ties (1e-12 relative) to the
@@ -466,8 +465,8 @@ class FiniteZeroSet:
         the left walks down to the lowest point within the tie margin."""
         keys, x = self._padded, xs[:, 0]  # keys[i] is the i-th point, 1-based
 
-        def dist(j):  # as the slab loop computes it; inf outside radius
-            d = np.sqrt((keys[j] - x) ** 2)
+        def dist(j):  # the row norm of one column, as _norms takes it; inf outside radius
+            d = np.abs(keys[j] - x)
             return np.where(d <= radius, d, np.inf)
 
         i = self._keys.searchsorted(x)
@@ -564,7 +563,7 @@ class AubryCertificate:
         """The number of representative zeros, after checking |psi| <=
         zero_tol at each; CertificationError if one fails."""
         zeros = self.representative_zeros()
-        worst_zero = float(np.linalg.norm(np.atleast_2d(V.gradient(zeros)), axis=1).max())
+        worst_zero = float(_norms(np.atleast_2d(V.gradient(zeros))).max())
         if worst_zero > self.zero_tol:
             raise CertificationError(
                 f"|psi| = {worst_zero:.3e} at a reported zero exceeds "
@@ -599,12 +598,11 @@ class AubryCertificate:
             draws = [(rng.uniform(-1.0, 1.0, size=(2 * pair_checks, d)),
                       rng.uniform(0, r, size=(2 * pair_checks, 1))) for _ in z]
             offsets, radii = (np.stack(a) for a in zip(*draws))
-            norms = np.linalg.norm(offsets, axis=-1, keepdims=True)
-            pts = z + offsets / np.maximum(norms, 1e-300) * radii
+            pts = z + offsets / np.maximum(_norms(offsets)[..., None], 1e-300) * radii
             g = V.gradient(pts.reshape(-1, d)).reshape(pts.shape)
             xs, ys = pts[:, :pair_checks], pts[:, pair_checks:]
-            lhs = np.linalg.norm(g[:, :pair_checks] - g[:, pair_checks:], axis=-1)
-            rhs = m * np.linalg.norm(xs - ys, axis=-1)
+            lhs = _norms(g[:, :pair_checks] - g[:, pair_checks:])
+            rhs = m * _norms(xs - ys)
             bad = lhs < rhs * (1 - 1e-12) - 1e-15
             if bad.any():
                 k, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -705,11 +703,10 @@ _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
 
 
 # Offsets per ball side of the d = 1 scan, and most steps of one walk. A
-# side's Lipschitz walk from its last passing offset recovers its crossing,
-# so the grid only sets where the walks start: 128 offsets scan a quarter
-# of the rows of 512, and on trig sums a walk stalls within a few dozen
-# steps. A loose L (many Delone bumps) makes every step short, and 512
-# steps keep such a walk within the rows a 512-offset scan spent per side.
+# walk recovers its side's crossing, so the grid only sets where walks
+# start; on trig sums a walk stalls within a few dozen steps, and 512 keep
+# the short steps of a loose L (many Delone bumps) within the rows a
+# 512-offset scan spent per side.
 _BALL_OFFSETS, _WALK_STEPS = 128, 512
 
 
@@ -725,14 +722,17 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
     proves |V''| >= m on [x - delta, x + delta] (mean value theorem). Each
     ball side z +- s_k, over the samples offsets s_k = linspace(0, r_cap,
     samples) of spacing h (estimate_aubry scans _BALL_OFFSETS), is scanned
-    with delta = h / 2: all sides at once in blocks of max(1, 2 samples //
-    sides) offsets. Every side that fails in a block walks from its last
-    passing offset, t += (|V''(z +- t)| - m - e) / L, each step proving the
-    interval it crosses, for at most _WALK_STEPS steps, up to the least
-    radius so far (a walk that stalls lowers it). The sides that pass the
-    block hold to h / 2 past it; once that reaches the least radius, or no
-    side is left, the scan stops. The radius is the least of the walks and
-    of r_cap.
+    with delta = h / 2: a round is one V.hessian call at the next max(1, 2
+    samples // sides) unproved offsets of each side still scanning, and an
+    offset within (|V''(x)| - thr - 2e) / L past a passing x (thr = m + e
+    + L h / 2) passes as computed, so it is proved without a call. Once
+    every side still scanning holds h / 2 past the least failure, the
+    failed sides walk together from their last passing offsets, t +=
+    (|V''(z +- t)| - m - e) / L, each step proving the interval it
+    crosses, for at most _WALK_STEPS steps, up to the least radius so far
+    (a walk that stalls lowers it); a side stops scanning once it holds
+    h / 2 past that. The radius is the least of the walks and of r_cap,
+    that of a scan of every offset, as each walk starts where it would.
 
     d > 1, sampled: bisection over r on samples random points of each
     ball."""
@@ -742,32 +742,42 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
         h, reach = r_cap / max(samples - 1, 1), float(np.abs(zeros).max()) + r_cap
         lip, e = V.hessian_lipschitz_bound(reach)
         e += lip * np.finfo(float).eps * reach
+        thr = m + e + lip * h / 2
         centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
-        block = max(1, 2 * samples // len(sign))  # offsets per block
+        block = np.arange(max(1, 2 * samples // len(sign)))  # a side's offsets in a round
+        nxt = np.zeros(len(sign), int)  # each side's first unproved offset, samples + 1: failed
+        held = np.concatenate([[-np.inf], s + h / 2, [np.inf]])  # what nxt proves
         radius = min(s[-1] + h / 2, r_cap)  # what a side passing every offset holds
-        for b in range(0, samples, block):
-            x = (centre[:, None] + sign[:, None] * s[b:b + block]).ravel()
-            curv = np.abs(V.hessian(x[:, None])[:, 0, 0])  # |V''|
-            fail = (curv < m + e + lip * h / 2).reshape(len(sign), -1)
-            failed = fail.any(axis=1)
-            if failed.any():  # each walks from its last passing offset
-                z, sg = centre[failed], sign[failed]
-                t = s[np.maximum(b + fail[failed].argmax(axis=1) - 1, 0)]
-                going = np.arange(len(t))
+        waiting, due = [], np.inf  # walks to run, and h / 2 past their least failure
+        while True:
+            scan = np.flatnonzero(held[nxt] < min(radius, due))
+            if scan.size:
+                k = np.minimum(nxt[scan, None] + block, samples - 1)
+                x = (centre[scan, None] + sign[scan, None] * s[k]).ravel()
+                curv = np.abs(V.hessian(x[:, None])[:, 0, 0]).reshape(k.shape)  # |V''|
+                fail = ~(curv >= thr)
+                skip = np.fmin(np.fmax((curv[:, -1] - thr - 2 * e) / (lip * h), 0), samples)
+                nxt[scan] = np.minimum(k[:, -1] + 1 + skip.astype(int), samples)
+                bad = fail.any(axis=1)
+                if np.count_nonzero(bad):  # they walk once no scanning side lags
+                    first, scan = k[bad, fail[bad].argmax(axis=1)], scan[bad]
+                    waiting.append((centre[scan], sign[scan], s[np.maximum(first - 1, 0)]))
+                    due, nxt[scan] = min(due, float(s[first].min()) + h / 2), samples + 1
+            elif waiting:  # together, each capped at the least walk so far
+                z, sg, t = (np.concatenate(a) for a in zip(*waiting))
+                waiting, due = [], np.inf
                 for _ in range(_WALK_STEPS):
-                    x = z[going] + sg[going] * t[going]
-                    curv = np.abs(V.hessian(x[:, None])[:, 0, 0])
-                    new = np.minimum(t[going] + (curv - m - e) / lip, radius)
-                    moved = new > t[going]
-                    t[going[moved]] = new[moved]
-                    if not moved.all():  # a walk that stalls bounds the radius
-                        radius = min(radius, float(t[going[~moved]].min()))
-                    going = going[moved & (new < radius)]
-                    if going.size == 0:
+                    step = (np.abs(V.hessian((z + sg * t)[:, None])[:, 0, 0]) - m - e) / lip
+                    new = np.minimum(t + step, radius)
+                    moved = new > t
+                    if np.count_nonzero(moved) < moved.size:  # a stalled walk bounds the radius
+                        radius = min(radius, float(t[~moved].min()))
+                    going = moved & (new < radius)
+                    z, sg, t = z[going], sg[going], new[going]
+                    if t.size == 0:
                         break
-                radius = min(radius, float(t.min()))
-                centre, sign = centre[~failed], sign[~failed]
-            if sign.size == 0 or s[min(b + block, samples) - 1] + h / 2 >= radius:
+                radius = min(radius, float(t.min(initial=radius)))
+            else:
                 break
         if radius < 1e-6 * r_cap:
             raise CertificationError(_NEAR_ZERO_FAILURE)
@@ -776,7 +786,7 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
     def ok(r: float) -> bool:
         for z in zeros:
             raw = rng.standard_normal((samples, d))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+            raw /= _norms(raw)[:, None]
             radii = r * rng.uniform(0, 1, size=(samples, 1)) ** (1.0 / d)
             pts = np.concatenate([z + raw * radii, z[None]], axis=0)
             if _sv(V.hessian(pts)).min() < m:
@@ -827,8 +837,12 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     """
     if radius_samples < 1:
         raise ValueError(f"radius_samples must be >= 1, got {radius_samples}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
     hi = np.atleast_1d(np.asarray(search_window[1], dtype=float))
+    if not (lo < hi).all():
+        raise ValueError(f"search_window must have lo < hi, got {lo.tolist()}, {hi.tolist()}")
     d = getattr(V, "dimension", lo.shape[0])
     rng = np.random.default_rng(seed)
 
@@ -868,7 +882,7 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
             gaps = np.diff(np.sort(retained[:, 0]))
         else:
             centers = rng.uniform(sampler.lo, sampler.hi, size=(4096, d))
-            dmat = np.linalg.norm(centers[:, None, :] - retained[None], axis=2)
+            dmat = _norms(centers[:, None, :] - retained[None])
             gaps = 2.0 * dmat.min(axis=1)  # twice distance-to-nearest-zero
         ball_zeros = retained
 
@@ -909,23 +923,21 @@ def _scan_zeros_nd(V, lo, hi, grid_points, zero_tol):
     y = pts.copy()
     for _ in range(60):
         g, H = V.derivatives(y)
-        if np.linalg.norm(g, axis=1).max() <= zero_tol * 1e-3:
+        if _norms(g).max() <= zero_tol * 1e-3:
             break
         ok = _sv(H).prod(axis=-1) > 1e-12  # |det H|
         step = np.zeros_like(y)
         step[ok] = _solve(H[ok], g[ok])
         y = np.clip(y - step, lo, hi)
-    g = np.linalg.norm(V.gradient(y), axis=1)
     inside = ((y > lo + 1e-9) & (y < hi - 1e-9)).all(axis=1)
-    roots = y[(g <= zero_tol) & inside]
+    roots = y[(_norms(V.gradient(y)) <= zero_tol) & inside]
     if roots.shape[0] == 0:
         return roots
     # cluster within a tolerance scaled to the box
-    scale = float(np.linalg.norm(hi - lo))
-    tol = max(1e-8 * scale, 1e-10)
+    tol = max(1e-8 * float(_norms(hi - lo)), 1e-10)
     kept = []
     for p in roots:
-        if all(np.linalg.norm(p - q) > tol for q in kept):
+        if all(_norms(p - q) > tol for q in kept):
             kept.append(p)
     return np.array(kept)
 
@@ -940,7 +952,7 @@ def local_inverse(V, z, target, cert: AubryCertificate,
     one row of local_inverse_batch, behind the domain check."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    tnorm = float(np.linalg.norm(target))
+    tnorm = float(_norms(target))
     limit = cert.admissible_radius
     if tnorm > limit:
         raise DomainError(
@@ -977,6 +989,8 @@ def _at_runs(V, y, chains: int) -> tuple:
     bits = y.view(np.uint64).reshape(-1, max(chains, 1), y.shape[1])
     first = np.ones(bits.shape[:2], bool)
     first[1:] = (bits[1:] != bits[:-1]).any(axis=-1)
+    if first.all():  # no row repeats the one before it
+        return V.derivatives(y)
     # the position in y[first] of each row's run, site-major like y
     run = np.maximum.accumulate(np.where(first, np.cumsum(first).reshape(first.shape) - 1, 0))
     return tuple(a[run.ravel()] for a in V.derivatives(y[first.ravel()]))
@@ -1029,7 +1043,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         y = np.clip(np.reshape(start, centers.shape), lo[:, None], hi[:, None])
     else:
         dy = np.reshape(start, centers.shape) - centers
-        nd = np.linalg.norm(dy, axis=1, keepdims=True)
+        nd = _norms(dy)[:, None]
         y = centers + dy * (r / np.maximum(nd, r))
     rows = np.arange(len(centers))  # rows still open
     merged = rows[:0], rows[:0]  # rows merged into a lower one, and that row
@@ -1056,8 +1070,8 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                 grad, hess = grad.copy(), hess.copy()
             grad[rows], hess[rows] = g, H
         f = g - targets[at]
-        nf = np.linalg.norm(f, axis=1)
-        floor = np.spacing(np.abs(yk).max(axis=1)) * np.linalg.norm(H, axis=(1, 2))
+        nf = _norms(f)
+        floor = np.spacing(np.abs(yk).max(axis=1)) * _norms(H.reshape(len(H), d * d))
         limit = np.maximum(tol if tol.ndim == 0 else tol[at],
                            0.5 * floor + 4 * np.finfo(float).eps)
         keep = nf > limit
@@ -1101,7 +1115,7 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                 raise ConvergenceError(f"local inverse row {j}: singular hessian",
                                        row=int(j))
             dy = y_new - centers[rows]
-            nd = np.linalg.norm(dy, axis=1)
+            nd = _norms(dy)
             over = nd > r
             y_new[over] = centers[rows][over] + dy[over] * (r / nd[over])[:, None]
             y[rows] = y_new

@@ -34,6 +34,7 @@ from .lattice import (
     Configuration,
     Window,
     _nearest_anchors,
+    _norms,
     anchor_configuration,
     anchor_stack,
     as_rotation,
@@ -131,7 +132,7 @@ def lambda_threshold(interaction, rho, cert: AubryCertificate) -> float:
     rot = as_rotation(rho)
     r, R, m = cert.ball_radius, cert.covering_radius, cert.expansion
     K = interaction.lipschitz_bound(rot, r + R)
-    hom = float(np.linalg.norm(interaction.delta_hom(rot)))
+    hom = float(_norms(interaction.delta_hom(rot)))
     return (K * (r + R) + hom) / (r * m)
 
 
@@ -170,7 +171,7 @@ def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
 def _sup(x: np.ndarray):
     """Largest row norm of an (n, d) array, or one per chain (an array)
     of a stack (n, K, d)."""
-    m = np.linalg.norm(x, axis=-1).max(axis=0)
+    m = _norms(x).max(axis=0)
     return float(m) if x.ndim == 2 else m
 
 
@@ -344,7 +345,7 @@ class ContractionSolver:
         cases = self._cases(cases)
         limit, half_width = self.cert.admissible_radius, u.window.half_width
         targets = -self.interaction.delta(u) / self.lam
-        norms = np.linalg.norm(targets, axis=-1)
+        norms = _norms(targets)
         worst, ended = norms.max(axis=0), {}
         over = (worst > limit).tolist()
         for c in cases:
@@ -535,7 +536,7 @@ class ContractionSolver:
 
     def _stalled(self, values, H, c, res, steps) -> ConvergenceError:
         H = H.reshape(len(values), -1)
-        floor = self.cases[c].lam * np.linalg.norm(H, axis=1).max() * 0.5 * (
+        floor = self.cases[c].lam * _norms(H).max() * 0.5 * (
             np.spacing(np.abs(values).max()))
         return ConvergenceError(
             f"residual stalled at {res:.3e} above tol {self.tol:.1e}; the "
@@ -640,8 +641,7 @@ def uniqueness_check(u: Configuration, u2: Configuration,
     slack = _tube_radius(cert)
     zeros = _nearest_anchors(0.5 * (u.values + u2.values), cert.sampler,
                              cert.covering_radius)
-    same = bool((np.linalg.norm(zeros - u.values, axis=1) <= slack).all()
-                and (np.linalg.norm(zeros - u2.values, axis=1) <= slack).all())
+    same = bool((_norms(zeros - np.stack([u.values, u2.values])) <= slack).all())
     dist = ext_distance(u, u2)
     return UniquenessVerdict(
         same_ball=same,

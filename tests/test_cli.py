@@ -574,6 +574,17 @@ class TestConfigValues:
                   "certification": {"search_window": [-10.0, 10.0], key: value}},
                  f"certification.{key} must be {kind}")
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_points", 1), ("grid_points", 0), ("grid_points", -3),
+        ("search_window", [5.0, 5.0]), ("search_window", [20.0, -20.0]),
+    ])
+    def test_certification_ranges(self, key, value, tmp_path, capsys):
+        # estimate_aubry rejects them by name; the CLI names the field
+        self.run(tmp_path, capsys, "certify",
+                 {"potential": {"family": "cosine"},
+                  "certification": {"search_window": [-10.0, 10.0], key: value}},
+                 f"certification.{key} must")
+
     @pytest.mark.parametrize("key, value", [("half_width", 8.7), ("max_iter", 50.9),
                                             ("half_width", "8"), ("max_iter", False)])
     def test_sweep_integer_fields(self, key, value, tmp_path, capsys):

@@ -27,11 +27,36 @@ from antifk import (
     stack_chains,
     translate,
 )
-from antifk.lattice import TAIL_PROBE
+from antifk.lattice import TAIL_PROBE, _norms
 
 
 def hom(rho, n=10):
     return homomorphism_configuration(as_rotation(rho), Window(n, 1))
+
+
+class TestNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bits_of_numpy_norm(self, d, rng):
+        # random rows over many scales, zero rows of either sign, inf and
+        # NaN, as (n, d) and as a stack (n, K, d); x * x does not underflow
+        # or overflow for any of them, where |x| and sqrt(x * x) agree
+        x = rng.standard_normal((400, d)) * 10.0 ** rng.integers(-100, 100, (400, 1))
+        x[:4] = [[0.0], [-0.0], [np.inf], [-np.inf]]
+        x[4:6] = np.nan
+        x[6, 0] = -np.nan
+        x[7, -1] = np.inf
+        for rows in (x, x.reshape(100, 4, d)):
+            got, want = _norms(rows), np.linalg.norm(rows, axis=-1)
+            assert got.shape == want.shape
+            nan = np.isnan(want)
+            assert (np.isnan(got) == nan).all()
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_one_row_and_one_column(self):
+        assert float(_norms(np.array([-3.0]))) == 3.0
+        assert float(_norms(np.array([3.0, -4.0]))) == 5.0
+        # |x| where x * x underflows to zero or overflows to inf
+        assert _norms(np.array([[1e-200], [-1e200]])).tolist() == [1e-200, 1e200]
 
 
 class TestWindow:

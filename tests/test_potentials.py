@@ -247,6 +247,16 @@ class TestEstimateAubry:
         with pytest.raises(ValueError, match="radius_samples must be >= 1"):
             estimate_aubry(cos_potential, (-10.0, 10.0), radius_samples=samples)
 
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_grid_points_at_least_two(self, cos_potential, points):
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            estimate_aubry(cos_potential, (-10.0, 10.0), grid_points=points)
+
+    @pytest.mark.parametrize("window", [(5.0, 5.0), (20.0, -20.0), (np.nan, 1.0)])
+    def test_search_window_lo_below_hi(self, cos_potential, window):
+        with pytest.raises(ValueError, match="search_window must have lo < hi"):
+            estimate_aubry(cos_potential, window)
+
     def test_delone_bump_certifies(self):
         # short Fibonacci-spaced segment; wells of the bump sum are
         # nondegenerate minima of V, i.e. zeros of the gradient
@@ -357,7 +367,74 @@ def _fine_scan_radius(V, zeros, m, r_cap, samples, rng):
     return float(radius)
 
 
+def _block_scan_radius(V, zeros, m, r_cap, samples, rng=None):
+    """Reference for the d = 1 ball radius: the scan that the adaptive one
+    replaced, bit for bit. Every side scans the same block of max(1, 2
+    samples // sides) offsets a call, with no offset skipped, and the
+    sides that fail in a block walk from their last passing offset in a
+    loop of their own before the next block."""
+    s = np.linspace(0.0, r_cap, samples)
+    h, reach = r_cap / max(samples - 1, 1), float(np.abs(zeros).max()) + r_cap
+    lip, e = V.hessian_lipschitz_bound(reach)
+    e += lip * np.finfo(float).eps * reach
+    centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
+    block = max(1, 2 * samples // len(sign))
+    radius = min(s[-1] + h / 2, r_cap)
+    for b in range(0, samples, block):
+        x = (centre[:, None] + sign[:, None] * s[b:b + block]).ravel()
+        curv = np.abs(V.hessian(x[:, None])[:, 0, 0])
+        fail = (curv < m + e + lip * h / 2).reshape(len(sign), -1)
+        failed = fail.any(axis=1)
+        if failed.any():
+            z, sg = centre[failed], sign[failed]
+            t = s[np.maximum(b + fail[failed].argmax(axis=1) - 1, 0)]
+            going = np.arange(len(t))
+            for _ in range(potentials._WALK_STEPS):
+                x = z[going] + sg[going] * t[going]
+                curv = np.abs(V.hessian(x[:, None])[:, 0, 0])
+                new = np.minimum(t[going] + (curv - m - e) / lip, radius)
+                moved = new > t[going]
+                t[going[moved]] = new[moved]
+                if not moved.all():
+                    radius = min(radius, float(t[going[~moved]].min()))
+                going = going[moved & (new < radius)]
+                if going.size == 0:
+                    break
+            radius = min(radius, float(t.min()))
+            centre, sign = centre[~failed], sign[~failed]
+        if sign.size == 0 or s[min(b + block, samples) - 1] + h / 2 >= radius:
+            break
+    if radius < 1e-6 * r_cap:
+        raise CertificationError(potentials._NEAR_ZERO_FAILURE)
+    return float(radius)
+
+
+def _same_radius(V, zeros, m, r_cap, samples):
+    """The adaptive scan's radius equals the block scan's, bit for bit, or
+    both raise the same CertificationError."""
+    got, want = (_outcome(f, V, np.asarray(zeros, dtype=float), m, r_cap, samples, None)
+                 for f in (_ball_expansion_radius, _block_scan_radius))
+    assert got == want and type(got) is type(want)
+
+
 class TestBallRadiusScan:
+    @pytest.mark.parametrize("make, window",
+                             [c[1:] for c in _SCAN_CASES + _FIBONACCI_CASES],
+                             ids=[c[0] for c in _SCAN_CASES + _FIBONACCI_CASES])
+    def test_matches_block_scan(self, make, window, monkeypatch):
+        seen = []
+
+        def spy(*args):
+            seen.append(args)
+            return _ball_expansion_radius(*args)
+
+        monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
+        V = make()
+        estimate_aubry(V, window)
+        (_, zeros, m, r_cap, _, _), = seen
+        for samples in (128, 512, 64, 16, 1):
+            _same_radius(V, zeros, m, r_cap, samples)
+
     @pytest.mark.parametrize("make, window",
                              [c[1:] for c in _SCAN_CASES + _FIBONACCI_CASES],
                              ids=[c[0] for c in _SCAN_CASES + _FIBONACCI_CASES])
@@ -415,6 +492,7 @@ class TestBallRadiusScan:
         # below the sampled bisection by less than the grid spacing, and
         # |V''| >= m on a dense grid of every ball
         zeros = np.array(zeros)
+        _same_radius(cos_potential, zeros, m, r_cap, 64)
         if np.abs(np.cos(zeros)).min() < m:  # fails at a centre: both refuse
             with pytest.raises(CertificationError):
                 _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
@@ -444,6 +522,7 @@ class TestBallRadiusScan:
         monkeypatch.undo()
         sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
         assert sampled - r_cap / 15 <= r <= sampled
+        _same_radius(cos_potential, zeros, m, r_cap, 16)
 
     def test_one_offset_holds_half_its_spacing(self, cos_potential):
         # a grid of the centre alone, spacing r_cap, proves r_cap / 2
@@ -460,6 +539,7 @@ class TestBallRadiusScan:
             _ball_expansion_radius(cos_potential, zeros, m, 1.0, 512, None)
         with pytest.raises(CertificationError):
             _bisection_ball_radius_1d(cos_potential, zeros, m, 1.0, 512)
+        _same_radius(cos_potential, zeros, m, 1.0, 512)
 
     def test_hessian_rows_bounded(self, monkeypatch):
         V = truncated_almost_periodic(8, 0.5)
@@ -473,25 +553,20 @@ class TestBallRadiusScan:
         monkeypatch.setattr(V, "hessian", counting)
         # radius_samples sets only the sampled d > 1 radius
         cert = estimate_aubry(V, (-200.0, 200.0), radius_samples=4096)
-        zeros, offsets = cert.metadata["zeros_retained"], potentials._BALL_OFFSETS
-        # one call at the zeros found; then the scan, one offset for all 2
-        # zeros sides a call, stops once h / 2 past the offset reaches the
-        # least walk (the least first failing offset k has s[k - 1] < r <=
-        # s[k] + h / 2, as a walk steps at least h / 2 from s[k - 1]); the
-        # walks of the few sides that fail on the way stall within 64 steps
+        sides = 2 * cert.metadata["zeros_retained"]
+        # one call at the zeros found; then the scan, at most one offset of
+        # every side a call (2 * 128 // sides is 1), skips the offsets that
+        # pass as computed, so a few rounds bring every side to its first
+        # failure or to h / 2 past it; the failed sides then walk together,
+        # stalling within a few dozen steps. The block scan it replaced
+        # took 87 calls and 15,598 rows.
         pts = np.sort(cert.sampler.points[:, 0])
-        s = np.linspace(0.0, 0.49 * np.diff(pts).min(), offsets)
-        k = int(np.searchsorted(s, cert.ball_radius))
-        assert 0 < k < offsets // 2
+        s = np.linspace(0.0, 0.49 * np.diff(pts).min(), potentials._BALL_OFFSETS)
+        assert 0 < np.searchsorted(s, cert.ball_radius) < potentials._BALL_OFFSETS // 2
         assert calls[0] == cert.metadata["zeros_found"]
-        scan = [n for n in calls[1:] if n == 2 * zeros]
-        walk = [n for n in calls[1:] if n < 2 * zeros]
-        assert len(calls) == 1 + len(scan) + len(walk)
-        assert len(scan) <= k + 1 and len(walk) <= 64
-        # under a quarter of the 62,199 rows of the 512-offset scan, and
-        # bounded temporaries
-        assert sum(calls) < 17000
-        assert max(calls[1:]) <= 2 * offsets
+        assert max(calls[1:]) <= sides
+        assert len(calls) <= 40
+        assert sum(calls) < 6000
 
 
 def _polish_zero_1d(V, a, b, iters=200):
@@ -978,6 +1053,21 @@ class TestRepeatedRows:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("repeat", [1, 3])
+    def test_runs_match_a_fresh_evaluation(self, d, repeat, rng):
+        # with no row repeating the one before it along its chain, the one
+        # V call takes the rows as they are; with repeats, fewer rows
+        V = TrigSumPotential([(1.0, np.eye(d)[j], 0.5 * j) for j in range(d)])
+        y = np.repeat(rng.uniform(-5.0, 5.0, size=(40, d)), repeat, axis=0)
+        calls, evaluate = [], V.derivatives
+        V.derivatives = lambda x: calls.append(x) or evaluate(x)
+        got = potentials._at_runs(V, y, 2)
+        for a, b in zip(got, evaluate(y)):
+            assert a.tobytes() == b.tobytes()
+        assert len(calls) == 1
+        assert calls[0] is y if repeat == 1 else len(calls[0]) < len(y)
+
     def test_bracket_is_part_of_a_row(self):
         # both rows are at 0.5 after the first step, brackets [-1, 0.625]
         # and [-0.5, 1]; bisection then ends them at -0.25 (within tol) and 0
@@ -1226,9 +1316,9 @@ class TestFiniteNearest:
         xs = np.zeros((50, 2))
         xs[7] = [30.0, 0.0]
         xs[40] = [0.0, -30.0]
-        with pytest.raises(CertificateError, match=r"query \[30\.  0\.\] outside"):
+        with pytest.raises(CertificateError, match=r"query \[30\.0, 0\.0\] outside"):
             s.nearest(xs, 2.3)
-        with pytest.raises(CertificateError, match=r"query \[30\.  0\.\] outside"):
+        with pytest.raises(CertificateError, match=r"query \[30\.0, 0\.0\] outside"):
             _finite_nearest_by_rows(s, xs, 2.3)
         _assert_matches_slab_reduce(s, xs, 2.3)
         # the box is checked for every row before any lookup
