@@ -60,14 +60,59 @@ from .potentials import (
 )
 from .solver import ContractionSolver, SolveParams, solve_equilibrium
 
-_TOP_KEYS = {"seed", "potential", "interaction", "certificate", "certification",
-             "solve", "hyperbolicity", "sweep"}
-_CERTIFICATION_KEYS = {"search_window", "grid_points", "zero_tol", "degeneracy_fraction",
-                       "safety", "expansion_fraction"}
-_SOLVE_KEYS = {"lam", "rho", "half_width", "tol", "max_iter", "inner_tol"}
-_HYP_KEYS = {"solution", "report", "lam", "rho", "half_width", "horizon", "splitting",
-             "orbit_tol", "use_anchor_configuration"}
-_SWEEP_KEYS = {"lams", "rhos", "cases", "half_width", "tol", "max_iter", "hyperbolicity"}
+# block -> key -> kind of every config key, "config" the top level; whether
+# a key is required, and its default, is up to the command that reads it. A
+# certificate block is checked here only as a path: from_json_dict checks the rest.
+_CONFIG = {
+    "config": {"seed": "int", "potential": "object", "interaction": "object",
+               "certificate": "object", "certification": "object", "solve": "object",
+               "hyperbolicity": "object", "sweep": "object"},
+    "certificate": {"path": "path"},
+    "certification": {"search_window": "window", "grid_points": "int",
+                      "zero_tol": "number", "degeneracy_fraction": "number",
+                      "safety": "number", "expansion_fraction": "number"},
+    "solve": {"lam": "number", "rho": "rho", "half_width": "int", "tol": "number",
+              "max_iter": "int", "inner_tol": "number"},
+    "hyperbolicity": {"solution": "path", "report": "path", "lam": "number", "rho": "rho",
+                      "half_width": "int", "horizon": "int", "splitting": "bool",
+                      "orbit_tol": "number", "use_anchor_configuration": "bool"},
+    "sweep": {"lams": "numbers", "rhos": "numbers", "cases": "pairs", "half_width": "int",
+              "tol": "number", "max_iter": "int", "hyperbolicity": "bool"},
+}
+
+# kind -> (check of a JSON value, what an error says the value must be)
+_KINDS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "number": (lambda v: type(v) in (int, float), "a number"),  # not a boolean
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "path": (lambda v: type(v) is str, "a string"),
+    "object": (lambda v: type(v) is dict, "a JSON object"),
+    "rho": (lambda v: _is("number", v) or _is("numbers", v), "a number or a list of numbers"),
+    "numbers": (lambda v: type(v) is list and all(_is("number", x) for x in v),
+                "a list of numbers"),
+    "window": (lambda v: _is("numbers", v) and len(v) == 2, "a number pair [lo, hi]"),
+    "pairs": (lambda v: type(v) is list and all(_is("window", x) for x in v),
+              "a list of [lam, rho] number pairs"),
+}
+
+
+def _is(kind, value):
+    return _KINDS[kind][0](value)
+
+
+def _check_block(block, keys, where):
+    """ConfigError unless block is a JSON object whose every key is in keys
+    and whose every value is of its key's kind (a kind of None is left to
+    the code that reads the key)."""
+    if type(block) is not dict:
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key, value in block.items():
+        if keys[key] is not None and not _is(keys[key], value):
+            name = key if where == "config" else f"{where}.{key}"
+            raise ConfigError(f"{name} must be {_KINDS[keys[key]][1]}, got {json.dumps(value)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,44 +124,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text):
-    """An int of at least 1, for argparse."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _check_keys(block, allowed, where):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _integer(value, name):
-    """value if it is a JSON integer, not a boolean, float or string."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _number(value, name):
-    """float(value) if it is a JSON number, not a boolean or string."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _boolean(value, name):
-    """value if it is a JSON boolean."""
-    if type(value) is not bool:
-        raise ConfigError(f"{name} must be true or false, got {json.dumps(value)}")
-    return value
+def _int_at_least(low):
+    """An argparse type: an int of at least low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _require(block, key, where):
@@ -138,35 +156,47 @@ def _read_json(path, what):
 
 
 def _load_config(path):
+    """The config in the file path, its top level and every block present
+    checked against _CONFIG."""
     cfg = _read_json(path, "config")
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _check_block(cfg, _CONFIG["config"], "config")
+    for where, block in cfg.items():
+        if where in _CONFIG and (where != "certificate" or "path" in block):
+            _check_block(block, _CONFIG[where], where)
     return cfg
 
 
+# A potential or interaction block may hold only the keys that the object
+# built from it writes back in to_dict(), which spells the cosine as a trig sum.
 def _build_potential(cfg):
     block = cfg.get("potential", {"family": "cosine"})
     try:
-        return potential_from_dict(block)
+        potential = potential_from_dict(block)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential block: {exc}") from exc
+    written = ["family"] if block["family"] == "cosine" else potential.to_dict()
+    _check_block(block, dict.fromkeys(written), "potential")
+    return potential
 
 
 def _build_interaction(cfg):
     block = cfg.get("interaction", {"kind": "nearest-neighbor"})
     try:
-        return interaction_from_dict(block)
-    except (KeyError, TypeError, ValueError) as exc:
+        interaction = interaction_from_dict(block)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad interaction block: {exc}") from exc
+    written = interaction.to_dict()
+    _check_block(block, dict.fromkeys(written), "interaction")
+    if "coupling" in block:
+        _check_block(block["coupling"], dict.fromkeys(written["coupling"]),
+                     "interaction.coupling")
+    return interaction
 
 
 def _build_certificate(cfg, potential, seed):
     if "certificate" in cfg:
         block = cfg["certificate"]
-        if isinstance(block, dict) and "path" in block:
-            if set(block) != {"path"}:
-                raise ConfigError(
-                    "certificate block with 'path' takes no other keys"
-                )
+        if "path" in block:
             block = _read_json(block["path"], "certificate")
         try:
             return AubryCertificate.from_json_dict(block)
@@ -182,15 +212,9 @@ def _build_certificate(cfg, potential, seed):
 
 
 def _estimate_certificate(block, potential, seed):
-    _check_keys(block, _CERTIFICATION_KEYS, "certification")
     window = _require(block, "search_window", "certification")
-    if not isinstance(window, list) or len(window) != 2:
-        raise ConfigError("certification.search_window must be [lo, hi]")
-    for x in window:
-        _number(x, "certification.search_window")
+    # passed on as written: the certificate's metadata records them
     kwargs = {k: v for k, v in block.items() if k != "search_window"}
-    for k, v in kwargs.items():  # checked, passed on as written: metadata records them
-        (_integer if k == "grid_points" else _number)(v, f"certification.{k}")
     try:
         return estimate_aubry(potential, tuple(window), seed=seed, **kwargs)
     except ValueError as exc:  # estimate_aubry names the argument it rejects
@@ -241,9 +265,10 @@ def _outdir(args):
 
 
 def _seed(cfg, args):
-    if args.seed is not None:
-        return args.seed
-    return _integer(cfg.get("seed", 0), "seed")
+    seed = cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
+    return seed if args.seed is None else args.seed
 
 
 def _cmd_certify(args):
@@ -263,16 +288,8 @@ def _cmd_certify(args):
 
 
 def _solve_params(block):
-    _check_keys(block, _SOLVE_KEYS, "solve")
     for key in ("lam", "rho", "half_width"):
         _require(block, key, "solve")
-    for key in ("half_width", "max_iter"):
-        _integer(block.get(key, 0), f"solve.{key}")
-    for key in ("lam", "tol", "inner_tol"):
-        if key in block:
-            _number(block[key], f"solve.{key}")
-    for x in block["rho"] if isinstance(block["rho"], list) else [block["rho"]]:
-        _number(x, "solve.rho")
     kwargs = dict(block)
     kwargs["window"] = kwargs.pop("half_width")
     try:
@@ -356,7 +373,6 @@ def _hyperbolic_checks(u, interaction, potential, lams, cert, tol, horizon=None,
 def _cmd_hyperbolicity(args):
     cfg = _load_config(args.config)
     hblock = cfg.get("hyperbolicity", {})
-    _check_keys(hblock, _HYP_KEYS, "hyperbolicity")
     sblock = cfg.get("solve", {})
     potential = _build_potential(cfg)
     interaction = _build_interaction(cfg)
@@ -366,15 +382,12 @@ def _cmd_hyperbolicity(args):
         )
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
     warnings, derivatives = [], None
-    if _boolean(hblock.get("use_anchor_configuration", False),
-                "hyperbolicity.use_anchor_configuration"):
-        lam = _number(_hyp_setting(hblock, sblock, "lam"), "hyperbolicity.lam")
+    if hblock.get("use_anchor_configuration", False):
+        lam = float(_hyp_setting(hblock, sblock, "lam"))
         rho = as_rotation(_hyp_setting(hblock, sblock, "rho"))
-        where = "hyperbolicity" if "half_width" in hblock else "solve"
-        half_width = _integer(_hyp_setting(hblock, sblock, "half_width"),
-                              f"{where}.half_width")
         u = anchor_configuration(rho, cert.sampler, cert.covering_radius,
-                                 Window(half_width, rho.dimension))
+                                 Window(_hyp_setting(hblock, sblock, "half_width"),
+                                        rho.dimension))
         source = "anchor-configuration"
         warnings.append("evaluated at the anchor configuration, not a solved equilibrium")
     elif "solution" in hblock:
@@ -382,7 +395,7 @@ def _cmd_hyperbolicity(args):
         tail = AnchorTail(rho, cert.sampler, cert.covering_radius)
         try:
             u = configuration_from_csv(hblock["solution"], tail)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read solution {hblock['solution']}: {exc}") from exc
         source = "solution"
     else:
@@ -398,20 +411,12 @@ def _cmd_hyperbolicity(args):
             raise outcome
         u, lam, source = outcome[0], params.lam, "solve"
         derivatives = tuple(x[:, None] for x in solver.derivatives[0])
-    horizon = hblock.get("horizon")
-    if horizon is None:
-        horizon = min(20, max(u.window.half_width - 1, 1))
-    else:
-        _integer(horizon, "hyperbolicity.horizon")
-    orbit_tol = hblock.get("orbit_tol")
-    if orbit_tol is not None:
-        orbit_tol = _number(orbit_tol, "hyperbolicity.orbit_tol")
+    horizon = hblock.get("horizon", min(20, max(u.window.half_width - 1, 1)))
     [outcome] = _hyperbolic_checks(
         stack_chains([u]), interaction, potential, [lam], cert,
-        _number(sblock.get("tol", 1e-10), "solve.tol"),
-        horizon=horizon if _boolean(hblock.get("splitting", True),
-                                    "hyperbolicity.splitting") else None,
-        orbit_tol=orbit_tol, derivatives=derivatives,
+        float(sblock.get("tol", 1e-10)),
+        horizon=horizon if hblock.get("splitting", True) else None,
+        orbit_tol=hblock.get("orbit_tol"), derivatives=derivatives,
     )
     if isinstance(outcome, CertificateError):
         raise outcome
@@ -433,9 +438,8 @@ def _cmd_hyperbolicity(args):
 
 def _solution_context(hblock, sblock):
     if "lam" in hblock or "rho" in hblock:
-        lam = _number(_hyp_setting(hblock, sblock, "lam"), "hyperbolicity.lam")
-        rho = as_rotation(_hyp_setting(hblock, sblock, "rho"))
-        return lam, rho
+        return (float(_hyp_setting(hblock, sblock, "lam")),
+                as_rotation(_hyp_setting(hblock, sblock, "rho")))
     report_path = hblock.get("report")
     if report_path is None:
         raise ConfigError(
@@ -445,6 +449,7 @@ def _solution_context(hblock, sblock):
     rep = _read_json(report_path, "report")
     try:
         params = rep["params"]
+        _check_block(params, _CONFIG["solve"], "report.params")
         return float(params["lam"]), as_rotation(params["rho"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(
@@ -513,24 +518,13 @@ def _sweep_payloads(cfg, args):
     block = cfg.get("sweep")
     if block is None:
         raise ConfigError("sweep requires a 'sweep' block")
-    _check_keys(block, _SWEEP_KEYS, "sweep")
     if "cases" in block:
         if "lams" in block or "rhos" in block:
             raise ConfigError("sweep takes either 'cases' or 'lams'/'rhos'")
-        cases = block["cases"]
-        if not isinstance(cases, list) or not all(
-            isinstance(c, (list, tuple)) and len(c) == 2 for c in cases
-        ):
-            raise ConfigError("sweep.cases must be a list of [lam, rho] pairs")
-        pairs = [(_number(lam, "sweep.cases lam"), _number(rho, "sweep.cases rho"))
-                 for lam, rho in cases]
+        pairs = [(float(lam), float(rho)) for lam, rho in block["cases"]]
     else:
-        lams = _require(block, "lams", "sweep")
-        rhos = _require(block, "rhos", "sweep")
-        if not isinstance(lams, list) or not isinstance(rhos, list):
-            raise ConfigError("sweep.lams and sweep.rhos must be lists")
-        pairs = [(_number(lam, "sweep.lams entry"), _number(rho, "sweep.rhos entry"))
-                 for lam in lams for rho in rhos]
+        lams, rhos = _require(block, "lams", "sweep"), _require(block, "rhos", "sweep")
+        pairs = [(float(lam), float(rho)) for lam in lams for rho in rhos]
     if not pairs:
         raise ConfigError("sweep grid is empty")
     if not np.isfinite(pairs).all():
@@ -538,10 +532,10 @@ def _sweep_payloads(cfg, args):
     potential = _build_potential(cfg)
     interaction = _build_interaction(cfg)
     cert = _build_certificate(cfg, potential, _seed(cfg, args))
-    half_width = _integer(block.get("half_width", 32), "sweep.half_width")
-    tol = _number(block.get("tol", 1e-10), "sweep.tol")
-    max_iter = _integer(block.get("max_iter", 200), "sweep.max_iter")
-    check_hyp = _boolean(block.get("hyperbolicity", False), "sweep.hyperbolicity")
+    half_width = block.get("half_width", 32)
+    tol = float(block.get("tol", 1e-10))
+    max_iter = block.get("max_iter", 200)
+    check_hyp = block.get("hyperbolicity", False)
     if check_hyp and not isinstance(interaction, NearestNeighborInteraction):
         raise ConfigError(
             "sweep hyperbolicity checks support nearest-neighbor interactions only"
@@ -596,9 +590,10 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
+                       help="override the config seed")
         if name == "sweep":
-            p.add_argument("--workers", type=_positive_int, default=1,
+            p.add_argument("--workers", type=_int_at_least(1), default=1,
                            help="parallel worker count (at most one per batch)")
         p.set_defaults(func=func)
     return parser

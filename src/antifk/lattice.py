@@ -432,7 +432,9 @@ def configuration_from_csv(path, tail: TailRule) -> Configuration:
     import csv
 
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+        rows = [r for r in csv.reader(f) if r]
+    if len(rows) < 2:
+        raise ValueError(f"{path} has no {'rows' if rows else 'header'}")
     header, data = rows[0], rows[1:]
     dim = len(header) - 1
     sites = np.array([int(r[0]) for r in data])

@@ -1,12 +1,14 @@
+import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from antifk.cli import _json_text, main
+from antifk.cli import _CONFIG, _KINDS, _json_text, main
 
 
 def write_config(path, payload):
@@ -489,6 +491,11 @@ def _sweep_rows_alone(cfg_path):
 
 
 _NAN, _INF = float("nan"), float("inf")
+# kind -> JSON values not of that kind
+_WRONG = {"int": [1.5, True, "1"], "number": ["1", True, None], "bool": [0, "true"],
+          "path": [0, True, ["a.csv"]], "object": ["x", [1]],
+          "rho": ["1", [0.5, True], [[0.5]]], "numbers": [1.0, [1.0, "2"]],
+          "window": [[1.0], [1.0, "2"], 1.0], "pairs": [[[1.0]], [[1.0, True]], [1.0, 2.0]]}
 _FINITE_ZEROS = {"kind": "finite", "points": [k * np.pi for k in range(-20, 21)],
                  "lo": -20 * np.pi, "hi": 20 * np.pi}
 
@@ -658,6 +665,95 @@ class TestConfigValues:
                  {"seed": value, "potential": {"family": "cosine"},
                   "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}},
                  "seed must be an integer")
+
+    @pytest.mark.parametrize("where, key, kind, value", [
+        (where, key, kind, value) for where, keys in _CONFIG.items()
+        for key, kind in keys.items() for value in _WRONG[kind]])
+    def test_every_key_checks_its_kind(self, where, key, kind, value, tmp_path, capsys):
+        # whatever the command, a block present is checked when the config loads
+        payload = {"potential": {"family": "cosine"},
+                   "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
+        if where == "config":
+            payload[key] = value
+        else:
+            payload[where] = {**payload.get(where, {}), key: value}
+        name = key if where == "config" else f"{where}.{key}"
+        self.run(tmp_path, capsys, "solve", payload,
+                 f"{name} must be {_KINDS[kind][1]}, got {json.dumps(value)}")
+
+    @pytest.mark.parametrize("block, name", [
+        # a path that is not a string would be opened as a file descriptor
+        # (0 is stdin) or fail deep in the run
+        ({"certificate": {"path": 0}}, "certificate.path must be a string"),
+        ({"certificate": {"path": True}}, "certificate.path must be a string"),
+        ({"certificate": {"path": ["c.json"]}}, "certificate.path must be a string"),
+        ({"hyperbolicity": {"solution": 0, "lam": 20.0, "rho": 1.0}},
+         "hyperbolicity.solution must be a string"),
+        ({"hyperbolicity": {"solution": "s.csv", "report": True}},
+         "hyperbolicity.report must be a string"),
+        # a misspelt or ignored key must not leave the run on a default
+        ({"interaction": {"kind": "long-range", "cuttoff": 4}},
+         "unknown keys in interaction: cuttoff"),
+        ({"interaction": {"kind": "long-range", "weights": {"1": 1.0}, "cutoff": 4}},
+         "unknown keys in interaction: cutoff"),
+        ({"interaction": {"kind": "nearest-neighbor",
+                          "coupling": {"name": "quadratic", "scal": 2.0}}},
+         "unknown keys in interaction.coupling: scal"),
+        ({"interaction": {"kind": "nearest-neighbor", "coupling": "quadratic"}},
+         "bad interaction block"),
+        ({"potential": {"family": "almost-periodic-truncated", "term_cont": 4}},
+         "unknown keys in potential: term_cont"),
+        ({"potential": {"family": "cosine", "phase": 1.0}},
+         "unknown keys in potential: phase"),
+        ({"potential": "cosine"}, "potential must be a JSON object"),
+        ({"hyperbolicity": {"use_anchor_configuration": True, "rho": True}},
+         "hyperbolicity.rho must be a number"),
+        # a value read from the solve block is named there
+        ({"hyperbolicity": {"use_anchor_configuration": True},
+          "solve": {"lam": True, "rho": 1.0, "half_width": 4}}, "solve.lam must be a number"),
+        ({"seed": -3}, "seed must be at least 0, got -3"),
+    ])
+    def test_rejected_blocks(self, block, name, tmp_path, capsys):
+        payload = {"potential": {"family": "cosine"},
+                   "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}, **block}
+        self.run(tmp_path, capsys, "hyperbolicity", payload, name)
+
+    @pytest.mark.parametrize("lam", ["40", True])
+    def test_report_params_are_checked(self, lam, tmp_path, capsys):
+        # a report's params are a solve block: no float() of a string, no true as 1
+        report = write_config(tmp_path / "report.json", {"params": {
+            "lam": lam, "rho": [1.0], "half_width": 8, "tol": 1e-10, "max_iter": 200,
+            "inner_tol": 1e-13}})
+        hyp = {"solution": str(tmp_path / "missing.csv"), "report": report}
+        self.run(tmp_path, capsys, "hyperbolicity",
+                 {"potential": {"family": "cosine"}, "hyperbolicity": hyp},
+                 "report.params.lam must be a number")
+
+    @pytest.mark.parametrize("text", ["", "site,u_0\n", "site,u_0\n0,a\n", "site\n0,1.0\n1\n"])
+    def test_unreadable_solution(self, text, tmp_path, capsys):
+        # empty, header only, a cell that is not a number, a short row
+        solution = tmp_path / "s.csv"
+        solution.write_text(text)
+        hyp = {"solution": str(solution), "lam": 20.0, "rho": 1.0}
+        self.run(tmp_path, capsys, "hyperbolicity",
+                 {"potential": {"family": "cosine"}, "hyperbolicity": hyp},
+                 f"cannot read solution {solution}: ")
+
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["solve", "--config", solve_config(tmp_path), "--out", str(out),
+                     "--seed", "-3"]) == 1
+        assert "argument --seed: must be at least 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_lists_the_table(self):
+        # the README's config reference: one row per key, its kind as in _CONFIG
+        readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = readme.index("| Key | Kind | Default |") + 2
+        rows = [tuple(c.strip(" `") for c in line.split("|")[1:3])
+                for line in itertools.takewhile(lambda x: x.startswith("|"), readme[start:])]
+        assert rows == [(key if where == "config" else f"{where}.{key}", kind)
+                        for where, keys in _CONFIG.items() for key, kind in keys.items()]
 
 
 class TestStackedSweep:

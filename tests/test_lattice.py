@@ -391,6 +391,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             configuration_from_csv(path, HomomorphismTail(as_rotation(0.0)))
 
+    @pytest.mark.parametrize("text, what", [("", "header"), ("\n", "header"),
+                                            ("site,u_0\n", "rows")])
+    def test_csv_without_rows_names_the_file(self, text, what, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"empty.csv has no {what}"):
+            configuration_from_csv(path, HomomorphismTail(as_rotation(0.0)))
+
 
 class TestTails:
     @pytest.mark.parametrize("kind", ["anchor", "homomorphism", "derived"])
