@@ -6,8 +6,9 @@ The chain is the ROADMAP baseline: cosine V, unit quadratic
 nearest-neighbour coupling, lam = 40, rho = 0.618, tol = 1e-10, at
 half_width 32, 512, 4096 and 16384. Each layer is timed in process, best
 of REPEATS calls, on the inputs the solver hands it: the tube-map layers
-at the anchors, the Newton layers at the iterate after two tube-map steps
-(where solve starts its Newton phase), and the cone verdict and the
+at the anchors and (``phi_step.warm``, ``residual``) at the iterate after
+two tube-map steps, the Newton layers at the anchors (where solve starts
+its Newton phase when Kantorovich proves it, as here), and the cone verdict and the
 horizon-20 splitting at the solved chain. The JSON written is the
 ``scale_check`` block of a BENCH file: seconds and microseconds per site
 for every layer and size, and each layer's log-log slope of time against
@@ -205,8 +206,8 @@ def layer_times(half_width: int) -> dict:
     targets = -nn.delta(a) / LAM
     # the solver's steps run on stacked chains (n, 1, d)
     s2 = solver.phi_step(solver.phi_step(solver.anchors)[0])[0]
-    _, A, B, C = _coefficients(s2, nn, V, LAM)
-    force = _force(s2, nn, V, LAM)
+    _, A, B, C = _coefficients(solver.anchors, nn, V, LAM)
+    force = _force(solver.anchors, nn, V, LAM)
     u2 = s2.chain(0)
     [(u, _)] = solver.solve()
     return {
@@ -217,10 +218,10 @@ def layer_times(half_width: int) -> dict:
             V, a.values, targets, cert, tol=params.inner_tol)),
         "phi_step.warm": best_of(lambda: solver.phi_step(s2)),
         "residual": best_of(lambda: residual(u2, nn, V, LAM)),
-        "coefficients": best_of(lambda: _coefficients(s2, nn, V, LAM)),
+        "coefficients": best_of(lambda: _coefficients(solver.anchors, nn, V, LAM)),
         "cyclic_reduction": best_of(
             lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
-        "newton_polish": best_of(lambda: solver.newton_polish(s2)),
+        "newton_polish": best_of(lambda: solver.newton_polish(solver.anchors)),
         "solve": best_of(solver.solve),
         "verify_cone_conditions": best_of(
             lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
@@ -251,8 +252,8 @@ def layer_times_2d(half_width: int) -> dict:
     params = SolveParams(lam=LAM, rho=D2_RHO, window=half_width, tol=TOL)
     solver = ContractionSolver(nn, V, cert, [params])
     s2 = solver.phi_step(solver.phi_step(solver.anchors)[0])[0]
-    _, A, B, C = _coefficients(s2, nn, V, LAM)
-    force = _force(s2, nn, V, LAM)
+    _, A, B, C = _coefficients(solver.anchors, nn, V, LAM)
+    force = _force(solver.anchors, nn, V, LAM)
     [(u, _)] = solver.solve()
     return {
         "anchor_configuration": best_of(lambda: anchor_configuration(
@@ -388,7 +389,7 @@ def sweep_times() -> dict:
             solver = ContractionSolver(nn, V, cert, cases[lo:lo + k])
             batches.append((solver, {
                 c: (u, rep.final_residual, rep.step_distances, rep.newton_steps,
-                    rep.newton_fallback)
+                    rep.newton_fallback, rep.kantorovich_h, rep.kantorovich_lam)
                 for c, (u, rep) in enumerate(solver.solve())}))
         return batches
 
@@ -458,9 +459,9 @@ def scale_check() -> dict:
     return {
         "what": (f"solver layers in process, best of {REPEATS}: cosine V, "
                  f"unit quadratic coupling, lam = {LAM}, rho = {RHO}, "
-                 f"tol = {TOL}; Newton layers at the iterate after two "
-                 "tube-map steps; cone verdict and horizon-20 splitting at "
-                 "the solved chain"),
+                 f"tol = {TOL}; Newton layers at the anchors, phi_step.warm and "
+                 "residual after two tube-map steps; cone verdict and "
+                 "horizon-20 splitting at the solved chain"),
         "half_widths": list(HALF_WIDTHS),
         "sites": sites.astype(int).tolist(),
         "layers": layers,

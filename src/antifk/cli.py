@@ -484,6 +484,8 @@ def _sweep_batch(payload):
             distance_to_anchor=repr(rep.distance_to_anchor),
             distance_to_rotation=repr(rep.distance_to_rotation),
         )
+        row.update((key, "" if getattr(rep, key) is None else repr(getattr(rep, key)))
+                   for key in ("kantorovich_h", "kantorovich_lam"))  # empty where None
         solved.append((row, u, lam, solver.derivatives.pop(c)))
     if check_hyp and solved:
         rows_ok, chains, lams, derivatives = zip(*solved)
@@ -511,7 +513,7 @@ _SWEEP_STATUS = {DomainError: "domain-error", ConvergenceError: "no-convergence"
 
 _SWEEP_COLUMNS = ["lam", "rho", "status", "iterations", "final_residual",
                   "contraction_factor", "distance_to_anchor", "distance_to_rotation",
-                  "hyperbolic_pass"]
+                  "hyperbolic_pass", "kantorovich_h", "kantorovich_lam"]
 
 
 def _sweep_payloads(cfg, args):

@@ -37,6 +37,9 @@ class QuadraticCoupling:
     """I(x) = scale * |x|^2 / 2."""
 
     name = "quadratic"
+    # Lipschitz constant of the hessian: it is constant. A coupling without
+    # one has no Newton-Kantorovich proof (solver._kantorovich)
+    hessian_lipschitz = 0.0
 
     def __init__(self, scale: float = 1.0):
         if scale <= 0:

@@ -966,23 +966,6 @@ def local_inverse(V, z, target, cert: AubryCertificate,
 INVERSE_MAX_ITER = 100
 
 
-def _lowest_twin(rows, columns) -> np.ndarray:
-    """For each of the ascending rows, the lowest of them that equals it in
-    the bits of every float column (each (N,)). A hash of the bits orders
-    the rows, but rows merge only when all their bytes compare equal."""
-    h = np.zeros(len(rows), np.uint64)
-    for c in columns:
-        h = h * np.uint64(0x9E3779B97F4A7C15) + c[rows].view(np.uint64)  # wraps mod 2^64
-    at = np.argsort(h)
-    new = np.arange(len(rows)) == 0  # a row that differs from the one before it
-    for c in columns:
-        s = c[rows[at]].view(np.uint64)
-        new[1:] |= s[1:] != s[:-1]
-    lead = np.empty_like(rows)
-    lead[at] = np.minimum.reduceat(rows[at], np.flatnonzero(new))[np.cumsum(new) - 1]
-    return lead
-
-
 def _at_runs(V, y, chains: int) -> tuple:
     """V.derivatives(y) from V at the first of each run of bit-equal rows
     along each of the chains the rows interleave (row = site * chains + j)."""
@@ -999,7 +982,7 @@ def _at_runs(V, y, chains: int) -> tuple:
 def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
                         cert: AubryCertificate, tol: float = 1e-12,
                         start: np.ndarray | None = None, *,
-                        derivatives: bool = False, at_start=None, chains: int = 1):
+                        derivatives: bool = False, at_start=None):
     """Solve psi(y_k) = targets_k for y_k in the closed r-ball around each
     zero centers_k by safeguarded Newton, vectorised over rows.
 
@@ -1024,13 +1007,8 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
     call only reads those arrays. With ``derivatives``, returns (y, grad
     V(y), hessian V(y)), shapes (rows, d) and (rows, d, d), from those
     evaluations. As V computes its rows independently of their batch, they
-    equal a fresh evaluation at y bit for bit. The rows interleave
-    ``chains`` chains (row = site * chains + j), and a row's bits fix its
-    problem: without ``at_start`` the first call evaluates V once per run of
-    bit-equal rows along a chain, and over more than one chain only the
-    lowest of the rows still open after the first step whose state (y, t,
-    z, tol, in d = 1 bracket) agrees bit for bit iterates, the others
-    taking its results on return: each row ends, or fails, as it would alone.
+    equal a fresh evaluation at y bit for bit, and each row ends, or fails,
+    as it would alone.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -1046,16 +1024,11 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         nd = _norms(dy)[:, None]
         y = centers + dy * (r / np.maximum(nd, r))
     rows = np.arange(len(centers))  # rows still open
-    merged = rows[:0], rows[:0]  # rows merged into a lower one, and that row
     for k in range(INVERSE_MAX_ITER + 1):
-        if k == 1 and chains > 1:  # one Newton path per group, led by its lowest row
-            lead = _lowest_twin(rows, [*y.T, *targets.T, *centers.T] + (
-                [lo, hi] if d == 1 else []) + ([tol] if tol.ndim else []))
-            merged, rows = (rows[lead != rows], lead[lead != rows]), rows[lead == rows]
         at = rows if k else slice(None)  # every row is open: views, not copies
         yk = y[at]
         if k or at_start is None:
-            g, H = V.derivatives(yk) if k else _at_runs(V, y, chains)
+            g, H = V.derivatives(yk)
         else:  # the caller's values, but at a row that the projection moved
             g, H = np.reshape(at_start[0], y.shape), np.reshape(at_start[1], (-1, d, d))
             moved = (y != np.reshape(start, y.shape)).any(axis=1)
@@ -1077,8 +1050,6 @@ def local_inverse_batch(V, centers: np.ndarray, targets: np.ndarray,
         keep = nf > limit
         rows, yk, f, H = rows[keep], yk[keep], f[keep], H[keep]
         if rows.size == 0:
-            for a in (y, grad, hess) if derivatives else (y,):
-                a[merged[0]] = a[merged[1]]
             return (y, grad, hess) if derivatives else y
         if k == INVERSE_MAX_ITER:
             raise ConvergenceError(

@@ -9,11 +9,13 @@ anchor z. Above the coupling threshold the map contracts the tube
 rule and the a-posteriori error bound.
 
 For nearest-neighbour interactions the equilibrium is a nondegenerate
-zero of F(u) = Delta(u) + lam * grad V(u), whose Jacobian is the
-block-tridiagonal operator of the tangent recursion. Once two tube-map
-steps have put the iterate well inside the tube, Newton steps on the
-whole chain converge quadratically; a closing tube-map step then carries
-the same a-posteriori bound as before.
+zero of F(u) = Delta(u) + lam * grad V(u), whose Jacobian L is the
+block-tridiagonal operator of the tangent recursion. Where Kantorovich's
+h = Lip |F(a)| / g^2 <= 1/2 at the start a (g the gap of L(a), Lip a
+Lipschitz constant of L), Newton from a provably converges to that zero
+(Ortega & Rheinboldt 1970), so the chain is polished from its start; any
+other chain takes two tube-map steps first. A closing tube-map step then
+carries the same a-posteriori bound as before.
 
 Each step hands grad V and hess V at the chains it produced to the next
 as whole-stack arrays, so V is evaluated at most once per chain point. A
@@ -28,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ConvergenceError, DomainError
-from .hyperbolicity import _coefficients, _inv
+from .hyperbolicity import _ROUND, _coefficients, _inv, _sv
 from .interactions import NearestNeighborInteraction
 from .lattice import (
     Configuration,
@@ -44,7 +46,7 @@ from .lattice import (
     rotation_vector_estimate,
     stack_chains,
 )
-from .potentials import AubryCertificate, local_inverse_batch
+from .potentials import AubryCertificate, _at_runs, local_inverse_batch
 
 __all__ = [
     "SolveParams",
@@ -121,6 +123,8 @@ class SolveReport:
     warnings: list = field(default_factory=list)
     newton_steps: list = field(default_factory=list)  # residual after each
     newton_fallback: bool = False  # a Newton step was discarded
+    kantorovich_h: float | None = None    # h at the start chain; None: no bound
+    kantorovich_lam: float | None = None  # least lam whose bounds prove; None: none
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -146,14 +150,17 @@ def _widen(part: np.ndarray, cases, K: int, base=None) -> np.ndarray:
     return out
 
 
-def _at_cases(V, x: np.ndarray, cases, base=(None, None)) -> tuple:
+def _at_cases(V, x: np.ndarray, cases, base=(None, None), runs=False) -> tuple:
     """(grad V, hess V) from one V.derivatives call at the chains of the
     ascending case ids cases of the stack x (n, K, d), as (n, K, d) and (n,
-    K, d, d) widened over base (_widen). V sees the sites as (rows, d)."""
+    K, d, d) widened over base (_widen). V sees the sites as (rows, d);
+    with runs, once per run of bit-equal sites along a chain (_at_runs)."""
     K, d = x.shape[1], x.shape[-1]
     part = x if len(cases) == K else x[:, cases]
+    rows = part.reshape(-1, d)
+    values = _at_runs(V, rows, len(cases)) if runs else V.derivatives(rows)
     return tuple(_widen(a.reshape(part.shape + (d,) * rank), cases, K, b)
-                 for a, b, rank in zip(V.derivatives(part.reshape(-1, d)), base, (0, 1)))
+                 for a, b, rank in zip(values, base, (0, 1)))
 
 
 def _force(u: Configuration, interaction, V, lam, gradient=None) -> np.ndarray:
@@ -236,6 +243,51 @@ def _reduce(a, b, c, f, inv, mul, mv):
     x = np.empty_like(f)
     x[::2], x[1::2] = xe, mv(bi, r)
     return x
+
+
+_EPS = np.finfo(float).eps
+
+
+def _kantorovich(u: Configuration, interaction, V, lam, grad, hess, force,
+                 blocks) -> tuple:
+    """Per chain of the stack u (n, K, 1) at lam (K, 1), Kantorovich's h =
+    Lip |F(u)| / g^2 and the least coupling at which the same bounds give h
+    <= 1/2, or None, from grad V, hess V, F(u) and the Jacobian's blocks
+    (A, B, C) at u: no V row. Rounded outward, with e V's rounding error at
+    the power of two >= max |u| (V.hessian_lipschitz_bound, d = 1; not
+    batch dependent) and K = lipschitz_bound >= |A_i + B_i| + |A_i| + |B_i|:
+    g = min_i |A_i + B_i + C_i| - K / 2 - lam e (phonon_gap, so |L^{-1}|
+    <= 1 / g); Lip = lam L + 8 L_I, since C_i moves by lam L t and A_i, B_i
+    (each at two sites) by 2 L_I t when the chain moves by t (L_I the
+    coupling's hessian_lipschitz); |F| gains lam e and the roundings of
+    Delta's terms (at most K max|u| for a quadratic coupling) and of lam
+    grad. As |F| <= D + lam z at any lam, z >= |grad V(u)| (at the anchors
+    the zero error), and g >= lam mu - K, mu = min_i |hess V(u_i)|, h <=
+    1/2 is a quadratic in lam; its larger root is the least coupling."""
+    A, B, C = blocks
+    lam, k = lam[:, 0], interaction.lipschitz_bound(0.0, 0.0)
+    lip_i = interaction.coupling.hessian_lipschitz
+    big, size = np.maximum(_sup(u.values), _sup(u.halo)), _sup(grad)
+    reach = np.exp2(np.ceil(np.log2(np.maximum(big, 1.0)))).tolist()
+    known = {r: V.hessian_lipschitz_bound(r) for r in set(reach)}
+    L, e = np.array([known[r] for r in reach]).T
+    diagonal = np.abs(A + B + C)[..., 0, 0]
+    with np.errstate(invalid="ignore", divide="ignore"):  # NaN at chains not running
+        low, high = diagonal.min(axis=0), diagonal.max(axis=0)
+        g = (low - k / 2 - _ROUND * (high + k / 2) - lam * e) * (1 - 2 * _EPS)
+        F = _sup(force) + 4 * _EPS * (k * big + lam * size) + lam * e
+        h = (lam * L * (1 + _EPS) + 8 * lip_i) * F / (g * g) * (1 + 8 * _EPS)
+        z = size + e
+        D = F + lam * z * (1 + 2 * _EPS)
+        mu = (np.abs(hess).min(axis=(0, 2, 3)) - e) * (1 - 2 * _EPS)
+        # (lam mu - K)^2 >= 2 (lam L + 8 L_I) (D + lam z): a2 lam^2 - 2 a1 lam + a0 >= 0
+        a2, a1 = mu * mu - 2 * L * z, k * mu + L * D + 8 * lip_i * z
+        a0 = k * k - 16 * lip_i * D
+        least = (a1 + np.sqrt(a1 * a1 - a2 * a0)) / a2 * (1 + 16 * _EPS)
+    h = [x if ok else None for x, ok in zip(h.tolist(), (g > 0) & np.isfinite(h))]
+    least = [x if ok else None for x, ok in
+             zip(least.tolist(), (mu > 0) & (a2 > 0) & np.isfinite(least))]
+    return h, least
 
 
 class ContractionSolver:
@@ -332,8 +384,8 @@ class ContractionSolver:
         and hess (n, K, d, d) hold grad V and hess V at each chain of v
         that the step produced, as the local inverse last evaluated them or
         took them from derivatives, the same arrays at u, if given; at every
-        other chain their values are unspecified. The local inverse solves
-        each distinct local problem of the step once (local_inverse_batch).
+        other chain their values are unspecified. Without derivatives the
+        local inverse evaluates V at u itself.
 
         A case whose target leaves the admissible ball fails with a
         DomainError naming the offending site; one whose output leaves the
@@ -367,8 +419,7 @@ class ContractionSolver:
                     targets[:, sel].reshape(-1, d), self.cert,
                     tol=tol[0] if len(set(tol)) == 1 else np.tile(tol, n),
                     start=u.values[:, sel].reshape(-1, d), derivatives=True,
-                    at_start=derivatives and tuple(x[:, sel] for x in derivatives),
-                    chains=len(going))
+                    at_start=derivatives and tuple(x[:, sel] for x in derivatives))
                 break
             except ConvergenceError as exc:  # row = site * len(going) + j
                 site, j = divmod(exc.row, len(going))
@@ -392,7 +443,8 @@ class ContractionSolver:
             values[:, back] = u.values[:, back]
         return u.with_values(values), (_widen(grad, going, K), _widen(hess, going, K))
 
-    def newton_polish(self, u: Configuration, cases=None, derivatives=None):
+    def newton_polish(self, u: Configuration, cases=None, derivatives=None,
+                      start=None):
         """Newton steps L delta = F(u) on each whole chain, L the
         block-tridiagonal Jacobian of F (blocks -B_i, A_i + B_i + C_i, -A_i
         of the tangent recursion), solved by cyclic reduction for all the
@@ -404,15 +456,17 @@ class ContractionSolver:
         tube |u - a| <= r, does not lower the residual or meets a singular
         block is discarded, and the chain's polish ends there. u and cases
         and derivatives are as for phi_step; V.derivatives is evaluated once
-        per candidate chain. Returns (u, per case the residual after each
-        kept step, per case whether a step was discarded, (grad, hess) at
-        u, where a chain kept from an earlier step keeps its values).
+        per candidate chain. start, if given, is (F(u), (A, B, C)) over the
+        whole stack, for the first step. Returns (u, per case the residual
+        after each kept step, per case whether a step was discarded, (grad,
+        hess) at u, where a chain kept from an earlier step keeps its values).
         """
         K, V = len(self.cases), self.potential
         going = self._cases(cases)
         grad, hess = derivatives or _at_cases(V, u.values, going)
         derivatives = None  # grad and hess are its last holders
-        force = _force(u, self.interaction, V, self.lam, grad)
+        force, blocks = start or (_force(u, self.interaction, V, self.lam, grad), None)
+        start = None
         res = _sup(force).tolist()
         history, fallback = [[] for _ in range(K)], [False] * K
         going = [c for c in going if res[c] > self.tol]
@@ -420,8 +474,9 @@ class ContractionSolver:
             if not going:
                 break
             sel = self._sel(going)
-            A, B, C = (x[:, sel] for x in _coefficients(
+            A, B, C = (x[:, sel] for x in blocks or _coefficients(
                 u, self.interaction, V, self.lam[:, None], hess)[1:])
+            blocks = None
             step = _cyclic_reduction(-B, A + B + C, -A, force[:, sel])
             if isinstance(sel, slice):
                 v = u.with_values(u.values - step)
@@ -451,10 +506,12 @@ class ContractionSolver:
         """Iterate phi_step from the anchors (or a caller-supplied start in
         the tube) until the a-posteriori bound and the residual check both
         pass, case by case: a case stops in place when it converges or
-        fails. For a nearest-neighbour interaction, newton_polish runs
-        after the second step and the loop goes on with the closing step,
-        so the answer is still a tube-map image. Each step starts from the
-        grad V and hess V that the step before it handed on, and V is
+        fails. For a nearest-neighbour interaction newton_polish runs
+        before the first step for each case whose Kantorovich h at its
+        start is at most 1/2 (_start), after the second for the others; the
+        loop goes on with the closing step, so the answer is still a
+        tube-map image. Each step starts from the grad V and hess V that
+        the one before it handed on (at the start, _start's), and V is
         never evaluated at the chain of a stopped case. Returns, per case,
         (configuration, report) or the case's error, which also stays in
         self.failures. The closing step's grad V and hess V at a converged
@@ -471,16 +528,27 @@ class ContractionSolver:
             u = Configuration(u.window, u.values, u.tail, self._halo(u))
         running = [c for c in range(K) if c not in self.failures]
         steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
-        fallback, last_res, done, derivatives = [False] * K, [np.inf] * K, {}, None
+        fallback, last_res, done = [False] * K, [np.inf] * K, {}
+        derivatives, start, proofs = None, None, ([None] * K, [None] * K)
+        if running:
+            derivatives, start, proofs = self._start(u, running)
+        first = [c for c in running if proofs[0][c] is not None and proofs[0][c] <= 0.5]
+        nn = isinstance(self.interaction, NearestNeighborInteraction)
         for k in range(self.max_iter):
             if not running:
                 break
-            if k == 2 and isinstance(self.interaction, NearestNeighborInteraction):
+            polish = [c for c in running if (c in first) == (k == 0)] if (
+                nn and k in (0, 2)) else []
+            if polish:
                 # popped from a list into the call, so the polish holds the last references
                 # to u and its derivatives and frees them early (BENCH_23.json: solve-1d RSS)
-                handed, u, u_next, derivatives = [u, derivatives], None, None, None
-                u, newton, fallback, derivatives = self.newton_polish(
-                    handed.pop(0), running, handed.pop())
+                handed = [u, derivatives, start]
+                u, u_next, derivatives, start = None, None, None, None
+                u, history, fell, derivatives = self.newton_polish(
+                    handed.pop(0), polish, handed.pop(0), handed.pop())
+                for c in polish:
+                    newton[c], fallback[c] = history[c], fell[c]
+            start = None  # F and the blocks at the start serve step 0 only
             u_next, derivatives = self.phi_step(u, running, derivatives)
             running = [c for c in running if c not in self.failures]
             delta = _sup(u_next.values - u.values).tolist()
@@ -512,10 +580,27 @@ class ContractionSolver:
                     f"no convergence in {self.max_iter} iterations "
                     f"(last step {steps[c][-1]:.3e}, residual {r:.3e})",
                     trace=steps[c])
-        reports = self._reports({c: (*done[c], steps[c], newton[c], fallback[c])
-                                 for c in done})
+        reports = self._reports({c: (*done[c], steps[c], newton[c], fallback[c],
+                                     proofs[0][c], proofs[1][c]) for c in done})
         return [self.failures[c] if c in self.failures else (done[c][0], reports[c])
                 for c in range(K)]
+
+    def _start(self, u: Configuration, cases) -> tuple:
+        """(grad V, hess V) at u's chains of cases, V once per run of
+        bit-equal sites along a chain; where a bound exists (nearest
+        neighbours in d = 1, V and the coupling with hessian Lipschitz
+        constants) the first Newton step's (F(u), (A, B, C)) and per case
+        _kantorovich's (h, least lam), else None and no proofs."""
+        V, K = self.potential, len(self.cases)
+        grad, hess = _at_cases(V, u.values, cases, runs=True)
+        if not (isinstance(self.interaction, NearestNeighborInteraction)
+                and u.values.shape[-1] == 1 and hasattr(V, "hessian_lipschitz_bound")
+                and hasattr(self.interaction.coupling, "hessian_lipschitz")):
+            return (grad, hess), None, ([None] * K, [None] * K)
+        force = _force(u, self.interaction, V, self.lam, grad)
+        blocks = _coefficients(u, self.interaction, V, self.lam[:, None], hess)[1:]
+        return (grad, hess), (force, blocks), _kantorovich(
+            u, self.interaction, V, self.lam, grad, hess, force, blocks)
 
     def _halo(self, u: Configuration) -> np.ndarray:
         """The halo of the stack u, (2 reach, K, d), each case's looked up
@@ -545,8 +630,9 @@ class ContractionSolver:
 
     def _reports(self, done) -> dict:
         """The SolveReport of each converged case c, done[c] = (u,
-        final_residual, steps, newton_steps, newton_fallback). One probe of
-        the stacked chains gives every distance to the rotation."""
+        final_residual, steps, newton_steps, newton_fallback,
+        kantorovich_h, kantorovich_lam). One probe of the stacked chains
+        gives every distance to the rotation."""
         if not done:
             return {}
         cases = list(done)
@@ -557,7 +643,11 @@ class ContractionSolver:
         return {c: self._report(c, *done[c], d) for c, d in zip(cases, d_rho)}
 
     def _report(self, c, u, final_res, steps, newton_steps, newton_fallback,
-                d_rho) -> SolveReport:
+                kantorovich_h, kantorovich_lam, d_rho) -> SolveReport:
+        """Case c's report. Its contraction factor also takes, for nearest
+        neighbours, K / (lam min_i sigma_min(hess V(u_i))) >= max_i
+        |C_i^{-1}| (|B_i| + |A_i + B_i| + |A_i|), the tube map's derivative
+        at u (K = lipschitz_bound; equal for a quadratic coupling)."""
         p, threshold = self.cases[c], self.thresholds[c]
         noise_floor = 100 * np.finfo(float).eps * (
             1.0 + float(np.abs(u.values).max())
@@ -567,6 +657,9 @@ class ContractionSolver:
             for k in range(len(steps) - 1)
             if steps[k] > noise_floor
         ]
+        if isinstance(self.interaction, NearestNeighborInteraction):
+            sigma = float(_sv(self.derivatives[c][1])[..., -1].min())
+            ratios.append(self.interaction.lipschitz_bound(p.rho, 0.0) / (p.lam * sigma))
         warnings = []
         at_least = p.lam >= threshold
         if not at_least:
@@ -593,6 +686,8 @@ class ContractionSolver:
             warnings=warnings,
             newton_steps=newton_steps,
             newton_fallback=newton_fallback,
+            kantorovich_h=kantorovich_h,
+            kantorovich_lam=kantorovich_lam,
         )
 
 

@@ -997,12 +997,11 @@ class _PathDependent:
 
 
 class TestRepeatedRows:
-    """Over more than one chain, local_inverse_batch iterates the rows
-    still open after the first step once per distinct (y, target, centre,
-    tol) and, in d = 1, bracket, and copies the result to the repeats:
-    every row comes out as it does without grouping, bit for bit, and an
-    error names the row it names without. Its first step evaluates V once
-    per run of equal rows along a chain."""
+    """Rows that repeat one local problem bit for bit come out of
+    local_inverse_batch as the problem does alone, bit for bit, and an
+    error names the lowest failing row. A solver hands the first step V at
+    its start chains from _at_runs, which evaluates V once per run of
+    bit-equal rows along a chain."""
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_repeats_get_the_distinct_rows_bytes(self, d, rng):
@@ -1016,26 +1015,22 @@ class TestRepeatedRows:
         # the first six rows twice with another tolerance
         pick = np.concatenate([rng.integers(0, distinct, 300), np.arange(6)])
         tols = np.concatenate([tol[pick[:300]], np.full(6, 1e-10)])
-        want = local_inverse_batch(V, centers[pick], targets[pick], cert, tol=tols,
-                                   start=start[pick], derivatives=True)
+        got = local_inverse_batch(V, centers[pick], targets[pick], cert, tol=tols,
+                                  start=start[pick], derivatives=True)
         alone = local_inverse_batch(V, centers, targets, cert, tol=tol, start=start,
                                     derivatives=True)
-        calls, evaluate = [], V.derivatives
-        V.derivatives = lambda x: calls.append(len(x)) or evaluate(x)
-        got = local_inverse_batch(V, centers[pick], targets[pick], cert, tol=tols,
-                                  start=start[pick], derivatives=True, chains=2)
-        for a, b, c in zip(got, want, alone):
-            assert a.tobytes() == b.tobytes()
+        loose = local_inverse_batch(V, centers[:6], targets[:6], cert, tol=1e-10,
+                                    start=start[:6], derivatives=True)
+        for a, c, e in zip(got, alone, loose):
             assert a[:300].tobytes() == c[pick[:300]].tobytes()
-        assert calls[0] <= len(pick) and len(calls) > 2
-        assert max(calls[1:]) <= distinct + 6
+            assert a[300:].tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_first_step_evaluates_each_run_once(self, d, rng):
         # three chains, site-major, started at their anchors, which stay on
-        # one zero for runs of sites: the first V call takes the first row
-        # of each run along a chain, and every row comes out as from V's
-        # values at all the start rows
+        # one zero for runs of sites: _at_runs takes the first row of each
+        # run along a chain, and every row comes out as from V's values at
+        # all the start rows, or from V evaluated by the local inverse
         V = TrigSumPotential([(1.0, np.eye(d)[j], 0.0) for j in range(d)])
         cert, K = _unit_cert(d), 3
         anchors = np.pi * np.repeat(rng.integers(-2, 3, size=(12, K, d)), 4, axis=0)
@@ -1044,14 +1039,17 @@ class TestRepeatedRows:
         centers = anchors.reshape(-1, d)
         targets = rng.uniform(-rm, rm, size=centers.shape)
         want = local_inverse_batch(V, centers, targets, cert, start=centers, derivatives=True,
-                                   at_start=V.derivatives(centers), chains=K)
+                                   at_start=V.derivatives(centers))
+        fresh = local_inverse_batch(V, centers, targets, cert, start=centers,
+                                    derivatives=True)
         calls, evaluate = [], V.derivatives
         V.derivatives = lambda x: calls.append(len(x)) or evaluate(x)
+        at_start = potentials._at_runs(V, centers, K)
+        assert calls == [runs] and runs < len(centers)
         got = local_inverse_batch(V, centers, targets, cert, start=centers,
-                                  derivatives=True, chains=K)
-        assert calls[0] == runs < len(centers)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+                                  derivatives=True, at_start=at_start)
+        for a, b, c in zip(got, want, fresh):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("repeat", [1, 3])
@@ -1070,16 +1068,21 @@ class TestRepeatedRows:
 
     def test_bracket_is_part_of_a_row(self):
         # both rows are at 0.5 after the first step, brackets [-1, 0.625]
-        # and [-0.5, 1]; bisection then ends them at -0.25 (within tol) and 0
+        # and [-0.5, 1]; bisection then ends them at -0.25 (within tol) and
+        # 0, each as it ends alone
         args = (_PathDependent(), np.zeros((2, 1)), np.zeros((2, 1)), _unit_cert(1, r=1.0))
-        kwargs = {"tol": 0.3, "start": np.array([[0.625], [-0.5]])}
-        y = local_inverse_batch(*args, **kwargs, chains=2)
+        start = np.array([[0.625], [-0.5]])
+        y = local_inverse_batch(*args, tol=0.3, start=start)
         assert y.tolist() == [[-0.25], [0.0]]
-        assert y.tobytes() == local_inverse_batch(*args, **kwargs).tobytes()
+        for j in range(2):
+            alone = local_inverse_batch(args[0], args[1][:1], args[2][:1], args[3],
+                                        tol=0.3, start=start[j:j + 1])
+            assert alone.tobytes() == y[j:j + 1].tobytes()
 
     @pytest.mark.parametrize("kind", ["no-root-1d", "max-iter-2d", "singular-2d"])
     def test_errors_name_the_lowest_repeat(self, kind):
-        # rows 1, 3 and 5 repeat one failing row, rows 0 and 4 a good one
+        # rows 1, 3 and 5 repeat one failing row, rows 0 and 4 a good one;
+        # without rows 0 and 1 the batch fails at its row 1, the old row 3
         if kind == "singular-2d":
             V, cert, bad, match = _SingularBeyond(), _unit_cert(2, r=1.0), 0.6, "singular"
         else:
@@ -1090,9 +1093,9 @@ class TestRepeatedRows:
         d = V.dimension
         targets = np.zeros((6, d))
         targets[:, 0] = 0.3, bad, -0.2, bad, 0.3, bad
-        for chains in (1, 2):
+        for first in (0, 2):
             with pytest.raises(ConvergenceError, match=f"row 1\\b.*{match}") as got:
-                local_inverse_batch(V, np.zeros((6, d)), targets, cert, chains=chains)
+                local_inverse_batch(V, np.zeros((6 - first, d)), targets[first:], cert)
             assert got.value.row == 1
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,9 +283,12 @@ class TestSolve:
         assert any("threshold" in w for w in rep.warnings)
 
     def test_max_iter_exhaustion(self, nn_interaction, cos_potential, cos_cert):
+        # at lam = 10 Kantorovich's h exceeds 1/2 (the cosine proves from lam
+        # 13.06), so the solve takes two tube-map steps before its polish
         with pytest.raises(ConvergenceError) as err:
             solve_equilibrium(
-                make_params(max_iter=2), nn_interaction, cos_potential, cos_cert
+                make_params(lam=10.0, max_iter=2), nn_interaction, cos_potential,
+                cos_cert
             )
         assert len(err.value.trace) == 2
 
@@ -481,7 +485,7 @@ def _dense(lower, diag, upper):
 class _TubeMapOnly(ContractionSolver):
     """The solver with the Newton phase switched off."""
 
-    def newton_polish(self, u, cases=None, derivatives=None):
+    def newton_polish(self, u, cases=None, derivatives=None, start=None):
         chains = u.values.shape[1]
         return u, [[] for _ in range(chains)], [False] * chains, derivatives
 
@@ -517,7 +521,9 @@ class TestNewtonPolish:
         params = make_params(lam=40.0, rho=0.618, n=256)
         u, rep = solve_equilibrium(params, nn_interaction, cos_potential,
                                    cos_cert)
-        assert rep.iterations == 3 and not rep.newton_fallback
+        # Newton from the anchors (h <= 1/2), then the closing step
+        assert rep.kantorovich_h <= 0.5
+        assert rep.iterations == 1 and not rep.newton_fallback
         assert 1 <= len(rep.newton_steps) <= 3
         assert rep.newton_steps[-1] <= params.tol
         assert rep.final_residual <= params.tol
@@ -729,9 +735,10 @@ class TestStackedSolve:
         assert all(solver.failures[c].row == 3 for c in (1, 2))
 
     def test_sweep_grid_at_one_lam(self, monkeypatch):
-        # the sweep benchmark's rhos at one lam share most local problems
-        # across chains; the last case repeats rho = 0.3 at another
-        # inner_tol, so its rows match the other's in all but tol
+        # the sweep benchmark's rhos at one lam; the last case repeats rho =
+        # 0.3 at another inner_tol. Every case is proved (h <= 1/2), so the
+        # batch's one tube-map step, the closing one, serves its six chains
+        # in one local-inverse call, and each case alone takes one call
         from antifk import estimate_aubry, truncated_almost_periodic
         from antifk import solver as solver_module
 
@@ -739,18 +746,17 @@ class TestStackedSolve:
         cert = estimate_aubry(V, (-200.0, 200.0))
         params = _grid((24.0,), (0.1, 0.2, 0.3, 0.4, 0.5), 256) + _grid(
             (24.0,), (0.3,), 256, inner_tol=1e-13)
-        chains, inverse = [], solver_module.local_inverse_batch
+        rows, inverse = [], solver_module.local_inverse_batch
 
-        def spy(*args, **kwargs):
-            chains.append(kwargs["chains"])
-            return inverse(*args, **kwargs)
+        def spy(V, centers, *args, **kwargs):
+            rows.append(len(centers))
+            return inverse(V, centers, *args, **kwargs)
 
         monkeypatch.setattr(solver_module, "local_inverse_batch", spy)
         statuses = _assert_batch_matches_alone(
             NearestNeighborInteraction(), V, cert, params, len(params))
         assert statuses == ["ok"] * 6
-        # the batch's steps group its six chains, each case alone is one
-        assert chains[:3] == [6] * 3 and set(chains[3:]) == {1}
+        assert rows == [6 * 513] + [513] * 6
 
     def test_local_inverse_failure_on_handed_values(self, nn_interaction,
                                                     cos_potential):
@@ -965,25 +971,37 @@ def _count_rows_outside_inverse(monkeypatch, V):
     return rows
 
 
+def _runs(chains: np.ndarray) -> int:
+    """Runs of bit-equal sites along the chains of a stack (n, K, d)."""
+    return chains.shape[1] + int((chains[1:] != chains[:-1]).any(axis=-1).sum())
+
+
 class TestDerivativeReuse:
     """Each step hands grad V and hess V at the chains it produced to the
-    next: the local inverse's last evaluations serve the next tube-map
-    step's first local-inverse iteration, the Newton polish's entry force
-    and C blocks and the residual check, and the polish's evaluations at
-    its chains serve the closing step. Outside the local inverse V is
-    evaluated only at the Newton steps' own iterates, in one fused
-    V.derivatives call each, and only at the chains of running cases."""
+    next. V at the start chains, once per run of equal sites along a
+    chain, serves the Kantorovich test and the first Newton step (or the
+    first tube-map step); the local inverse's last evaluations serve the
+    next tube-map step's first local-inverse iteration, the Newton polish's
+    entry force and C blocks and the residual check, and the polish's
+    evaluations at its chains serve the closing step. Outside the local
+    inverse V is evaluated only at the start and at the Newton steps' own
+    iterates, in one fused V.derivatives call each, and only at the chains
+    of running cases."""
 
     def test_one_case(self, monkeypatch, nn_interaction):
         from antifk import cosine_certificate, cosine_potential
 
         V, params = cosine_potential(), make_params(lam=40.0, rho=0.618, n=256)
         rows = _count_rows_outside_inverse(monkeypatch, V)
-        _, rep = solve_equilibrium(params, nn_interaction, V, cosine_certificate())
+        solver = ContractionSolver(nn_interaction, V, cosine_certificate(), [params])
+        [(_, rep)] = solver.solve()
         n, steps = 513, len(rep.newton_steps)
-        assert rep.iterations == 3 and not rep.newton_fallback and steps >= 2
-        # per Newton step the new iterate's force and next C blocks
-        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
+        assert rep.iterations == 1 and not rep.newton_fallback and steps >= 2
+        # the start's runs, then per Newton step the new iterate's force
+        # and next C blocks
+        runs = _runs(solver.anchors.values)
+        assert runs < n
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": runs + n * steps}
 
     def test_sweep_batch(self, monkeypatch):
         # the first batch of the sweep benchmark's grid, in lockstep
@@ -993,19 +1011,19 @@ class TestDerivativeReuse:
         cert = estimate_aubry(V, (-200.0, 200.0))
         params = _grid((24.0, 32.0), (0.1, 0.2, 0.3, 0.4, 0.5), 256)[:7]
         rows = _count_rows_outside_inverse(monkeypatch, V)
-        outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert,
-                                     params).solve()
-        reps = [rep for _, rep in outcomes]
+        solver = ContractionSolver(NearestNeighborInteraction(), V, cert, params)
+        reps = [rep for _, rep in solver.solve()]
         steps = {len(rep.newton_steps) for rep in reps}
-        assert {rep.iterations for rep in reps} == {3} and len(steps) == 1
+        assert {rep.iterations for rep in reps} == {1} and len(steps) == 1
         assert not any(rep.newton_fallback for rep in reps)
-        n, [steps] = 7 * 513, steps
-        assert rows == {"gradient": 0, "hessian": 0, "derivatives": n * steps}
+        n, [steps], runs = 7 * 513, steps, _runs(solver.anchors.values)
+        assert runs < n
+        assert rows == {"gradient": 0, "hessian": 0, "derivatives": runs + n * steps}
 
     def test_closing_step_evaluates_no_rows(self, monkeypatch):
         # the polish ends every chain of the sweep batch below tol, so the
         # closing step's local inverse ends every row on the values the
-        # polish handed on; the first two steps evaluate V
+        # polish handed on; only the start and the polish evaluate V
         from antifk import estimate_aubry, truncated_almost_periodic
 
         V = truncated_almost_periodic(8, 0.5)
@@ -1023,8 +1041,8 @@ class TestDerivativeReuse:
         monkeypatch.setattr(V, "derivatives", lambda x: rows.append(len(x)) or evaluate(x))
         monkeypatch.setattr(ContractionSolver, "phi_step", spy)
         outcomes = ContractionSolver(NearestNeighborInteraction(), V, cert, params).solve()
-        assert all(rep.iterations == 3 for _, rep in outcomes)
-        assert made[0] > 0 and made[1] > 0 and made[2] == 0
+        assert all(rep.iterations == 1 for _, rep in outcomes)
+        assert made == [0] and sum(rows) > 0
 
     def test_step_derivatives_are_fresh_values(self, monkeypatch, nn_interaction,
                                                cos_potential, cos_cert):
@@ -1078,8 +1096,9 @@ class TestDerivativeReuse:
             fresh(solver, v, grad, hess, cases)
             return v, (grad, hess)
 
-        def polish_spy(solver, u, cases=None, derivatives=None):
-            v, history, fallback, (grad, hess) = polish(solver, u, cases, derivatives)
+        def polish_spy(solver, u, cases=None, derivatives=None, start=None):
+            v, history, fallback, (grad, hess) = polish(solver, u, cases, derivatives,
+                                                        start)
             fresh(solver, v, grad, hess, cases)
             return v, history, fallback, (grad, hess)
 
@@ -1142,3 +1161,185 @@ class TestDerivativeReuse:
         assert [type(o).__name__ for o in outcomes] == ["tuple", "ConvergenceError",
                                                          "tuple", "tuple"]
         assert sorted(stopped) == [0, 2, 3] and calls == [] and rows and set(rows) == {n}
+
+
+class TestKantorovich:
+    """Kantorovich's h = Lip |F(a)| / g^2 at a solve's start chain a,
+    rounded outward, decides whether the solve starts with Newton; the
+    report also gives the least lam at which the same bounds prove."""
+
+    def test_cosine_matches_mpmath(self, nn_interaction, cos_potential, cos_cert):
+        # F_i = 2 a_i - a_{i-1} - a_{i+1} - lam sin a_i and the gap |2 - lam
+        # cos a_i| - 2 at the float anchors and their tail neighbours, Lip =
+        # lam L with the potential's proved L, evaluated at 50 digits
+        import mpmath
+
+        params = make_params(lam=20.0, rho=0.3, n=256)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
+        [(_, rep)] = solver.solve()
+        ext = solver.anchors.extended(1)[:, 0, 0].tolist()
+        with mpmath.workdps(50):
+            a, lam = [mpmath.mpf(x) for x in ext], mpmath.mpf(params.lam)
+            inner = range(1, len(a) - 1)
+            force = max(abs(2 * a[i] - a[i - 1] - a[i + 1] - lam * mpmath.sin(a[i]))
+                        for i in inner)
+            gap = min(abs(2 - lam * mpmath.cos(a[i])) - 2 for i in inner)
+            lip = lam * mpmath.mpf(cos_potential.hessian_lipschitz_bound(1.0)[0])
+            exact = lip * force / gap**2
+            assert exact <= rep.kantorovich_h <= exact * (1 + mpmath.mpf("1e-12"))
+        assert rep.kantorovich_h <= 0.5 and rep.iterations == 1
+
+    def test_least_lam_is_where_h_crosses_one_half(self, nn_interaction,
+                                                   cos_potential, cos_cert):
+        # on the cosine with an anchor at 0 the gap is lam - 4 exactly, so
+        # the quadratic's root is where h itself crosses 1/2
+        least = make_params(rho=0.3, n=64)
+        _, rep = solve_equilibrium(least, nn_interaction, cos_potential, cos_cert)
+        lam = rep.kantorovich_lam
+        assert 13.0 < lam < 13.1
+        for factor, proved in ((1 + 1e-9, True), (1 - 1e-9, False)):
+            params = make_params(lam=lam * factor, rho=0.3, n=64)
+            _, rep = solve_equilibrium(params, nn_interaction, cos_potential, cos_cert)
+            assert (rep.kantorovich_h <= 0.5) == proved
+            assert rep.iterations == (1 if proved else 3)
+            assert rep.kantorovich_lam == pytest.approx(lam, rel=1e-12)
+
+    def test_no_bound_without_a_coupling_constant(self):
+        # the perturbed-quadratic coupling has no proved Lipschitz constant
+        # of its hessian: no h, no least lam, and the tube-map start
+        nn, V, cert, params = _cos2d_case()
+        _, rep = solve_equilibrium(params, nn, V, cert)
+        assert rep.kantorovich_h is None and rep.kantorovich_lam is None
+        assert rep.iterations == 3 and rep.newton_steps
+        lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
+        _, rep = solve_equilibrium(make_params(lam=40.0, n=32), lr,
+                                   *_cos_pair())
+        assert rep.kantorovich_h is None and rep.newton_steps == []
+
+    def test_contraction_factor_measures_the_tube_map(self, nn_interaction,
+                                                      cos_potential, cos_cert):
+        # criterion 03's case solves with one tube-map step, so no two
+        # steps give a ratio; the factor is the tube map's derivative
+        # bound at the solution, 4 / (lam min |V''(u_i)|), which the late
+        # ratios of ten tube-map steps from a perturbed solution obey
+        params = make_params(lam=20.0, rho=1.0, n=64)
+        u, rep = solve_equilibrium(params, nn_interaction, cos_potential, cos_cert)
+        assert rep.iterations == 1 and len(rep.step_distances) == 1
+        factor = rep.contraction_factor
+        assert 0.0 < factor <= 1.0 / 3.0 + 0.02
+        assert factor == pytest.approx(
+            4.0 / (params.lam * np.abs(np.cos(u.values)).min()), rel=1e-12)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert,
+                                   [make_params(lam=20.0, rho=1.0, n=64, inner_tol=1e-15)])
+        v = stack_chains([u])
+        v = v.with_values(v.values + 1e-4 * np.random.default_rng(3).uniform(
+            -1.0, 1.0, v.values.shape))
+        steps = []
+        for _ in range(10):
+            w, _ = solver.phi_step(v)
+            steps.append(float(np.abs(w.values - v.values).max()))
+            v = w
+        ratios = [b / a for a, b in zip(steps, steps[1:])]
+        assert 0.0 < max(ratios[4:]) <= factor * (1 + 1e-6)
+
+
+def _cos_pair():
+    from antifk import cosine_certificate, cosine_potential
+
+    return cosine_potential(), cosine_certificate()
+
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+class TestSchedule:
+    """Which step a solve polishes at: before the first tube-map step where
+    Kantorovich proves (h <= 1/2), after the second elsewhere."""
+
+    @pytest.mark.parametrize("name", ["solve-1d", "solve-far", "sweep-ap"])
+    def test_bench_draws_solve_newton_first(self, name, tmp_path, monkeypatch):
+        # the first op of seeds 1, 2 and 3 and the first latin block of
+        # seed 7, drawn as bench/worker.py draws them: every case is proved
+        # and takes Newton from its anchors and the closing step, and the
+        # bench oracles pass
+        import json
+        import random
+
+        from antifk import cli
+        from antifk import solver as solver_module
+
+        monkeypatch.syspath_prepend(str(_BENCH))
+        from worker import STRATA, latin_points
+        from workloads import WORKLOADS
+
+        reports, solve = [], solver_module.ContractionSolver.solve
+
+        def spy(solver, initial=None):
+            out = solve(solver, initial)
+            reports.extend((o, solver.tol) for o in out)
+            return out
+
+        monkeypatch.setattr(solver_module.ContractionSolver, "solve", spy)
+        workload = WORKLOADS[name]
+        workload.prepare(str(tmp_path))
+        for seed, ops in ((1, 1), (2, 1), (3, 1), (7, STRATA)):
+            rng = random.Random(seed)
+            points = latin_points(rng, workload.dims)
+            for k in range(ops):
+                params = workload.draw(next(points))
+                config = tmp_path / f"{seed}-{k}.json"
+                config.write_text(json.dumps(workload.config(params, rng.randrange(2**31))))
+                out = tmp_path / f"out-{seed}-{k}"
+                extra = ["--workers", "1"] if workload.command == "sweep" else []
+                argv = [workload.command, "--config", str(config), "--out", str(out)]
+                assert cli.main(argv + extra) == 0
+                assert workload.check(params, str(out)) is None
+        assert len(reports) == 7 * (25 if name == "sweep-ap" else 1)
+        for outcome, tol in reports:
+            u, rep = outcome
+            assert rep.kantorovich_h <= 0.5 and rep.iterations == 1
+            assert not rep.newton_fallback and rep.final_residual <= tol
+
+    def test_unproved_case_keeps_the_tube_map_start(self, monkeypatch):
+        # the sweep potential at lam = 12 is not proved (h > 1/2): the
+        # solve takes two tube-map steps, the polish and tube-map steps to
+        # the stopping rule, and its chain is that schedule's bit for bit
+        from antifk import estimate_aubry, truncated_almost_periodic
+
+        V = truncated_almost_periodic(8, 0.5)
+        cert = estimate_aubry(V, (-200.0, 200.0))
+        nn, params = NearestNeighborInteraction(), SolveParams(lam=12.0, rho=0.3, window=256)
+        calls = []
+        for name in ("phi_step", "newton_polish"):
+            def spy(solver, *args, method=getattr(ContractionSolver, name), name=name):
+                calls.append(name)
+                return method(solver, *args)
+            monkeypatch.setattr(ContractionSolver, name, spy)
+        [(u, rep)] = ContractionSolver(nn, V, cert, [params]).solve()
+        assert rep.kantorovich_h > 0.5 and rep.iterations == 3
+        assert calls == ["phi_step", "phi_step", "newton_polish", "phi_step"]
+        monkeypatch.undo()
+        replay = ContractionSolver(nn, V, cert, [params])
+        v, derivatives = replay.phi_step(replay.anchors)
+        v, derivatives = replay.phi_step(v, None, derivatives)
+        v, _, _, derivatives = replay.newton_polish(v, None, derivatives)
+        v, _ = replay.phi_step(v, None, derivatives)
+        assert v.values[:, 0].tobytes() == u.values.tobytes()
+
+    def test_uniqueness_starts_reach_the_same_chain(self, nn_interaction,
+                                                    cos_potential, cos_cert):
+        # criterion 06's starts, the anchors moved by r / 2 at every site,
+        # are not proved (h > 1/2) and keep the tube-map start; the
+        # anchors are proved; both reach one chain
+        rng, r = np.random.default_rng(6), cos_cert.ball_radius
+        for lam, rho in ((23.5, -2.19), (39.2, -2.75), (130.1, 0.54)):
+            params = SolveParams(lam=lam, rho=rho, window=24, tol=1e-11)
+            solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, [params])
+            [(u, rep)] = solver.solve()
+            a = solver.anchors
+            signs = rng.choice((-1.0, 1.0), size=a.values.shape)
+            [(u2, rep2)] = solver.solve(a.with_values(a.values + 0.5 * r * signs))
+            assert rep.kantorovich_h <= 0.5 < rep2.kantorovich_h
+            assert (rep.iterations, rep2.iterations) == (1, 3)
+            verdict = uniqueness_check(u, u2, cos_cert)
+            assert verdict.same_ball and verdict.distance <= 1e-10
