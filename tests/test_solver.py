@@ -1193,8 +1193,8 @@ class TestKantorovich:
                                                    cos_potential, cos_cert):
         # on the cosine with an anchor at 0 the gap is lam - 4 exactly, so
         # the quadratic's root is where h itself crosses 1/2
-        least = make_params(rho=0.3, n=64)
-        _, rep = solve_equilibrium(least, nn_interaction, cos_potential, cos_cert)
+        _, rep = solve_equilibrium(make_params(rho=0.3, n=64), nn_interaction,
+                                   cos_potential, cos_cert)
         lam = rep.kantorovich_lam
         assert 13.0 < lam < 13.1
         for factor, proved in ((1 + 1e-9, True), (1 - 1e-9, False)):
@@ -1204,16 +1204,17 @@ class TestKantorovich:
             assert rep.iterations == (1 if proved else 3)
             assert rep.kantorovich_lam == pytest.approx(lam, rel=1e-12)
 
-    def test_no_bound_without_a_coupling_constant(self):
+    def test_no_bound_without_a_coupling_constant(self, cos_potential, cos_cert):
         # the perturbed-quadratic coupling has no proved Lipschitz constant
-        # of its hessian: no h, no least lam, and the tube-map start
+        # of its hessian: no h, no least lam, and the tube-map start; nor
+        # has a long-range interaction
         nn, V, cert, params = _cos2d_case()
         _, rep = solve_equilibrium(params, nn, V, cert)
         assert rep.kantorovich_h is None and rep.kantorovich_lam is None
         assert rep.iterations == 3 and rep.newton_steps
         lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
-        _, rep = solve_equilibrium(make_params(lam=40.0, n=32), lr,
-                                   *_cos_pair())
+        _, rep = solve_equilibrium(make_params(lam=40.0, n=32), lr, cos_potential,
+                                   cos_cert)
         assert rep.kantorovich_h is None and rep.newton_steps == []
 
     def test_contraction_factor_measures_the_tube_map(self, nn_interaction,
@@ -1241,12 +1242,6 @@ class TestKantorovich:
             v = w
         ratios = [b / a for a, b in zip(steps, steps[1:])]
         assert 0.0 < max(ratios[4:]) <= factor * (1 + 1e-6)
-
-
-def _cos_pair():
-    from antifk import cosine_certificate, cosine_potential
-
-    return cosine_potential(), cosine_certificate()
 
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
