@@ -5,11 +5,13 @@
 The chain is the ROADMAP baseline: cosine V, unit quadratic
 nearest-neighbour coupling, lam = 40, rho = 0.618, tol = 1e-10, at
 half_width 32, 512, 4096 and 16384. Each layer is timed in process, best
-of REPEATS calls, on the inputs the solver hands it: the tube-map layers
-at the anchors and (``phi_step.warm``, ``residual``) at the iterate after
-two tube-map steps, the Newton layers at the anchors (where solve starts
-its Newton phase when Kantorovich proves it, as here), and the cone verdict and the
-horizon-20 splitting at the solved chain. The JSON written is the
+of REPEATS rounds, on the inputs the solver hands it: the tube-map and
+Newton layers at the anchors, where solve starts its polish,
+``phi_step.warm`` (the closing step) and ``residual`` at the chain the
+polish hands on, and the cone verdict and the horizon-20 splitting at
+the solved chain. A round times every layer at every size in turn, so
+drift of the host between rounds spreads over all sizes instead of
+tilting the slopes. The JSON written is the
 ``scale_check`` block of a BENCH file: seconds and microseconds per site
 for every layer and size, and each layer's log-log slope of time against
 sites over the three largest sizes, which reads 1 for linear growth.
@@ -56,9 +58,9 @@ The ``d2`` row times the d = 2 chain of the hyperbolicity benchmark:
 V = cos x + cos y on the finite zero set pi Z^2 that the benchmark
 writes (the table reaches one period past the query box [-c, c]^2, c =
 0.65 (half_width + 1)), perturbed-quadratic coupling of amplitude 0.1,
-lam = 40, rho = (0.47, 0.58), at half_width 128, 512 and 2048: the anchor
-lookup, the Newton step's cyclic reduction (at the iterate after two
-tube-map steps), the cone verdict and the horizon-20 splitting (at the
+lam = 40, rho = (0.47, 0.58), at half_width 128, 512 and 2048, in rounds
+as above: the anchor lookup, the first Newton step's cyclic reduction (at
+the anchors), the cone verdict and the horizon-20 splitting (at the
 solved chain), each with its log-log slope against sites.
 
 ``src_lines`` is the line count of the library's modules
@@ -197,7 +199,21 @@ def best_of(fn) -> float:
     return min(times)
 
 
-def layer_times(half_width: int) -> dict:
+def interleaved(calls) -> list:
+    """Per size, each layer's shortest wall time over REPEATS rounds;
+    calls holds, per size, the layers as calls of no arguments. A round
+    times every layer at every size in turn."""
+    best = [dict.fromkeys(layers, np.inf) for layers in calls]
+    for _ in range(REPEATS):
+        for layers, times in zip(calls, best):
+            for name, fn in layers.items():
+                t0 = time.perf_counter()
+                fn()
+                times[name] = min(times[name], time.perf_counter() - t0)
+    return best
+
+
+def layer_calls(half_width: int) -> dict:
     V, cert = cosine_potential(), cosine_certificate()
     nn = NearestNeighborInteraction()
     params = SolveParams(lam=LAM, rho=RHO, window=half_width, tol=TOL)
@@ -205,27 +221,24 @@ def layer_times(half_width: int) -> dict:
     a = solver.anchors.chain(0)
     targets = -nn.delta(a) / LAM
     # the solver's steps run on stacked chains (n, 1, d)
-    s2 = solver.phi_step(solver.phi_step(solver.anchors)[0])[0]
     _, A, B, C = _coefficients(solver.anchors, nn, V, LAM)
     force = _force(solver.anchors, nn, V, LAM)
-    u2 = s2.chain(0)
+    polished, _, _, derivatives = solver.newton_polish(solver.anchors)
     [(u, _)] = solver.solve()
     return {
-        "anchor_configuration": best_of(lambda: anchor_configuration(
-            params.rho, cert.sampler, cert.covering_radius, params.window)),
-        "delta": best_of(lambda: nn.delta(a)),
-        "local_inverse_batch.cold": best_of(lambda: local_inverse_batch(
-            V, a.values, targets, cert, tol=params.inner_tol)),
-        "phi_step.warm": best_of(lambda: solver.phi_step(s2)),
-        "residual": best_of(lambda: residual(u2, nn, V, LAM)),
-        "coefficients": best_of(lambda: _coefficients(solver.anchors, nn, V, LAM)),
-        "cyclic_reduction": best_of(
-            lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
-        "newton_polish": best_of(lambda: solver.newton_polish(solver.anchors)),
-        "solve": best_of(solver.solve),
-        "verify_cone_conditions": best_of(
-            lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
-        "cone_splitting": best_of(lambda: cone_splitting(u, nn, V, LAM)),
+        "anchor_configuration": lambda: anchor_configuration(
+            params.rho, cert.sampler, cert.covering_radius, params.window),
+        "delta": lambda: nn.delta(a),
+        "local_inverse_batch.cold": lambda: local_inverse_batch(
+            V, a.values, targets, cert, tol=params.inner_tol),
+        "phi_step.warm": lambda: solver.phi_step(polished, None, derivatives),
+        "residual": lambda: residual(polished.chain(0), nn, V, LAM),
+        "coefficients": lambda: _coefficients(solver.anchors, nn, V, LAM),
+        "cyclic_reduction": lambda: _cyclic_reduction(-B, A + B + C, -A, force),
+        "newton_polish": lambda: solver.newton_polish(solver.anchors),
+        "solve": solver.solve,
+        "verify_cone_conditions": lambda: verify_cone_conditions(u, nn, V, LAM, cert),
+        "cone_splitting": lambda: cone_splitting(u, nn, V, LAM),
     }
 
 
@@ -241,7 +254,7 @@ def _slopes(sites, per_size) -> dict:
     return layers
 
 
-def layer_times_2d(half_width: int) -> dict:
+def layer_calls_2d(half_width: int) -> dict:
     c = 0.65 * (half_width + 1)
     axis = np.pi * np.arange(-np.ceil(c / np.pi) - 1, np.ceil(c / np.pi) + 2)
     zeros = FiniteZeroSet(np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2),
@@ -251,33 +264,30 @@ def layer_times_2d(half_width: int) -> dict:
     nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.1))
     params = SolveParams(lam=LAM, rho=D2_RHO, window=half_width, tol=TOL)
     solver = ContractionSolver(nn, V, cert, [params])
-    s2 = solver.phi_step(solver.phi_step(solver.anchors)[0])[0]
     _, A, B, C = _coefficients(solver.anchors, nn, V, LAM)
     force = _force(solver.anchors, nn, V, LAM)
     [(u, _)] = solver.solve()
     return {
-        "anchor_configuration": best_of(lambda: anchor_configuration(
-            params.rho, zeros, cert.covering_radius, params.window)),
-        "cyclic_reduction": best_of(
-            lambda: _cyclic_reduction(-B, A + B + C, -A, force)),
-        "verify_cone_conditions": best_of(
-            lambda: verify_cone_conditions(u, nn, V, LAM, cert)),
-        "cone_splitting": best_of(lambda: cone_splitting(u, nn, V, LAM)),
+        "anchor_configuration": lambda: anchor_configuration(
+            params.rho, zeros, cert.covering_radius, params.window),
+        "cyclic_reduction": lambda: _cyclic_reduction(-B, A + B + C, -A, force),
+        "verify_cone_conditions": lambda: verify_cone_conditions(u, nn, V, LAM, cert),
+        "cone_splitting": lambda: cone_splitting(u, nn, V, LAM),
     }
 
 
 def d2_times() -> dict:
     sites = np.array([2 * n + 1 for n in D2_HALF_WIDTHS], dtype=float)
     return {
-        "what": (f"d = 2 layers in process, best of {REPEATS}: V = cos x + "
-                 "cos y, the benchmark's finite pi Z^2 zero set, "
+        "what": (f"d = 2 layers in process, best of {REPEATS} rounds over the "
+                 "sizes: V = cos x + cos y, the benchmark's finite pi Z^2 zero set, "
                  f"perturbed-quadratic coupling 0.1, lam = {LAM}, rho = "
                  f"{list(D2_RHO)}, tol = {TOL}; cyclic reduction at the "
-                 "iterate after two tube-map steps, cone verdict and "
-                 "horizon-20 splitting at the solved chain"),
+                 "anchors, cone verdict and horizon-20 splitting at the "
+                 "solved chain"),
         "half_widths": list(D2_HALF_WIDTHS),
         "sites": sites.astype(int).tolist(),
-        "layers": _slopes(sites, [layer_times_2d(n) for n in D2_HALF_WIDTHS]),
+        "layers": _slopes(sites, interleaved([layer_calls_2d(n) for n in D2_HALF_WIDTHS])),
     }
 
 
@@ -455,13 +465,13 @@ def src_lines() -> int:
 
 def scale_check() -> dict:
     sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
-    layers = _slopes(sites, [layer_times(n) for n in HALF_WIDTHS])
+    layers = _slopes(sites, interleaved([layer_calls(n) for n in HALF_WIDTHS]))
     return {
-        "what": (f"solver layers in process, best of {REPEATS}: cosine V, "
-                 f"unit quadratic coupling, lam = {LAM}, rho = {RHO}, "
-                 f"tol = {TOL}; Newton layers at the anchors, phi_step.warm and "
-                 "residual after two tube-map steps; cone verdict and "
-                 "horizon-20 splitting at the solved chain"),
+        "what": (f"solver layers in process, best of {REPEATS} rounds over the "
+                 f"sizes: cosine V, unit quadratic coupling, lam = {LAM}, rho = "
+                 f"{RHO}, tol = {TOL}; Newton layers at the anchors, phi_step.warm "
+                 "(the closing step) and residual at the chain the polish hands "
+                 "on; cone verdict and horizon-20 splitting at the solved chain"),
         "half_widths": list(HALF_WIDTHS),
         "sites": sites.astype(int).tolist(),
         "layers": layers,

@@ -18,7 +18,7 @@ on random samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 import math
 
@@ -306,6 +306,19 @@ def _require_finite(obj, *names):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite")
 
 
+def _require_known(d: dict, keys, where: str):
+    """ValueError naming the first key of d, in sorted order, not in keys."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _zero_set_dict(sampler, kind: str) -> dict:
+    """The zero set sampler as JSON: its kind and its fields, arrays as lists."""
+    return {"kind": kind, **{f.name: np.asarray(getattr(sampler, f.name)).tolist()
+                             for f in fields(sampler)}}
+
+
 @dataclass(frozen=True)
 class PeriodicZeroSet:
     """Zero set generated by base points repeated with a scalar period
@@ -356,11 +369,7 @@ class PeriodicZeroSet:
         return np.where(tie, cand, np.inf).min(axis=1)[:, None]
 
     def to_dict(self):
-        return {
-            "kind": "periodic",
-            "base_points": self.base_points.tolist(),
-            "period": self.period,
-        }
+        return _zero_set_dict(self, "periodic")
 
 
 @dataclass(frozen=True)
@@ -485,21 +494,20 @@ class FiniteZeroSet:
         return keys[j][:, None]
 
     def to_dict(self):
-        return {
-            "kind": "finite",
-            "points": self.points.tolist(),
-            "lo": self.lo.tolist(),
-            "hi": self.hi.tolist(),
-        }
+        return _zero_set_dict(self, "finite")
+
+
+_ZERO_SETS = {"periodic": PeriodicZeroSet, "finite": FiniteZeroSet}
 
 
 def sampler_from_dict(d: dict):
+    """The zero set that to_dict wrote as d; ValueError on an unknown key."""
     kind = d.get("kind")
-    if kind == "periodic":
-        return PeriodicZeroSet(d["base_points"], d["period"])
-    if kind == "finite":
-        return FiniteZeroSet(d["points"], d["lo"], d["hi"])
-    raise ValueError(f"unknown zero-set kind: {kind!r}")
+    if not (isinstance(kind, str) and kind in _ZERO_SETS):  # a JSON list is unhashable
+        raise ValueError(f"unknown zero-set kind: {kind!r}")
+    names = [f.name for f in fields(_ZERO_SETS[kind])]
+    _require_known(d, ["kind", *names], "zero_set")
+    return _ZERO_SETS[kind](*(d[k] for k in names))
 
 
 # --------------------------------------------------------------------------
@@ -549,6 +557,7 @@ class AubryCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AubryCertificate":
+        _require_known(d, ("zero_set", "metadata", *_CERT_NUMBERS), "certificate")
         numbers = {k: float(d[k] if v is None else d.get(k, v))
                    for k, v in _CERT_NUMBERS.items()}
         return cls(sampler_from_dict(d["zero_set"]),

@@ -10,12 +10,12 @@ rule and the a-posteriori error bound.
 
 For nearest-neighbour interactions the equilibrium is a nondegenerate
 zero of F(u) = Delta(u) + lam * grad V(u), whose Jacobian L is the
-block-tridiagonal operator of the tangent recursion. Where Kantorovich's
-h = Lip |F(a)| / g^2 <= 1/2 at the start a (g the gap of L(a), Lip a
-Lipschitz constant of L), Newton from a provably converges to that zero
-(Ortega & Rheinboldt 1970), so the chain is polished from its start; any
-other chain takes two tube-map steps first. A closing tube-map step then
-carries the same a-posteriori bound as before.
+block-tridiagonal operator of the tangent recursion. The chain perturbs
+its anchors (the anti-integrable limit), so every chain is polished by
+Newton from its start, and a closing tube-map step then carries the same
+a-posteriori bound as before. Where bounds exist the report gives
+Kantorovich's h = Lip |F(a)| / g^2 at the start a (g the gap of L(a), Lip
+a Lipschitz constant of L); h <= 1/2 proves Newton from a converges.
 
 Each step hands grad V and hess V at the chains it produced to the next
 as whole-stack arrays, so V is evaluated at most once per chain point. A
@@ -344,16 +344,14 @@ class ContractionSolver:
 
     def _anchor_stack(self) -> Configuration:
         """The batch's anchors and the halos of their tails from one
-        lookup. If it fails, the anchors alone are looked up once more,
-        then one case at a time, and a case without anchors fails."""
+        lookup. If it fails, the anchors are looked up one case at a time,
+        and a case without anchors fails."""
         cert, rots = self.cert, [p.rho for p in self.cases]
         args = (cert.sampler, cert.covering_radius, self.window)
-        for halo in (self.interaction.reach, 0):
-            try:
-                return anchor_stack(rots, *args, halo=halo)
-            except CertificateError:
-                pass
-        chains = []
+        try:
+            return anchor_stack(rots, *args, halo=self.interaction.reach)
+        except CertificateError:
+            chains = []
         for k, rot in enumerate(rots):
             try:
                 chains.append(anchor_configuration(rot, *args))
@@ -506,17 +504,15 @@ class ContractionSolver:
         """Iterate phi_step from the anchors (or a caller-supplied start in
         the tube) until the a-posteriori bound and the residual check both
         pass, case by case: a case stops in place when it converges or
-        fails. For a nearest-neighbour interaction newton_polish runs
-        before the first step for each case whose Kantorovich h at its
-        start is at most 1/2 (_start), after the second for the others; the
-        loop goes on with the closing step, so the answer is still a
-        tube-map image. Each step starts from the grad V and hess V that
-        the one before it handed on (at the start, _start's), and V is
-        never evaluated at the chain of a stopped case. Returns, per case,
-        (configuration, report) or the case's error, which also stays in
-        self.failures. The closing step's grad V and hess V at a converged
-        case's chain stay in self.derivatives, (n, d) and (n, d, d) per
-        case, for the hyperbolicity checks (check_stack)."""
+        fails. For a nearest-neighbour interaction newton_polish runs on
+        every case before the first step, so that the closing step makes
+        the answer a tube-map image. Each step starts from the grad V and
+        hess V that the one before it handed on (at the start, _start's),
+        and V is never evaluated at the chain of a stopped case. Returns,
+        per case, (configuration, report) or the case's error, which also
+        stays in self.failures. The closing step's grad V and hess V at a
+        converged case's chain stay in self.derivatives, (n, d) and (n, d,
+        d) per case, for the hyperbolicity checks (check_stack)."""
         cert, K = self.cert, len(self.cases)
         q = cert.ball_radius / (cert.ball_radius + cert.covering_radius)
         step_threshold = self.tol * (1 - q) / q
@@ -529,26 +525,19 @@ class ContractionSolver:
         running = [c for c in range(K) if c not in self.failures]
         steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
         fallback, last_res, done = [False] * K, [np.inf] * K, {}
-        derivatives, start, proofs = None, None, ([None] * K, [None] * K)
+        derivatives, proofs = None, ([None] * K, [None] * K)
         if running:
             derivatives, start, proofs = self._start(u, running)
-        first = [c for c in running if proofs[0][c] is not None and proofs[0][c] <= 0.5]
-        nn = isinstance(self.interaction, NearestNeighborInteraction)
-        for k in range(self.max_iter):
-            if not running:
-                break
-            polish = [c for c in running if (c in first) == (k == 0)] if (
-                nn and k in (0, 2)) else []
-            if polish:
+            if start is not None:
                 # popped from a list into the call, so the polish holds the last references
                 # to u and its derivatives and frees them early (BENCH_23.json: solve-1d RSS)
                 handed = [u, derivatives, start]
-                u, u_next, derivatives, start = None, None, None, None
-                u, history, fell, derivatives = self.newton_polish(
-                    handed.pop(0), polish, handed.pop(0), handed.pop())
-                for c in polish:
-                    newton[c], fallback[c] = history[c], fell[c]
-            start = None  # F and the blocks at the start serve step 0 only
+                u, derivatives, start = None, None, None
+                u, newton, fallback, derivatives = self.newton_polish(
+                    handed.pop(0), running, handed.pop(0), handed.pop())
+        for _ in range(self.max_iter):
+            if not running:
+                break
             u_next, derivatives = self.phi_step(u, running, derivatives)
             running = [c for c in running if c not in self.failures]
             delta = _sup(u_next.values - u.values).tolist()
@@ -587,20 +576,21 @@ class ContractionSolver:
 
     def _start(self, u: Configuration, cases) -> tuple:
         """(grad V, hess V) at u's chains of cases, V once per run of
-        bit-equal sites along a chain; where a bound exists (nearest
-        neighbours in d = 1, V and the coupling with hessian Lipschitz
-        constants) the first Newton step's (F(u), (A, B, C)) and per case
-        _kantorovich's (h, least lam), else None and no proofs."""
-        V, K = self.potential, len(self.cases)
+        bit-equal sites along a chain; for nearest neighbours the first
+        Newton step's (F(u), (A, B, C)), else None; and per case
+        _kantorovich's (h, least lam) where a bound exists (d = 1, V and
+        the coupling with hessian Lipschitz constants), else None."""
+        V, K, nn = self.potential, len(self.cases), self.interaction
         grad, hess = _at_cases(V, u.values, cases, runs=True)
-        if not (isinstance(self.interaction, NearestNeighborInteraction)
-                and u.values.shape[-1] == 1 and hasattr(V, "hessian_lipschitz_bound")
-                and hasattr(self.interaction.coupling, "hessian_lipschitz")):
-            return (grad, hess), None, ([None] * K, [None] * K)
-        force = _force(u, self.interaction, V, self.lam, grad)
-        blocks = _coefficients(u, self.interaction, V, self.lam[:, None], hess)[1:]
-        return (grad, hess), (force, blocks), _kantorovich(
-            u, self.interaction, V, self.lam, grad, hess, force, blocks)
+        proofs = ([None] * K, [None] * K)
+        if not isinstance(nn, NearestNeighborInteraction):
+            return (grad, hess), None, proofs
+        force = _force(u, nn, V, self.lam, grad)
+        blocks = _coefficients(u, nn, V, self.lam[:, None], hess)[1:]
+        if (u.values.shape[-1] == 1 and hasattr(V, "hessian_lipschitz_bound")
+                and hasattr(nn.coupling, "hessian_lipschitz")):
+            proofs = _kantorovich(u, nn, V, self.lam, grad, hess, force, blocks)
+        return (grad, hess), (force, blocks), proofs
 
     def _halo(self, u: Configuration) -> np.ndarray:
         """The halo of the stack u, (2 reach, K, d), each case's looked up

@@ -126,9 +126,12 @@ class TestSolve:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_max_iter_exhaustion_exits_3(self, tmp_path):
-        # at lam = 10 Kantorovich's h exceeds 1/2, so the solve takes two
-        # tube-map steps before its polish
-        cfg = solve_config(tmp_path, lam=10.0, max_iter=2)
+        # a long-range chain takes tube-map steps only, 18 of them at lam = 40
+        cfg = write_config(tmp_path / "config.json", {
+            "potential": {"family": "cosine"},
+            "interaction": {"kind": "long-range", "power": 2,
+                            "weights": {"1": 1.0, "2": 0.25}},
+            "solve": {"lam": 40.0, "rho": 1.0, "half_width": 12, "max_iter": 2}})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     def test_weak_coupling_exits_4(self, tmp_path):
@@ -539,6 +542,24 @@ class TestConfigValues:
         payload = {"potential": {"family": "cosine"}, "certificate": block,
                    "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
         self.run(tmp_path, capsys, "solve", payload, f"{key} must be finite")
+
+    @pytest.mark.parametrize("zero_set, key", [
+        (None, "bogus"), ("periodic", "extra"), ("finite", "extra")])
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_unknown_certificate_key_exits_1(self, zero_set, key, as_file,
+                                             tmp_path, capsys):
+        from antifk import cosine_certificate
+
+        block = cosine_certificate().to_json_dict()
+        if zero_set == "finite":
+            block["zero_set"] = dict(_FINITE_ZEROS)
+        (block if zero_set is None else block["zero_set"])[key] = 1 if zero_set is None else 2
+        if as_file:
+            block = {"path": write_config(tmp_path / "cert.json", block)}
+        payload = {"potential": {"family": "cosine"}, "certificate": block,
+                   "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
+        where = "certificate" if zero_set is None else "zero_set"
+        self.run(tmp_path, capsys, "solve", payload, f"unknown key '{key}' in {where}")
 
     def test_finite_zero_set_block_solves(self, tmp_path):
         # the block the finite cases above corrupt is a working certificate

@@ -1524,3 +1524,25 @@ class TestSerialization:
             a = np.asarray(back.points_near(1.0, 2.5))
             b = np.asarray(s.points_near(1.0, 2.5))
             assert np.array_equal(a, b)
+
+    def test_unknown_keys_are_rejected(self):
+        # the keys of a zero set are those its to_dict writes, and a
+        # certificate's those of to_json_dict; any other is named
+        from antifk import cosine_certificate
+        from antifk.potentials import _ZERO_SETS
+
+        cert = cosine_certificate().to_json_dict()
+        for s in (PeriodicZeroSet(np.array([0.0, 1.0]), 4.0),
+                  FiniteZeroSet(np.array([0.0, 2.0, 5.0]), -1.0, 6.0)):
+            d = s.to_dict()
+            assert type(s) is _ZERO_SETS[d["kind"]]
+            with pytest.raises(ValueError, match="unknown key 'extra' in zero_set"):
+                sampler_from_dict({**d, "extra": 2})
+            with pytest.raises(ValueError, match="unknown key 'extra' in zero_set"):
+                AubryCertificate.from_json_dict({**cert, "zero_set": {**d, "extra": 2}})
+        with pytest.raises(ValueError, match="unknown key 'bogus' in certificate"):
+            AubryCertificate.from_json_dict({**cert, "bogus": 1})
+        for kind in ("nope", ["finite"], None):
+            with pytest.raises(ValueError, match="unknown zero-set kind"):
+                sampler_from_dict({"kind": kind})
+        assert AubryCertificate.from_json_dict(cert).to_json_dict() == cert

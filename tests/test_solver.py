@@ -282,14 +282,12 @@ class TestSolve:
         assert not rep.lambda_at_least_threshold
         assert any("threshold" in w for w in rep.warnings)
 
-    def test_max_iter_exhaustion(self, nn_interaction, cos_potential, cos_cert):
-        # at lam = 10 Kantorovich's h exceeds 1/2 (the cosine proves from lam
-        # 13.06), so the solve takes two tube-map steps before its polish
+    def test_max_iter_exhaustion(self, cos_potential, cos_cert):
+        # a long-range chain takes tube-map steps only, 18 of them at lam = 40
+        lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
         with pytest.raises(ConvergenceError) as err:
-            solve_equilibrium(
-                make_params(lam=10.0, max_iter=2), nn_interaction, cos_potential,
-                cos_cert
-            )
+            solve_equilibrium(make_params(lam=40.0, max_iter=2), lr, cos_potential,
+                              cos_cert)
         assert len(err.value.trace) == 2
 
     def test_rho_zero_lands_on_hom(self, nn_interaction, cos_potential, cos_cert):
@@ -641,6 +639,18 @@ class _CountingSampler:
         return self.inner.nearest(xs, radius)
 
 
+def _spy_steps(monkeypatch):
+    """The (method, case ids) of every phi_step and newton_polish call."""
+    calls = []
+    for name in ("phi_step", "newton_polish"):
+        def spy(solver, u, cases=None, *args, method=getattr(ContractionSolver, name),
+                name=name):
+            calls.append((name, sorted(solver._cases(cases))))
+            return method(solver, u, cases, *args)
+        monkeypatch.setattr(ContractionSolver, name, spy)
+    return calls
+
+
 def _grid(lams, rhos, n, **kw):
     return [SolveParams(lam=lam, rho=rho, window=n, **kw)
             for lam in lams for rho in rhos]
@@ -688,7 +698,7 @@ class TestStackedSolve:
         assert statuses == ["DomainError"] * 2 + ["CertificateError"] * 2 + (
             ["ok"] * 2 + ["CertificateError"] * 2) * 2
 
-    def test_long_range_without_newton(self, cos_potential, cos_cert):
+    def test_long_range_without_newton(self, monkeypatch, cos_potential, cos_cert):
         lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
         # lam = 40 needs 18 steps, beyond max_iter; lam = 25 is too weak
         params = _grid((25.0, 40.0, 80.0, 200.0), (0.3, 0.618, 1.3), 32,
@@ -696,8 +706,10 @@ class TestStackedSolve:
         statuses = _assert_batch_matches_alone(lr, cos_potential, cos_cert,
                                                params, 5)
         assert statuses == ["DomainError"] * 3 + ["ConvergenceError"] * 3 + ["ok"] * 6
+        calls = _spy_steps(monkeypatch)  # no newton_polish call
         outcomes = ContractionSolver(lr, cos_potential, cos_cert, params[6:]).solve()
         assert all(rep.newton_steps == [] for _, rep in outcomes)
+        assert calls and {name for name, _ in calls} == {"phi_step"}
 
     def test_local_inverse_failure_maps_to_its_case(self, nn_interaction,
                                                     cos_potential):
@@ -1165,8 +1177,9 @@ class TestDerivativeReuse:
 
 class TestKantorovich:
     """Kantorovich's h = Lip |F(a)| / g^2 at a solve's start chain a,
-    rounded outward, decides whether the solve starts with Newton; the
-    report also gives the least lam at which the same bounds prove."""
+    rounded outward, says whether Newton from a provably converges; the
+    report also gives the least lam at which the same bounds prove. Both
+    are reports only: every nearest-neighbour solve starts with Newton."""
 
     def test_cosine_matches_mpmath(self, nn_interaction, cos_potential, cos_cert):
         # F_i = 2 a_i - a_{i-1} - a_{i+1} - lam sin a_i and the gap |2 - lam
@@ -1192,7 +1205,8 @@ class TestKantorovich:
     def test_least_lam_is_where_h_crosses_one_half(self, nn_interaction,
                                                    cos_potential, cos_cert):
         # on the cosine with an anchor at 0 the gap is lam - 4 exactly, so
-        # the quadratic's root is where h itself crosses 1/2
+        # the quadratic's root is where h itself crosses 1/2; on either side
+        # the solve is the polish and the closing step
         _, rep = solve_equilibrium(make_params(rho=0.3, n=64), nn_interaction,
                                    cos_potential, cos_cert)
         lam = rep.kantorovich_lam
@@ -1201,17 +1215,17 @@ class TestKantorovich:
             params = make_params(lam=lam * factor, rho=0.3, n=64)
             _, rep = solve_equilibrium(params, nn_interaction, cos_potential, cos_cert)
             assert (rep.kantorovich_h <= 0.5) == proved
-            assert rep.iterations == (1 if proved else 3)
+            assert rep.iterations == 1 and not rep.newton_fallback
             assert rep.kantorovich_lam == pytest.approx(lam, rel=1e-12)
 
     def test_no_bound_without_a_coupling_constant(self, cos_potential, cos_cert):
         # the perturbed-quadratic coupling has no proved Lipschitz constant
-        # of its hessian: no h, no least lam, and the tube-map start; nor
-        # has a long-range interaction
+        # of its hessian: no h and no least lam, but Newton from the start
+        # all the same; a long-range interaction has no bound and no Newton
         nn, V, cert, params = _cos2d_case()
         _, rep = solve_equilibrium(params, nn, V, cert)
         assert rep.kantorovich_h is None and rep.kantorovich_lam is None
-        assert rep.iterations == 3 and rep.newton_steps
+        assert rep.iterations == 1 and rep.newton_steps and not rep.newton_fallback
         lr = LongRangeInteraction(weights={1: 1.0, 2: 0.25}, power=2, cutoff=2)
         _, rep = solve_equilibrium(make_params(lam=40.0, n=32), lr, cos_potential,
                                    cos_cert)
@@ -1248,15 +1262,18 @@ _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 class TestSchedule:
-    """Which step a solve polishes at: before the first tube-map step where
-    Kantorovich proves (h <= 1/2), after the second elsewhere."""
+    """Every nearest-neighbour solve polishes before its first tube-map
+    step, whatever its Kantorovich h; long-range solves take the tube map
+    only."""
 
-    @pytest.mark.parametrize("name", ["solve-1d", "solve-far", "sweep-ap"])
+    @pytest.mark.parametrize("name", ["solve-1d", "solve-far", "sweep-ap",
+                                      "hyperbolicity-2d"])
     def test_bench_draws_solve_newton_first(self, name, tmp_path, monkeypatch):
         # the first op of seeds 1, 2 and 3 and the first latin block of
-        # seed 7, drawn as bench/worker.py draws them: every case is proved
-        # and takes Newton from its anchors and the closing step, and the
-        # bench oracles pass
+        # seed 7, drawn as bench/worker.py draws them: every case takes
+        # Newton from its anchors and the closing step, and the bench
+        # oracles pass. The d = 1 cases are proved; hyperbolicity-2d's
+        # perturbed coupling has no bound (h is None)
         import json
         import random
 
@@ -1292,40 +1309,96 @@ class TestSchedule:
         assert len(reports) == 7 * (25 if name == "sweep-ap" else 1)
         for outcome, tol in reports:
             u, rep = outcome
-            assert rep.kantorovich_h <= 0.5 and rep.iterations == 1
+            if name == "hyperbolicity-2d":
+                assert rep.kantorovich_h is None
+            else:
+                assert rep.kantorovich_h <= 0.5
+            assert rep.iterations == 1 and rep.newton_steps
             assert not rep.newton_fallback and rep.final_residual <= tol
 
-    def test_unproved_case_keeps_the_tube_map_start(self, monkeypatch):
+    def test_every_case_polishes_before_its_first_step(self, monkeypatch,
+                                                       nn_interaction, cos_potential):
+        # one batch: proved (lam 40) and unproved (lam 10, h > 1/2) cases,
+        # one too weak for the certificate (lam 0.5) and one without
+        # anchors (rho 3 leaves the zero set's box): every case with
+        # anchors is polished, in one call before the first tube-map step
+        zeros = FiniteZeroSet(np.pi * np.arange(-30.0, 31.0), -60.0, 60.0)
+        cert = AubryCertificate(zeros, np.pi / 2, np.pi / 4, np.cos(np.pi / 4))
+        params = [SolveParams(lam=lam, rho=rho, window=24)
+                  for lam, rho in ((40.0, 0.3), (10.0, 1.7), (0.5, 0.618), (40.0, 3.0))]
+        calls = _spy_steps(monkeypatch)
+        out = ContractionSolver(nn_interaction, cos_potential, cert, params).solve()
+        assert [type(o).__name__ for o in out] == ["tuple", "tuple", "DomainError",
+                                                   "CertificateError"]
+        assert out[0][1].kantorovich_h <= 0.5 < out[1][1].kantorovich_h
+        assert calls[0] == ("newton_polish", [0, 1, 2])
+        assert [name for name, _ in calls[1:]] == ["phi_step"] * (len(calls) - 1)
+        # d = 2, where no bound exists, and the one-case call
+        nn, V, cert2, p2 = _cos2d_case()
+        calls.clear()
+        ContractionSolver(nn, V, cert2, [p2]).solve()
+        assert calls == [("newton_polish", [0]), ("phi_step", [0])]
+
+    def test_low_coupling_grid(self, nn_interaction, cos_potential, cos_cert):
+        # low couplings on the cosine and the sweep potential (d = 1) and on
+        # cos x + cos y with three couplings (d = 2), each case alone: the
+        # statuses are those of the schedule that took two tube-map steps
+        # before polishing unproved cases, and no converged case discards
+        # a Newton step
+        from antifk import estimate_aubry, truncated_almost_periodic
+
+        Vs = truncated_almost_periodic(8, 0.5)
+        nn2, V2, cert2, _ = _cos2d_case()
+        grids = [(nn_interaction, cos_potential, cos_cert, (6.0, 10.0, 16.0), (0.3, 1.7)),
+                 (nn_interaction, Vs, estimate_aubry(Vs, (-200.0, 200.0)),
+                  (8.0, 12.0, 16.0), (0.3, 2.6))]
+        grids += [(nn, V2, cert2, (8.0, 16.0, 40.0), ([0.41, 0.53], [1.1, 0.3]))
+                  for nn in (nn_interaction, nn2,
+                             NearestNeighborInteraction(PerturbedQuadraticCoupling(0.3)))]
+        statuses = []
+        for nn, V, cert, lams, rhos in grids:
+            for lam in lams:
+                for rho in rhos:
+                    params = SolveParams(lam=lam, rho=rho, window=24)
+                    [out] = ContractionSolver(nn, V, cert, [params]).solve()
+                    statuses.append(type(out).__name__)
+                    if not isinstance(out, Exception):
+                        rep = out[1]
+                        assert rep.iterations == 1 and rep.newton_steps
+                        assert not rep.newton_fallback and rep.final_residual <= params.tol
+        assert statuses == (["DomainError"] * 2 + ["tuple"] * 4) * 5
+
+    def test_unproved_case_polishes_from_the_start(self, monkeypatch):
         # the sweep potential at lam = 12 is not proved (h > 1/2): the
-        # solve takes two tube-map steps, the polish and tube-map steps to
-        # the stopping rule, and its chain is that schedule's bit for bit
+        # solve is the polish and the closing step, that schedule written
+        # out bit for bit, and within 10 tol of two tube-map steps, the
+        # polish and tube-map steps to the stopping rule
         from antifk import estimate_aubry, truncated_almost_periodic
 
         V = truncated_almost_periodic(8, 0.5)
         cert = estimate_aubry(V, (-200.0, 200.0))
         nn, params = NearestNeighborInteraction(), SolveParams(lam=12.0, rho=0.3, window=256)
-        calls = []
-        for name in ("phi_step", "newton_polish"):
-            def spy(solver, *args, method=getattr(ContractionSolver, name), name=name):
-                calls.append(name)
-                return method(solver, *args)
-            monkeypatch.setattr(ContractionSolver, name, spy)
+        calls = _spy_steps(monkeypatch)
         [(u, rep)] = ContractionSolver(nn, V, cert, [params]).solve()
-        assert rep.kantorovich_h > 0.5 and rep.iterations == 3
-        assert calls == ["phi_step", "phi_step", "newton_polish", "phi_step"]
+        assert rep.kantorovich_h > 0.5 and rep.iterations == 1
+        assert rep.newton_steps and not rep.newton_fallback
+        assert calls == [("newton_polish", [0]), ("phi_step", [0])]
         monkeypatch.undo()
         replay = ContractionSolver(nn, V, cert, [params])
-        v, derivatives = replay.phi_step(replay.anchors)
-        v, derivatives = replay.phi_step(v, None, derivatives)
-        v, _, _, derivatives = replay.newton_polish(v, None, derivatives)
+        v, _, _, derivatives = replay.newton_polish(replay.anchors)
         v, _ = replay.phi_step(v, None, derivatives)
         assert v.values[:, 0].tobytes() == u.values.tobytes()
+        w, derivatives = replay.phi_step(replay.anchors)
+        w, derivatives = replay.phi_step(w, None, derivatives)
+        w, _, _, derivatives = replay.newton_polish(w, None, derivatives)
+        w, _ = replay.phi_step(w, None, derivatives)
+        assert np.abs(w.values[:, 0] - u.values).max() <= 10 * params.tol
 
     def test_uniqueness_starts_reach_the_same_chain(self, nn_interaction,
                                                     cos_potential, cos_cert):
         # criterion 06's starts, the anchors moved by r / 2 at every site,
-        # are not proved (h > 1/2) and keep the tube-map start; the
-        # anchors are proved; both reach one chain
+        # are not proved (h > 1/2); the anchors are proved; both polish
+        # from their start and reach one chain
         rng, r = np.random.default_rng(6), cos_cert.ball_radius
         for lam, rho in ((23.5, -2.19), (39.2, -2.75), (130.1, 0.54)):
             params = SolveParams(lam=lam, rho=rho, window=24, tol=1e-11)
@@ -1335,6 +1408,7 @@ class TestSchedule:
             signs = rng.choice((-1.0, 1.0), size=a.values.shape)
             [(u2, rep2)] = solver.solve(a.with_values(a.values + 0.5 * r * signs))
             assert rep.kantorovich_h <= 0.5 < rep2.kantorovich_h
-            assert (rep.iterations, rep2.iterations) == (1, 3)
+            assert (rep.iterations, rep2.iterations) == (1, 1)
+            assert not (rep.newton_fallback or rep2.newton_fallback)
             verdict = uniqueness_check(u, u2, cos_cert)
             assert verdict.same_ball and verdict.distance <= 1e-10
