@@ -27,7 +27,11 @@ the best of REPEATS estimates, timed by wrapping the stage's function.
 The ``estimate_aubry_delone`` row does the same for one estimate on the
 Delone medium whose ball radius costs most: DELONE_BUMPS Gaussian bumps
 of width 0.45 on a Fibonacci chain (spacings 1 and 1.618), window one unit
-past the ends, with the ball radius it proves.
+past the ends, with the ball radius it proves. The ``estimate_aubry_2d``
+row times one d = 2 estimate, V = cos x + cos y over [-10, 10]^2, best of
+REPEATS, with the constants R, r and m it proves and ``lambda_threshold``
+for the unit quadratic coupling (about pi / sqrt 2, pi / 4, 2^-0.5 and 22
+for an ideal certificate).
 
 The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
 that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
@@ -93,6 +97,7 @@ from antifk import (
     cosine_certificate,
     cosine_potential,
     estimate_aubry,
+    lambda_threshold,
     local_inverse_batch,
     residual,
     TrigSumPotential,
@@ -120,7 +125,7 @@ DELONE_BUMPS = 100
 # the stages of a d = 1 estimate_aubry: (owner, attribute) of each function
 AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
                 "ball_radius": (potentials, "_ball_expansion_radius"),
-                "zero_check": (AubryCertificate, "check_zeros")}
+                "zero_check": (AubryCertificate, "verify")}
 
 
 def count_rows(V, fn, calls=None) -> tuple:
@@ -345,6 +350,22 @@ def delone_times() -> dict:
     }
 
 
+def estimate_aubry_2d_times() -> dict:
+    V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+    window = ([-10.0, -10.0], [10.0, 10.0])
+    cert = estimate_aubry(V, window)
+    return {
+        "what": (f"estimate_aubry in process, best of {REPEATS}: V = cos x + cos y, "
+                 "search window [-10, 10]^2; lambda_threshold for the unit quadratic "
+                 "coupling"),
+        "s": best_of(lambda: estimate_aubry(V, window)),
+        "covering_radius": cert.covering_radius,
+        "ball_radius": cert.ball_radius,
+        "expansion": cert.expansion,
+        "lambda_threshold": lambda_threshold(NearestNeighborInteraction(), D2_RHO, cert),
+    }
+
+
 def mixed_stop_times() -> dict:
     V, cert, nn = cosine_potential(), cosine_certificate(), NearestNeighborInteraction()
     fast = [SolveParams(lam=MIXED_LAM, rho=float(rho), window=MIXED_HALF_WIDTH, tol=TOL)
@@ -477,6 +498,7 @@ def scale_check() -> dict:
         "layers": layers,
         "estimate_aubry": estimate_aubry_times(),
         "estimate_aubry_delone": delone_times(),
+        "estimate_aubry_2d": estimate_aubry_2d_times(),
         "sweep": sweep_times(),
         "d2": d2_times(),
         "src_lines": src_lines(),

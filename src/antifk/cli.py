@@ -7,7 +7,7 @@ of a configuration, and ``sweep`` tabulates solves over a coupling /
 rotation grid. All runs are driven by a JSON config file (strictly
 validated; unknown keys are rejected) and write their artifacts into the
 --out directory. Every artifact except manifest.json is byte-deterministic
-for a fixed config and seed.
+for a fixed config.
 
 Exit codes: 0 success, 1 usage or config error, 2 certification failure,
 3 no convergence, 4 inadmissible local-inverse target, 5 hyperbolicity
@@ -62,7 +62,8 @@ from .solver import ContractionSolver, SolveParams, solve_equilibrium
 
 # block -> key -> kind of every config key, "config" the top level; whether
 # a key is required, and its default, is up to the command that reads it. A
-# certificate block is checked here only as a path: from_json_dict checks the rest.
+# certificate block is checked here only as a path: from_json_dict checks the
+# rest. No command reads seed: nothing on any path is drawn at random.
 _CONFIG = {
     "config": {"seed": "int", "potential": "object", "interaction": "object",
                "certificate": "object", "certification": "object", "solve": "object",
@@ -124,17 +125,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(low):
-    """An argparse type: an int of at least low."""
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return parse
+def _worker_count(text):
+    """An argparse type: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _require(block, key, where):
@@ -160,22 +159,32 @@ def _load_config(path):
     checked against _CONFIG."""
     cfg = _read_json(path, "config")
     _check_block(cfg, _CONFIG["config"], "config")
+    if cfg.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be at least 0, got {cfg['seed']}")
     for where, block in cfg.items():
         if where in _CONFIG and (where != "certificate" or "path" in block):
             _check_block(block, _CONFIG[where], where)
     return cfg
 
 
+def _written_kinds(written):
+    """The kind of each key of the dict written by a to_dict(): that of its
+    value's type, a list left unchecked."""
+    kinds = {int: "int", float: "number", str: "path", dict: "object"}
+    return {key: kinds.get(type(value)) for key, value in written.items()}
+
+
 # A potential or interaction block may hold only the keys that the object
-# built from it writes back in to_dict(), which spells the cosine as a trig sum.
+# built from it writes back in to_dict(), which spells the cosine as a trig
+# sum, each of the kind of the value written.
 def _build_potential(cfg):
     block = cfg.get("potential", {"family": "cosine"})
     try:
         potential = potential_from_dict(block)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential block: {exc}") from exc
-    written = ["family"] if block["family"] == "cosine" else potential.to_dict()
-    _check_block(block, dict.fromkeys(written), "potential")
+    written = {"family": "cosine"} if block["family"] == "cosine" else potential.to_dict()
+    _check_block(block, _written_kinds(written), "potential")
     return potential
 
 
@@ -186,14 +195,14 @@ def _build_interaction(cfg):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad interaction block: {exc}") from exc
     written = interaction.to_dict()
-    _check_block(block, dict.fromkeys(written), "interaction")
+    _check_block(block, _written_kinds(written), "interaction")
     if "coupling" in block:
-        _check_block(block["coupling"], dict.fromkeys(written["coupling"]),
+        _check_block(block["coupling"], _written_kinds(written["coupling"]),
                      "interaction.coupling")
     return interaction
 
 
-def _build_certificate(cfg, potential, seed):
+def _build_certificate(cfg, potential):
     if "certificate" in cfg:
         block = cfg["certificate"]
         if "path" in block:
@@ -203,7 +212,7 @@ def _build_certificate(cfg, potential, seed):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad certificate block: {exc}") from exc
     if "certification" in cfg:
-        return _estimate_certificate(cfg["certification"], potential, seed)
+        return _estimate_certificate(cfg["certification"], potential)
     if cfg.get("potential", {"family": "cosine"}).get("family") == "cosine":
         return cosine_certificate()
     raise ConfigError(
@@ -211,12 +220,12 @@ def _build_certificate(cfg, potential, seed):
     )
 
 
-def _estimate_certificate(block, potential, seed):
+def _estimate_certificate(block, potential):
     window = _require(block, "search_window", "certification")
     # passed on as written: the certificate's metadata records them
     kwargs = {k: v for k, v in block.items() if k != "search_window"}
     try:
-        return estimate_aubry(potential, tuple(window), seed=seed, **kwargs)
+        return estimate_aubry(potential, tuple(window), **kwargs)
     except ValueError as exc:  # estimate_aubry names the argument it rejects
         raise ConfigError(f"certification.{exc}") from exc
 
@@ -264,19 +273,12 @@ def _outdir(args):
     return args.out
 
 
-def _seed(cfg, args):
-    seed = cfg.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be at least 0, got {seed}")
-    return seed if args.seed is None else args.seed
-
-
 def _cmd_certify(args):
     cfg = _load_config(args.config)
     if "certification" not in cfg:
         raise ConfigError("certify requires a 'certification' block")
     potential = _build_potential(cfg)
-    cert = _estimate_certificate(cfg["certification"], potential, _seed(cfg, args))
+    cert = _estimate_certificate(cfg["certification"], potential)
     outdir = _outdir(args)
     _write_json(os.path.join(outdir, "certificate.json"), cert.to_json_dict())
     _write_manifest(outdir, "certify", args.config, ["certificate.json"])
@@ -304,7 +306,7 @@ def _cmd_solve(args):
         raise ConfigError("solve requires a 'solve' block")
     potential = _build_potential(cfg)
     interaction = _build_interaction(cfg)
-    cert = _build_certificate(cfg, potential, _seed(cfg, args))
+    cert = _build_certificate(cfg, potential)
     params = _solve_params(cfg["solve"])
     u, report = solve_equilibrium(params, interaction, potential, cert)
     outdir = _outdir(args)
@@ -380,7 +382,7 @@ def _cmd_hyperbolicity(args):
         raise ConfigError(
             "hyperbolicity analysis supports nearest-neighbor interactions only"
         )
-    cert = _build_certificate(cfg, potential, _seed(cfg, args))
+    cert = _build_certificate(cfg, potential)
     warnings, derivatives = [], None
     if hblock.get("use_anchor_configuration", False):
         lam = float(_hyp_setting(hblock, sblock, "lam"))
@@ -533,7 +535,7 @@ def _sweep_payloads(cfg, args):
         raise ConfigError("sweep lam and rho values must be finite")
     potential = _build_potential(cfg)
     interaction = _build_interaction(cfg)
-    cert = _build_certificate(cfg, potential, _seed(cfg, args))
+    cert = _build_certificate(cfg, potential)
     half_width = block.get("half_width", 32)
     tol = float(block.get("tol", 1e-10))
     max_iter = block.get("max_iter", 200)
@@ -592,10 +594,8 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=_int_at_least(0), default=None,
-                       help="override the config seed")
         if name == "sweep":
-            p.add_argument("--workers", type=_int_at_least(1), default=1,
+            p.add_argument("--workers", type=_worker_count, default=1,
                            help="parallel worker count (at most one per batch)")
         p.set_defaults(func=func)
     return parser

@@ -19,8 +19,8 @@ class CertificateError(Exception):
 
 
 class CertificationError(Exception):
-    """Certificate estimation failed a sampled check of the expansion
-    criterion; carries a description of the failing check."""
+    """Certificate estimation failed a proof or the zero check; carries a
+    description of what failed."""
 
 
 class DomainError(Exception):

@@ -314,7 +314,7 @@ def anchor_stack(rhos, sampler, radius: float, window: Window,
 def _nearest_anchors(points, sampler, radius: float) -> np.ndarray:
     """Closest points of the sampled zero set to each row of points, at
     most the covering radius radius away: every covering lookup (anchors,
-    AubryCertificate.verify, uniqueness_check) goes through here.
+    the proof of a covering radius, uniqueness_check) goes through here.
 
     Ties (to within an 1e-12 relative margin) break to the
     lexicographically smallest point.

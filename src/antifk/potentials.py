@@ -10,10 +10,10 @@ fixed-point solver. A potential answers value, gradient and hessian on
 (rows, d) batches, and derivatives, the last two from one evaluation in
 blocks of rows of a fixed size, so that their temporaries fit in cache.
 
-In d = 1 estimate_aubry proves every constant from one scan, with bounds
-on |V'''| and on the rounding of V' and V''. In d > 1 its certificates are
-sampled, not rigorous: the expansion and covering properties are verified
-on random samples.
+estimate_aubry proves every constant from bounds on the operator-norm
+Lipschitz constant of the hessian and on the rounding of gradient and
+hessian: in d = 1 from one scan, in d > 1 by bisecting boxes, with a
+Kantorovich test at each zero. Nothing on its path is drawn at random.
 """
 
 from __future__ import annotations
@@ -128,14 +128,15 @@ class TrigSumPotential:
         return float(np.abs(self.amplitudes) @ norms2)
 
     def hessian_lipschitz_bound(self, reach: float) -> tuple:
-        """(L, e): L = sum |A_j| |w_j|^3 bounds |V'''|, and e bounds the
-        rounding errors of gradient and hessian (d = 1) at every float |x|
-        <= reach: twice eps sum |A_j| max(|w_j|, w_j^2) (|w_j| reach +
-        |phi_j| + M + 7) over the M terms, the first-order sum of the
-        angle's two roundings, sin and cos within 4 ulp, and the einsum's
-        products and sum."""
-        a, w = np.abs(self.amplitudes), _norms(self.frequencies)
-        e = a * np.maximum(w, w**2) * (w * reach + np.abs(self.phases) + len(a) + 7)
+        """(L, e): L = sum |A_j| |w_j|^3 bounds the hessian's Lipschitz
+        constant in operator norm (|V'''| in d = 1), and e the rounding
+        errors of gradient and hessian (in norm) at every float |x| <=
+        reach: twice eps sum |A_j| max(|w_j|, |w_j|^2) (d |w_j| reach +
+        |phi_j| + M + 7) over the M terms, the first-order sum of the angle's
+        roundings (a d-term dot product, then + phi_j), sin and cos within 4
+        ulp, and the einsum's products and sum."""
+        a, w, d = np.abs(self.amplitudes), _norms(self.frequencies), self.dimension
+        e = a * np.maximum(w, w**2) * (d * w * reach + np.abs(self.phases) + len(a) + 7)
         return float(a @ w**3) * (1 + 1e-12), 2 * np.finfo(float).eps * float(e.sum())
 
     def period(self):
@@ -251,17 +252,18 @@ class DeloneBumpPotential:
         return float(_sv(self.hessian(xs)).max() * 1.05)
 
     def hessian_lipschitz_bound(self, reach: float) -> tuple:
-        """(L, e) as for TrigSumPotential, d = 1. L sums over the P bumps
-        the sup of a Gaussian's third derivative, 4 sqrt(6) |depth| t
-        exp(-t^2) / width^3 at t^2 = (3 - sqrt(6)) / 2. The first-order
-        rounding bounds of the P terms' sums (exp within 4 ulp) are (2
-        |depth| / width^2) P (1.22 P + 26.3) eps / 2 for the hessian and
-        (2 |depth| / width) P (0.43 P + 7.2) eps / 2 for the gradient; e
-        is over twice both. It does not grow with reach, as x - p rounds
-        relative to itself."""
+        """(L, e) as for TrigSumPotential. L sums over the P bumps the sup
+        of a Gaussian's third derivative, 4 sqrt(6) |depth| t exp(-t^2) /
+        width^3 at t^2 = (3 - sqrt(6)) / 2, along any line in any d. The
+        first-order rounding bounds of the P terms' sums (exp within 4 ulp)
+        are (2 |depth| / width^2) P (1.22 P + 26.3) eps / 2 for the hessian
+        and (2 |depth| / width) P (0.43 P + 7.2) eps / 2 for the gradient
+        in d = 1; e is over twice both, times d for the d squares in |x -
+        p|^2. It does not grow with reach, as x - p rounds relative to itself."""
         t2, n, scale = (3 - math.sqrt(6)) / 2, len(self.points), abs(self.depth) / self.width**2
         lip = 4 * math.sqrt(6 * t2) * math.exp(-t2) * scale / self.width
-        e = 4 * scale * max(1.0, self.width) * n * (2 * n + 20) * np.finfo(float).eps
+        e = (4 * scale * max(1.0, self.width) * n * (2 * n + 20) * np.finfo(float).eps
+             * self.dimension)
         return n * lip * (1 + 1e-12), e
 
     def period(self):
@@ -527,7 +529,7 @@ class AubryCertificate:
     distances by at least m on the closed r-ball around each zero.
     safety multiplied R during estimation; zero_tol bounds |psi| at the
     reported zeros. metadata["provenance"] says how each number was
-    obtained ("bounded" or "sampled" for an estimated one).
+    obtained ("bounded" for an estimated one).
     """
 
     sampler: object
@@ -568,9 +570,10 @@ class AubryCertificate:
             return self.sampler.base_points[:, None]
         return self.sampler.points
 
-    def check_zeros(self, V) -> int:
-        """The number of representative zeros, after checking |psi| <=
-        zero_tol at each; CertificationError if one fails."""
+    def verify(self, V) -> dict:
+        """Check what is left to check of a proved certificate, |psi| <=
+        zero_tol at each of its n representative zeros, and return
+        {"zeros_checked": n}; CertificationError if a zero fails."""
         zeros = self.representative_zeros()
         worst_zero = float(_norms(np.atleast_2d(V.gradient(zeros))).max())
         if worst_zero > self.zero_tol:
@@ -578,50 +581,7 @@ class AubryCertificate:
                 f"|psi| = {worst_zero:.3e} at a reported zero exceeds "
                 f"zero_tol = {self.zero_tol:.3e}"
             )
-        return int(zeros.shape[0])
-
-    def verify(self, V, seed: int = 0, covering_checks: int = 256,
-               pair_checks: int = 256) -> dict:
-        """Sampled re-check of the three certificate properties; raises
-        CertificationError on the first failure, returns check counts."""
-        rng = np.random.default_rng(seed)
-        zeros_checked, zeros = self.check_zeros(V), self.representative_zeros()
-        # covering: random admissible centers must see a zero within R
-        if isinstance(self.sampler, PeriodicZeroSet):
-            lo = np.array([self.sampler.base_points.min()])
-            hi = np.array([self.sampler.base_points.min() + self.sampler.period])
-        else:
-            lo, hi = self.sampler.lo, self.sampler.hi
-        centers = rng.uniform(lo, hi, size=(covering_checks, zeros.shape[1]))
-        try:
-            _nearest_anchors(centers, self.sampler, self.covering_radius)
-        except CertificateError as exc:
-            raise CertificationError(f"covering fails at R = {self.covering_radius}: "
-                                     f"{exc}") from exc
-        # expansion on sampled pairs inside each ball: each zero's draws in
-        # the per-zero order, in blocks of zeros of about 2048 points
-        r, m, d = self.ball_radius, self.expansion, zeros.shape[1]
-        block = max(1, 1024 // max(pair_checks, 1))
-        for lo in range(0, len(zeros), block):
-            z = zeros[lo:lo + block, None]
-            draws = [(rng.uniform(-1.0, 1.0, size=(2 * pair_checks, d)),
-                      rng.uniform(0, r, size=(2 * pair_checks, 1))) for _ in z]
-            offsets, radii = (np.stack(a) for a in zip(*draws))
-            pts = z + offsets / np.maximum(_norms(offsets)[..., None], 1e-300) * radii
-            g = V.gradient(pts.reshape(-1, d)).reshape(pts.shape)
-            xs, ys = pts[:, :pair_checks], pts[:, pair_checks:]
-            lhs = _norms(g[:, :pair_checks] - g[:, pair_checks:])
-            rhs = m * _norms(xs - ys)
-            bad = lhs < rhs * (1 - 1e-12) - 1e-15
-            if bad.any():
-                k, j = np.unravel_index(np.argmax(bad), bad.shape)
-                raise CertificationError(
-                    f"expansion failed near zero {zeros[lo + k]}: |psi(x)-psi(y)| = "
-                    f"{lhs[k, j]:.6e} < m|x-y| = {rhs[k, j]:.6e}"
-                )
-        return {"covering_checks": covering_checks,
-                "pair_checks_per_zero": pair_checks,
-                "zeros_checked": zeros_checked}
+        return {"zeros_checked": int(zeros.shape[0])}
 
 
 def cosine_certificate() -> AubryCertificate:
@@ -718,13 +678,40 @@ _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
 # 512-offset scan spent per side.
 _BALL_OFFSETS, _WALK_STEPS = 128, 512
 
+# Most rounds and boxes a round of box bisection in the d > 1 proofs, and where
+# ball and covering radii stop it, relative to their bounds (a ball radius's
+# rounds cost more)
+_CELL_ROUNDS, _CELL_BOXES, _BALL_TOL, _COVER_TOL = 24, 2**20, 2.0**-9, 2.0**-12
+
+
+def _refine_cells(centres, tags, side, undecided):
+    """Halve boxes of sides side (d,) at centres (N, d), tagged by integers
+    that their parts inherit, while undecided(centres, tags, delta) marks
+    them, delta the half-diagonal plus the roundings of a centre and of a
+    distance, for _CELL_ROUNDS rounds: the last call's marks are the boxes
+    left. CertificationError before a round of more than _CELL_BOXES."""
+    d = centres.shape[1]
+    parts = np.stack(np.meshgrid(*[(-0.25, 0.25) if s > 0 else (0.0,) for s in side],
+                                 indexing="ij"), axis=-1).reshape(-1, d)
+    slack = (_CELL_ROUNDS + 2) * d * np.finfo(float).eps * float(
+        _norms(centres).max() + _norms(side))
+    for k in range(_CELL_ROUNDS + 1):
+        keep = undecided(centres, tags, 0.5 * float(_norms(side)) + slack)
+        centres, tags = centres[keep], tags[keep]
+        if k == _CELL_ROUNDS or not len(tags):
+            return
+        if len(tags) * len(parts) > _CELL_BOXES:
+            raise CertificationError(f"a proof by box bisection needs over {_CELL_BOXES} boxes")
+        centres = (centres[:, None] + parts * side).reshape(-1, d)
+        tags, side = np.repeat(tags, len(parts)), side / 2
+
 
 def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
-                           samples: int, rng) -> float:
+                           samples: int) -> float:
     """Largest radius r <= r_cap such that sigma_min(hessian) >= m on the
-    r-ball around every zero.
+    r-ball around every zero, proved.
 
-    d = 1, proved. With (L, e) = V.hessian_lipschitz_bound(reach), reach
+    d = 1. With (L, e) = V.hessian_lipschitz_bound(reach), reach
     = max|z| + r_cap, and e raised by L eps reach for the rounding of the
     point z +- t itself (twice the first-order sums in e cover this
     function's own arithmetic), a computed |V''(x)| >= m + e + L delta
@@ -743,8 +730,11 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
     h / 2 past that. The radius is the least of the walks and of r_cap,
     that of a scan of every offset, as each walk starts where it would.
 
-    d > 1, sampled: bisection over r on samples random points of each
-    ball."""
+    d > 1: _refine_cells halves the cube of side 2 r_cap around each zero,
+    proving a box where sigma_min(H) - 2 d eps sigma_max(H) >= m + e + L
+    delta, H the computed hessian at its centre (Weyl), which lies within
+    r_cap + delta <= (1 + sqrt(d)) r_cap of its zero. A centre below m + e
+    bounds r by its distance; boxes left bound it by their inner ones."""
     d = zeros.shape[1]
     if d == 1:
         s = np.linspace(0.0, r_cap, samples)
@@ -788,39 +778,68 @@ def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
                 radius = min(radius, float(t.min(initial=radius)))
             else:
                 break
-        if radius < 1e-6 * r_cap:
-            raise CertificationError(_NEAR_ZERO_FAILURE)
-        return float(radius)
+    else:
+        reach = float(_norms(zeros).max()) + (1 + math.sqrt(d)) * r_cap
+        lip, e = V.hessian_lipschitz_bound(reach)
+        bound, left = r_cap, np.inf  # left: the least inner distance of a box left
 
-    def ok(r: float) -> bool:
-        for z in zeros:
-            raw = rng.standard_normal((samples, d))
-            raw /= _norms(raw)[:, None]
-            radii = r * rng.uniform(0, 1, size=(samples, 1)) ** (1.0 / d)
-            pts = np.concatenate([z + raw * radii, z[None]], axis=0)
-            if _sv(V.hessian(pts)).min() < m:
-                return False
-        return True
+        def undecided(centres, tags, delta):
+            nonlocal bound, left
+            dist = _norms(centres - zeros[tags])
+            near = dist - delta < bound * (1 - _BALL_TOL)
+            sv = _sv(V.hessian(centres[near]))
+            low = sv[:, -1] - 2 * d * np.finfo(float).eps * sv[:, 0]
+            bound = min(bound, float(dist[near][~(low >= m + e)].min(initial=bound)))
+            near[near] = ~(low >= m + e + lip * delta)
+            left = float((dist - delta)[near].min(initial=np.inf))
+            return near
 
-    lo_r, hi_r = 0.0, r_cap
-    if not ok(hi_r * 1e-6):
+        _refine_cells(zeros, np.arange(len(zeros)), np.full(d, 2.0 * r_cap), undecided)
+        radius = min(bound * (1 - _BALL_TOL), left)
+    if radius < 1e-6 * r_cap:
         raise CertificationError(_NEAR_ZERO_FAILURE)
-    if ok(hi_r):
-        return hi_r
-    for _ in range(60):
-        mid = 0.5 * (lo_r + hi_r)
-        if ok(mid):
-            lo_r = mid
-        else:
-            hi_r = mid
-    return lo_r
+    return float(radius)
+
+
+def _covering_radius(sampler: FiniteZeroSet) -> float:
+    """Bound on the distance from a point of the box [lo, hi] of sampler (d
+    > 1) to its nearest zero: a box whose centre lies D from one gives D +
+    delta, and is halved while that exceeds 1 + _COVER_TOL times every D."""
+    lo, hi = sampler.lo, sampler.hi
+    deepest, radius = 0.0, float(_norms(hi - lo))
+
+    def undecided(centres, tags, delta):
+        nonlocal deepest, radius
+        dist = _norms(centres - _nearest_anchors(centres, sampler, radius))
+        deepest = max(deepest, float(dist.max()))
+        keep = dist + delta > deepest * (1 + _COVER_TOL)
+        radius = float((dist + delta)[keep].max(initial=0.0))
+        return keep
+
+    _refine_cells(((lo + hi) / 2)[None], np.zeros(1, int), hi - lo, undecided)
+    return max(deepest * (1 + _COVER_TOL), radius)
+
+
+def _zero_error(V, zeros: np.ndarray) -> float:
+    """w with a zero of grad V within w of each of zeros (d > 1): Kantorovich's
+    h = beta L eta <= 1/4, beta = 1 / (sigma_min(H) - e - 2 d eps sigma_max(H))
+    >= |H^-1| (Weyl) and eta = beta (|g| + e) at z, puts one within 1.18 eta."""
+    lip, e = V.hessian_lipschitz_bound(float(_norms(zeros).max()))
+    g, H = V.derivatives(zeros)
+    sv = _sv(H)
+    beta = 1.0 / (sv[:, -1] - e - 2 * zeros.shape[1] * np.finfo(float).eps * sv[:, 0])
+    eta = beta * (_norms(g) + e)
+    if not ((beta > 0) & (beta * lip * eta <= 0.25)).all():
+        raise CertificationError("a zero fails the Kantorovich test")
+    return 2.0 * float(eta.max())
 
 
 def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                    zero_tol: float = 1e-9, degeneracy_fraction: float = 0.1,
-                   safety: float = 1.0, expansion_fraction: float = 2**-0.5,
-                   radius_samples: int = 512, seed: int = 0) -> AubryCertificate:
-    """Estimate a certificate for psi = grad V over a search window.
+                   safety: float = 1.0,
+                   expansion_fraction: float = 2**-0.5) -> AubryCertificate:
+    """Estimate a certificate for psi = grad V over a search window, with
+    every constant proved.
 
     Zeros come from a grid scan with root polishing: in d = 1 every
     sign-change bracket of the grid is bisected, all brackets together
@@ -828,24 +847,21 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     those of one-bracket bisection, as a gradient row does not depend on
     its batch); in d > 1 Newton runs from the grid points. Zeros whose
     hessian smallest singular value falls below degeneracy_fraction of
-    the best are discarded. The expansion m is expansion_fraction times
-    the weakest retained curvature, the covering radius R half the
-    largest gap (times safety), and the ball radius r the largest radius
-    on which the curvature stays >= m (_ball_expansion_radius: in d = 1
-    a scan of _BALL_OFFSETS offsets, in d > 1 radius_samples points).
+    the best are discarded. m is expansion_fraction times the weakest
+    retained curvature, and r the largest radius, up to 0.49 times the
+    least separation of the zeros, on which it stays >= m, which proves
+    the expansion (_ball_expansion_radius; at a saddle in d > 1, that the
+    local inverse on the (r m)-ball, the solver's use, is 1/m-Lipschitz).
 
-    d = 1, bounded: a listed zero lies within w of a zero of psi, w the
-    float spacing at the largest |zero| (an adjacent-float bracket) plus
-    e / m, e the rounding error of psi (V.hessian_lipschitz_bound), plus
-    for a periodic sampler the largest spread of a cluster merged into a
-    base point. R is half the largest gap (across the period if periodic)
-    plus w, rounded up, and r the proved radius less w, rounded down;
-    |V''| >= m on each r-ball proves the expansion (mean value theorem).
-    Only |psi| <= zero_tol at the zeros is checked after. d > 1, sampled:
-    every property is re-checked on random samples (verify).
+    A listed zero lies within w of a zero of psi: in d = 1 w is the float
+    spacing at the largest |zero| (an adjacent-float bracket) plus e / m,
+    e the rounding error of psi (V.hessian_lipschitz_bound), plus for a
+    periodic sampler the largest spread of a cluster merged into a base
+    point; in d > 1 w comes from a Kantorovich test (_zero_error). R is
+    the covering radius of the listed zeros (_covering_radius in d > 1)
+    plus w, times safety, rounded up; r is less w, rounded down. Only
+    |psi| <= zero_tol at the zeros is checked after (verify).
     """
-    if radius_samples < 1:
-        raise ValueError(f"radius_samples must be >= 1, got {radius_samples}")
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
@@ -853,7 +869,6 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     if not (lo < hi).all():
         raise ValueError(f"search_window must have lo < hi, got {lo.tolist()}, {hi.tolist()}")
     d = getattr(V, "dimension", lo.shape[0])
-    rng = np.random.default_rng(seed)
 
     if d == 1:
         zeros = _scan_zeros_1d(V, float(lo[0]), float(hi[0]), grid_points)[:, None]
@@ -874,8 +889,9 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     m = expansion_fraction * float(sig_kept.min())
 
     period = V.period() if hasattr(V, "period") else None
-    reach = float(np.abs(zeros).max())  # zero error w: the bracket, widened by rounding
-    w = float(np.spacing(reach)) + V.hessian_lipschitz_bound(reach)[1] / m if d == 1 else 0.0
+    reach = float(np.abs(zeros).max())  # zero error w, in d = 1 the bracket widened by rounding
+    w = (float(np.spacing(reach)) + V.hessian_lipschitz_bound(reach)[1] / m if d == 1
+         else _zero_error(V, retained))
     if d == 1 and period is not None:
         base, spread = _cluster_mod_period(retained[:, 0], period, tol=1e-6)
         sampler, w = PeriodicZeroSet(base, period), w + spread
@@ -887,38 +903,35 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                 "need at least two nondegenerate zeros for a covering radius"
             )
         sampler = FiniteZeroSet(retained, retained.min(axis=0), retained.max(axis=0))
-        if d == 1:
-            gaps = np.diff(np.sort(retained[:, 0]))
-        else:
-            centers = rng.uniform(sampler.lo, sampler.hi, size=(4096, d))
-            dmat = _norms(centers[:, None, :] - retained[None])
-            gaps = 2.0 * dmat.min(axis=1)  # twice distance-to-nearest-zero
+        gaps = np.diff(np.sort(retained[:, 0])) if d == 1 else None
         ball_zeros = retained
-
-    covering_radius = (float(gaps.max()) / 2.0 + w) * safety
-    r_cap = 0.49 * float(gaps.min()) if gaps.min() > 0 else covering_radius
-    ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap,
-                                         _BALL_OFFSETS if d == 1 else radius_samples, rng)
     if d == 1:
-        covering_radius = math.nextafter(covering_radius, math.inf)
-        ball_radius = math.nextafter(ball_radius - w, 0.0)
+        half_gap, separation = float(gaps.max()) / 2.0, float(gaps.min())
+    else:  # separation: the least distance between two zeros, 256 rows at a time
+        half_gap = _covering_radius(sampler)
+        separation = min(float(np.partition(_norms(retained[i:i + 256, None] - retained), 1,
+                                            axis=1)[:, 1].min())
+                         for i in range(0, len(retained), 256))
+    covering_radius = (half_gap + w) * safety
+    r_cap = 0.49 * separation if separation > 0 else covering_radius
+    ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap, _BALL_OFFSETS)
+    covering_radius = math.nextafter(covering_radius, math.inf)
+    ball_radius = math.nextafter(ball_radius - w, 0.0)
     if ball_radius <= 0:
         raise CertificationError("no positive radius sustains the expansion bound")
 
     cert = AubryCertificate(sampler, covering_radius, ball_radius, m, safety, zero_tol, {
         "provenance": dict.fromkeys(("zeros", "covering_radius", "ball_radius", "expansion"),
-                                    "bounded" if d == 1 else "sampled"),
-        "parameters": {"grid_points": grid_points, "radius_samples": radius_samples,
+                                    "bounded"),
+        "parameters": {"grid_points": grid_points,
                        "degeneracy_fraction": degeneracy_fraction,
                        "expansion_fraction": expansion_fraction},
         "search_window": [lo.tolist(), hi.tolist()],
         "zero_error": w,
         "zeros_found": int(zeros.shape[0]),
         "zeros_retained": int(ball_zeros.shape[0]),
-        "seed": seed,
     })
-    cert.metadata["verification"] = ({"zeros_checked": cert.check_zeros(V)} if d == 1
-                                     else cert.verify(V, seed=seed + 1))
+    cert.metadata["verification"] = cert.verify(V)
     return cert
 
 
@@ -928,8 +941,7 @@ def _scan_zeros_nd(V, lo, hi, grid_points, zero_tol):
     per_dim = max(8, int(round(grid_points ** (1.0 / d))))
     axes = [np.linspace(lo[j], hi[j], per_dim) for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    y = pts.copy()
+    y = np.stack([m.ravel() for m in mesh], axis=1)
     for _ in range(60):
         g, H = V.derivatives(y)
         if _norms(g).max() <= zero_tol * 1e-3:
@@ -940,15 +952,13 @@ def _scan_zeros_nd(V, lo, hi, grid_points, zero_tol):
         y = np.clip(y - step, lo, hi)
     inside = ((y > lo + 1e-9) & (y < hi - 1e-9)).all(axis=1)
     roots = y[(_norms(V.gradient(y)) <= zero_tol) & inside]
-    if roots.shape[0] == 0:
-        return roots
-    # cluster within a tolerance scaled to the box
+    # each root is kept unless within a tolerance scaled to the box of one kept before it
     tol = max(1e-8 * float(_norms(hi - lo)), 1e-10)
     kept = []
-    for p in roots:
-        if all(_norms(p - q) > tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    while len(roots):
+        kept.append(roots[0])
+        roots = roots[_norms(roots - roots[0]) > tol]
+    return np.array(kept).reshape(-1, d)
 
 
 # --------------------------------------------------------------------------

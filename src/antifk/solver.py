@@ -393,19 +393,7 @@ class ContractionSolver:
         goes into self.failures.
         """
         cases = self._cases(cases)
-        limit, half_width = self.cert.admissible_radius, u.window.half_width
-        targets = -self.interaction.delta(u) / self.lam
-        norms = _norms(targets)
-        worst, ended = norms.max(axis=0), {}
-        over = (worst > limit).tolist()
-        for c in cases:
-            if over[c]:
-                site = int(norms[:, c].argmax()) - half_width
-                ended[c] = DomainError(
-                    f"|Delta(u)_i / lam| = {worst[c]:.6e} exceeds r*m = {limit:.6e} "
-                    f"at site {site}; coupling too weak for this certificate",
-                    site=site, norm=float(worst[c]), limit=limit,
-                )
+        targets, ended = self._targets(u, cases)
         n, K, d = u.values.shape
         while True:
             going = [c for c in cases if c not in ended]
@@ -440,6 +428,24 @@ class ContractionSolver:
             back = list(ended)
             values[:, back] = u.values[:, back]
         return u.with_values(values), (_widen(grad, going, K), _widen(hess, going, K))
+
+    def _targets(self, u: Configuration, cases) -> tuple:
+        """-Delta(u) / lam over the stack u, and a DomainError naming the site
+        of each of the case ids cases whose largest one exceeds r*m."""
+        limit, half_width = self.cert.admissible_radius, u.window.half_width
+        targets = -self.interaction.delta(u) / self.lam
+        norms = _norms(targets)
+        worst, ended = norms.max(axis=0), {}
+        over = (worst > limit).tolist()
+        for c in cases:
+            if over[c]:
+                site = int(norms[:, c].argmax()) - half_width
+                ended[c] = DomainError(
+                    f"|Delta(u)_i / lam| = {worst[c]:.6e} exceeds r*m = {limit:.6e} "
+                    f"at site {site}; coupling too weak for this certificate",
+                    site=site, norm=float(worst[c]), limit=limit,
+                )
+        return targets, ended
 
     def newton_polish(self, u: Configuration, cases=None, derivatives=None,
                       start=None):
@@ -504,9 +510,10 @@ class ContractionSolver:
         """Iterate phi_step from the anchors (or a caller-supplied start in
         the tube) until the a-posteriori bound and the residual check both
         pass, case by case: a case stops in place when it converges or
-        fails. For a nearest-neighbour interaction newton_polish runs on
-        every case before the first step, so that the closing step makes
-        the answer a tube-map image. Each step starts from the grad V and
+        fails (a start chain outside the domain at once). For a
+        nearest-neighbour interaction newton_polish runs on every other
+        case before the first step, so that the closing step makes the
+        answer a tube-map image. Each step starts from the grad V and
         hess V that the one before it handed on (at the start, _start's),
         and V is never evaluated at the chain of a stopped case. Returns,
         per case, (configuration, report) or the case's error, which also
@@ -526,6 +533,8 @@ class ContractionSolver:
         steps, newton = [[] for _ in range(K)], [[] for _ in range(K)]
         fallback, last_res, done = [False] * K, [np.inf] * K, {}
         derivatives, proofs = None, ([None] * K, [None] * K)
+        self.failures.update(self._targets(u, running)[1])  # before any polish
+        running = [c for c in running if c not in self.failures]
         if running:
             derivatives, start, proofs = self._start(u, running)
             if start is not None:

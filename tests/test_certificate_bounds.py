@@ -1,5 +1,6 @@
-"""The d = 1 certificate's proved constants: closed forms, the bounds on
-|V'''| and on the rounding of V' and V'' they rest on, and property tests."""
+"""The certificate's proved constants: closed forms, the bounds on the
+hessian's Lipschitz constant and on the rounding of gradient and hessian
+they rest on, dense references in d = 2, and property tests."""
 
 import json
 import math
@@ -14,12 +15,22 @@ from antifk import (
     CertificationError,
     DeloneBumpPotential,
     FiniteZeroSet,
+    NearestNeighborInteraction,
     PeriodicZeroSet,
     TrigSumPotential,
     cosine_potential,
     estimate_aubry,
+    lambda_threshold,
     truncated_almost_periodic,
 )
+from antifk import potentials
+from antifk.hyperbolicity import _sv
+
+COS2 = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+# not a sum of one-variable terms: the third term couples x and y
+MIXED2 = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0),
+                           (0.3, [1.0, 1.0], 0.5)])
+BOX2 = ([-10.0, -10.0], [10.0, 10.0])
 
 
 def test_cosine_closed_form():
@@ -31,6 +42,53 @@ def test_cosine_closed_form():
     assert cert.metadata["provenance"] == dict.fromkeys(
         ("zeros", "covering_radius", "ball_radius", "expansion"), "bounded")
     assert cert.metadata["verification"] == {"zeros_checked": 2}
+
+
+def test_cosine_2d_closed_form():
+    # cos x + cos y on [-10, 10]^2: zeros pi Z^2 (saddles too, as |hess V|
+    # is 1 at every one), R = pi / sqrt(2) (the centre of a lattice square),
+    # r = pi / 4 (where the ball first meets |cos x| = m or |cos y| = m)
+    cert = estimate_aubry(COS2, BOX2)
+    R, r = math.pi / math.sqrt(2), math.pi / 4
+    assert R <= cert.covering_radius <= R * (1 + 1e-3)
+    assert 0.95 * r <= cert.ball_radius <= r
+    assert cert.expansion == pytest.approx(2**-0.5, rel=1e-15)
+    assert cert.metadata["provenance"] == dict.fromkeys(
+        ("zeros", "covering_radius", "ball_radius", "expansion"), "bounded")
+    assert cert.metadata["verification"] == {"zeros_checked": 49}
+    assert 0 < cert.metadata["zero_error"] < 1e-12
+    zeros = cert.representative_zeros()
+    assert np.abs(zeros - np.pi * np.round(zeros / np.pi)).max() < 1e-12
+    assert lambda_threshold(NearestNeighborInteraction(), [0.41, 0.53], cert) <= 23
+
+
+def test_box_budget_refuses(monkeypatch):
+    # a proof that would need more boxes a round than the budget fails,
+    # rather than growing without bound
+    monkeypatch.setattr(potentials, "_CELL_BOXES", 64)
+    with pytest.raises(CertificationError, match="needs over 64 boxes"):
+        estimate_aubry(COS2, BOX2)
+
+
+def test_mixed_2d_against_dense_references():
+    # each proved constant against a dense sampled one: r at most the
+    # first radius where sigma_min(hess V) < m on a polar grid of a ball,
+    # R at least the largest nearest-zero distance over a grid of the box
+    cert = estimate_aubry(MIXED2, BOX2)
+    zeros, m = cert.representative_zeros(), cert.expansion
+    radii, angles = np.linspace(0.0, 1.0, 1001)[1:], np.linspace(0, 2 * np.pi, 361)
+    ring = np.stack([np.outer(radii, np.cos(angles)), np.outer(radii, np.sin(angles))], -1)
+    low = _sv(MIXED2.hessian(zeros[:, None, None] + ring))[..., -1].min(axis=(0, 2))
+    sampled = radii[np.argmax(low < m)]
+    assert 0.98 * sampled <= cert.ball_radius <= sampled
+    lo, hi = cert.sampler.lo, cert.sampler.hi
+    grid = np.stack(np.meshgrid(*(np.linspace(lo[k], hi[k], 401) for k in range(2))),
+                    -1).reshape(-1, 2)
+    deepest = np.linalg.norm(grid[:, None] - zeros, axis=-1).min(axis=1).max()
+    # and within 2^-11 of the covering radius the grid's half-diagonal allows
+    slack = np.linalg.norm(hi - lo) / 400 / 2
+    assert deepest <= cert.covering_radius <= (deepest + slack) * (1 + 2**-11)
+    assert set(cert.metadata["provenance"].values()) == {"bounded"}
 
 
 @pytest.mark.parametrize("make", [
@@ -49,6 +107,84 @@ def test_third_derivative_bound(make):
     observed = np.abs(third).max() / (2 * step)
     assert observed <= lip
     assert observed >= 0.05 * lip  # the bound is not vacuous here
+
+
+# d > 1: a non-separable trig sum in d = 2 and 3, and Gaussian bumps in d = 2
+_MULTI = [MIXED2,
+          TrigSumPotential([(0.7, [2.3, -0.4, 1.0], 1.1), (-0.4, [0.9, 1.5, 0.0], -2.0)]),
+          DeloneBumpPotential([[0.0, 0.0], [1.0, 0.3], [0.2, 1.4]], width=0.6, depth=1.3)]
+
+
+@pytest.mark.parametrize("V", _MULTI)
+def test_hessian_lipschitz_in_operator_norm(V):
+    # |hess V(x) - hess V(y)| <= L |x - y| on close pairs, in d > 1
+    lip, _ = V.hessian_lipschitz_bound(0.0)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, size=(20000, V.dimension))
+    y = x + rng.normal(scale=1e-3, size=x.shape)
+    step = np.linalg.norm(V.hessian(x) - V.hessian(y), ord=2, axis=(1, 2))
+    ratio = step / np.linalg.norm(x - y, axis=1)
+    assert ratio.max() <= lip
+    assert ratio.max() >= 0.05 * lip
+
+
+@pytest.mark.parametrize("V, reach", zip(_MULTI, (40.0, 20.0, 4.0)))
+def test_rounding_bound_multi(V, reach):
+    # the computed gradient (in norm) and hessian (in Frobenius norm, an
+    # upper bound on the operator norm) against 40-digit arithmetic at the
+    # same floats, |x| <= reach
+    _, e = V.hessian_lipschitz_bound(reach)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(150, V.dimension))
+    x *= rng.uniform(0.0, reach, size=(150, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+
+    def vec(a):
+        return mpmath.matrix([mpmath.mpf(float(c)) for c in a])
+
+    def exact(xi):  # (grad V, hess V) at xi
+        g, H = mpmath.zeros(len(xi), 1), mpmath.zeros(len(xi))
+        if isinstance(V, DeloneBumpPotential):
+            for p in V.points:
+                t = xi - vec(p)
+                w = 2 * mpmath.mpf(V.depth) / V.width**2 * mpmath.exp(
+                    -sum(c * c for c in t) / V.width**2)
+                g += w * t
+                H += w * (mpmath.eye(len(xi)) - 2 * t * t.T / V.width**2)
+            return g, H
+        for a, f, ph in zip(V.amplitudes, V.frequencies, V.phases):
+            f = vec(f)
+            th = sum(fi * xj for fi, xj in zip(f, xi)) + mpmath.mpf(ph)
+            g -= mpmath.mpf(a) * mpmath.sin(th) * f
+            H -= mpmath.mpf(a) * mpmath.cos(th) * f * f.T
+        return g, H
+
+    grads, hessians = V.derivatives(x)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for xi, g, H in zip(x, grads, hessians):
+            eg, eH = exact(vec(xi))
+            worst = max(worst, float(mpmath.norm(vec(g) - eg)),
+                        float(mpmath.mnorm(mpmath.matrix(H.tolist()) - eH, "f")))
+    assert worst <= e
+
+
+def test_zeros_within_the_zero_error_2d():
+    # each listed zero of the mixed sum lies within the Kantorovich w of a
+    # zero of psi found in 40-digit arithmetic
+    cert = estimate_aubry(MIXED2, BOX2)
+    w = cert.metadata["zero_error"]
+    assert 0 < w < 1e-10
+    terms = [(mpmath.mpf(a), [mpmath.mpf(c) for c in f], mpmath.mpf(p))
+             for a, f, p in zip(MIXED2.amplitudes, MIXED2.frequencies, MIXED2.phases)]
+    with mpmath.workdps(40):
+        def psi(x, y):
+            return [-sum(a * f[k] * mpmath.sin(f[0] * x + f[1] * y + p) for a, f, p in terms)
+                    for k in range(2)]
+
+        gaps = [mpmath.norm(mpmath.findroot(psi, tuple(mpmath.mpf(c) for c in z))
+                            - mpmath.matrix([mpmath.mpf(c) for c in z]))
+                for z in cert.representative_zeros()]
+    assert float(max(gaps)) <= w
 
 
 @pytest.mark.parametrize("make, reach", [

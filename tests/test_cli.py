@@ -55,8 +55,7 @@ class TestCertify:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_zero_radius_samples_exits_1(self, tmp_path, capsys):
-        # radius_samples sets only the sampled d > 1 ball radius, which the
-        # CLI cannot estimate: like the other sampling knobs, an unknown key
+        # no certificate is sampled, so no sampling knob is a key
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -74,8 +73,8 @@ class TestCertify:
 
     @pytest.mark.parametrize("key", ["covering_checks", "pair_checks"])
     def test_zero_checks_exit_1(self, key, tmp_path, capsys):
-        # the d = 1 certificate is proved, not sampled: the sampling knobs
-        # are unknown keys
+        # certificates are proved, not sampled: the sampling knobs are
+        # unknown keys
         cfg = write_config(
             tmp_path / "c.json",
             {
@@ -456,7 +455,7 @@ def _sweep_rows_alone(cfg_path):
     cfg = json.loads(open(cfg_path).read())
     block = cfg["sweep"]
     V, interaction = _build_potential(cfg), _build_interaction(cfg)
-    cert = _build_certificate(cfg, V, cfg.get("seed", 0))
+    cert = _build_certificate(cfg, V)
     tol = block.get("tol", 1e-10)
     lines = [",".join(_SWEEP_COLUMNS)]
     for lam, rho in sorted((lam, rho) for lam in block["lams"] for rho in block["rhos"]):
@@ -765,11 +764,44 @@ class TestConfigValues:
                  f"cannot read solution {solution}: ")
 
     def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # no command reads a seed, so there is no --seed flag to set one
         out = tmp_path / "o"
         assert main(["solve", "--config", solve_config(tmp_path), "--out", str(out),
                      "--seed", "-3"]) == 1
-        assert "argument --seed: must be at least 0, got -3" in capsys.readouterr().err
+        assert "unrecognized arguments: --seed -3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("block, name", [
+        ({"potential": {"family": "almost-periodic-truncated", "term_count": 8.7}},
+         "potential.term_count must be an integer, got 8.7"),
+        ({"potential": {"family": "almost-periodic-truncated", "term_count": "8"}},
+         'potential.term_count must be an integer, got "8"'),
+        ({"potential": {"family": "delone-bump", "points": [0.0, 2.0], "width": "1"}},
+         'potential.width must be a number, got "1"'),
+        ({"interaction": {"kind": "nearest-neighbor",
+                          "coupling": {"name": "quadratic", "scale": True}}},
+         "interaction.coupling.scale must be a number, got true"),
+        ({"interaction": {"kind": "long-range", "cutoff": "4"}},
+         'interaction.cutoff must be an integer, got "4"'),
+        ({"interaction": {"kind": "long-range", "cutoff": 4.7}},
+         "interaction.cutoff must be an integer, got 4.7"),
+    ])
+    def test_family_fields_are_typed(self, block, name, tmp_path, capsys):
+        # a key's kind is that of the value the built object writes back
+        payload = {"potential": {"family": "cosine"},
+                   "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}, **block}
+        self.run(tmp_path, capsys, "solve", payload, name)
+
+    def test_family_fields_take_what_they_write(self, tmp_path):
+        # an int where a float is written passes; lists are not checked
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "almost-periodic-truncated", "term_count": 3,
+                          "amplitude_ratio": 0.5, "frequency_ratio": 1},
+            "interaction": {"kind": "nearest-neighbor",
+                            "coupling": {"name": "quadratic", "scale": 1}},
+            "certification": {"search_window": [-40.0, 40.0]},
+            "solve": {"lam": 40.0, "rho": 0.3, "half_width": 8}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_readme_lists_the_table(self):
         # the README's config reference: one row per key, its kind as in _CONFIG
@@ -831,7 +863,7 @@ class TestStackedSweep:
                 "potential": {"family": "cosine"},
                 "sweep": {"lams": [20.0, 30.0, 40.0, 50.0, 60.0],
                           "rhos": [0.1, 0.2, 0.3, 0.4, 0.5], "half_width": half_width}})
-            args = SimpleNamespace(seed=None, workers=workers)
+            args = SimpleNamespace(workers=workers)
             return [len(p[3]) for p in _sweep_payloads(_load_config(cfg), args)]
 
         # 2049 sites a case: the cap holds 7 cases a batch

@@ -230,22 +230,17 @@ class TestEstimateAubry:
         assert half_grid.min() > 1.0  # every retained zero is near pi/2 + k pi
         assert np.abs(half_grid - np.pi / 2).max() < 1e-7
 
-    def test_quasiperiodic_mix_passes_sampled_checks(self):
+    def test_quasiperiodic_mix_certifies(self):
         V = TrigSumPotential([(1.0, [1.0], 0.0), (0.3, [np.sqrt(2.0)], 0.0)])
         cert = estimate_aubry(V, (-20.0, 20.0))
         assert len(cert.representative_zeros()) >= 2
         assert cert.expansion > 0
-        outcome = cert.verify(V, seed=3)  # raises CertificationError on failure
-        assert outcome["zeros_checked"] >= 2
+        # raises CertificationError on failure
+        assert cert.verify(V) == {"zeros_checked": len(cert.representative_zeros())}
 
     def test_zero_free_window_fails(self, cos_potential):
         with pytest.raises(CertificationError):
             estimate_aubry(cos_potential, (0.2, 0.8))
-
-    @pytest.mark.parametrize("samples", [0, -4])
-    def test_radius_samples_must_be_positive(self, cos_potential, samples):
-        with pytest.raises(ValueError, match="radius_samples must be >= 1"):
-            estimate_aubry(cos_potential, (-10.0, 10.0), radius_samples=samples)
 
     @pytest.mark.parametrize("points", [1, 0, -3])
     def test_grid_points_at_least_two(self, cos_potential, points):
@@ -264,7 +259,7 @@ class TestEstimateAubry:
         V = DeloneBumpPotential(pts, width=0.45)
         cert = estimate_aubry(V, (float(pts[0]) - 1.0, float(pts[-1]) + 1.0))
         assert len(cert.representative_zeros()) >= 4
-        assert cert.verify(V, seed=1)["zeros_checked"] >= 4
+        assert cert.verify(V)["zeros_checked"] >= 4
 
 
 def _bisection_ball_radius_1d(V, zeros, m, r_cap, radius_samples):
@@ -325,7 +320,7 @@ _FIBONACCI_CASES = [
     for count, p in ((c, _fibonacci_bumps(c)) for c in (30, 100))]
 
 
-def _fine_scan_radius(V, zeros, m, r_cap, samples, rng):
+def _fine_scan_radius(V, zeros, m, r_cap, samples):
     """The d = 1 ball radius of the 512-offset scan the coarse one replaced:
     the scan stopped in the first block where some side failed, only the
     sides failing first at the least failing offset k walked, from s_{k-1}
@@ -367,7 +362,7 @@ def _fine_scan_radius(V, zeros, m, r_cap, samples, rng):
     return float(radius)
 
 
-def _block_scan_radius(V, zeros, m, r_cap, samples, rng=None):
+def _block_scan_radius(V, zeros, m, r_cap, samples):
     """Reference for the d = 1 ball radius: the scan that the adaptive one
     replaced, bit for bit. Every side scans the same block of max(1, 2
     samples // sides) offsets a call, with no offset skipped, and the
@@ -412,7 +407,7 @@ def _block_scan_radius(V, zeros, m, r_cap, samples, rng=None):
 def _same_radius(V, zeros, m, r_cap, samples):
     """The adaptive scan's radius equals the block scan's, bit for bit, or
     both raise the same CertificationError."""
-    got, want = (_outcome(f, V, np.asarray(zeros, dtype=float), m, r_cap, samples, None)
+    got, want = (_outcome(f, V, np.asarray(zeros, dtype=float), m, r_cap, samples)
                  for f in (_ball_expansion_radius, _block_scan_radius))
     assert got == want and type(got) is type(want)
 
@@ -431,7 +426,7 @@ class TestBallRadiusScan:
         monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
         V = make()
         estimate_aubry(V, window)
-        (_, zeros, m, r_cap, _, _), = seen
+        (_, zeros, m, r_cap, _), = seen
         for samples in (128, 512, 64, 16, 1):
             _same_radius(V, zeros, m, r_cap, samples)
 
@@ -469,7 +464,7 @@ class TestBallRadiusScan:
         monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
         V = make()
         cert = estimate_aubry(V, window)
-        (_, zeros, m, r_cap, samples, _), r = seen[0]
+        (_, zeros, m, r_cap, samples), r = seen[0]
         sampled = _bisection_ball_radius_1d(V, zeros, m, r_cap, samples)
         w = cert.metadata["zero_error"]
         assert cert.ball_radius == np.nextafter(r - w, 0.0)
@@ -497,9 +492,9 @@ class TestBallRadiusScan:
             with pytest.raises(CertificationError):
                 _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
             with pytest.raises(CertificationError, match="arbitrarily close"):
-                _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64, None)
+                _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64)
             return
-        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64, None)
+        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64)
         sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
         assert sampled - r_cap / 63 <= r <= sampled
         balls = (zeros + np.linspace(-r, r, 20001)).reshape(-1, 1)
@@ -517,7 +512,7 @@ class TestBallRadiusScan:
             return hessian(x)
 
         monkeypatch.setattr(cos_potential, "hessian", counting)
-        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 16, None)
+        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 16)
         assert max(calls) == 162
         monkeypatch.undo()
         sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
@@ -526,7 +521,7 @@ class TestBallRadiusScan:
 
     def test_one_offset_holds_half_its_spacing(self, cos_potential):
         # a grid of the centre alone, spacing r_cap, proves r_cap / 2
-        r = _ball_expansion_radius(cos_potential, np.array([[0.0]]), 0.1, 1.0, 1, None)
+        r = _ball_expansion_radius(cos_potential, np.array([[0.0]]), 0.1, 1.0, 1)
         assert r == 0.5
 
     @pytest.mark.parametrize("m", [1.5, 1.0 - 1e-14])
@@ -536,7 +531,7 @@ class TestBallRadiusScan:
         # every s, below m = 1 - 1e-14 from s = 1.4e-7 (under 1e-6 r_cap) on
         zeros = np.array(zeros)
         with pytest.raises(CertificationError, match="arbitrarily close"):
-            _ball_expansion_radius(cos_potential, zeros, m, 1.0, 512, None)
+            _ball_expansion_radius(cos_potential, zeros, m, 1.0, 512)
         with pytest.raises(CertificationError):
             _bisection_ball_radius_1d(cos_potential, zeros, m, 1.0, 512)
         _same_radius(cos_potential, zeros, m, 1.0, 512)
@@ -551,8 +546,7 @@ class TestBallRadiusScan:
             return hessian(x)
 
         monkeypatch.setattr(V, "hessian", counting)
-        # radius_samples sets only the sampled d > 1 radius
-        cert = estimate_aubry(V, (-200.0, 200.0), radius_samples=4096)
+        cert = estimate_aubry(V, (-200.0, 200.0))
         sides = 2 * cert.metadata["zeros_retained"]
         # one call at the zeros found; then the scan, at most one offset of
         # every side a call (2 * 128 // sides is 1), skips the offsets that
@@ -655,49 +649,57 @@ class TestZeroPolish:
         assert max(calls) <= 4001  # the grid scan
 
 
+def _scan_zeros_nd_loop(V, lo, hi, grid_points, zero_tol):
+    """Reference for potentials._scan_zeros_nd: the same Newton scan, with
+    its roots deduplicated one root at a time against every root kept."""
+    d = lo.shape[0]
+    per_dim = max(8, int(round(grid_points ** (1.0 / d))))
+    mesh = np.meshgrid(*[np.linspace(lo[j], hi[j], per_dim) for j in range(d)], indexing="ij")
+    y = np.stack([m.ravel() for m in mesh], axis=1)
+    for _ in range(60):
+        g, H = V.derivatives(y)
+        if np.linalg.norm(g, axis=1).max() <= zero_tol * 1e-3:
+            break
+        ok = _sv(H).prod(axis=-1) > 1e-12
+        step = np.zeros_like(y)
+        step[ok] = potentials._solve(H[ok], g[ok])
+        y = np.clip(y - step, lo, hi)
+    inside = ((y > lo + 1e-9) & (y < hi - 1e-9)).all(axis=1)
+    roots = y[(np.linalg.norm(V.gradient(y), axis=1) <= zero_tol) & inside]
+    tol = max(1e-8 * float(np.linalg.norm(hi - lo)), 1e-10)
+    kept = []
+    for p in roots:
+        if all(np.linalg.norm(p - q) > tol for q in kept):
+            kept.append(p)
+    return np.array(kept).reshape(-1, d)
+
+
+_COS2 = [(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)]
+
+
+@pytest.mark.parametrize("terms, lo, hi", [
+    (_COS2, -10.0, 10.0),
+    (_COS2 + [(0.3, [1.0, 1.0], 0.5)], -10.0, 10.0),
+    ([(1.0, [1.0, 0.3, 0.0], 0.0), (1.0, [0.0, 1.0, 0.2], 0.1), (0.7, [0.0, 0.0, 1.0], 0.5)],
+     -7.0, 7.0),
+    (_COS2, 0.2, 0.8)])  # no zero in the window
+def test_scan_zeros_nd_matches_the_root_loop(terms, lo, hi):
+    V = TrigSumPotential(terms)
+    lo, hi = np.full(V.dimension, lo), np.full(V.dimension, hi)
+    got = potentials._scan_zeros_nd(V, lo, hi, 4001, 1e-9)
+    want = _scan_zeros_nd_loop(V, lo, hi, 4001, 1e-9)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if hi[0] < 1:
+        with pytest.raises(CertificationError, match="no zeros"):
+            estimate_aubry(V, (lo, hi))
+
+
 def _outcome(verify, *args):
     """verify(*args)'s dict, or the text of the CertificationError it raises."""
     try:
         return verify(*args)
     except CertificationError as exc:
         return str(exc)
-
-
-def _verify_per_zero(cert, V, seed, covering_checks, pair_checks):
-    """AubryCertificate.verify as one loop over the zeros, two gradient
-    calls per zero: the reference for the blocked check."""
-    rng = np.random.default_rng(seed)
-    zeros = cert.representative_zeros()
-    worst_zero = float(np.linalg.norm(np.atleast_2d(V.gradient(zeros)), axis=1).max())
-    if worst_zero > cert.zero_tol:
-        raise CertificationError(
-            f"|psi| = {worst_zero:.3e} at a reported zero exceeds "
-            f"zero_tol = {cert.zero_tol:.3e}")
-    if isinstance(cert.sampler, PeriodicZeroSet):
-        lo = np.array([cert.sampler.base_points.min()])
-        hi = np.array([cert.sampler.base_points.min() + cert.sampler.period])
-    else:
-        lo, hi = cert.sampler.lo, cert.sampler.hi
-    centers = rng.uniform(lo, hi, size=(covering_checks, zeros.shape[1]))
-    cert.sampler.nearest(centers, cert.covering_radius * (1 + 1e-12) + 1e-12)
-    r, m = cert.ball_radius, cert.expansion
-    for z in zeros:
-        offsets = rng.uniform(-1.0, 1.0, size=(2 * pair_checks, zeros.shape[1]))
-        norms = np.linalg.norm(offsets, axis=1, keepdims=True)
-        offsets = offsets / np.maximum(norms, 1e-300) * (
-            rng.uniform(0, r, size=(2 * pair_checks, 1)))
-        xs, ys = z + offsets[:pair_checks], z + offsets[pair_checks:]
-        lhs = np.linalg.norm(V.gradient(xs) - V.gradient(ys), axis=1)
-        rhs = m * np.linalg.norm(xs - ys, axis=1)
-        bad = lhs < rhs * (1 - 1e-12) - 1e-15
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise CertificationError(
-                f"expansion failed near zero {z}: |psi(x)-psi(y)| = "
-                f"{lhs[j]:.6e} < m|x-y| = {rhs[j]:.6e}")
-    return {"covering_checks": covering_checks,
-            "pair_checks_per_zero": pair_checks,
-            "zeros_checked": int(zeros.shape[0])}
 
 
 class TestCertificateInvariants:
@@ -722,66 +724,14 @@ class TestCertificateInvariants:
             assert len(pts) >= 1
 
     def test_verify_passes_and_counts(self, cos_potential, cos_cert):
-        outcome = cos_cert.verify(cos_potential, seed=7)
-        assert outcome["zeros_checked"] >= 1
-        assert outcome["covering_checks"] > 0
+        assert cos_cert.verify(cos_potential) == {"zeros_checked": 1}
 
     def test_verify_rejects_wrong_potential(self, cos_cert):
         # the cosine certificate is false for a potential whose gradient
         # does not vanish on pi Z
         shifted = TrigSumPotential([(1.0, [1.0], 0.4)])
-        with pytest.raises(CertificationError):
-            cos_cert.verify(shifted, seed=7)
-
-    @pytest.mark.parametrize("sampler", [
-        PeriodicZeroSet([0.0], np.pi),
-        FiniteZeroSet(np.arange(-5, 6) * np.pi, -5 * np.pi, 5 * np.pi)])
-    def test_verify_covering_is_one_lookup(self, cos_potential, sampler, monkeypatch):
-        def per_centre(*args):
-            raise AssertionError("covering checked one centre at a time")
-
-        monkeypatch.setattr(type(sampler), "points_near", per_centre)
-        covered = AubryCertificate(sampler, np.pi / 2, np.pi / 4, np.sqrt(2) / 2,
-                                   zero_tol=1e-12)
-        assert covered.verify(cos_potential, seed=7)["covering_checks"] == 256
-        short = AubryCertificate(sampler, 0.5, np.pi / 4, np.sqrt(2) / 2,
-                                 zero_tol=1e-12)
-        with pytest.raises(CertificationError,
-                           match=r"covering fails at R = 0.5: no zero within "
-                                 r"radius \S+ of \[?-?\d"):
-            short.verify(cos_potential, seed=7)
-
-    @pytest.mark.parametrize("pair_checks", [1, 7, 256, 5000])
-    def test_verify_matches_the_per_zero_loop(self, pair_checks):
-        # blocks of zeros share a gradient call; the draws, the dict and
-        # the first failure (zero, pair, message) stay the per-zero loop's
-        V = truncated_almost_periodic(8, 0.5)
-        cert = estimate_aubry(V, (-60.0, 60.0))
-        assert cert.verify(V, seed=3, pair_checks=pair_checks) == \
-            _verify_per_zero(cert, V, 3, 256, pair_checks)
-        # an expansion m above the sampled one fails near some zero; at
-        # seed 1 and 1.04 m with 256 pairs, near zero 26 of 39, in the
-        # seventh block of 4
-        for seed, factor in ((1, 1.04), (3, 1.3), (3, 2.0)):
-            bogus = AubryCertificate(cert.sampler, cert.covering_radius,
-                                     cert.ball_radius, cert.expansion * factor)
-            expect = _outcome(_verify_per_zero, bogus, V, seed, 256, pair_checks)
-            assert _outcome(bogus.verify, V, seed, 256, pair_checks) == expect
-            if (seed, pair_checks) == (1, 256):
-                assert f"zero {cert.representative_zeros()[26]}:" in expect
-
-    def test_verify_matches_the_per_zero_loop_2d(self):
-        axis = np.pi * np.arange(-3, 4)
-        pts = np.array([[x, y] for x in axis for y in axis])
-        V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
-        outcomes = []
-        for m in (np.cos(np.pi / 4), 0.9):
-            cert = AubryCertificate(FiniteZeroSet(pts, -9.0, 9.0),
-                                    np.pi / np.sqrt(2), np.pi / 4, m,
-                                    zero_tol=1e-12)
-            outcomes.append(_outcome(_verify_per_zero, cert, V, 5, 256, 300))
-            assert _outcome(cert.verify, V, 5, 256, 300) == outcomes[-1]
-        assert isinstance(outcomes[0], dict) and "expansion failed" in outcomes[1]
+        with pytest.raises(CertificationError, match="at a reported zero exceeds zero_tol"):
+            cos_cert.verify(shifted)
 
     def test_json_roundtrip(self, cos_cert):
         d = cos_cert.to_json_dict()

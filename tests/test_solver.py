@@ -1321,7 +1321,8 @@ class TestSchedule:
         # one batch: proved (lam 40) and unproved (lam 10, h > 1/2) cases,
         # one too weak for the certificate (lam 0.5) and one without
         # anchors (rho 3 leaves the zero set's box): every case with
-        # anchors is polished, in one call before the first tube-map step
+        # anchors in the domain of the local inverse is polished, in one
+        # call before the first tube-map step
         zeros = FiniteZeroSet(np.pi * np.arange(-30.0, 31.0), -60.0, 60.0)
         cert = AubryCertificate(zeros, np.pi / 2, np.pi / 4, np.cos(np.pi / 4))
         params = [SolveParams(lam=lam, rho=rho, window=24)
@@ -1331,13 +1332,33 @@ class TestSchedule:
         assert [type(o).__name__ for o in out] == ["tuple", "tuple", "DomainError",
                                                    "CertificateError"]
         assert out[0][1].kantorovich_h <= 0.5 < out[1][1].kantorovich_h
-        assert calls[0] == ("newton_polish", [0, 1, 2])
+        assert calls[0] == ("newton_polish", [0, 1])
         assert [name for name, _ in calls[1:]] == ["phi_step"] * (len(calls) - 1)
         # d = 2, where no bound exists, and the one-case call
         nn, V, cert2, p2 = _cos2d_case()
         calls.clear()
         ContractionSolver(nn, V, cert2, [p2]).solve()
         assert calls == [("newton_polish", [0]), ("phi_step", [0])]
+
+    def test_start_outside_the_domain_fails_before_the_polish(self, monkeypatch,
+                                                               nn_interaction,
+                                                               cos_potential, cos_cert):
+        # lam 0.5 is too weak for the cosine certificate at rho 0.618: the
+        # anchors' own |Delta(a)_i / lam| exceeds r m, so the case fails
+        # with the DomainError phi_step would raise at the anchors, without
+        # entering newton_polish; the case beside it still solves
+        params = [SolveParams(lam=lam, rho=0.618, window=24) for lam in (0.5, 40.0)]
+        calls = _spy_steps(monkeypatch)
+        solver = ContractionSolver(nn_interaction, cos_potential, cos_cert, params)
+        anchors = solver.anchors
+        weak, strong = solver.solve()
+        assert isinstance(weak, DomainError) and isinstance(strong, tuple)
+        assert calls[0] == ("newton_polish", [1])
+        assert all(0 not in cases for _, cases in calls)
+        norms = np.abs(nn_interaction.delta(anchors)[:, 0, 0]) / 0.5
+        assert weak.norm == norms.max()
+        assert weak.site == int(norms.argmax()) - 24
+        assert f"at site {weak.site};" in str(weak)
 
     def test_low_coupling_grid(self, nn_interaction, cos_potential, cos_cert):
         # low couplings on the cosine and the sweep potential (d = 1) and on
