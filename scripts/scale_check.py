@@ -22,16 +22,16 @@ the search windows [-w, w] for w in 50, 200 and 800, with its log-log
 slope against the number of zeros found and the calls and rows of
 V.gradient and V.hessian that one estimate makes. Its ``stages_s`` splits
 the time into the zero scan (grid scan and bisection polish), the ball
-radius (first-crossing scan and Lipschitz walks) and the zero check, each
-the best of REPEATS estimates, timed by wrapping the stage's function.
-The ``estimate_aubry_delone`` row does the same for one estimate on the
-Delone medium whose ball radius costs most: DELONE_BUMPS Gaussian bumps
-of width 0.45 on a Fibonacci chain (spacings 1 and 1.618), window one unit
-past the ends, with the ball radius it proves. The ``estimate_aubry_2d``
-row times one d = 2 estimate, V = cos x + cos y over [-10, 10]^2, best of
-REPEATS, with the constants R, r and m it proves and ``lambda_threshold``
-for the unit quadratic coupling (about pi / sqrt 2, pi / 4, 2^-0.5 and 22
-for an ideal certificate).
+radius (the proof by box bisection) and the zero check, each the best of
+REPEATS estimates, timed by wrapping the stage's function. The
+``estimate_aubry_delone`` row does the same for one estimate on each of
+the Delone media whose ball radius costs most: DELONE_BUMPS (8, 30 and
+100) Gaussian bumps of width 0.45 on a Fibonacci chain (spacings 1 and
+1.618), window one unit past the ends, with the ball radius it proves.
+The ``estimate_aubry_2d`` row times one d = 2 estimate, V = cos x + cos y
+over [-10, 10]^2, best of REPEATS, with the constants R, r and m it
+proves and ``lambda_threshold`` for the unit quadratic coupling (about
+pi / sqrt 2, pi / 4, 2^-0.5 and 22 for an ideal certificate).
 
 The ``sweep`` row solves the sweep benchmark's 5 x 5 (lam, rho) grid on
 that potential at half_width 256 in stacked batches of 1, 7 and 25 cases
@@ -121,7 +121,7 @@ SWEEP_HALF_WIDTH = 256
 SWEEP_BATCHES = (1, 7, 25, 50)  # 50: one batch of the 5 x 10 grid
 MIXED_LAM, MIXED_HALF_WIDTH, MIXED_RHOS, MIXED_STALL = 64.0, 1024, (0.1, 2.4, 24), 50.0
 D2_HALF_WIDTHS, D2_RHO = (128, 512, 2048), (0.47, 0.58)
-DELONE_BUMPS = 100
+DELONE_BUMPS = (8, 30, 100)
 # the stages of a d = 1 estimate_aubry: (owner, attribute) of each function
 AUBRY_STAGES = {"scan": (potentials, "_scan_zeros_1d"),
                 "ball_radius": (potentials, "_ball_expansion_radius"),
@@ -328,25 +328,30 @@ def estimate_aubry_times() -> dict:
 
 def delone_times() -> dict:
     phi = (1 + np.sqrt(5)) / 2
-    n = np.arange(1, DELONE_BUMPS)
-    long = np.floor(n / phi) - np.floor((n - 1) / phi)  # 1: a spacing of 1.618
-    points = np.cumsum(np.concatenate([[0.0], np.where(long == 1, 1.618, 1.0)]))
-    V = DeloneBumpPotential(points, width=0.45)
-    window, calls = (points[0] - 1.0, points[-1] + 1.0), {}
-    gradient_rows, hessian_rows, _ = count_rows(V, lambda: estimate_aubry(V, window), calls)
-    runs = [stage_times(lambda: estimate_aubry(V, window)) for _ in range(REPEATS)]
+    rows = []
+    for bumps in DELONE_BUMPS:
+        n = np.arange(1, bumps)
+        long = np.floor(n / phi) - np.floor((n - 1) / phi)  # 1: a spacing of 1.618
+        points = np.cumsum(np.concatenate([[0.0], np.where(long == 1, 1.618, 1.0)]))
+        V = DeloneBumpPotential(points, width=0.45)
+        window, calls = (points[0] - 1.0, points[-1] + 1.0), {}
+        gradient_rows, hessian_rows, _ = count_rows(V, lambda: estimate_aubry(V, window), calls)
+        runs = [stage_times(lambda: estimate_aubry(V, window)) for _ in range(REPEATS)]
+        rows.append({
+            "bumps": bumps,
+            "s": best_of(lambda: estimate_aubry(V, window)),
+            "stages_s": {name: min(run[name] for run in runs) for name in AUBRY_STAGES},
+            "gradient_calls": calls.get("gradient", 0),
+            "hessian_calls": calls.get("hessian", 0),
+            "gradient_rows": gradient_rows,
+            "hessian_rows": hessian_rows,
+            "ball_radius": estimate_aubry(V, window).ball_radius,
+        })
     return {
-        "what": (f"estimate_aubry in process, best of {REPEATS}: {DELONE_BUMPS} "
+        "what": (f"estimate_aubry in process, best of {REPEATS}: {list(DELONE_BUMPS)} "
                  "Gaussian bumps of width 0.45 on a Fibonacci chain (spacings 1 "
                  "and 1.618), search window one unit past the ends"),
-        "bumps": DELONE_BUMPS,
-        "s": best_of(lambda: estimate_aubry(V, window)),
-        "stages_s": {name: min(run[name] for run in runs) for name in AUBRY_STAGES},
-        "gradient_calls": calls.get("gradient", 0),
-        "hessian_calls": calls.get("hessian", 0),
-        "gradient_rows": gradient_rows,
-        "hessian_rows": hessian_rows,
-        "ball_radius": estimate_aubry(V, window).ball_radius,
+        "runs": rows,
     }
 
 

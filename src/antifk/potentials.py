@@ -12,8 +12,10 @@ blocks of rows of a fixed size, so that their temporaries fit in cache.
 
 estimate_aubry proves every constant from bounds on the operator-norm
 Lipschitz constant of the hessian and on the rounding of gradient and
-hessian: in d = 1 from one scan, in d > 1 by bisecting boxes, with a
-Kantorovich test at each zero. Nothing on its path is drawn at random.
+hessian: the ball radius by bisecting boxes in every d; in d = 1 the zeros
+and the covering radius from one scan, in d > 1 the covering radius by
+bisecting boxes and the zeros by a Kantorovich test at each. Nothing on its
+path is drawn at random.
 """
 
 from __future__ import annotations
@@ -671,34 +673,32 @@ _NEAR_ZERO_FAILURE = ("expansion fails arbitrarily close to a zero; "
                       "degeneracy filter too permissive")
 
 
-# Offsets per ball side of the d = 1 scan, and most steps of one walk. A
-# walk recovers its side's crossing, so the grid only sets where walks
-# start; on trig sums a walk stalls within a few dozen steps, and 512 keep
-# the short steps of a loose L (many Delone bumps) within the rows a
-# 512-offset scan spent per side.
-_BALL_OFFSETS, _WALK_STEPS = 128, 512
-
-# Most rounds and boxes a round of box bisection in the d > 1 proofs, and where
-# ball and covering radii stop it, relative to their bounds (a ball radius's
-# rounds cost more)
+# Most rounds and boxes a round of box bisection, and where a ball radius and
+# a covering radius (d > 1) stop it, relative to their bounds: in d > 1 a ball
+# radius's rounds cost more. A d = 1 round splits only the boxes at a ball's two
+# crossings, about 2 per zero, so there a tight stop, and rounds enough to
+# reach it, cost almost nothing
 _CELL_ROUNDS, _CELL_BOXES, _BALL_TOL, _COVER_TOL = 24, 2**20, 2.0**-9, 2.0**-12
+_CELL_ROUNDS_1D, _BALL_TOL_1D = 36, 2.0**-23
 
 
 def _refine_cells(centres, tags, side, undecided):
     """Halve boxes of sides side (d,) at centres (N, d), tagged by integers
     that their parts inherit, while undecided(centres, tags, delta) marks
     them, delta the half-diagonal plus the roundings of a centre and of a
-    distance, for _CELL_ROUNDS rounds: the last call's marks are the boxes
-    left. CertificationError before a round of more than _CELL_BOXES."""
+    distance, for _CELL_ROUNDS rounds (_CELL_ROUNDS_1D in d = 1): the last
+    call's marks are the boxes left. CertificationError before a round of
+    more than _CELL_BOXES."""
     d = centres.shape[1]
+    rounds = _CELL_ROUNDS_1D if d == 1 else _CELL_ROUNDS
     parts = np.stack(np.meshgrid(*[(-0.25, 0.25) if s > 0 else (0.0,) for s in side],
                                  indexing="ij"), axis=-1).reshape(-1, d)
-    slack = (_CELL_ROUNDS + 2) * d * np.finfo(float).eps * float(
+    slack = (rounds + 2) * d * np.finfo(float).eps * float(
         _norms(centres).max() + _norms(side))
-    for k in range(_CELL_ROUNDS + 1):
+    for k in range(rounds + 1):
         keep = undecided(centres, tags, 0.5 * float(_norms(side)) + slack)
         centres, tags = centres[keep], tags[keep]
-        if k == _CELL_ROUNDS or not len(tags):
+        if k == rounds or not len(tags):
             return
         if len(tags) * len(parts) > _CELL_BOXES:
             raise CertificationError(f"a proof by box bisection needs over {_CELL_BOXES} boxes")
@@ -706,96 +706,36 @@ def _refine_cells(centres, tags, side, undecided):
         tags, side = np.repeat(tags, len(parts)), side / 2
 
 
-def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float,
-                           samples: int) -> float:
+def _ball_expansion_radius(V, zeros: np.ndarray, m: float, r_cap: float) -> float:
     """Largest radius r <= r_cap such that sigma_min(hessian) >= m on the
-    r-ball around every zero, proved.
-
-    d = 1. With (L, e) = V.hessian_lipschitz_bound(reach), reach
-    = max|z| + r_cap, and e raised by L eps reach for the rounding of the
-    point z +- t itself (twice the first-order sums in e cover this
-    function's own arithmetic), a computed |V''(x)| >= m + e + L delta
-    proves |V''| >= m on [x - delta, x + delta] (mean value theorem). Each
-    ball side z +- s_k, over the samples offsets s_k = linspace(0, r_cap,
-    samples) of spacing h (estimate_aubry scans _BALL_OFFSETS), is scanned
-    with delta = h / 2: a round is one V.hessian call at the next max(1, 2
-    samples // sides) unproved offsets of each side still scanning, and an
-    offset within (|V''(x)| - thr - 2e) / L past a passing x (thr = m + e
-    + L h / 2) passes as computed, so it is proved without a call. Once
-    every side still scanning holds h / 2 past the least failure, the
-    failed sides walk together from their last passing offsets, t +=
-    (|V''(z +- t)| - m - e) / L, each step proving the interval it
-    crosses, for at most _WALK_STEPS steps, up to the least radius so far
-    (a walk that stalls lowers it); a side stops scanning once it holds
-    h / 2 past that. The radius is the least of the walks and of r_cap,
-    that of a scan of every offset, as each walk starts where it would.
-
-    d > 1: _refine_cells halves the cube of side 2 r_cap around each zero,
-    proving a box where sigma_min(H) - 2 d eps sigma_max(H) >= m + e + L
-    delta, H the computed hessian at its centre (Weyl), which lies within
-    r_cap + delta <= (1 + sqrt(d)) r_cap of its zero. A centre below m + e
-    bounds r by its distance; boxes left bound it by their inner ones."""
+    r-ball around every zero, proved in every d: _refine_cells halves the
+    cube of side 2 r_cap around each zero, proving a box where sigma_min(H)
+    - 2 d eps sigma_max(H) >= m + e + L delta, H the computed hessian at its
+    centre (Weyl), which lies within r_cap + delta <= (1 + sqrt(d)) r_cap of
+    its zero, and (L, e) = V.hessian_lipschitz_bound of that reach. A centre
+    below m + e bounds r by its distance, and boxes left bound it by their
+    inner ones. A box is split until it is proved or lies beyond 1 - tol
+    times that bound, tol = _BALL_TOL_1D (2^-23) in d = 1 and _BALL_TOL
+    (2^-9) in d > 1."""
     d = zeros.shape[1]
-    if d == 1:
-        s = np.linspace(0.0, r_cap, samples)
-        h, reach = r_cap / max(samples - 1, 1), float(np.abs(zeros).max()) + r_cap
-        lip, e = V.hessian_lipschitz_bound(reach)
-        e += lip * np.finfo(float).eps * reach
-        thr = m + e + lip * h / 2
-        centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
-        block = np.arange(max(1, 2 * samples // len(sign)))  # a side's offsets in a round
-        nxt = np.zeros(len(sign), int)  # each side's first unproved offset, samples + 1: failed
-        held = np.concatenate([[-np.inf], s + h / 2, [np.inf]])  # what nxt proves
-        radius = min(s[-1] + h / 2, r_cap)  # what a side passing every offset holds
-        waiting, due = [], np.inf  # walks to run, and h / 2 past their least failure
-        while True:
-            scan = np.flatnonzero(held[nxt] < min(radius, due))
-            if scan.size:
-                k = np.minimum(nxt[scan, None] + block, samples - 1)
-                x = (centre[scan, None] + sign[scan, None] * s[k]).ravel()
-                curv = np.abs(V.hessian(x[:, None])[:, 0, 0]).reshape(k.shape)  # |V''|
-                fail = ~(curv >= thr)
-                skip = np.fmin(np.fmax((curv[:, -1] - thr - 2 * e) / (lip * h), 0), samples)
-                nxt[scan] = np.minimum(k[:, -1] + 1 + skip.astype(int), samples)
-                bad = fail.any(axis=1)
-                if np.count_nonzero(bad):  # they walk once no scanning side lags
-                    first, scan = k[bad, fail[bad].argmax(axis=1)], scan[bad]
-                    waiting.append((centre[scan], sign[scan], s[np.maximum(first - 1, 0)]))
-                    due, nxt[scan] = min(due, float(s[first].min()) + h / 2), samples + 1
-            elif waiting:  # together, each capped at the least walk so far
-                z, sg, t = (np.concatenate(a) for a in zip(*waiting))
-                waiting, due = [], np.inf
-                for _ in range(_WALK_STEPS):
-                    step = (np.abs(V.hessian((z + sg * t)[:, None])[:, 0, 0]) - m - e) / lip
-                    new = np.minimum(t + step, radius)
-                    moved = new > t
-                    if np.count_nonzero(moved) < moved.size:  # a stalled walk bounds the radius
-                        radius = min(radius, float(t[~moved].min()))
-                    going = moved & (new < radius)
-                    z, sg, t = z[going], sg[going], new[going]
-                    if t.size == 0:
-                        break
-                radius = min(radius, float(t.min(initial=radius)))
-            else:
-                break
-    else:
-        reach = float(_norms(zeros).max()) + (1 + math.sqrt(d)) * r_cap
-        lip, e = V.hessian_lipschitz_bound(reach)
-        bound, left = r_cap, np.inf  # left: the least inner distance of a box left
+    tol = _BALL_TOL_1D if d == 1 else _BALL_TOL
+    reach = float(_norms(zeros).max()) + (1 + math.sqrt(d)) * r_cap
+    lip, e = V.hessian_lipschitz_bound(reach)
+    bound, left = r_cap, np.inf  # left: the least inner distance of a box left
 
-        def undecided(centres, tags, delta):
-            nonlocal bound, left
-            dist = _norms(centres - zeros[tags])
-            near = dist - delta < bound * (1 - _BALL_TOL)
-            sv = _sv(V.hessian(centres[near]))
-            low = sv[:, -1] - 2 * d * np.finfo(float).eps * sv[:, 0]
-            bound = min(bound, float(dist[near][~(low >= m + e)].min(initial=bound)))
-            near[near] = ~(low >= m + e + lip * delta)
-            left = float((dist - delta)[near].min(initial=np.inf))
-            return near
+    def undecided(centres, tags, delta):
+        nonlocal bound, left
+        dist = _norms(centres - zeros[tags])
+        near = dist - delta < bound * (1 - tol)
+        sv = _sv(V.hessian(centres[near]))
+        low = sv[:, -1] - 2 * d * np.finfo(float).eps * sv[:, 0]
+        bound = min(bound, float(dist[near][~(low >= m + e)].min(initial=bound)))
+        near[near] = ~(low >= m + e + lip * delta)
+        left = float((dist - delta)[near].min(initial=np.inf))
+        return near
 
-        _refine_cells(zeros, np.arange(len(zeros)), np.full(d, 2.0 * r_cap), undecided)
-        radius = min(bound * (1 - _BALL_TOL), left)
+    _refine_cells(zeros, np.arange(len(zeros)), np.full(d, 2.0 * r_cap), undecided)
+    radius = min(bound * (1 - tol), left)
     if radius < 1e-6 * r_cap:
         raise CertificationError(_NEAR_ZERO_FAILURE)
     return float(radius)
@@ -850,8 +790,10 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     the best are discarded. m is expansion_fraction times the weakest
     retained curvature, and r the largest radius, up to 0.49 times the
     least separation of the zeros, on which it stays >= m, which proves
-    the expansion (_ball_expansion_radius; at a saddle in d > 1, that the
-    local inverse on the (r m)-ball, the solver's use, is 1/m-Lipschitz).
+    the expansion: one proof by box bisection around every zero in every
+    d, stopping within 2^-23 of r in d = 1 and 2^-9 in d > 1
+    (_ball_expansion_radius; at a saddle in d > 1, that the local inverse
+    on the (r m)-ball, the solver's use, is 1/m-Lipschitz).
 
     A listed zero lies within w of a zero of psi: in d = 1 w is the float
     spacing at the largest |zero| (an adjacent-float bracket) plus e / m,
@@ -914,7 +856,7 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                          for i in range(0, len(retained), 256))
     covering_radius = (half_gap + w) * safety
     r_cap = 0.49 * separation if separation > 0 else covering_radius
-    ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap, _BALL_OFFSETS)
+    ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap)
     covering_radius = math.nextafter(covering_radius, math.inf)
     ball_radius = math.nextafter(ball_radius - w, 0.0)
     if ball_radius <= 0:

@@ -1,6 +1,7 @@
 """The certificate's proved constants: closed forms, the bounds on the
 hessian's Lipschitz constant and on the rounding of gradient and hessian
-they rest on, dense references in d = 2, and property tests."""
+they rest on, 50-digit ball-radius crossings in d = 1, dense references in
+d = 2, and property tests."""
 
 import json
 import math
@@ -230,6 +231,72 @@ def test_zeros_within_the_zero_error():
         gaps = [abs(mpmath.findroot(psi, mpmath.mpf(z)) - z)
                 for z in cert.representative_zeros()[:, 0]]
     assert float(max(gaps)) <= w
+
+
+def _second_derivative(V):
+    """V'' at an mpf x in the working precision, from V's float parameters."""
+    if isinstance(V, DeloneBumpPotential):
+        width = mpmath.mpf(V.width)
+        c = 2 * mpmath.mpf(V.depth) / width**2
+        return lambda x: sum(c * (1 - 2 * t * t) * mpmath.exp(-t * t)
+                             for t in ((x - p) / width for p in V.points[:, 0]))
+    rows = list(zip(V.amplitudes, V.frequencies[:, 0], V.phases))
+    return lambda x: sum(-mpmath.mpf(a) * f * f * mpmath.cos(x * f + ph) for a, f, ph in rows)
+
+
+def _first_crossings(V, zeros, m, r_cap):
+    """Each zero z's first t <= r_cap on each side with |V''(z +- t)| = m,
+    in 50-digit arithmetic: bracketed on a 4097-point grid of [0, r_cap],
+    the bracket's signs checked and the root found in it."""
+    curvature, t = _second_derivative(V), np.linspace(0.0, r_cap, 4097)
+    crossings = []
+    with mpmath.workdps(50):
+        for z in zeros[:, 0]:
+            for sign in (1, -1):
+                low = np.abs(V.hessian((z + sign * t)[:, None])[:, 0, 0]) < m
+                if not low.any():
+                    continue
+                k = int(np.argmax(low))
+                assert k > 0
+
+                def excess(s, z=mpmath.mpf(z), sign=sign):
+                    return abs(curvature(z + sign * s)) - m
+
+                a, b = mpmath.mpf(t[k - 1]), mpmath.mpf(t[k])
+                assert excess(a) > 0 > excess(b)
+                crossings.append(mpmath.findroot(excess, (a, b), solver="anderson"))
+    return crossings
+
+
+_DELONE = np.cumsum([0.0, 1.0, 1.618, 1.0, 1.618, 1.618, 1.0, 1.618])
+
+
+@pytest.mark.parametrize("make, window", [
+    (cosine_potential, (-10.0, 10.0)),
+    (lambda: TrigSumPotential([(-0.5, [2.0], 0.0), (0.125, [4.0], 0.0)]), (-10.0, 10.0)),
+    (lambda: truncated_almost_periodic(8, 0.45), (-200.0, 200.0)),
+    (lambda: truncated_almost_periodic(8, 0.5), (-200.0, 200.0)),
+    (lambda: truncated_almost_periodic(8, 0.55), (-200.0, 200.0)),
+    (lambda: DeloneBumpPotential(_DELONE, width=0.45), (_DELONE[0] - 1.0, _DELONE[-1] + 1.0)),
+], ids=["cosine", "sin4", "ap-0.45", "ap-0.50", "ap-0.55", "delone-8"])
+def test_ball_radius_against_mpmath_crossings(make, window, monkeypatch):
+    # r + w reaches no zero's first crossing of |V''| = m, found in 50-digit
+    # arithmetic, and falls short of the nearest by at most 2^-21 of it
+    seen, prove = [], potentials._ball_expansion_radius
+
+    def spy(*args):
+        seen.append(args)
+        return prove(*args)
+
+    monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
+    V = make()
+    cert = estimate_aubry(V, window)
+    (_, zeros, m, r_cap), = seen
+    crossing = min(_first_crossings(V, zeros, m, r_cap))
+    r, w = cert.ball_radius, cert.metadata["zero_error"]
+    with mpmath.workdps(50):
+        assert mpmath.mpf(r) + w <= crossing
+        assert r >= (1 - mpmath.mpf(2)**-21) * crossing - w
 
 
 finite = st.floats(0.01, 100.0, allow_nan=False)

@@ -265,7 +265,7 @@ class TestEstimateAubry:
 def _bisection_ball_radius_1d(V, zeros, m, r_cap, radius_samples):
     """Sampled reference for the d = 1 ball radius: bisection over r of the
     check sigma_min(hessian) >= m at linspace(-r, r, radius_samples) around
-    every zero, as estimate_aubry did before the first-crossing scan."""
+    every zero."""
 
     def ok(r):
         for z in zeros:
@@ -312,20 +312,20 @@ def _fibonacci_bumps(count):
     return np.cumsum(np.concatenate([[0.0], np.where(long == 1, 1.618, 1.0)]))
 
 
-# many bumps: the Lipschitz bound L sums every bump's sup, so the walks'
-# steps are short (P = 8 is the "delone" case above)
+# many bumps: the Lipschitz bound L sums every bump's sup, so the proof
+# needs short blocks (P = 8 is the "delone" case above)
 _FIBONACCI_CASES = [
     (f"fibonacci-{count}", lambda p=p: DeloneBumpPotential(p, width=0.45),
      (p[0] - 1.0, p[-1] + 1.0))
     for count, p in ((c, _fibonacci_bumps(c)) for c in (30, 100))]
 
 
-def _fine_scan_radius(V, zeros, m, r_cap, samples):
-    """The d = 1 ball radius of the 512-offset scan the coarse one replaced:
-    the scan stopped in the first block where some side failed, only the
-    sides failing first at the least failing offset k walked, from s_{k-1}
-    for at most 64 steps, and every other side held to h / 2 past its last
-    passing offset. The reference the coarse scan must not fall below."""
+def _fine_scan_radius(V, zeros, m, r_cap):
+    """A d = 1 ball radius from a 512-offset scan: the scan stops in the
+    first block where some side fails, only the sides failing first at the
+    least failing offset k walk, t += (|V''| - m - e) / L from s_{k-1} for
+    at most 64 steps, and every other side holds h / 2 past its last
+    passing offset. The reference the proof by bisection must keep."""
     samples = 512
     s = np.linspace(0.0, r_cap, samples)
     h, reach = r_cap / (samples - 1), float(np.abs(zeros).max()) + r_cap
@@ -362,52 +362,45 @@ def _fine_scan_radius(V, zeros, m, r_cap, samples):
     return float(radius)
 
 
-def _block_scan_radius(V, zeros, m, r_cap, samples):
-    """Reference for the d = 1 ball radius: the scan that the adaptive one
-    replaced, bit for bit. Every side scans the same block of max(1, 2
-    samples // sides) offsets a call, with no offset skipped, and the
-    sides that fail in a block walk from their last passing offset in a
-    loop of their own before the next block."""
-    s = np.linspace(0.0, r_cap, samples)
-    h, reach = r_cap / max(samples - 1, 1), float(np.abs(zeros).max()) + r_cap
-    lip, e = V.hessian_lipschitz_bound(reach)
-    e += lip * np.finfo(float).eps * reach
-    centre, sign = np.repeat(zeros[:, 0], 2), np.tile([1.0, -1.0], len(zeros))
-    block = max(1, 2 * samples // len(sign))
-    radius = min(s[-1] + h / 2, r_cap)
-    for b in range(0, samples, block):
-        x = (centre[:, None] + sign[:, None] * s[b:b + block]).ravel()
-        curv = np.abs(V.hessian(x[:, None])[:, 0, 0])
-        fail = (curv < m + e + lip * h / 2).reshape(len(sign), -1)
-        failed = fail.any(axis=1)
-        if failed.any():
-            z, sg = centre[failed], sign[failed]
-            t = s[np.maximum(b + fail[failed].argmax(axis=1) - 1, 0)]
-            going = np.arange(len(t))
-            for _ in range(potentials._WALK_STEPS):
-                x = z[going] + sg[going] * t[going]
-                curv = np.abs(V.hessian(x[:, None])[:, 0, 0])
-                new = np.minimum(t[going] + (curv - m - e) / lip, radius)
-                moved = new > t[going]
-                t[going[moved]] = new[moved]
-                if not moved.all():
-                    radius = min(radius, float(t[going[~moved]].min()))
-                going = going[moved & (new < radius)]
-                if going.size == 0:
-                    break
-            radius = min(radius, float(t.min()))
-            centre, sign = centre[~failed], sign[~failed]
-        if sign.size == 0 or s[min(b + block, samples) - 1] + h / 2 >= radius:
+def _block_scan_radius(V, zeros, m, r_cap):
+    """Reference for the d = 1 ball radius, bit for bit: the proof by
+    bisection written as a scan of blocks [c - h, c + h], a list a round.
+    A block near enough to its zero z to lower the radius is checked at its
+    centre c: |V''(c)| below m + e bounds the radius by |c - z|, and a block
+    is proved where it is at least m + e + L (h + slack); the rest split in
+    two until none is left or the rounds run out."""
+    eps, tol = np.finfo(float).eps, potentials._BALL_TOL_1D
+    rounds = potentials._CELL_ROUNDS_1D
+    lip, e = V.hessian_lipschitz_bound(float(np.abs(zeros).max()) + 2 * r_cap)
+    side = 2.0 * r_cap
+    slack = (rounds + 2) * eps * (float(np.abs(zeros).max()) + side)
+    blocks = [(z, z) for z in zeros[:, 0].tolist()]  # (zero, centre)
+    bound, left = r_cap, np.inf
+    for k in range(rounds + 1):
+        delta = 0.5 * side + slack
+        near = [(z, c) for z, c in blocks if abs(c - z) - delta < bound * (1 - tol)]
+        curv = np.abs(V.hessian(np.array([c for _, c in near]).reshape(-1, 1))[:, 0, 0])
+        blocks = []
+        for (z, c), v in zip(near, (v - 2 * eps * v for v in curv.tolist())):
+            if not v >= m + e:
+                bound = min(bound, abs(c - z))
+            if not v >= m + e + lip * delta:
+                blocks.append((z, c))
+        left = min((abs(c - z) - delta for z, c in blocks), default=np.inf)
+        if k == rounds or not blocks:
             break
+        blocks = [(z, c + q * side) for z, c in blocks for q in (-0.25, 0.25)]
+        side /= 2
+    radius = min(bound * (1 - tol), left)
     if radius < 1e-6 * r_cap:
         raise CertificationError(potentials._NEAR_ZERO_FAILURE)
     return float(radius)
 
 
-def _same_radius(V, zeros, m, r_cap, samples):
-    """The adaptive scan's radius equals the block scan's, bit for bit, or
-    both raise the same CertificationError."""
-    got, want = (_outcome(f, V, np.asarray(zeros, dtype=float), m, r_cap, samples)
+def _same_radius(V, zeros, m, r_cap):
+    """The proof's radius equals the block scan's, bit for bit, or both
+    raise the same CertificationError."""
+    got, want = (_outcome(f, V, np.asarray(zeros, dtype=float), m, r_cap)
                  for f in (_ball_expansion_radius, _block_scan_radius))
     assert got == want and type(got) is type(want)
 
@@ -426,22 +419,21 @@ class TestBallRadiusScan:
         monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
         V = make()
         estimate_aubry(V, window)
-        (_, zeros, m, r_cap, _), = seen
-        for samples in (128, 512, 64, 16, 1):
-            _same_radius(V, zeros, m, r_cap, samples)
+        (_, zeros, m, r_cap), = seen
+        _same_radius(V, zeros, m, r_cap)
 
     @pytest.mark.parametrize("make, window",
                              [c[1:] for c in _SCAN_CASES + _FIBONACCI_CASES],
                              ids=[c[0] for c in _SCAN_CASES + _FIBONACCI_CASES])
     def test_coarse_scan_not_below_fine(self, make, window, monkeypatch):
-        # every side that could bind walks, so the 128-offset scan keeps the
-        # 512-offset scan's r (to 1e-12 relative) or recovers what it lost;
-        # R and m do not depend on the scan; |V''| >= m on every ball
+        # the proof keeps the 512-offset scan's r to within 2^-22 relative,
+        # twice its own stop, or beats it where the scan's walks stall; R and
+        # m do not depend on the ball radius; |V''| >= m on every ball
         V = make()
         cert = estimate_aubry(V, window)
         monkeypatch.setattr(potentials, "_ball_expansion_radius", _fine_scan_radius)
         fine = estimate_aubry(V, window)
-        assert cert.ball_radius >= fine.ball_radius * (1 - 1e-12)
+        assert cert.ball_radius >= fine.ball_radius * (1 - 2**-22)
         assert cert.covering_radius == fine.covering_radius
         assert cert.expansion == fine.expansion
         r, m = cert.ball_radius, cert.expansion
@@ -464,8 +456,8 @@ class TestBallRadiusScan:
         monkeypatch.setattr(potentials, "_ball_expansion_radius", spy)
         V = make()
         cert = estimate_aubry(V, window)
-        (_, zeros, m, r_cap, samples), r = seen[0]
-        sampled = _bisection_ball_radius_1d(V, zeros, m, r_cap, samples)
+        (_, zeros, m, r_cap), r = seen[0]
+        sampled = _bisection_ball_radius_1d(V, zeros, m, r_cap, 128)
         w = cert.metadata["zero_error"]
         assert cert.ball_radius == np.nextafter(r - w, 0.0)
         assert 0.99 * sampled <= cert.ball_radius <= r <= sampled
@@ -484,45 +476,21 @@ class TestBallRadiusScan:
     # off-zero centres make the two sides differ: -0.3 binds on its left
     @pytest.mark.parametrize("zeros", [[[0.0], [np.pi]], [[-0.3]], [[0.3], [2.9]]])
     def test_cosine_direct(self, cos_potential, m, r_cap, zeros):
-        # below the sampled bisection by less than the grid spacing, and
+        # below the sampled bisection by less than 2^-22 relative, and
         # |V''| >= m on a dense grid of every ball
         zeros = np.array(zeros)
-        _same_radius(cos_potential, zeros, m, r_cap, 64)
+        _same_radius(cos_potential, zeros, m, r_cap)
         if np.abs(np.cos(zeros)).min() < m:  # fails at a centre: both refuse
             with pytest.raises(CertificationError):
                 _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
             with pytest.raises(CertificationError, match="arbitrarily close"):
-                _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64)
+                _ball_expansion_radius(cos_potential, zeros, m, r_cap)
             return
-        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 64)
+        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap)
         sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 64)
-        assert sampled - r_cap / 63 <= r <= sampled
+        assert sampled * (1 - 2**-22) <= r <= sampled
         balls = (zeros + np.linspace(-r, r, 20001)).reshape(-1, 1)
         assert _sv(cos_potential.hessian(balls)).min() >= m
-
-    @pytest.mark.parametrize("m, r_cap", [(0.7, 1.5), (0.9, 0.3)])
-    def test_more_sides_than_rows_per_call(self, cos_potential, monkeypatch, m, r_cap):
-        # 81 zeros, offset -0.01 so that their left sides bind: 162 sides
-        # against 2 * 16 points a block, scanned one offset a side a call
-        zeros = np.pi * np.arange(-40.0, 41.0)[:, None] - 0.01
-        calls, hessian = [], cos_potential.hessian
-
-        def counting(x):
-            calls.append(np.shape(x)[0])
-            return hessian(x)
-
-        monkeypatch.setattr(cos_potential, "hessian", counting)
-        r = _ball_expansion_radius(cos_potential, zeros, m, r_cap, 16)
-        assert max(calls) == 162
-        monkeypatch.undo()
-        sampled = _bisection_ball_radius_1d(cos_potential, zeros, m, r_cap, 16)
-        assert sampled - r_cap / 15 <= r <= sampled
-        _same_radius(cos_potential, zeros, m, r_cap, 16)
-
-    def test_one_offset_holds_half_its_spacing(self, cos_potential):
-        # a grid of the centre alone, spacing r_cap, proves r_cap / 2
-        r = _ball_expansion_radius(cos_potential, np.array([[0.0]]), 0.1, 1.0, 1)
-        assert r == 0.5
 
     @pytest.mark.parametrize("m", [1.5, 1.0 - 1e-14])
     @pytest.mark.parametrize("zeros", [[[0.0]], [[np.pi], [0.0]]])
@@ -531,10 +499,10 @@ class TestBallRadiusScan:
         # every s, below m = 1 - 1e-14 from s = 1.4e-7 (under 1e-6 r_cap) on
         zeros = np.array(zeros)
         with pytest.raises(CertificationError, match="arbitrarily close"):
-            _ball_expansion_radius(cos_potential, zeros, m, 1.0, 512)
+            _ball_expansion_radius(cos_potential, zeros, m, 1.0)
         with pytest.raises(CertificationError):
             _bisection_ball_radius_1d(cos_potential, zeros, m, 1.0, 512)
-        _same_radius(cos_potential, zeros, m, 1.0, 512)
+        _same_radius(cos_potential, zeros, m, 1.0)
 
     def test_hessian_rows_bounded(self, monkeypatch):
         V = truncated_almost_periodic(8, 0.5)
@@ -548,19 +516,13 @@ class TestBallRadiusScan:
         monkeypatch.setattr(V, "hessian", counting)
         cert = estimate_aubry(V, (-200.0, 200.0))
         sides = 2 * cert.metadata["zeros_retained"]
-        # one call at the zeros found; then the scan, at most one offset of
-        # every side a call (2 * 128 // sides is 1), skips the offsets that
-        # pass as computed, so a few rounds bring every side to its first
-        # failure or to h / 2 past it; the failed sides then walk together,
-        # stalling within a few dozen steps. The block scan it replaced
-        # took 87 calls and 15,598 rows.
-        pts = np.sort(cert.sampler.points[:, 0])
-        s = np.linspace(0.0, 0.49 * np.diff(pts).min(), potentials._BALL_OFFSETS)
-        assert 0 < np.searchsorted(s, cert.ball_radius) < potentials._BALL_OFFSETS // 2
+        # one call at the zeros found; then one a round of the bisection,
+        # which splits only the blocks at each ball's two crossings once the
+        # first rounds have proved the rest
         assert calls[0] == cert.metadata["zeros_found"]
-        assert max(calls[1:]) <= sides
-        assert len(calls) <= 40
-        assert sum(calls) < 6000
+        assert max(calls[1:]) <= 2 * sides
+        assert len(calls) <= 30
+        assert sum(calls) < 2500
 
 
 def _polish_zero_1d(V, a, b, iters=200):
