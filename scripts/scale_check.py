@@ -68,7 +68,9 @@ the anchors), the cone verdict and the horizon-20 splitting (at the
 solved chain), each with its log-log slope against sites.
 
 ``src_lines`` is the line count of the library's modules
-(``src/antifk/*.py``), which the BENCH files track beside the timings.
+(``src/antifk/*.py``), which the BENCH files track beside the timings;
+``src_lines_by_module`` gives it per module, so that a deletion can be
+told from a move.
 """
 
 from __future__ import annotations
@@ -483,15 +485,16 @@ def sweep_times() -> dict:
     }
 
 
-def src_lines() -> int:
-    """Lines of the library's modules, src/antifk/*.py."""
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in Path(antifk.__file__).parent.glob("*.py"))
+def src_lines() -> dict:
+    """Lines of each of the library's modules, src/antifk/*.py, by file name."""
+    return {p.name: len(p.read_text(encoding="utf-8").splitlines())
+            for p in sorted(Path(antifk.__file__).parent.glob("*.py"))}
 
 
 def scale_check() -> dict:
     sites = np.array([2 * n + 1 for n in HALF_WIDTHS], dtype=float)
     layers = _slopes(sites, interleaved([layer_calls(n) for n in HALF_WIDTHS]))
+    lines = src_lines()
     return {
         "what": (f"solver layers in process, best of {REPEATS} rounds over the "
                  f"sizes: cosine V, unit quadratic coupling, lam = {LAM}, rho = "
@@ -506,7 +509,8 @@ def scale_check() -> dict:
         "estimate_aubry_2d": estimate_aubry_2d_times(),
         "sweep": sweep_times(),
         "d2": d2_times(),
-        "src_lines": src_lines(),
+        "src_lines": sum(lines.values()),
+        "src_lines_by_module": lines,
         "machine": {"python": platform.python_version(),
                     "numpy": np.__version__, "antifk": antifk.__version__},
     }

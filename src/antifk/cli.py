@@ -34,6 +34,7 @@ from .errors import (
     ConvergenceError,
     ConvexityError,
     DomainError,
+    _check_block,
 )
 from .hyperbolicity import (
     HyperbolicityCertificate,
@@ -60,10 +61,10 @@ from .potentials import (
 )
 from .solver import ContractionSolver, SolveParams, solve_equilibrium
 
-# block -> key -> kind of every config key, "config" the top level; whether
-# a key is required, and its default, is up to the command that reads it. A
-# certificate block is checked here only as a path: from_json_dict checks the
-# rest. No command reads seed: nothing on any path is drawn at random.
+# block -> key -> kind (errors._KINDS) of every config key, "config" the top
+# level; whether a key is required, and its default, is up to the command that
+# reads it. A certificate block is checked here only as a path: from_json_dict
+# checks the rest. No command reads seed: nothing on any path is drawn at random.
 _CONFIG = {
     "config": {"seed": "int", "potential": "object", "interaction": "object",
                "certificate": "object", "certification": "object", "solve": "object",
@@ -80,40 +81,6 @@ _CONFIG = {
     "sweep": {"lams": "numbers", "rhos": "numbers", "cases": "pairs", "half_width": "int",
               "tol": "number", "max_iter": "int", "hyperbolicity": "bool"},
 }
-
-# kind -> (check of a JSON value, what an error says the value must be)
-_KINDS = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "number": (lambda v: type(v) in (int, float), "a number"),  # not a boolean
-    "bool": (lambda v: type(v) is bool, "true or false"),
-    "path": (lambda v: type(v) is str, "a string"),
-    "object": (lambda v: type(v) is dict, "a JSON object"),
-    "rho": (lambda v: _is("number", v) or _is("numbers", v), "a number or a list of numbers"),
-    "numbers": (lambda v: type(v) is list and all(_is("number", x) for x in v),
-                "a list of numbers"),
-    "window": (lambda v: _is("numbers", v) and len(v) == 2, "a number pair [lo, hi]"),
-    "pairs": (lambda v: type(v) is list and all(_is("window", x) for x in v),
-              "a list of [lam, rho] number pairs"),
-}
-
-
-def _is(kind, value):
-    return _KINDS[kind][0](value)
-
-
-def _check_block(block, keys, where):
-    """ConfigError unless block is a JSON object whose every key is in keys
-    and whose every value is of its key's kind (a kind of None is left to
-    the code that reads the key)."""
-    if type(block) is not dict:
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - set(keys))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-    for key, value in block.items():
-        if keys[key] is not None and not _is(keys[key], value):
-            name = key if where == "config" else f"{where}.{key}"
-            raise ConfigError(f"{name} must be {_KINDS[keys[key]][1]}, got {json.dumps(value)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,12 +101,6 @@ def _worker_count(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _require(block, key, where):
-    if key not in block:
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    return block[key]
 
 
 def _read_json(path, what):
@@ -167,39 +128,18 @@ def _load_config(path):
     return cfg
 
 
-def _written_kinds(written):
-    """The kind of each key of the dict written by a to_dict(): that of its
-    value's type, a list left unchecked."""
-    kinds = {int: "int", float: "number", str: "path", dict: "object"}
-    return {key: kinds.get(type(value)) for key, value in written.items()}
-
-
-# A potential or interaction block may hold only the keys that the object
-# built from it writes back in to_dict(), which spells the cosine as a trig
-# sum, each of the kind of the value written.
 def _build_potential(cfg):
-    block = cfg.get("potential", {"family": "cosine"})
     try:
-        potential = potential_from_dict(block)
-    except (KeyError, TypeError, ValueError) as exc:
+        return potential_from_dict(cfg.get("potential", {"family": "cosine"}))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential block: {exc}") from exc
-    written = {"family": "cosine"} if block["family"] == "cosine" else potential.to_dict()
-    _check_block(block, _written_kinds(written), "potential")
-    return potential
 
 
 def _build_interaction(cfg):
-    block = cfg.get("interaction", {"kind": "nearest-neighbor"})
     try:
-        interaction = interaction_from_dict(block)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return interaction_from_dict(cfg.get("interaction", {"kind": "nearest-neighbor"}))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad interaction block: {exc}") from exc
-    written = interaction.to_dict()
-    _check_block(block, _written_kinds(written), "interaction")
-    if "coupling" in block:
-        _check_block(block["coupling"], _written_kinds(written["coupling"]),
-                     "interaction.coupling")
-    return interaction
 
 
 def _build_certificate(cfg, potential):
@@ -209,7 +149,7 @@ def _build_certificate(cfg, potential):
             block = _read_json(block["path"], "certificate")
         try:
             return AubryCertificate.from_json_dict(block)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad certificate block: {exc}") from exc
     if "certification" in cfg:
         return _estimate_certificate(cfg["certification"], potential)
@@ -221,12 +161,12 @@ def _build_certificate(cfg, potential):
 
 
 def _estimate_certificate(block, potential):
-    window = _require(block, "search_window", "certification")
+    _check_block(block, _CONFIG["certification"], "certification", ["search_window"])
     # passed on as written: the certificate's metadata records them
     kwargs = {k: v for k, v in block.items() if k != "search_window"}
     try:
-        return estimate_aubry(potential, tuple(window), **kwargs)
-    except ValueError as exc:  # estimate_aubry names the argument it rejects
+        return estimate_aubry(potential, block["search_window"], **kwargs)
+    except ConfigError as exc:  # estimate_aubry names the argument it rejects
         raise ConfigError(f"certification.{exc}") from exc
 
 
@@ -290,8 +230,7 @@ def _cmd_certify(args):
 
 
 def _solve_params(block):
-    for key in ("lam", "rho", "half_width"):
-        _require(block, key, "solve")
+    _check_block(block, _CONFIG["solve"], "solve", ["lam", "rho", "half_width"])
     kwargs = dict(block)
     kwargs["window"] = kwargs.pop("half_width")
     try:
@@ -449,14 +388,9 @@ def _solution_context(hblock, sblock):
             "inline or via a 'report' path"
         )
     rep = _read_json(report_path, "report")
-    try:
-        params = rep["params"]
-        _check_block(params, _CONFIG["solve"], "report.params")
-        return float(params["lam"]), as_rotation(params["rho"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(
-            f"report {report_path} lacks solve parameters"
-        ) from exc
+    params = rep.get("params") if type(rep) is dict else None  # a solve block
+    _check_block(params, _CONFIG["solve"], "report.params", ["lam", "rho"])
+    return float(params["lam"]), as_rotation(params["rho"])
 
 
 def _sweep_batch(payload):
@@ -527,8 +461,8 @@ def _sweep_payloads(cfg, args):
             raise ConfigError("sweep takes either 'cases' or 'lams'/'rhos'")
         pairs = [(float(lam), float(rho)) for lam, rho in block["cases"]]
     else:
-        lams, rhos = _require(block, "lams", "sweep"), _require(block, "rhos", "sweep")
-        pairs = [(float(lam), float(rho)) for lam in lams for rho in rhos]
+        _check_block(block, _CONFIG["sweep"], "sweep", ["lams", "rhos"])
+        pairs = [(float(lam), float(rho)) for lam in block["lams"] for rho in block["rhos"]]
     if not pairs:
         raise ConfigError("sweep grid is empty")
     if not np.isfinite(pairs).all():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvexityError
+from .errors import ConvexityError, _check_block, _read_block, _write_block
 from .lattice import Configuration, as_rotation
 
 __all__ = [
@@ -65,7 +65,7 @@ class QuadraticCoupling:
         return np.broadcast_to(eye, x.shape[:-1] + (d, d)).copy()
 
     def to_dict(self):
-        return {"name": self.name, "scale": self.scale}
+        return _write_block(self, "name", _COUPLINGS)
 
 
 class PerturbedQuadraticCoupling:
@@ -108,16 +108,18 @@ class PerturbedQuadraticCoupling:
         )[..., None, None] * outer
 
     def to_dict(self):
-        return {"name": self.name, "amplitude": self.amplitude}
+        return _write_block(self, "name", _COUPLINGS)
+
+
+# name -> (class, key -> kind of each JSON key but "name")
+_COUPLINGS = {"quadratic": (QuadraticCoupling, {"scale": "number"}),
+              "perturbed-quadratic": (PerturbedQuadraticCoupling, {"amplitude": "number"})}
 
 
 def coupling_from_dict(d: dict):
-    name = d.get("name")
-    if name == "quadratic":
-        return QuadraticCoupling(d.get("scale", 1.0))
-    if name == "perturbed-quadratic":
-        return PerturbedQuadraticCoupling(d.get("amplitude", 0.1))
-    raise ValueError(f"unknown coupling: {name!r}")
+    """The coupling that to_dict wrote as d; ConfigError names a bad key, as
+    a key of the interaction block that holds a coupling block."""
+    return _read_block(d, "name", _COUPLINGS, "interaction.coupling")
 
 
 # --------------------------------------------------------------------------
@@ -254,28 +256,26 @@ class LongRangeInteraction:
             k += 1
 
     def to_dict(self):
-        d = {"kind": self.kind, "power": self.power}
-        if self.rule_tail:
-            d["cutoff"] = self.cutoff
-            d["weight_base"] = self.weight_base
-        else:
-            d["weights"] = {str(k): c for k, c in self.weights.items()}
-        return d
+        weights = {"weights": {str(k): c for k, c in self.weights.items()}}
+        return {"kind": self.kind, "power": self.power,
+                **({k: getattr(self, k) for k in _RULE} if self.rule_tail else weights)}
+
+
+_RULE = {"cutoff": "int", "weight_base": "number"}  # of the rule that makes long-range weights
+# kind -> (class, key -> kind of each JSON key but "kind")
+_INTERACTIONS = {"nearest-neighbor": (NearestNeighborInteraction, {"coupling": "object"}),
+                 "long-range": (LongRangeInteraction,
+                                {"weights": "weights", "power": "int", **_RULE})}
 
 
 def interaction_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "nearest-neighbor":
-        coupling = coupling_from_dict(d.get("coupling", {"name": "quadratic"}))
-        return NearestNeighborInteraction(coupling)
-    if kind == "long-range":
-        return LongRangeInteraction(
-            weights=d.get("weights"),
-            power=d.get("power", 3),
-            cutoff=d.get("cutoff", 32),
-            weight_base=d.get("weight_base", 0.5),
-        )
-    raise ValueError(f"unknown interaction kind: {kind!r}")
+    """The interaction that to_dict wrote as d; ConfigError names a bad key.
+    Explicit weights take no rule: its keys beside them are unknown."""
+    interaction = _read_block(d, "kind", _INTERACTIONS, "interaction",
+                              {"coupling": coupling_from_dict})
+    if "weights" in d:
+        _check_block({k: d[k] for k in _RULE if k in d}, {}, "interaction")
+    return interaction
 
 
 def delta_hom(interaction, rho) -> np.ndarray:

@@ -20,13 +20,14 @@ path is drawn at random.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 
 import numpy as np
 
-from .errors import CertificateError, CertificationError, ConvergenceError, DomainError
+from .errors import (CertificateError, CertificationError, ConfigError, ConvergenceError,
+                     DomainError, _check_block, _read_block, _write_block)
 from .hyperbolicity import _solve, _sv
 from .lattice import _nearest_anchors, _norms
 
@@ -162,13 +163,9 @@ class TrigSumPotential:
         return 2.0 * math.pi * n / ref
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "terms": [
-                {"amplitude": float(a), "frequency": f.tolist(), "phase": float(p)}
-                for a, f, p in zip(self.amplitudes, self.frequencies, self.phases)
-            ],
-        }
+        return {"family": self.family, "terms": [
+            dict(zip(_TERM, (float(a), f.tolist(), float(p))))
+            for a, f, p in zip(self.amplitudes, self.frequencies, self.phases)]}
 
 
 class _TruncatedAlmostPeriodic(TrigSumPotential):
@@ -185,12 +182,7 @@ class _TruncatedAlmostPeriodic(TrigSumPotential):
         super().__init__(terms)
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "term_count": self.term_count,
-            "amplitude_ratio": self.amplitude_ratio,
-            "frequency_ratio": self.frequency_ratio,
-        }
+        return _write_block(self, "family", _POTENTIALS)
 
 
 def cosine_potential() -> TrigSumPotential:
@@ -201,6 +193,8 @@ def truncated_almost_periodic(term_count: int = 8, amplitude_ratio: float = 0.5,
                               frequency_ratio: float = 1.0 / math.pi):
     """Truncation of sum_n a^n cos(b^n x); the defaults give incommensurable
     frequencies, so the truncated potential has no period."""
+    if term_count < 1:
+        raise ValueError(f"term_count must be at least 1, got {term_count}")
     if not 0 < abs(amplitude_ratio) < 1:
         raise ValueError("amplitude_ratio must lie in (0, 1)")
     return _TruncatedAlmostPeriodic(term_count, amplitude_ratio, frequency_ratio)
@@ -272,31 +266,30 @@ class DeloneBumpPotential:
         return None
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "points": self.points.tolist(),
-            "width": self.width,
-            "depth": self.depth,
-        }
+        return _write_block(self, "family", _POTENTIALS)
+
+
+# family -> (builder, key -> kind of each JSON key but "family"); the
+# cosine is read as a family but written as the trig sum it builds
+_POTENTIALS = {"cosine": (cosine_potential, {}), "trig-sum": (TrigSumPotential, {"terms": "list"}),
+               "almost-periodic-truncated": (truncated_almost_periodic, {
+                   "term_count": "int", "amplitude_ratio": "number", "frequency_ratio": "number"}),
+               "delone-bump": (DeloneBumpPotential,
+                               {"points": "list", "width": "number", "depth": "number"})}
+_TERM = {"amplitude": "number", "frequency": "vector", "phase": "number"}  # one trig-sum term
 
 
 def potential_from_dict(d: dict):
-    family = d.get("family")
-    if family == "cosine":
-        return cosine_potential()
-    if family == "trig-sum":
-        return TrigSumPotential(
-            [(t["amplitude"], t["frequency"], t["phase"]) for t in d["terms"]]
-        )
-    if family == "almost-periodic-truncated":
-        return truncated_almost_periodic(
-            d.get("term_count", 8),
-            d.get("amplitude_ratio", 0.5),
-            d.get("frequency_ratio", 1.0 / math.pi),
-        )
-    if family == "delone-bump":
-        return DeloneBumpPotential(d["points"], d["width"], d.get("depth", 1.0))
-    raise ValueError(f"unknown potential family: {family!r}")
+    """The potential that to_dict wrote as d, or {"family": "cosine"};
+    ConfigError names a bad key."""
+    return _read_block(d, "family", _POTENTIALS, "potential", {"terms": _read_terms})
+
+
+def _read_terms(terms):
+    """(amplitude, frequency, phase) of each JSON term of a trig sum."""
+    for i, term in enumerate(terms):
+        _check_block(term, _TERM, f"potential.terms[{i}]", _TERM)
+    return [[term[k] for k in _TERM] for term in terms]
 
 
 # --------------------------------------------------------------------------
@@ -310,24 +303,12 @@ def _require_finite(obj, *names):
             raise ValueError(f"{type(obj).__name__}.{name} must be finite")
 
 
-def _require_known(d: dict, keys, where: str):
-    """ValueError naming the first key of d, in sorted order, not in keys."""
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _zero_set_dict(sampler, kind: str) -> dict:
-    """The zero set sampler as JSON: its kind and its fields, arrays as lists."""
-    return {"kind": kind, **{f.name: np.asarray(getattr(sampler, f.name)).tolist()
-                             for f in fields(sampler)}}
-
-
 @dataclass(frozen=True)
 class PeriodicZeroSet:
     """Zero set generated by base points repeated with a scalar period
     (one-dimensional)."""
 
+    kind = "periodic"
     base_points: np.ndarray
     period: float
 
@@ -373,13 +354,14 @@ class PeriodicZeroSet:
         return np.where(tie, cand, np.inf).min(axis=1)[:, None]
 
     def to_dict(self):
-        return _zero_set_dict(self, "periodic")
+        return _write_block(self, "kind", _ZERO_SETS)
 
 
 @dataclass(frozen=True)
 class FiniteZeroSet:
     """Explicit zero list, valid for query centers inside [lo, hi]."""
 
+    kind = "finite"
     points: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -498,28 +480,28 @@ class FiniteZeroSet:
         return keys[j][:, None]
 
     def to_dict(self):
-        return _zero_set_dict(self, "finite")
+        return _write_block(self, "kind", _ZERO_SETS)
 
 
-_ZERO_SETS = {"periodic": PeriodicZeroSet, "finite": FiniteZeroSet}
+# kind -> (class, key -> kind of each JSON key but "kind"); the point
+# arrays are checked as lists only, never walked
+_ZERO_SETS = {"periodic": (PeriodicZeroSet, {"base_points": "list", "period": "number"}),
+              "finite": (FiniteZeroSet, {"points": "list", "lo": "vector", "hi": "vector"})}
 
 
 def sampler_from_dict(d: dict):
-    """The zero set that to_dict wrote as d; ValueError on an unknown key."""
-    kind = d.get("kind")
-    if not (isinstance(kind, str) and kind in _ZERO_SETS):  # a JSON list is unhashable
-        raise ValueError(f"unknown zero-set kind: {kind!r}")
-    names = [f.name for f in fields(_ZERO_SETS[kind])]
-    _require_known(d, ["kind", *names], "zero_set")
-    return _ZERO_SETS[kind](*(d[k] for k in names))
+    """The zero set that to_dict wrote as d; ConfigError names a bad key."""
+    return _read_block(d, "kind", _ZERO_SETS, "zero_set")
 
 
 # --------------------------------------------------------------------------
 # certificates
 
 
-_CERT_NUMBERS = {"covering_radius": None, "ball_radius": None, "expansion": None,
-                 "safety": 1.0, "zero_tol": 1e-9}  # JSON fields and defaults
+# key -> kind of each JSON key of a certificate, whose numbers are its fields
+_CERTIFICATE = {"zero_set": "object", "metadata": "object", "covering_radius": "number",
+                "ball_radius": "number", "expansion": "number", "safety": "number",
+                "zero_tol": "number"}
 
 
 @dataclass
@@ -557,15 +539,16 @@ class AubryCertificate:
 
     def to_json_dict(self) -> dict:
         return {"zero_set": self.sampler.to_dict(), "metadata": self.metadata,
-                **{k: getattr(self, k) for k in _CERT_NUMBERS}}
+                **{k: float(getattr(self, k)) for k, kind in _CERTIFICATE.items()
+                   if kind == "number"}}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "AubryCertificate":
-        _require_known(d, ("zero_set", "metadata", *_CERT_NUMBERS), "certificate")
-        numbers = {k: float(d[k] if v is None else d.get(k, v))
-                   for k, v in _CERT_NUMBERS.items()}
+        """The certificate that to_json_dict wrote as d; ConfigError names a bad key."""
+        _check_block(d, _CERTIFICATE, "certificate",
+                     ("zero_set", "covering_radius", "ball_radius", "expansion"))
         return cls(sampler_from_dict(d["zero_set"]),
-                   metadata=dict(d.get("metadata", {})), **numbers)
+                   **{k: v for k, v in d.items() if k != "zero_set"})
 
     def representative_zeros(self) -> np.ndarray:
         if isinstance(self.sampler, PeriodicZeroSet):
@@ -779,7 +762,9 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                    safety: float = 1.0,
                    expansion_fraction: float = 2**-0.5) -> AubryCertificate:
     """Estimate a certificate for psi = grad V over a search window, with
-    every constant proved.
+    every constant proved. search_window is (lo, hi), each a number, which
+    spans that interval on every axis, or a point of V's dimension (a box);
+    ConfigError naming the argument if it, or grid_points, is malformed.
 
     Zeros come from a grid scan with root polishing: in d = 1 every
     sign-change bracket of the grid is bisected, all brackets together
@@ -805,12 +790,15 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     |psi| <= zero_tol at the zeros is checked after (verify).
     """
     if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    lo = np.atleast_1d(np.asarray(search_window[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(search_window[1], dtype=float))
+        raise ConfigError(f"grid_points must be >= 2, got {grid_points}")
+    d = V.dimension
+    try:  # a number pair spans the same interval on every axis
+        lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), (d,)) for x in search_window)
+    except ValueError:
+        raise ConfigError(f"search_window must be a number pair or a box of dimension {d}, "
+                          f"got {search_window}") from None
     if not (lo < hi).all():
-        raise ValueError(f"search_window must have lo < hi, got {lo.tolist()}, {hi.tolist()}")
-    d = getattr(V, "dimension", lo.shape[0])
+        raise ConfigError(f"search_window must have lo < hi, got {lo.tolist()}, {hi.tolist()}")
 
     if d == 1:
         zeros = _scan_zeros_1d(V, float(lo[0]), float(hi[0]), grid_points)[:, None]

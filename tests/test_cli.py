@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from antifk.cli import _CONFIG, _KINDS, _json_text, main
+from antifk import (AubryCertificate, cosine_certificate, coupling_from_dict, estimate_aubry,
+                    interaction_from_dict, potential_from_dict, sampler_from_dict)
+from antifk.cli import _CONFIG, _json_text, main
+from antifk.errors import _KINDS
+from antifk.interactions import _COUPLINGS, _INTERACTIONS
+from antifk.potentials import _CERTIFICATE, _POTENTIALS, _TERM, _ZERO_SETS
 
 
 def write_config(path, payload):
@@ -88,6 +94,60 @@ class TestCertify:
         assert f"unknown keys in certification: {key}" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("window", [[-10.0, 10.0], [[-10.0, -10.0], [10.0, 10.0]]])
+    def test_certifies_in_two_dimensions(self, window, tmp_path):
+        # a pair spans every axis, a box gives each; the CLI writes
+        # estimate_aubry's certificate, whose R bounds cos x + cos y's
+        potential = {"family": "trig-sum", "terms": [
+            {"amplitude": 1.0, "frequency": [1.0, 0.0], "phase": 0.0},
+            {"amplitude": 1.0, "frequency": [0.0, 1.0], "phase": 0.0}]}
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": potential, "certification": {"search_window": window}})
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+        written = json.loads((out / "certificate.json").read_text())
+        cert = estimate_aubry(potential_from_dict(potential), window)
+        assert written == json.loads(json.dumps(cert.to_json_dict()))
+        assert np.pi / np.sqrt(2) <= written["covering_radius"] <= np.pi / np.sqrt(2) * (1 + 1e-3)
+
+    @pytest.mark.parametrize("family, window", [
+        ("cosine", [[-10.0, -10.0], [10.0, 10.0]]), ("cosine", [[-10.0], [10.0, 10.0]]),
+        ("trig-sum", [[-10.0, -10.0, -10.0], [10.0, 10.0, 10.0]])])
+    def test_box_of_the_wrong_dimension_exits_1(self, family, window, tmp_path, capsys):
+        potential = {"family": "cosine"} if family == "cosine" else {
+            "family": "trig-sum", "terms": [{"amplitude": 1.0, "frequency": [1.0, 1.0],
+                                             "phase": 0.0}]}
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": potential, "certification": {"search_window": window}})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: certification.search_window must be a number "
+                              "pair or a box of dimension")
+
+    def test_box_in_one_dimension_is_the_pair(self, tmp_path):
+        written = []
+        for window in ([-10.0, 10.0], [[-10.0], [10.0]]):
+            cfg = write_config(tmp_path / "c.json", {
+                "potential": {"family": "cosine"},
+                "certification": {"search_window": window}})
+            assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+            written.append((tmp_path / "o" / "certificate.json").read_text())
+        assert written[0] == written[1]
+
+    def test_other_errors_are_not_named_as_certification_keys(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # only estimate_aubry's own argument errors are certification keys
+        def broken(*args, **kwargs):
+            raise ValueError("cannot reshape array of size 4001 into shape (2)")
+
+        monkeypatch.setattr("antifk.cli.estimate_aubry", broken)
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "cosine"},
+            "certification": {"search_window": [-10.0, 10.0]}})
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot reshape") and "certification." not in err
 
     def test_provenance_and_verification(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
@@ -497,11 +557,52 @@ def _sweep_rows_alone(cfg_path):
 
 
 _NAN, _INF = float("nan"), float("inf")
+# where a block's keys are named -> its tag and family table, or its table;
+# the README's key table names a trig-sum term's keys potential.terms[].key
+_FAMILIES = {"potential": ("family", _POTENTIALS), "potential.terms[0]": (None, _TERM),
+             "interaction": ("kind", _INTERACTIONS),
+             "interaction.coupling": ("name", _COUPLINGS),
+             "certificate": (None, _CERTIFICATE), "zero_set": ("kind", _ZERO_SETS)}
+
+
+def _family_keys():
+    """(where, the block's tag and family, key, kind) of every key of every
+    family table."""
+    for where, (tag, table) in _FAMILIES.items():
+        families = {name: keys for name, (_, keys) in table.items()} if tag else {None: table}
+        for name, keys in families.items():
+            for key, kind in keys.items():
+                yield where, {tag: name} if tag else {}, key, kind
+
+
+_FAMILY_BLOCKS = {(where, key): block for where, block, key, _ in _family_keys()}
+
+
+def _family_payload(where, block):
+    """A solve config whose block at where is block, every other block working."""
+    payload = {"potential": {"family": "cosine"},
+               "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
+    cert = cosine_certificate().to_json_dict()
+    if where == "potential.terms[0]":
+        payload["potential"] = {"family": "trig-sum", "terms": [block]}
+    elif where == "interaction.coupling":
+        payload["interaction"] = {"kind": "nearest-neighbor", "coupling": block}
+    elif where == "certificate":
+        payload["certificate"] = {**cert, **block}
+    elif where == "zero_set":
+        payload["certificate"] = {**cert, "zero_set": block}
+    else:
+        payload[where] = block
+    return payload
+
+
 # kind -> JSON values not of that kind
 _WRONG = {"int": [1.5, True, "1"], "number": ["1", True, None], "bool": [0, "true"],
           "path": [0, True, ["a.csv"]], "object": ["x", [1]],
           "rho": ["1", [0.5, True], [[0.5]]], "numbers": [1.0, [1.0, "2"]],
-          "window": [[1.0], [1.0, "2"], 1.0], "pairs": [[[1.0]], [[1.0, True]], [1.0, 2.0]]}
+          "window": [[1.0], [1.0, "2"], 1.0], "pairs": [[[1.0]], [[1.0, True]], [1.0, 2.0]],
+          "list": [1.0, "x", {}], "vector": ["1", [0.5, True], [[0.5]]],
+          "weights": [[1.0], {"1": True}, {"x": 1.0}, {"1": "2"}]}
 _FINITE_ZEROS = {"kind": "finite", "points": [k * np.pi for k in range(-20, 21)],
                  "lo": -20 * np.pi, "hi": 20 * np.pi}
 
@@ -558,7 +659,7 @@ class TestConfigValues:
         payload = {"potential": {"family": "cosine"}, "certificate": block,
                    "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
         where = "certificate" if zero_set is None else "zero_set"
-        self.run(tmp_path, capsys, "solve", payload, f"unknown key '{key}' in {where}")
+        self.run(tmp_path, capsys, "solve", payload, f"unknown keys in {where}: {key}")
 
     def test_finite_zero_set_block_solves(self, tmp_path):
         # the block the finite cases above corrupt is a working certificate
@@ -692,12 +793,17 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("where, key, kind, value", [
         (where, key, kind, value) for where, keys in _CONFIG.items()
-        for key, kind in keys.items() for value in _WRONG[kind]])
+        for key, kind in keys.items() for value in _WRONG[kind]] + [
+        (where, key, kind, value) for where, _, key, kind in _family_keys()
+        for value in _WRONG[kind]])
     def test_every_key_checks_its_kind(self, where, key, kind, value, tmp_path, capsys):
-        # whatever the command, a block present is checked when the config loads
+        # whatever the command, a config block present is checked when the
+        # config loads, and a family's block when it is read
         payload = {"potential": {"family": "cosine"},
                    "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}}
-        if where == "config":
+        if (where, key) in _FAMILY_BLOCKS:
+            payload = _family_payload(where, {**_FAMILY_BLOCKS[where, key], key: value})
+        elif where == "config":
             payload[key] = value
         else:
             payload[where] = {**payload.get(where, {}), key: value}
@@ -787,13 +893,13 @@ class TestConfigValues:
          "interaction.cutoff must be an integer, got 4.7"),
     ])
     def test_family_fields_are_typed(self, block, name, tmp_path, capsys):
-        # a key's kind is that of the value the built object writes back
+        # a key's kind is the one in its family's table
         payload = {"potential": {"family": "cosine"},
                    "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}, **block}
         self.run(tmp_path, capsys, "solve", payload, name)
 
     def test_family_fields_take_what_they_write(self, tmp_path):
-        # an int where a float is written passes; lists are not checked
+        # an integer passes as a number
         cfg = write_config(tmp_path / "c.json", {
             "potential": {"family": "almost-periodic-truncated", "term_count": 3,
                           "amplitude_ratio": 0.5, "frequency_ratio": 1},
@@ -803,14 +909,62 @@ class TestConfigValues:
             "solve": {"lam": 40.0, "rho": 0.3, "half_width": 8}})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("where, block, name", [
+        ("certificate", {"covering_radius": "1.5707963267948970"},
+         'certificate.covering_radius must be a number, got "1.5707963267948970"'),
+        ("certificate", {"ball_radius": True}, "certificate.ball_radius must be a number"),
+        ("potential.terms[0]", {"amplitude": True, "frequency": [1.0], "phase": 0.0},
+         "potential.terms[0].amplitude must be a number, got true"),
+        ("potential.terms[0]", {"amplitude": "1.0", "frequency": [1.0], "phase": 0.0},
+         'potential.terms[0].amplitude must be a number, got "1.0"'),
+        ("potential.terms[0]", {"amplitude": 1.0, "frequency": [1.0], "phase": 0.0,
+                                "bogus": 3}, "unknown keys in potential.terms[0]: bogus"),
+        ("potential.terms[0]", {"amplitude": 1.0, "frequency": [1.0]},
+         "missing required key 'phase' in potential.terms[0]"),
+        ("potential", {"family": "almost-periodic-truncated", "term_count": 8.7, "bogus": 1},
+         "unknown keys in potential: bogus"),
+        ("potential", {"family": "almost-periodic-truncated", "term_count": 8.7},
+         "potential.term_count must be an integer, got 8.7"),
+        ("potential", {"family": "almost-periodic-truncated", "term_count": 0},
+         "term_count must be at least 1, got 0"),
+        ("potential", {"family": "delone-bump", "width": 0.5},
+         "missing required key 'points' in potential"),
+        ("interaction.coupling", {"name": "quadratic", "scale": True, "extra": 5},
+         "unknown keys in interaction.coupling: extra"),
+        ("interaction.coupling", {"name": "quadratic", "scale": True},
+         "interaction.coupling.scale must be a number, got true"),
+        ("interaction", {"kind": "long-range", "weights": {"1": True, "-1": "2"}, "cutoff": 4},
+         "interaction.weights must be a JSON object of numbers"),
+        ("interaction", {"kind": "long-range", "weights": {"1": 1.0}, "weight_base": 0.5},
+         "unknown keys in interaction: weight_base"),
+        ("zero_set", {"kind": "finite", "points": [0.0, 3.0], "lo": "-1", "hi": 4.0},
+         'zero_set.lo must be a number or a list of numbers, got "-1"'),
+    ])
+    def test_blocks_name_their_key(self, where, block, name, tmp_path, capsys):
+        # the library's reader raises a ValueError naming the key, and the
+        # CLI exits 1 with it
+        readers = {"certificate": AubryCertificate.from_json_dict,
+                   "potential.terms[0]": potential_from_dict, "potential": potential_from_dict,
+                   "interaction.coupling": coupling_from_dict,
+                   "interaction": interaction_from_dict, "zero_set": sampler_from_dict}
+        payload = _family_payload(where, block)
+        whole = where in ("certificate", "potential.terms[0]")  # block is inside its reader's
+        with pytest.raises(ValueError, match=re.escape(name)):
+            readers[where](payload[where.split(".")[0]] if whole else block)
+        self.run(tmp_path, capsys, "solve", payload, name)
+
     def test_readme_lists_the_table(self):
-        # the README's config reference: one row per key, its kind as in _CONFIG
+        # the README's config reference: one row per key, its kind as in
+        # _CONFIG, then as in each family table
         readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
         start = readme.index("| Key | Kind | Default |") + 2
         rows = [tuple(c.strip(" `") for c in line.split("|")[1:3])
                 for line in itertools.takewhile(lambda x: x.startswith("|"), readme[start:])]
+        prefix = {"potential.terms[0]": "potential.terms[]",
+                  "zero_set": "certificate.zero_set"}
         assert rows == [(key if where == "config" else f"{where}.{key}", kind)
-                        for where, keys in _CONFIG.items() for key, kind in keys.items()]
+                        for where, keys in _CONFIG.items() for key, kind in keys.items()] + [
+            (f"{prefix.get(where, where)}.{key}", kind) for where, _, key, kind in _family_keys()]
 
 
 class TestStackedSweep:

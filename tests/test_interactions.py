@@ -228,6 +228,21 @@ class TestSerialization:
                 float(c.gradient(x)[0, 0])
             )
 
+    def test_numpy_scalar_roundtrip(self):
+        # to_dict writes Python numbers, which the reader takes
+        f, i = np.float64, np.int64
+        for obj, read in (
+                (QuadraticCoupling(f(2.0)), coupling_from_dict),
+                (PerturbedQuadraticCoupling(f(0.15)), coupling_from_dict),
+                (NearestNeighborInteraction(PerturbedQuadraticCoupling(f(0.2))),
+                 interaction_from_dict),
+                (LongRangeInteraction(power=i(1), cutoff=i(4), weight_base=f(0.25)),
+                 interaction_from_dict),
+                (LongRangeInteraction(weights={i(-1): f(2.0), i(2): f(1.0)}, power=i(3)),
+                 interaction_from_dict)):
+            d = obj.to_dict()
+            assert read(d).to_dict() == d
+
     def test_unknown_kind(self):
         with pytest.raises((KeyError, ValueError)):
             interaction_from_dict({"kind": "nope"})
