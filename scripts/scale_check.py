@@ -95,6 +95,7 @@ from antifk import (
     PerturbedQuadraticCoupling,
     SolveParams,
     anchor_configuration,
+    check_stack,
     cone_splitting,
     cosine_certificate,
     cosine_potential,
@@ -108,7 +109,6 @@ from antifk import (
 )
 from antifk import potentials
 from antifk import solver as solver_module
-from antifk.cli import _hyperbolic_checks
 from antifk.hyperbolicity import _coefficients
 from antifk.lattice import stack_chains
 from antifk.solver import _cyclic_reduction, _force
@@ -434,7 +434,7 @@ def sweep_times() -> dict:
     def epilogue_all(batches):
         for solver, done in batches:
             solver._reports(done)
-            _hyperbolic_checks(
+            check_stack(
                 stack_chains([u for u, *_ in done.values()]), nn, V,
                 [solver.cases[c].lam for c in done], cert, TOL,
                 derivatives=tuple(np.stack(x, axis=1) for x in zip(

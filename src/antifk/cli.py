@@ -36,13 +36,7 @@ from .errors import (
     DomainError,
     _check_block,
 )
-from .hyperbolicity import (
-    HyperbolicityCertificate,
-    check_stack,
-    cone_splitting,
-    legendre_bounds,
-    orbit_to_csv,
-)
+from .hyperbolicity import check_stack, orbit_to_csv
 from .interactions import NearestNeighborInteraction, interaction_from_dict
 from .lattice import (
     AnchorTail,
@@ -128,18 +122,25 @@ def _load_config(path):
     return cfg
 
 
-def _build_potential(cfg):
+def _built(where, read, block):
+    """read(block); a ConfigError names its key already, and any other
+    ValueError or TypeError (a constructor's range check) gets the block's name."""
     try:
-        return potential_from_dict(cfg.get("potential", {"family": "cosine"}))
+        return read(block)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad potential block: {exc}") from exc
+        raise ConfigError(f"bad {where} block: {exc}") from exc
+
+
+def _build_potential(cfg):
+    return _built("potential", potential_from_dict,
+                  cfg.get("potential", {"family": "cosine"}))
 
 
 def _build_interaction(cfg):
-    try:
-        return interaction_from_dict(cfg.get("interaction", {"kind": "nearest-neighbor"}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad interaction block: {exc}") from exc
+    return _built("interaction", interaction_from_dict,
+                  cfg.get("interaction", {"kind": "nearest-neighbor"}))
 
 
 def _build_certificate(cfg, potential):
@@ -147,10 +148,7 @@ def _build_certificate(cfg, potential):
         block = cfg["certificate"]
         if "path" in block:
             block = _read_json(block["path"], "certificate")
-        try:
-            return AubryCertificate.from_json_dict(block)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad certificate block: {exc}") from exc
+        return _built("certificate", AubryCertificate.from_json_dict, block)
     if "certification" in cfg:
         return _estimate_certificate(cfg["certification"], potential)
     if cfg.get("potential", {"family": "cosine"}).get("family") == "cosine":
@@ -277,40 +275,6 @@ def _hyp_setting(hblock, sblock, key):
     )
 
 
-def _hyperbolic_checks(u, interaction, potential, lams, cert, tol, horizon=None,
-                       orbit_tol=None, derivatives=None):
-    """The hyperbolicity pipeline of hyperbolicity and sweep. Per chain k of
-    the stack u (n, K, d), at coupling lams[k]: (report, momenta,
-    orbit_tol), or the CertificateError of a chain whose coefficients fail
-    the certificate, which marks that chain only. The cone verdicts,
-    momenta and orbit checks of all chains come from one pass
-    (check_stack), on the solve's derivatives of u if given; the
-    splitting, given a horizon, reuses a chain's coefficients. orbit_tol
-    defaults to 10 tol (1 + lam sup|hess V|)."""
-    checks, (sites, A, B, C) = check_stack(u, interaction, potential, lams, cert,
-                                           derivatives)
-    sup, out = potential.hessian_sup_bound(), []
-    for k, (lam, check) in enumerate(zip(lams, checks)):
-        if isinstance(check, CertificateError):
-            out.append(check)
-            continue
-        verdict, p, deviation = check
-        try:
-            split = None if horizon is None else cone_splitting(
-                u.chain(k), interaction, potential, lam, horizon=horizon,
-                coefficients=(sites, A[:, k], B[:, k], C[:, k]))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        report = HyperbolicityCertificate(
-            lam=lam, cone=verdict.cone, verdict=verdict, splitting=split,
-            legendre_sigma_bounds=legendre_bounds(interaction.coupling),
-            orbit_deviation=deviation,
-        )
-        out.append((report, p, 10.0 * tol * (1.0 + lam * sup)
-                     if orbit_tol is None else orbit_tol))
-    return out
-
-
 def _cmd_hyperbolicity(args):
     cfg = _load_config(args.config)
     hblock = cfg.get("hyperbolicity", {})
@@ -323,6 +287,7 @@ def _cmd_hyperbolicity(args):
         )
     cert = _build_certificate(cfg, potential)
     warnings, derivatives = [], None
+    tol = sblock.get("tol", SolveParams.tol)  # scales the default orbit tolerance
     if hblock.get("use_anchor_configuration", False):
         lam = float(_hyp_setting(hblock, sblock, "lam"))
         rho = as_rotation(_hyp_setting(hblock, sblock, "rho"))
@@ -332,7 +297,7 @@ def _cmd_hyperbolicity(args):
         source = "anchor-configuration"
         warnings.append("evaluated at the anchor configuration, not a solved equilibrium")
     elif "solution" in hblock:
-        lam, rho = _solution_context(hblock, sblock)
+        lam, rho, tol = _solution_context(hblock, sblock, tol)
         tail = AnchorTail(rho, cert.sampler, cert.covering_radius)
         try:
             u = configuration_from_csv(hblock["solution"], tail)
@@ -353,34 +318,36 @@ def _cmd_hyperbolicity(args):
         u, lam, source = outcome[0], params.lam, "solve"
         derivatives = tuple(x[:, None] for x in solver.derivatives[0])
     horizon = hblock.get("horizon", min(20, max(u.window.half_width - 1, 1)))
-    [outcome] = _hyperbolic_checks(
-        stack_chains([u]), interaction, potential, [lam], cert,
-        float(sblock.get("tol", 1e-10)),
-        horizon=horizon if hblock.get("splitting", True) else None,
-        orbit_tol=hblock.get("orbit_tol"), derivatives=derivatives,
-    )
+    try:
+        [outcome] = check_stack(
+            stack_chains([u]), interaction, potential, [lam], cert, tol,
+            derivatives=derivatives, orbit_tol=hblock.get("orbit_tol"),
+            horizon=horizon if hblock.get("splitting", True) else None)
+    except ValueError as exc:  # a horizon the window cannot take
+        raise ConfigError(str(exc)) from exc
     if isinstance(outcome, CertificateError):
         raise outcome
-    report, p, orbit_tol = outcome
+    report, p = outcome
     report.warnings = warnings
-    verdict, deviation = report.verdict, report.orbit_deviation
-    orbit_pass = bool(deviation <= orbit_tol)
     outdir = _outdir(args)
-    _write_json(os.path.join(outdir, "hyperbolicity.json"), {
-        **report.to_json_dict(), "orbit_tol": float(orbit_tol), "orbit_pass": orbit_pass,
-        "source": source})
+    _write_json(os.path.join(outdir, "hyperbolicity.json"),
+                {**report.to_json_dict(), "source": source})
     orbit_to_csv(os.path.join(outdir, "orbit.csv"), u, p)
     _write_manifest(outdir, "hyperbolicity", args.config, ["hyperbolicity.json", "orbit.csv"])
+    verdict = report.verdict
     print(f"cone conditions: {'pass' if verdict.all_pass else 'FAIL'} "
-          f"(margin {verdict.margin:.4g}); orbit deviation {deviation:.3e} "
-          f"{'<=' if orbit_pass else '>'} {orbit_tol:.3e}")
-    return 0 if report.all_pass and orbit_pass else 5
+          f"(margin {verdict.margin:.4g}); orbit deviation {report.orbit_deviation:.3e} "
+          f"{'<=' if report.orbit_pass else '>'} {report.orbit_tol:.3e}")
+    return 0 if report.all_pass and report.orbit_pass else 5
 
 
-def _solution_context(hblock, sblock):
+def _solution_context(hblock, sblock, tol):
+    """(lam, rho, tol) of a solution read from a file: lam and rho inline or
+    from its report's params, whose tol then replaces the given one unless
+    the solve block sets tol."""
     if "lam" in hblock or "rho" in hblock:
         return (float(_hyp_setting(hblock, sblock, "lam")),
-                as_rotation(_hyp_setting(hblock, sblock, "rho")))
+                as_rotation(_hyp_setting(hblock, sblock, "rho")), tol)
     report_path = hblock.get("report")
     if report_path is None:
         raise ConfigError(
@@ -390,7 +357,8 @@ def _solution_context(hblock, sblock):
     rep = _read_json(report_path, "report")
     params = rep.get("params") if type(rep) is dict else None  # a solve block
     _check_block(params, _CONFIG["solve"], "report.params", ["lam", "rho"])
-    return float(params["lam"]), as_rotation(params["rho"])
+    return (float(params["lam"]), as_rotation(params["rho"]),
+            tol if "tol" in sblock else params.get("tol", tol))
 
 
 def _sweep_batch(payload):
@@ -399,10 +367,8 @@ def _sweep_batch(payload):
     stack, with the grad V and hess V their solves ended on; must stay
     importable for pickling. A case's failure, in its
     solve or in its hyperbolicity checks, marks only its own row."""
-    (potential, interaction, cert, cases, half_width, tol, max_iter,
-     check_hyp) = payload
-    params = [SolveParams(lam=lam, rho=rho, window=half_width, tol=tol,
-                          max_iter=max_iter) for lam, rho in cases]
+    potential, interaction, cert, cases, solve, check_hyp = payload
+    params = [SolveParams(lam=lam, rho=rho, **solve) for lam, rho in cases]
     solver = ContractionSolver(interaction, potential, cert, params)
     rows, solved = [], []
     for c, ((lam, rho), outcome) in enumerate(zip(cases, solver.solve())):
@@ -427,16 +393,14 @@ def _sweep_batch(payload):
         rows_ok, chains, lams, derivatives = zip(*solved)
         u, derivatives = stack_chains(chains), [np.stack(x, axis=1) for x in zip(*derivatives)]
         del solver, solved, chains  # the solve's copies of these stacks, freed for the checks
-        checks = _hyperbolic_checks(u, interaction, potential, lams, cert, tol,
-                                    derivatives=derivatives)
+        checks = check_stack(u, interaction, potential, lams, cert, params[0].tol,
+                             derivatives=derivatives)
         for row, check in zip(rows_ok, checks):
             if isinstance(check, CertificateError):
                 row["status"] = "certificate-error"
                 continue
-            report, _, orbit_tol = check
-            row["hyperbolic_pass"] = str(
-                bool(report.all_pass and report.orbit_deviation <= orbit_tol)
-            ).lower()
+            report, _ = check
+            row["hyperbolic_pass"] = str(report.all_pass and report.orbit_pass).lower()
     return rows
 
 
@@ -471,8 +435,8 @@ def _sweep_payloads(cfg, args):
     interaction = _build_interaction(cfg)
     cert = _build_certificate(cfg, potential)
     half_width = block.get("half_width", 32)
-    tol = float(block.get("tol", 1e-10))
-    max_iter = block.get("max_iter", 200)
+    # only the keys given: SolveParams sets the defaults
+    solve = {"window": half_width, **{k: block[k] for k in ("tol", "max_iter") if k in block}}
     check_hyp = block.get("hyperbolicity", False)
     if check_hyp and not isinstance(interaction, NearestNeighborInteraction):
         raise ConfigError(
@@ -483,8 +447,7 @@ def _sweep_payloads(cfg, args):
     size = min(max(1, _BATCH_ROWS // (2 * half_width + 1)),
                -(-len(cases) // args.workers))
     return [
-        (potential, interaction, cert, cases[i:i + size], half_width, tol,
-         max_iter, check_hyp)
+        (potential, interaction, cert, cases[i:i + size], solve, check_hyp)
         for i in range(0, len(cases), size)
     ]
 

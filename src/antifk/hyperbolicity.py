@@ -12,10 +12,13 @@ conditions are checked exactly in one dimension and by norm bounds
 otherwise. The same data feeds the symplectic side: conjugate momenta
 and the twist map they generate.
 
-check_stack runs the checks on K chains stacked as (n, K, d), each at its
-own coupling, in one pass; the kernels work row by row, so each chain
-gets the floats it gets alone. verify_cone_conditions, momentum and
-verify_orbit are the one-chain views.
+check_stack is the one hyperbolicity pipeline: on K chains stacked as
+(n, K, d), each at its own coupling, it gives every chain's finished
+HyperbolicityCertificate (cone verdict, splitting, orbit deviation and
+tolerance, and with them the pass rule) and momenta in one pass; the
+kernels work row by row, so each chain gets the floats it gets alone.
+verify_cone_conditions, cone_splitting, momentum and verify_orbit are the
+one-chain views.
 """
 
 from __future__ import annotations
@@ -619,27 +622,28 @@ def _orbit_deviation(values, p, gv, coupling, lam):
     return np.maximum(_norms(y - values[1:]).max(axis=0), _norms(pn - p[1:]).max(axis=0))
 
 
-def check_stack(u: Configuration, interaction, potential, lams, cert,
-                derivatives=None):
+def check_stack(u: Configuration, interaction, potential, lams, cert, tol,
+                derivatives=None, horizon=None, orbit_tol=None):
     """The hyperbolicity checks of every chain of the stack u (n, K, d),
-    chain k at coupling lams[k], in one pass. Returns, per chain, (cone
-    verdict, momenta, orbit deviation), or the CertificateError of a chain
+    chain k at coupling lams[k], in one pass. Returns, per chain, its
+    (HyperbolicityCertificate, momenta), or the CertificateError of a chain
     whose coefficients fail the certificate's bounds, which stops the
-    checks of that chain only; and the stack's coefficients (sites, A, B,
-    C) of shape (n, K, d, d), which a splitting of one chain can reuse.
+    checks of that chain only.
 
+    Given a horizon, each certificate holds the chain's cone_splitting,
+    taken from the stack's own coefficients. orbit_tol defaults to
+    10 tol (1 + lam sup|hess V|), tol the solve's residual tolerance.
     derivatives, if given, are (grad V, hess V) at u's sites, (n, K, d)
     and (n, K, d, d), as the solve ended on them (ContractionSolver.
     derivatives); V is then not evaluated, and as V computes each row on
     its own, every result is bit for bit the one without them."""
     grad, hess = derivatives or (None, None)
     lam = np.array(lams, dtype=float)
-    coefficients = _coefficients(u, interaction, potential, lam[:, None, None], hess)
-    sva, svb, out = _check_coefficients(*coefficients, interaction.coupling, lams, cert)
-    sites, A, B, C = coefficients
+    sites, A, B, C = _coefficients(u, interaction, potential, lam[:, None, None], hess)
+    sva, svb, out = _check_coefficients(sites, A, B, C, interaction.coupling, lams, cert)
     keep = [k for k, error in enumerate(out) if error is None]
     if not keep:
-        return out, coefficients
+        return out
     if len(keep) < len(out):
         A, B, C, sva, svb = (x[:, keep] for x in (A, B, C, sva, svb))
         lam, u = lam[keep], stack_chains([u.chain(k) for k in keep])
@@ -648,14 +652,25 @@ def check_stack(u: Configuration, interaction, potential, lams, cert,
     p, gv = _momentum(u, interaction, potential, lam[:, None], grad)
     deviation = _orbit_deviation(u.values, p, gv[:-1], interaction.coupling,
                                  lam[:, None]).tolist()
+    sup, bounds = potential.hessian_sup_bound(), legendre_bounds(interaction.coupling)
     for j, k in enumerate(keep):
-        out[k] = (verdicts[j], p[:, j], deviation[j])
-    return out, coefficients
+        split = None if horizon is None else cone_splitting(
+            u.chain(j), interaction, potential, lams[k], horizon=horizon,
+            coefficients=(sites, A[:, j], B[:, j], C[:, j]))
+        out[k] = (HyperbolicityCertificate(
+            lam=lams[k], cone=verdicts[j].cone, verdict=verdicts[j], splitting=split,
+            legendre_sigma_bounds=bounds, orbit_deviation=deviation[j],
+            orbit_tol=float(10.0 * tol * (1.0 + lams[k] * sup)
+                            if orbit_tol is None else orbit_tol)), p[:, j])
+    return out
 
 
 @dataclass
 class HyperbolicityCertificate:
-    """Aggregate outcome of the linear-stability checks for one run."""
+    """Aggregate outcome of the linear-stability checks for one run. The
+    run passes when all_pass (cone conditions, and a splitting with
+    bundles apart, if taken) and orbit_pass (the orbit deviation within
+    orbit_tol) both hold."""
 
     lam: float
     cone: ConeParameters
@@ -663,6 +678,7 @@ class HyperbolicityCertificate:
     splitting: SplittingReport | None = None
     legendre_sigma_bounds: tuple | None = None
     orbit_deviation: float | None = None
+    orbit_tol: float | None = None
     warnings: list = field(default_factory=list)
 
     @property
@@ -672,8 +688,15 @@ class HyperbolicityCertificate:
             ok = ok and self.splitting.min_angle > 0.0
         return bool(ok)
 
+    @property
+    def orbit_pass(self) -> bool:
+        """False unless both the deviation and the tolerance are known."""
+        return (self.orbit_deviation is not None and self.orbit_tol is not None
+                and bool(self.orbit_deviation <= self.orbit_tol))
+
     def to_json_dict(self) -> dict:
-        return {**asdict(self, dict_factory=_json_fields), "all_pass": self.all_pass}
+        return {**asdict(self, dict_factory=_json_fields), "all_pass": self.all_pass,
+                "orbit_pass": self.orbit_pass}
 
 
 def orbit_to_csv(path, u: Configuration, p: np.ndarray):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -9,8 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from antifk import (AubryCertificate, cosine_certificate, coupling_from_dict, estimate_aubry,
-                    interaction_from_dict, potential_from_dict, sampler_from_dict)
+from antifk import (AubryCertificate, SolveParams, cosine_certificate, coupling_from_dict,
+                    estimate_aubry, interaction_from_dict, potential_from_dict,
+                    sampler_from_dict)
 from antifk.cli import _CONFIG, _json_text, main
 from antifk.errors import _KINDS
 from antifk.interactions import _COUPLINGS, _INTERACTIONS
@@ -329,6 +331,27 @@ class TestHyperbolicity:
         payload = json.loads((out / "hyperbolicity.json").read_text())
         assert payload["source"] == "solution"
         assert payload["all_pass"] is True
+
+    def test_report_sets_the_orbit_tolerance(self, tmp_path):
+        # a solve at tol 1e-2 stops at a residual near 1e-4; read back
+        # through its report, its orbit check scales with that tol (it
+        # failed against the 1e-10 default), unless the solve block sets one
+        solved = tmp_path / "sol"
+        assert main(["solve", "--config", write_config(tmp_path / "s.json", {
+            "potential": {"family": "cosine"},
+            "solve": {"lam": 40.0, "rho": 0.618, "half_width": 64, "tol": 1e-2}}),
+            "--out", str(solved)]) == 0
+        hyp = {"solution": str(solved / "solution.csv"),
+               "report": str(solved / "report.json")}
+        for solve, tol, code in (({}, 1e-2, 0), ({"tol": 1e-10}, 1e-10, 5)):
+            cfg = write_config(tmp_path / "h.json", {
+                "potential": {"family": "cosine"}, "hyperbolicity": hyp, "solve": solve})
+            out = tmp_path / f"hyp{code}"
+            assert main(["hyperbolicity", "--config", cfg, "--out", str(out)]) == code
+            payload = json.loads((out / "hyperbolicity.json").read_text())
+            assert payload["all_pass"] is True and payload["orbit_pass"] is (code == 0)
+            assert payload["orbit_tol"] == 10.0 * tol * (1.0 + 40.0)
+            assert 1e-5 < payload["orbit_deviation"] < 1e-3
 
     def test_d2_run_calls_no_lapack(self, tmp_path, monkeypatch):
         # a run shaped as the d = 2 hyperbolicity benchmark (cos x + cos y,
@@ -830,7 +853,7 @@ class TestConfigValues:
                           "coupling": {"name": "quadratic", "scal": 2.0}}},
          "unknown keys in interaction.coupling: scal"),
         ({"interaction": {"kind": "nearest-neighbor", "coupling": "quadratic"}},
-         "bad interaction block"),
+         "interaction.coupling must be a JSON object"),
         ({"potential": {"family": "almost-periodic-truncated", "term_cont": 4}},
          "unknown keys in potential: term_cont"),
         ({"potential": {"family": "cosine", "phase": 1.0}},
@@ -847,6 +870,65 @@ class TestConfigValues:
         payload = {"potential": {"family": "cosine"},
                    "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}, **block}
         self.run(tmp_path, capsys, "hyperbolicity", payload, name)
+
+    @pytest.mark.parametrize("block, message", [
+        ({"potential": {"family": "almost-periodic-truncated", "term_count": 8.7}},
+         "potential.term_count must be an integer, got 8.7"),
+        ({"interaction": {"kind": "nearest-neighbor", "coupling": "quadratic"}},
+         'interaction.coupling must be a JSON object, got "quadratic"'),
+        ({"certificate": {**cosine_certificate().to_json_dict(), "ball_radius": True}},
+         "certificate.ball_radius must be a number, got true"),
+        ({"potential": {"family": "delone-bump", "points": [0.0, 2.0], "width": 0.0}},
+         "bad potential block: width must be positive"),
+        ({"interaction": {"kind": "long-range", "weight_base": 2.0}},
+         "bad interaction block: weight_base must lie in (0, 1)"),
+        ({"certificate": {**cosine_certificate().to_json_dict(), "ball_radius": -1.0}},
+         "bad certificate block: certificate radii and expansion must be positive"),
+    ])
+    def test_one_error_prefix(self, block, message, tmp_path, capsys):
+        # a key's error reads as the reader wrote it; only a constructor's
+        # own range check gets the name of the block it came from
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "cosine"},
+            "solve": {"lam": 20.0, "rho": 1.0, "half_width": 8}, **block})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_solve_defaults_reach_every_command(self, tmp_path, capsys, monkeypatch):
+        # SolveParams' signature is the one place tol and max_iter default:
+        # a changed default reaches a sweep's solves and the orbit
+        # tolerance of a hyperbolicity run that sets no tol
+        from antifk import cli
+
+        made = []
+
+        @dataclasses.dataclass
+        class Changed(SolveParams):
+            tol: float = 1e-8
+            max_iter: int = 7
+
+            def __post_init__(self):
+                super().__post_init__()
+                made.append((self.tol, self.max_iter))
+
+        monkeypatch.setattr(cli, "SolveParams", Changed)
+        cfg = write_config(tmp_path / "s.json", {
+            "potential": {"family": "cosine"},
+            "sweep": {"lams": [20.0, 40.0], "rhos": [0.5], "half_width": 8,
+                      "hyperbolicity": True}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert made == [(1e-8, 7)] * 2
+        assert main(["solve", "--config", solve_config(tmp_path),
+                     "--out", str(tmp_path / "sol")]) == 0
+        for name, hyp in (("anchor", {"use_anchor_configuration": True, "half_width": 8}),
+                          ("file", {"solution": str(tmp_path / "sol" / "solution.csv")})):
+            cfg = write_config(tmp_path / "h.json", {
+                "potential": {"family": "cosine"},
+                "hyperbolicity": {**hyp, "lam": 20.0, "rho": 1.0}})
+            out = tmp_path / name
+            assert main(["hyperbolicity", "--config", cfg, "--out", str(out)]) in (0, 5)
+            payload = json.loads((out / "hyperbolicity.json").read_text())
+            assert payload["orbit_tol"] == 10.0 * 1e-8 * (1.0 + 20.0)
 
     @pytest.mark.parametrize("lam", ["40", True])
     def test_report_params_are_checked(self, lam, tmp_path, capsys):

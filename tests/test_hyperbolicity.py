@@ -776,41 +776,56 @@ class TestBatchedAgainstPerSite:
 
 class TestCheckStack:
     """check_stack runs the hyperbolicity checks of stacked chains in one
-    pass; every chain's verdict, momenta and orbit deviation equal the
-    one-chain functions bit for bit, and a chain that fails the
+    pass; every chain's certificate and momenta equal, bit for bit, those
+    the one-chain functions assemble, and a chain that fails the
     coefficient check gets its own error."""
 
     @staticmethod
-    def _stack_against_alone(chains, nn, V, lams, cert):
-        checks, (sites, A, B, C) = hyperbolicity.check_stack(
-            stack_chains(chains), nn, V, lams, cert)
-        assert A.shape == (len(sites), len(chains)) + (chains[0].window.dimension,) * 2
+    def _alone(u, nn, V, lam, cert, tol, horizon):
+        """(certificate, momenta) of one chain from the one-chain views."""
+        verdict = verify_cone_conditions(u, nn, V, lam, cert)
+        p = momentum(u, nn, V, lam)
+        return HyperbolicityCertificate(
+            lam=lam, cone=verdict.cone, verdict=verdict,
+            splitting=None if horizon is None else cone_splitting(
+                u, nn, V, lam, horizon=horizon),
+            legendre_sigma_bounds=legendre_bounds(nn.coupling),
+            orbit_deviation=verify_orbit(u, p, nn, V, lam),
+            orbit_tol=10.0 * tol * (1.0 + lam * V.hessian_sup_bound())), p
+
+    @classmethod
+    def _stack_against_alone(cls, chains, nn, V, lams, cert, horizon=None, tol=1e-10):
+        checks = hyperbolicity.check_stack(stack_chains(chains), nn, V, lams, cert, tol,
+                                           horizon=horizon)
         statuses = []
         for u, lam, check in zip(chains, lams, checks):
             try:
-                verdict = verify_cone_conditions(u, nn, V, lam, cert)
+                alone, expect = cls._alone(u, nn, V, lam, cert, tol, horizon)
             except CertificateError as exc:
                 assert type(check) is CertificateError and str(check) == str(exc)
                 statuses.append("certificate-error")
                 continue
-            got, p, deviation = check
-            # every per-site field, phonon_gap and worst_sites
-            assert got.to_json_dict() == verdict.to_json_dict()
-            expect = momentum(u, nn, V, lam)
+            got, p = check
+            # every field: the verdict's per-site arrays, phonon_gap and
+            # worst_sites, the splitting's bundles, the orbit check
+            assert got.to_json_dict() == alone.to_json_dict()
             assert p.shape == expect.shape and np.array_equal(p, expect)
-            assert deviation == verify_orbit(u, expect, nn, V, lam)
-            statuses.append("pass" if verdict.all_pass else "fail")
+            statuses.append("pass" if alone.verdict.all_pass else "fail")
         return statuses
 
-    def test_mixed_batch_d1(self, cos_potential_module):
+    @staticmethod
+    def _mixed_d1(cos_potential_module):
         # an expansion m = 0.99 above the true cos(pi/4) fails the
-        # coefficient check at lam = 20 only; lam = 5 is a failed verdict
+        # coefficient check at lam = 20 only
         cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2, 1.2, 0.99)
         nn, V = NearestNeighborInteraction(), cos_potential_module
         cases = [(40.0, 0.5), (20.0, 0.5), (40.0, 1.0), (20.0, 1.0), (60.0, 0.3)]
         params = [SolveParams(lam=lam, rho=rho, window=8) for lam, rho in cases]
         chains = [u for u, _ in ContractionSolver(nn, V, cert, params).solve()]
-        lams = [lam for lam, _ in cases]
+        return chains, nn, V, [lam for lam, _ in cases], cert
+
+    def test_mixed_batch_d1(self, cos_potential_module):
+        chains, nn, V, lams, cert = self._mixed_d1(cos_potential_module)
         assert self._stack_against_alone(chains, nn, V, lams, cert) == [
             "pass", "certificate-error", "pass", "certificate-error", "pass"]
         # a verdict that fails is a verdict, in a batch as alone
@@ -820,10 +835,26 @@ class TestCheckStack:
         assert self._stack_against_alone(
             chains[1:2], nn, V, [20.0], cert) == ["certificate-error"]
 
+    def test_splitting_skips_failed_chains(self, cos_potential_module):
+        # the chains that fail the coefficient check sit between passing
+        # ones: each passing chain splits on its own coefficients, not on
+        # those of the chain at its index before the failures were dropped
+        chains, nn, V, lams, cert = self._mixed_d1(cos_potential_module)
+        assert self._stack_against_alone(chains, nn, V, lams, cert, horizon=3,
+                                         tol=1e-8) == [
+            "pass", "certificate-error", "pass", "certificate-error", "pass"]
+        checks = hyperbolicity.check_stack(stack_chains(chains), nn, V, lams, cert,
+                                           1e-8, horizon=3, orbit_tol=0.5)
+        for k in (0, 2, 4):
+            report = checks[k][0]
+            assert report.splitting.horizon == 3 and len(report.splitting.sites) == 11
+            assert report.orbit_tol == 0.5 and report.orbit_pass and report.all_pass
+
     def test_solve_derivatives_stand_in_for_v(self, cos_potential_module, monkeypatch):
         # the grad V and hess V a solve ended on give every result bit for
-        # bit without evaluating V: lam = 0.5 fails in the solve and has
-        # none, lam = 20 fails the coefficient check of m = 0.99
+        # bit without evaluating V, the splitting's too: lam = 0.5 fails in
+        # the solve and has none, lam = 20 fails the coefficient check of
+        # m = 0.99
         cert = AubryCertificate(PeriodicZeroSet([0.0], np.pi), np.pi / 2, 1.2, 0.99)
         nn, V = NearestNeighborInteraction(), cos_potential_module
         cases = [(40.0, 0.5), (0.5, 0.5), (20.0, 1.0), (60.0, 0.3)]
@@ -836,23 +867,21 @@ class TestCheckStack:
         lams = [cases[c][0] for c in (0, 2, 3)]
         derivatives = tuple(np.stack(x, axis=1)
                             for x in zip(*(solver.derivatives[c] for c in (0, 2, 3))))
-        fresh, coefficients = hyperbolicity.check_stack(u, nn, V, lams, cert)
+        fresh = hyperbolicity.check_stack(u, nn, V, lams, cert, 1e-10, horizon=3)
 
         def unused(x):
             raise AssertionError("V evaluated")
 
         monkeypatch.setattr(V, "gradient", unused)
         monkeypatch.setattr(V, "hessian", unused)
-        handed, handed_coefficients = hyperbolicity.check_stack(
-            u, nn, V, lams, cert, derivatives)
+        handed = hyperbolicity.check_stack(u, nn, V, lams, cert, 1e-10, derivatives,
+                                           horizon=3)
         monkeypatch.undo()
-        assert all(np.array_equal(a, b) for a, b in zip(coefficients, handed_coefficients))
         assert [type(x) for x in handed] == [tuple, CertificateError, tuple]
         assert str(handed[1]) == str(fresh[1])
-        for (verdict, p, deviation), (want, p_want, dev_want) in zip(
-                handed[::2], fresh[::2]):
-            assert verdict.to_json_dict() == want.to_json_dict()
-            assert np.array_equal(p, p_want) and deviation == dev_want
+        for (report, p), (want, p_want) in zip(handed[::2], fresh[::2]):
+            assert report.to_json_dict() == want.to_json_dict()
+            assert np.array_equal(p, p_want)
 
     def test_batch_d2(self, solved_2d):
         # the perturbed-quadratic coupling inverts its gradient chain by chain
@@ -862,7 +891,7 @@ class TestCheckStack:
                                    (60.0, (-0.5, 0.3)))]
         chains = [u for u, _ in ContractionSolver(nn, V, cert, params).solve()]
         assert self._stack_against_alone(
-            chains, nn, V, [p.lam for p in params], cert) == ["pass"] * 3
+            chains, nn, V, [p.lam for p in params], cert, horizon=8) == ["pass"] * 3
 
 
 class TestMomentum:
