@@ -421,19 +421,22 @@ def sweep_times() -> dict:
             ContractionSolver(nn, V, cert, cases[lo:lo + k]).solve()
 
     def solved(k):
-        """(solver, converged cases as its report step takes them) per batch"""
+        """(solver, converged cases and their records, as its report step
+        takes them) per batch"""
         batches, cases = [], grid_of(k)
         for lo in range(0, len(cases), k):
             solver = ContractionSolver(nn, V, cert, cases[lo:lo + k])
-            batches.append((solver, {
-                c: (u, rep.final_residual, rep.step_distances, rep.newton_steps,
-                    rep.newton_fallback, rep.kantorovich_h, rep.kantorovich_lam)
-                for c, (u, rep) in enumerate(solver.solve())}))
+            outcomes = solver.solve()
+            records = {key: [getattr(rep, key) for _, rep in outcomes] for key in (
+                "step_distances", "newton_steps", "newton_fallback", "kantorovich_h",
+                "kantorovich_lam")}
+            batches.append((solver, {c: (u, rep.final_residual)
+                                     for c, (u, rep) in enumerate(outcomes)}, records))
         return batches
 
     def epilogue_all(batches):
-        for solver, done in batches:
-            solver._reports(done)
+        for solver, done, records in batches:
+            solver._reports(done, **records)
             check_stack(
                 stack_chains([u for u, *_ in done.values()]), nn, V,
                 [solver.cases[c].lam for c in done], cert, TOL,

@@ -66,10 +66,10 @@ _CONFIG = {
     "certificate": {"path": "path"},
     "certification": {"search_window": "window", "grid_points": "int",
                       "zero_tol": "number", "degeneracy_fraction": "number",
-                      "safety": "number", "expansion_fraction": "number"},
-    "solve": {"lam": "number", "rho": "rho", "half_width": "int", "tol": "number",
+                      "expansion_fraction": "number"},
+    "solve": {"lam": "number", "rho": "vector", "half_width": "int", "tol": "number",
               "max_iter": "int", "inner_tol": "number"},
-    "hyperbolicity": {"solution": "path", "report": "path", "lam": "number", "rho": "rho",
+    "hyperbolicity": {"solution": "path", "report": "path", "lam": "number", "rho": "vector",
                       "half_width": "int", "horizon": "int", "splitting": "bool",
                       "orbit_tol": "number", "use_anchor_configuration": "bool"},
     "sweep": {"lams": "numbers", "rhos": "numbers", "cases": "pairs", "half_width": "int",
@@ -231,10 +231,7 @@ def _solve_params(block):
     _check_block(block, _CONFIG["solve"], "solve", ["lam", "rho", "half_width"])
     kwargs = dict(block)
     kwargs["window"] = kwargs.pop("half_width")
-    try:
-        return SolveParams(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solve block: {exc}") from exc
+    return _built("solve", lambda kw: SolveParams(**kw), kwargs)
 
 
 def _cmd_solve(args):
@@ -323,7 +320,7 @@ def _cmd_hyperbolicity(args):
             stack_chains([u]), interaction, potential, [lam], cert, tol,
             derivatives=derivatives, orbit_tol=hblock.get("orbit_tol"),
             horizon=horizon if hblock.get("splitting", True) else None)
-    except ValueError as exc:  # a horizon the window cannot take
+    except ValueError as exc:  # a horizon the window cannot take, orbit_tol <= 0
         raise ConfigError(str(exc)) from exc
     if isinstance(outcome, CertificateError):
         raise outcome
@@ -362,33 +359,25 @@ def _solution_context(hblock, sblock, tol):
 
 
 def _sweep_batch(payload):
-    """Worker for one batch of (lam, rho) cells, solved as stacked chains,
-    whose converged chains then go through the hyperbolicity checks as one
-    stack, with the grad V and hess V their solves ended on; must stay
-    importable for pickling. A case's failure, in its
-    solve or in its hyperbolicity checks, marks only its own row."""
-    potential, interaction, cert, cases, solve, check_hyp = payload
-    params = [SolveParams(lam=lam, rho=rho, **solve) for lam, rho in cases]
+    """Worker for one batch of SolveParams, solved as stacked chains, whose
+    converged chains then go through the hyperbolicity checks as one stack,
+    with the grad V and hess V their solves ended on; must stay importable
+    for pickling. A row takes each column that is a SolveReport field from
+    its report. A case's failure, in its solve or in its hyperbolicity
+    checks, marks only its own row."""
+    potential, interaction, cert, params, check_hyp = payload
     solver = ContractionSolver(interaction, potential, cert, params)
     rows, solved = [], []
-    for c, ((lam, rho), outcome) in enumerate(zip(cases, solver.solve())):
-        row = dict.fromkeys(_SWEEP_COLUMNS, "")
-        row.update(lam=lam, rho=rho, status="ok")
+    for c, (p, outcome) in enumerate(zip(params, solver.solve())):
+        row = dict.fromkeys(_SWEEP_COLUMNS)
+        row.update(lam=p.lam, rho=p.rho.rho.item(), status="ok")
         rows.append(row)
         if isinstance(outcome, Exception):
             row["status"] = _SWEEP_STATUS[type(outcome)]
             continue
         u, rep = outcome
-        row.update(
-            iterations=rep.iterations,
-            final_residual=repr(rep.final_residual),
-            contraction_factor=repr(rep.contraction_factor),
-            distance_to_anchor=repr(rep.distance_to_anchor),
-            distance_to_rotation=repr(rep.distance_to_rotation),
-        )
-        row.update((key, "" if getattr(rep, key) is None else repr(getattr(rep, key)))
-                   for key in ("kantorovich_h", "kantorovich_lam"))  # empty where None
-        solved.append((row, u, lam, solver.derivatives.pop(c)))
+        row.update((key, getattr(rep, key)) for key in _SWEEP_COLUMNS if hasattr(rep, key))
+        solved.append((row, u, p.lam, solver.derivatives.pop(c)))
     if check_hyp and solved:
         rows_ok, chains, lams, derivatives = zip(*solved)
         u, derivatives = stack_chains(chains), [np.stack(x, axis=1) for x in zip(*derivatives)]
@@ -431,23 +420,25 @@ def _sweep_payloads(cfg, args):
         raise ConfigError("sweep grid is empty")
     if not np.isfinite(pairs).all():
         raise ConfigError("sweep lam and rho values must be finite")
-    potential = _build_potential(cfg)
-    interaction = _build_interaction(cfg)
-    cert = _build_certificate(cfg, potential)
     half_width = block.get("half_width", 32)
     # only the keys given: SolveParams sets the defaults
     solve = {"window": half_width, **{k: block[k] for k in ("tol", "max_iter") if k in block}}
+    # every case read before anything runs
+    cases = _built("sweep", lambda cells: [SolveParams(lam=lam, rho=rho, **solve)
+                                           for lam, rho in cells], sorted(pairs))
+    potential = _build_potential(cfg)
+    interaction = _build_interaction(cfg)
+    cert = _build_certificate(cfg, potential)
     check_hyp = block.get("hyperbolicity", False)
     if check_hyp and not isinstance(interaction, NearestNeighborInteraction):
         raise ConfigError(
             "sweep hyperbolicity checks support nearest-neighbor interactions only"
         )
-    cases = sorted(pairs)
     # every worker gets a batch while there are cases for it
     size = min(max(1, _BATCH_ROWS // (2 * half_width + 1)),
                -(-len(cases) // args.workers))
     return [
-        (potential, interaction, cert, cases[i:i + size], solve, check_hyp)
+        (potential, interaction, cert, cases[i:i + size], check_hyp)
         for i in range(0, len(cases), size)
     ]
 
@@ -468,8 +459,8 @@ def _cmd_sweep(args):
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        fh.writelines(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                               for c in _SWEEP_COLUMNS) + "\n" for row in rows)
+        fh.writelines(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                               for v in map(row.get, _SWEEP_COLUMNS)) + "\n" for row in rows)
     _write_manifest(outdir, "sweep", args.config, ["sweep.csv"])
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {n_ok}/{len(rows)} cases solved; table in {path}")

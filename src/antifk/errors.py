@@ -78,7 +78,6 @@ _KINDS = {
     "object": (lambda v: type(v) is dict, "a JSON object"),
     "list": (lambda v: type(v) is list, "a list"),  # not walked: its reader checks the items
     "vector": (lambda v: _is("number", v) or _is("numbers", v), "a number or a list of numbers"),
-    "rho": (lambda v: _is("vector", v), "a number or a list of numbers"),
     "numbers": (lambda v: type(v) is list and all(_is("number", x) for x in v),
                 "a list of numbers"),
     "window": (lambda v: type(v) is list and len(v) == 2 and (

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CertificateError, ConvexityError
 from .interactions import NearestNeighborInteraction, QuadraticCoupling
-from .lattice import Configuration, _norms, stack_chains
+from .lattice import Configuration, _norms, _write_columns, stack_chains
 
 __all__ = [
     "LinearizationSite",
@@ -177,19 +177,16 @@ def _coefficients(u: Configuration, interaction, potential, lam, hessian=None):
     or (n, K, d, d) for K stacked chains, with lam one coupling or one per
     chain as a (K, 1, 1) array. The potential sees the sites as (rows, d),
     as a single chain does; hessian, if given, is its hessian at u's
-    sites."""
+    sites. A_i and B_{i+1} are one bond's: the coupling's hessian H is
+    taken once at each of the n + 1 bonds u_{i-1} - u_i, and A = H[1:] and
+    B = H[:-1] are views of one array."""
     _require_nn(interaction)
-    coupling = interaction.coupling
     ext = u.extended(1)
-    fwd = ext[1:-1] - ext[2:]    # u_i - u_{i+1}
-    bwd = ext[:-2] - ext[1:-1]   # u_{i-1} - u_i
-    shape = u.values.shape + (u.window.dimension,)
-    A = coupling.hessian(fwd).reshape(shape)
-    B = coupling.hessian(bwd).reshape(shape)
+    H = interaction.coupling.hessian(ext[:-1] - ext[1:])
+    A, B = H[1:], H[:-1]
     if hessian is None:
-        hessian = potential.hessian(u.values.reshape(-1, shape[-1]))
-    C = lam * hessian.reshape(shape)
-    return u.window.sites(), A, B, C
+        hessian = potential.hessian(u.values.reshape(-1, u.window.dimension))
+    return u.window.sites(), A, B, lam * hessian.reshape(A.shape)
 
 
 # relative slack of the coefficient checks against the certificate's bounds
@@ -631,12 +628,15 @@ def check_stack(u: Configuration, interaction, potential, lams, cert, tol,
     checks of that chain only.
 
     Given a horizon, each certificate holds the chain's cone_splitting,
-    taken from the stack's own coefficients. orbit_tol defaults to
-    10 tol (1 + lam sup|hess V|), tol the solve's residual tolerance.
+    taken from the stack's own coefficients. orbit_tol, which must be
+    positive (ValueError), defaults to 10 tol (1 + lam sup|hess V|), tol
+    the solve's residual tolerance.
     derivatives, if given, are (grad V, hess V) at u's sites, (n, K, d)
     and (n, K, d, d), as the solve ended on them (ContractionSolver.
     derivatives); V is then not evaluated, and as V computes each row on
     its own, every result is bit for bit the one without them."""
+    if orbit_tol is not None and not orbit_tol > 0:
+        raise ValueError(f"orbit_tol must be positive, got {orbit_tol}")
     grad, hess = derivatives or (None, None)
     lam = np.array(lams, dtype=float)
     sites, A, B, C = _coefficients(u, interaction, potential, lam[:, None, None], hess)
@@ -700,16 +700,7 @@ class HyperbolicityCertificate:
 
 
 def orbit_to_csv(path, u: Configuration, p: np.ndarray):
-    """Write site, position and momentum columns."""
-    d = u.window.dimension
-    cols = (
-        ["site"]
-        + [f"u_{k}" for k in range(d)]
-        + [f"p_{k}" for k in range(d)]
-    )
-    p = np.asarray(p, dtype=float).reshape(len(u.values), d)
-    rows = zip(u.window.sites().tolist(), u.values.tolist(), p.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(",".join([str(site), *map(repr, uv + pv)]) + "\n"
-                      for site, uv, pv in rows)
+    """Write site, position and momentum columns, lines ended by \\n,
+    through the writer of solution.csv (lattice._write_columns)."""
+    p = np.asarray(p, dtype=float).reshape(u.values.shape)
+    _write_columns(path, u, ("u", "p"), np.concatenate([u.values, p], axis=1), "\n")

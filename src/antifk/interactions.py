@@ -141,11 +141,11 @@ class NearestNeighborInteraction:
             )
 
     def delta(self, u: Configuration) -> np.ndarray:
-        """Delta(u) at every window site, neighbors from the tail."""
+        """Delta(u) at every window site, neighbors from the tail; grad I
+        once per bond u_{i-1} - u_i, as a bond acts on both its sites."""
         ext = u.extended(1)
-        right = self.coupling.gradient(ext[1:-1] - ext[2:])
-        left = self.coupling.gradient(ext[:-2] - ext[1:-1])
-        return right - left
+        g = self.coupling.gradient(ext[:-1] - ext[1:])
+        return g[1:] - g[:-1]
 
     def delta_hom(self, rho) -> np.ndarray:
         rot = as_rotation(rho)

@@ -417,14 +417,19 @@ def rotation_vector_estimate(u: Configuration) -> np.ndarray:
 def configuration_to_csv(u: Configuration, path) -> None:
     """Write site and value columns, lines ended by \\r\\n as csv.writer
     ends them."""
+    _write_columns(path, u, ("u",), u.values, "\r\n")
+
+
+def _write_columns(path, u: Configuration, prefixes, values, end) -> None:
+    """The one csv writer: u's window sites and the repr of each value of
+    values (n, len(prefixes) d), columns prefix_j, lines ended by end."""
     n, d = u.window.half_width, u.window.dimension
-    header = ["site"] + [f"u_{j}" for j in range(d)]
-    line = ("{}" + ",{!r}" * d + "\r\n").format
+    line = ("{}" + ",{!r}" * values.shape[1] + end).format
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\r\n")
+        f.write(",".join(["site"] + [f"{c}_{j}" for c in prefixes for j in range(d)]) + end)
         # by blocks: one list of every value would cost ~130 bytes a site
-        for lo in range(0, len(u.values), 4096):
-            block = u.values[lo:lo + 4096]
+        for lo in range(0, len(values), 4096):
+            block = values[lo:lo + 4096]
             f.writelines(map(line, range(lo - n, lo - n + len(block)), *block.T.tolist()))
 
 

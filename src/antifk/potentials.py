@@ -511,9 +511,10 @@ class AubryCertificate:
     covering_radius R: every closed R-ball around an admissible center
     meets the zero set. ball_radius r and expansion m: psi expands
     distances by at least m on the closed r-ball around each zero.
-    safety multiplied R during estimation; zero_tol bounds |psi| at the
-    reported zeros. metadata["provenance"] says how each number was
-    obtained ("bounded" for an estimated one).
+    safety is 1.0 in every estimate, as R is proved, not scaled; it is
+    read and written so that certificate files keep the key. zero_tol
+    bounds |psi| at the reported zeros. metadata["provenance"] says how
+    each number was obtained ("bounded" for an estimated one).
     """
 
     sampler: object
@@ -577,7 +578,6 @@ def cosine_certificate() -> AubryCertificate:
         covering_radius=math.pi / 2,
         ball_radius=math.pi / 4,
         expansion=math.sqrt(2) / 2,
-        safety=1.0,
         zero_tol=1e-12,
         metadata={"provenance": {"all": "closed form for the cosine potential"}},
     )
@@ -759,7 +759,6 @@ def _zero_error(V, zeros: np.ndarray) -> float:
 
 def estimate_aubry(V, search_window, *, grid_points: int = 4001,
                    zero_tol: float = 1e-9, degeneracy_fraction: float = 0.1,
-                   safety: float = 1.0,
                    expansion_fraction: float = 2**-0.5) -> AubryCertificate:
     """Estimate a certificate for psi = grad V over a search window, with
     every constant proved. search_window is (lo, hi), each a number, which
@@ -786,7 +785,7 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     periodic sampler the largest spread of a cluster merged into a base
     point; in d > 1 w comes from a Kantorovich test (_zero_error). R is
     the covering radius of the listed zeros (_covering_radius in d > 1)
-    plus w, times safety, rounded up; r is less w, rounded down. Only
+    plus w, rounded up; r is less w, rounded down. Only
     |psi| <= zero_tol at the zeros is checked after (verify).
     """
     if grid_points < 2:
@@ -842,7 +841,7 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
         separation = min(float(np.partition(_norms(retained[i:i + 256, None] - retained), 1,
                                             axis=1)[:, 1].min())
                          for i in range(0, len(retained), 256))
-    covering_radius = (half_gap + w) * safety
+    covering_radius = half_gap + w
     r_cap = 0.49 * separation if separation > 0 else covering_radius
     ball_radius = _ball_expansion_radius(V, ball_zeros, m, r_cap)
     covering_radius = math.nextafter(covering_radius, math.inf)
@@ -850,7 +849,7 @@ def estimate_aubry(V, search_window, *, grid_points: int = 4001,
     if ball_radius <= 0:
         raise CertificationError("no positive radius sustains the expansion bound")
 
-    cert = AubryCertificate(sampler, covering_radius, ball_radius, m, safety, zero_tol, {
+    cert = AubryCertificate(sampler, covering_radius, ball_radius, m, zero_tol=zero_tol, metadata={
         "provenance": dict.fromkeys(("zeros", "covering_radius", "ball_radius", "expansion"),
                                     "bounded"),
         "parameters": {"grid_points": grid_points,

@@ -578,8 +578,9 @@ class ContractionSolver:
                     f"no convergence in {self.max_iter} iterations "
                     f"(last step {steps[c][-1]:.3e}, residual {r:.3e})",
                     trace=steps[c])
-        reports = self._reports({c: (*done[c], steps[c], newton[c], fallback[c],
-                                     proofs[0][c], proofs[1][c]) for c in done})
+        reports = self._reports(done, step_distances=steps, newton_steps=newton,
+                                newton_fallback=fallback, kantorovich_h=proofs[0],
+                                kantorovich_lam=proofs[1])
         return [self.failures[c] if c in self.failures else (done[c][0], reports[c])
                 for c in range(K)]
 
@@ -627,11 +628,11 @@ class ContractionSolver:
             f"float floor of this chain, lam * max|H| * spacing(max|u|) / 2, "
             f"is {floor:.3e}", trace=steps)
 
-    def _reports(self, done) -> dict:
+    def _reports(self, done, **records) -> dict:
         """The SolveReport of each converged case c, done[c] = (u,
-        final_residual, steps, newton_steps, newton_fallback,
-        kantorovich_h, kantorovich_lam). One probe of the stacked chains
-        gives every distance to the rotation."""
+        final_residual), whose field of each name in records is
+        records[name][c]. One probe of the stacked chains gives every
+        distance to the rotation."""
         if not done:
             return {}
         cases = list(done)
@@ -639,15 +640,17 @@ class ContractionSolver:
             stack_chains([done[c][0] for c in cases]),
             stack_chains([homomorphism_configuration(self.cases[c].rho, self.window)
                           for c in cases]))
-        return {c: self._report(c, *done[c], d) for c, d in zip(cases, d_rho)}
+        return {c: self._report(c, *done[c], d, **{k: v[c] for k, v in records.items()})
+                for c, d in zip(cases, d_rho)}
 
-    def _report(self, c, u, final_res, steps, newton_steps, newton_fallback,
-                kantorovich_h, kantorovich_lam, d_rho) -> SolveReport:
-        """Case c's report. Its contraction factor also takes, for nearest
-        neighbours, K / (lam min_i sigma_min(hess V(u_i))) >= max_i
-        |C_i^{-1}| (|B_i| + |A_i + B_i| + |A_i|), the tube map's derivative
-        at u (K = lipschitz_bound; equal for a quadratic coupling)."""
-        p, threshold = self.cases[c], self.thresholds[c]
+    def _report(self, c, u, final_residual, distance_to_rotation, **recorded) -> SolveReport:
+        """Case c's report, recorded holding by name the fields the solve
+        recorded for it (step_distances among them). Its contraction factor
+        also takes, for nearest neighbours, K / (lam min_i sigma_min(hess
+        V(u_i))) >= max_i |C_i^{-1}| (|B_i| + |A_i + B_i| + |A_i|), the tube
+        map's derivative at u (K = lipschitz_bound; equal for a quadratic
+        coupling)."""
+        p, threshold, steps = self.cases[c], self.thresholds[c], recorded["step_distances"]
         noise_floor = 100 * np.finfo(float).eps * (
             1.0 + float(np.abs(u.values).max())
         )
@@ -669,11 +672,10 @@ class ContractionSolver:
         return SolveReport(
             iterations=len(steps),
             converged=True,
-            final_residual=final_res,
-            step_distances=steps,
+            final_residual=final_residual,
             contraction_factor=max(ratios) if ratios else 0.0,
             distance_to_anchor=_sup(u.values - self._anchors[:, c]),
-            distance_to_rotation=d_rho,
+            distance_to_rotation=distance_to_rotation,
             rotation_estimate=rotation_vector_estimate(u).tolist(),
             lambda_threshold=threshold,
             lambda_at_least_threshold=bool(at_least),
@@ -683,10 +685,7 @@ class ContractionSolver:
                 self.cert.ball_radius + self.cert.covering_radius,
             ),
             warnings=warnings,
-            newton_steps=newton_steps,
-            newton_fallback=newton_fallback,
-            kantorovich_h=kantorovich_h,
-            kantorovich_lam=kantorovich_lam,
+            **recorded,
         )
 
 

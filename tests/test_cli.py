@@ -399,6 +399,19 @@ class TestHyperbolicity:
         assert "horizon must be >= 0" in capsys.readouterr().err
         assert not (out / "hyperbolicity.json").exists()
 
+    @pytest.mark.parametrize("orbit_tol", [-1.0, 0.0])
+    def test_orbit_tol_not_positive_exits_1(self, orbit_tol, tmp_path, capsys):
+        # no deviation lies within it, so every run would exit 5
+        cfg = write_config(tmp_path / "c.json", {
+            "potential": {"family": "cosine"},
+            "hyperbolicity": {"use_anchor_configuration": True, "lam": 20.0, "rho": 1.0,
+                              "half_width": 8, "orbit_tol": orbit_tol}})
+        out = tmp_path / "out"
+        assert main(["hyperbolicity", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: orbit_tol must be positive, got {orbit_tol}\n")
+        assert not (out / "hyperbolicity.json").exists()
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, **kw):
@@ -425,6 +438,30 @@ class TestSweep:
             fields = dict(zip(lines[0].split(","), row.split(",")))
             assert fields["status"] == "ok"
             assert fields["hyperbolic_pass"] == "true"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("tol", -1.0, "tolerance must be positive"),
+        ("max_iter", 0, "max_iter must be >= 1"),
+        ("half_width", -3, "half_width must be"),
+        ("lams", [-40.0], "coupling strength must be positive"),
+    ])
+    def test_cases_are_read_before_anything_runs(self, key, value, message, workers,
+                                                 tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the cases were read")
+
+        monkeypatch.setattr("antifk.cli.estimate_aubry", never)
+        monkeypatch.setattr("antifk.cli._sweep_batch", never)
+        cfg = write_config(tmp_path / "s.json", {
+            "potential": {"family": "cosine"},
+            "certification": {"search_window": [-10.0, 10.0]},
+            "sweep": {"lams": [20.0], "rhos": [0.5], "half_width": 8, key: value}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad sweep block: ") and message in err
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
@@ -622,7 +659,7 @@ def _family_payload(where, block):
 # kind -> JSON values not of that kind
 _WRONG = {"int": [1.5, True, "1"], "number": ["1", True, None], "bool": [0, "true"],
           "path": [0, True, ["a.csv"]], "object": ["x", [1]],
-          "rho": ["1", [0.5, True], [[0.5]]], "numbers": [1.0, [1.0, "2"]],
+          "numbers": [1.0, [1.0, "2"]],
           "window": [[1.0], [1.0, "2"], 1.0], "pairs": [[[1.0]], [[1.0, True]], [1.0, 2.0]],
           "list": [1.0, "x", {}], "vector": ["1", [0.5, True], [[0.5]]],
           "weights": [[1.0], {"1": True}, {"x": 1.0}, {"1": "2"}]}
@@ -719,7 +756,7 @@ class TestConfigValues:
     @pytest.mark.parametrize("key, value", [
         ("zero_tol", True), ("search_window", [False, True]),
         ("search_window", [-10.0, "10"]), ("grid_points", True),
-        ("grid_points", 4001.0), ("safety", "2"), ("degeneracy_fraction", None),
+        ("grid_points", 4001.0), ("degeneracy_fraction", None),
         ("expansion_fraction", [0.7]),
     ])
     def test_certification_typed_fields(self, key, value, tmp_path, capsys):
@@ -728,6 +765,14 @@ class TestConfigValues:
                  {"potential": {"family": "cosine"},
                   "certification": {"search_window": [-10.0, 10.0], key: value}},
                  f"certification.{key} must be {kind}")
+
+    @pytest.mark.parametrize("value", ["2", 0.5, 1.0])
+    def test_certification_safety_is_unknown(self, value, tmp_path, capsys):
+        # R is proved, so no factor may scale it (0.5 would halve it)
+        self.run(tmp_path, capsys, "certify",
+                 {"potential": {"family": "cosine"},
+                  "certification": {"search_window": [-10.0, 10.0], "safety": value}},
+                 "unknown keys in certification: safety")
 
     @pytest.mark.parametrize("key, value", [
         ("grid_points", 1), ("grid_points", 0), ("grid_points", -3),

@@ -24,6 +24,7 @@ from antifk import (
     as_rotation,
     cone_parameters,
     cone_splitting,
+    configuration_to_csv,
     cosine_certificate,
     homomorphism_configuration,
     legendre_bounds,
@@ -1055,7 +1056,54 @@ class TestCertificateAggregate:
         assert not cert.all_pass
 
 
+class TestBondsOnce:
+    """Delta and the recursion's A and B take each bond's coupling
+    derivative once; each site's two bonds, taken on their own, give the
+    same bits."""
+
+    def test_against_two_sided_per_site(self, rng):
+        nn = NearestNeighborInteraction(PerturbedQuadraticCoupling(0.3))
+        window, chains = Window(30, 2), []
+        for rho in ([0.41, 0.53], [-1.3, 0.2], [2.0, -0.7]):
+            u = homomorphism_configuration(as_rotation(rho), window)
+            chains.append(u.with_values(u.values + rng.normal(0.0, 0.5, u.values.shape)))
+        u, coupling = stack_chains(chains), nn.coupling
+        V = TrigSumPotential([(1.0, [1.0, 0.0], 0.0), (1.0, [0.0, 1.0], 0.0)])
+        ext = u.extended(1)
+        fwd = [ext[i + 1] - ext[i + 2] for i in range(len(u.values))]  # (K, d) each
+        bwd = [ext[i] - ext[i + 1] for i in range(len(u.values))]
+        delta = np.stack([coupling.gradient(f) - coupling.gradient(b)
+                          for f, b in zip(fwd, bwd)])
+        _, A, B, _ = hyperbolicity._coefficients(u, nn, V, 20.0)
+        assert u.values.shape == (61, 3, 2)
+        assert nn.delta(u).tobytes() == delta.tobytes()
+        assert A.tobytes() == np.stack([coupling.hessian(f) for f in fwd]).tobytes()
+        assert B.tobytes() == np.stack([coupling.hessian(b) for b in bwd]).tobytes()
+
+
 class TestOrbitCsv:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_writers_match_a_repr_join(self, d, tmp_path, rng):
+        # 8201 sites span three blocks of the one writer, the last partial
+        u = homomorphism_configuration(as_rotation(np.full(d, 0.7)), Window(4100, d))
+        u = u.with_values(u.values * rng.uniform(0.5, 2.0, size=u.values.shape))
+        u.values[0, 0], u.values[1, -1] = -0.0, 1e-300
+        p = rng.normal(size=u.values.shape)
+        sites = u.window.sites().tolist()
+
+        def joined(header, rows, end):
+            return "".join(",".join(map(str, line)) + end
+                           for line in [header, *([s, *map(repr, r)] for s, r in
+                                                  zip(sites, rows))]).encode()
+
+        us, ps = [f"u_{j}" for j in range(d)], [f"p_{j}" for j in range(d)]
+        configuration_to_csv(u, tmp_path / "solution.csv")
+        orbit_to_csv(tmp_path / "orbit.csv", u, p)
+        assert (tmp_path / "solution.csv").read_bytes() == joined(
+            ["site", *us], u.values.tolist(), "\r\n")
+        assert (tmp_path / "orbit.csv").read_bytes() == joined(
+            ["site", *us, *ps], np.hstack([u.values, p]).tolist(), "\n")
+
     def test_columns_and_roundtrip(self, solved, nn_module, cos_potential_module,
                                    tmp_path):
         u, _, params = solved
