@@ -662,7 +662,7 @@ _WRONG = {"int": [1.5, True, "1"], "number": ["1", True, None], "bool": [0, "tru
           "numbers": [1.0, [1.0, "2"]],
           "window": [[1.0], [1.0, "2"], 1.0], "pairs": [[[1.0]], [[1.0, True]], [1.0, 2.0]],
           "list": [1.0, "x", {}], "vector": ["1", [0.5, True], [[0.5]]],
-          "weights": [[1.0], {"1": True}, {"x": 1.0}, {"1": "2"}]}
+          "weights": [{"1": True}, {"x": 1.0}, {"1": "2"}, [1.0]]}
 _FINITE_ZEROS = {"kind": "finite", "points": [k * np.pi for k in range(-20, 21)],
                  "lo": -20 * np.pi, "hi": 20 * np.pi}
 
